@@ -11,7 +11,10 @@
 //!
 //! * **round latency** — wall-clock per `run_round` (p50/p90/p99/mean)
 //!   plus the enrollment-inclusive first round, and the simulated
-//!   round seconds for scale,
+//!   round seconds for scale. A round probes every client, so its cost
+//!   must stay near-linear in n: the validator rejects steady p50 growth
+//!   of 2·ratio·ln(nᵢ)/ln(nᵢ₋₁) or more across a tier step (n log n with
+//!   2× slack), which a quadratic pass over the registry breaks,
 //! * **events/sec** — envelopes drained through the deterministic event
 //!   queue per wall second (read back from the
 //!   `coord_shard_queue_depth` histogram the coordinator feeds, plus
@@ -61,8 +64,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-const CLASSES: usize = 4;
+const CLASSES: usize = 8;
 const SIDE: usize = 6;
+const DIRICHLET_ALPHA: f64 = 0.3;
 
 /// One numeric field of `/proc/self/status` (`VmHWM`, `Threads`, ...).
 /// Returns `None` off Linux or when the field is absent — the report
@@ -98,12 +102,16 @@ fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// A tiny-data federation at size `n`: a couple of samples per client so
-/// the sweep measures the coordinator core, not SGD.
+/// A small-data federation at size `n`: 2–6 samples per client under
+/// Dirichlet(0.3) label skew over 8 classes. Few samples keep the sweep
+/// on the coordinator core rather than SGD. The label histograms still
+/// vary enough that cells outnumber sketch buckets, so the clustering
+/// column times the real two-level path, and they come from a bounded
+/// family (a few thousand distinct count vectors), the regime the
+/// two-level scheme assumes (DESIGN.md §15).
 fn build_world(n: usize, seed: u64) -> (FederatedDataset, Vec<DeviceProfile>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let specs =
-        partition::majority_noise(n, CLASSES, &partition::MAJORITY_NOISE_75, (2, 4), 8, &mut rng);
+    let specs = partition::dirichlet_skew(n, CLASSES, DIRICHLET_ALPHA, (2, 6), 2, &mut rng);
     let gen = SynthVision::mnist_like(CLASSES, SIDE, seed);
     let fed = FederatedDataset::materialize(&gen, &specs, seed);
     let profiles = DeviceProfile::sample_many(n, &mut rng);
@@ -313,6 +321,7 @@ fn check_report(text: &str) -> Vec<String> {
     };
     let mut sizes = Vec::new();
     let mut threads = Vec::new();
+    let mut round_p50 = Vec::new();
     let mut recluster_ms = Vec::new();
     let mut snap_bytes = Vec::new();
     for (i, t) in tiers.iter().enumerate() {
@@ -322,8 +331,10 @@ fn check_report(text: &str) -> Vec<String> {
             }
         }
         for key in ["p50", "p90", "p99", "mean"] {
-            if t.get("round_wall_s").and_then(|r| r.get(key)).and_then(Json::as_f64).is_none() {
-                errs.push(format!("tiers[{i}].round_wall_s.{key}: missing number"));
+            match t.get("round_wall_s").and_then(|r| r.get(key)).and_then(Json::as_f64) {
+                Some(v) if key == "p50" => round_p50.push(v),
+                Some(_) => {}
+                None => errs.push(format!("tiers[{i}].round_wall_s.{key}: missing number")),
             }
         }
         match t.get("events_per_sec").and_then(Json::as_f64) {
@@ -389,6 +400,26 @@ fn check_report(text: &str) -> Vec<String> {
     for (i, &th) in threads.iter().enumerate() {
         if th > 64.0 {
             errs.push(format!("tiers[{i}].os_threads {th} exceeds any sane fixed pool"));
+        }
+    }
+    // a steady round sweeps every client once, so its wall time may grow
+    // like n log n but no faster: across one tier step demand growth
+    // below 2·ratio·ln(nᵢ)/ln(nᵢ₋₁). Sub-millisecond baselines are
+    // skipped, as for clustering below.
+    if round_p50.len() == sizes.len() {
+        for i in 1..round_p50.len() {
+            if round_p50[i - 1] < 1e-3 {
+                continue;
+            }
+            let size_ratio = sizes[i] / sizes[i - 1];
+            let limit = 2.0 * size_ratio * sizes[i].ln() / sizes[i - 1].ln();
+            let growth = round_p50[i] / round_p50[i - 1];
+            if growth >= limit {
+                errs.push(format!(
+                    "tiers[{i}].round_wall_s.p50 grew {growth:.1}x over a {size_ratio:.1}x size \
+                     step (limit {limit:.1}x) — a steady round must stay near n log n"
+                ));
+            }
         }
     }
     // re-clustering must stay well clear of quadratic: across one tier
@@ -539,10 +570,14 @@ mod tests {
     use super::*;
 
     fn tier_full(n: f64, threads: f64, recluster_ms: f64, snap_bytes: f64) -> String {
+        tier_timed(n, threads, recluster_ms, snap_bytes, 0.5)
+    }
+
+    fn tier_timed(n: f64, threads: f64, recluster_ms: f64, snap_bytes: f64, p50: f64) -> String {
         format!(
             r#"{{"n_clients": {n}, "rounds": 3, "n_shards": 16, "n_workers": 4,
                 "enroll_round_wall_s": 1.0,
-                "round_wall_s": {{"mean": 0.5, "p50": 0.5, "p90": 0.6, "p99": 0.7}},
+                "round_wall_s": {{"mean": {p50}, "p50": {p50}, "p90": {p50}, "p99": {p50}}},
                 "events_per_sec": 1000.0,
                 "clustering": {{"insert_ms": 1.0, "recluster_ms": {recluster_ms},
                                 "buckets": 4, "cells": 40, "groups": 5}},
@@ -617,6 +652,40 @@ mod tests {
             tier_full(1000.0, 12.0, 0.01, 1000.0),
             tier_full(10000.0, 12.0, 2.0, 3000.0)
         );
+        assert!(check_report(&text).is_empty(), "{:?}", check_report(&text));
+    }
+
+    /// A 1k/10k/100k report whose steady round p50s are `p50_s`, with
+    /// every other column passing.
+    fn round_sweep(p50_s: [f64; 3]) -> String {
+        let tiers: Vec<String> = [1000.0, 10000.0, 100000.0]
+            .iter()
+            .zip(p50_s)
+            .map(|(&n, p50)| {
+                tier_timed(n, 12.0, 2.0 * n / 1000.0, 1000.0 * (n / 1000.0).sqrt(), p50)
+            })
+            .collect();
+        format!(r#"{{"schema": "haccs-scale-bench/v2", "tiers": [{}]}}"#, tiers.join(", "))
+    }
+
+    #[test]
+    fn check_rejects_quadratic_round_growth() {
+        // 41x over the 10k -> 100k step against a 25x limit: the
+        // O(n²) heartbeat silent-set signature
+        let errs = check_report(&round_sweep([0.0278, 0.0493, 2.027]));
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with("tiers[2].round_wall_s.p50 grew 41.1x"), "{errs:?}");
+    }
+
+    #[test]
+    fn check_accepts_linear_round_growth() {
+        let text = round_sweep([0.025, 0.0347, 0.152]);
+        assert!(check_report(&text).is_empty(), "{:?}", check_report(&text));
+    }
+
+    #[test]
+    fn check_skips_sub_millisecond_round_baselines() {
+        let text = round_sweep([0.0002, 0.05, 0.5]);
         assert!(check_report(&text).is_empty(), "{:?}", check_report(&text));
     }
 

@@ -1308,20 +1308,7 @@ impl<S: Selector> Coordinator<S> {
             let tp = self.evaluate_global();
             self.result.curve.push(tp);
         }
-        if let Some(p) = &self.snapshots {
-            if self.epoch.is_multiple_of(p.every_rounds) {
-                let path = p.path_for(self.epoch);
-                let bytes = self.snapshot();
-                persist::write_atomic_obs(&path, &bytes, &self.obs)
-                    .unwrap_or_else(|e| panic!("scheduled snapshot failed: {e}"));
-            }
-        }
-        if let Some(seg) = &self.segmented {
-            if self.epoch.is_multiple_of(seg.policy.every_rounds) {
-                self.write_segmented_snapshot()
-                    .unwrap_or_else(|e| panic!("scheduled segmented snapshot failed: {e}"));
-            }
-        }
+        self.write_scheduled_snapshots();
 
         self.obs.inc("coord_rounds_total", 1);
         self.obs.inc("coord_updates_total", record.participants.len() as u64);
@@ -1603,21 +1590,17 @@ impl<S: Selector> Coordinator<S> {
         }
         let hb_size = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
         let probed = self.probe_targets(epoch);
-        let responders: Vec<usize> = probed
-            .iter()
-            .copied()
-            .filter(|&id| self.availability.is_available(id, epoch))
-            .collect();
+        // one pass splits the ascending probe list into the ascending
+        // responder and silent lists the transitions below walk
+        let (responders, silent): (Vec<usize>, Vec<usize>) =
+            probed.iter().partition(|&&id| self.availability.is_available(id, epoch));
 
         // one probe frame for everyone: cohort-dispatched on the event
         // backend, per-agent sends on the threaded one
         let probe = Message::Heartbeat { client_nonce: 0, round: epoch as u64, last_loss: 0.0 };
         self.broadcast(&probed, &probe);
-        let mut out = SweepOutcome {
-            missed: probed.len() - responders.len(),
-            retries: 0,
-            bytes: probed.len() * hb_size,
-        };
+        let mut out =
+            SweepOutcome { missed: silent.len(), retries: 0, bytes: probed.len() * hb_size };
 
         let mut acked: Vec<(usize, f32)> = Vec::new();
         let mut lost: Vec<usize> = Vec::new();
@@ -1673,8 +1656,6 @@ impl<S: Selector> Coordinator<S> {
                 .s("to", "left")
                 .sim(self.clock.now());
         }
-        let silent: Vec<usize> =
-            probed.iter().copied().filter(|id| !responders.contains(id)).collect();
         for id in silent.into_iter().chain(lost) {
             use haccs_sysmodel::LivenessVerdict;
             // a miss always increments the entry's streak counter
@@ -1827,6 +1808,42 @@ impl<S: Selector> Coordinator<S> {
         w.into_payload()
     }
 
+    /// Writes the snapshots scheduled after this commit (the monolithic
+    /// file, the segmented tick, or both) inside one `coord.snapshot` span
+    /// carrying the epoch, the segment shards rewritten (0 without a
+    /// segmented tick) and the bytes written.
+    fn write_scheduled_snapshots(&mut self) {
+        let epoch = self.epoch;
+        let monolithic = self
+            .snapshots
+            .as_ref()
+            .filter(|p| epoch.is_multiple_of(p.every_rounds))
+            .map(|p| p.path_for(epoch));
+        let segmented =
+            self.segmented.as_ref().is_some_and(|s| epoch.is_multiple_of(s.policy.every_rounds));
+        if monolithic.is_none() && !segmented {
+            return;
+        }
+        let mut span = self.obs.span("coord.snapshot").u("epoch", epoch as u64);
+        let (mut bytes, mut dirty_shards) = (0u64, 0usize);
+        if let Some(path) = monolithic {
+            let snap = self.snapshot();
+            persist::write_atomic_obs(&path, &snap, &self.obs)
+                .unwrap_or_else(|e| panic!("scheduled snapshot failed: {e}"));
+            bytes += snap.len() as u64;
+        }
+        if segmented {
+            let (written, dirty) = self
+                .write_segmented_snapshot()
+                .unwrap_or_else(|e| panic!("scheduled segmented snapshot failed: {e}"));
+            bytes += written;
+            dirty_shards = dirty;
+        }
+        span.push_u("dirty_shards", dirty_shards as u64);
+        span.push_u("bytes", bytes);
+        span.finish();
+    }
+
     /// Writes one segmented-snapshot tick into the policy's directory:
     /// the core segment (always — it holds the RNG, clock and global
     /// model), every dirty snapshot shard, and finally the manifest that
@@ -1834,8 +1851,8 @@ impl<S: Selector> Coordinator<S> {
     /// segment files untouched. Returns the bytes written this tick
     /// (segments + manifest), which is what `coord_snapshot_bytes_total`
     /// accumulates — the sub-linear-per-tick quantity the scale bench
-    /// tracks.
-    fn write_segmented_snapshot(&mut self) -> Result<u64, PersistError> {
+    /// tracks — and the number of shard segments rewritten.
+    fn write_segmented_snapshot(&mut self) -> Result<(u64, usize), PersistError> {
         assert!(
             self.pending.is_empty(),
             "snapshot with queued joins is not supported; run the round that enrolls them first"
@@ -1849,8 +1866,9 @@ impl<S: Selector> Coordinator<S> {
         let core = persist::segment::write_core_segment(&dir, epoch, &pre, &post, &self.obs)?;
         let mut written = core.len;
 
-        // per-shard entry bytes, only for dirty shards; entries stripe by
-        // id so each shard's list is ascending by construction
+        // per-shard entry bytes, only for dirty shards; shard s holds ids
+        // s, s + n_shards, ..., so walking that stride visits just its own
+        // entries, ascending by construction
         let mut fresh: Vec<Option<persist::segment::SegmentEntry>> = vec![None; n_shards];
         {
             let seg = self.segmented.as_ref().unwrap();
@@ -1858,12 +1876,9 @@ impl<S: Selector> Coordinator<S> {
                 if !(seg.dirty[shard] || seg.last[shard].is_none()) {
                     continue;
                 }
-                let entries: Vec<(usize, Vec<u8>)> = self
-                    .registry
-                    .entries()
-                    .into_iter()
-                    .filter(|e| e.id % n_shards == shard)
-                    .map(|e| (e.id, Self::entry_bytes(e)))
+                let entries: Vec<(usize, Vec<u8>)> = (shard..self.registry.len())
+                    .step_by(n_shards)
+                    .map(|id| (id, Self::entry_bytes(self.registry.get(id))))
                     .collect();
                 let entry =
                     persist::segment::write_shard_segment(&dir, shard, epoch, &entries, &self.obs)?;
@@ -1896,12 +1911,7 @@ impl<S: Selector> Coordinator<S> {
 
         self.obs.inc("coord_snapshot_bytes_total", written);
         self.obs.inc("coord_snapshot_segments_written_total", dirty_count as u64 + 1);
-        self.obs
-            .event("coord.snapshot.segmented")
-            .u("epoch", epoch as u64)
-            .u("dirty_shards", dirty_count as u64)
-            .u("bytes", written);
-        Ok(written)
+        Ok((written, dirty_count))
     }
 
     /// Restores a segmented snapshot by manifest path: validates and
@@ -2409,6 +2419,52 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_sweep_charges_each_silent_client_exactly_one_miss() {
+        // a quarter of the federation is offline each epoch and the wire
+        // drops acks; thresholds are out of reach, so nobody leaves the
+        // probed set and every streak change is visible
+        let n = 16;
+        let dropout = Availability::EpochDropout { rate: 0.25, n_clients: n, seed: 3 };
+        let lossy = FaultModel::none(9).with(haccs_sysmodel::FaultSpec::Lossy { prob: 0.6 });
+        let mut c = build_coord(n, dropout)
+            .with_heartbeat(HeartbeatPolicy::new(1, 1_000, 1_000))
+            .with_faults(lossy);
+        c.run_round(); // enrollment
+        let (mut silent_total, mut lost_total) = (0, 0);
+        for _ in 0..6 {
+            let epoch = c.epoch;
+            let probed = c.registry().probed_ids();
+            let before: Vec<u32> =
+                probed.iter().map(|&id| c.registry().get(id).missed_heartbeats).collect();
+            let rec = c.run_round();
+            let (mut responders, mut lost) = (0, 0);
+            for (&id, &was) in probed.iter().zip(&before) {
+                let now = c.registry().get(id).missed_heartbeats;
+                if c.availability.is_available(id, epoch) {
+                    // a responder's ack either landed (streak reset) or was
+                    // lost on the wire (one miss)
+                    responders += 1;
+                    if now == was + 1 {
+                        lost += 1;
+                    } else {
+                        assert_eq!(now, 0, "acked client {id} must reset its streak");
+                    }
+                } else {
+                    assert_eq!(
+                        now,
+                        was + 1,
+                        "silent client {id} must take one miss in epoch {epoch}"
+                    );
+                }
+            }
+            assert_eq!(rec.faults.hb_missed, probed.len() - responders + lost, "epoch {epoch}");
+            silent_total += probed.len() - responders;
+            lost_total += lost;
+        }
+        assert!(silent_total > 0 && lost_total > 0, "silent {silent_total}, lost {lost_total}");
+    }
+
+    #[test]
     fn scripted_leave_marks_left_and_stops_selection() {
         let mut c = build_coord(4, Availability::AlwaysOn).with_leave_after(0, 1);
         c.run_round(); // round 0: client 0 still acks
@@ -2506,6 +2562,58 @@ mod tests {
                 "clean shard {shard} must reuse its first-tick segment"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segmented_snapshot_with_ragged_shards_and_a_tombstone_reassembles_bit_identical() {
+        // 7 clients over 3 snapshot shards: shard 0 holds one entry more
+        // than the others, and client 4 (shard 1) leaves in round 1 and
+        // stays as a Left tombstone. Every tick must splice the exact
+        // monolithic bytes.
+        let dir = seg_dir("ragged");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut c = build_coord(7, Availability::AlwaysOn)
+            .with_leave_after(4, 1)
+            .with_segmented_snapshots(SnapshotPolicy::every(1, &dir), 3);
+        for epoch in 1..=4 {
+            c.run_round();
+            let manifest_path = dir.join(persist::segment::manifest_name(epoch));
+            let bytes =
+                persist::segment::reassemble(&manifest_path, &Recorder::disabled()).unwrap();
+            assert_eq!(bytes, c.snapshot(), "tick {epoch} must reassemble to snapshot()");
+        }
+        assert_eq!(c.registry().get(4).liveness, Liveness::Left);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scheduled_snapshot_writes_run_inside_one_coord_snapshot_span() {
+        let dir = seg_dir("span");
+        let _ = std::fs::remove_dir_all(&dir);
+        let sink = haccs_obs::MemorySink::new();
+        let obs = Recorder::enabled().with_sink(sink.clone());
+        let mono = SnapshotPolicy::every(2, dir.join("mono"));
+        let mut c = build_coord(6, Availability::AlwaysOn)
+            .with_recorder(obs.clone())
+            .with_snapshots(mono.clone())
+            .with_segmented_snapshots(SnapshotPolicy::every(1, dir.join("seg")), 3);
+        c.run(4);
+
+        let spans: Vec<_> =
+            sink.records().into_iter().filter(|r| r.name == "coord.snapshot").collect();
+        assert!(spans.iter().all(|r| r.kind == haccs_obs::EventKind::Span));
+        let field = |r: &haccs_obs::EventRecord, key| {
+            r.field(key).and_then(haccs_obs::FieldValue::as_f64).expect("span field") as u64
+        };
+        let epochs: Vec<u64> = spans.iter().map(|r| field(r, "epoch")).collect();
+        assert_eq!(epochs, [1, 2, 3, 4], "one span per round that wrote a snapshot");
+        assert_eq!(field(&spans[0], "dirty_shards"), 3, "the first tick writes every shard");
+        // bytes: each segmented tick, plus the monolithic file on even epochs
+        let mono_bytes: u64 =
+            [2, 4].iter().map(|&e| std::fs::metadata(mono.path_for(e)).unwrap().len()).sum();
+        let span_bytes: u64 = spans.iter().map(|r| field(r, "bytes")).sum();
+        assert_eq!(span_bytes, obs.counter_value("coord_snapshot_bytes_total") + mono_bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

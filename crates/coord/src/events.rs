@@ -8,9 +8,11 @@
 //! draws, backoff, sender-side sequence numbers), so the drained sequence
 //! is a pure function of the run seed and identical across reruns no
 //! matter how the threads interleave.
+//!
+//! A collection fills the queue and then drains all of it, so the queue
+//! is a plain `Vec` sorted once per drain.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// One timestamped protocol event. `seq` is the *sender-side* monotone
 /// counter stamped by the agent (a coordinator-assigned sequence would
@@ -80,13 +82,13 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// Min-heap of [`Event`]s ordered by `(time, client, seq)`, with an
+/// A batch of [`Event`]s drained in `(time, client, seq)` order, with an
 /// explicit capacity bound ([`EventQueue::bounded`]) so a runaway producer
 /// turns into a [`QueueFull`] backpressure error instead of unbounded
 /// memory growth.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<std::cmp::Reverse<Event<T>>>,
+    events: Vec<Event<T>>,
     capacity: usize,
 }
 
@@ -98,13 +100,13 @@ impl<T> Default for EventQueue<T> {
 
 impl<T> EventQueue<T> {
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), capacity: usize::MAX }
+        Self { events: Vec::new(), capacity: usize::MAX }
     }
 
     /// A queue that holds at most `capacity` events at once.
     pub fn bounded(capacity: usize) -> Self {
         assert!(capacity >= 1, "event queue capacity must be >= 1");
-        Self { heap: BinaryHeap::new(), capacity }
+        Self { events: Vec::new(), capacity }
     }
 
     /// The configured capacity (`usize::MAX` for [`EventQueue::new`]).
@@ -136,32 +138,28 @@ impl<T> EventQueue<T> {
         payload: T,
     ) -> Result<(), QueueFull> {
         assert!(time.is_finite(), "event time must be finite, got {time} from client {client}");
-        if self.heap.len() >= self.capacity {
+        if self.events.len() >= self.capacity {
             return Err(QueueFull { capacity: self.capacity, client });
         }
-        self.heap.push(std::cmp::Reverse(Event { time, client, seq, payload }));
+        self.events.push(Event { time, client, seq, payload });
         Ok(())
     }
 
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Event<T>> {
-        self.heap.pop().map(|r| r.0)
-    }
-
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 
-    /// Drains every queued event in `(time, client, seq)` order.
+    /// Drains every queued event in `(time, client, seq)` order. `seq` is
+    /// a per-sender counter, so `(client, seq)` never repeats within one
+    /// collection and the unstable sort has no ties to break: the order
+    /// is a function of the keys alone, not of insertion order.
     pub fn drain_sorted(&mut self) -> Vec<Event<T>> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
+        let mut out = std::mem::take(&mut self.events);
+        out.sort_unstable();
         out
     }
 }
@@ -196,6 +194,82 @@ mod tests {
         let b: Vec<_> = rev.drain_sorted().iter().map(|e| (e.time, e.client, e.seq)).collect();
         assert_eq!(a, b);
         assert_eq!(a, [(0.25, 9, 3), (0.25, 9, 4), (1.0, 0, 0), (3.5, 1, 2), (3.5, 2, 0)]);
+    }
+
+    /// Reference order: a stable sort of the raw tuples by the same key.
+    /// Times compare as bits so `-0.0` and `0.0` stay distinguishable.
+    fn reference_sorted(mut raw: Vec<(f64, usize, u64, usize)>) -> Vec<(u64, usize, u64, usize)> {
+        raw.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        raw.into_iter().map(|(t, c, s, p)| (t.to_bits(), c, s, p)).collect()
+    }
+
+    fn drained_keys(q: &mut EventQueue<usize>) -> Vec<(u64, usize, u64, usize)> {
+        q.drain_sorted()
+            .into_iter()
+            .map(|e| (e.time.to_bits(), e.client, e.seq, e.payload))
+            .collect()
+    }
+
+    /// A splitmix-generated batch as one collection sees it: few distinct
+    /// times (so ties fall through to client and seq), `-0.0` next to
+    /// `0.0`, repeated clients, and per-client increasing `seq`.
+    fn random_batch(stream: &mut u64, n: usize) -> Vec<(f64, usize, u64, usize)> {
+        const TIMES: [f64; 7] = [-0.0, 0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 2.0, 7.25];
+        let mut next = || {
+            *stream += 1;
+            crate::shard::splitmix64(*stream)
+        };
+        let mut seqs = [0u64; 8];
+        (0..n)
+            .map(|i| {
+                let time = TIMES[(next() % TIMES.len() as u64) as usize];
+                let client = (next() % seqs.len() as u64) as usize;
+                let seq = seqs[client];
+                seqs[client] += 1 + next() % 3;
+                (time, client, seq, i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn drain_matches_reference_sort_on_random_batches() {
+        let mut stream = 0u64;
+        let mut q = EventQueue::new();
+        for n in (0..200).map(|b| b % 97) {
+            let raw = random_batch(&mut stream, n);
+            for &(t, c, s, p) in &raw {
+                q.push(t, c, s, p);
+            }
+            assert_eq!(q.len(), n);
+            assert_eq!(drained_keys(&mut q), reference_sorted(raw));
+            assert!(q.is_empty(), "a drain empties the queue for the next collection");
+        }
+    }
+
+    #[test]
+    fn bounded_queue_keeps_the_first_capacity_events_on_random_batches() {
+        let mut stream = 1u64 << 32;
+        for capacity in 1..24 {
+            let mut q = EventQueue::bounded(capacity);
+            let raw = random_batch(&mut stream, 2 * capacity + 3);
+            for (i, &(t, c, s, p)) in raw.iter().enumerate() {
+                match q.try_push(t, c, s, p) {
+                    Ok(()) => assert!(i < capacity, "event {i} accepted past capacity {capacity}"),
+                    Err(e) => {
+                        assert!(i >= capacity, "event {i} refused below capacity {capacity}");
+                        assert_eq!(e, QueueFull { capacity, client: c });
+                    }
+                }
+            }
+            assert_eq!(q.len(), capacity);
+            let kept = raw[..capacity].to_vec();
+            assert_eq!(drained_keys(&mut q), reference_sorted(kept));
+            // a drained bounded queue accepts a full batch again
+            for &(t, c, s, p) in &raw[..capacity] {
+                q.try_push(t, c, s, p).unwrap();
+            }
+            assert!(q.try_push(0.0, 0, u64::MAX, 0).is_err());
+        }
     }
 
     #[test]
