@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use haccs_cluster::dbscan::dbscan;
 use haccs_cluster::optics::optics;
-use haccs_data::{partition, FederatedDataset, SynthVision};
+use haccs_data::{partition, DatasetKind, FederatedDataset, SynthVision};
+use haccs_experiments::common::{Env, Scale};
 use haccs_fedsim::trainer::{train_local, TrainConfig};
 use haccs_nn::{lenet, mlp};
 use haccs_summary::{pairwise_distances, privatize_counts, summarizer::ClientSummary, Summarizer};
@@ -19,6 +20,12 @@ fn bench_matmul(c: &mut Criterion) {
     let b = init::uniform(&[128, 128], -1.0, 1.0, &mut rng);
     c.bench_function("matmul_128", |bench| {
         bench.iter(|| ops::matmul(black_box(&a), black_box(&b)))
+    });
+    c.bench_function("matmul_bt_128", |bench| {
+        bench.iter(|| ops::matmul_bt(black_box(&a), black_box(&b)))
+    });
+    c.bench_function("matmul_at_128", |bench| {
+        bench.iter(|| ops::matmul_at(black_box(&a), black_box(&b)))
     });
 }
 
@@ -41,6 +48,25 @@ fn bench_local_training(c: &mut Criterion) {
         bench.iter_batched(
             || mlp(64, &[64, 32], 10, &mut StdRng::seed_from_u64(3)),
             |mut m| train_local(&mut m, &data, &cfg, 0),
+            BatchSize::SmallInput,
+        )
+    });
+    // one engine-train update: the Fast preset's MLP, shard and 8 × 32-example quota
+    let specs = partition::majority_noise(
+        1,
+        10,
+        &partition::MAJORITY_NOISE_75,
+        Scale::Fast.samples_range(),
+        Scale::Fast.test_n(),
+        &mut rng,
+    );
+    let env = Env::new(DatasetKind::MnistLike, 10, &specs, Scale::Fast, 2);
+    let (factory, cfg_fast) = (env.factory(), env.train_config());
+    let shard = &env.fed.clients[0].train;
+    c.bench_function("train_local_mlp_fast", |bench| {
+        bench.iter_batched(
+            &factory,
+            |mut m| train_local(&mut m, shard, &cfg_fast, 0),
             BatchSize::SmallInput,
         )
     });

@@ -283,17 +283,14 @@ fn main() {
             serve(&opts, build_coord(&opts, obs, FedClustSelector::default()));
         }
         SelectorKind::Lefl => {
-            let coord = build_coord(&opts, obs, LeflSelector::default())
-                .with_recluster_hook(dist_hook(|s: &mut LeflSelector, d| {
-                    s.update_distributions(d)
-                }));
+            let coord = build_coord(&opts, obs, LeflSelector::default()).with_recluster_hook(
+                dist_hook(|s: &mut LeflSelector, d| s.update_distributions(d)),
+            );
             serve(&opts, coord);
         }
         SelectorKind::Dpp => {
             let coord = build_coord(&opts, obs, DppSelector::default())
-                .with_recluster_hook(dist_hook(|s: &mut DppSelector, d| {
-                    s.update_distributions(d)
-                }));
+                .with_recluster_hook(dist_hook(|s: &mut DppSelector, d| s.update_distributions(d)));
             serve(&opts, coord);
         }
         SelectorKind::HetGuided => {

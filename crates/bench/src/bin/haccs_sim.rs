@@ -126,8 +126,7 @@ fn parse_from(it: impl Iterator<Item = String>) -> Args {
                 }
             }
             "--strategy" => {
-                a.strategy =
-                    val("--strategy").parse().unwrap_or_else(|e: String| panic!("{e}"))
+                a.strategy = val("--strategy").parse().unwrap_or_else(|e: String| panic!("{e}"))
             }
             "--rho" => a.rho = val("--rho").parse().expect("float"),
             "--epsilon" => a.epsilon = Some(val("--epsilon").parse().expect("float")),

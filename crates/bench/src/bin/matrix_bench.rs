@@ -111,7 +111,7 @@ struct Workload {
 impl Workload {
     fn build(cfg: &Config) -> Workload {
         let scale = Scale::Fast;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x3A7_1D);
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x3_A71D);
         let specs = partition::dirichlet_skew(
             cfg.clients,
             CLASSES,
@@ -135,12 +135,9 @@ impl Workload {
 
     fn availability(&self, scenario: ScenarioKind, cfg: &Config) -> Availability {
         match scenario {
-            ScenarioKind::Diurnal => Availability::diurnal(
-                DIURNAL_PERIOD,
-                DIURNAL_DUTY,
-                cfg.clients,
-                cfg.seed ^ 0xD10D,
-            ),
+            ScenarioKind::Diurnal => {
+                Availability::diurnal(DIURNAL_PERIOD, DIURNAL_DUTY, cfg.clients, cfg.seed ^ 0xD10D)
+            }
             _ => Availability::AlwaysOn,
         }
     }
@@ -148,16 +145,14 @@ impl Workload {
     /// Re-materializes one client's shard under its post-drift label
     /// weights (same generator, a per-event seed).
     fn drifted_data(&self, ev: &haccs_data::DriftEvent) -> haccs_data::ClientData {
-        let gen = make_generator(
-            self.env.kind,
-            self.env.classes,
-            self.env.scale.side(),
-            self.env.seed,
-        );
+        let gen =
+            make_generator(self.env.kind, self.env.classes, self.env.scale.side(), self.env.seed);
         let mut spec = self.specs[ev.client].clone();
         spec.label_weights = ev.new_weights.clone();
-        let seed =
-            self.env.seed ^ 0xD21F7 ^ ((ev.epoch as u64) << 32) ^ (ev.client as u64).rotate_left(17);
+        let seed = self.env.seed
+            ^ 0xD21F7
+            ^ ((ev.epoch as u64) << 32)
+            ^ (ev.client as u64).rotate_left(17);
         let fed = FederatedDataset::materialize(&gen, std::slice::from_ref(&spec), seed);
         fed.clients.into_iter().next().expect("one spec materializes one client")
     }
@@ -256,9 +251,11 @@ fn run_coord_cell(
             )
             .with_summarizer(Summarizer::label_dist())
             .with_recluster_hook(|sel: &mut LeflSelector, entries| {
-                sel.update_distributions(entries.iter().map(|(id, ws)| {
-                    (*id, ws.histograms.first().cloned().unwrap_or_default())
-                }));
+                sel.update_distributions(
+                    entries
+                        .iter()
+                        .map(|(id, ws)| (*id, ws.histograms.first().cloned().unwrap_or_default())),
+                );
             });
             drive_coord(coord, w, scenario, cfg)
         }
@@ -456,21 +453,17 @@ fn check_report(text: &str) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let mut cfg = Config {
-        clients: 16,
-        rounds: 12,
-        seed: 7,
-        target: 0.35,
-        alpha: 0.3,
-        coord_cells: true,
-    };
+    let mut cfg =
+        Config { clients: 16, rounds: 12, seed: 7, target: 0.35, alpha: 0.3, coord_cells: true };
     let mut out = PathBuf::from("results/BENCH_MATRIX.json");
     let mut check: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--clients" => cfg.clients = args.next().expect("--clients N").parse().expect("integer"),
+            "--clients" => {
+                cfg.clients = args.next().expect("--clients N").parse().expect("integer")
+            }
             "--rounds" => cfg.rounds = args.next().expect("--rounds R").parse().expect("integer"),
             "--seed" => cfg.seed = args.next().expect("--seed S").parse().expect("integer"),
             "--target" => cfg.target = args.next().expect("--target F").parse().expect("float"),
@@ -655,8 +648,10 @@ mod tests {
     #[test]
     fn check_demands_tta_consistency() {
         let mut cells = full_engine_grid();
-        cells[0] = cells[0].replace(r#""tta_s":12.5,"reached_target":true"#,
-                                    r#""tta_s":null,"reached_target":true"#);
+        cells[0] = cells[0].replace(
+            r#""tta_s":12.5,"reached_target":true"#,
+            r#""tta_s":null,"reached_target":true"#,
+        );
         let errs = check_report(&report_with(&cells));
         assert!(errs.iter().any(|e| e.contains("disagree")), "{errs:?}");
     }

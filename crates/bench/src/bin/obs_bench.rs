@@ -24,10 +24,10 @@ use haccs_coord::Coordinator;
 use haccs_core::{build_clusters, summarize_federation, ClusterCache, ExtractionMethod};
 use haccs_data::{partition, DatasetKind};
 use haccs_experiments::common::{build_selector, Env, Scale};
-use haccs_selectors::SelectorKind;
 use haccs_fedsim::{RunResult, Selector};
 use haccs_obs::json::Json;
 use haccs_obs::{MemorySink, Recorder};
+use haccs_selectors::SelectorKind;
 use haccs_summary::{ClientSummary, Summarizer};
 use haccs_sysmodel::{Availability, FaultModel, FaultSpec};
 use rand::rngs::StdRng;

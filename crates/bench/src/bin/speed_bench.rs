@@ -12,8 +12,9 @@
 //!   instrumented loop engine: payload bytes per round (raw vs encoded),
 //!   compression ratio, simulated round-latency deltas against the
 //!   codec-free baseline, and the final accuracy delta (the TTA-neutrality
-//!   readout). The `identity` rows additionally assert bit-identity to
-//!   the codec-free run — the framing must cost nothing.
+//!   readout). Every row reports `bit_identical_to_none`; the `none` rows
+//!   (the baseline itself) and the `identity` rows must be `true` — the
+//!   framing must cost nothing — and `--check` rejects them otherwise.
 //! * **throughput** — encode/decode MB/s per codec over a synthetic
 //!   parameter vector, measured in-process.
 //! * **tcp_int8** — a real localhost-socket federation with `--codec
@@ -30,11 +31,11 @@ use haccs_coord::agent::SharedModelFactory;
 use haccs_coord::{accept_remote_clients, remote_agent_config, serve_agent_tcp, Coordinator};
 use haccs_data::{partition, DatasetKind};
 use haccs_experiments::common::{build_selector, Env, Scale};
-use haccs_selectors::SelectorKind;
 use haccs_fedsim::engine::ModelFactory;
 use haccs_fedsim::{RoundPolicy, RunResult};
 use haccs_obs::json::Json;
 use haccs_obs::Recorder;
+use haccs_selectors::SelectorKind;
 use haccs_summary::Summarizer;
 use haccs_sysmodel::{Availability, FaultModel};
 use haccs_wire::TcpConfig;
@@ -129,9 +130,10 @@ fn scenario_json(
     let base_s: Vec<f64> = baseline.rounds.iter().map(|r| r.round_seconds).collect();
     let raw = run.total_payload_bytes_raw();
     let enc = run.total_payload_bytes_encoded();
-    let identical = codec == Some(CodecKind::Identity) && run.rounds == baseline.rounds;
-    if codec == Some(CodecKind::Identity) {
-        assert!(identical, "identity codec must be bit-identical to the codec-free run");
+    let identical = run.rounds == baseline.rounds;
+    // the baseline row and the identity framing must equal the codec-free run
+    if matches!(codec, None | Some(CodecKind::Identity)) {
+        assert!(identical, "{} must be bit-identical to the codec-free run", codec_name(codec));
     }
     let final_acc = run.curve.last().map(|p| p.accuracy as f64).unwrap_or(f64::NAN);
     let base_acc = baseline.curve.last().map(|p| p.accuracy as f64).unwrap_or(f64::NAN);
@@ -335,8 +337,10 @@ fn check_report(text: &str) -> Vec<String> {
             errs.push(format!("scenarios[{i}].round_latency_s.mean: missing number"));
         }
         let codec = s.get("codec").and_then(Json::as_str).unwrap_or("");
-        if codec == "identity" && s.get("bit_identical_to_none") != Some(&Json::Bool(true)) {
-            errs.push(format!("scenarios[{i}]: identity must be bit_identical_to_none"));
+        if (codec == "none" || codec == "identity")
+            && s.get("bit_identical_to_none") != Some(&Json::Bool(true))
+        {
+            errs.push(format!("scenarios[{i}]: {codec} must be bit_identical_to_none"));
         }
         if codec == "int8"
             && s.get("compression_ratio").and_then(Json::as_f64).is_some_and(|r| r >= 3.0)
@@ -481,6 +485,47 @@ mod tests {
         assert!(!check_report("not json").is_empty());
         let errs = check_report(r#"{"schema":"haccs-obs-bench/v1","scenarios":[]}"#);
         assert!(errs.iter().any(|e| e.contains("haccs-speed-bench/v1")), "{errs:?}");
+    }
+
+    /// A structurally valid report with one scenario row of `codec`
+    /// carrying the given `bit_identical_to_none` flag.
+    fn report_with_row(codec: &str, identical: bool) -> String {
+        format!(
+            r#"{{
+            "schema": "haccs-speed-bench/v1",
+            "scenarios": [{{
+                "codec": "{codec}", "selector": "random",
+                "bytes_per_round_raw": 100.0, "bytes_per_round_encoded": 25.0,
+                "compression_ratio": 4.0, "latency_delta_vs_none_s": 0.0,
+                "final_accuracy": 0.5, "accuracy_delta_vs_none": 0.0,
+                "round_latency_s": {{"mean": 1.0}}, "bit_identical_to_none": {identical}
+            }}, {{
+                "codec": "int8", "selector": "random",
+                "bytes_per_round_raw": 100.0, "bytes_per_round_encoded": 25.0,
+                "compression_ratio": 4.0, "latency_delta_vs_none_s": 0.0,
+                "final_accuracy": 0.5, "accuracy_delta_vs_none": 0.0,
+                "round_latency_s": {{"mean": 1.0}}, "bit_identical_to_none": false
+            }}],
+            "throughput": [{{"encode_mb_s": 1.0, "decode_mb_s": 1.0, "encoded_bytes": 10.0}}],
+            "tcp_int8": {{"compression_ratio": 3.9,
+                         "counters": {{"codec_bytes_raw": 100.0, "codec_bytes_encoded": 25.0}}}}
+        }}"#
+        )
+    }
+
+    #[test]
+    fn check_demands_bit_identity_on_none_and_identity_rows() {
+        for codec in ["none", "identity"] {
+            assert_eq!(check_report(&report_with_row(codec, true)), Vec::<String>::new());
+            let errs = check_report(&report_with_row(codec, false));
+            assert_eq!(
+                errs,
+                vec![format!("scenarios[0]: {codec} must be bit_identical_to_none")],
+                "{codec}"
+            );
+        }
+        // lossy rows may differ from the baseline
+        assert!(check_report(&report_with_row("topk:100", false)).is_empty());
     }
 
     #[test]

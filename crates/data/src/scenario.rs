@@ -147,9 +147,7 @@ impl DiurnalAvailability {
     /// the Join edge the coordinator registry replays.
     pub fn joins_at(&self, n: usize, epoch: usize) -> Vec<usize> {
         (0..n)
-            .filter(|&c| {
-                self.is_online(c, epoch) && (epoch == 0 || !self.is_online(c, epoch - 1))
-            })
+            .filter(|&c| self.is_online(c, epoch) && (epoch == 0 || !self.is_online(c, epoch - 1)))
             .collect()
     }
 
@@ -159,9 +157,7 @@ impl DiurnalAvailability {
         if epoch == 0 {
             return Vec::new();
         }
-        (0..n)
-            .filter(|&c| !self.is_online(c, epoch) && self.is_online(c, epoch - 1))
-            .collect()
+        (0..n).filter(|&c| !self.is_online(c, epoch) && self.is_online(c, epoch - 1)).collect()
     }
 }
 

@@ -18,6 +18,14 @@ pub trait Layer: Send {
     /// *accumulates* parameter gradients internally.
     fn backward(&mut self, dy: Tensor) -> Tensor;
 
+    /// Backward pass for a layer whose input gradient nobody reads (the
+    /// first layer of a model): accumulates the same parameter gradients
+    /// as [`Layer::backward`]. The default runs `backward` and drops the
+    /// result; layers that can skip the input gradient override it.
+    fn backward_params(&mut self, dy: Tensor) {
+        self.backward(dy);
+    }
+
     /// Parameter/gradient slice pairs, in a stable order. Stateless layers
     /// return an empty vec.
     fn params(&mut self) -> Vec<(&mut [f32], &[f32])> {
@@ -71,6 +79,16 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.weight.shape()[1]
     }
+
+    /// `dW += xᵀ · dy` and `db += column sums of dy`.
+    fn accumulate_param_grads(&mut self, dy: &Tensor) {
+        let x = self.cached_input.take().expect("Linear::backward called before forward");
+        let dw = ops::matmul_at(&x, dy);
+        ops::axpy(&mut self.d_weight, 1.0, &dw);
+        for (acc, g) in self.d_bias.iter_mut().zip(ops::sum_rows(dy)) {
+            *acc += g;
+        }
+    }
 }
 
 impl Layer for Linear {
@@ -83,14 +101,13 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
-        let x = self.cached_input.take().expect("Linear::backward called before forward");
-        // dW += xᵀ · dy ; db += column sums of dy ; dx = dy · Wᵀ
-        let dw = ops::matmul_at(&x, &dy);
-        ops::axpy(&mut self.d_weight, 1.0, &dw);
-        for (acc, g) in self.d_bias.iter_mut().zip(ops::sum_rows(&dy)) {
-            *acc += g;
-        }
+        self.accumulate_param_grads(&dy);
+        // dx = dy · Wᵀ
         ops::matmul_bt(&dy, &self.weight)
+    }
+
+    fn backward_params(&mut self, dy: Tensor) {
+        self.accumulate_param_grads(&dy);
     }
 
     fn params(&mut self) -> Vec<(&mut [f32], &[f32])> {

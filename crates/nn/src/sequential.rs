@@ -40,9 +40,13 @@ impl Sequential {
     }
 
     /// Backward pass; `d_out` is the loss gradient w.r.t. the model output.
-    /// Returns the gradient w.r.t. the input (rarely needed).
-    pub fn backward(&mut self, d_out: Tensor) -> Tensor {
-        self.layers.iter_mut().rev().fold(d_out, |acc, l| l.backward(acc))
+    /// Accumulates every layer's parameter gradients. The gradient w.r.t.
+    /// the model input is never formed: the first layer runs
+    /// [`Layer::backward_params`].
+    pub fn backward(&mut self, d_out: Tensor) {
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            first.backward_params(rest.iter_mut().rev().fold(d_out, |acc, l| l.backward(acc)));
+        }
     }
 
     /// Clears all accumulated gradients.
@@ -183,6 +187,35 @@ mod tests {
         for &b in last3 {
             assert!((b - 2.0).abs() < 1e-5, "last-layer bias grad {b} != 2");
         }
+    }
+
+    /// Parameter gradients as bit patterns after one forward/backward.
+    fn grad_bits(m: &mut Sequential, x: &Tensor, full_backward: bool) -> Vec<u32> {
+        let y = m.forward(x.clone());
+        let d_out = Tensor::from_vec(
+            (0..y.numel()).map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.37).collect(),
+            y.shape(),
+        );
+        m.zero_grad();
+        if full_backward {
+            m.layers.iter_mut().rev().fold(d_out, |acc, l| l.backward(acc));
+        } else {
+            m.backward(d_out);
+        }
+        m.get_grads().iter().map(|g| g.to_bits()).collect()
+    }
+
+    #[test]
+    fn backward_params_grads_match_full_backward() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = haccs_tensor::init::uniform(&[5, 4], -1.0, 1.0, &mut rng);
+        let mut m = tiny_model(6);
+        assert_eq!(grad_bits(&mut m, &x, false), grad_bits(&mut m, &x, true));
+
+        // a conv first layer takes the default `backward_params`
+        let x = haccs_tensor::init::uniform(&[3, 1, 8, 8], -1.0, 1.0, &mut rng);
+        let mut m = crate::models::lenet(1, 8, 4, &mut rng);
+        assert_eq!(grad_bits(&mut m, &x, false), grad_bits(&mut m, &x, true));
     }
 
     #[test]

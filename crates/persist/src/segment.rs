@@ -341,8 +341,7 @@ pub fn gc_segments(
         }
     }
     manifest_epochs.sort_unstable();
-    let kept_epochs: Vec<usize> =
-        manifest_epochs.iter().rev().take(keep).copied().collect();
+    let kept_epochs: Vec<usize> = manifest_epochs.iter().rev().take(keep).copied().collect();
 
     // the retained set: kept manifests + everything they reference
     let mut retained: std::collections::HashSet<String> = std::collections::HashSet::new();
@@ -374,7 +373,10 @@ pub fn gc_segments(
         }
     }
     obs.inc("persist_gc_passes_total", 1);
-    obs.inc("persist_gc_files_removed_total", (stats.manifests_removed + stats.segments_removed) as u64);
+    obs.inc(
+        "persist_gc_files_removed_total",
+        (stats.manifests_removed + stats.segments_removed) as u64,
+    );
     Ok(stats)
 }
 

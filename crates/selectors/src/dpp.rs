@@ -135,25 +135,25 @@ impl Selector for DppSelector {
         for _ in 0..k {
             let mut best = usize::MAX;
             let mut best_var = f64::NEG_INFINITY;
-            for i in 0..n {
+            for (i, &v) in var.iter().enumerate() {
                 if picked_idx.contains(&i) {
                     continue;
                 }
-                if var[i] > best_var {
-                    best_var = var[i];
+                if v > best_var {
+                    best_var = v;
                     best = i;
                 }
             }
             if best == usize::MAX || best_var <= 1e-12 {
                 // kernel exhausted (duplicate distributions): fall back to
                 // id order over the remainder so we still fill the cohort.
-                for i in 0..n {
+                for (i, &id) in ids.iter().enumerate() {
                     if selection.len() >= k {
                         break;
                     }
                     if !picked_idx.contains(&i) {
                         picked_idx.push(i);
-                        selection.push(ids[i]);
+                        selection.push(id);
                     }
                 }
                 break;

@@ -135,10 +135,8 @@ impl FedClustSelector {
                 if centers.contains(&i) {
                     continue;
                 }
-                let d = centers
-                    .iter()
-                    .map(|&c| dist(&unit[i], &unit[c]))
-                    .fold(f32::INFINITY, f32::min);
+                let d =
+                    centers.iter().map(|&c| dist(&unit[i], &unit[c])).fold(f32::INFINITY, f32::min);
                 if d > best_d {
                     best_d = d;
                     best_i = i;
@@ -198,7 +196,7 @@ impl Selector for FedClustSelector {
 
     fn observe_round(&mut self, _epoch: usize, _participants: &[usize], _losses: &[f32]) {
         self.rounds_seen += 1;
-        if self.rounds_seen % self.cadence == 0 {
+        if self.rounds_seen.is_multiple_of(self.cadence) {
             self.stale = true;
         }
     }

@@ -180,8 +180,7 @@ mod tests {
     #[test]
     fn weighted_sample_zero_weights_fall_back_to_uniform() {
         let pool = [(0, 0.0), (1, f64::NAN), (2, -3.0)];
-        let picked =
-            weighted_sample_without_replacement(&pool, 2, &mut StdRng::seed_from_u64(5));
+        let picked = weighted_sample_without_replacement(&pool, 2, &mut StdRng::seed_from_u64(5));
         assert_eq!(picked.len(), 2);
     }
 }

@@ -12,9 +12,7 @@
 //!    insertion history.
 
 use haccs_fedsim::{ClientInfo, SelectionContext, Selector};
-use haccs_selectors::{
-    DppSelector, FedClustSelector, HeterogeneityGuidedSelector, LeflSelector,
-};
+use haccs_selectors::{DppSelector, FedClustSelector, HeterogeneityGuidedSelector, LeflSelector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,8 +40,7 @@ fn dist_of(id: usize) -> Vec<f32> {
 /// Drive `s` through `epochs` rounds over an `n`-client pool with
 /// loss feedback, returning the concatenated selection stream.
 fn drive(s: &mut dyn Selector, n: usize, k: usize, epochs: usize, seed: u64) -> Vec<Vec<usize>> {
-    let pool: Vec<ClientInfo> =
-        (0..n).map(|id| info(id, 0.3 + (id as f32 * 0.17) % 1.1)).collect();
+    let pool: Vec<ClientInfo> = (0..n).map(|id| info(id, 0.3 + (id as f32 * 0.17) % 1.1)).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(epochs);
     for epoch in 0..epochs {
@@ -53,8 +50,9 @@ fn drive(s: &mut dyn Selector, n: usize, k: usize, epochs: usize, seed: u64) -> 
         s.observe_round(epoch, &picked, &losses);
         if s.wants_updates() {
             for &id in &picked {
-                let delta: Vec<f32> =
-                    (0..12).map(|j| ((id * 13 + j * 7 + epoch) % 11) as f32 * 0.01 - 0.05).collect();
+                let delta: Vec<f32> = (0..12)
+                    .map(|j| ((id * 13 + j * 7 + epoch) % 11) as f32 * 0.01 - 0.05)
+                    .collect();
                 s.observe_update(epoch, id, &delta);
             }
         }

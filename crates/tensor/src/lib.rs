@@ -5,15 +5,22 @@
 //! LeNet-style models in `haccs-nn` need:
 //!
 //! * row-major `f32` tensors of arbitrary rank ([`Tensor`]),
-//! * rayon-parallel blocked matrix multiplication ([`ops::matmul`]),
+//! * matrix products through one register-tiled GEMM ([`ops::matmul`],
+//!   [`ops::matmul_at`], [`ops::matmul_bt`]),
 //! * 2-D convolution via im2col and max pooling ([`conv`]),
 //! * element-wise kernels, reductions and softmax ([`ops`]),
 //! * standard initializers (Xavier/Kaiming/uniform/normal) ([`init`]).
 //!
 //! The library favours clarity over peak FLOPs but is careful about the
 //! things the Rust Performance Book calls out: no allocation inside hot
-//! loops, contiguous row-major layout, iterator-based kernels that vectorize,
-//! and rayon parallelism across the batch/row dimension.
+//! loops, contiguous row-major layout and iterator-based kernels that
+//! vectorize. The GEMM holds 16 output columns of one row in registers
+//! through a loop over ascending `k`, so each output element still adds
+//! its products one at a time in ascending `k` onto a fixed seed (`0.0`,
+//! or `-0.0` for `matmul_bt`, the value `f32`'s `Sum` starts from): its
+//! bits equal the naive triple loop's. Everything runs on the calling
+//! thread; the conv batch loop is written against the rayon API, which the
+//! workspace's offline `shims/rayon` runs sequentially.
 
 pub mod conv;
 pub mod init;

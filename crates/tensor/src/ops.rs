@@ -1,17 +1,57 @@
 //! Element-wise kernels, reductions, matrix multiplication and softmax.
 
 use crate::Tensor;
-use rayon::prelude::*;
 
-/// Threshold (rows of the left operand) above which matmul parallelizes
-/// across rayon. Below it the sequential kernel avoids fork/join overhead.
-const PAR_ROWS: usize = 16;
+/// Output columns one register tile of [`gemm`] holds: four SSE vectors
+/// on the baseline x86_64 target.
+const TILE: usize = 16;
 
-/// `C = A · B` for rank-2 tensors, parallelized over rows of `A`.
+/// `out[i][j] += Σₖ a[i][k] · b[k][j]` for row-major `a: [m, k]`,
+/// `b: [k, n]` and `out: [m, n]`.
 ///
-/// The inner kernel iterates `k` in the outer loop and accumulates into the
-/// output row, which keeps both `B` and `C` accesses sequential (the standard
-/// ikj loop order) and lets LLVM vectorize the innermost loop.
+/// Each output row is taken in [`TILE`]-column tiles. A tile is loaded
+/// from `out` into registers, receives its products one `k` at a time in
+/// ascending order, and is stored back. Every output element therefore
+/// adds its products serially in ascending `k` onto the value `out`
+/// already held, exactly like a scalar loop would: only independent
+/// columns run side by side, so the result is bit-identical to
+/// [`matmul_naive`] seeded with the same value.
+fn gemm(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    if k == 0 || n == 0 {
+        return;
+    }
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (t, tile) in out_row.chunks_mut(TILE).enumerate() {
+            let mut acc = [0.0f32; TILE];
+            if tile.len() == TILE {
+                add_tile(&mut acc, tile, a_row, b, n, t * TILE);
+            } else {
+                add_tile(&mut acc[..tile.len()], tile, a_row, b, n, t * TILE);
+            }
+        }
+    }
+}
+
+/// Adds `a_row · b[.., j0..j0 + tile.len()]` onto `tile` through the
+/// accumulator `acc` (as long as `tile`), one `k` at a time. Always
+/// inlined, so that a full tile's constant width reaches the loop and
+/// `acc` lives in registers.
+#[inline(always)]
+fn add_tile(acc: &mut [f32], tile: &mut [f32], a_row: &[f32], b: &[f32], n: usize, j0: usize) {
+    let cols = j0..j0 + acc.len();
+    acc.copy_from_slice(tile);
+    for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        for (o, &bkj) in acc.iter_mut().zip(&b_row[cols.clone()]) {
+            *o += aik * bkj;
+        }
+    }
+    tile.copy_from_slice(acc);
+}
+
+/// `C = A · B` for rank-2 tensors.
+///
+/// Every output element sums its products in ascending `k` starting from
+/// `0.0`, as [`matmul_naive`] does, so the two agree bit for bit.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2, "matmul lhs must be rank-2");
     assert_eq!(b.rank(), 2, "matmul rhs must be rank-2");
@@ -20,25 +60,15 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ka, kb, "matmul inner dims differ: {ka} vs {kb}");
 
     let mut out = vec![0.0f32; m * n];
-    let bd = b.data();
-    let kernel = |(i, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(i);
-        for (k, &aik) in a_row.iter().enumerate() {
-            let b_row = &bd[k * n..(k + 1) * n];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += aik * bkj;
-            }
-        }
-    };
-    if m >= PAR_ROWS {
-        out.par_chunks_mut(n).enumerate().for_each(kernel);
-    } else {
-        out.chunks_mut(n).enumerate().for_each(kernel);
-    }
+    gemm(a.data(), b.data(), &mut out, ka, n);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// `C = A · Bᵀ` without materializing the transpose.
+/// `C = A · Bᵀ`, computed on a packed copy of `Bᵀ`.
+///
+/// Every output element sums its products in ascending `k` starting from
+/// `-0.0`, the value `f32`'s `Sum` folds from, so it equals
+/// `dot(a.row(i), b.row(j))` bit for bit.
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2);
     assert_eq!(b.rank(), 2);
@@ -46,23 +76,15 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, kb) = (b.shape()[0], b.shape()[1]);
     assert_eq!(ka, kb, "matmul_bt inner dims differ: {ka} vs {kb}");
 
-    let mut out = vec![0.0f32; m * n];
-    let kernel = |(i, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(i);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            *o = dot(a_row, b_row);
-        }
-    };
-    if m >= PAR_ROWS {
-        out.par_chunks_mut(n).enumerate().for_each(kernel);
-    } else {
-        out.chunks_mut(n).enumerate().for_each(kernel);
-    }
+    let mut out = vec![-0.0f32; m * n];
+    gemm(a.data(), b.transpose2().data(), &mut out, ka, n);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// `C = Aᵀ · B` without materializing the transpose.
+/// `C = Aᵀ · B`, computed on a packed copy of `Aᵀ`.
+///
+/// Every output element sums its products in ascending `k` starting from
+/// `0.0`, so it equals `matmul_naive(&a.transpose2(), b)` bit for bit.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2);
     assert_eq!(b.rank(), 2);
@@ -70,22 +92,14 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     let (kb, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(ka, kb, "matmul_at inner dims differ: {ka} vs {kb}");
 
-    // out[i][j] = sum_k a[k][i] * b[k][j]; accumulate row-by-row of a/b.
     let mut out = vec![0.0f32; m * n];
-    for k in 0..ka {
-        let a_row = a.row(k);
-        let b_row = b.row(k);
-        for (i, &aki) in a_row.iter().enumerate() {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, &bkj) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += aki * bkj;
-            }
-        }
-    }
+    gemm(a.transpose2().data(), b.data(), &mut out, ka, n);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices: the products summed in order
+/// by `f32`'s `Sum`, which folds from `-0.0`. The reference
+/// [`matmul_bt`] is checked against.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -241,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_parallel_path() {
+    fn matmul_matches_naive_full_tile_and_tail() {
         let a = seq_tensor(&[33, 17]);
         let b = seq_tensor(&[17, 29]);
         assert_close(matmul(&a, &b).data(), matmul_naive(&a, &b).data(), 1e-3);

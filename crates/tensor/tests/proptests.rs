@@ -13,6 +13,37 @@ fn tensor_with(shape: Vec<usize>) -> impl Strategy<Value = Tensor> {
         .prop_map(move |data| Tensor::from_vec(data, &shape))
 }
 
+/// GEMM dimensions: reach 0, the 16-column tile edge and ragged tails.
+fn gemm_dim() -> impl Strategy<Value = usize> {
+    0usize..=40
+}
+
+/// A `[rows, cols]` tensor whose entries span 1e-3 to 1e4 in magnitude,
+/// with both signs and a quarter of them `±0.0`: a reordered sum rounds
+/// differently, and a wrong zero seed flips the sign of an all-zero sum.
+fn mixed_tensor(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> Tensor {
+    use rand::Rng;
+    let data = (0..rows * cols)
+        .map(|_| match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => {
+                let mag = rng.gen_range(1.0f32..10.0) * 10f32.powi(rng.gen_range(-3i32..4));
+                if rng.gen_bool(0.5) {
+                    mag
+                } else {
+                    -mag
+                }
+            }
+        })
+        .collect();
+    Tensor::from_vec(data, &[rows, cols])
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -42,6 +73,46 @@ proptest! {
             prop_assert!((x - y).abs() < 1e-3);
             prop_assert!((x - z).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn matmul_bits_match_naive((m, k, n) in (gemm_dim(), gemm_dim(), gemm_dim()),
+                               seed in any::<u64>()) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a = mixed_tensor(m, k, &mut rng);
+        let b = mixed_tensor(k, n, &mut rng);
+        let fast = ops::matmul(&a, &b);
+        prop_assert_eq!(fast.shape(), &[m, n][..]);
+        prop_assert_eq!(bits(&fast), bits(&ops::matmul_naive(&a, &b)));
+    }
+
+    #[test]
+    fn matmul_at_bits_match_naive((m, k, n) in (gemm_dim(), gemm_dim(), gemm_dim()),
+                                  seed in any::<u64>()) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a = mixed_tensor(k, m, &mut rng);
+        let b = mixed_tensor(k, n, &mut rng);
+        let fast = ops::matmul_at(&a, &b);
+        prop_assert_eq!(fast.shape(), &[m, n][..]);
+        prop_assert_eq!(bits(&fast), bits(&ops::matmul_naive(&a.transpose2(), &b)));
+    }
+
+    #[test]
+    fn matmul_bt_bits_match_dot((m, k, n) in (gemm_dim(), gemm_dim(), gemm_dim()),
+                                seed in any::<u64>()) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a = mixed_tensor(m, k, &mut rng);
+        let b = mixed_tensor(n, k, &mut rng);
+        let fast = ops::matmul_bt(&a, &b);
+        prop_assert_eq!(fast.shape(), &[m, n][..]);
+        let reference: Vec<u32> = (0..m)
+            .flat_map(|i| (0..n).map(move |j| (i, j)))
+            .map(|(i, j)| ops::dot(a.row(i), b.row(j)).to_bits())
+            .collect();
+        prop_assert_eq!(bits(&fast), reference);
     }
 
     #[test]

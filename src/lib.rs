@@ -16,7 +16,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`tensor`] | dense f32 tensors, rayon matmul/conv |
+//! | [`tensor`] | dense f32 tensors, tiled matmul, im2col conv |
 //! | [`nn`] | layers, manual backprop, SGD, LeNet/MLP |
 //! | [`data`] | synthetic federated vision datasets + partitioners |
 //! | [`summary`] | P(y)/P(X\|y) histograms, Hellinger, Laplace mechanism |

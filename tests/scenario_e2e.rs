@@ -60,21 +60,16 @@ fn drift_routes_through_observe_summary_update_and_reclusters() {
         LeflSelector::from_distributions(dists),
     )
     .with_recluster_hook(move |s: &mut LeflSelector, members| {
-        log.lock().unwrap().push(
-            members.iter().map(|(id, ws)| (*id, ws.histograms[0].clone())).collect(),
-        );
-        s.update_distributions(
-            members.iter().map(|(id, ws)| (*id, ws.histograms[0].clone())),
-        );
+        log.lock()
+            .unwrap()
+            .push(members.iter().map(|(id, ws)| (*id, ws.histograms[0].clone())).collect());
+        s.update_distributions(members.iter().map(|(id, ws)| (*id, ws.histograms[0].clone())));
     });
 
     for _ in 0..2 {
         coord.run_round();
     }
-    assert!(
-        hook_log.lock().unwrap().is_empty(),
-        "hook must not fire while membership is static"
-    );
+    assert!(hook_log.lock().unwrap().is_empty(), "hook must not fire while membership is static");
 
     let drift_epoch = 2;
     let mut drift_rng = StdRng::seed_from_u64(SEED ^ 0xD21F);
@@ -88,8 +83,10 @@ fn drift_routes_through_observe_summary_update_and_reclusters() {
     let events: Vec<_> = schedule.events_at(drift_epoch).cloned().collect();
     assert!(!events.is_empty(), "rotating schedule must produce events");
 
-    let before: Vec<Vec<f32>> =
-        events.iter().map(|ev| coord.registry().get(ev.client).summary.histograms[0].clone()).collect();
+    let before: Vec<Vec<f32>> = events
+        .iter()
+        .map(|ev| coord.registry().get(ev.client).summary.histograms[0].clone())
+        .collect();
     for ev in &events {
         coord.observe_summary_update(
             ev.client,
