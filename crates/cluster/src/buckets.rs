@@ -118,12 +118,12 @@ mod tests {
     fn well_separated(groups: usize, per: usize) -> Vec<Vec<f32>> {
         let n = groups * per;
         let mut m = vec![vec![0.0f32; n]; n];
-        for i in 0..n {
-            for j in 0..n {
+        for (i, row) in m.iter_mut().enumerate() {
+            for (j, x) in row.iter_mut().enumerate() {
                 if i / per != j / per {
-                    m[i][j] = 1.0;
+                    *x = 1.0;
                 } else if i != j {
-                    m[i][j] = 0.05;
+                    *x = 0.05;
                 }
             }
         }

@@ -3,15 +3,18 @@
 //! about a client arrives as an encoded [`Message`] inside an
 //! [`Envelope`].
 //!
-//! The protocol body lives in [`AgentState`] — a frame-in/envelope-out
+//! The protocol body lives in [`AgentState`] — a message-in/envelope-out
 //! state machine with **no thread of its own**. Two runtimes drive it:
 //!
 //! * [`spawn`] wraps it in a dedicated OS thread blocking on an mpsc
 //!   downlink (the legacy thread-per-agent runtime, kept as the parity
 //!   reference behind `Coordinator::threaded`, and the body TCP clients
-//!   run via [`run_agent`]);
+//!   run via [`run_agent`]); it decodes each frame and uplinks each
+//!   envelope as a one-element batch;
 //! * the sharded event-loop core (`crate::shard`) multiplexes thousands
-//!   of `AgentState`s over a fixed worker pool.
+//!   of `AgentState`s over a fixed worker pool, decoding a cohort's
+//!   shared frame once for all its recipients and uplinking one batch
+//!   per worker command.
 //!
 //! Because both runtimes execute the *same* state machine, their envelope
 //! streams are identical frame for frame — which is what lets the sharded
@@ -88,6 +91,11 @@ pub struct AgentConfig {
 /// Builds a model instance shared across agent threads.
 pub type SharedModelFactory = Arc<dyn Fn() -> Sequential + Send + Sync>;
 
+/// The uplink junction: agents send envelopes in batches. A pool worker
+/// sends one batch per command it processes; a threaded agent or a TCP
+/// bridge sends one-element batches.
+pub type Uplink = Sender<Vec<Envelope>>;
+
 fn reliable(msg: &Message) -> TransmitOutcome {
     TransmitOutcome::Delivered {
         frame: msg.encode(),
@@ -97,10 +105,13 @@ fn reliable(msg: &Message) -> TransmitOutcome {
     }
 }
 
+/// Sends `msg` over the lossy channel, encoding it once: the frame the
+/// channel's attempts carry is the frame the envelope delivers.
 fn lossy(channel: &FaultyChannel, msg: &Message, stream_id: u64) -> TransmitOutcome {
-    match channel.transmit(msg, stream_id) {
+    let frame = msg.encode();
+    match channel.transmit_frame(&frame, stream_id) {
         Ok(d) => TransmitOutcome::Delivered {
-            frame: msg.encode(),
+            frame,
             retries: d.retries as usize,
             backoff_s: d.backoff_s,
             bytes_sent: d.bytes_sent,
@@ -121,7 +132,7 @@ pub fn spawn(
     factory: SharedModelFactory,
     summarizer: Summarizer,
     downlink: Receiver<Bytes>,
-    uplink: Sender<Envelope>,
+    uplink: Uplink,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("haccs-agent-{}", cfg.id))
@@ -139,17 +150,18 @@ pub fn run_agent(
     factory: SharedModelFactory,
     summarizer: Summarizer,
     downlink: Receiver<Bytes>,
-    uplink: Sender<Envelope>,
+    uplink: Uplink,
 ) {
     agent_main(cfg, data, profile, factory, summarizer, downlink, uplink)
 }
 
-/// The agent protocol as a frame-in/envelope-out state machine: all the
+/// The agent protocol as a message-in/envelope-out state machine: all the
 /// per-client state (`seq` counter, schedule cursor, last loss, codec
 /// residual) with no thread attached. The model replica is passed *into*
 /// each call — every model use starts with `set_params` from the incoming
 /// `ModelPush`, so a multiplexing runtime can lend one scratch model to
-/// thousands of agents.
+/// thousands of agents. Messages arrive decoded, so a runtime serving a
+/// cohort decodes the shared frame once.
 pub(crate) struct AgentState {
     cfg: AgentConfig,
     data: ClientData,
@@ -222,23 +234,22 @@ impl AgentState {
         self.envelope(reliable(&join))
     }
 
-    /// Processes one downlink frame, returning the uplink envelope it
-    /// produces (if any). `model` is scratch: its parameters are always
-    /// set before use and carry no state between calls.
-    pub(crate) fn on_frame(&mut self, frame: Bytes, model: &mut Sequential) -> Option<Envelope> {
+    /// Processes one decoded downlink message, returning the uplink
+    /// envelope it produces (if any). `model` is scratch: its parameters
+    /// are always set before use and carry no state between calls.
+    pub(crate) fn on_message(&mut self, msg: &Message, model: &mut Sequential) -> Option<Envelope> {
         if self.departed {
             return None; // the threaded runtime's wound-down thread
         }
         let cfg = &self.cfg;
-        let msg = Message::decode(frame).expect("coordinator sent an undecodable frame");
-        match msg {
+        match *msg {
             Message::Schedule { round, client_nonce } => {
                 debug_assert_eq!(client_nonce, cfg.nonce, "schedule for someone else");
                 self.scheduled = Some(round);
                 None
             }
-            Message::ModelPush { round, params } => {
-                model.set_params(&params);
+            Message::ModelPush { round, ref params } => {
+                model.set_params(params);
                 if self.scheduled == Some(round) {
                     // selected this round: real local SGD, update over the
                     // lossy wire. The seed matches the loop engine's.
@@ -258,9 +269,9 @@ impl AgentState {
                                 self.residual = vec![0.0; trained.len()];
                             }
                             let payload = if c.stateful() {
-                                c.encode(&trained, &params, Some(&mut self.residual))
+                                c.encode(&trained, params, Some(&mut self.residual))
                             } else {
-                                c.encode(&trained, &params, None)
+                                c.encode(&trained, params, None)
                             };
                             Message::ModelUpdateEnc {
                                 round,
@@ -320,7 +331,7 @@ impl AgentState {
                 let out = lossy(&cfg.channel, &ack, sid);
                 Some(self.envelope(out))
             }
-            other => panic!("agent {} received unexpected frame {other:?}", cfg.id),
+            ref other => panic!("agent {} received unexpected frame {other:?}", cfg.id),
         }
     }
 }
@@ -332,17 +343,18 @@ fn agent_main(
     factory: SharedModelFactory,
     summarizer: Summarizer,
     downlink: Receiver<Bytes>,
-    uplink: Sender<Envelope>,
+    uplink: Uplink,
 ) {
     let mut state = AgentState::new(cfg, data, profile, summarizer);
     // a send error means the coordinator is gone; the agent just exits
-    let _ = uplink.send(state.join());
+    let _ = uplink.send(vec![state.join()]);
     let mut model = factory();
 
     // serve the coordinator until the downlink closes or the agent leaves
     while let Ok(frame) = downlink.recv() {
-        if let Some(env) = state.on_frame(frame, &mut model) {
-            let _ = uplink.send(env);
+        let msg = Message::decode(frame).expect("coordinator sent an undecodable frame");
+        if let Some(env) = state.on_message(&msg, &mut model) {
+            let _ = uplink.send(vec![env]);
         }
         if state.departed() {
             return; // the thread winds down after Leave

@@ -14,10 +14,12 @@
 //!
 //! Agents race on OS threads, yet two same-seed runs are bit-identical:
 //!
-//! 1. every batch of uplink envelopes is drained through an
-//!    [`EventQueue`] ordered by `(time, client, seq)`, where `time` is a
-//!    *simulated* arrival (latency draw + wire backoff) and `seq` a
-//!    sender-side counter — nothing in the key depends on thread timing;
+//! 1. every collection of uplink envelopes is drained through an
+//!    [`EventQueue`]: model updates by `(time, client, seq)`, where `time`
+//!    is a *simulated* arrival (latency draw + wire backoff), and Joins,
+//!    enrollment acks and heartbeat acks by `(client, seq)`. `seq` is a
+//!    sender-side counter, so nothing in either key depends on thread
+//!    timing;
 //! 2. all registry and liveness mutations happen in drained order;
 //! 3. FedAvg admission iterates in *selection order* (itself a pure
 //!    function of the seed), the same float-summation order as
@@ -29,8 +31,10 @@
 //! `(seed, stream_id, attempt)` shared with the loop engine's analytic
 //! accounting, so retries/losses/bytes also match the engine exactly.
 
-use crate::agent::{self, AgentConfig, AgentState, Envelope, SharedModelFactory, TransmitOutcome};
-use crate::events::{EventQueue, QueueFull};
+use crate::agent::{
+    self, AgentConfig, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink,
+};
+use crate::events::{EventQueue, Inbox, QueueFull};
 use crate::registry::{ClientEntry, ClientRegistry, Liveness, Registry, ShardedRegistry};
 use crate::shard::{EventCore, ShardConfig, ShardedAggregator};
 use haccs_codec::CodecKind;
@@ -55,7 +59,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -303,8 +307,10 @@ pub struct Coordinator<S: Selector> {
     remote_profiles: Option<Vec<DeviceProfile>>,
     /// Remote clients attached but not yet enrolled.
     pending_remote: Vec<(usize, RemoteLink)>,
-    uplink_tx: Sender<Envelope>,
-    uplink_rx: Receiver<Envelope>,
+    uplink_tx: Uplink,
+    /// The uplink's receiving end; holds envelopes a batch delivered
+    /// beyond what the collection that received it needed.
+    inbox: Inbox<Envelope>,
     phase: RoundPhase,
     membership_dirty: bool,
     snapshots: Option<SnapshotPolicy>,
@@ -435,7 +441,7 @@ impl<S: Selector> Coordinator<S> {
             remote_profiles: None,
             pending_remote: Vec::new(),
             uplink_tx,
-            uplink_rx,
+            inbox: Inbox::new(uplink_rx),
             phase: RoundPhase::Enrolling,
             membership_dirty: false,
             snapshots: None,
@@ -555,7 +561,7 @@ impl<S: Selector> Coordinator<S> {
             remote_profiles: Some(profiles),
             pending_remote: Vec::new(),
             uplink_tx,
-            uplink_rx,
+            inbox: Inbox::new(uplink_rx),
             phase: RoundPhase::Enrolling,
             membership_dirty: false,
             snapshots: None,
@@ -567,8 +573,10 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// A clone of the uplink sender, for transport bridges that forward
-    /// remote clients' envelopes into the coordinator's event flow.
-    pub fn uplink(&self) -> Sender<Envelope> {
+    /// remote clients' envelopes into the coordinator's event flow. The
+    /// uplink carries envelope batches; a bridge sends one-element
+    /// batches.
+    pub fn uplink(&self) -> Uplink {
         self.uplink_tx.clone()
     }
 
@@ -951,9 +959,10 @@ impl<S: Selector> Coordinator<S> {
         }
     }
 
-    fn recv_envelope(&self) -> Envelope {
-        match self.uplink_rx.recv_timeout(Duration::from_secs(120)) {
-            Ok(e) => e,
+    /// The next `n` uplink envelopes in arrival order.
+    fn recv_envelopes(&mut self, n: usize) -> Vec<Envelope> {
+        match self.inbox.take(n, Duration::from_secs(120)) {
+            Ok(envs) => envs,
             Err(e) => panic!(
                 "coordinator starved waiting for agent traffic in phase {:?}, epoch {}: {e:?}",
                 self.phase, self.epoch
@@ -1001,24 +1010,28 @@ impl<S: Selector> Coordinator<S> {
         }
     }
 
+    /// Simulated round trip of client `id`'s envelope: effective latency
+    /// plus wire backoff.
+    fn arrival_time(&self, id: usize, outcome: &TransmitOutcome, epoch: usize) -> f64 {
+        let backoff = match outcome {
+            TransmitOutcome::Delivered { backoff_s, .. } => *backoff_s,
+            TransmitOutcome::Lost { backoff_s, .. } => *backoff_s,
+        };
+        self.effective_latency(id, epoch) + backoff
+    }
+
     /// Collects exactly `n` envelopes and returns them in deterministic
-    /// `(time, client, seq)` order, timing each at its simulated arrival:
-    /// effective latency plus wire backoff.
+    /// `(time, client, seq)` order, timing each at its simulated arrival
+    /// ([`Coordinator::arrival_time`]).
     fn collect_timed(
-        &self,
+        &mut self,
         n: usize,
         epoch: usize,
     ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
         self.obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
         let mut q = EventQueue::bounded(self.event_capacity);
-        for _ in 0..n {
-            let env = self.recv_envelope();
-            let backoff = match &env.outcome {
-                TransmitOutcome::Delivered { backoff_s, .. } => *backoff_s,
-                TransmitOutcome::Lost { backoff_s, .. } => *backoff_s,
-            };
-            let t = self.effective_latency(env.from, epoch) + backoff;
-            // simulated agent round-trip: compute latency plus wire backoff
+        for env in self.recv_envelopes(n) {
+            let t = self.arrival_time(env.from, &env.outcome, epoch);
             self.obs.observe("coord_agent_rtt_seconds", t);
             q.try_push(t, env.from, env.seq, env.outcome).map_err(|e| self.queue_overflow(e))?;
         }
@@ -1028,12 +1041,35 @@ impl<S: Selector> Coordinator<S> {
         Ok(drained)
     }
 
+    /// Collects exactly `n` heartbeat-sweep envelopes (acks, losses and
+    /// `Leave`s) in `(client, seq)` order. The sweep never advances the
+    /// clock and its per-client transitions commute, so acks need no
+    /// simulated arrival time: the order is id order, and each pool
+    /// worker's batch already arrives ascending, so the drain is a merge
+    /// of `n_workers` runs. Each envelope's round trip still feeds
+    /// `coord_agent_rtt_seconds` when a recorder is attached.
+    fn collect_acks(
+        &mut self,
+        n: usize,
+        epoch: usize,
+    ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
+        self.obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
+        let drained = self.collect_uniform(n)?;
+        if self.obs.is_enabled() {
+            for (id, outcome) in &drained {
+                let t = self.arrival_time(*id, outcome, epoch);
+                self.obs.observe("coord_agent_rtt_seconds", t);
+            }
+        }
+        self.observe_shard_depths(&drained);
+        Ok(drained)
+    }
+
     /// Collects exactly `n` envelopes from clients that may not be in the
     /// registry yet (enrollment), ordered by `(client, seq)`.
-    fn collect_uniform(&self, n: usize) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
+    fn collect_uniform(&mut self, n: usize) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
         let mut q = EventQueue::bounded(self.event_capacity);
-        for _ in 0..n {
-            let env = self.recv_envelope();
+        for env in self.recv_envelopes(n) {
             q.try_push(0.0, env.from, env.seq, env.outcome).map_err(|e| self.queue_overflow(e))?;
         }
         Ok(q.drain_sorted().into_iter().map(|e| (e.client, e.payload)).collect())
@@ -1552,29 +1588,24 @@ impl<S: Selector> Coordinator<S> {
         }
     }
 
-    /// The ids probed by this round's heartbeat sweep. The flat (threaded)
-    /// backend probes every non-departed client; the event backend walks
-    /// the registry **per shard**, letting a shard-staggered
-    /// [`HeartbeatPolicy`] (see
-    /// [`HeartbeatPolicy::with_shard_stagger`]) rotate probe load across
-    /// shards. With staggering off (the default) every shard probes on the
-    /// flat cadence, so the two backends probe the identical id set — one
-    /// of the invariants the parity suite pins.
+    /// The ids probed by this round's heartbeat sweep, ascending. The flat
+    /// (threaded) backend probes every non-departed client; the event
+    /// backend probes those in the shards a shard-staggered
+    /// [`HeartbeatPolicy`] (see [`HeartbeatPolicy::with_shard_stagger`])
+    /// selects this round, rotating probe load across shards. With
+    /// staggering off (the default) every shard probes on the flat
+    /// cadence, so the two backends probe the identical id set — one of
+    /// the invariants the parity suite pins.
     fn probe_targets(&self, epoch: usize) -> Vec<usize> {
         match (&self.runtime, &self.registry) {
             (AgentRuntime::Event { .. }, Registry::Sharded(reg)) => {
                 let n_shards = reg.shard_count();
-                let mut probed: Vec<usize> = Vec::new();
-                for shard in 0..n_shards {
-                    if self.hb_policy.probes_shard_in_round(epoch as u64, shard, n_shards) {
-                        probed.extend(reg.probed_ids_in_shard(shard));
-                    }
-                }
-                // per-shard walks come out shard-grouped; restore the flat
-                // sweep's ascending id order (transitions for distinct ids
-                // commute, but identical order keeps parity trivial)
-                probed.sort_unstable();
-                probed
+                let probes: Vec<bool> = (0..n_shards)
+                    .map(|shard| {
+                        self.hb_policy.probes_shard_in_round(epoch as u64, shard, n_shards)
+                    })
+                    .collect();
+                reg.probed_ids_in_shards(|shard| probes[shard])
             }
             _ => self.registry.probed_ids(),
         }
@@ -1590,10 +1621,13 @@ impl<S: Selector> Coordinator<S> {
         }
         let hb_size = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
         let probed = self.probe_targets(epoch);
-        // one pass splits the ascending probe list into the ascending
-        // responder and silent lists the transitions below walk
-        let (responders, silent): (Vec<usize>, Vec<usize>) =
-            probed.iter().partition(|&&id| self.availability.is_available(id, epoch));
+        // unavailable clients stay silent; everyone else answers once
+        let silent: Vec<usize> = probed
+            .iter()
+            .copied()
+            .filter(|&id| !self.availability.is_available(id, epoch))
+            .collect();
+        let n_responders = probed.len() - silent.len();
 
         // one probe frame for everyone: cohort-dispatched on the event
         // backend, per-agent sends on the threaded one
@@ -1602,10 +1636,10 @@ impl<S: Selector> Coordinator<S> {
         let mut out =
             SweepOutcome { missed: silent.len(), retries: 0, bytes: probed.len() * hb_size };
 
-        let mut acked: Vec<(usize, f32)> = Vec::new();
+        let mut acked: Vec<(usize, f32)> = Vec::with_capacity(n_responders);
         let mut lost: Vec<usize> = Vec::new();
         let mut leaves: Vec<usize> = Vec::new();
-        for (id, outcome) in self.collect_timed(responders.len(), epoch)? {
+        for (id, outcome) in self.collect_acks(n_responders, epoch)? {
             match outcome {
                 TransmitOutcome::Delivered { frame, retries, bytes_sent, .. } => {
                     out.retries += retries;
@@ -1628,7 +1662,7 @@ impl<S: Selector> Coordinator<S> {
             }
         }
 
-        // liveness transitions, in deterministic id order per class
+        // liveness transitions, in ascending id order per class
         for (id, loss) in acked {
             // compare before marking: an ack that only re-confirms an
             // already-Alive client's unchanged loss leaves its snapshot
@@ -2462,6 +2496,68 @@ mod tests {
             lost_total += lost;
         }
         assert!(silent_total > 0 && lost_total > 0, "silent {silent_total}, lost {lost_total}");
+    }
+
+    #[test]
+    fn ack_collection_is_ascending_for_any_interleaving_of_worker_batches() {
+        let n = 12;
+        let mut c = build_coord(n, Availability::AlwaysOn).with_recorder(Recorder::enabled());
+        c.run_round(); // enroll 0..n, so every ack can be timed for the rtt histogram
+        let epoch = c.epoch;
+        let tx = c.uplink();
+        // an envelope whose outcome carries its seq, so the drained order
+        // shows both keys
+        let ack = |id: usize, seq: u64| Envelope {
+            from: id,
+            seq,
+            outcome: TransmitOutcome::Lost { retries: seq as usize, backoff_s: 0.5 },
+        };
+        let drained = |c: &mut Coordinator<FirstK>, count: usize| -> Vec<(usize, usize)> {
+            let got = c.collect_acks(count, epoch).unwrap();
+            got.into_iter()
+                .map(|(id, o)| match o {
+                    TransmitOutcome::Lost { retries, .. } => (id, retries),
+                    other => panic!("unexpected outcome {other:?}"),
+                })
+                .collect()
+        };
+
+        // three workers' ascending batches, two envelopes per client (seq
+        // 7 and 8), each batch cut at a random point and the pieces sent
+        // in a random order
+        let workers: Vec<Vec<Envelope>> = (0..3)
+            .map(|w| {
+                (0..n).filter(|id| id % 3 == w).flat_map(|id| [ack(id, 7), ack(id, 8)]).collect()
+            })
+            .collect();
+        let want: Vec<(usize, usize)> = (0..n).flat_map(|id| [(id, 7), (id, 8)]).collect();
+        let mut stream = 0u64;
+        let mut next = || {
+            stream += 1;
+            crate::shard::splitmix64(stream) as usize
+        };
+        for _ in 0..40 {
+            let mut pieces: Vec<Vec<Envelope>> = Vec::new();
+            for batch in &workers {
+                let cut = next() % (batch.len() + 1);
+                pieces.push(batch[..cut].to_vec());
+                pieces.push(batch[cut..].to_vec());
+            }
+            for i in (1..pieces.len()).rev() {
+                pieces.swap(i, next() % (i + 1));
+            }
+            for p in pieces {
+                tx.send(p).unwrap();
+            }
+            assert_eq!(drained(&mut c, 2 * n), want);
+        }
+
+        // a batch larger than the collection: the extras wait, in order,
+        // for the next one
+        tx.send(vec![ack(5, 1), ack(1, 1), ack(3, 1)]).unwrap();
+        assert_eq!(drained(&mut c, 2), [(1, 1), (5, 1)]);
+        tx.send(vec![ack(0, 2)]).unwrap();
+        assert_eq!(drained(&mut c, 2), [(0, 2), (3, 1)]);
     }
 
     #[test]

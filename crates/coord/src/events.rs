@@ -2,17 +2,24 @@
 //!
 //! Agent threads race: envelopes arrive on the shared uplink channel in
 //! whatever order the OS scheduler produces. The coordinator never acts on
-//! raw arrival order — every batch of envelopes is first pushed into an
-//! [`EventQueue`] keyed by `(time, client_id, seq)` and drained in that
-//! order. The key is built exclusively from simulated quantities (latency
-//! draws, backoff, sender-side sequence numbers), so the drained sequence
-//! is a pure function of the run seed and identical across reruns no
-//! matter how the threads interleave.
+//! raw arrival order — every collection of envelopes is first pushed into
+//! an [`EventQueue`] keyed by `(time, client_id, seq)` and drained in that
+//! order (collections that need no arrival time, such as heartbeat acks,
+//! push every event at one time, so `(client_id, seq)` decides). The key
+//! is built exclusively from simulated quantities (latency draws,
+//! backoff, sender-side sequence numbers), so the drained sequence is a
+//! pure function of the run seed and identical across reruns no matter
+//! how the threads interleave.
 //!
 //! A collection fills the queue and then drains all of it, so the queue
-//! is a plain `Vec` sorted once per drain.
+//! is a plain `Vec` sorted once per drain. Envelopes reach the
+//! coordinator in batches (one per pool-worker command), and an
+//! `Inbox` turns those batches back into collections of exact size.
 
 use std::cmp::Ordering;
+use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::time::Duration;
 
 /// One timestamped protocol event. `seq` is the *sender-side* monotone
 /// counter stamped by the agent (a coordinator-assigned sequence would
@@ -155,12 +162,47 @@ impl<T> EventQueue<T> {
 
     /// Drains every queued event in `(time, client, seq)` order. `seq` is
     /// a per-sender counter, so `(client, seq)` never repeats within one
-    /// collection and the unstable sort has no ties to break: the order
-    /// is a function of the keys alone, not of insertion order.
+    /// collection and the sort has no ties to break: the order is a
+    /// function of the keys alone, not of insertion order. The sort is
+    /// stable, which makes it a linear-time merge when the events arrive
+    /// as a few already-ascending runs — what a collection whose keys
+    /// share one time sees, since each pool worker answers a cohort in
+    /// ascending id order.
     pub fn drain_sorted(&mut self) -> Vec<Event<T>> {
         let mut out = std::mem::take(&mut self.events);
-        out.sort_unstable();
+        out.sort();
         out
+    }
+}
+
+/// The receiving end of a batched uplink. Senders deliver items in
+/// batches of any size; [`Inbox::take`] hands out exactly the count a
+/// collection asks for. Items of a batch beyond that count wait, in
+/// arrival order, for the next `take` — the queueing an unbatched channel
+/// gives single items.
+#[derive(Debug)]
+pub(crate) struct Inbox<T> {
+    rx: Receiver<Vec<T>>,
+    carry: VecDeque<T>,
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn new(rx: Receiver<Vec<T>>) -> Self {
+        Inbox { rx, carry: VecDeque::new() }
+    }
+
+    /// The next `n` items in arrival order, waiting at most `timeout` for
+    /// each batch.
+    pub(crate) fn take(&mut self, n: usize, timeout: Duration) -> Result<Vec<T>, RecvTimeoutError> {
+        let mut out = Vec::with_capacity(n);
+        let carried = n.min(self.carry.len());
+        out.extend(self.carry.drain(..carried));
+        while out.len() < n {
+            let mut batch = self.rx.recv_timeout(timeout)?.into_iter();
+            out.extend(batch.by_ref().take(n - out.len()));
+            self.carry.extend(batch);
+        }
+        Ok(out)
     }
 }
 
@@ -231,17 +273,40 @@ mod tests {
             .collect()
     }
 
+    /// The order the queue drained in before its sort became stable: an
+    /// unstable sort by the same key.
+    fn unstable_sorted(raw: &[(f64, usize, u64, usize)]) -> Vec<(u64, usize, u64, usize)> {
+        let mut events: Vec<Event<usize>> = raw
+            .iter()
+            .map(|&(time, client, seq, payload)| Event { time, client, seq, payload })
+            .collect();
+        events.sort_unstable();
+        events.into_iter().map(|e| (e.time.to_bits(), e.client, e.seq, e.payload)).collect()
+    }
+
     #[test]
     fn drain_matches_reference_sort_on_random_batches() {
         let mut stream = 0u64;
         let mut q = EventQueue::new();
         for n in (0..200).map(|b| b % 97) {
-            let raw = random_batch(&mut stream, n);
+            let mut raw = random_batch(&mut stream, n);
+            if n % 2 == 1 {
+                // every time equal, ±0.0 alternating by batch, pushed as two
+                // ascending runs: how one ack collection's worker batches
+                // arrive
+                let time = if n % 4 == 1 { -0.0 } else { 0.0 };
+                raw.iter_mut().for_each(|e| e.0 = time);
+                let (a, b) = raw.split_at_mut(n / 2);
+                a.sort_by_key(|e| (e.1, e.2));
+                b.sort_by_key(|e| (e.1, e.2));
+            }
             for &(t, c, s, p) in &raw {
                 q.push(t, c, s, p);
             }
             assert_eq!(q.len(), n);
-            assert_eq!(drained_keys(&mut q), reference_sorted(raw));
+            let drained = drained_keys(&mut q);
+            assert_eq!(drained, unstable_sorted(&raw), "the stable drain must keep the old order");
+            assert_eq!(drained, reference_sorted(raw));
             assert!(q.is_empty(), "a drain empties the queue for the next collection");
         }
     }
@@ -297,5 +362,22 @@ mod tests {
         let mut q = EventQueue::bounded(1);
         q.push(1.0, 0, 0, ());
         q.push(1.0, 1, 0, ());
+    }
+
+    #[test]
+    fn inbox_takes_exact_counts_and_carries_extras_in_order() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut inbox = Inbox::new(rx);
+        let wait = Duration::from_secs(5);
+        tx.send(vec![1, 2, 3]).unwrap();
+        tx.send(vec![4, 5]).unwrap();
+        tx.send(Vec::new()).unwrap();
+        tx.send(vec![6]).unwrap();
+        assert_eq!(inbox.take(2, wait).unwrap(), [1, 2]);
+        // the extra 3 waits for the next collection, ahead of later batches
+        assert_eq!(inbox.take(2, wait).unwrap(), [3, 4]);
+        assert_eq!(inbox.take(0, wait).unwrap(), Vec::<i32>::new());
+        assert_eq!(inbox.take(2, wait).unwrap(), [5, 6]);
+        assert!(inbox.take(1, Duration::from_millis(10)).is_err(), "nothing left to take");
     }
 }

@@ -37,7 +37,7 @@ pub mod net;
 pub mod registry;
 pub mod shard;
 
-pub use agent::{AgentConfig, Envelope, TransmitOutcome};
+pub use agent::{AgentConfig, Envelope, TransmitOutcome, Uplink};
 pub use coordinator::{
     default_summary_seed, haccs_cached_recluster_hook, haccs_recluster_hook, session_nonce,
     CoordError, Coordinator, RemoteLink, RoundPhase, DEFAULT_EVENT_CAPACITY,

@@ -2,17 +2,17 @@
 //!
 //! The coordinator's internals never touch a socket: its universal
 //! junction is the mpsc pair (`Sender<Bytes>` downlink per client, one
-//! shared `Sender<Envelope>` uplink). This module bridges that junction
-//! onto real connections:
+//! shared [`Uplink`] carrying envelope batches). This module bridges that
+//! junction onto real connections:
 //!
 //! * **server side** — [`accept_remote_clients`] accepts one connection
 //!   per expected client. Each connection's first frame is the client's
 //!   encoded `Join` [`Envelope`], which identifies it; a reader thread
-//!   then forwards every further envelope into the uplink while a writer
-//!   pump drains the downlink onto the socket. The pump half-closes the
-//!   stream (`shutdown(Write)`) when the coordinator drops the downlink,
-//!   so the remote agent observes the same orderly EOF a local agent
-//!   sees when its channel closes.
+//!   then forwards every further envelope into the uplink (as a
+//!   one-element batch) while a writer pump drains the downlink onto the
+//!   socket. The pump half-closes the stream (`shutdown(Write)`) when the
+//!   coordinator drops the downlink, so the remote agent observes the
+//!   same orderly EOF a local agent sees when its channel closes.
 //! * **client side** — [`serve_agent_tcp`] dials the coordinator (retry
 //!   with capped backoff), splits the stream, and runs the **unchanged**
 //!   agent loop between two pumps. The agent cannot tell it is remote.
@@ -20,13 +20,14 @@
 //! Determinism over real sockets: fault outcomes are content-independent
 //! hashes computed *client-side* by the [`FaultyChannel`] inside each
 //! agent, envelopes carry the sender's `(seq)` and the coordinator orders
-//! them by simulated `(time, client, seq)` — so TCP's physical racing
+//! them by simulated `(time, client, seq)`, or by `(client, seq)` where
+//! arrival time does not matter — so TCP's physical racing
 //! cannot perturb a round history, which is what lets the e2e harness
 //! pin TCP runs bit-identical to in-process runs under the same seed.
 //!
 //! [`FaultyChannel`]: haccs_wire::FaultyChannel
 
-use crate::agent::{self, AgentConfig, Envelope, SharedModelFactory};
+use crate::agent::{self, AgentConfig, Envelope, SharedModelFactory, Uplink};
 use crate::coordinator::{default_summary_seed, session_nonce, Coordinator, RemoteLink};
 use bytes::Bytes;
 use haccs_codec::CodecKind;
@@ -40,7 +41,7 @@ use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel};
 use haccs_wire::frame::{read_frame_limited, write_frame_limited, FrameError};
 use haccs_wire::{constant_time_eq, TcpConfig, TcpTransport, TransportError};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
@@ -51,7 +52,7 @@ use std::thread;
 /// inside the [`RemoteLink`] so the coordinator joins it on drop.
 pub fn bridge_client(
     stream: TcpStream,
-    uplink: Sender<Envelope>,
+    uplink: Uplink,
     tcp: &TcpConfig,
 ) -> Result<(usize, RemoteLink), TransportError> {
     stream.set_read_timeout(tcp.read_timeout).map_err(FrameError::from)?;
@@ -64,7 +65,7 @@ pub fn bridge_client(
     let id = first.from;
     // a send failure means the coordinator is already gone; the bridge
     // still comes up so teardown follows the normal EOF cascade
-    let _ = uplink.send(first);
+    let _ = uplink.send(vec![first]);
 
     let reader = thread::Builder::new()
         .name(format!("haccs-net-rx-{id}"))
@@ -73,7 +74,7 @@ pub fn bridge_client(
             while let Ok(payload) = read_frame_limited(&mut read_half, max_frame) {
                 match Envelope::decode(Bytes::from(payload)) {
                     Ok(env) => {
-                        if uplink.send(env).is_err() {
+                        if uplink.send(vec![env]).is_err() {
                             break;
                         }
                     }
@@ -119,7 +120,7 @@ pub fn bridge_client(
 pub fn accept_remote_clients(
     listener: &TcpListener,
     n: usize,
-    uplink: Sender<Envelope>,
+    uplink: Uplink,
     tcp: &TcpConfig,
 ) -> Result<Vec<(usize, RemoteLink)>, TransportError> {
     let mut out = Vec::with_capacity(n);
@@ -193,7 +194,7 @@ pub fn serve_agent_tcp(
     }
 
     let (down_tx, down_rx) = mpsc::channel::<Bytes>();
-    let (up_tx, up_rx) = mpsc::channel::<Envelope>();
+    let (up_tx, up_rx) = mpsc::channel::<Vec<Envelope>>();
 
     let max_frame = tcp.max_frame_bytes;
     let reader = thread::Builder::new()
@@ -212,9 +213,11 @@ pub fn serve_agent_tcp(
     let writer = thread::Builder::new()
         .name(format!("haccs-client-tx-{}", cfg.id))
         .spawn(move || {
-            while let Ok(env) = up_rx.recv() {
-                if write_frame_limited(&mut write_half, &env.encode(), max_frame).is_err() {
-                    break;
+            'pump: while let Ok(batch) = up_rx.recv() {
+                for env in batch {
+                    if write_frame_limited(&mut write_half, &env.encode(), max_frame).is_err() {
+                        break 'pump;
+                    }
                 }
             }
             // agent returned (up_tx dropped) after draining every queued
@@ -434,7 +437,7 @@ mod tests {
             auth_token: Some(auth_token_digest("round-table")),
             ..TcpConfig::default()
         };
-        let (uplink_tx, uplink_rx) = mpsc::channel::<Envelope>();
+        let (uplink_tx, uplink_rx) = mpsc::channel::<Vec<Envelope>>();
 
         let accept = thread::spawn(move || {
             accept_remote_clients(&listener, 1, uplink_tx, &tcp).expect("accept")
@@ -472,7 +475,8 @@ mod tests {
         assert_eq!(links[0].0, 0);
         // the bridged envelope (the one after the token) reached the uplink
         let got = uplink_rx.recv_timeout(std::time::Duration::from_secs(10)).expect("envelope");
-        assert_eq!(got.from, 0);
+        assert_eq!(got.len(), 1, "a bridge forwards one-element batches");
+        assert_eq!(got[0].from, 0);
         drop(links); // close downlinks; pumps wind down
     }
 }

@@ -282,14 +282,22 @@ impl ShardedRegistry {
         &self.shards[shard]
     }
 
-    /// Ids still probed within `shard`: everyone not `Left`, ascending.
-    pub fn probed_ids_in_shard(&self, shard: usize) -> Vec<usize> {
-        self.shards[shard].iter().filter(|e| e.liveness != Liveness::Left).map(|e| e.id).collect()
-    }
-
     /// Ids the coordinator still probes: everyone not `Left`, ascending.
     pub fn probed_ids(&self) -> Vec<usize> {
         (0..self.len()).filter(|&id| self.get(id).liveness != Liveness::Left).collect()
+    }
+
+    /// Ids still probed within the shards `probes_shard` selects,
+    /// ascending: one walk over the id locator, with no per-shard gather
+    /// to re-sort.
+    pub fn probed_ids_in_shards(&self, probes_shard: impl Fn(usize) -> bool) -> Vec<usize> {
+        (0..self.len())
+            .filter(|&id| {
+                let (shard, slot) = self.locator[id];
+                probes_shard(shard as usize)
+                    && self.shards[shard as usize][slot as usize].liveness != Liveness::Left
+            })
+            .collect()
     }
 
     /// The schedulable pool for `epoch`, ascending — identical to
@@ -545,11 +553,11 @@ mod tests {
             assert_eq!(flat.get(id).liveness, sharded.get(id).liveness, "client {id}");
             assert_eq!(flat.get(id).last_loss, sharded.get(id).last_loss);
         }
-        // per-shard views cover the id space exactly once, ascending
-        let mut cover: Vec<usize> =
-            (0..sharded.shard_count()).flat_map(|s| sharded.probed_ids_in_shard(s)).collect();
-        cover.sort_unstable();
-        assert_eq!(cover, sharded.probed_ids());
+        // the shard-filtered walk covers exactly the selected shards, ascending
+        assert_eq!(sharded.probed_ids_in_shards(|_| true), sharded.probed_ids());
+        let odd: Vec<usize> =
+            sharded.probed_ids().into_iter().filter(|&id| sharded.shard_for(id) % 2 == 1).collect();
+        assert_eq!(sharded.probed_ids_in_shards(|s| s % 2 == 1), odd);
         for s in 0..sharded.shard_count() {
             for e in sharded.shard_entries(s) {
                 assert_eq!(sharded.shard_for(e.id), s, "locator/shard mismatch for {}", e.id);

@@ -23,12 +23,11 @@
 //! count. That invariant (merge ≡ flat, bit for bit) is what the
 //! hierarchical-aggregation proptests pin.
 
-use crate::agent::{AgentState, Envelope, SharedModelFactory};
+use crate::agent::{AgentState, Envelope, SharedModelFactory, Uplink};
 use bytes::Bytes;
 use haccs_fedsim::round::PendingUpdate;
 use haccs_nn::Sequential;
-use haccs_wire::CohortDispatch;
-use std::collections::HashMap;
+use haccs_wire::{CohortDispatch, Message};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -180,13 +179,13 @@ impl<'a> ShardedAggregator<'a> {
 
 /// What the core sends a worker. Frames for one agent always travel the
 /// same worker's FIFO channel, so per-agent frame order is preserved —
-/// the property the protocol's seq numbering relies on.
+/// the property the protocol's seq numbering relies on. A worker answers
+/// each command with at most one uplink batch: every envelope the
+/// command produced, in processing order.
 enum WorkerCmd {
     /// Take ownership of an agent; process (and uplink) its `Join`.
     Spawn(Box<AgentState>),
-    /// One frame for one agent.
-    Frame { id: usize, frame: Bytes },
-    /// One shared frame for many of this worker's agents.
+    /// One shared frame for one or many of this worker's agents.
     Cohort(CohortDispatch),
     /// Drop the agent (departed or evicted): frees its state and data.
     Detach { id: usize },
@@ -225,11 +224,7 @@ pub(crate) struct EventCore {
 impl EventCore {
     /// Spawns the worker pool. `uplink` is the shared envelope funnel the
     /// coordinator drains (the same channel remote bridges feed).
-    pub(crate) fn new(
-        cfg: ShardConfig,
-        factory: SharedModelFactory,
-        uplink: Sender<Envelope>,
-    ) -> Self {
+    pub(crate) fn new(cfg: ShardConfig, factory: SharedModelFactory, uplink: Uplink) -> Self {
         let workers = (0..cfg.n_workers)
             .map(|w| {
                 let (tx, rx) = mpsc::channel();
@@ -298,7 +293,8 @@ impl EventCore {
     pub(crate) fn dispatch(&self, id: usize, frame: Bytes) {
         match &self.slots[id] {
             Slot::Inline { worker } => {
-                let _ = self.workers[*worker].cmds.send(WorkerCmd::Frame { id, frame });
+                let d = CohortDispatch::from_frame(frame, vec![id]);
+                let _ = self.workers[*worker].cmds.send(WorkerCmd::Cohort(d));
             }
             Slot::Remote { downlink, .. } => {
                 // a send error means the bridge wound down (departed)
@@ -374,44 +370,68 @@ impl Drop for EventCore {
     }
 }
 
-fn worker_main(cmds: Receiver<WorkerCmd>, uplink: Sender<Envelope>, factory: SharedModelFactory) {
-    let mut agents: HashMap<usize, AgentState> = HashMap::new();
+/// One worker's agents, indexed by client id. Ids are dense across the
+/// federation, so the table holds a slot for every id up to the highest
+/// this worker owns: `None` for other workers' agents and for departed
+/// ones. A lookup is one bounds-checked index, with no hashing.
+#[derive(Default)]
+struct AgentTable(Vec<Option<Box<AgentState>>>);
+
+impl AgentTable {
+    fn insert(&mut self, agent: Box<AgentState>) {
+        let id = agent.id();
+        if id >= self.0.len() {
+            self.0.resize_with(id + 1, || None);
+        }
+        self.0[id] = Some(agent);
+    }
+
+    fn get_mut(&mut self, id: usize) -> Option<&mut AgentState> {
+        self.0.get_mut(id).and_then(|slot| slot.as_deref_mut())
+    }
+
+    /// Drops the agent, freeing its state and data shard.
+    fn remove(&mut self, id: usize) {
+        if let Some(slot) = self.0.get_mut(id) {
+            *slot = None;
+        }
+    }
+}
+
+fn worker_main(cmds: Receiver<WorkerCmd>, uplink: Uplink, factory: SharedModelFactory) {
+    let mut agents = AgentTable::default();
     // one scratch model replica serves every agent on this worker: the
     // protocol always `set_params`s before using it (see AgentState docs)
     let mut model: Option<Sequential> = None;
-    let deliver = |agents: &mut HashMap<usize, AgentState>,
-                   model: &mut Option<Sequential>,
-                   id: usize,
-                   frame: Bytes| {
-        let Some(agent) = agents.get_mut(&id) else {
-            return; // departed and dropped — the closed-downlink case
-        };
-        let m = model.get_or_insert_with(|| factory());
-        if let Some(env) = agent.on_frame(frame, m) {
-            // a send error means the coordinator is gone; just unwind
-            let _ = uplink.send(env);
-        }
-        if agent.departed() {
-            agents.remove(&id); // frees the agent's data shard
-        }
-    };
     while let Ok(cmd) = cmds.recv() {
-        match cmd {
-            WorkerCmd::Spawn(state) => {
-                let mut st = *state;
-                let env = st.join();
-                agents.insert(st.id(), st);
-                let _ = uplink.send(env);
-            }
-            WorkerCmd::Frame { id, frame } => deliver(&mut agents, &mut model, id, frame),
-            WorkerCmd::Cohort(d) => {
-                for &id in &d.targets {
-                    deliver(&mut agents, &mut model, id, d.frame.clone());
-                }
+        let d = match cmd {
+            WorkerCmd::Spawn(mut state) => {
+                // a send error means the coordinator is gone; just unwind
+                let _ = uplink.send(vec![state.join()]);
+                agents.insert(state);
+                continue;
             }
             WorkerCmd::Detach { id } => {
-                agents.remove(&id);
+                agents.remove(id);
+                continue;
             }
+            WorkerCmd::Cohort(d) => d,
+        };
+        // one decode serves every recipient of the shared frame
+        let msg = Message::decode(d.frame).expect("coordinator sent an undecodable frame");
+        let mut batch: Vec<Envelope> = Vec::with_capacity(d.targets.len());
+        for id in d.targets {
+            let Some(agent) = agents.get_mut(id) else {
+                continue; // departed and dropped — the closed-downlink case
+            };
+            let m = model.get_or_insert_with(|| factory());
+            batch.extend(agent.on_message(&msg, m));
+            if agent.departed() {
+                agents.remove(id);
+            }
+        }
+        if !batch.is_empty() {
+            let _ = uplink.send(batch);
         }
     }
 }
@@ -464,6 +484,68 @@ mod tests {
             let b: Vec<u32> = merged.iter().map(|x| x.to_bits()).collect();
             assert_eq!(a, b, "shard count {n_shards} perturbed the FedAvg bits");
         }
+    }
+
+    #[test]
+    fn heartbeat_cohort_reaches_the_uplink_as_one_batch_per_worker() {
+        use crate::agent::AgentConfig;
+        use haccs_data::{partition, FederatedDataset, SynthVision};
+        use haccs_fedsim::trainer::TrainConfig;
+        use haccs_summary::Summarizer;
+        use haccs_sysmodel::{Availability, DeviceProfile};
+        use haccs_wire::FaultyChannel;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::time::Duration;
+
+        const N: usize = 1000;
+        let wait = Duration::from_secs(60);
+        let layout = ShardConfig::new(16, 3);
+        let gen = SynthVision::mnist_like(4, 8, 0);
+        let fed = FederatedDataset::materialize(&gen, &partition::iid(N, 4, 2, 1), 0);
+        let factory: SharedModelFactory =
+            std::sync::Arc::new(|| haccs_nn::mlp(64, &[8], 4, &mut StdRng::seed_from_u64(7)));
+        let (tx, rx) = mpsc::channel();
+        let mut core = EventCore::new(layout, factory, tx);
+        for (id, data) in fed.clients.into_iter().enumerate() {
+            let cfg = AgentConfig {
+                id,
+                nonce: id as u64 + 1,
+                seed: 1,
+                summary_seed: 2,
+                train: TrainConfig::default(),
+                probe_max: 8,
+                availability: Availability::AlwaysOn,
+                channel: FaultyChannel::reliable(3),
+                leave_after: None,
+                resume_last_loss: None,
+                codec: None,
+            };
+            let profile = DeviceProfile::uniform_fast();
+            core.spawn_agent(id, AgentState::new(cfg, data, profile, Summarizer::label_dist()));
+        }
+        for _ in 0..N {
+            assert_eq!(rx.recv_timeout(wait).unwrap().len(), 1, "a Spawn answers with its Join");
+        }
+
+        let ids: Vec<usize> = (0..N).collect();
+        let probe = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 };
+        core.dispatch_cohort(&ids, probe.encode());
+        let (mut acked, mut batches) = (Vec::new(), 0);
+        while acked.len() < N {
+            let batch = rx.recv_timeout(wait).unwrap();
+            assert!(batch.windows(2).all(|w| w[0].from < w[1].from), "a worker answers ascending");
+            acked.extend(batch.iter().map(|e| e.from));
+            batches += 1;
+        }
+        assert!(
+            batches <= layout.n_workers,
+            "{batches} uplink messages for {} workers",
+            layout.n_workers
+        );
+        acked.sort_unstable();
+        assert_eq!(acked, ids, "every agent acks exactly once");
+        assert!(rx.try_recv().is_err(), "no envelope beyond the cohort's");
     }
 
     #[test]

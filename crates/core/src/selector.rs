@@ -7,7 +7,6 @@ use haccs_fedsim::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::{ClientInfo, SelectionContext, Selector};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// How a device is picked inside a sampled cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,8 +88,13 @@ impl Selector for HaccsSelector {
     }
 
     fn select(&mut self, ctx: &SelectionContext<'_>, rng: &mut StdRng) -> Vec<usize> {
-        let info_of: HashMap<usize, &ClientInfo> =
-            ctx.available.iter().map(|c| (c.id, c)).collect();
+        // id → info, indexed densely (client ids are dense registry ids);
+        // a repeated id keeps its last entry
+        let mut info_of: Vec<Option<&ClientInfo>> =
+            vec![None; ctx.available.iter().map(|c| c.id + 1).max().unwrap_or(0)];
+        for c in ctx.available {
+            info_of[c.id] = Some(c);
+        }
 
         // available members per cluster (dropout robustness: missing
         // devices simply vanish from their cluster this epoch)
@@ -100,7 +104,7 @@ impl Selector for HaccsSelector {
             .enumerate()
             .filter_map(|(gi, members)| {
                 let infos: Vec<&ClientInfo> =
-                    members.iter().filter_map(|id| info_of.get(id).copied()).collect();
+                    members.iter().filter_map(|&id| info_of.get(id).copied().flatten()).collect();
                 if infos.is_empty() {
                     None
                 } else {
@@ -212,6 +216,19 @@ mod tests {
 
     fn selector(rho: f32) -> HaccsSelector {
         HaccsSelector::new(vec![vec![0, 1, 2], vec![3, 4, 5]], rho, "P(y)")
+    }
+
+    #[test]
+    fn repeated_available_id_keeps_its_last_entry() {
+        // client 0 appears twice: slowest first, fastest last. The last
+        // entry wins, so 0 is the cluster's min-latency pick; ids absent
+        // from the pool (2) and beyond its highest id (9) are skipped
+        let avail = vec![info(0, 9.0, 1.0), info(1, 2.0, 1.0), info(0, 0.5, 1.0)];
+        let ctx = SelectionContext { epoch: 0, available: &avail, k: 1 };
+        let mut s = HaccsSelector::new(vec![vec![0, 1, 2, 9]], 0.5, "P(y)");
+        assert_eq!(s.select(&ctx, &mut StdRng::seed_from_u64(3)), [0]);
+        let ctx = SelectionContext { epoch: 0, available: &avail, k: 3 };
+        assert_eq!(s.select(&ctx, &mut StdRng::seed_from_u64(3)), [0, 1]);
     }
 
     #[test]

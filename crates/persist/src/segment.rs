@@ -394,14 +394,17 @@ mod tests {
         haccs_obs::Recorder::disabled()
     }
 
+    /// Per snapshot shard, its `(id, entry bytes)` pairs.
+    type ShardEntries = Vec<Vec<(usize, Vec<u8>)>>;
+
     /// A synthetic snapshot: `pre` + n per-client entries + `post`, with
     /// clients striped across shards by `id % n_shards`.
-    fn synthetic(n: usize, n_shards: usize) -> (Vec<u8>, Vec<Vec<(usize, Vec<u8>)>>, Vec<u8>) {
+    fn synthetic(n: usize, n_shards: usize) -> (Vec<u8>, ShardEntries, Vec<u8>) {
         let mut w = SnapshotWriter::new();
         w.put_u64(0xFEED);
         w.put_usize(n);
         let pre = w.into_payload();
-        let mut shards: Vec<Vec<(usize, Vec<u8>)>> = vec![Vec::new(); n_shards];
+        let mut shards: ShardEntries = vec![Vec::new(); n_shards];
         for id in 0..n {
             let mut w = SnapshotWriter::new();
             w.put_usize(id);

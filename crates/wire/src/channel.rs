@@ -15,7 +15,8 @@
 use crate::{DecodeError, Message};
 use bytes::Bytes;
 
-/// Outcome of one successful [`FaultyChannel::transmit`].
+/// Outcome of one successful [`FaultyChannel::transmit`] or
+/// [`FaultyChannel::transmit_frame`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
     /// The decoded message as received (equals the sent message — a
@@ -110,7 +111,18 @@ impl FaultyChannel {
     /// `(client, round)`) so concurrent transfers get independent fault
     /// traces.
     pub fn transmit(&self, msg: &Message, stream_id: u64) -> Result<Delivery, ChannelError> {
-        let frame = msg.encode();
+        let delivery = self.transmit_frame(&msg.encode(), stream_id)?;
+        debug_assert_eq!(&delivery.message, msg);
+        Ok(delivery)
+    }
+
+    /// [`FaultyChannel::transmit`] for a frame the sender already holds
+    /// encoded, so a sender that keeps the frame encodes it once. The
+    /// attempt trace is the same as `transmit`'s for the message the frame
+    /// encodes, and the receive path still decodes every delivered frame.
+    /// Panics if `frame` does not decode: it must come from
+    /// [`Message::encode`].
+    pub fn transmit_frame(&self, frame: &Bytes, stream_id: u64) -> Result<Delivery, ChannelError> {
         let mut backoff_s = 0.0f64;
         let mut bytes_sent = 0usize;
         for attempt in 0..=self.max_retries {
@@ -121,7 +133,6 @@ impl FaultyChannel {
                 // receive path: the real decoder runs on every delivery
                 let received = Message::decode(frame.clone())
                     .expect("a clean frame from encode() must decode");
-                debug_assert_eq!(&received, msg);
                 return Ok(Delivery {
                     message: received,
                     attempts: attempt + 1,
@@ -134,7 +145,7 @@ impl FaultyChannel {
             // in-flight corruptions the receiver detects and discards
             let corrupted = h & 1 == 1;
             if corrupted {
-                let garbled = corrupt_frame(&frame, h);
+                let garbled = corrupt_frame(frame, h);
                 match Message::decode(garbled) {
                     // decode caught the damage directly
                     Err(DecodeError::Truncated)
@@ -143,7 +154,9 @@ impl FaultyChannel {
                     // decode produced *something* — the flipped byte landed
                     // in payload, which a real stack catches by checksum;
                     // the comparison below stands in for that checksum
-                    Ok(received) => debug_assert_ne!(received, *msg, "corruption must be visible"),
+                    Ok(received) => {
+                        debug_assert_ne!(received.encode(), *frame, "corruption must be visible")
+                    }
                 }
             }
             // sender times out and backs off before retransmitting
@@ -187,6 +200,15 @@ mod tests {
         let ch = FaultyChannel::lossy(0.6, 11, 8, 0.25);
         for stream in 0..50u64 {
             assert_eq!(ch.transmit(&msg(), stream), ch.transmit(&msg(), stream));
+        }
+    }
+
+    #[test]
+    fn transmit_frame_matches_transmit() {
+        let ch = FaultyChannel::lossy(0.6, 11, 4, 0.25);
+        let frame = msg().encode();
+        for stream in 0..200u64 {
+            assert_eq!(ch.transmit_frame(&frame, stream), ch.transmit(&msg(), stream));
         }
     }
 

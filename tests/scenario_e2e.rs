@@ -25,6 +25,9 @@ use std::sync::{Arc, Mutex};
 const CLASSES: usize = 4;
 const SEED: u64 = 31;
 
+/// Per re-cluster hook call, the `(id, first histogram)` members it saw.
+type HookLog = Arc<Mutex<Vec<Vec<(usize, Vec<f32>)>>>>;
+
 fn specs(n: usize) -> Vec<haccs::data::partition::ClientSpec> {
     let mut rng = StdRng::seed_from_u64(SEED);
     partition::majority_noise(n, CLASSES, &partition::MAJORITY_NOISE_75, (40, 70), 12, &mut rng)
@@ -46,7 +49,7 @@ fn drift_routes_through_observe_summary_update_and_reclusters() {
     let profiles = DeviceProfile::sample_many(n, &mut rng);
 
     // every hook invocation records the member summaries it was handed
-    let hook_log: Arc<Mutex<Vec<Vec<(usize, Vec<f32>)>>>> = Arc::new(Mutex::new(Vec::new()));
+    let hook_log: HookLog = Arc::new(Mutex::new(Vec::new()));
     let log = Arc::clone(&hook_log);
     let dists: Vec<(usize, Vec<f32>)> =
         specs.iter().enumerate().map(|(i, s)| (i, s.label_weights.clone())).collect();

@@ -87,8 +87,8 @@ proptest! {
             reg.enroll(entry(id));
         }
         reg.observe_leave(0);
-        for id in 0..n0 {
-            prop_assert_eq!(reg.shard_for(id), before[id], "client {} moved shards", id);
+        for (id, &was) in before.iter().enumerate() {
+            prop_assert_eq!(reg.shard_for(id), was, "client {} moved shards", id);
         }
         for id in 0..n0 + extra {
             prop_assert_eq!(reg.shard_for(id), shard_of(id, n_shards));
@@ -152,13 +152,15 @@ proptest! {
                 apply(&mut sharded, id, op, &policy);
             }
 
-            // per-shard probe cover, restored to id order, equals the
-            // flat sweep — the coordinator's probe_targets() path
+            // the coordinator's probe_targets() path: one ascending walk
+            // over the shards a stagger selects equals the flat sweep
+            // filtered to those shards
             let Registry::Sharded(s) = &sharded else { unreachable!() };
-            let mut cover: Vec<usize> =
-                (0..n_shards).flat_map(|sh| s.probed_ids_in_shard(sh)).collect();
-            cover.sort_unstable();
-            prop_assert_eq!(&cover, &flat.probed_ids());
+            prop_assert_eq!(s.probed_ids_in_shards(|_| true), flat.probed_ids());
+            let picked = epoch % n_shards;
+            let staggered: Vec<usize> =
+                flat.probed_ids().into_iter().filter(|&id| s.shard_for(id) == picked).collect();
+            prop_assert_eq!(s.probed_ids_in_shards(|sh| sh == picked), staggered);
 
             prop_assert_eq!(&sharded.probed_ids(), &flat.probed_ids());
             prop_assert_eq!(
