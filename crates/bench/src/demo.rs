@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// Which carrier a federation runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Agent threads and mpsc channels inside one process (the default).
+    /// Pooled agents and mpsc channels inside one process (the default).
     Inproc,
     /// One OS process per role, length-prefixed frames over localhost TCP.
     Tcp,

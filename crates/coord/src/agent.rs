@@ -3,22 +3,20 @@
 //! about a client arrives as an encoded [`Message`] inside an
 //! [`Envelope`].
 //!
-//! The protocol body lives in [`AgentState`] — a message-in/envelope-out
-//! state machine with **no thread of its own**. Two runtimes drive it:
+//! The protocol body lives in `AgentState` — a message-in/envelope-out
+//! state machine with **no thread of its own**. Two drivers run it:
 //!
-//! * [`spawn`] wraps it in a dedicated OS thread blocking on an mpsc
-//!   downlink (the legacy thread-per-agent runtime, kept as the parity
-//!   reference behind `Coordinator::threaded`, and the body TCP clients
-//!   run via [`run_agent`]); it decodes each frame and uplinks each
-//!   envelope as a one-element batch;
-//! * the sharded event-loop core (`crate::shard`) multiplexes thousands
-//!   of `AgentState`s over a fixed worker pool, decoding a cohort's
-//!   shared frame once for all its recipients and uplinking one batch
-//!   per worker command.
+//! * the coordinator's event-loop core (`crate::shard`) multiplexes
+//!   thousands of `AgentState`s over a fixed worker pool, decoding a
+//!   cohort's shared frame once for all its recipients and uplinking one
+//!   batch per worker command;
+//! * [`run_agent`] serves one agent on the calling thread over mpsc
+//!   junctions — the body a socket client (`haccs-client`) runs behind
+//!   its TCP bridge — decoding each frame and uplinking each envelope as
+//!   a one-element batch.
 //!
-//! Because both runtimes execute the *same* state machine, their envelope
-//! streams are identical frame for frame — which is what lets the sharded
-//! core stay bit-identical to the threaded runtime.
+//! Both execute the *same* state machine, so a remote client's envelope
+//! stream is identical, frame for frame, to the in-process agent's.
 //!
 //! Transport split:
 //!
@@ -30,7 +28,7 @@
 //!   `(seed, stream_id, attempt)` — so the coordinator's loss/retry/byte
 //!   accounting is bit-identical to the loop engine's
 //!   [`haccs_fedsim::round::simulate_heartbeats`] even though frames here
-//!   are really produced by racing threads.
+//!   are really produced by racing pool workers.
 
 use bytes::Bytes;
 use haccs_codec::CodecKind;
@@ -45,7 +43,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 // The uplink types grew up here but now live in `haccs-wire` (they cross
 // process boundaries via `Envelope::encode`); re-exported so every
@@ -88,12 +85,12 @@ pub struct AgentConfig {
     pub codec: Option<CodecKind>,
 }
 
-/// Builds a model instance shared across agent threads.
+/// Builds a model instance; shared across pool workers and clients.
 pub type SharedModelFactory = Arc<dyn Fn() -> Sequential + Send + Sync>;
 
 /// The uplink junction: agents send envelopes in batches. A pool worker
-/// sends one batch per command it processes; a threaded agent or a TCP
-/// bridge sends one-element batches.
+/// sends one batch per command it processes; [`run_agent`] and a TCP
+/// bridge send one-element batches.
 pub type Uplink = Sender<Vec<Envelope>>;
 
 fn reliable(msg: &Message) -> TransmitOutcome {
@@ -122,27 +119,11 @@ fn lossy(channel: &FaultyChannel, msg: &Message, stream_id: u64) -> TransmitOutc
     }
 }
 
-/// Spawns the agent thread. It immediately sends `Join` (summary +
-/// resource estimate), then serves downlink frames until the coordinator
-/// drops the downlink sender or the agent departs via `Leave`.
-pub fn spawn(
-    cfg: AgentConfig,
-    data: ClientData,
-    profile: DeviceProfile,
-    factory: SharedModelFactory,
-    summarizer: Summarizer,
-    downlink: Receiver<Bytes>,
-    uplink: Uplink,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("haccs-agent-{}", cfg.id))
-        .spawn(move || agent_main(cfg, data, profile, factory, summarizer, downlink, uplink))
-        .expect("spawn agent thread")
-}
-
-/// Runs the agent loop on the calling thread. This is the same body
-/// [`spawn`] runs; exposed so socket clients (`haccs-client`) can drive
-/// the identical protocol over mpsc junctions bridged to a TCP stream.
+/// Runs one agent on the calling thread, over mpsc junctions a socket
+/// client (`haccs-client`) bridges to a TCP stream. It immediately sends
+/// `Join` (summary + resource estimate), then serves downlink frames
+/// until the coordinator drops the downlink sender or the agent departs
+/// via `Leave`.
 pub fn run_agent(
     cfg: AgentConfig,
     data: ClientData,
@@ -152,7 +133,21 @@ pub fn run_agent(
     downlink: Receiver<Bytes>,
     uplink: Uplink,
 ) {
-    agent_main(cfg, data, profile, factory, summarizer, downlink, uplink)
+    let mut state = AgentState::new(cfg, data, profile, summarizer);
+    // a send error means the coordinator is gone; the agent just exits
+    let _ = uplink.send(vec![state.join()]);
+    let mut model = factory();
+
+    // serve the coordinator until the downlink closes or the agent leaves
+    while let Ok(frame) = downlink.recv() {
+        let msg = Message::decode(frame).expect("coordinator sent an undecodable frame");
+        if let Some(env) = state.on_message(&msg, &mut model) {
+            let _ = uplink.send(vec![env]);
+        }
+        if state.departed() {
+            return;
+        }
+    }
 }
 
 /// The agent protocol as a message-in/envelope-out state machine: all the
@@ -238,9 +233,6 @@ impl AgentState {
     /// envelope it produces (if any). `model` is scratch: its parameters
     /// are always set before use and carry no state between calls.
     pub(crate) fn on_message(&mut self, msg: &Message, model: &mut Sequential) -> Option<Envelope> {
-        if self.departed {
-            return None; // the threaded runtime's wound-down thread
-        }
         let cfg = &self.cfg;
         match *msg {
             Message::Schedule { round, client_nonce } => {
@@ -332,32 +324,6 @@ impl AgentState {
                 Some(self.envelope(out))
             }
             ref other => panic!("agent {} received unexpected frame {other:?}", cfg.id),
-        }
-    }
-}
-
-fn agent_main(
-    cfg: AgentConfig,
-    data: ClientData,
-    profile: DeviceProfile,
-    factory: SharedModelFactory,
-    summarizer: Summarizer,
-    downlink: Receiver<Bytes>,
-    uplink: Uplink,
-) {
-    let mut state = AgentState::new(cfg, data, profile, summarizer);
-    // a send error means the coordinator is gone; the agent just exits
-    let _ = uplink.send(vec![state.join()]);
-    let mut model = factory();
-
-    // serve the coordinator until the downlink closes or the agent leaves
-    while let Ok(frame) = downlink.recv() {
-        let msg = Message::decode(frame).expect("coordinator sent an undecodable frame");
-        if let Some(env) = state.on_message(&msg, &mut model) {
-            let _ = uplink.send(vec![env]);
-        }
-        if state.departed() {
-            return; // the thread winds down after Leave
         }
     }
 }

@@ -1,5 +1,6 @@
 //! The message-driven coordinator: federated rounds executed entirely
-//! through the wire protocol against agent threads.
+//! through the wire protocol against client agents, which the event-loop
+//! core (`crate::shard`) multiplexes over a fixed worker pool.
 //!
 //! Structure of one round (the state machine mirrors DESIGN.md §8):
 //!
@@ -12,7 +13,8 @@
 //!
 //! ## Determinism
 //!
-//! Agents race on OS threads, yet two same-seed runs are bit-identical:
+//! Pool workers and remote bridges race to deliver agent traffic, yet two
+//! same-seed runs are bit-identical:
 //!
 //! 1. every collection of uplink envelopes is drained through an
 //!    [`EventQueue`]: model updates by `(time, client, seq)`, where `time`
@@ -32,11 +34,11 @@
 //! accounting, so retries/losses/bytes also match the engine exactly.
 
 use crate::agent::{
-    self, AgentConfig, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink,
+    AgentConfig, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink,
 };
 use crate::events::{EventQueue, Inbox, QueueFull};
-use crate::registry::{ClientEntry, ClientRegistry, Liveness, Registry, ShardedRegistry};
-use crate::shard::{EventCore, ShardConfig, ShardedAggregator};
+use crate::registry::{ClientEntry, ClientRegistry, Liveness};
+use crate::shard::{shard_of, EventCore, ShardConfig};
 use haccs_codec::CodecKind;
 use haccs_data::{ClientData, FederatedDataset, ImageSet};
 use haccs_fedsim::engine::{
@@ -87,42 +89,6 @@ struct PendingJoin {
     leave_after: Option<u64>,
 }
 
-struct AgentHandle {
-    downlink: Option<Sender<bytes::Bytes>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// How the coordinator runs its client agents.
-///
-/// The **event** backend is the default: thread-free [`AgentState`]
-/// machines multiplexed over a fixed worker pool (`crate::shard`), with a
-/// hash-[`ShardedRegistry`] and hierarchical per-shard aggregation. Its OS
-/// thread count is independent of federation size, which is what lets one
-/// process host 100k+ clients.
-///
-/// The **threaded** backend ([`Coordinator::threaded`]) is the legacy
-/// thread-per-agent runtime, kept as the parity reference: both backends
-/// drive the same `AgentState` protocol machine through the same
-/// [`EventQueue`], so their round histories are bit-identical (pinned by
-/// `tests/sharded_parity.rs`).
-enum AgentRuntime {
-    /// One OS thread + mpsc downlink per agent (legacy; parity reference).
-    Threaded { agents: Vec<AgentHandle> },
-    /// Worker-pool event loop. `core` spawns lazily at first enrollment so
-    /// builder methods can still shape the layout.
-    Event { core: Option<EventCore>, shard_cfg: ShardConfig },
-}
-
-impl AgentRuntime {
-    /// Agents ever registered (including departed/tombstoned slots).
-    fn spawned(&self) -> usize {
-        match self {
-            AgentRuntime::Threaded { agents } => agents.len(),
-            AgentRuntime::Event { core, .. } => core.as_ref().map_or(0, |c| c.spawned()),
-        }
-    }
-}
-
 /// A coordinator-level runtime failure surfaced to the caller instead of
 /// silently degrading the round. Returned by [`Coordinator::try_run_round`];
 /// [`Coordinator::run_round`] panics on it.
@@ -154,8 +120,7 @@ impl std::error::Error for CoordError {
 /// The server-side half of one connected remote client, produced by a
 /// transport bridge (see `crate::net`): the sender whose frames the
 /// bridge's writer pump carries to the client, plus the pump thread
-/// itself (joined when the coordinator drops, exactly like a local agent
-/// thread).
+/// itself (joined when the coordinator drops).
 pub struct RemoteLink {
     /// Downlink frame sender; dropping it makes the pump half-close the
     /// connection, which the remote agent observes as an orderly EOF.
@@ -295,8 +260,13 @@ pub struct Coordinator<S: Selector> {
     summarizer: Summarizer,
     summary_seed: u64,
     selector: S,
-    registry: Registry,
-    runtime: AgentRuntime,
+    registry: ClientRegistry,
+    /// The agents' event-loop core: thread-free [`AgentState`] machines on
+    /// a fixed worker pool, so the OS thread count is independent of
+    /// federation size. Spawned lazily at the first enrollment, so builder
+    /// methods can still shape `shard_cfg`.
+    core: Option<EventCore>,
+    shard_cfg: ShardConfig,
     /// Bound on each envelope-collection [`EventQueue`]; overflow is a
     /// [`CoordError::EventQueueFull`], counted in
     /// `coord_event_queue_dropped_total`.
@@ -385,11 +355,6 @@ impl<S: Selector> Coordinator<S> {
     /// [`haccs_fedsim::FedSim::new`], plus the selector it owns. Agents
     /// are spawned lazily at the first round so builder methods can still
     /// shape the wire before any channel exists.
-    ///
-    /// Runs on the sharded **event-loop backend** (fixed worker pool,
-    /// hash-sharded registry, hierarchical aggregation) — bit-identical
-    /// to the legacy [`Coordinator::threaded`] runtime but with an OS
-    /// thread count independent of federation size.
     pub fn new(
         factory: ModelFactory,
         fed: FederatedDataset,
@@ -434,8 +399,9 @@ impl<S: Selector> Coordinator<S> {
             summarizer: Summarizer::label_dist(),
             summary_seed: cfg.seed ^ 0xD9,
             selector,
-            registry: Registry::Sharded(ShardedRegistry::new(ShardConfig::default().n_shards)),
-            runtime: AgentRuntime::Event { core: None, shard_cfg: ShardConfig::default() },
+            registry: ClientRegistry::new(),
+            core: None,
+            shard_cfg: ShardConfig::default(),
             event_capacity: DEFAULT_EVENT_CAPACITY,
             pending,
             remote_profiles: None,
@@ -452,45 +418,14 @@ impl<S: Selector> Coordinator<S> {
         }
     }
 
-    /// [`Coordinator::new`] on the legacy **thread-per-agent backend**:
-    /// one OS thread and one mpsc downlink per client, with the flat
-    /// [`ClientRegistry`]. Kept as the parity reference the sharded
-    /// event-loop core is pinned bit-identical against
-    /// (`tests/sharded_parity.rs`); prefer [`Coordinator::new`] everywhere
-    /// else — the threaded runtime cannot scale past a few thousand
-    /// clients.
-    pub fn threaded(
-        factory: ModelFactory,
-        fed: FederatedDataset,
-        profiles: Vec<DeviceProfile>,
-        latency: LatencyModel,
-        availability: Availability,
-        cfg: SimConfig,
-        selector: S,
-    ) -> Self {
-        let mut c = Self::new(factory, fed, profiles, latency, availability, cfg, selector);
-        c.runtime = AgentRuntime::Threaded { agents: Vec::new() };
-        c.registry = Registry::Flat(ClientRegistry::new());
-        c
-    }
-
-    /// Overrides the event backend's shard/worker layout (builder style;
+    /// Overrides the event core's shard/worker layout (builder style;
     /// before the first round). Layout never changes results — shard
-    /// routing only regroups commutative work and the aggregation merge is
-    /// admission-order pinned — so this is a performance knob only.
-    /// Panics on a [`Coordinator::threaded`] runtime, which has no shards.
+    /// routing only decides which worker serves an agent, and every
+    /// collection is drained in a deterministic order — so this is a
+    /// performance knob only.
     pub fn with_shard_layout(mut self, layout: ShardConfig) -> Self {
         self.assert_unspawned("shard layout");
-        match &mut self.runtime {
-            AgentRuntime::Event { core, shard_cfg } => {
-                debug_assert!(core.is_none(), "unspawned coordinator cannot have a core");
-                *shard_cfg = layout;
-                self.registry = Registry::Sharded(ShardedRegistry::new(layout.n_shards));
-            }
-            AgentRuntime::Threaded { .. } => {
-                panic!("shard layout applies to the event backend, not Coordinator::threaded")
-            }
-        }
+        self.shard_cfg = layout;
         self
     }
 
@@ -505,13 +440,9 @@ impl<S: Selector> Coordinator<S> {
         self
     }
 
-    /// The event backend's shard/worker layout (`None` on the legacy
-    /// threaded runtime).
-    pub fn shard_layout(&self) -> Option<ShardConfig> {
-        match &self.runtime {
-            AgentRuntime::Event { shard_cfg, .. } => Some(*shard_cfg),
-            AgentRuntime::Threaded { .. } => None,
-        }
+    /// The event core's shard/worker layout.
+    pub fn shard_layout(&self) -> ShardConfig {
+        self.shard_cfg
     }
 
     /// Assembles a coordinator whose clients live in **other processes**,
@@ -554,8 +485,9 @@ impl<S: Selector> Coordinator<S> {
             summarizer: Summarizer::label_dist(),
             summary_seed: default_summary_seed(cfg.seed),
             selector,
-            registry: Registry::Sharded(ShardedRegistry::new(ShardConfig::default().n_shards)),
-            runtime: AgentRuntime::Event { core: None, shard_cfg: ShardConfig::default() },
+            registry: ClientRegistry::new(),
+            core: None,
+            shard_cfg: ShardConfig::default(),
             event_capacity: DEFAULT_EVENT_CAPACITY,
             pending: Vec::new(),
             remote_profiles: Some(profiles),
@@ -592,8 +524,14 @@ impl<S: Selector> Coordinator<S> {
         self.pending_remote.push((id, link));
     }
 
+    /// Agents ever registered with the core (including departed and
+    /// tombstoned slots).
+    fn spawned(&self) -> usize {
+        self.core.as_ref().map_or(0, |c| c.spawned())
+    }
+
     fn assert_unspawned(&self, what: &str) {
-        assert!(self.runtime.spawned() == 0, "{what} must be configured before the first round");
+        assert!(self.spawned() == 0, "{what} must be configured before the first round");
     }
 
     /// Attaches a fault schedule (builder style; before the first round).
@@ -767,7 +705,7 @@ impl<S: Selector> Coordinator<S> {
     /// first heartbeat probe of a round `>= round` where the device is
     /// available, its agent sends `Leave` and winds down.
     pub fn with_leave_after(mut self, id: usize, round: u64) -> Self {
-        let base = self.runtime.spawned();
+        let base = self.spawned();
         let slot = id
             .checked_sub(base)
             .and_then(|i| self.pending.get_mut(i))
@@ -780,7 +718,7 @@ impl<S: Selector> Coordinator<S> {
     /// re-clustering hook fires — at the next round boundary. Returns the
     /// id the client will enroll under.
     pub fn add_client(&mut self, data: ClientData, profile: DeviceProfile) -> usize {
-        let id = self.runtime.spawned() + self.pending.len();
+        let id = self.spawned() + self.pending.len();
         self.pending.push(PendingJoin { data, profile, leave_after: None });
         id
     }
@@ -817,7 +755,7 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// The membership/liveness registry.
-    pub fn registry(&self) -> &Registry {
+    pub fn registry(&self) -> &ClientRegistry {
         &self.registry
     }
 
@@ -853,109 +791,20 @@ impl<S: Selector> Coordinator<S> {
     // transport plumbing
     // ------------------------------------------------------------------
 
-    fn send_to(&self, id: usize, msg: &Message) {
-        match &self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                if let Some(tx) = &agents[id].downlink {
-                    // a send error means the agent already wound down
-                    let _ = tx.send(msg.encode());
-                }
-            }
-            AgentRuntime::Event { core, .. } => {
-                core.as_ref().expect("no agents spawned yet").dispatch(id, msg.encode());
-            }
-        }
+    /// The event core, spawned on first use with the configured layout.
+    fn core_mut(&mut self) -> &mut EventCore {
+        self.core.get_or_insert_with(|| {
+            EventCore::new(self.shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
+        })
     }
 
-    /// Fans one message out to `ids`. On the event backend the frame is
-    /// encoded **once** and cohort-dispatched (one channel send per pool
-    /// worker); the threaded backend degrades to per-agent sends. Same
-    /// bytes reach every recipient either way.
-    fn broadcast(&self, ids: &[usize], msg: &Message) {
-        if ids.is_empty() {
-            return;
-        }
-        match &self.runtime {
-            AgentRuntime::Threaded { .. } => {
-                for &id in ids {
-                    self.send_to(id, msg);
-                }
-            }
-            AgentRuntime::Event { core, .. } => {
-                core.as_ref().expect("no agents spawned yet").dispatch_cohort(ids, msg.encode());
-            }
-        }
-    }
-
-    /// Spawns a local agent on whichever backend this coordinator runs:
-    /// a dedicated thread, or a state machine handed to the worker pool.
-    /// Either way the agent's `Join` is in flight when this returns.
-    fn spawn_local_agent(&mut self, acfg: AgentConfig, data: ClientData, profile: DeviceProfile) {
-        let summarizer = self.summarizer;
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                let (down_tx, down_rx) = mpsc::channel();
-                let thread = agent::spawn(
-                    acfg,
-                    data,
-                    profile,
-                    Arc::clone(&self.factory),
-                    summarizer,
-                    down_rx,
-                    self.uplink_tx.clone(),
-                );
-                agents.push(AgentHandle { downlink: Some(down_tx), thread: Some(thread) });
-            }
-            AgentRuntime::Event { core, shard_cfg } => {
-                let core = core.get_or_insert_with(|| {
-                    EventCore::new(*shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-                });
-                let id = acfg.id;
-                core.spawn_agent(id, AgentState::new(acfg, data, profile, summarizer));
-            }
-        }
-    }
-
-    /// Registers a connected remote client's bridge under `id` — on the
-    /// event backend this routes the TCP accept path onto the same event
-    /// loop the inline agents ride.
-    fn attach_remote_agent(&mut self, id: usize, link: RemoteLink) {
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                agents.push(AgentHandle { downlink: Some(link.downlink), thread: link.pump });
-            }
-            AgentRuntime::Event { core, shard_cfg } => {
-                let core = core.get_or_insert_with(|| {
-                    EventCore::new(*shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-                });
-                core.attach_remote(id, link.downlink, link.pump);
-            }
-        }
-    }
-
-    /// Registers a restore-time tombstone slot for a client that departed
-    /// before the snapshot: no agent, frames to it are dropped.
-    fn push_tombstone_agent(&mut self) {
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => {
-                agents.push(AgentHandle { downlink: None, thread: None });
-            }
-            AgentRuntime::Event { core, shard_cfg } => {
-                let core = core.get_or_insert_with(|| {
-                    EventCore::new(*shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-                });
-                core.push_tombstone();
-            }
-        }
-    }
-
-    /// Closes a departed/evicted client's downlink on either backend.
-    fn detach_agent(&mut self, id: usize) {
-        match &mut self.runtime {
-            AgentRuntime::Threaded { agents } => agents[id].downlink = None,
-            AgentRuntime::Event { core, .. } => {
-                core.as_mut().expect("no agents spawned yet").detach(id);
-            }
+    /// Sends each of `ids` its `Schedule` for `epoch`: one frame per
+    /// client, since each carries the client's own nonce.
+    fn send_schedules(&mut self, ids: &[usize], epoch: usize) {
+        for &id in ids {
+            let client_nonce = self.registry.get(id).nonce;
+            let schedule = Message::Schedule { round: epoch as u64, client_nonce };
+            self.core_mut().dispatch(id, schedule.encode());
         }
     }
 
@@ -987,26 +836,23 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// Per-shard queue-depth telemetry: how many of one collection's
-    /// envelopes each registry shard contributed. Event backend only (the
-    /// flat registry has a single shard, already covered by the global
-    /// depth histogram).
+    /// envelopes came from each shard's clients.
     fn observe_shard_depths(&self, drained: &[(usize, TransmitOutcome)]) {
         if !self.obs.is_enabled() {
             return;
         }
-        if let Registry::Sharded(reg) = &self.registry {
-            let mut depth = vec![0usize; reg.shard_count()];
-            for &(id, _) in drained {
-                depth[reg.shard_for(id)] += 1;
-            }
-            for (shard, &d) in depth.iter().enumerate() {
-                self.obs.observe_with(
-                    "coord_shard_queue_depth",
-                    haccs_obs::metrics::SHARD_QUEUE_DEPTH,
-                    d as f64,
-                );
-                self.obs.gauge(&format!("coord_shard_queue_depth{{shard=\"{shard}\"}}"), d as f64);
-            }
+        let n_shards = self.shard_cfg.n_shards;
+        let mut depth = vec![0usize; n_shards];
+        for &(id, _) in drained {
+            depth[shard_of(id, n_shards)] += 1;
+        }
+        for (shard, &d) in depth.iter().enumerate() {
+            self.obs.observe_with(
+                "coord_shard_queue_depth",
+                haccs_obs::metrics::SHARD_QUEUE_DEPTH,
+                d as f64,
+            );
+            self.obs.gauge(&format!("coord_shard_queue_depth{{shard=\"{shard}\"}}"), d as f64);
         }
     }
 
@@ -1110,7 +956,7 @@ impl<S: Selector> Coordinator<S> {
             let mut spawn_meta: HashMap<usize, (DeviceProfile, Option<usize>)> = HashMap::new();
 
             for p in batch {
-                let id = self.runtime.spawned();
+                let id = self.spawned();
                 spawn_meta.insert(id, (p.profile, Some(p.data.train.len())));
                 let acfg = AgentConfig {
                     id,
@@ -1125,13 +971,14 @@ impl<S: Selector> Coordinator<S> {
                     resume_last_loss: None,
                     codec: self.codec,
                 };
-                self.spawn_local_agent(acfg, p.data, p.profile);
+                let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
+                self.core_mut().spawn_agent(id, agent);
             }
 
             for (id, link) in remote_batch {
                 assert_eq!(
                     id,
-                    self.runtime.spawned(),
+                    self.spawned(),
                     "remote clients must cover a dense id range (missing attach_remote?)"
                 );
                 let profile = self
@@ -1139,7 +986,7 @@ impl<S: Selector> Coordinator<S> {
                     .as_ref()
                     .expect("pending_remote implies remote construction")[id];
                 spawn_meta.insert(id, (profile, None));
-                self.attach_remote_agent(id, link);
+                self.core_mut().attach_remote(id, link.downlink, link.pump);
             }
 
             // Joins arrive in racing order; the queue restores id order
@@ -1169,12 +1016,12 @@ impl<S: Selector> Coordinator<S> {
             }
 
             // enrollment sync: push the current global model (unscheduled,
-            // one encode cohort-dispatched on the event backend), agents
-            // probe their loss and ack — the round-0 loss signal the loop
-            // engine gets from its construction-time probe pass
+            // one encode cohort-dispatched), agents probe their loss and
+            // ack — the round-0 loss signal the loop engine gets from its
+            // construction-time probe pass
             let push =
                 Message::ModelPush { round: self.epoch as u64, params: self.global_params.clone() };
-            self.broadcast(&new_ids, &push);
+            self.core_mut().dispatch_cohort(&new_ids, push.encode());
             for (id, outcome) in self.collect_uniform(new_ids.len())? {
                 match Self::decode_delivered(outcome) {
                     Message::Heartbeat { last_loss, .. } => {
@@ -1213,22 +1060,19 @@ impl<S: Selector> Coordinator<S> {
         Ok(())
     }
 
-    /// Per-shard membership gauges (event backend): how many live entries
-    /// each registry shard holds after an enrollment wave.
+    /// Per-shard membership gauges: how many non-departed clients each
+    /// shard holds after an enrollment wave.
     fn observe_shard_membership(&self) {
         if !self.obs.is_enabled() {
             return;
         }
-        if let Registry::Sharded(reg) = &self.registry {
-            for shard in 0..reg.shard_count() {
-                let members = reg
-                    .shard_entries(shard)
-                    .iter()
-                    .filter(|e| e.liveness != Liveness::Left)
-                    .count();
-                self.obs
-                    .gauge(&format!("coord_shard_members{{shard=\"{shard}\"}}"), members as f64);
-            }
+        let n_shards = self.shard_cfg.n_shards;
+        let mut members = vec![0usize; n_shards];
+        for e in self.registry.entries().iter().filter(|e| e.liveness != Liveness::Left) {
+            members[shard_of(e.id, n_shards)] += 1;
+        }
+        for (shard, &m) in members.iter().enumerate() {
+            self.obs.gauge(&format!("coord_shard_members{{shard=\"{shard}\"}}"), m as f64);
         }
     }
 
@@ -1407,16 +1251,14 @@ impl<S: Selector> Coordinator<S> {
             }
         }
 
-        // dispatch: schedule everyone selected (per-client frames — the
-        // nonce differs), then push the model to trainees as one cohort
-        // frame. Per-agent FIFO order guarantees Schedule lands first.
+        // dispatch: schedule everyone selected, then push the model to
+        // trainees as one cohort frame. Per-agent FIFO order guarantees
+        // Schedule lands first.
         self.phase = RoundPhase::Dispatched;
-        for &id in &selected {
-            let nonce = self.registry.get(id).nonce;
-            self.send_to(id, &Message::Schedule { round: epoch as u64, client_nonce: nonce });
-        }
-        let push = Message::ModelPush { round: epoch as u64, params: self.global_params.clone() };
-        self.broadcast(&trainees, &push);
+        self.send_schedules(&selected, epoch);
+        let push =
+            Message::ModelPush { round: epoch as u64, params: self.global_params.clone() }.encode();
+        self.core_mut().dispatch_cohort(&trainees, push.clone());
 
         // collect exactly one envelope per trainee; admit in selection
         // order (see the module docs' determinism argument)
@@ -1442,14 +1284,8 @@ impl<S: Selector> Coordinator<S> {
                 let rctx = SelectionContext { epoch, available: &pool_infos, k: n_failed };
                 let raw = self.selector.select(&rctx, &mut self.rng);
                 let replacements = sanitize_selection(raw, &rctx);
-                for &id in &replacements {
-                    let nonce = self.registry.get(id).nonce;
-                    self.send_to(
-                        id,
-                        &Message::Schedule { round: epoch as u64, client_nonce: nonce },
-                    );
-                }
-                self.broadcast(&replacements, &push);
+                self.send_schedules(&replacements, epoch);
+                self.core_mut().dispatch_cohort(&replacements, push);
                 let mut routs: HashMap<usize, TransmitOutcome> =
                     self.collect_timed(replacements.len(), epoch)?.into_iter().collect();
                 for &id in &replacements {
@@ -1471,17 +1307,8 @@ impl<S: Selector> Coordinator<S> {
             }
         }
 
-        // FedAvg + server-side telemetry. The event backend commits
-        // hierarchically: per-shard partial buffers merged by admission
-        // order — the same float sequence as the flat fedavg, bit for bit
-        // (see `ShardedAggregator::merge_into`).
-        match &self.runtime {
-            AgentRuntime::Threaded { .. } => acc.fedavg(&mut self.global_params),
-            AgentRuntime::Event { shard_cfg, .. } => {
-                ShardedAggregator::from_admissions(&acc.updates, shard_cfg.n_shards)
-                    .merge_into(&mut self.global_params);
-            }
-        }
+        // FedAvg + server-side telemetry
+        acc.fedavg(&mut self.global_params);
         for u in &acc.updates {
             self.mark_entry_dirty(u.id);
             let e = self.registry.get_mut(u.id);
@@ -1588,29 +1415,6 @@ impl<S: Selector> Coordinator<S> {
         }
     }
 
-    /// The ids probed by this round's heartbeat sweep, ascending. The flat
-    /// (threaded) backend probes every non-departed client; the event
-    /// backend probes those in the shards a shard-staggered
-    /// [`HeartbeatPolicy`] (see [`HeartbeatPolicy::with_shard_stagger`])
-    /// selects this round, rotating probe load across shards. With
-    /// staggering off (the default) every shard probes on the flat
-    /// cadence, so the two backends probe the identical id set — one of
-    /// the invariants the parity suite pins.
-    fn probe_targets(&self, epoch: usize) -> Vec<usize> {
-        match (&self.runtime, &self.registry) {
-            (AgentRuntime::Event { .. }, Registry::Sharded(reg)) => {
-                let n_shards = reg.shard_count();
-                let probes: Vec<bool> = (0..n_shards)
-                    .map(|shard| {
-                        self.hb_policy.probes_shard_in_round(epoch as u64, shard, n_shards)
-                    })
-                    .collect();
-                reg.probed_ids_in_shards(|shard| probes[shard])
-            }
-            _ => self.registry.probed_ids(),
-        }
-    }
-
     /// Probes every non-departed client, collects acks/`Leave`s from the
     /// available ones, and applies liveness transitions in deterministic
     /// order. Silent (unavailable) clients accrue a miss. Pure byte and
@@ -1620,7 +1424,7 @@ impl<S: Selector> Coordinator<S> {
             return Ok(SweepOutcome { missed: 0, retries: 0, bytes: 0 });
         }
         let hb_size = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
-        let probed = self.probe_targets(epoch);
+        let probed = self.registry.probed_ids();
         // unavailable clients stay silent; everyone else answers once
         let silent: Vec<usize> = probed
             .iter()
@@ -1629,10 +1433,9 @@ impl<S: Selector> Coordinator<S> {
             .collect();
         let n_responders = probed.len() - silent.len();
 
-        // one probe frame for everyone: cohort-dispatched on the event
-        // backend, per-agent sends on the threaded one
+        // one probe frame for everyone, cohort-dispatched
         let probe = Message::Heartbeat { client_nonce: 0, round: epoch as u64, last_loss: 0.0 };
-        self.broadcast(&probed, &probe);
+        self.core_mut().dispatch_cohort(&probed, probe.encode());
         let mut out =
             SweepOutcome { missed: silent.len(), retries: 0, bytes: probed.len() * hb_size };
 
@@ -1646,7 +1449,7 @@ impl<S: Selector> Coordinator<S> {
                     out.bytes += bytes_sent;
                     match Message::decode(frame).expect("agent sent an undecodable ack") {
                         Message::Heartbeat { client_nonce, last_loss, .. } => {
-                            debug_assert_eq!(self.registry.nonce_to_id(client_nonce), Some(id));
+                            debug_assert_eq!(self.registry.get(id).nonce, client_nonce);
                             acked.push((id, last_loss));
                         }
                         Message::Leave { .. } => leaves.push(id),
@@ -1681,7 +1484,7 @@ impl<S: Selector> Coordinator<S> {
         for id in leaves {
             self.registry.observe_leave(id);
             self.mark_entry_dirty(id);
-            self.detach_agent(id); // the agent already wound itself down
+            self.core_mut().detach(id); // the agent already wound itself down
             self.membership_dirty = true;
             self.obs
                 .event("coord.liveness")
@@ -1696,7 +1499,7 @@ impl<S: Selector> Coordinator<S> {
             self.mark_entry_dirty(id);
             match self.registry.observe_miss(id, &self.hb_policy) {
                 LivenessVerdict::Evicted => {
-                    self.detach_agent(id);
+                    self.core_mut().detach(id);
                     self.membership_dirty = true;
                     self.obs
                         .event("coord.liveness")
@@ -1790,9 +1593,9 @@ impl<S: Selector> Coordinator<S> {
         w.put_usize(self.registry.len());
         // NOTE: deliberately no shard layout here. The layout is a pure
         // performance knob, so snapshot bytes stay layout-free: a
-        // threaded coordinator and a sharded one in any configuration
-        // write identical snapshots and restore each other's
-        // (`tests/sharded_parity.rs` pins both directions). Pre-shard
+        // coordinator in any shard configuration writes identical
+        // snapshots and restores any other's
+        // (`tests/sharded_parity.rs` pins this). Pre-shard
         // snapshots are rejected by the container version gate instead
         // (`haccs_persist::VERSION`). The same holds for the segmented
         // path's snapshot-shard count: a manifest reassembles to these
@@ -2067,14 +1870,14 @@ impl<S: Selector> Coordinator<S> {
     /// profiles, seed, policies, selector construction) and must not have
     /// run a round yet. Live clients' agents are spawned seeded with
     /// their snapshot-time losses; departed clients become registry
-    /// tombstones with no agent thread, exactly as the uninterrupted
-    /// coordinator would hold them.
+    /// tombstones with no agent, exactly as the uninterrupted coordinator
+    /// would hold them.
     ///
     /// On any [`PersistError`] the coordinator should be discarded — the
     /// restore is not transactional.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.runtime.spawned() == 0 && self.registry.is_empty(),
+            self.spawned() == 0 && self.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
@@ -2089,7 +1892,7 @@ impl<S: Selector> Coordinator<S> {
             restored,
         } = snap;
 
-        // everything parsed — validate shard sizes before spawning threads
+        // everything parsed — validate shard sizes before spawning agents
         for (id, p) in self.pending.iter().enumerate() {
             if p.data.train.len() != restored[id].n_train {
                 return Err(PersistError::Malformed(format!(
@@ -2102,7 +1905,7 @@ impl<S: Selector> Coordinator<S> {
 
         // commit: spawn agents for non-departed clients, seeded with
         // their snapshot-time losses (no enrollment probe — the snapshot
-        // *is* the loss signal); departed clients get a tombstone handle
+        // *is* the loss signal); departed clients get a tombstone slot
         self.phase = RoundPhase::Enrolling;
         let batch = std::mem::take(&mut self.pending);
         let mut spawn_meta: HashMap<usize, (DeviceProfile, usize)> = HashMap::new();
@@ -2110,7 +1913,7 @@ impl<S: Selector> Coordinator<S> {
         for (id, p) in batch.into_iter().enumerate() {
             spawn_meta.insert(id, (p.profile, p.data.train.len()));
             if restored[id].liveness == Liveness::Left {
-                self.push_tombstone_agent();
+                self.core_mut().push_tombstone();
                 continue;
             }
             n_live += 1;
@@ -2127,7 +1930,8 @@ impl<S: Selector> Coordinator<S> {
                 resume_last_loss: restored[id].last_loss,
                 codec: self.codec,
             };
-            self.spawn_local_agent(acfg, p.data, p.profile);
+            let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
+            self.core_mut().spawn_agent(id, agent);
         }
 
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
@@ -2191,7 +1995,7 @@ impl<S: Selector> Coordinator<S> {
     /// echo exactly what an uninterrupted agent would have reported.
     pub fn restore_remote(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.runtime.spawned() == 0 && self.registry.is_empty(),
+            self.spawned() == 0 && self.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
@@ -2211,7 +2015,7 @@ impl<S: Selector> Coordinator<S> {
         } = snap;
 
         // install the reconnected links: live ids get their bridge, Left
-        // ids a tombstone handle — same shape as the local restore
+        // ids a tombstone slot — same shape as the local restore
         let mut links: HashMap<usize, RemoteLink> =
             std::mem::take(&mut self.pending_remote).into_iter().collect();
         let mut n_live = 0usize;
@@ -2221,13 +2025,13 @@ impl<S: Selector> Coordinator<S> {
                     links.remove(&id).is_none(),
                     "client {id} departed before the snapshot but reconnected"
                 );
-                self.push_tombstone_agent();
+                self.core_mut().push_tombstone();
             } else {
                 let link = links.remove(&id).unwrap_or_else(|| {
                     panic!("live client {id} must reconnect before restore_remote")
                 });
                 n_live += 1;
-                self.attach_remote_agent(id, link);
+                self.core_mut().attach_remote(id, link.downlink, link.pump);
             }
         }
         assert!(links.is_empty(), "attached ids beyond the snapshot's client range");
@@ -2288,7 +2092,8 @@ impl<S: Selector> Coordinator<S> {
         // bring the survivors up to date before any probe can reach them
         // (the downlink is FIFO, so ResumeSync lands first)
         for (id, last_loss) in resume_sync {
-            self.send_to(id, &Message::ResumeSync { round: epoch as u64, last_loss });
+            let sync = Message::ResumeSync { round: epoch as u64, last_loss };
+            self.core_mut().dispatch(id, sync.encode());
         }
 
         self.epoch = epoch;
@@ -2300,24 +2105,6 @@ impl<S: Selector> Coordinator<S> {
         self.membership_dirty = membership_dirty;
         self.phase = RoundPhase::Committed;
         Ok(())
-    }
-}
-
-impl<S: Selector> Drop for Coordinator<S> {
-    fn drop(&mut self) {
-        // closing every downlink unblocks the agent loops; join so no
-        // thread outlives the runtime. The event backend tears itself down
-        // in `EventCore::drop` (workers + remote pumps).
-        if let AgentRuntime::Threaded { agents } = &mut self.runtime {
-            for a in agents.iter_mut() {
-                a.downlink = None;
-            }
-            for a in agents.iter_mut() {
-                if let Some(t) = a.thread.take() {
-                    let _ = t.join();
-                }
-            }
-        }
     }
 }
 
@@ -2499,6 +2286,52 @@ mod tests {
     }
 
     #[test]
+    fn per_shard_instruments_count_each_client_in_its_shard_of_shard() {
+        // client 4 leaves in round 1; a join queued after round 2 makes
+        // round 3 an enrollment wave, which refreshes the member gauges
+        let layout = ShardConfig::new(5, 2);
+        let obs = Recorder::enabled();
+        let mut c = build_coord(12, Availability::AlwaysOn)
+            .with_shard_layout(layout)
+            .with_recorder(obs.clone())
+            .with_leave_after(4, 1);
+        c.run(3);
+        let gen = SynthVision::mnist_like(4, 8, 0);
+        let fed = FederatedDataset::materialize(&gen, &partition::iid(1, 4, 30, 8), 99);
+        c.add_client(fed.clients[0].clone(), DeviceProfile::uniform_fast());
+        c.run(2);
+
+        // every timed and ack collection observes its size once into the
+        // global depth histogram and once per shard into the shard one
+        let n_shards = layout.n_shards;
+        let total = obs.histogram("coord_event_queue_depth").expect("collections observed");
+        let shards = obs.histogram("coord_shard_queue_depth").expect("shard depths observed");
+        assert!(total.count() >= 10, "two collections per round, got {}", total.count());
+        assert_eq!(shards.count(), n_shards as u64 * total.count());
+        assert_eq!(shards.sum(), total.sum(), "shard depths must sum to envelopes collected");
+
+        let mut want = vec![0.0; n_shards];
+        for e in c.registry().entries().iter().filter(|e| e.liveness != Liveness::Left) {
+            want[shard_of(e.id, n_shards)] += 1.0;
+        }
+        assert_eq!(want.iter().sum::<f64>(), 12.0, "13 enrolled, one left");
+        let gauges: HashMap<String, f64> = obs
+            .metrics_snapshot()
+            .into_iter()
+            .filter_map(|(name, m)| match m {
+                haccs_obs::metrics::Metric::Gauge(v) => Some((name, v)),
+                _ => None,
+            })
+            .collect();
+        let per_shard = |metric: &str| -> Vec<f64> {
+            (0..n_shards).map(|s| gauges[&format!("{metric}{{shard=\"{s}\"}}")]).collect()
+        };
+        assert_eq!(per_shard("coord_shard_members"), want);
+        // the last collection is the final sweep, where every member acks
+        assert_eq!(per_shard("coord_shard_queue_depth"), want);
+    }
+
+    #[test]
     fn ack_collection_is_ascending_for_any_interleaving_of_worker_batches() {
         let n = 12;
         let mut c = build_coord(n, Availability::AlwaysOn).with_recorder(Recorder::enabled());
@@ -2594,7 +2427,7 @@ mod tests {
     #[test]
     fn restore_preserves_eviction_tombstones() {
         // client 0 is evicted (Left) before the snapshot; the resumed
-        // coordinator must hold the tombstone without an agent thread and
+        // coordinator must hold the tombstone without an agent and
         // still match the uninterrupted run
         let hb = HeartbeatPolicy::new(1, 2, 3);
         let build = || build_coord(4, Availability::permanent([0])).with_heartbeat(hb);
@@ -2883,7 +2716,7 @@ mod tests {
         c.run(2);
         let snap = c.snapshot();
         drop(c);
-        // the TopK residuals live in the (now dead) agent threads, so a
+        // the TopK residuals live in the (now dead) agents, so a
         // coordinator-side resume cannot reconstruct the codec state
         let mut resumed = build_coord(4, Availability::AlwaysOn).with_codec(topk);
         match resumed.restore(&snap) {

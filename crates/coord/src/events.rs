@@ -1,7 +1,7 @@
 //! Deterministic event ordering for the coordinator.
 //!
-//! Agent threads race: envelopes arrive on the shared uplink channel in
-//! whatever order the OS scheduler produces. The coordinator never acts on
+//! Pool workers and remote bridges race: envelopes arrive on the shared
+//! uplink channel in whatever order the OS scheduler produces. The coordinator never acts on
 //! raw arrival order — every collection of envelopes is first pushed into
 //! an [`EventQueue`] keyed by `(time, client_id, seq)` and drained in that
 //! order (collections that need no arrival time, such as heartbeat acks,

@@ -2,9 +2,10 @@
 //!
 //! A message-driven coordinator runtime for the HACCS federation: the
 //! same federated rounds [`haccs_fedsim::FedSim`] executes as a loop, run
-//! instead as a distributed system in miniature. Client agents live on
-//! their own OS threads, own their data and model replicas, and talk to
-//! the server exclusively in encoded [`haccs_wire::Message`] frames;
+//! instead as a distributed system in miniature. Client agents are state
+//! machines multiplexed over a fixed pool of worker threads (or separate
+//! processes behind a TCP bridge), own their data, and talk to the
+//! server exclusively in encoded [`haccs_wire::Message`] frames;
 //! the coordinator drives an explicit round state machine, a liveness
 //! registry fed by heartbeats on the simulated clock, and the §IV-C
 //! dynamic-membership path (mid-training joins, graceful leaves,
@@ -15,14 +16,11 @@
 //!
 //! * [`events::EventQueue`] — total order `(time, client, seq)` over
 //!   racing agent traffic; the determinism backbone,
-//! * [`registry::ClientRegistry`] / [`registry::ShardedRegistry`] —
-//!   per-client membership, telemetry and the
-//!   `Joined → Alive ⇄ Suspected → Left` liveness machine, flat or
-//!   sharded by client-id hash,
+//! * [`registry::ClientRegistry`] — per-client membership, telemetry and
+//!   the `Joined → Alive ⇄ Suspected → Left` liveness machine, one entry
+//!   per id,
 //! * [`shard`] — the thread-free event-loop core: a fixed worker pool
-//!   multiplexing cohort-batched client agents, plus the hierarchical
-//!   [`shard::ShardedAggregator`] whose per-shard merge is bit-identical
-//!   to the flat FedAvg reduction,
+//!   multiplexing cohort-batched client agents, hash-sharded by client id,
 //! * [`agent`] — the client side: enroll, train on `ModelPush`, ack
 //!   heartbeats, depart gracefully,
 //! * [`coordinator::Coordinator`] — the server side: enroll → cluster →
@@ -44,5 +42,5 @@ pub use coordinator::{
 };
 pub use events::{Event, EventQueue, QueueFull};
 pub use net::{accept_remote_clients, remote_agent_config, run_tcp_federation, serve_agent_tcp};
-pub use registry::{ClientEntry, ClientRegistry, Liveness, Registry, ShardedRegistry};
-pub use shard::{shard_of, ShardConfig, ShardedAggregator};
+pub use registry::{ClientEntry, ClientRegistry, Liveness};
+pub use shard::{shard_of, ShardConfig};

@@ -145,7 +145,7 @@ pub fn accept_remote_clients(
 /// Builds the exact [`AgentConfig`] a coordinator-side spawn would use
 /// for client `id` — nonce, summary seed and wire channel all derive
 /// from the run seed the same way, so a remote process is
-/// indistinguishable from a local agent thread (and round histories stay
+/// indistinguishable from an in-process agent (and round histories stay
 /// bit-identical across the two transports).
 pub fn remote_agent_config(
     id: usize,

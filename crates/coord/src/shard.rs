@@ -1,31 +1,15 @@
-//! The sharded event-loop core: client-id hash sharding, hierarchical
-//! aggregation, and the fixed worker pool that multiplexes thread-free
-//! [`AgentState`](crate::agent) machines.
+//! The event-loop core: client-id hash sharding and the fixed worker pool
+//! that multiplexes thread-free [`AgentState`](crate::agent) machines.
 //!
-//! ## Why shards
-//!
-//! The legacy runtime spends one OS thread and one mpsc pair per client —
-//! fine at the paper's n=256, fatal at the roadmap's 100k–1M. Here the
-//! coordinator owns **no per-client threads at all**: agents are plain
-//! state machines hash-partitioned into shards ([`shard_of`]), whole
-//! shards are assigned to a fixed pool of workers, and frames travel to
-//! workers in cohort batches ([`haccs_wire::CohortDispatch`]) so a
-//! broadcast costs `n_workers` channel sends, not `n_clients`.
-//!
-//! ## Why the merge is order-pinned
-//!
-//! Float addition is not associative, so summing per-shard partial sums
-//! in shard order would *not* reproduce the flat FedAvg bits. The
-//! [`ShardedAggregator`] therefore buffers updates per shard tagged with
-//! their **admission index** and commits via a k-way merge walk across
-//! shard cursors in admission order — executing literally the same float
-//! operation sequence as [`RoundAccumulator::fedavg`], for any shard
-//! count. That invariant (merge ≡ flat, bit for bit) is what the
-//! hierarchical-aggregation proptests pin.
+//! The coordinator owns **no per-client threads**, so one process can
+//! host 100k+ clients: agents are plain state machines hash-partitioned
+//! into shards ([`shard_of`]), whole shards are assigned to a fixed pool
+//! of workers, and frames travel to workers in cohort batches
+//! ([`haccs_wire::CohortDispatch`]) so a broadcast costs `n_workers`
+//! channel sends, not `n_clients`.
 
 use crate::agent::{AgentState, Envelope, SharedModelFactory, Uplink};
 use bytes::Bytes;
-use haccs_fedsim::round::PendingUpdate;
 use haccs_nn::Sequential;
 use haccs_wire::{CohortDispatch, Message};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -41,21 +25,23 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 /// The shard client `id` lives in: a splitmix64 hash of the id reduced
 /// mod `n_shards`. Pure in `(id, n_shards)` — ids are dense and never
 /// reused, so a client's shard is stable across join/leave churn for the
-/// lifetime of the run (pinned by the shard routing proptests).
+/// lifetime of the run.
 pub fn shard_of(id: usize, n_shards: usize) -> usize {
     assert!(n_shards >= 1, "need at least one shard");
     (splitmix64(id as u64) % n_shards as u64) as usize
 }
 
-/// Layout of the event-loop core: how many hash shards the registry is
+/// Layout of the event-loop core: how many hash shards clients are
 /// partitioned into and how many pool workers serve them. Neither number
-/// affects results — shard routing only regroups commutative per-client
-/// work and the aggregation merge is order-pinned — so both default to
-/// machine-friendly values rather than anything semantic.
+/// affects results — shard routing only decides which worker serves an
+/// agent, and the coordinator drains every collection in a deterministic
+/// order — so both default to machine-friendly values rather than
+/// anything semantic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Hash shards (registry partitions, heartbeat sweep units,
-    /// aggregation buffers).
+    /// Hash shards: the unit pool workers are assigned, and the buckets
+    /// of the per-shard telemetry (`coord_shard_queue_depth`,
+    /// `coord_shard_members`).
     pub n_shards: usize,
     /// Worker threads multiplexing the inline agents. Fixed at
     /// construction: the coordinator's OS thread count is `n_workers`
@@ -76,100 +62,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         ShardConfig { n_shards: 16, n_workers: cores.clamp(1, 8) }
-    }
-}
-
-// ---------------------------------------------------------------------
-// hierarchical aggregation
-// ---------------------------------------------------------------------
-
-#[allow(unused_imports)] // referenced by the doc links below and in tests
-use haccs_fedsim::round::RoundAccumulator;
-
-/// Per-shard aggregation buffers over one round's admitted updates.
-///
-/// Inserting is O(1) into the owning shard's buffer (the hot path while
-/// updates stream in); committing walks the shard cursors in admission
-/// order so the FedAvg float sequence — and therefore every bit of the
-/// global model — matches [`RoundAccumulator::fedavg`] exactly. See the
-/// module docs for why the walk, not a partial-sum reduction, is the
-/// merge step.
-#[derive(Debug)]
-pub struct ShardedAggregator<'a> {
-    /// Per shard: `(admission_index, update)` in admission order.
-    shards: Vec<Vec<(usize, &'a PendingUpdate)>>,
-}
-
-impl<'a> ShardedAggregator<'a> {
-    /// Partitions `updates` (already in admission order, as
-    /// [`RoundAccumulator`] holds them) into shard buffers.
-    pub fn from_admissions(updates: &'a [PendingUpdate], n_shards: usize) -> Self {
-        assert!(n_shards >= 1, "need at least one shard");
-        let mut shards: Vec<Vec<(usize, &PendingUpdate)>> = vec![Vec::new(); n_shards];
-        for (idx, u) in updates.iter().enumerate() {
-            shards[shard_of(u.id, n_shards)].push((idx, u));
-        }
-        ShardedAggregator { shards }
-    }
-
-    /// Number of shard buffers.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Updates buffered in shard `s`.
-    pub fn shard_len(&self, s: usize) -> usize {
-        self.shards[s].len()
-    }
-
-    /// Total buffered updates.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// The admission-order merge walk: yields every buffered update in
-    /// its original admission order by repeatedly taking the shard cursor
-    /// with the smallest admission index.
-    fn merged(&self) -> impl Iterator<Item = &'a PendingUpdate> + '_ {
-        let mut cursors = vec![0usize; self.shards.len()];
-        std::iter::from_fn(move || {
-            let mut best: Option<(usize, usize)> = None; // (admission idx, shard)
-            for (s, buf) in self.shards.iter().enumerate() {
-                if let Some(&(idx, _)) = buf.get(cursors[s]) {
-                    if best.is_none_or(|(b, _)| idx < b) {
-                        best = Some((idx, s));
-                    }
-                }
-            }
-            let (_, s) = best?;
-            let (_, u) = self.shards[s][cursors[s]];
-            cursors[s] += 1;
-            Some(u)
-        })
-    }
-
-    /// FedAvg over the buffered updates, **bit-identical** to
-    /// [`RoundAccumulator::fedavg`] over the same admissions: the merge
-    /// walk reproduces the flat admission order, so the f64 accumulation
-    /// performs the identical operation sequence regardless of
-    /// `n_shards`. No-op when no updates are buffered (same as flat).
-    pub fn merge_into(&self, global: &mut Vec<f32>) {
-        if self.is_empty() {
-            return;
-        }
-        let total_weight: f64 = self.merged().map(|u| u.n_train as f64).sum();
-        let mut new_params = vec![0.0f64; global.len()];
-        for u in self.merged() {
-            let w = u.n_train as f64 / total_weight;
-            for (acc, &p) in new_params.iter_mut().zip(&u.params) {
-                *acc += w * p as f64;
-            }
-        }
-        *global = new_params.into_iter().map(|x| x as f32).collect();
     }
 }
 
@@ -240,11 +132,6 @@ impl EventCore {
         EventCore { workers, slots: Vec::new(), n_shards: cfg.n_shards, retired_pumps: Vec::new() }
     }
 
-    #[allow(dead_code)] // symmetric accessor; kept for the bench crate's wiring
-    pub(crate) fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
     /// Agents (inline, remote or tombstoned) ever registered.
     pub(crate) fn spawned(&self) -> usize {
         self.slots.len()
@@ -289,7 +176,7 @@ impl EventCore {
     }
 
     /// Sends one frame to one agent. Frames to detached slots are
-    /// dropped, mirroring the threaded runtime's closed downlink.
+    /// dropped, as a closed downlink would drop them.
     pub(crate) fn dispatch(&self, id: usize, frame: Bytes) {
         match &self.slots[id] {
             Slot::Inline { worker } => {
@@ -457,35 +344,6 @@ mod tests {
         assert!(counts.iter().all(|&c| c > 0), "degenerate shard spread: {counts:?}");
     }
 
-    fn update(id: usize, n_train: usize, salt: f32) -> PendingUpdate {
-        PendingUpdate {
-            id,
-            params: (0..7).map(|i| (i as f32 + salt) * 0.137 - 0.4).collect(),
-            loss: 0.5,
-            n_train,
-        }
-    }
-
-    #[test]
-    fn merge_is_bit_identical_to_flat_fedavg_for_any_shard_count() {
-        let mut acc = RoundAccumulator::new(None);
-        // admission order deliberately not id order
-        for (i, &id) in [5usize, 0, 11, 3, 8, 2, 13].iter().enumerate() {
-            acc.updates.push(update(id, 10 + 7 * i, i as f32));
-        }
-        let mut flat = vec![0.1f32; 7];
-        acc.fedavg(&mut flat);
-        for n_shards in [1usize, 2, 3, 4, 16] {
-            let agg = ShardedAggregator::from_admissions(&acc.updates, n_shards);
-            assert_eq!(agg.len(), acc.updates.len());
-            let mut merged = vec![0.1f32; 7];
-            agg.merge_into(&mut merged);
-            let a: Vec<u32> = flat.iter().map(|x| x.to_bits()).collect();
-            let b: Vec<u32> = merged.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(a, b, "shard count {n_shards} perturbed the FedAvg bits");
-        }
-    }
-
     #[test]
     fn heartbeat_cohort_reaches_the_uplink_as_one_batch_per_worker() {
         use crate::agent::AgentConfig;
@@ -546,14 +404,5 @@ mod tests {
         acked.sort_unstable();
         assert_eq!(acked, ids, "every agent acks exactly once");
         assert!(rx.try_recv().is_err(), "no envelope beyond the cohort's");
-    }
-
-    #[test]
-    fn empty_aggregator_leaves_global_untouched() {
-        let agg = ShardedAggregator::from_admissions(&[], 4);
-        assert!(agg.is_empty());
-        let mut g = vec![1.5f32, -2.0];
-        agg.merge_into(&mut g);
-        assert_eq!(g, vec![1.5, -2.0]);
     }
 }

@@ -4,7 +4,7 @@
 //! joins, graceful leaves and HACCS re-clustering.
 //!
 //! Branch (a) is the headline claim of DESIGN.md §8: running the *same*
-//! federated round through racing agent threads and encoded frames
+//! federated round through racing pooled agents and encoded frames
 //! changes nothing — same selected-client sequence, same accuracy curve,
 //! plus an exact accounting of the control traffic (schedules and
 //! heartbeats) the loop engine only models analytically.
@@ -194,7 +194,7 @@ pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
          (must be 0)"
     ));
     report.notes.push(
-        "parity branch: agent threads + wire frames reproduce the loop engine's run \
+        "parity branch: pooled agents + wire frames reproduce the loop engine's run \
          bit-for-bit (see tests/coordinator_parity.rs for the hard assertion)"
             .into(),
     );

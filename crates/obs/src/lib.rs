@@ -34,7 +34,7 @@
 //! `haccs-sim --trace` piped to `jq`, an in-memory sink
 //! ([`sink::MemorySink`]) for tests, and the registry's Prometheus dump
 //! for scrape-style readouts. The recorder is `Clone + Send + Sync`
-//! (an `Arc` under the hood), so the coordinator's agent threads and
+//! (an `Arc` under the hood), so the coordinator's pool workers and
 //! rayon workers can share one handle.
 //!
 //! ```

@@ -5,7 +5,7 @@
 //! round on the simulated clock and counts consecutive missed acks per
 //! client. This module holds only the **policy** — the thresholds that
 //! map a miss streak onto a [`LivenessVerdict`] — so the rules are
-//! testable without spinning up agent threads, and so the engine-side
+//! testable without running a federation, and so the engine-side
 //! simulation and the message-driven coordinator agree on them.
 
 /// Liveness thresholds, counted in consecutive missed heartbeats.
@@ -20,15 +20,6 @@ pub struct HeartbeatPolicy {
     /// Consecutive misses after which a client is *evicted* (treated as
     /// departed without an orderly `Leave`).
     pub evict_after_misses: u32,
-    /// When the registry is sharded, rotate the probe schedule across
-    /// shards instead of probing every shard in the same round: shard `s`
-    /// of `n` is probed in round `r` iff
-    /// `(r / probe_every_rounds) % n == s`. Spreads sweep cost at large
-    /// federations at the price of a coarser per-client probe cadence
-    /// (`probe_every_rounds * n_shards`). `false` (the default) probes
-    /// every shard on the flat cadence — bit-identical to the unsharded
-    /// sweep, which is what the parity suite pins.
-    pub stagger_shards: bool,
 }
 
 /// What a miss streak means under a [`HeartbeatPolicy`].
@@ -55,39 +46,12 @@ impl HeartbeatPolicy {
             evict_after_misses >= suspect_after_misses,
             "eviction cannot precede suspicion ({evict_after_misses} < {suspect_after_misses})"
         );
-        HeartbeatPolicy {
-            probe_every_rounds,
-            suspect_after_misses,
-            evict_after_misses,
-            stagger_shards: false,
-        }
-    }
-
-    /// Enables shard-staggered probing (builder style); see
-    /// [`HeartbeatPolicy::stagger_shards`].
-    pub fn with_shard_stagger(mut self) -> Self {
-        self.stagger_shards = true;
-        self
+        HeartbeatPolicy { probe_every_rounds, suspect_after_misses, evict_after_misses }
     }
 
     /// Whether the coordinator probes at the start of `round`.
     pub fn probes_in_round(&self, round: u64) -> bool {
         round.is_multiple_of(self.probe_every_rounds)
-    }
-
-    /// Whether shard `shard` of `n_shards` is probed at the start of
-    /// `round`. Without [`Self::stagger_shards`] every shard follows the
-    /// flat cadence ([`Self::probes_in_round`]); with it, exactly one
-    /// shard is probed per probing round, rotating in shard order.
-    pub fn probes_shard_in_round(&self, round: u64, shard: usize, n_shards: usize) -> bool {
-        assert!(shard < n_shards, "shard {shard} out of range (n_shards {n_shards})");
-        if !self.probes_in_round(round) {
-            return false;
-        }
-        if !self.stagger_shards || n_shards <= 1 {
-            return true;
-        }
-        (round / self.probe_every_rounds) % n_shards as u64 == shard as u64
     }
 
     /// Classifies a streak of `consecutive_misses` missed heartbeats.
@@ -153,40 +117,5 @@ mod tests {
     #[should_panic(expected = "probe cadence must be")]
     fn zero_cadence_rejected() {
         HeartbeatPolicy::new(0, 1, 1);
-    }
-
-    #[test]
-    fn unstaggered_shards_follow_the_flat_cadence() {
-        let p = HeartbeatPolicy::new(2, 1, 2);
-        for round in 0..8 {
-            for shard in 0..4 {
-                assert_eq!(
-                    p.probes_shard_in_round(round, shard, 4),
-                    p.probes_in_round(round),
-                    "round {round} shard {shard}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn staggered_shards_rotate_one_per_probing_round() {
-        let p = HeartbeatPolicy::new(2, 1, 2).with_shard_stagger();
-        // non-probing rounds probe nothing
-        assert!((0..3).all(|s| !p.probes_shard_in_round(1, s, 3)));
-        // probing rounds hit exactly one shard, rotating in shard order
-        for (round, expect) in [(0, 0), (2, 1), (4, 2), (6, 0)] {
-            let probed: Vec<usize> =
-                (0..3).filter(|&s| p.probes_shard_in_round(round, s, 3)).collect();
-            assert_eq!(probed, [expect], "round {round}");
-        }
-        // every shard is covered within n_shards probing rounds
-        let mut seen = [false; 3];
-        for round in (0..6).step_by(2) {
-            for (s, seen) in seen.iter_mut().enumerate() {
-                *seen |= p.probes_shard_in_round(round, s, 3);
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 }

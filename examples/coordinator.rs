@@ -1,5 +1,5 @@
 //! Coordinator runtime demo: a federated run driven entirely by wire
-//! messages between the server and one agent thread per device — with a
+//! messages between the server and one client agent per device — with a
 //! device joining mid-training and another leaving gracefully, both
 //! absorbed by HACCS re-clustering (§IV-C).
 //!
@@ -48,7 +48,7 @@ fn main() {
     let (clustering, groups) = build_clusters(&summarizer, &summaries, 2, ExtractionMethod::Auto);
     println!("initial clustering: {} clusters over {n_clients} devices", clustering.n_clusters());
 
-    // --- 3. the coordinator: every client is a thread behind a wire channel
+    // --- 3. the coordinator: every client is an agent behind a wire channel
     let factory: ModelFactory =
         Box::new(move || ModelKind::Mlp.build(1, 8, classes, &mut StdRng::seed_from_u64(7)));
     let selector = HaccsSelector::new(groups, 0.5, "P(y)");

@@ -28,7 +28,7 @@
 //! | [`scheduler`] | the HACCS selector itself (Algorithm 1) |
 //! | [`experiments`] | one module per paper table/figure |
 //! | [`wire`] | the client↔server message codec with exact size accounting |
-//! | [`coord`] | the message-driven coordinator runtime: agent threads, liveness, dynamic membership |
+//! | [`coord`] | the message-driven coordinator runtime: pooled client agents, liveness, dynamic membership |
 //! | [`persist`] | versioned snapshot codec + bit-identical crash/resume |
 //! | [`obs`] | structured tracing (events/spans), metrics registry, JSONL + Prometheus sinks |
 //!

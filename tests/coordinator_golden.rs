@@ -8,9 +8,7 @@
 //! One small run reaches every branch of the heartbeat sweep: acks lost
 //! on the wire, a client that never answers and walks Alive → Suspected →
 //! evicted, a scripted `Leave`, a mid-run join, crashes drafted around
-//! under `Replace`, and int8-coded updates. It runs on both the event-loop
-//! core (`Coordinator::new`) and the thread-per-agent runtime
-//! (`Coordinator::threaded`), which must land on the same constants.
+//! under `Replace`, and int8-coded updates.
 //!
 //! The constants were computed before heartbeat acks were collected in
 //! `(client, seq)` order and uplink envelopes were batched per worker
@@ -21,6 +19,9 @@
 //! come from the platform libm.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
+mod common;
+
+use common::{assert_digest, run_digest};
 use haccs::fedsim::engine::ModelFactory;
 use haccs::persist::{fnv1a64, segment};
 use haccs::prelude::*;
@@ -44,68 +45,13 @@ const JOIN_AFTER: usize = 3;
 const RUN_DIGEST: u64 = 0x512a_3ad9_9208_cd4b;
 const SNAPSHOT_DIGEST: u64 = 0x47d4_f8f9_0bf9_ac60;
 
-/// Bytes fed to FNV-1a: every float as its bit pattern, every count as a
-/// little-endian `u64`.
-#[derive(Default)]
-struct Digest(Vec<u8>);
-
-impl Digest {
-    fn f32(&mut self, x: f32) -> &mut Self {
-        self.0.extend_from_slice(&x.to_bits().to_le_bytes());
-        self
-    }
-
-    fn f64(&mut self, x: f64) -> &mut Self {
-        self.0.extend_from_slice(&x.to_bits().to_le_bytes());
-        self
-    }
-
-    fn usizes(&mut self, xs: &[usize]) -> &mut Self {
-        for &x in xs {
-            self.0.extend_from_slice(&(x as u64).to_le_bytes());
-        }
-        self
-    }
-
-    fn finish(&self) -> u64 {
-        fnv1a64(&self.0)
-    }
-}
-
-fn run_digest(run: &RunResult) -> u64 {
-    let mut d = Digest::default();
-    for r in &run.rounds {
-        d.usizes(&[r.epoch]).f64(r.time_s).f64(r.round_seconds);
-        d.usizes(&[r.participants.len()]).usizes(&r.participants).f32(r.mean_local_loss);
-        let f = &r.faults;
-        d.usizes(&[f.crashed, f.stragglers, f.dropped_by_deadline, f.lossy_failures, f.retries]);
-        d.usizes(&[f.replacements.len()]).usizes(&f.replacements);
-        d.f64(f.wasted_client_seconds).f64(f.deadline_s.unwrap_or(f64::NAN));
-        d.usizes(&[f.control_bytes, f.hb_missed, f.payload_bytes_raw, f.payload_bytes_encoded]);
-    }
-    for p in &run.curve {
-        d.f64(p.time_s).usizes(&[p.epoch]).f32(p.accuracy).f32(p.loss);
-    }
-    d.finish()
-}
-
-fn assert_digest(what: &str, got: u64, want: u64) {
-    assert_eq!(got, want, "{what}: digest {got:#018x}, golden {want:#018x}");
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    Event,
-    Threaded,
-}
-
-fn snapshot_dir(backend: Backend) -> PathBuf {
-    std::env::temp_dir().join(format!("haccs-golden-{backend:?}-{}", std::process::id()))
+fn snapshot_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("haccs-golden-{}", std::process::id()))
 }
 
 /// Runs the scenario and returns the run, the final `snapshot()` bytes
 /// and the last segmented tick reassembled.
-fn scenario(backend: Backend) -> (RunResult, Vec<u8>, Vec<u8>) {
+fn scenario() -> (RunResult, Vec<u8>, Vec<u8>) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let specs = partition::majority_noise(
         N + 1,
@@ -130,20 +76,13 @@ fn scenario(backend: Backend) -> (RunResult, Vec<u8>, Vec<u8>) {
     let latency = LatencyModel::for_params(10_000, 2e-3, 1);
     let availability = Availability::permanent([SILENT]);
     let cfg = SimConfig { k: 4, seed: SEED, ..Default::default() };
-    let coord = match backend {
-        Backend::Event => {
-            Coordinator::new(factory, fed, profiles, latency, availability, cfg, selector)
-        }
-        Backend::Threaded => {
-            Coordinator::threaded(factory, fed, profiles, latency, availability, cfg, selector)
-        }
-    };
+    let coord = Coordinator::new(factory, fed, profiles, latency, availability, cfg, selector);
     let faults = FaultModel::none(SEED)
         .with(FaultSpec::Crash { prob: 0.2 })
         .with(FaultSpec::Lossy { prob: 0.45 });
     let policy =
         RoundPolicy { max_retries: 1, ..RoundPolicy::deadline(AggregationPolicy::Replace, 0.9) };
-    let dir = snapshot_dir(backend);
+    let dir = snapshot_dir();
     let _ = std::fs::remove_dir_all(&dir);
     let mut coord = coord
         .with_summary_seed(SEED ^ 0xD9)
@@ -183,20 +122,11 @@ fn scenario(backend: Backend) -> (RunResult, Vec<u8>, Vec<u8>) {
     (run, snapshot, reassembled)
 }
 
-fn check(backend: Backend) {
-    let (run, snapshot, reassembled) = scenario(backend);
-    assert_digest(&format!("{backend:?} RunResult"), run_digest(&run), RUN_DIGEST);
-    assert_digest(&format!("{backend:?} snapshot"), fnv1a64(&snapshot), SNAPSHOT_DIGEST);
-    // a segmented tick reassembles to the monolithic bytes of the same state
-    assert_digest(&format!("{backend:?} segmented"), fnv1a64(&reassembled), SNAPSHOT_DIGEST);
-}
-
 #[test]
 fn event_core_coordinator_bits() {
-    check(Backend::Event);
-}
-
-#[test]
-fn threaded_coordinator_bits() {
-    check(Backend::Threaded);
+    let (run, snapshot, reassembled) = scenario();
+    assert_digest("RunResult", run_digest(&run), RUN_DIGEST);
+    assert_digest("snapshot", fnv1a64(&snapshot), SNAPSHOT_DIGEST);
+    // a segmented tick reassembles to the monolithic bytes of the same state
+    assert_digest("segmented", fnv1a64(&reassembled), SNAPSHOT_DIGEST);
 }

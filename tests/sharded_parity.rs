@@ -1,23 +1,31 @@
-//! Sharded event-loop core ⇄ legacy threaded runtime parity soak.
+//! Shard-layout parity soak and golden digests for the event-loop
+//! coordinator.
 //!
-//! The sharded coordinator (`Coordinator::new`: fixed worker pool,
-//! cohort-batched dispatch, `ShardedRegistry`, hierarchical per-shard
-//! aggregation) must reproduce the thread-per-agent reference
-//! (`Coordinator::threaded`) **bit for bit** — `RunResult`'s `PartialEq`
-//! compares every float via `to_bits`. The soak runs n = 256 clients
-//! across a selector × `RoundPolicy` × fault matrix with a different
-//! shard/worker layout per cell, then adds a Join/Leave churn leg and a
-//! kill-and-resume leg (including a cross-backend snapshot restore, and
-//! a restore into a *different* shard layout).
+//! A `ShardConfig` only decides which pool worker serves which agent and
+//! how the per-shard telemetry is bucketed. Every collection is drained in
+//! a deterministic order and FedAvg admits updates in selection order, so
+//! the layout can never leak into results. This soak checks that live, run
+//! against run, at n = 256 clients (`RunResult`'s `PartialEq` compares
+//! every float via `to_bits`):
 //!
-//! This is the pinned argument of DESIGN.md §14: shard routing only
-//! regroups commutative work, the aggregation merge replays the flat
-//! FedAvg float sequence in admission order, and liveness sweeps are
-//! re-sorted to flat id order — so the layout can never leak into
-//! results.
+//! * a selector × `RoundPolicy` × fault × codec matrix, each cell at
+//!   `ShardConfig::default()` and at an odd layout;
+//! * one lossy run at a two-shard and a 128-shard layout;
+//! * a Join/Leave churn script at two layouts;
+//! * kill-and-resume: a 16×4 snapshot restored into 64×8 and 1×1 must
+//!   finish with the uninterrupted run's history.
+//!
+//! The same runs are pinned by FNV-1a digests (`common::run_digest`). They
+//! were computed on `Coordinator::new` while the thread-per-agent runtime
+//! still existed, when this suite proved the two runtimes bit-identical
+//! cell by cell, so they carry that equivalence forward. Never edit them.
 
+mod common;
+
+use common::{assert_digest, params_digest, run_digest};
 use haccs::coord::ShardConfig;
 use haccs::fedsim::engine::ModelFactory;
+use haccs::persist::fnv1a64;
 use haccs::prelude::*;
 use haccs::scheduler::{build_clusters, summarize_federation};
 use rand::rngs::StdRng;
@@ -28,14 +36,10 @@ const CLASSES: usize = 4;
 const SEED: u64 = 0xACC5;
 const ROUNDS: usize = 4;
 
-/// Which runtime backs the coordinator under test.
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    /// Legacy thread-per-agent reference.
-    Threaded,
-    /// Sharded event-loop core with the given layout.
-    Sharded(ShardConfig),
-}
+const CHURN_RUN_DIGEST: u64 = 0x6877_451e_776e_6c9c;
+const CHURN_PARAMS_DIGEST: u64 = 0xf497_b4ce_4ca8_a2a5;
+const RESUME_SNAPSHOT_DIGEST: u64 = 0x7aa8_7b1d_cba9_0f56;
+const RESUME_RUN_DIGEST: u64 = 0x49a2_b255_045b_b470;
 
 fn build_world() -> (FederatedDataset, Vec<DeviceProfile>) {
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -68,118 +72,133 @@ fn make_selector(kind: &str, fed: &FederatedDataset) -> Box<dyn Selector> {
     }
 }
 
-/// A coordinator over the first `n_start` clients of the shared world,
-/// on either backend — everything else identical.
+/// A coordinator over the first `n_start` clients of the shared world on
+/// `layout`, everything else identical.
 fn build_coord(
-    backend: Backend,
+    layout: ShardConfig,
     kind: &str,
     n_start: usize,
     policy: RoundPolicy,
     faults: FaultModel,
 ) -> Coordinator<Box<dyn Selector>> {
-    let (full, profiles) = build_world();
-    let mut fed = full;
+    let (mut fed, profiles) = build_world();
     fed.clients.truncate(n_start);
     let sel = make_selector(kind, &fed);
     let factory: ModelFactory =
         Box::new(|| ModelKind::Mlp.build(1, 8, CLASSES, &mut StdRng::seed_from_u64(7)));
     let latency = LatencyModel::for_params(10_000, 2e-3, 1);
     let cfg = SimConfig { k: 16, seed: SEED, ..Default::default() };
-    let coord = match backend {
-        Backend::Threaded => Coordinator::threaded(
-            factory,
-            fed,
-            profiles[..n_start].to_vec(),
-            latency,
-            Availability::AlwaysOn,
-            cfg,
-            sel,
-        ),
-        Backend::Sharded(layout) => Coordinator::new(
-            factory,
-            fed,
-            profiles[..n_start].to_vec(),
-            latency,
-            Availability::AlwaysOn,
-            cfg,
-            sel,
-        )
-        .with_shard_layout(layout),
-    };
-    coord.with_summary_seed(SEED ^ 0xD9).with_policy(policy).with_faults(faults)
+    Coordinator::new(
+        factory,
+        fed,
+        profiles[..n_start].to_vec(),
+        latency,
+        Availability::AlwaysOn,
+        cfg,
+        sel,
+    )
+    .with_shard_layout(layout)
+    .with_summary_seed(SEED ^ 0xD9)
+    .with_policy(policy)
+    .with_faults(faults)
 }
 
-/// The selector × policy × fault matrix, one shard layout per cell — from
-/// the degenerate single-shard/single-worker pool to 64 shards on 8
-/// workers. Every cell's sharded run must equal its threaded twin.
-#[test]
-fn sharded_core_is_bit_identical_to_threaded_across_matrix() {
+/// One matrix cell: a run configuration, the odd layout it is replayed
+/// on, and the golden digest of its `RunResult`.
+struct Cell {
+    kind: &'static str,
+    policy: RoundPolicy,
+    faults: FaultModel,
+    codec: Option<CodecKind>,
+    odd_layout: ShardConfig,
+    golden: u64,
+}
+
+impl Cell {
+    fn run(&self, layout: ShardConfig) -> RunResult {
+        let coord = build_coord(layout, self.kind, N, self.policy, self.faults);
+        match self.codec {
+            Some(kind) => coord.with_codec(kind),
+            None => coord,
+        }
+        .run(ROUNDS)
+    }
+}
+
+/// Selector × policy × faults, plus the identity and top-k codecs, with
+/// odd layouts from the degenerate single-shard, single-worker pool to 128
+/// shards on 8 workers.
+fn matrix() -> Vec<Cell> {
+    let clean = FaultModel::none(SEED);
     let lossy = FaultModel::none(SEED)
         .with(FaultSpec::Lossy { prob: 0.2 })
         .with(FaultSpec::Straggler { prob: 0.15, slowdown: 3.0 });
     let crashy = FaultModel::none(SEED).with(FaultSpec::Crash { prob: 0.15 });
-    let cells: Vec<(&str, RoundPolicy, FaultModel, ShardConfig)> = vec![
-        ("random", RoundPolicy::default(), FaultModel::none(SEED), ShardConfig::new(1, 1)),
-        (
-            "oort",
-            RoundPolicy::deadline(AggregationPolicy::DeadlineDrop, 0.9),
-            lossy,
-            ShardConfig::new(3, 2),
-        ),
-        (
-            "haccs",
-            RoundPolicy::deadline(AggregationPolicy::Replace, 0.9),
-            crashy,
-            ShardConfig::new(16, 4),
-        ),
-        ("tifl", RoundPolicy::default(), lossy, ShardConfig::new(64, 8)),
-    ];
-    for (kind, policy, faults, layout) in cells {
-        let reference = build_coord(Backend::Threaded, kind, N, policy, faults).run(ROUNDS);
-        let sharded = build_coord(Backend::Sharded(layout), kind, N, policy, faults).run(ROUNDS);
-        assert_eq!(
-            reference, sharded,
-            "{kind} under {policy:?} with {layout:?} diverged from the threaded reference"
-        );
+    let wait = RoundPolicy::default();
+    let drop_late = RoundPolicy::deadline(AggregationPolicy::DeadlineDrop, 0.9);
+    let replace = RoundPolicy::deadline(AggregationPolicy::Replace, 0.9);
+    let identity = Some(CodecKind::Identity);
+    let topk = Some(CodecKind::TopK { keep_permille: 100 });
+    let at = ShardConfig::new;
+    let cell = |kind, policy, faults, codec, odd_layout, golden| Cell {
+        kind,
+        policy,
+        faults,
+        codec,
+        odd_layout,
+        golden,
+    };
+    vec![
+        cell("random", wait, clean, None, at(1, 1), 0xa485_a818_4795_de44),
+        cell("oort", drop_late, lossy, None, at(3, 2), 0xacf0_3d96_352c_6c44),
+        cell("haccs", replace, crashy, None, at(16, 4), 0x67eb_2db6_98cb_73cc),
+        cell("tifl", wait, lossy, None, at(64, 8), 0xeab4_a184_2773_aab0),
+        cell("haccs", drop_late, lossy, identity, at(5, 3), 0x9587_9820_d5d1_3644),
+        cell("oort", replace, crashy, topk, at(128, 8), 0x3502_73cd_57a5_f46d),
+    ]
+}
+
+/// Every matrix cell at `ShardConfig::default()` must hit its golden
+/// digest, the bits `Coordinator::threaded` produced for the same cell
+/// before it was deleted, and its odd layout must replay that run exactly.
+#[test]
+fn sharded_core_is_bit_identical_to_threaded_across_matrix() {
+    for cell in matrix() {
+        let label = format!("{} / {:?} / {:?}", cell.kind, cell.policy.aggregation, cell.codec);
+        let reference = cell.run(ShardConfig::default());
         assert!(reference.rounds.iter().all(|r| !r.participants.is_empty()));
+        assert_digest(&label, run_digest(&reference), cell.golden);
+        let odd = cell.run(cell.odd_layout);
+        assert_eq!(
+            reference, odd,
+            "{label} on {:?} diverged from the default layout",
+            cell.odd_layout
+        );
     }
 }
 
-/// The layout itself must be inert: two sharded runs with wildly
-/// different shard/worker splits are bit-identical to each other.
+/// The layout itself must be inert: two runs with wildly different
+/// shard/worker splits are bit-identical to each other.
 #[test]
 fn shard_layout_never_changes_results() {
     let faults = FaultModel::none(SEED).with(FaultSpec::Lossy { prob: 0.25 });
-    let a = build_coord(
-        Backend::Sharded(ShardConfig::new(2, 1)),
-        "oort",
-        N,
-        RoundPolicy::default(),
-        faults,
-    )
-    .run(ROUNDS);
-    let b = build_coord(
-        Backend::Sharded(ShardConfig::new(128, 8)),
-        "oort",
-        N,
-        RoundPolicy::default(),
-        faults,
-    )
-    .run(ROUNDS);
-    assert_eq!(a, b, "shard layout leaked into results");
+    let run = |layout| build_coord(layout, "oort", N, RoundPolicy::default(), faults).run(ROUNDS);
+    assert_eq!(
+        run(ShardConfig::new(2, 1)),
+        run(ShardConfig::new(128, 8)),
+        "shard layout leaked into results"
+    );
 }
 
-/// Join/Leave churn: the same scripted membership stream (mid-training
-/// joins, some with scheduled departures) applied to both backends must
-/// yield identical per-round records and an identical global model.
-fn churn_run(backend: Backend) -> (Vec<haccs::fedsim::RoundRecord>, Vec<f32>) {
+/// Join/Leave churn: mid-training joins, some with scheduled departures,
+/// from one fixed script. Returns the run and the final global model.
+fn churn_run(layout: ShardConfig) -> (RunResult, Vec<f32>) {
     const N_START: usize = 200;
     let (full, _) = build_world();
     let mut coord =
-        build_coord(backend, "random", N_START, RoundPolicy::default(), FaultModel::none(SEED));
+        build_coord(layout, "random", N_START, RoundPolicy::default(), FaultModel::none(SEED));
     let mut script = StdRng::seed_from_u64(SEED ^ 0xC0DE);
     let mut next_join = N_START;
-    let mut records = Vec::new();
     for round in 0..6u64 {
         // up to 3 joins per round after the founding enrollment, ~40%
         // with a scripted leave a couple of rounds out
@@ -196,63 +215,51 @@ fn churn_run(backend: Backend) -> (Vec<haccs::fedsim::RoundRecord>, Vec<f32>) {
             }
             next_join += 1;
         }
-        records.push(coord.run_round());
+        coord.run_round();
     }
     assert!(next_join > N_START, "churn script must actually join clients");
-    (records, coord.global_params().to_vec())
+    (coord.run(0), coord.global_params().to_vec())
 }
 
 #[test]
-fn join_leave_churn_is_bit_identical_across_backends() {
-    let (rec_t, params_t) = churn_run(Backend::Threaded);
-    let (rec_s, params_s) = churn_run(Backend::Sharded(ShardConfig::new(8, 3)));
-    assert_eq!(rec_t, rec_s, "churn round histories diverged");
+fn join_leave_churn_is_bit_identical_across_layouts() {
+    let (run, params) = churn_run(ShardConfig::default());
+    assert_digest("churn history", run_digest(&run), CHURN_RUN_DIGEST);
+    assert_digest("churn global params", params_digest(&params), CHURN_PARAMS_DIGEST);
+    let (run_odd, params_odd) = churn_run(ShardConfig::new(8, 3));
+    assert_eq!(run, run_odd, "churn round histories diverged");
     assert_eq!(
-        params_t.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-        params_s.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+        params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+        params_odd.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
         "churn global models diverged"
     );
 }
 
-/// Kill-and-resume: a sharded coordinator snapshotted mid-run and
-/// restored into a fresh coordinator — on the *other* backend and on a
-/// different shard layout — must finish with the uninterrupted threaded
-/// run's exact history. Snapshots are layout-free by design (the shard
-/// count field is informational), so all four resume paths must agree.
+/// Kill-and-resume: a coordinator snapshotted mid-run on one layout and
+/// restored into fresh coordinators on others must finish with the
+/// uninterrupted run's exact history. Snapshots carry no layout, so any
+/// layout restores any snapshot.
 #[test]
-fn snapshot_resume_is_bit_identical_across_backends_and_layouts() {
+fn snapshot_resume_is_bit_identical_across_layouts() {
     const SNAP_EPOCH: usize = 2;
     let policy = RoundPolicy::default();
     let faults = FaultModel::none(SEED).with(FaultSpec::Straggler { prob: 0.2, slowdown: 2.0 });
-    let reference = build_coord(Backend::Threaded, "oort", N, policy, faults).run(ROUNDS);
+    let reference = build_coord(ShardConfig::default(), "oort", N, policy, faults).run(ROUNDS);
+    assert_digest("uninterrupted history", run_digest(&reference), RESUME_RUN_DIGEST);
 
-    let snap_threaded = {
-        let mut c = build_coord(Backend::Threaded, "oort", N, policy, faults);
+    let snap = {
+        let mut c = build_coord(ShardConfig::new(16, 4), "oort", N, policy, faults);
         for _ in 0..SNAP_EPOCH {
             c.run_round();
         }
         c.snapshot()
     };
-    let snap_sharded = {
-        let mut c =
-            build_coord(Backend::Sharded(ShardConfig::new(16, 4)), "oort", N, policy, faults);
-        for _ in 0..SNAP_EPOCH {
-            c.run_round();
-        }
-        c.snapshot()
-    };
-    assert_eq!(snap_threaded, snap_sharded, "snapshot bytes must be backend-independent");
+    assert_digest("epoch-2 snapshot", fnv1a64(&snap), RESUME_SNAPSHOT_DIGEST);
 
-    let resumes: Vec<(&str, Backend, &Vec<u8>)> = vec![
-        ("threaded → sharded", Backend::Sharded(ShardConfig::new(16, 4)), &snap_threaded),
-        ("sharded → threaded", Backend::Threaded, &snap_sharded),
-        ("sharded → wider layout", Backend::Sharded(ShardConfig::new(64, 8)), &snap_sharded),
-        ("sharded → single shard", Backend::Sharded(ShardConfig::new(1, 1)), &snap_sharded),
-    ];
-    for (label, backend, bytes) in resumes {
-        let mut c = build_coord(backend, "oort", N, policy, faults);
-        c.restore(bytes).unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
+    for layout in [ShardConfig::new(64, 8), ShardConfig::new(1, 1)] {
+        let mut c = build_coord(layout, "oort", N, policy, faults);
+        c.restore(&snap).unwrap_or_else(|e| panic!("restore on {layout:?} failed: {e}"));
         let resumed = c.run(ROUNDS - SNAP_EPOCH);
-        assert_eq!(reference, resumed, "{label}: resumed history diverged");
+        assert_eq!(reference, resumed, "16×4 snapshot resumed on {layout:?} diverged");
     }
 }
