@@ -206,7 +206,8 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
     let total_events = timed_events + 2.0 * n as f64;
     let steady: Vec<f64> = wall_s[1..].to_vec();
     // tick 0 writes every shard (nothing clean yet); steady ticks write
-    // core + manifest + only the shards the round dirtied
+    // the manifest, which carries the core, plus one data file holding
+    // only the blocks of the shards the round dirtied
     let steady_snap: Vec<f64> = snap_tick_bytes[1..].to_vec();
     drop(coord); // workers join here; thread peak was sampled mid-run
     let _ = std::fs::remove_dir_all(&snap_dir);

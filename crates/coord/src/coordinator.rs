@@ -45,6 +45,7 @@ use haccs_fedsim::engine::{
     AggregationPolicy, ModelFactory, RoundPolicy, SimConfig, SnapshotPolicy,
 };
 use haccs_fedsim::metrics::{FaultStats, RoundRecord, RunResult, TimePoint};
+use haccs_fedsim::persist::segment::TickStats;
 use haccs_fedsim::persist::{self as persist, PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::round::{self, PendingUpdate, RoundAccumulator};
 use haccs_fedsim::selector::{sanitize_selection, SelectionContext, Selector};
@@ -60,7 +61,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,12 +100,19 @@ pub enum CoordError {
     /// the `coord_event_queue_dropped_total` obs counter. The round that
     /// hit this is torn: the coordinator should be discarded.
     EventQueueFull(QueueFull),
+    /// A scheduled snapshot (see [`Coordinator::with_snapshots`] and
+    /// [`Coordinator::with_segmented_snapshots`]) could not be written.
+    /// The round itself committed and the coordinator stays usable: the
+    /// segmented shards this tick missed stay dirty, so the next tick that
+    /// succeeds rewrites them.
+    Snapshot(PersistError),
 }
 
 impl std::fmt::Display for CoordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoordError::EventQueueFull(e) => write!(f, "coordinator backpressure: {e}"),
+            CoordError::Snapshot(e) => write!(f, "scheduled snapshot failed: {e}"),
         }
     }
 }
@@ -113,6 +121,7 @@ impl std::error::Error for CoordError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoordError::EventQueueFull(e) => Some(e),
+            CoordError::Snapshot(e) => Some(e),
         }
     }
 }
@@ -301,25 +310,16 @@ struct SweepOutcome {
 }
 
 /// State of the dirty-shard segmented-snapshot path
-/// ([`Coordinator::with_segmented_snapshots`]): which snapshot shards were
-/// mutated since the last tick, and the manifest entry each shard's most
-/// recent segment file carries (reused verbatim for clean shards).
+/// ([`Coordinator::with_segmented_snapshots`]): the tick schedule plus the
+/// [`persist::segment::SegmentWriter`] that tracks which snapshot shards
+/// were mutated since the last tick and which block holds each shard.
 ///
 /// Snapshot shards stripe clients by `id % n_shards` — deliberately
 /// independent of the registry's runtime shard layout, so snapshot *files*
 /// stay layout-free exactly like the monolithic bytes.
 struct SegmentedSnapshots {
     policy: SnapshotPolicy,
-    n_shards: usize,
-    /// `dirty[s]` — shard `s`'s serialized entry bytes may have changed
-    /// since its last written segment.
-    dirty: Vec<bool>,
-    /// Last written segment per shard (`None` until the first tick, which
-    /// therefore writes every shard).
-    last: Vec<Option<persist::segment::SegmentEntry>>,
-    /// Keep the newest K committed manifests after each tick (`None`
-    /// disables GC and the directory grows unboundedly).
-    retain: Option<usize>,
+    writer: persist::segment::SegmentWriter,
 }
 
 /// One client's state as read back from a snapshot.
@@ -591,7 +591,8 @@ impl<S: Selector> Coordinator<S> {
     /// is written to `policy.dir` via [`Coordinator::snapshot`].
     /// `run_round` panics if a scheduled snapshot cannot be written — a
     /// checkpointing run that silently stops checkpointing is worse than
-    /// a loud stop.
+    /// a loud stop — and `try_run_round` returns
+    /// [`CoordError::Snapshot`].
     pub fn with_snapshots(mut self, policy: SnapshotPolicy) -> Self {
         self.snapshots = Some(policy);
         self
@@ -604,42 +605,44 @@ impl<S: Selector> Coordinator<S> {
 
     /// Enables periodic **segmented** snapshots (builder style): after
     /// every `policy.every_rounds`-th committed round the coordinator
-    /// writes the core segment plus only the snapshot shards whose
-    /// per-client state changed since the previous tick, then commits the
-    /// tick with a manifest (see [`persist::segment`]). With heartbeat
-    /// acks that merely re-confirm an unchanged loss left clean, per-tick
-    /// bytes scale with *churn*, not federation size. Restore via
-    /// [`Coordinator::restore_segmented`] is bit-identical to the
-    /// monolithic [`Coordinator::restore`].
+    /// writes at most two files, however many snapshot shards are dirty
+    /// (see [`persist::segment`]). One data file holds a block of entries
+    /// for each shard whose per-client state changed since the previous
+    /// tick, and none is written when no shard changed. Then the manifest
+    /// commits the tick: it carries the core state (RNG, clock, model,
+    /// round history, selector) inline and names the block of every
+    /// shard, pointing clean shards at blocks earlier ticks wrote. With
+    /// heartbeat acks that merely re-confirm an unchanged loss left clean,
+    /// per-tick registry bytes scale with *churn*, not federation size.
+    /// Restore via [`Coordinator::restore_segmented`] is bit-identical to
+    /// the monolithic [`Coordinator::restore`].
     ///
     /// `n_shards` stripes clients by `id % n_shards` into snapshot shards
     /// — independent of the runtime shard layout, purely a write
     /// granularity knob. Mutually composable with
     /// [`Coordinator::with_snapshots`] (a run may write both formats).
     pub fn with_segmented_snapshots(mut self, policy: SnapshotPolicy, n_shards: usize) -> Self {
-        assert!(n_shards >= 1, "segmented snapshots need at least one shard");
-        self.segmented = Some(SegmentedSnapshots {
-            policy,
-            n_shards,
-            dirty: vec![true; n_shards],
-            last: vec![None; n_shards],
-            retain: None,
-        });
+        let writer = persist::segment::SegmentWriter::new(&policy.dir, n_shards);
+        self.segmented = Some(SegmentedSnapshots { policy, writer });
         self
     }
 
     /// Bounds the segmented-snapshot directory (builder style, after
     /// [`Coordinator::with_segmented_snapshots`]): after each committed
-    /// tick, only the newest `keep` manifests — plus every segment file
-    /// they reference, including clean shards from older epochs — are
-    /// retained on disk (see [`persist::segment::gc_segments`]).
+    /// tick, only the newest `keep` manifests — plus every data file they
+    /// reference, including blocks of clean shards from older epochs — are
+    /// retained on disk. Retention also compacts: a tick rewrites the
+    /// live blocks of any referenced data file in which fewer than a
+    /// quarter of the blocks are still live, so the directory stays a few
+    /// mostly-live files (see
+    /// [`persist::segment::SegmentWriter::with_retention`]).
     pub fn with_segment_retention(mut self, keep: usize) -> Self {
-        assert!(keep >= 1, "retention must keep at least the latest manifest");
         let seg = self
             .segmented
-            .as_mut()
+            .take()
             .expect("call with_segmented_snapshots before with_segment_retention");
-        seg.retain = Some(keep);
+        self.segmented =
+            Some(SegmentedSnapshots { writer: seg.writer.with_retention(keep), ..seg });
         self
     }
 
@@ -649,14 +652,15 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// Marks client `id`'s snapshot shard dirty: its serialized entry
-    /// bytes may differ from the last written segment. No-op unless
+    /// bytes may differ from its last written block. No-op unless
     /// segmented snapshots are enabled. Call sites are exactly the
-    /// registry mutations that feed [`Coordinator::entry_bytes`]; the
+    /// registry mutations that feed [`Coordinator::write_entry`]; the
     /// heartbeat path compares before marking so an ack that changes
     /// nothing keeps its shard clean.
     fn mark_entry_dirty(&mut self, id: usize) {
         if let Some(seg) = &mut self.segmented {
-            seg.dirty[id % seg.n_shards] = true;
+            let shard = id % seg.writer.n_shards();
+            seg.writer.mark_dirty(shard);
         }
     }
 
@@ -1144,9 +1148,10 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// [`Coordinator::run_round`], surfacing coordinator-level runtime
-    /// failures (bounded event-queue overflow) as a [`CoordError`]
-    /// instead of a panic. After an error the round is torn mid-flight;
-    /// the coordinator must be discarded.
+    /// failures as a [`CoordError`] instead of a panic. After a bounded
+    /// event-queue overflow the round is torn mid-flight and the
+    /// coordinator must be discarded; after [`CoordError::Snapshot`] the
+    /// round has committed and the run can go on.
     pub fn try_run_round(&mut self) -> Result<RoundRecord, CoordError> {
         let mut round_span = self.obs.span("coord.round").u("epoch", self.epoch as u64);
         self.ensure_enrolled()?;
@@ -1188,7 +1193,7 @@ impl<S: Selector> Coordinator<S> {
             let tp = self.evaluate_global();
             self.result.curve.push(tp);
         }
-        self.write_scheduled_snapshots();
+        let snapshots = self.write_scheduled_snapshots();
 
         self.obs.inc("coord_rounds_total", 1);
         self.obs.inc("coord_updates_total", record.participants.len() as u64);
@@ -1208,6 +1213,7 @@ impl<S: Selector> Coordinator<S> {
         round_span.push_f("round_seconds", record.round_seconds);
         round_span.push_f("mean_local_loss", record.mean_local_loss as f64);
         round_span.finish();
+        snapshots.map_err(CoordError::Snapshot)?;
         Ok(record)
     }
 
@@ -1570,21 +1576,20 @@ impl<S: Selector> Coordinator<S> {
             "snapshot with queued joins is not supported; run the round that enrolls them first"
         );
         let mut w = SnapshotWriter::new();
-        w.append_raw(&self.snapshot_pre());
+        self.write_pre(&mut w);
         for e in self.registry.entries() {
-            w.append_raw(&Self::entry_bytes(e));
+            Self::write_entry(e, &mut w);
         }
-        w.append_raw(&self.snapshot_post());
+        self.write_post(&mut w);
         w.finish()
     }
 
-    /// The snapshot payload *before* the per-client entries: construction
-    /// fingerprints plus the mutable core state. One of the three
-    /// fragments the segmented path stores separately — splicing
+    /// Appends the snapshot payload *before* the per-client entries:
+    /// construction fingerprints plus the mutable core state. One of the
+    /// three fragments the segmented path stores separately — splicing
     /// pre + entries (id order) + post reproduces [`Coordinator::snapshot`]
     /// byte for byte.
-    fn snapshot_pre(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+    fn write_pre(&self, w: &mut SnapshotWriter) {
         // construction fingerprints, validated on restore
         w.put_u64(self.cfg.seed);
         w.put_usize(self.cfg.k);
@@ -1605,19 +1610,17 @@ impl<S: Selector> Coordinator<S> {
         w.put_f64(self.clock.now());
         w.put_u64s(&self.rng.state());
         w.put_f32s(&self.global_params);
-        self.result.save(&mut w);
+        self.result.save(w);
         w.put_bool(self.membership_dirty);
         // codec guard: a snapshot only restores under the same codec
         w.put_str(&self.codec_label());
-        w.into_payload()
     }
 
-    /// One client's snapshot entry bytes. Every registry mutation that can
-    /// change this serialization must pass through
+    /// Appends one client's snapshot entry to `w`. Every registry mutation
+    /// that can change this serialization must pass through
     /// [`Coordinator::mark_entry_dirty`] — that invariant is what lets the
     /// segmented path skip clean shards.
-    fn entry_bytes(e: &ClientEntry) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+    fn write_entry(e: &ClientEntry, w: &mut SnapshotWriter) {
         w.put_usize(e.summary.histograms.len());
         for h in &e.summary.histograms {
             w.put_f32s(h);
@@ -1633,23 +1636,21 @@ impl<S: Selector> Coordinator<S> {
         });
         w.put_u32(e.missed_heartbeats);
         w.put_usize(e.n_train);
-        w.into_payload()
     }
 
-    /// The snapshot payload *after* the per-client entries: the selector,
-    /// guarded by its strategy name.
-    fn snapshot_post(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+    /// Appends the snapshot payload *after* the per-client entries: the
+    /// selector, guarded by its strategy name.
+    fn write_post(&self, w: &mut SnapshotWriter) {
         w.put_str(&self.selector.name());
-        self.selector.save_state(&mut w);
-        w.into_payload()
+        self.selector.save_state(w);
     }
 
     /// Writes the snapshots scheduled after this commit (the monolithic
     /// file, the segmented tick, or both) inside one `coord.snapshot` span
-    /// carrying the epoch, the segment shards rewritten (0 without a
-    /// segmented tick) and the bytes written.
-    fn write_scheduled_snapshots(&mut self) {
+    /// carrying the epoch, the dirty shards rewritten and the blocks
+    /// compaction moved (both 0 without a segmented tick), and the files
+    /// and bytes written.
+    fn write_scheduled_snapshots(&mut self) -> Result<(), PersistError> {
         let epoch = self.epoch;
         let monolithic = self
             .snapshots
@@ -1659,96 +1660,79 @@ impl<S: Selector> Coordinator<S> {
         let segmented =
             self.segmented.as_ref().is_some_and(|s| epoch.is_multiple_of(s.policy.every_rounds));
         if monolithic.is_none() && !segmented {
-            return;
+            return Ok(());
         }
         let mut span = self.obs.span("coord.snapshot").u("epoch", epoch as u64);
-        let (mut bytes, mut dirty_shards) = (0u64, 0usize);
-        if let Some(path) = monolithic {
-            let snap = self.snapshot();
-            persist::write_atomic_obs(&path, &snap, &self.obs)
-                .unwrap_or_else(|e| panic!("scheduled snapshot failed: {e}"));
-            bytes += snap.len() as u64;
-        }
-        if segmented {
-            let (written, dirty) = self
-                .write_segmented_snapshot()
-                .unwrap_or_else(|e| panic!("scheduled segmented snapshot failed: {e}"));
-            bytes += written;
-            dirty_shards = dirty;
-        }
-        span.push_u("dirty_shards", dirty_shards as u64);
-        span.push_u("bytes", bytes);
+        let mut written = TickStats::default();
+        let out = self.write_due_snapshots(monolithic, segmented, &mut written);
+        span.push_u("dirty_shards", written.dirty as u64);
+        span.push_u("compacted", written.compacted as u64);
+        span.push_u("files", written.files as u64);
+        span.push_u("bytes", written.bytes);
         span.finish();
+        out
     }
 
-    /// Writes one segmented-snapshot tick into the policy's directory:
-    /// the core segment (always — it holds the RNG, clock and global
-    /// model), every dirty snapshot shard, and finally the manifest that
-    /// commits the tick. Clean shards are referenced from their previous
-    /// segment files untouched. Returns the bytes written this tick
-    /// (segments + manifest), which is what `coord_snapshot_bytes_total`
-    /// accumulates — the sub-linear-per-tick quantity the scale bench
-    /// tracks — and the number of shard segments rewritten.
-    fn write_segmented_snapshot(&mut self) -> Result<(u64, usize), PersistError> {
+    fn write_due_snapshots(
+        &mut self,
+        monolithic: Option<PathBuf>,
+        segmented: bool,
+        written: &mut TickStats,
+    ) -> Result<(), PersistError> {
+        if let Some(path) = monolithic {
+            let snap = self.snapshot();
+            persist::write_atomic_obs(&path, &snap, &self.obs)?;
+            written.bytes += snap.len() as u64;
+            written.files += 1;
+        }
+        if segmented {
+            let tick = self.write_segmented_snapshot()?;
+            *written = TickStats {
+                bytes: written.bytes + tick.bytes,
+                files: written.files + tick.files,
+                ..tick
+            };
+        }
+        Ok(())
+    }
+
+    /// Writes one segmented-snapshot tick into the policy's directory: a
+    /// data file with the block of every dirty snapshot shard (plus, under
+    /// retention, the live blocks of sparse data files), then the manifest
+    /// that carries the core fragments inline and commits the tick (see
+    /// [`persist::segment::SegmentWriter::tick`]). Returns what the tick
+    /// wrote; its bytes are what `coord_snapshot_bytes_total` accumulates
+    /// — the per-tick quantity the scale bench tracks.
+    fn write_segmented_snapshot(&mut self) -> Result<TickStats, PersistError> {
         assert!(
             self.pending.is_empty(),
             "snapshot with queued joins is not supported; run the round that enrolls them first"
         );
-        let seg = self.segmented.as_ref().expect("segmented snapshots not configured");
-        let (dir, n_shards) = (seg.policy.dir.clone(), seg.n_shards);
-        let epoch = self.epoch;
-
-        let pre = self.snapshot_pre();
-        let post = self.snapshot_post();
-        let core = persist::segment::write_core_segment(&dir, epoch, &pre, &post, &self.obs)?;
-        let mut written = core.len;
-
-        // per-shard entry bytes, only for dirty shards; shard s holds ids
-        // s, s + n_shards, ..., so walking that stride visits just its own
-        // entries, ascending by construction
-        let mut fresh: Vec<Option<persist::segment::SegmentEntry>> = vec![None; n_shards];
-        {
-            let seg = self.segmented.as_ref().unwrap();
-            for (shard, slot) in fresh.iter_mut().enumerate() {
-                if !(seg.dirty[shard] || seg.last[shard].is_none()) {
-                    continue;
+        // the writer leaves `self` for the tick, so the encoders can read
+        // the whole coordinator
+        let mut seg = self.segmented.take().expect("segmented snapshots not configured");
+        let n_shards = seg.writer.n_shards();
+        let tick = seg.writer.tick(
+            self.epoch,
+            |w| self.write_pre(w),
+            |w| self.write_post(w),
+            |shard, blocks| {
+                // shard s holds ids s, s + n_shards, ..., so walking that
+                // stride visits just its own entries, ascending by
+                // construction
+                for id in (shard..self.registry.len()).step_by(n_shards) {
+                    blocks.put_entry(id, |w| Self::write_entry(self.registry.get(id), w));
                 }
-                let entries: Vec<(usize, Vec<u8>)> = (shard..self.registry.len())
-                    .step_by(n_shards)
-                    .map(|id| (id, Self::entry_bytes(self.registry.get(id))))
-                    .collect();
-                let entry =
-                    persist::segment::write_shard_segment(&dir, shard, epoch, &entries, &self.obs)?;
-                written += entry.len;
-                *slot = Some(entry);
-            }
-        }
-
-        let seg = self.segmented.as_mut().unwrap();
-        let mut dirty_count = 0usize;
-        for (shard, slot) in fresh.iter_mut().enumerate() {
-            if let Some(entry) = slot.take() {
-                seg.last[shard] = Some(entry);
-                seg.dirty[shard] = false;
-                dirty_count += 1;
-            }
-        }
-        let manifest = persist::segment::SegmentManifest {
-            epoch,
-            core,
-            shards: seg.last.iter().map(|e| e.clone().expect("every shard written once")).collect(),
-        };
-        let path = persist::segment::write_manifest(&dir, &manifest, &self.obs)?;
-        written += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-
-        // manifest committed: safe point for the retention sweep
-        if let Some(keep) = seg.retain {
-            persist::segment::gc_segments(&dir, keep, &self.obs)?;
-        }
-
-        self.obs.inc("coord_snapshot_bytes_total", written);
-        self.obs.inc("coord_snapshot_segments_written_total", dirty_count as u64 + 1);
-        Ok((written, dirty_count))
+            },
+            &self.obs,
+        );
+        self.segmented = Some(seg);
+        let tick = tick?;
+        self.obs.inc("coord_snapshot_bytes_total", tick.bytes);
+        // the core fragments count as one segment, as the core file did
+        let segments = tick.dirty + tick.compacted + 1;
+        self.obs.inc("coord_snapshot_segments_written_total", segments as u64);
+        Ok(tick)
     }
 
     /// Restores a segmented snapshot by manifest path: validates and
@@ -2475,20 +2459,20 @@ mod tests {
 
         // FirstK trains clients 0..3 every round (dirty each tick), while
         // 3..6 only echo unchanged heartbeat acks after the first sweep —
-        // their shards must still reference the epoch-1 segment files
+        // their shards must still reference blocks of the epoch-1 data file
         let manifest = persist::segment::read_manifest(&manifest_path).unwrap();
         for shard in 0..3 {
             assert_eq!(
                 manifest.shards[shard].file,
-                persist::segment::shard_segment_name(shard, 3),
+                persist::segment::data_file_name(3),
                 "participant shard {shard} must be rewritten at the latest tick"
             );
         }
         for shard in 3..6 {
             assert_eq!(
                 manifest.shards[shard].file,
-                persist::segment::shard_segment_name(shard, 1),
-                "clean shard {shard} must reuse its first-tick segment"
+                persist::segment::data_file_name(1),
+                "clean shard {shard} must reuse its first-tick block"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -2526,23 +2510,96 @@ mod tests {
         let mut c = build_coord(6, Availability::AlwaysOn)
             .with_recorder(obs.clone())
             .with_snapshots(mono.clone())
-            .with_segmented_snapshots(SnapshotPolicy::every(1, dir.join("seg")), 3);
+            .with_segmented_snapshots(SnapshotPolicy::every(1, dir.join("seg")), 3)
+            .with_segment_retention(2);
         c.run(4);
 
-        let spans: Vec<_> =
-            sink.records().into_iter().filter(|r| r.name == "coord.snapshot").collect();
+        let records = sink.records();
+        let spans: Vec<_> = records.iter().filter(|r| r.name == "coord.snapshot").collect();
         assert!(spans.iter().all(|r| r.kind == haccs_obs::EventKind::Span));
         let field = |r: &haccs_obs::EventRecord, key| {
             r.field(key).and_then(haccs_obs::FieldValue::as_f64).expect("span field") as u64
         };
         let epochs: Vec<u64> = spans.iter().map(|r| field(r, "epoch")).collect();
         assert_eq!(epochs, [1, 2, 3, 4], "one span per round that wrote a snapshot");
-        assert_eq!(field(&spans[0], "dirty_shards"), 3, "the first tick writes every shard");
+        assert_eq!(field(spans[0], "dirty_shards"), 3, "the first tick writes every shard");
+        // files: a data file and a manifest per tick (every shard holds a
+        // trainee), plus the monolithic file on even epochs
+        let files: Vec<u64> = spans.iter().map(|r| field(r, "files")).collect();
+        assert_eq!(files, [2, 3, 2, 3]);
+        assert!(spans.iter().all(|r| field(r, "compacted") == 0), "every block stays live");
         // bytes: each segmented tick, plus the monolithic file on even epochs
         let mono_bytes: u64 =
             [2, 4].iter().map(|&e| std::fs::metadata(mono.path_for(e)).unwrap().len()).sum();
         let span_bytes: u64 = spans.iter().map(|r| field(r, "bytes")).sum();
         assert_eq!(span_bytes, obs.counter_value("coord_snapshot_bytes_total") + mono_bytes);
+
+        // every persist span lies inside a coord.snapshot span; intervals
+        // come from (end, duration), whose ends are read a few µs late
+        const SLACK_MS: f64 = 0.5;
+        let interval = |r: &haccs_obs::EventRecord| {
+            let end = r.t_s * 1e3;
+            (end - r.dur_ms.expect("span duration"), end)
+        };
+        let children: Vec<_> = records
+            .iter()
+            .filter(|r| r.kind == haccs_obs::EventKind::Span && r.name.starts_with("persist."))
+            .collect();
+        for name in ["persist.encode", "persist.write", "persist.gc"] {
+            assert!(children.iter().any(|r| r.name == name), "no {name} span");
+        }
+        for child in children {
+            let (start, end) = interval(child);
+            assert!(
+                spans
+                    .iter()
+                    .map(|p| interval(p))
+                    .any(|(ps, pe)| { start >= ps - SLACK_MS && end <= pe + SLACK_MS }),
+                "{} at {start:.3}..{end:.3} ms lies outside every coord.snapshot span",
+                child.name
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_scheduled_snapshot_is_an_error_and_the_next_tick_catches_up() {
+        // client 4 leaves in round 2, so only that round dirties its shard;
+        // the round's tick fails, and the next tick must still rewrite it
+        let dir = seg_dir("blocked");
+        let _ = std::fs::remove_dir_all(&dir);
+        let seg = dir.join("seg");
+        let mut c = build_coord(6, Availability::AlwaysOn)
+            .with_leave_after(4, 2)
+            .with_segmented_snapshots(SnapshotPolicy::every(1, &seg), 6);
+        c.run(2);
+
+        // a regular file where the segment directory should be
+        let aside = dir.join("aside");
+        std::fs::rename(&seg, &aside).unwrap();
+        std::fs::write(&seg, b"in the way").unwrap();
+        let err = c.try_run_round().unwrap_err();
+        assert!(matches!(err, CoordError::Snapshot(PersistError::Io(_))), "got {err:?}");
+        assert_eq!(c.epoch(), 3, "the round itself committed");
+        assert_eq!(c.registry().get(4).liveness, Liveness::Left);
+        std::fs::remove_file(&seg).unwrap();
+        std::fs::rename(&aside, &seg).unwrap();
+
+        c.try_run_round().expect("the next tick succeeds");
+        let manifest_path = seg.join(persist::segment::manifest_name(4));
+        let bytes = persist::segment::reassemble(&manifest_path, &Recorder::disabled()).unwrap();
+        assert_eq!(bytes, c.snapshot(), "the catch-up tick must reassemble to snapshot()");
+        let manifest = persist::segment::read_manifest(&manifest_path).unwrap();
+        assert_eq!(manifest.shards[4].file, persist::segment::data_file_name(4));
+
+        // run_round keeps its panic for the same failure
+        std::fs::remove_dir_all(&seg).unwrap();
+        std::fs::write(&seg, b"in the way").unwrap();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.run_round()))
+            .expect_err("run_round must panic");
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with("scheduled snapshot failed"), "unexpected panic: {msg}");
+        drop(c);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2564,7 +2621,7 @@ mod tests {
                 !dir.join(persist::segment::manifest_name(epoch)).exists(),
                 "manifest for epoch {epoch} should have been pruned"
             );
-            assert!(!dir.join(persist::segment::core_segment_name(epoch)).exists());
+            assert!(!dir.join(persist::segment::data_file_name(epoch)).exists());
         }
         for epoch in 4..=5 {
             assert!(dir.join(persist::segment::manifest_name(epoch)).exists());
@@ -2625,7 +2682,7 @@ mod tests {
         c.run(2);
         drop(c);
 
-        let victim = dir.join(persist::segment::shard_segment_name(1, 2));
+        let victim = dir.join(persist::segment::data_file_name(2));
         let mut bytes = std::fs::read(&victim).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;

@@ -23,15 +23,20 @@
 //! bit-identity guarantee (see DESIGN.md §10).
 
 use std::fmt;
-use std::path::Path;
+use std::io::{Seek, Write};
+use std::path::{Path, PathBuf};
 
 pub mod segment;
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"HACCSNAP";
 
-/// Current snapshot format version. Bump on any layout change; readers
-/// reject versions they do not understand rather than misparse.
+/// Current snapshot format version: the layout of the **monolithic
+/// payload**. Bump on any change to that payload; readers reject versions
+/// they do not understand rather than misparse. The [`segment`] files
+/// reassemble to that payload, so they carry the same version, and are
+/// told apart — from each other and from earlier segment layouts — by
+/// their payload's leading tag.
 ///
 /// History:
 /// * v1 — flat registries: coordinator snapshots carried per-client state
@@ -39,25 +44,52 @@ pub const MAGIC: [u8; 8] = *b"HACCSNAP";
 /// * v2 — sharded registries: the coordinator payload records the shard
 ///   count its registry was partitioned into (informational — restore
 ///   accepts any layout, entries stay serialized in global id order).
-/// * v3 — segmented snapshots ([`segment`]): per-shard HACCSNAP segments
-///   plus a manifest, reassembling byte-identically to the monolithic
-///   payload; the cluster-cache payload gained a mode byte for the
-///   two-level clustering state (DESIGN.md §15).
+/// * v3 — segmented snapshots ([`segment`]), reassembling
+///   byte-identically to the monolithic payload; the cluster-cache
+///   payload gained a mode byte for the two-level clustering state
+///   (DESIGN.md §15). The segment layout has since moved from one file
+///   per shard to one data file per tick, without a version bump: the
+///   monolithic payload is unchanged.
 pub const VERSION: u32 = 3;
+
+/// Envelope bytes before the payload: magic, version and payload length.
+pub(crate) const HEADER_LEN: usize = MAGIC.len() + 4 + 8;
 
 /// Sanity bound on length-prefixed sequence sizes, mirroring the wire
 /// codec's `MAX_LEN`: a corrupt length cannot trigger a huge allocation.
 pub const MAX_LEN: u64 = 1 << 28;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1_0000_01b3;
+
 /// FNV-1a 64-bit hash — the payload checksum. Deterministic, dependency
 /// free and byte-order independent.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 state `h` over `bytes`.
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// `(fnv1a64_extend(h, bytes), fnv1a64(bytes))` in one pass. FNV-1a is a
+/// serial chain of multiplies, so one pass costs the multiply latency per
+/// byte; two independent chains in the same loop overlap and cost about
+/// as much as one.
+pub(crate) fn fnv1a64_pair(mut h: u64, bytes: &[u8]) -> (u64, u64) {
+    let mut g = FNV_OFFSET;
+    for &b in bytes {
+        h ^= b as u64;
+        g ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+        g = g.wrapping_mul(FNV_PRIME);
+    }
+    (h, g)
 }
 
 /// Everything that can go wrong reading a snapshot.
@@ -126,6 +158,13 @@ impl SnapshotWriter {
     /// An empty payload builder.
     pub fn new() -> Self {
         SnapshotWriter { buf: Vec::new() }
+    }
+
+    /// An empty payload builder that writes into `buf`'s allocation:
+    /// [`SnapshotWriter::into_payload`] hands the buffer back for reuse.
+    pub(crate) fn reuse(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        SnapshotWriter { buf }
     }
 
     /// Bytes of payload written so far.
@@ -235,18 +274,116 @@ impl SnapshotWriter {
         self.buf
     }
 
+    /// The payload written so far.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Reserves a `u64` slot to fill in later with
+    /// [`SnapshotWriter::patch_u64`]; returns its offset.
+    pub(crate) fn reserve_u64(&mut self) -> usize {
+        let at = self.buf.len();
+        self.put_u64(0);
+        at
+    }
+
+    /// Overwrites the `u64` slot [`SnapshotWriter::reserve_u64`] returned.
+    pub(crate) fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a length-prefixed blob that `write` encodes in place — the
+    /// same bytes as [`SnapshotWriter::put_bytes`] of the blob, without
+    /// building it first.
+    pub(crate) fn put_bytes_with(&mut self, write: impl FnOnce(&mut Self)) {
+        let at = self.reserve_u64();
+        write(self);
+        self.patch_u64(at, (self.buf.len() - at - 8) as u64);
+    }
+
+    /// The envelope header of a payload of `len` bytes.
+    fn header(len: usize) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[..8].copy_from_slice(&MAGIC);
+        h[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        h[12..].copy_from_slice(&(len as u64).to_le_bytes());
+        h
+    }
+
     /// Frames the payload: magic, version, payload length, payload,
     /// FNV-1a checksum. The result is what [`SnapshotReader::open`]
     /// expects and what [`write_atomic`] persists.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.buf.len() + 28);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        let checksum = fnv1a64(&self.buf);
+        let mut out = Vec::with_capacity(self.buf.len() + HEADER_LEN + 8);
+        out.extend_from_slice(&Self::header(self.buf.len()));
         out.extend_from_slice(&self.buf);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        out.extend_from_slice(&fnv1a64(&self.buf).to_le_bytes());
         out
+    }
+
+    /// Writes the framed payload — the bytes [`SnapshotWriter::finish`]
+    /// returns — to `path` as [`write_atomic_obs`] does, without copying
+    /// the payload into a framed buffer. Returns the bytes written.
+    pub(crate) fn write_framed(
+        &self,
+        path: &Path,
+        obs: &haccs_obs::Recorder,
+    ) -> Result<u64, PersistError> {
+        let checksum = fnv1a64(&self.buf);
+        StreamedSnapshot::create(path)?.commit(&self.buf, checksum, obs)
+    }
+
+    /// Empties the payload, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+    }
+}
+
+/// A framed snapshot written while its payload is produced: payload bytes
+/// stream into a temp file beside the target, and
+/// [`StreamedSnapshot::commit`] appends the last of them and the
+/// checksum, fills in the header and renames the file over the target —
+/// the bytes and the atomicity of [`SnapshotWriter::finish`] plus
+/// [`write_atomic`], in bounded memory.
+pub(crate) struct StreamedSnapshot {
+    file: AtomicFile,
+    payload_len: usize,
+}
+
+impl StreamedSnapshot {
+    /// Opens the temp file for `path`, with room for the header.
+    pub(crate) fn create(path: &Path) -> Result<Self, PersistError> {
+        let mut file = AtomicFile::create(path)?;
+        file.write(&[0; HEADER_LEN])?;
+        Ok(StreamedSnapshot { file, payload_len: 0 })
+    }
+
+    /// Appends payload bytes.
+    pub(crate) fn append(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        self.payload_len += bytes.len();
+        self.file.write(bytes)
+    }
+
+    /// Appends `last`, the end of the payload whose FNV-1a 64 is
+    /// `checksum`, completes the envelope and renames the file into place,
+    /// inside a `persist.write` span as [`write_atomic_obs`] does. Returns
+    /// the bytes written.
+    pub(crate) fn commit(
+        mut self,
+        last: &[u8],
+        checksum: u64,
+        obs: &haccs_obs::Recorder,
+    ) -> Result<u64, PersistError> {
+        self.payload_len += last.len();
+        let len = (HEADER_LEN + self.payload_len + 8) as u64;
+        let path = self.file.path.clone();
+        write_obs(&path, len, obs, || {
+            self.file.write(last)?;
+            self.file.write(&checksum.to_le_bytes())?;
+            self.file.rewind()?;
+            self.file.write(&SnapshotWriter::header(self.payload_len))?;
+            self.file.commit()
+        })
     }
 }
 
@@ -261,7 +398,7 @@ impl<'a> SnapshotReader<'a> {
     /// Validates the envelope (magic, version, length, checksum) and
     /// positions a cursor at the start of the payload.
     pub fn open(bytes: &'a [u8]) -> Result<Self, PersistError> {
-        if bytes.len() < MAGIC.len() + 4 + 8 {
+        if bytes.len() < HEADER_LEN {
             return Err(PersistError::Truncated);
         }
         if bytes[..MAGIC.len()] != MAGIC {
@@ -279,16 +416,28 @@ impl<'a> SnapshotReader<'a> {
             return Err(PersistError::LengthOutOfBounds(payload_len));
         }
         let payload_len = payload_len as usize;
-        let body_end = 20usize.checked_add(payload_len).ok_or(PersistError::Truncated)?;
+        let body_end = HEADER_LEN.checked_add(payload_len).ok_or(PersistError::Truncated)?;
         if bytes.len() < body_end + 8 {
             return Err(PersistError::Truncated);
         }
-        let payload = &bytes[20..body_end];
+        let payload = &bytes[HEADER_LEN..body_end];
         let recorded = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().unwrap());
         if fnv1a64(payload) != recorded {
             return Err(PersistError::ChecksumMismatch);
         }
         Ok(SnapshotReader { payload, pos: 0 })
+    }
+
+    /// A cursor over an unframed payload fragment whose integrity the
+    /// caller has already checked (a segment block against its manifest
+    /// checksum).
+    pub(crate) fn fragment(payload: &'a [u8]) -> Self {
+        SnapshotReader { payload, pos: 0 }
+    }
+
+    /// Bytes of payload consumed so far.
+    pub(crate) fn consumed(&self) -> usize {
+        self.pos
     }
 
     /// Bytes of payload not yet consumed.
@@ -412,13 +561,57 @@ impl<'a> SnapshotReader<'a> {
 /// directory, then a rename over the target — a crash mid-write never
 /// leaves a torn snapshot behind.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    let io = |e: std::io::Error| PersistError::Io(format!("{}: {e}", path.display()));
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
-    std::fs::create_dir_all(dir).map_err(io)?;
-    let stem = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-    let tmp = dir.join(format!(".{stem}.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, bytes).map_err(io)?;
-    std::fs::rename(&tmp, path).map_err(io)
+    let mut file = AtomicFile::create(path)?;
+    file.write(bytes)?;
+    file.commit()
+}
+
+/// A file written under a unique temp name in its target's directory and
+/// renamed over the target by [`AtomicFile::commit`]. Dropped before
+/// that, it removes the temp file.
+struct AtomicFile {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: std::fs::File,
+    committed: bool,
+}
+
+impl AtomicFile {
+    fn create(path: &Path) -> Result<Self, PersistError> {
+        let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        std::fs::create_dir_all(dir).map_err(|e| io_error(path, e))?;
+        let stem = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        let tmp = dir.join(format!(".{stem}.tmp.{}", std::process::id()));
+        let file = std::fs::File::create(&tmp).map_err(|e| io_error(path, e))?;
+        Ok(AtomicFile { path: path.to_path_buf(), tmp, file, committed: false })
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        self.file.write_all(bytes).map_err(|e| io_error(&self.path, e))
+    }
+
+    /// Moves the write position back to the start of the file.
+    fn rewind(&mut self) -> Result<(), PersistError> {
+        self.file.rewind().map_err(|e| io_error(&self.path, e))
+    }
+
+    fn commit(&mut self) -> Result<(), PersistError> {
+        std::fs::rename(&self.tmp, &self.path).map_err(|e| io_error(&self.path, e))?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Drop for AtomicFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+pub(crate) fn io_error(path: &Path, e: std::io::Error) -> PersistError {
+    PersistError::Io(format!("{}: {e}", path.display()))
 }
 
 /// Reads a snapshot file written by [`write_atomic`].
@@ -433,14 +626,25 @@ pub fn write_atomic_obs(
     bytes: &[u8],
     obs: &haccs_obs::Recorder,
 ) -> Result<(), PersistError> {
-    let mut span = obs.span("persist.write").u("bytes", bytes.len() as u64);
+    write_obs(path, bytes.len() as u64, obs, || write_atomic(path, bytes)).map(|_| ())
+}
+
+/// Runs `write`, which writes `len` bytes to `path`, inside a
+/// `persist.write` span and counts it in the write metrics; returns `len`.
+fn write_obs(
+    path: &Path,
+    len: u64,
+    obs: &haccs_obs::Recorder,
+    write: impl FnOnce() -> Result<(), PersistError>,
+) -> Result<u64, PersistError> {
+    let mut span = obs.span("persist.write").u("bytes", len);
     span.push_s("path", || path.display().to_string());
-    let out = write_atomic(path, bytes);
+    let out = write();
     span.push_u("ok", out.is_ok() as u64);
     span.finish();
     obs.inc("persist_writes_total", 1);
-    obs.observe_with("persist_snapshot_bytes", haccs_obs::metrics::SIZE_BYTES, bytes.len() as f64);
-    out
+    obs.observe_with("persist_snapshot_bytes", haccs_obs::metrics::SIZE_BYTES, len as f64);
+    out.map(|()| len)
 }
 
 /// [`read_snapshot`], wrapped in an obs `persist.read` span recording the
