@@ -1,5 +1,5 @@
 //! Shard-layout parity soak and golden digests for the event-loop
-//! coordinator.
+//! coordinator, with the loop engine replaying the same matrix.
 //!
 //! A `ShardConfig` only decides which pool worker serves which agent and
 //! how the per-shard telemetry is bucketed. Every collection is drained in
@@ -10,6 +10,9 @@
 //!
 //! * a selector × `RoundPolicy` × fault × codec matrix, each cell at
 //!   `ShardConfig::default()` and at an odd layout;
+//! * the same matrix on `FedSim`, with the same world, selector and
+//!   config: each cell must hit the coordinator's golden digest, and two
+//!   cells also pin the engine's snapshot bytes after the last round;
 //! * one lossy run at a two-shard and a 128-shard layout;
 //! * a Join/Leave churn script at two layouts;
 //! * kill-and-resume: a 16×4 snapshot restored into 64×8 and 1×1 must
@@ -18,7 +21,10 @@
 //! The same runs are pinned by FNV-1a digests (`common::run_digest`). They
 //! were computed on `Coordinator::new` while the thread-per-agent runtime
 //! still existed, when this suite proved the two runtimes bit-identical
-//! cell by cell, so they carry that equivalence forward. Never edit them.
+//! cell by cell, so they carry that equivalence forward. The engine leg
+//! hits the same run digests, so one constant per cell pins both
+//! backends; the engine snapshot digests were recorded while `FedSim` and
+//! `Coordinator` still ran two copies of the round. Never edit them.
 
 mod common;
 
@@ -104,7 +110,8 @@ fn build_coord(
 }
 
 /// One matrix cell: a run configuration, the odd layout it is replayed
-/// on, and the golden digest of its `RunResult`.
+/// on, the golden digest of its `RunResult`, and, for some cells, the
+/// golden digest and length of the engine's snapshot after the run.
 struct Cell {
     kind: &'static str,
     policy: RoundPolicy,
@@ -112,6 +119,7 @@ struct Cell {
     codec: Option<CodecKind>,
     odd_layout: ShardConfig,
     golden: u64,
+    engine_snapshot: Option<(u64, usize)>,
 }
 
 impl Cell {
@@ -122,6 +130,27 @@ impl Cell {
             None => coord,
         }
         .run(ROUNDS)
+    }
+
+    /// The same cell on the loop engine: returns the run and the engine
+    /// snapshot taken after its last round.
+    fn run_engine(&self) -> (RunResult, Vec<u8>) {
+        let (fed, profiles) = build_world();
+        let mut sel = make_selector(self.kind, &fed);
+        let factory: ModelFactory =
+            Box::new(|| ModelKind::Mlp.build(1, 8, CLASSES, &mut StdRng::seed_from_u64(7)));
+        let latency = LatencyModel::for_params(10_000, 2e-3, 1);
+        let cfg = SimConfig { k: 16, seed: SEED, ..Default::default() };
+        let sim = FedSim::new(factory, fed, profiles, latency, Availability::AlwaysOn, cfg)
+            .with_policy(self.policy)
+            .with_faults(self.faults);
+        let mut sim = match self.codec {
+            Some(kind) => sim.with_codec(kind),
+            None => sim,
+        };
+        let run = sim.run(sel.as_mut(), ROUNDS);
+        let snapshot = sim.snapshot(sel.as_ref());
+        (run, snapshot)
     }
 }
 
@@ -147,14 +176,22 @@ fn matrix() -> Vec<Cell> {
         codec,
         odd_layout,
         golden,
+        engine_snapshot: None,
     };
     vec![
         cell("random", wait, clean, None, at(1, 1), 0xa485_a818_4795_de44),
         cell("oort", drop_late, lossy, None, at(3, 2), 0xacf0_3d96_352c_6c44),
-        cell("haccs", replace, crashy, None, at(16, 4), 0x67eb_2db6_98cb_73cc),
+        Cell {
+            engine_snapshot: Some((0x02d8_54e2_7904_d7df, 34_534)),
+            ..cell("haccs", replace, crashy, None, at(16, 4), 0x67eb_2db6_98cb_73cc)
+        },
         cell("tifl", wait, lossy, None, at(64, 8), 0xeab4_a184_2773_aab0),
         cell("haccs", drop_late, lossy, identity, at(5, 3), 0x9587_9820_d5d1_3644),
-        cell("oort", replace, crashy, topk, at(128, 8), 0x3502_73cd_57a5_f46d),
+        Cell {
+            // the top-k snapshot carries every client's codec residual
+            engine_snapshot: Some((0x5bd4_b79c_2b87_1140, 6_557_920)),
+            ..cell("oort", replace, crashy, topk, at(128, 8), 0x3502_73cd_57a5_f46d)
+        },
     ]
 }
 
@@ -174,6 +211,23 @@ fn sharded_core_is_bit_identical_to_threaded_across_matrix() {
             "{label} on {:?} diverged from the default layout",
             cell.odd_layout
         );
+    }
+}
+
+/// The loop engine, given each cell's world, selector and config, must
+/// produce the coordinator's golden run, and where a cell pins one, the
+/// golden engine snapshot.
+#[test]
+fn engine_hits_every_matrix_golden() {
+    for cell in matrix() {
+        let label =
+            format!("engine {} / {:?} / {:?}", cell.kind, cell.policy.aggregation, cell.codec);
+        let (run, snapshot) = cell.run_engine();
+        assert_digest(&label, run_digest(&run), cell.golden);
+        if let Some((digest, len)) = cell.engine_snapshot {
+            assert_digest(&format!("{label} snapshot"), fnv1a64(&snapshot), digest);
+            assert_eq!(snapshot.len(), len, "{label} snapshot length");
+        }
     }
 }
 
