@@ -15,9 +15,10 @@
 //! * **drift** — the same federation, but at ⅓ and ⅔ of the horizon half
 //!   the clients' label distributions rotate
 //!   ([`DriftSchedule::rotating`]). The engine backend re-materializes the
-//!   drifted shards mid-run ([`FedSim::replace_client_data`]); the
-//!   coordinator backend routes each drift event through
-//!   `observe_summary_update`, firing the §IV-C re-clustering hook.
+//!   drifted shards mid-run
+//!   ([`haccs_fedsim::FedSim::replace_client_data`]); the coordinator
+//!   backend routes each drift event through `observe_summary_update`,
+//!   firing the §IV-C re-clustering hook.
 //! * **diurnal** — Dirichlet skew plus a time-of-day duty cycle
 //!   ([`Availability::diurnal`]): each client is online for half of every
 //!   simulated day, phase-shifted per client.

@@ -11,23 +11,26 @@
 //!    Aggregating --FedAvg + clock + heartbeat sweep--> Committed
 //! ```
 //!
+//! From `Selecting` to `Committed` the round is
+//! [`haccs_fedsim::round::Server::run_round`], the driver the loop engine
+//! runs too; the coordinator is only its [`Backend`]: it pushes the
+//! trainees one cohort frame, collects their envelopes and runs the real
+//! heartbeat sweep.
+//!
 //! ## Determinism
 //!
 //! Pool workers and remote bridges race to deliver agent traffic, yet two
 //! same-seed runs are bit-identical:
 //!
-//! 1. every collection of uplink envelopes is drained through an
-//!    [`EventQueue`]: model updates by `(time, client, seq)`, where `time`
-//!    is a *simulated* arrival (latency draw + wire backoff), and Joins,
-//!    enrollment acks and heartbeat acks by `(client, seq)`. `seq` is a
-//!    sender-side counter, so nothing in either key depends on thread
-//!    timing;
+//! 1. every collection of uplink envelopes — model updates, Joins,
+//!    enrollment acks and heartbeat acks — is drained through an
+//!    [`EventQueue`] in `(client, seq)` order. `seq` is a sender-side
+//!    counter, so nothing in the key depends on thread timing;
 //! 2. all registry and liveness mutations happen in drained order;
 //! 3. FedAvg admission iterates in *selection order* (itself a pure
-//!    function of the seed), the same float-summation order as
-//!    [`haccs_fedsim::FedSim`] — which is what makes the coordinator's
-//!    global model bit-identical to the loop engine's on fault-free runs,
-//!    not merely close.
+//!    function of the seed), the driver's float-summation order — which
+//!    is what makes the coordinator's global model bit-identical to the
+//!    loop engine's on fault-free runs, not merely close.
 //!
 //! Wire fault outcomes are content-independent hashes of
 //! `(seed, stream_id, attempt)` shared with the loop engine's analytic
@@ -41,25 +44,20 @@ use crate::registry::{ClientEntry, ClientRegistry, Liveness};
 use crate::shard::{shard_of, EventCore, ShardConfig};
 use haccs_codec::CodecKind;
 use haccs_data::{ClientData, FederatedDataset, ImageSet};
-use haccs_fedsim::engine::{
-    AggregationPolicy, ModelFactory, RoundPolicy, SimConfig, SnapshotPolicy,
-};
-use haccs_fedsim::metrics::{FaultStats, RoundRecord, RunResult, TimePoint};
+use haccs_fedsim::engine::{ModelFactory, RoundPolicy, SimConfig, SnapshotPolicy};
+use haccs_fedsim::metrics::{RoundRecord, RunResult, TimePoint};
 use haccs_fedsim::persist::segment::TickStats;
 use haccs_fedsim::persist::{self as persist, PersistError, SnapshotReader, SnapshotWriter};
-use haccs_fedsim::round::{self, PendingUpdate, RoundAccumulator};
-use haccs_fedsim::selector::{sanitize_selection, SelectionContext, Selector};
-use haccs_fedsim::{neutral_loss, ClientInfo};
-use haccs_nn::{evaluate, Sequential};
+use haccs_fedsim::round::{
+    self, Backend, Boundary, ClientView, HeartbeatOutcome, Names, PendingUpdate, Server,
+    UpdateOutcome,
+};
+use haccs_fedsim::selector::Selector;
+use haccs_fedsim::ClientInfo;
 use haccs_obs::Recorder;
 use haccs_summary::Summarizer;
-use haccs_sysmodel::{
-    Availability, DeviceProfile, FaultModel, HeartbeatPolicy, LatencyModel, SimClock,
-};
+use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, HeartbeatPolicy, LatencyModel};
 use haccs_wire::{Message, ResourceEstimate, WireSummary};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Sender};
@@ -138,18 +136,13 @@ pub struct RemoteLink {
     pub pump: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Session nonce for a client id: a seed-derived hash, never the reserved
-/// probe value `0`.
-fn nonce_for(seed: u64, id: usize) -> u64 {
-    crate::shard::splitmix64(seed ^ (id as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)).max(1)
-}
-
 /// The session nonce client `id` enrolls under for a run seeded with
-/// `seed`. Remote client processes must present exactly this nonce (the
+/// `seed`: a seed-derived hash, never the reserved probe value `0`.
+/// Remote client processes must present exactly this nonce (the
 /// coordinator derives the same value on its side), so it is part of the
 /// public wire contract rather than an internal detail.
 pub fn session_nonce(seed: u64, id: usize) -> u64 {
-    nonce_for(seed, id)
+    crate::shard::splitmix64(seed ^ (id as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93)).max(1)
 }
 
 /// The base summary seed a coordinator derives for a run seeded with
@@ -158,26 +151,6 @@ pub fn session_nonce(seed: u64, id: usize) -> u64 {
 /// in-process counterparts would.
 pub fn default_summary_seed(seed: u64) -> u64 {
     seed ^ 0xD9
-}
-
-/// Eval-set sampling shared by every construction path — local, remote
-/// and the loop engine use the same seed salt, so all three read out the
-/// global model on the identical subset.
-fn sample_eval_set(global_test: &ImageSet, cfg: &SimConfig) -> ImageSet {
-    let mut eval_rng = StdRng::seed_from_u64(cfg.seed ^ 0xE7A1_77F0);
-    if global_test.len() > cfg.eval_max {
-        let mut idx: Vec<usize> = (0..global_test.len()).collect();
-        idx.shuffle(&mut eval_rng);
-        idx.truncate(cfg.eval_max);
-        let mut s =
-            ImageSet::empty(global_test.channels(), global_test.side(), global_test.classes());
-        for i in idx {
-            s.push(global_test.image(i), global_test.labels()[i]);
-        }
-        s
-    } else {
-        global_test.clone()
-    }
 }
 
 /// The §IV-C re-clustering hook for [`HaccsSelector`], **full-rebuild
@@ -247,28 +220,34 @@ pub fn haccs_two_level_recluster_hook(
 
 use haccs_core::HaccsSelector;
 
+/// The coordinator's trace names.
+const NAMES: Names = haccs_fedsim::round_names!("coord");
+
 /// The coordinator runtime. Generic over the selector so the §IV-C
 /// re-clustering hook can address the concrete type (see
 /// [`Coordinator::with_recluster_hook`]); any [`Selector`] plugs in
 /// unchanged.
 pub struct Coordinator<S: Selector> {
-    factory: SharedModelFactory,
-    global_params: Vec<f32>,
-    latency: LatencyModel,
-    availability: Availability,
-    cfg: SimConfig,
-    clock: SimClock,
-    eval_model: Sequential,
-    eval_set: ImageSet,
-    rng: StdRng,
-    epoch: usize,
-    result: RunResult,
-    faults: FaultModel,
-    policy: RoundPolicy,
-    hb_policy: HeartbeatPolicy,
+    server: Server,
+    wire: Wire,
+    selector: S,
     summarizer: Summarizer,
     summary_seed: u64,
-    selector: S,
+    pending: Vec<PendingJoin>,
+    /// `Some` iff built via [`Coordinator::remote`]: the spawn-time
+    /// profile for each expected remote client id.
+    remote_profiles: Option<Vec<DeviceProfile>>,
+    /// Remote clients attached but not yet enrolled.
+    pending_remote: Vec<(usize, RemoteLink)>,
+    snapshots: Option<SnapshotPolicy>,
+    #[allow(clippy::type_complexity)]
+    recluster_hook: Option<Box<dyn FnMut(&mut S, &[(usize, WireSummary)])>>,
+}
+
+/// The coordinator's round [`Backend`]: the agents on the event-loop
+/// core, the registry that books them, and the collections that order
+/// their uplink traffic.
+struct Wire {
     registry: ClientRegistry,
     /// The agents' event-loop core: thread-free [`AgentState`] machines on
     /// a fixed worker pool, so the OS thread count is independent of
@@ -276,37 +255,19 @@ pub struct Coordinator<S: Selector> {
     /// methods can still shape `shard_cfg`.
     core: Option<EventCore>,
     shard_cfg: ShardConfig,
-    /// Bound on each envelope-collection [`EventQueue`]; overflow is a
-    /// [`CoordError::EventQueueFull`], counted in
-    /// `coord_event_queue_dropped_total`.
-    event_capacity: usize,
-    pending: Vec<PendingJoin>,
-    /// `Some` iff built via [`Coordinator::remote`]: the spawn-time
-    /// profile for each expected remote client id.
-    remote_profiles: Option<Vec<DeviceProfile>>,
-    /// Remote clients attached but not yet enrolled.
-    pending_remote: Vec<(usize, RemoteLink)>,
+    factory: SharedModelFactory,
     uplink_tx: Uplink,
     /// The uplink's receiving end; holds envelopes a batch delivered
     /// beyond what the collection that received it needed.
     inbox: Inbox<Envelope>,
+    /// Bound on each envelope-collection [`EventQueue`]; overflow is a
+    /// [`CoordError::EventQueueFull`], counted in
+    /// `coord_event_queue_dropped_total`.
+    event_capacity: usize,
+    hb_policy: HeartbeatPolicy,
     phase: RoundPhase,
     membership_dirty: bool,
-    snapshots: Option<SnapshotPolicy>,
     segmented: Option<SegmentedSnapshots>,
-    /// Model-update codec agents encode with and the server decodes
-    /// with. `None`/`Identity` keep plain `ModelUpdate` frames and the
-    /// historical bit-identical path.
-    codec: Option<CodecKind>,
-    obs: Recorder,
-    #[allow(clippy::type_complexity)]
-    recluster_hook: Option<Box<dyn FnMut(&mut S, &[(usize, WireSummary)])>>,
-}
-
-struct SweepOutcome {
-    missed: usize,
-    retries: usize,
-    bytes: usize,
 }
 
 /// State of the dirty-shard segmented-snapshot path
@@ -341,13 +302,328 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 20;
 /// committed (the selector's state *is* already loaded — on any error
 /// the coordinator must be discarded, restore is not transactional).
 struct ParsedSnapshot {
-    epoch: usize,
-    now: f64,
-    rng_state: [u64; 4],
-    global_params: Vec<f32>,
+    boundary: Boundary,
     result: RunResult,
     membership_dirty: bool,
     restored: Vec<RestoredEntry>,
+}
+
+impl Wire {
+    /// Agents ever registered with the core (including departed and
+    /// tombstoned slots).
+    fn spawned(&self) -> usize {
+        self.core.as_ref().map_or(0, |c| c.spawned())
+    }
+
+    /// The event core, spawned on first use with the configured layout.
+    fn core_mut(&mut self) -> &mut EventCore {
+        self.core.get_or_insert_with(|| {
+            EventCore::new(self.shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
+        })
+    }
+
+    /// Marks client `id`'s snapshot shard dirty: its serialized entry
+    /// bytes may differ from its last written block. No-op unless
+    /// segmented snapshots are enabled. Call sites are exactly the
+    /// registry mutations that feed [`Coordinator::write_entry`]; the
+    /// heartbeat path compares before marking so an ack that changes
+    /// nothing keeps its shard clean.
+    fn mark_entry_dirty(&mut self, id: usize) {
+        if let Some(seg) = &mut self.segmented {
+            let shard = id % seg.writer.n_shards();
+            seg.writer.mark_dirty(shard);
+        }
+    }
+
+    /// Collects exactly `n` envelopes, which may come from clients not in
+    /// the registry yet (enrollment), ordered by `(client, seq)`. A
+    /// bounded-queue overflow is counted and becomes the round-level
+    /// backpressure error.
+    fn collect_uniform(
+        &mut self,
+        n: usize,
+        server: &Server,
+    ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
+        let envelopes = match self.inbox.take(n, Duration::from_secs(120)) {
+            Ok(envs) => envs,
+            Err(e) => panic!(
+                "coordinator starved waiting for agent traffic in phase {:?}, epoch {}: {e:?}",
+                self.phase, server.epoch
+            ),
+        };
+        let mut q = EventQueue::bounded(self.event_capacity);
+        for env in envelopes {
+            if let Err(e) = q.try_push(env.from, env.seq, env.outcome) {
+                server.obs.inc("coord_event_queue_dropped_total", 1);
+                return Err(CoordError::EventQueueFull(e));
+            }
+        }
+        Ok(q.drain_sorted().into_iter().map(|e| (e.client, e.payload)).collect())
+    }
+
+    /// Collects exactly `n` envelopes from enrolled clients (updates, or
+    /// heartbeat acks, losses and `Leave`s) in `(client, seq)` order.
+    /// Each pool worker's batch already arrives ascending, so the drain
+    /// is a merge of `n_workers` runs. With a recorder attached, each
+    /// envelope's simulated round trip (effective latency plus wire
+    /// backoff) feeds `coord_agent_rtt_seconds`, and the collection's
+    /// size feeds the global and per-shard queue-depth histograms.
+    fn collect(
+        &mut self,
+        n: usize,
+        server: &Server,
+    ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
+        let obs = &server.obs;
+        obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
+        let drained = self.collect_uniform(n, server)?;
+        if obs.is_enabled() {
+            let n_shards = self.shard_cfg.n_shards;
+            let mut depth = vec![0usize; n_shards];
+            for (id, outcome) in &drained {
+                let (TransmitOutcome::Delivered { backoff_s, .. }
+                | TransmitOutcome::Lost { backoff_s, .. }) = outcome;
+                let rtt = server.effective_latency(*id, &self.client(*id)) + backoff_s;
+                obs.observe("coord_agent_rtt_seconds", rtt);
+                depth[shard_of(*id, n_shards)] += 1;
+            }
+            for (shard, &d) in depth.iter().enumerate() {
+                obs.observe_with(
+                    "coord_shard_queue_depth",
+                    haccs_obs::metrics::SHARD_QUEUE_DEPTH,
+                    d as f64,
+                );
+                obs.gauge(&format!("coord_shard_queue_depth{{shard=\"{shard}\"}}"), d as f64);
+            }
+        }
+        Ok(drained)
+    }
+
+    /// Per-shard membership gauges: how many non-departed clients each
+    /// shard holds after an enrollment wave.
+    fn observe_shard_membership(&self, obs: &Recorder) {
+        if !obs.is_enabled() {
+            return;
+        }
+        let n_shards = self.shard_cfg.n_shards;
+        let mut members = vec![0usize; n_shards];
+        for e in self.registry.entries().iter().filter(|e| e.liveness != Liveness::Left) {
+            members[shard_of(e.id, n_shards)] += 1;
+        }
+        for (shard, &m) in members.iter().enumerate() {
+            obs.gauge(&format!("coord_shard_members{{shard=\"{shard}\"}}"), m as f64);
+        }
+    }
+
+    fn decode_delivered(outcome: TransmitOutcome) -> Message {
+        match outcome {
+            TransmitOutcome::Delivered { frame, .. } => {
+                Message::decode(frame).expect("agent sent an undecodable frame")
+            }
+            TransmitOutcome::Lost { .. } => panic!("reliable-path frame reported lost"),
+        }
+    }
+
+    /// Decodes trainee `id`'s envelope into what the driver admits. A
+    /// compressed update decodes against the pre-aggregation global model
+    /// — exactly the reference the agent encoded against.
+    fn decode_update(server: &Server, id: usize, outcome: TransmitOutcome) -> UpdateOutcome {
+        let (frame, retries, backoff_s) = match outcome {
+            TransmitOutcome::Delivered { frame, retries, backoff_s, .. } => {
+                (frame, retries, backoff_s)
+            }
+            TransmitOutcome::Lost { retries, backoff_s } => {
+                return UpdateOutcome::Lost { retries, backoff_s };
+            }
+        };
+        let (params, loss, n_train) =
+            match Message::decode(frame).expect("agent sent an undecodable update") {
+                Message::ModelUpdate { round, params, loss, n_train } => {
+                    debug_assert_eq!(round as usize, server.epoch, "update for the wrong round");
+                    assert!(
+                        !server.codec.is_some_and(|k| !matches!(k, CodecKind::Identity)),
+                        "client {id} sent a plain update under a compressing codec"
+                    );
+                    (params, loss, n_train)
+                }
+                Message::ModelUpdateEnc { round, codec, payload, loss, n_train } => {
+                    debug_assert_eq!(round as usize, server.epoch, "update for the wrong round");
+                    let kind = server.codec.unwrap_or_else(|| {
+                        panic!("client {id} sent an encoded update, but no codec is configured")
+                    });
+                    assert_eq!(codec, kind.tag(), "client {id} used a different codec");
+                    let span = server.obs.span("codec.decode").u("client", id as u64);
+                    let params = kind
+                        .build()
+                        .decode(&payload, &server.global_params)
+                        .unwrap_or_else(|e| panic!("undecodable update from {id}: {e}"));
+                    span.finish();
+                    (params, loss, n_train)
+                }
+                other => panic!("expected ModelUpdate from {id}, got {other:?}"),
+            };
+        let update = PendingUpdate { id, params, loss, n_train: n_train as usize };
+        UpdateOutcome::Delivered { update, retries, backoff_s }
+    }
+}
+
+impl Backend for Wire {
+    type Error = CoordError;
+    const NAMES: &'static Names = &NAMES;
+
+    fn client(&self, id: usize) -> ClientView {
+        let e = self.registry.get(id);
+        ClientView {
+            profile: e.profile,
+            n_train: e.n_train,
+            last_loss: e.last_loss,
+            participation_count: e.participation_count,
+        }
+    }
+
+    /// Schedules the trainees, pushes them the global model as one cohort
+    /// frame (per-agent FIFO order lands each `Schedule` first) and
+    /// collects exactly one envelope per trainee.
+    fn deliver(
+        &mut self,
+        server: &Server,
+        trainees: &[usize],
+    ) -> Result<Vec<UpdateOutcome>, CoordError> {
+        self.phase = RoundPhase::Dispatched;
+        let round = server.epoch as u64;
+        for &id in trainees {
+            let client_nonce = self.registry.get(id).nonce;
+            let schedule = Message::Schedule { round, client_nonce };
+            self.core_mut().dispatch(id, schedule.encode());
+        }
+        let push = Message::ModelPush { round, params: server.global_params.clone() };
+        self.core_mut().dispatch_cohort(trainees, push.encode());
+
+        self.phase = RoundPhase::Aggregating;
+        let mut outcomes: HashMap<usize, TransmitOutcome> =
+            self.collect(trainees.len(), server)?.into_iter().collect();
+        Ok(trainees
+            .iter()
+            .map(|&id| {
+                let outcome =
+                    outcomes.remove(&id).unwrap_or_else(|| panic!("no envelope from trainee {id}"));
+                Self::decode_update(server, id, outcome)
+            })
+            .collect())
+    }
+
+    fn credit(&mut self, id: usize, loss: f32) {
+        self.mark_entry_dirty(id);
+        let e = self.registry.get_mut(id);
+        e.last_loss = Some(loss);
+        e.participation_count += 1;
+    }
+
+    /// Probes every non-departed client, collects acks/`Leave`s from the
+    /// available ones, and applies liveness transitions in deterministic
+    /// order. Silent (unavailable) clients accrue a miss.
+    fn heartbeats(
+        &mut self,
+        server: &Server,
+        _pool: &[usize],
+    ) -> Result<HeartbeatOutcome, CoordError> {
+        let epoch = server.epoch;
+        if !self.hb_policy.probes_in_round(epoch as u64) {
+            return Ok(HeartbeatOutcome::default());
+        }
+        let hb_size = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
+        let probed = self.registry.probed_ids();
+        // unavailable clients stay silent; everyone else answers once
+        let silent: Vec<usize> = probed
+            .iter()
+            .copied()
+            .filter(|&id| !server.availability.is_available(id, epoch))
+            .collect();
+        let n_responders = probed.len() - silent.len();
+
+        // one probe frame for everyone, cohort-dispatched
+        let probe = Message::Heartbeat { client_nonce: 0, round: epoch as u64, last_loss: 0.0 };
+        self.core_mut().dispatch_cohort(&probed, probe.encode());
+        let mut out = HeartbeatOutcome {
+            missed: silent.len(),
+            bytes: probed.len() * hb_size,
+            ..Default::default()
+        };
+
+        let mut acked: Vec<(usize, f32)> = Vec::with_capacity(n_responders);
+        let mut lost: Vec<usize> = Vec::new();
+        let mut leaves: Vec<usize> = Vec::new();
+        for (id, outcome) in self.collect(n_responders, server)? {
+            match outcome {
+                TransmitOutcome::Delivered { frame, retries, bytes_sent, .. } => {
+                    out.retries += retries;
+                    out.bytes += bytes_sent;
+                    match Message::decode(frame).expect("agent sent an undecodable ack") {
+                        Message::Heartbeat { client_nonce, last_loss, .. } => {
+                            debug_assert_eq!(self.registry.get(id).nonce, client_nonce);
+                            acked.push((id, last_loss));
+                        }
+                        Message::Leave { .. } => leaves.push(id),
+                        other => panic!("expected ack/Leave from {id}, got {other:?}"),
+                    }
+                }
+                TransmitOutcome::Lost { retries, .. } => {
+                    out.retries += retries;
+                    out.bytes += (retries + 1) * hb_size;
+                    out.missed += 1;
+                    lost.push(id);
+                }
+            }
+        }
+        out.acked = acked.len();
+
+        // liveness transitions, in ascending id order per class
+        let liveness = |id: usize, to: &'static str| {
+            server
+                .obs
+                .event("coord.liveness")
+                .u("epoch", epoch as u64)
+                .u("client", id as u64)
+                .s("to", to)
+                .sim(server.clock.now());
+        };
+        for (id, loss) in acked {
+            // compare before marking: an ack that only re-confirms an
+            // already-Alive client's unchanged loss leaves its snapshot
+            // shard clean — without this, every probed client would dirty
+            // its shard every sweep and per-tick segment bytes would be
+            // linear in federation size instead of churn
+            let e = self.registry.get(id);
+            if e.last_loss != Some(loss)
+                || e.missed_heartbeats != 0
+                || e.liveness != Liveness::Alive
+            {
+                self.mark_entry_dirty(id);
+            }
+            self.registry.observe_heartbeat(id, loss);
+        }
+        for id in leaves {
+            self.registry.observe_leave(id);
+            self.mark_entry_dirty(id);
+            self.core_mut().detach(id); // the agent already wound itself down
+            self.membership_dirty = true;
+            liveness(id, "left");
+        }
+        for id in silent.into_iter().chain(lost) {
+            use haccs_sysmodel::LivenessVerdict;
+            // a miss always increments the entry's streak counter
+            self.mark_entry_dirty(id);
+            match self.registry.observe_miss(id, &self.hb_policy) {
+                LivenessVerdict::Evicted => {
+                    self.core_mut().detach(id);
+                    self.membership_dirty = true;
+                    liveness(id, "evicted");
+                }
+                LivenessVerdict::Suspected => liveness(id, "suspected"),
+                _ => {}
+            }
+        }
+        Ok(out)
+    }
 }
 
 impl<S: Selector> Coordinator<S> {
@@ -365,84 +641,14 @@ impl<S: Selector> Coordinator<S> {
         selector: S,
     ) -> Self {
         assert_eq!(fed.clients.len(), profiles.len(), "one profile per client");
-        assert!(cfg.k >= 1, "k must be at least 1");
-        assert!(cfg.eval_every >= 1);
-        let global_model = factory();
-        let global_params = global_model.get_params();
-
-        // identical eval-set sampling to the loop engine (same seed salt)
-        let eval_set = sample_eval_set(&fed.global_test, &cfg);
-
-        let pending: Vec<PendingJoin> = fed
+        let mut c = Self::build(factory, fed.global_test, latency, availability, cfg, selector);
+        c.pending = fed
             .clients
             .into_iter()
             .zip(profiles)
             .map(|(data, profile)| PendingJoin { data, profile, leave_after: None })
             .collect();
-        let (uplink_tx, uplink_rx) = mpsc::channel();
-
-        Coordinator {
-            factory: Arc::from(factory),
-            global_params,
-            latency,
-            availability,
-            cfg,
-            clock: SimClock::new(),
-            eval_model: global_model,
-            eval_set,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            epoch: 0,
-            result: RunResult::default(),
-            faults: FaultModel::none(cfg.seed),
-            policy: RoundPolicy::default(),
-            hb_policy: HeartbeatPolicy::default(),
-            summarizer: Summarizer::label_dist(),
-            summary_seed: cfg.seed ^ 0xD9,
-            selector,
-            registry: ClientRegistry::new(),
-            core: None,
-            shard_cfg: ShardConfig::default(),
-            event_capacity: DEFAULT_EVENT_CAPACITY,
-            pending,
-            remote_profiles: None,
-            pending_remote: Vec::new(),
-            uplink_tx,
-            inbox: Inbox::new(uplink_rx),
-            phase: RoundPhase::Enrolling,
-            membership_dirty: false,
-            snapshots: None,
-            segmented: None,
-            codec: None,
-            obs: Recorder::disabled(),
-            recluster_hook: None,
-        }
-    }
-
-    /// Overrides the event core's shard/worker layout (builder style;
-    /// before the first round). Layout never changes results — shard
-    /// routing only decides which worker serves an agent, and every
-    /// collection is drained in a deterministic order — so this is a
-    /// performance knob only.
-    pub fn with_shard_layout(mut self, layout: ShardConfig) -> Self {
-        self.assert_unspawned("shard layout");
-        self.shard_cfg = layout;
-        self
-    }
-
-    /// Bounds every envelope-collection queue at `capacity` events
-    /// (builder style). Overflow surfaces as
-    /// [`CoordError::EventQueueFull`] from [`Coordinator::try_run_round`]
-    /// and bumps the `coord_event_queue_dropped_total` counter. Default:
-    /// [`DEFAULT_EVENT_CAPACITY`].
-    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "event capacity must be >= 1");
-        self.event_capacity = capacity;
-        self
-    }
-
-    /// The event core's shard/worker layout.
-    pub fn shard_layout(&self) -> ShardConfig {
-        self.shard_cfg
+        c
     }
 
     /// Assembles a coordinator whose clients live in **other processes**,
@@ -461,47 +667,76 @@ impl<S: Selector> Coordinator<S> {
         cfg: SimConfig,
         selector: S,
     ) -> Self {
-        assert!(cfg.k >= 1, "k must be at least 1");
-        assert!(cfg.eval_every >= 1);
-        let global_model = factory();
-        let global_params = global_model.get_params();
-        let eval_set = sample_eval_set(&global_test, &cfg);
+        let mut c = Self::build(factory, global_test, latency, availability, cfg, selector);
+        c.remote_profiles = Some(profiles);
+        c
+    }
+
+    /// The construction both [`Coordinator::new`] and
+    /// [`Coordinator::remote`] share: a server over the global model and
+    /// test set, and an empty federation.
+    fn build(
+        factory: ModelFactory,
+        global_test: ImageSet,
+        latency: LatencyModel,
+        availability: Availability,
+        cfg: SimConfig,
+        selector: S,
+    ) -> Self {
+        let server = Server::new(factory(), global_test, latency, availability, cfg);
         let (uplink_tx, uplink_rx) = mpsc::channel();
-        Coordinator {
-            factory: Arc::from(factory),
-            global_params,
-            latency,
-            availability,
-            cfg,
-            clock: SimClock::new(),
-            eval_model: global_model,
-            eval_set,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            epoch: 0,
-            result: RunResult::default(),
-            faults: FaultModel::none(cfg.seed),
-            policy: RoundPolicy::default(),
-            hb_policy: HeartbeatPolicy::default(),
-            summarizer: Summarizer::label_dist(),
-            summary_seed: default_summary_seed(cfg.seed),
-            selector,
+        let wire = Wire {
             registry: ClientRegistry::new(),
             core: None,
             shard_cfg: ShardConfig::default(),
-            event_capacity: DEFAULT_EVENT_CAPACITY,
-            pending: Vec::new(),
-            remote_profiles: Some(profiles),
-            pending_remote: Vec::new(),
+            factory: Arc::from(factory),
             uplink_tx,
             inbox: Inbox::new(uplink_rx),
+            event_capacity: DEFAULT_EVENT_CAPACITY,
+            hb_policy: HeartbeatPolicy::default(),
             phase: RoundPhase::Enrolling,
             membership_dirty: false,
-            snapshots: None,
             segmented: None,
-            codec: None,
-            obs: Recorder::disabled(),
+        };
+        Coordinator {
+            server,
+            wire,
+            selector,
+            summarizer: Summarizer::label_dist(),
+            summary_seed: default_summary_seed(cfg.seed),
+            pending: Vec::new(),
+            remote_profiles: None,
+            pending_remote: Vec::new(),
+            snapshots: None,
             recluster_hook: None,
         }
+    }
+
+    /// Overrides the event core's shard/worker layout (builder style;
+    /// before the first round). Layout never changes results — shard
+    /// routing only decides which worker serves an agent, and every
+    /// collection is drained in a deterministic order — so this is a
+    /// performance knob only.
+    pub fn with_shard_layout(mut self, layout: ShardConfig) -> Self {
+        self.assert_unspawned("shard layout");
+        self.wire.shard_cfg = layout;
+        self
+    }
+
+    /// Bounds every envelope-collection queue at `capacity` events
+    /// (builder style). Overflow surfaces as
+    /// [`CoordError::EventQueueFull`] from [`Coordinator::try_run_round`]
+    /// and bumps the `coord_event_queue_dropped_total` counter. Default:
+    /// [`DEFAULT_EVENT_CAPACITY`].
+    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
+        assert!(capacity >= 1, "event capacity must be >= 1");
+        self.wire.event_capacity = capacity;
+        self
+    }
+
+    /// The event core's shard/worker layout.
+    pub fn shard_layout(&self) -> ShardConfig {
+        self.wire.shard_cfg
     }
 
     /// A clone of the uplink sender, for transport bridges that forward
@@ -509,7 +744,7 @@ impl<S: Selector> Coordinator<S> {
     /// uplink carries envelope batches; a bridge sends one-element
     /// batches.
     pub fn uplink(&self) -> Uplink {
-        self.uplink_tx.clone()
+        self.wire.uplink_tx.clone()
     }
 
     /// Registers a connected remote client (its `Join` envelope must
@@ -524,31 +759,21 @@ impl<S: Selector> Coordinator<S> {
         self.pending_remote.push((id, link));
     }
 
-    /// Agents ever registered with the core (including departed and
-    /// tombstoned slots).
-    fn spawned(&self) -> usize {
-        self.core.as_ref().map_or(0, |c| c.spawned())
-    }
-
     fn assert_unspawned(&self, what: &str) {
-        assert!(self.spawned() == 0, "{what} must be configured before the first round");
+        assert!(self.wire.spawned() == 0, "{what} must be configured before the first round");
     }
 
     /// Attaches a fault schedule (builder style; before the first round).
     pub fn with_faults(mut self, faults: FaultModel) -> Self {
         self.assert_unspawned("fault schedule");
-        self.faults = faults;
+        self.server.faults = faults;
         self
     }
 
     /// Sets the round-execution policy (builder style).
     pub fn with_policy(mut self, policy: RoundPolicy) -> Self {
         self.assert_unspawned("round policy");
-        assert!(
-            (0.0..=1.0).contains(&policy.deadline_quantile),
-            "deadline quantile must be in [0, 1]"
-        );
-        self.policy = policy;
+        self.server.set_policy(policy);
         self
     }
 
@@ -563,26 +788,18 @@ impl<S: Selector> Coordinator<S> {
     /// [`Coordinator::restore`]).
     pub fn with_codec(mut self, kind: CodecKind) -> Self {
         self.assert_unspawned("codec");
-        self.codec = Some(kind);
+        self.server.codec = Some(kind);
         self
     }
 
     /// The attached codec's kind, if any.
     pub fn codec_kind(&self) -> Option<CodecKind> {
-        self.codec
-    }
-
-    /// The codec guard label written into snapshots (`"none"` without one).
-    fn codec_label(&self) -> String {
-        match self.codec {
-            Some(kind) => kind.to_string(),
-            None => "none".to_string(),
-        }
+        self.server.codec
     }
 
     /// Sets the heartbeat/liveness policy (builder style).
     pub fn with_heartbeat(mut self, hb: HeartbeatPolicy) -> Self {
-        self.hb_policy = hb;
+        self.wire.hb_policy = hb;
         self
     }
 
@@ -623,7 +840,7 @@ impl<S: Selector> Coordinator<S> {
     /// [`Coordinator::with_snapshots`] (a run may write both formats).
     pub fn with_segmented_snapshots(mut self, policy: SnapshotPolicy, n_shards: usize) -> Self {
         let writer = persist::segment::SegmentWriter::new(&policy.dir, n_shards);
-        self.segmented = Some(SegmentedSnapshots { policy, writer });
+        self.wire.segmented = Some(SegmentedSnapshots { policy, writer });
         self
     }
 
@@ -638,30 +855,18 @@ impl<S: Selector> Coordinator<S> {
     /// [`persist::segment::SegmentWriter::with_retention`]).
     pub fn with_segment_retention(mut self, keep: usize) -> Self {
         let seg = self
+            .wire
             .segmented
             .take()
             .expect("call with_segmented_snapshots before with_segment_retention");
-        self.segmented =
+        self.wire.segmented =
             Some(SegmentedSnapshots { writer: seg.writer.with_retention(keep), ..seg });
         self
     }
 
     /// The segmented-snapshot policy, if enabled.
     pub fn segmented_snapshot_policy(&self) -> Option<&SnapshotPolicy> {
-        self.segmented.as_ref().map(|s| &s.policy)
-    }
-
-    /// Marks client `id`'s snapshot shard dirty: its serialized entry
-    /// bytes may differ from its last written block. No-op unless
-    /// segmented snapshots are enabled. Call sites are exactly the
-    /// registry mutations that feed [`Coordinator::write_entry`]; the
-    /// heartbeat path compares before marking so an ack that changes
-    /// nothing keeps its shard clean.
-    fn mark_entry_dirty(&mut self, id: usize) {
-        if let Some(seg) = &mut self.segmented {
-            let shard = id % seg.writer.n_shards();
-            seg.writer.mark_dirty(shard);
-        }
+        self.wire.segmented.as_ref().map(|s| &s.policy)
     }
 
     /// Attaches a telemetry recorder (builder style). Coordinator
@@ -669,13 +874,13 @@ impl<S: Selector> Coordinator<S> {
     /// never the RNG, the clock or the model — so enabling it keeps
     /// every [`RoundRecord`] bit-identical (pinned by `obs_parity`).
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
+        self.server.obs = obs;
         self
     }
 
     /// The attached telemetry recorder (disabled unless set).
     pub fn recorder(&self) -> &Recorder {
-        &self.obs
+        &self.server.obs
     }
 
     /// Sets the summarizer agents use at join time (builder style).
@@ -696,7 +901,9 @@ impl<S: Selector> Coordinator<S> {
     /// Installs the §IV-C re-clustering hook, invoked (in the
     /// `Clustering` phase) whenever membership changed since the previous
     /// round: after mid-training joins, departures and evictions. For
-    /// HACCS use [`haccs_recluster_hook`].
+    /// HACCS, install the cached hook with
+    /// [`Coordinator::with_haccs_reclustering`], or the two-level one
+    /// with [`Coordinator::with_haccs_two_level_reclustering`].
     pub fn with_recluster_hook(
         mut self,
         hook: impl FnMut(&mut S, &[(usize, WireSummary)]) + 'static,
@@ -709,7 +916,7 @@ impl<S: Selector> Coordinator<S> {
     /// first heartbeat probe of a round `>= round` where the device is
     /// available, its agent sends `Leave` and winds down.
     pub fn with_leave_after(mut self, id: usize, round: u64) -> Self {
-        let base = self.spawned();
+        let base = self.wire.spawned();
         let slot = id
             .checked_sub(base)
             .and_then(|i| self.pending.get_mut(i))
@@ -722,7 +929,7 @@ impl<S: Selector> Coordinator<S> {
     /// re-clustering hook fires — at the next round boundary. Returns the
     /// id the client will enroll under.
     pub fn add_client(&mut self, data: ClientData, profile: DeviceProfile) -> usize {
-        let id = self.spawned() + self.pending.len();
+        let id = self.wire.spawned() + self.pending.len();
         self.pending.push(PendingJoin { data, profile, leave_after: None });
         id
     }
@@ -733,12 +940,12 @@ impl<S: Selector> Coordinator<S> {
     /// departure. Frames for departed clients are dropped (a late update
     /// can race a `Leave`).
     pub fn observe_summary_update(&mut self, id: usize, summary: WireSummary) {
-        if self.registry.get(id).liveness == Liveness::Left {
+        if self.wire.registry.get(id).liveness == Liveness::Left {
             return;
         }
-        self.registry.observe_summary_update(id, summary);
-        self.mark_entry_dirty(id);
-        self.membership_dirty = true;
+        self.wire.registry.observe_summary_update(id, summary);
+        self.wire.mark_entry_dirty(id);
+        self.wire.membership_dirty = true;
     }
 
     /// [`Self::add_client`] with a scripted departure round.
@@ -755,12 +962,12 @@ impl<S: Selector> Coordinator<S> {
 
     /// Current phase of the round state machine.
     pub fn phase(&self) -> RoundPhase {
-        self.phase
+        self.wire.phase
     }
 
     /// The membership/liveness registry.
     pub fn registry(&self) -> &ClientRegistry {
-        &self.registry
+        &self.wire.registry
     }
 
     pub fn selector(&self) -> &S {
@@ -773,165 +980,53 @@ impl<S: Selector> Coordinator<S> {
 
     /// Current epoch (rounds completed).
     pub fn epoch(&self) -> usize {
-        self.epoch
+        self.server.epoch
     }
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        self.clock.now()
+        self.server.clock.now()
     }
 
     /// The current global parameter vector.
     pub fn global_params(&self) -> &[f32] {
-        &self.global_params
+        &self.server.global_params
     }
 
     /// The simulation configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        &self.server.cfg
     }
 
-    // ------------------------------------------------------------------
-    // transport plumbing
-    // ------------------------------------------------------------------
-
-    /// The event core, spawned on first use with the configured layout.
-    fn core_mut(&mut self) -> &mut EventCore {
-        self.core.get_or_insert_with(|| {
-            EventCore::new(self.shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-        })
-    }
-
-    /// Sends each of `ids` its `Schedule` for `epoch`: one frame per
-    /// client, since each carries the client's own nonce.
-    fn send_schedules(&mut self, ids: &[usize], epoch: usize) {
-        for &id in ids {
-            let client_nonce = self.registry.get(id).nonce;
-            let schedule = Message::Schedule { round: epoch as u64, client_nonce };
-            self.core_mut().dispatch(id, schedule.encode());
+    /// The spawn-time config of agent `id`.
+    fn agent_config(
+        &self,
+        id: usize,
+        leave_after: Option<u64>,
+        resume_last_loss: Option<f32>,
+    ) -> AgentConfig {
+        let cfg = &self.server.cfg;
+        AgentConfig {
+            id,
+            nonce: session_nonce(cfg.seed, id),
+            seed: cfg.seed,
+            summary_seed: haccs_core::client_summary_seed(self.summary_seed, id),
+            train: cfg.train,
+            probe_max: cfg.probe_max,
+            availability: self.server.availability.clone(),
+            channel: round::wire_channel(&self.server.faults, &self.server.policy),
+            leave_after,
+            resume_last_loss,
+            codec: self.server.codec,
         }
-    }
-
-    /// The next `n` uplink envelopes in arrival order.
-    fn recv_envelopes(&mut self, n: usize) -> Vec<Envelope> {
-        match self.inbox.take(n, Duration::from_secs(120)) {
-            Ok(envs) => envs,
-            Err(e) => panic!(
-                "coordinator starved waiting for agent traffic in phase {:?}, epoch {}: {e:?}",
-                self.phase, self.epoch
-            ),
-        }
-    }
-
-    /// Records a dropped envelope and converts the overflow into the
-    /// round-level backpressure error.
-    fn queue_overflow(&self, e: QueueFull) -> CoordError {
-        self.obs.inc("coord_event_queue_dropped_total", 1);
-        CoordError::EventQueueFull(e)
     }
 
     /// Maps restore-time backpressure (bounded event-queue overflow while
     /// collecting resumed clients' Joins) into the restore path's error
     /// type, so callers see a [`PersistError`] instead of an abort. The
-    /// drop was already counted in `coord_event_queue_dropped_total` by
-    /// [`Coordinator::queue_overflow`].
+    /// drop was already counted in `coord_event_queue_dropped_total`.
     fn restore_backpressure(e: CoordError) -> PersistError {
         PersistError::Malformed(format!("restore aborted on coordinator backpressure: {e}"))
-    }
-
-    /// Per-shard queue-depth telemetry: how many of one collection's
-    /// envelopes came from each shard's clients.
-    fn observe_shard_depths(&self, drained: &[(usize, TransmitOutcome)]) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let n_shards = self.shard_cfg.n_shards;
-        let mut depth = vec![0usize; n_shards];
-        for &(id, _) in drained {
-            depth[shard_of(id, n_shards)] += 1;
-        }
-        for (shard, &d) in depth.iter().enumerate() {
-            self.obs.observe_with(
-                "coord_shard_queue_depth",
-                haccs_obs::metrics::SHARD_QUEUE_DEPTH,
-                d as f64,
-            );
-            self.obs.gauge(&format!("coord_shard_queue_depth{{shard=\"{shard}\"}}"), d as f64);
-        }
-    }
-
-    /// Simulated round trip of client `id`'s envelope: effective latency
-    /// plus wire backoff.
-    fn arrival_time(&self, id: usize, outcome: &TransmitOutcome, epoch: usize) -> f64 {
-        let backoff = match outcome {
-            TransmitOutcome::Delivered { backoff_s, .. } => *backoff_s,
-            TransmitOutcome::Lost { backoff_s, .. } => *backoff_s,
-        };
-        self.effective_latency(id, epoch) + backoff
-    }
-
-    /// Collects exactly `n` envelopes and returns them in deterministic
-    /// `(time, client, seq)` order, timing each at its simulated arrival
-    /// ([`Coordinator::arrival_time`]).
-    fn collect_timed(
-        &mut self,
-        n: usize,
-        epoch: usize,
-    ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
-        self.obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
-        let mut q = EventQueue::bounded(self.event_capacity);
-        for env in self.recv_envelopes(n) {
-            let t = self.arrival_time(env.from, &env.outcome, epoch);
-            self.obs.observe("coord_agent_rtt_seconds", t);
-            q.try_push(t, env.from, env.seq, env.outcome).map_err(|e| self.queue_overflow(e))?;
-        }
-        let drained: Vec<(usize, TransmitOutcome)> =
-            q.drain_sorted().into_iter().map(|e| (e.client, e.payload)).collect();
-        self.observe_shard_depths(&drained);
-        Ok(drained)
-    }
-
-    /// Collects exactly `n` heartbeat-sweep envelopes (acks, losses and
-    /// `Leave`s) in `(client, seq)` order. The sweep never advances the
-    /// clock and its per-client transitions commute, so acks need no
-    /// simulated arrival time: the order is id order, and each pool
-    /// worker's batch already arrives ascending, so the drain is a merge
-    /// of `n_workers` runs. Each envelope's round trip still feeds
-    /// `coord_agent_rtt_seconds` when a recorder is attached.
-    fn collect_acks(
-        &mut self,
-        n: usize,
-        epoch: usize,
-    ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
-        self.obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
-        let drained = self.collect_uniform(n)?;
-        if self.obs.is_enabled() {
-            for (id, outcome) in &drained {
-                let t = self.arrival_time(*id, outcome, epoch);
-                self.obs.observe("coord_agent_rtt_seconds", t);
-            }
-        }
-        self.observe_shard_depths(&drained);
-        Ok(drained)
-    }
-
-    /// Collects exactly `n` envelopes from clients that may not be in the
-    /// registry yet (enrollment), ordered by `(client, seq)`.
-    fn collect_uniform(&mut self, n: usize) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
-        let mut q = EventQueue::bounded(self.event_capacity);
-        for env in self.recv_envelopes(n) {
-            q.try_push(0.0, env.from, env.seq, env.outcome).map_err(|e| self.queue_overflow(e))?;
-        }
-        Ok(q.drain_sorted().into_iter().map(|e| (e.client, e.payload)).collect())
-    }
-
-    fn decode_delivered(outcome: TransmitOutcome) -> Message {
-        match outcome {
-            TransmitOutcome::Delivered { frame, .. } => {
-                Message::decode(frame).expect("agent sent an undecodable frame")
-            }
-            TransmitOutcome::Lost { .. } => panic!("reliable-path frame reported lost"),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -943,46 +1038,35 @@ impl<S: Selector> Coordinator<S> {
     /// the §IV-C re-clustering hook.
     fn ensure_enrolled(&mut self) -> Result<(), CoordError> {
         if !self.pending.is_empty() || !self.pending_remote.is_empty() {
-            let first_enrollment = self.registry.is_empty();
-            self.phase = RoundPhase::Enrolling;
+            let first_enrollment = self.wire.registry.is_empty();
+            self.wire.phase = RoundPhase::Enrolling;
             let batch = std::mem::take(&mut self.pending);
             let mut remote_batch = std::mem::take(&mut self.pending_remote);
             remote_batch.sort_by_key(|(id, _)| *id);
             let n_new = batch.len() + remote_batch.len();
             let enroll_span = self
+                .server
                 .obs
                 .span("coord.enroll")
-                .u("epoch", self.epoch as u64)
+                .u("epoch", self.server.epoch as u64)
                 .u("joined", n_new as u64)
-                .sim(self.clock.now());
+                .sim(self.server.clock.now());
             // a local client's shard size is known at spawn; a remote
             // one's arrives inside its Join (hence the Option)
             let mut spawn_meta: HashMap<usize, (DeviceProfile, Option<usize>)> = HashMap::new();
 
             for p in batch {
-                let id = self.spawned();
+                let id = self.wire.spawned();
                 spawn_meta.insert(id, (p.profile, Some(p.data.train.len())));
-                let acfg = AgentConfig {
-                    id,
-                    nonce: nonce_for(self.cfg.seed, id),
-                    seed: self.cfg.seed,
-                    summary_seed: haccs_core::client_summary_seed(self.summary_seed, id),
-                    train: self.cfg.train,
-                    probe_max: self.cfg.probe_max,
-                    availability: self.availability.clone(),
-                    channel: round::wire_channel(&self.faults, &self.policy),
-                    leave_after: p.leave_after,
-                    resume_last_loss: None,
-                    codec: self.codec,
-                };
+                let acfg = self.agent_config(id, p.leave_after, None);
                 let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
-                self.core_mut().spawn_agent(id, agent);
+                self.wire.core_mut().spawn_agent(id, agent);
             }
 
             for (id, link) in remote_batch {
                 assert_eq!(
                     id,
-                    self.spawned(),
+                    self.wire.spawned(),
                     "remote clients must cover a dense id range (missing attach_remote?)"
                 );
                 let profile = self
@@ -990,17 +1074,17 @@ impl<S: Selector> Coordinator<S> {
                     .as_ref()
                     .expect("pending_remote implies remote construction")[id];
                 spawn_meta.insert(id, (profile, None));
-                self.core_mut().attach_remote(id, link.downlink, link.pump);
+                self.wire.core_mut().attach_remote(id, link.downlink, link.pump);
             }
 
             // Joins arrive in racing order; the queue restores id order
             let mut new_ids = Vec::with_capacity(n_new);
-            for (id, outcome) in self.collect_uniform(n_new)? {
+            for (id, outcome) in self.wire.collect_uniform(n_new, &self.server)? {
                 let (profile, local_n_train) = spawn_meta[&id];
-                match Self::decode_delivered(outcome) {
+                match Wire::decode_delivered(outcome) {
                     Message::Join { client_nonce, summary, resources } => {
                         let n_train = local_n_train.unwrap_or(resources.n_train as usize);
-                        self.registry.enroll(ClientEntry {
+                        self.wire.registry.enroll(ClientEntry {
                             id,
                             nonce: client_nonce,
                             profile,
@@ -1012,7 +1096,7 @@ impl<S: Selector> Coordinator<S> {
                             liveness: Liveness::Joined,
                             missed_heartbeats: 0,
                         });
-                        self.mark_entry_dirty(id);
+                        self.wire.mark_entry_dirty(id);
                         new_ids.push(id);
                     }
                     other => panic!("expected Join from client {id}, got {other:?}"),
@@ -1023,14 +1107,16 @@ impl<S: Selector> Coordinator<S> {
             // one encode cohort-dispatched), agents probe their loss and
             // ack — the round-0 loss signal the loop engine gets from its
             // construction-time probe pass
-            let push =
-                Message::ModelPush { round: self.epoch as u64, params: self.global_params.clone() };
-            self.core_mut().dispatch_cohort(&new_ids, push.encode());
-            for (id, outcome) in self.collect_uniform(new_ids.len())? {
-                match Self::decode_delivered(outcome) {
+            let push = Message::ModelPush {
+                round: self.server.epoch as u64,
+                params: self.server.global_params.clone(),
+            };
+            self.wire.core_mut().dispatch_cohort(&new_ids, push.encode());
+            for (id, outcome) in self.wire.collect_uniform(new_ids.len(), &self.server)? {
+                match Wire::decode_delivered(outcome) {
                     Message::Heartbeat { last_loss, .. } => {
-                        self.registry.get_mut(id).last_loss = Some(last_loss);
-                        self.mark_entry_dirty(id);
+                        self.wire.registry.get_mut(id).last_loss = Some(last_loss);
+                        self.wire.mark_entry_dirty(id);
                     }
                     other => panic!("expected enrollment ack from client {id}, got {other:?}"),
                 }
@@ -1039,101 +1125,45 @@ impl<S: Selector> Coordinator<S> {
             // the initial federation is clustered by whoever built the
             // selector; only *changes* to membership re-cluster
             if !first_enrollment {
-                self.membership_dirty = true;
+                self.wire.membership_dirty = true;
             }
             enroll_span.finish();
-            self.obs.inc("coord_joins_total", n_new as u64);
-            self.observe_shard_membership();
+            self.server.obs.inc("coord_joins_total", n_new as u64);
+            self.wire.observe_shard_membership(&self.server.obs);
         }
 
-        if self.membership_dirty {
-            self.phase = RoundPhase::Clustering;
+        if self.wire.membership_dirty {
+            self.wire.phase = RoundPhase::Clustering;
             if let Some(hook) = self.recluster_hook.as_mut() {
-                let members = self.registry.member_summaries();
+                let members = self.wire.registry.member_summaries();
                 let span = self
+                    .server
                     .obs
                     .span("coord.recluster")
-                    .u("epoch", self.epoch as u64)
+                    .u("epoch", self.server.epoch as u64)
                     .u("members", members.len() as u64);
                 hook(&mut self.selector, &members);
                 span.finish();
-                self.obs.inc("coord_reclusters_total", 1);
+                self.server.obs.inc("coord_reclusters_total", 1);
             }
-            self.membership_dirty = false;
+            self.wire.membership_dirty = false;
         }
         Ok(())
     }
 
-    /// Per-shard membership gauges: how many non-departed clients each
-    /// shard holds after an enrollment wave.
-    fn observe_shard_membership(&self) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        let n_shards = self.shard_cfg.n_shards;
-        let mut members = vec![0usize; n_shards];
-        for e in self.registry.entries().iter().filter(|e| e.liveness != Liveness::Left) {
-            members[shard_of(e.id, n_shards)] += 1;
-        }
-        for (shard, &m) in members.iter().enumerate() {
-            self.obs.gauge(&format!("coord_shard_members{{shard=\"{shard}\"}}"), m as f64);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // latency views (identical math to the loop engine, fed from the
-    // registry's spawn-time profiles)
-    // ------------------------------------------------------------------
-
     /// Expected §IV-D round latency of client `id`, with the uplink leg
-    /// charged at the codec's encoded size (identical math to the loop
-    /// engine's [`haccs_fedsim::FedSim::expected_latency`]).
+    /// charged at the codec's encoded size (the driver's
+    /// [`Server::expected_latency`], fed from the registry's spawn-time
+    /// profiles).
     pub fn expected_latency(&self, id: usize) -> f64 {
-        let e = self.registry.get(id);
-        let up_bits = round::uplink_bits(&self.latency, self.codec, self.global_params.len());
-        round::expected_round_latency_coded(
-            &self.latency,
-            &e.profile,
-            &self.cfg.train,
-            e.n_train,
-            up_bits,
-        )
-    }
-
-    fn effective_latency(&self, id: usize, epoch: usize) -> f64 {
-        let base = self.expected_latency(id);
-        if self.faults.straggles(id, epoch) {
-            base * self.faults.straggler_slowdown
-        } else {
-            base
-        }
+        self.server.expected_latency(&self.wire.client(id))
     }
 
     /// Scheduling view ([`ClientInfo`]) of the given client ids. Clients
     /// never probed report the pool's mean observed loss
-    /// ([`neutral_loss`]) rather than a runaway sentinel — same fallback
-    /// as the loop engine, preserving engine/coordinator parity.
+    /// ([`haccs_fedsim::neutral_loss`]) rather than a runaway sentinel.
     pub fn client_infos(&self, ids: &[usize]) -> Vec<ClientInfo> {
-        let observed: Vec<Option<f32>> =
-            ids.iter().map(|&id| self.registry.get(id).last_loss).collect();
-        let fallback = neutral_loss(&observed);
-        ids.iter()
-            .map(|&id| {
-                let e = self.registry.get(id);
-                ClientInfo {
-                    id,
-                    est_latency: self.expected_latency(id),
-                    last_loss: e.last_loss.unwrap_or(fallback),
-                    n_train: e.n_train,
-                    participation_count: e.participation_count,
-                }
-            })
-            .collect()
-    }
-
-    fn round_deadline(&self, pool: &[usize]) -> f64 {
-        let lats: Vec<f64> = pool.iter().map(|&id| self.expected_latency(id)).collect();
-        round::deadline_quantile(lats, self.policy.deadline_quantile)
+        self.server.client_infos(ids, |id| self.wire.client(id))
     }
 
     // ------------------------------------------------------------------
@@ -1153,397 +1183,22 @@ impl<S: Selector> Coordinator<S> {
     /// coordinator must be discarded; after [`CoordError::Snapshot`] the
     /// round has committed and the run can go on.
     pub fn try_run_round(&mut self) -> Result<RoundRecord, CoordError> {
-        let mut round_span = self.obs.span("coord.round").u("epoch", self.epoch as u64);
+        let span = self.server.open_round(&NAMES);
         self.ensure_enrolled()?;
-        self.phase = RoundPhase::Selecting;
-        let pool = self.registry.selectable(self.epoch, &self.availability);
-        let infos = self.client_infos(&pool);
-        let ctx = SelectionContext { epoch: self.epoch, available: &infos, k: self.cfg.k };
-        let selected = {
-            let sel_span = self
-                .obs
-                .span("coord.selection")
-                .u("epoch", self.epoch as u64)
-                .u("pool", pool.len() as u64);
-            let raw = self.selector.select(&ctx, &mut self.rng);
-            let selected = sanitize_selection(raw, &ctx);
-            sel_span.u("selected", selected.len() as u64).finish();
-            selected
-        };
-
-        let record = if selected.is_empty() {
-            // idle tick, mirroring the loop engine exactly
-            self.clock.advance(1.0);
-            RoundRecord {
-                epoch: self.epoch,
-                time_s: self.clock.now(),
-                round_seconds: 1.0,
-                participants: Vec::new(),
-                mean_local_loss: f32::NAN,
-                faults: FaultStats::default(),
-            }
-        } else {
-            self.execute_round(selected, &pool)?
-        };
-        self.phase = RoundPhase::Committed;
-
-        self.result.rounds.push(record.clone());
-        self.epoch += 1;
-        if self.epoch.is_multiple_of(self.cfg.eval_every) {
-            let tp = self.evaluate_global();
-            self.result.curve.push(tp);
-        }
+        self.wire.phase = RoundPhase::Selecting;
+        let pool = self.wire.registry.selectable(self.server.epoch, &self.server.availability);
+        let record = self.server.run_round(&mut self.wire, &mut self.selector, &pool)?;
+        self.wire.phase = RoundPhase::Committed;
         let snapshots = self.write_scheduled_snapshots();
-
-        self.obs.inc("coord_rounds_total", 1);
-        self.obs.inc("coord_updates_total", record.participants.len() as u64);
-        self.obs.inc("coord_control_bytes_total", record.faults.control_bytes as u64);
-        self.obs.inc("coord_wire_retries_total", record.faults.retries as u64);
-        self.obs.inc("codec.bytes_raw", record.faults.payload_bytes_raw as u64);
-        self.obs.inc("codec.bytes_encoded", record.faults.payload_bytes_encoded as u64);
-        if record.faults.payload_bytes_encoded > 0 {
-            self.obs.gauge(
-                "codec.compression_ratio",
-                record.faults.payload_bytes_raw as f64 / record.faults.payload_bytes_encoded as f64,
-            );
-        }
-        self.obs.observe("coord_round_sim_seconds", record.round_seconds);
-        round_span.set_sim(record.time_s);
-        round_span.push_u("participants", record.participants.len() as u64);
-        round_span.push_f("round_seconds", record.round_seconds);
-        round_span.push_f("mean_local_loss", record.mean_local_loss as f64);
-        round_span.finish();
+        self.server.close_round(&NAMES, span, &record);
         snapshots.map_err(CoordError::Snapshot)?;
         Ok(record)
-    }
-
-    fn execute_round(
-        &mut self,
-        selected: Vec<usize>,
-        pool: &[usize],
-    ) -> Result<RoundRecord, CoordError> {
-        let epoch = self.epoch;
-
-        // fault draws + effective latencies for the selected set
-        let draws: Vec<(usize, bool, f64)> = selected
-            .iter()
-            .map(|&id| {
-                let d = self.faults.draw(id, epoch);
-                (id, d.crashed, self.effective_latency(id, epoch))
-            })
-            .collect();
-
-        let deadline = match self.policy.aggregation {
-            AggregationPolicy::WaitForAll => None,
-            _ => Some(self.round_deadline(pool)),
-        };
-        let mut acc = RoundAccumulator::new(deadline);
-        acc.stats.crashed = draws.iter().filter(|(_, crashed, _)| *crashed).count();
-        acc.stats.stragglers = selected
-            .iter()
-            .filter(|&&id| self.faults.straggles(id, epoch) && !self.faults.crashes(id, epoch))
-            .count();
-
-        // crashed clients never deliver; deadline-precut clients are
-        // discarded unseen — neither gets a ModelPush
-        let mut trainees: Vec<usize> = Vec::with_capacity(selected.len());
-        for &(id, crashed, lat) in &draws {
-            if crashed {
-                acc.record_crash(lat);
-            } else if deadline.is_some_and(|d| lat > d) {
-                acc.record_deadline_precut(lat);
-            } else {
-                trainees.push(id);
-            }
-        }
-
-        // dispatch: schedule everyone selected, then push the model to
-        // trainees as one cohort frame. Per-agent FIFO order guarantees
-        // Schedule lands first.
-        self.phase = RoundPhase::Dispatched;
-        self.send_schedules(&selected, epoch);
-        let push =
-            Message::ModelPush { round: epoch as u64, params: self.global_params.clone() }.encode();
-        self.core_mut().dispatch_cohort(&trainees, push.clone());
-
-        // collect exactly one envelope per trainee; admit in selection
-        // order (see the module docs' determinism argument)
-        self.phase = RoundPhase::Aggregating;
-        let mut outcomes: HashMap<usize, TransmitOutcome> =
-            self.collect_timed(trainees.len(), epoch)?.into_iter().collect();
-        for &id in &trainees {
-            let lat = draws.iter().find(|(i, _, _)| *i == id).map(|d| d.2).unwrap();
-            self.admit(&mut acc, id, lat, outcomes.remove(&id), epoch, false);
-        }
-
-        // Replace policy: draft live substitutes from the unselected pool
-        let n_failed = selected.len() - acc.updates.len();
-        if self.policy.aggregation == AggregationPolicy::Replace && n_failed > 0 {
-            let taken: std::collections::HashSet<usize> = selected.iter().copied().collect();
-            let pool2: Vec<usize> = pool
-                .iter()
-                .copied()
-                .filter(|&id| !taken.contains(&id) && !self.faults.crashes(id, epoch))
-                .collect();
-            if !pool2.is_empty() {
-                let pool_infos = self.client_infos(&pool2);
-                let rctx = SelectionContext { epoch, available: &pool_infos, k: n_failed };
-                let raw = self.selector.select(&rctx, &mut self.rng);
-                let replacements = sanitize_selection(raw, &rctx);
-                self.send_schedules(&replacements, epoch);
-                self.core_mut().dispatch_cohort(&replacements, push);
-                let mut routs: HashMap<usize, TransmitOutcome> =
-                    self.collect_timed(replacements.len(), epoch)?.into_iter().collect();
-                for &id in &replacements {
-                    let lat = self.effective_latency(id, epoch);
-                    self.admit(&mut acc, id, lat, routs.remove(&id), epoch, true);
-                }
-            }
-        }
-
-        // Update-hungry selectors (FedClust) see each admitted delta
-        // (trained − global, both pre-aggregation) first — the same
-        // capture point as the loop engine, so both backends feed the
-        // selector identical floats.
-        if self.selector.wants_updates() {
-            for u in &acc.updates {
-                let delta: Vec<f32> =
-                    u.params.iter().zip(&self.global_params).map(|(p, g)| p - g).collect();
-                self.selector.observe_update(epoch, u.id, &delta);
-            }
-        }
-
-        // FedAvg + server-side telemetry
-        acc.fedavg(&mut self.global_params);
-        for u in &acc.updates {
-            self.mark_entry_dirty(u.id);
-            let e = self.registry.get_mut(u.id);
-            e.last_loss = Some(u.loss);
-            e.participation_count += 1;
-        }
-
-        let draw_lats: Vec<f64> = draws.iter().map(|&(_, _, lat)| lat).collect();
-        let round_seconds = round::round_duration(
-            self.policy.aggregation,
-            deadline,
-            &acc.arrivals,
-            &draw_lats,
-            &acc.replacement_arrivals,
-        );
-        self.clock.advance(round_seconds);
-
-        // heartbeat sweep over real agent acks
-        let mut hb_span = self.obs.span("coord.heartbeat").u("epoch", epoch as u64);
-        let hb = self.heartbeat_sweep(epoch)?;
-        hb_span.push_u("missed", hb.missed as u64);
-        hb_span.push_u("retries", hb.retries as u64);
-        hb_span.push_u("bytes", hb.bytes as u64);
-        hb_span.finish();
-        acc.stats.retries += hb.retries;
-        acc.stats.hb_missed = hb.missed;
-        let schedule_size = Message::Schedule { round: 0, client_nonce: 0 }.wire_size();
-        acc.stats.control_bytes =
-            (selected.len() + acc.stats.replacements.len()) * schedule_size + hb.bytes;
-
-        // selector feedback
-        let losses: Vec<f32> = acc.updates.iter().map(|u| u.loss).collect();
-        let ids = acc.participant_ids();
-        self.selector.observe_round(epoch, &ids, &losses);
-        let aggregated: std::collections::HashSet<usize> = ids.iter().copied().collect();
-        let failed: Vec<usize> =
-            selected.iter().copied().filter(|id| !aggregated.contains(id)).collect();
-        if !failed.is_empty() {
-            self.selector.observe_faults(epoch, &failed);
-        }
-
-        Ok(RoundRecord {
-            epoch,
-            time_s: self.clock.now(),
-            round_seconds,
-            participants: ids,
-            mean_local_loss: acc.mean_local_loss(),
-            faults: acc.stats,
-        })
-    }
-
-    /// Feeds one trainee's wire outcome into the accumulator, mirroring
-    /// the loop engine's delivery/loss bookkeeping exactly. Payload bytes
-    /// are charged per trainee envelope — delivered or lost — as a pure
-    /// function of the model size, so the counters match the engine's
-    /// even when the frame itself never arrived.
-    fn admit(
-        &self,
-        acc: &mut RoundAccumulator,
-        id: usize,
-        lat: f64,
-        outcome: Option<TransmitOutcome>,
-        epoch: usize,
-        replacement: bool,
-    ) {
-        let n_params = self.global_params.len();
-        acc.stats.payload_bytes_raw += 4 * n_params;
-        acc.stats.payload_bytes_encoded += round::payload_encoded_bytes(self.codec, n_params);
-        match outcome.unwrap_or_else(|| panic!("no envelope from trainee {id}")) {
-            TransmitOutcome::Delivered { frame, retries, backoff_s, .. } => {
-                match Message::decode(frame).expect("agent sent an undecodable update") {
-                    Message::ModelUpdate { round, params, loss, n_train } => {
-                        debug_assert_eq!(round as usize, epoch, "update for the wrong round");
-                        assert!(
-                            !self.codec.is_some_and(|k| !matches!(k, CodecKind::Identity)),
-                            "client {id} sent a plain update under a compressing codec"
-                        );
-                        let pending = PendingUpdate { id, params, loss, n_train: n_train as usize };
-                        acc.record_delivery(pending, lat, backoff_s, retries, replacement);
-                    }
-                    Message::ModelUpdateEnc { round, codec, payload, loss, n_train } => {
-                        debug_assert_eq!(round as usize, epoch, "update for the wrong round");
-                        let kind = self.codec.unwrap_or_else(|| {
-                            panic!("client {id} sent an encoded update, but no codec is configured")
-                        });
-                        assert_eq!(codec, kind.tag(), "client {id} used a different codec");
-                        // decode against the pre-aggregation global model —
-                        // exactly the reference the agent encoded against
-                        let dec_span = self.obs.span("codec.decode").u("client", id as u64);
-                        let params = kind
-                            .build()
-                            .decode(&payload, &self.global_params)
-                            .unwrap_or_else(|e| panic!("undecodable update from {id}: {e}"));
-                        dec_span.finish();
-                        let pending = PendingUpdate { id, params, loss, n_train: n_train as usize };
-                        acc.record_delivery(pending, lat, backoff_s, retries, replacement);
-                    }
-                    other => panic!("expected ModelUpdate from {id}, got {other:?}"),
-                }
-            }
-            TransmitOutcome::Lost { retries, backoff_s } => {
-                acc.record_wire_loss(retries, lat, backoff_s);
-            }
-        }
-    }
-
-    /// Probes every non-departed client, collects acks/`Leave`s from the
-    /// available ones, and applies liveness transitions in deterministic
-    /// order. Silent (unavailable) clients accrue a miss. Pure byte and
-    /// liveness accounting — never stretches the round.
-    fn heartbeat_sweep(&mut self, epoch: usize) -> Result<SweepOutcome, CoordError> {
-        if !self.hb_policy.probes_in_round(epoch as u64) {
-            return Ok(SweepOutcome { missed: 0, retries: 0, bytes: 0 });
-        }
-        let hb_size = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
-        let probed = self.registry.probed_ids();
-        // unavailable clients stay silent; everyone else answers once
-        let silent: Vec<usize> = probed
-            .iter()
-            .copied()
-            .filter(|&id| !self.availability.is_available(id, epoch))
-            .collect();
-        let n_responders = probed.len() - silent.len();
-
-        // one probe frame for everyone, cohort-dispatched
-        let probe = Message::Heartbeat { client_nonce: 0, round: epoch as u64, last_loss: 0.0 };
-        self.core_mut().dispatch_cohort(&probed, probe.encode());
-        let mut out =
-            SweepOutcome { missed: silent.len(), retries: 0, bytes: probed.len() * hb_size };
-
-        let mut acked: Vec<(usize, f32)> = Vec::with_capacity(n_responders);
-        let mut lost: Vec<usize> = Vec::new();
-        let mut leaves: Vec<usize> = Vec::new();
-        for (id, outcome) in self.collect_acks(n_responders, epoch)? {
-            match outcome {
-                TransmitOutcome::Delivered { frame, retries, bytes_sent, .. } => {
-                    out.retries += retries;
-                    out.bytes += bytes_sent;
-                    match Message::decode(frame).expect("agent sent an undecodable ack") {
-                        Message::Heartbeat { client_nonce, last_loss, .. } => {
-                            debug_assert_eq!(self.registry.get(id).nonce, client_nonce);
-                            acked.push((id, last_loss));
-                        }
-                        Message::Leave { .. } => leaves.push(id),
-                        other => panic!("expected ack/Leave from {id}, got {other:?}"),
-                    }
-                }
-                TransmitOutcome::Lost { retries, .. } => {
-                    out.retries += retries;
-                    out.bytes += (retries + 1) * hb_size;
-                    out.missed += 1;
-                    lost.push(id);
-                }
-            }
-        }
-
-        // liveness transitions, in ascending id order per class
-        for (id, loss) in acked {
-            // compare before marking: an ack that only re-confirms an
-            // already-Alive client's unchanged loss leaves its snapshot
-            // shard clean — without this, every probed client would dirty
-            // its shard every sweep and per-tick segment bytes would be
-            // linear in federation size instead of churn
-            let e = self.registry.get(id);
-            if e.last_loss != Some(loss)
-                || e.missed_heartbeats != 0
-                || e.liveness != Liveness::Alive
-            {
-                self.mark_entry_dirty(id);
-            }
-            self.registry.observe_heartbeat(id, loss);
-        }
-        for id in leaves {
-            self.registry.observe_leave(id);
-            self.mark_entry_dirty(id);
-            self.core_mut().detach(id); // the agent already wound itself down
-            self.membership_dirty = true;
-            self.obs
-                .event("coord.liveness")
-                .u("epoch", epoch as u64)
-                .u("client", id as u64)
-                .s("to", "left")
-                .sim(self.clock.now());
-        }
-        for id in silent.into_iter().chain(lost) {
-            use haccs_sysmodel::LivenessVerdict;
-            // a miss always increments the entry's streak counter
-            self.mark_entry_dirty(id);
-            match self.registry.observe_miss(id, &self.hb_policy) {
-                LivenessVerdict::Evicted => {
-                    self.core_mut().detach(id);
-                    self.membership_dirty = true;
-                    self.obs
-                        .event("coord.liveness")
-                        .u("epoch", epoch as u64)
-                        .u("client", id as u64)
-                        .s("to", "evicted")
-                        .sim(self.clock.now());
-                }
-                LivenessVerdict::Suspected => {
-                    self.obs
-                        .event("coord.liveness")
-                        .u("epoch", epoch as u64)
-                        .u("client", id as u64)
-                        .s("to", "suspected")
-                        .sim(self.clock.now());
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
     }
 
     /// Evaluates the current global model on the (sampled) pooled test
     /// set — identical readout to the loop engine's.
     pub fn evaluate_global(&mut self) -> TimePoint {
-        self.eval_model.set_params(&self.global_params);
-        let (x, y) = if self.cfg.train.wants_images {
-            (self.eval_set.tensor_nchw(), self.eval_set.labels().to_vec())
-        } else {
-            (self.eval_set.tensor_flat(), self.eval_set.labels().to_vec())
-        };
-        let r = evaluate(&mut self.eval_model, &x, &y, self.cfg.eval_batch);
-        TimePoint {
-            time_s: self.clock.now(),
-            epoch: self.epoch,
-            accuracy: r.accuracy,
-            loss: r.loss,
-        }
+        self.server.evaluate(&NAMES)
     }
 
     /// Runs `rounds` rounds and returns the accumulated result.
@@ -1551,9 +1206,7 @@ impl<S: Selector> Coordinator<S> {
         for _ in 0..rounds {
             self.run_round();
         }
-        let mut out = self.result.clone();
-        out.strategy = self.selector.name();
-        out
+        self.server.run_result(self.selector.name())
     }
 
     // ------------------------------------------------------------------
@@ -1577,7 +1230,7 @@ impl<S: Selector> Coordinator<S> {
         );
         let mut w = SnapshotWriter::new();
         self.write_pre(&mut w);
-        for e in self.registry.entries() {
+        for e in self.wire.registry.entries() {
             Self::write_entry(e, &mut w);
         }
         self.write_post(&mut w);
@@ -1591,11 +1244,10 @@ impl<S: Selector> Coordinator<S> {
     /// byte for byte.
     fn write_pre(&self, w: &mut SnapshotWriter) {
         // construction fingerprints, validated on restore
-        w.put_u64(self.cfg.seed);
-        w.put_usize(self.cfg.k);
-        w.put_usize(self.cfg.eval_every);
+        let s = &self.server;
+        s.save_guards(w);
         w.put_u64(self.summary_seed);
-        w.put_usize(self.registry.len());
+        w.put_usize(self.wire.registry.len());
         // NOTE: deliberately no shard layout here. The layout is a pure
         // performance knob, so snapshot bytes stay layout-free: a
         // coordinator in any shard configuration writes identical
@@ -1606,14 +1258,11 @@ impl<S: Selector> Coordinator<S> {
         // path's snapshot-shard count: a manifest reassembles to these
         // exact bytes whatever granularity wrote it.
         // mutable core state
-        w.put_usize(self.epoch);
-        w.put_f64(self.clock.now());
-        w.put_u64s(&self.rng.state());
-        w.put_f32s(&self.global_params);
-        self.result.save(w);
-        w.put_bool(self.membership_dirty);
+        s.save_boundary(w);
+        s.result.save(w);
+        w.put_bool(self.wire.membership_dirty);
         // codec guard: a snapshot only restores under the same codec
-        w.put_str(&self.codec_label());
+        w.put_str(&s.codec_label());
     }
 
     /// Appends one client's snapshot entry to `w`. Every registry mutation
@@ -1641,8 +1290,7 @@ impl<S: Selector> Coordinator<S> {
     /// Appends the snapshot payload *after* the per-client entries: the
     /// selector, guarded by its strategy name.
     fn write_post(&self, w: &mut SnapshotWriter) {
-        w.put_str(&self.selector.name());
-        self.selector.save_state(w);
+        round::save_selector(w, &self.selector);
     }
 
     /// Writes the snapshots scheduled after this commit (the monolithic
@@ -1651,18 +1299,21 @@ impl<S: Selector> Coordinator<S> {
     /// compaction moved (both 0 without a segmented tick), and the files
     /// and bytes written.
     fn write_scheduled_snapshots(&mut self) -> Result<(), PersistError> {
-        let epoch = self.epoch;
+        let epoch = self.server.epoch;
         let monolithic = self
             .snapshots
             .as_ref()
             .filter(|p| epoch.is_multiple_of(p.every_rounds))
             .map(|p| p.path_for(epoch));
-        let segmented =
-            self.segmented.as_ref().is_some_and(|s| epoch.is_multiple_of(s.policy.every_rounds));
+        let segmented = self
+            .wire
+            .segmented
+            .as_ref()
+            .is_some_and(|s| epoch.is_multiple_of(s.policy.every_rounds));
         if monolithic.is_none() && !segmented {
             return Ok(());
         }
-        let mut span = self.obs.span("coord.snapshot").u("epoch", epoch as u64);
+        let mut span = self.server.obs.span("coord.snapshot").u("epoch", epoch as u64);
         let mut written = TickStats::default();
         let out = self.write_due_snapshots(monolithic, segmented, &mut written);
         span.push_u("dirty_shards", written.dirty as u64);
@@ -1681,7 +1332,7 @@ impl<S: Selector> Coordinator<S> {
     ) -> Result<(), PersistError> {
         if let Some(path) = monolithic {
             let snap = self.snapshot();
-            persist::write_atomic_obs(&path, &snap, &self.obs)?;
+            persist::write_atomic_obs(&path, &snap, &self.server.obs)?;
             written.bytes += snap.len() as u64;
             written.files += 1;
         }
@@ -1710,28 +1361,29 @@ impl<S: Selector> Coordinator<S> {
         );
         // the writer leaves `self` for the tick, so the encoders can read
         // the whole coordinator
-        let mut seg = self.segmented.take().expect("segmented snapshots not configured");
+        let mut seg = self.wire.segmented.take().expect("segmented snapshots not configured");
         let n_shards = seg.writer.n_shards();
+        let registry = &self.wire.registry;
         let tick = seg.writer.tick(
-            self.epoch,
+            self.server.epoch,
             |w| self.write_pre(w),
             |w| self.write_post(w),
             |shard, blocks| {
                 // shard s holds ids s, s + n_shards, ..., so walking that
                 // stride visits just its own entries, ascending by
                 // construction
-                for id in (shard..self.registry.len()).step_by(n_shards) {
-                    blocks.put_entry(id, |w| Self::write_entry(self.registry.get(id), w));
+                for id in (shard..registry.len()).step_by(n_shards) {
+                    blocks.put_entry(id, |w| Self::write_entry(registry.get(id), w));
                 }
             },
-            &self.obs,
+            &self.server.obs,
         );
-        self.segmented = Some(seg);
+        self.wire.segmented = Some(seg);
         let tick = tick?;
-        self.obs.inc("coord_snapshot_bytes_total", tick.bytes);
+        self.server.obs.inc("coord_snapshot_bytes_total", tick.bytes);
         // the core fragments count as one segment, as the core file did
         let segments = tick.dirty + tick.compacted + 1;
-        self.obs.inc("coord_snapshot_segments_written_total", segments as u64);
+        self.server.obs.inc("coord_snapshot_segments_written_total", segments as u64);
         Ok(tick)
     }
 
@@ -1741,7 +1393,7 @@ impl<S: Selector> Coordinator<S> {
     /// [`Coordinator::restore`] — the resumed run is bit-identical to one
     /// restored from a monolithic snapshot of the same state.
     pub fn restore_segmented(&mut self, manifest_path: &Path) -> Result<(), PersistError> {
-        let bytes = persist::segment::reassemble(manifest_path, &self.obs)?;
+        let bytes = persist::segment::reassemble(manifest_path, &self.server.obs)?;
         self.restore(&bytes)
     }
 
@@ -1750,11 +1402,11 @@ impl<S: Selector> Coordinator<S> {
     /// clients — a resumed run would silently diverge from the
     /// uninterrupted one. Refuse loudly instead.
     fn refuse_stateful_codec_resume(&self) -> Result<(), PersistError> {
-        if self.codec.is_some_and(|k| k.stateful()) {
+        if self.server.codec.is_some_and(|k| k.stateful()) {
             return Err(PersistError::Malformed(format!(
                 "codec {} keeps error-feedback residuals client-side; coordinator \
                  kill-and-resume is only supported for stateless codecs",
-                self.codec_label()
+                self.server.codec_label()
             )));
         }
         Ok(())
@@ -1769,42 +1421,14 @@ impl<S: Selector> Coordinator<S> {
         expected_clients: usize,
     ) -> Result<ParsedSnapshot, PersistError> {
         let mut r = SnapshotReader::open(bytes)?;
-        let check = |name: &str, stored: u64, actual: u64| -> Result<(), PersistError> {
-            if stored != actual {
-                return Err(PersistError::Malformed(format!(
-                    "snapshot {name} = {stored}, this coordinator has {actual}"
-                )));
-            }
-            Ok(())
-        };
-        check("seed", r.get_u64()?, self.cfg.seed)?;
-        check("k", r.get_usize()? as u64, self.cfg.k as u64)?;
-        check("eval_every", r.get_usize()? as u64, self.cfg.eval_every as u64)?;
-        check("summary_seed", r.get_u64()?, self.summary_seed)?;
+        self.server.check_guards(&mut r)?;
+        round::check_guard("summary_seed", r.get_u64()?, self.summary_seed)?;
         let n = r.get_usize()?;
-        check("client count", n as u64, expected_clients as u64)?;
-        let epoch = r.get_usize()?;
-        let now = r.get_f64()?;
-        if !(now.is_finite() && now >= 0.0) {
-            return Err(PersistError::Malformed(format!("clock {now} not finite and ≥ 0")));
-        }
-        let rng_state: [u64; 4] = r
-            .get_u64s()?
-            .try_into()
-            .map_err(|_| PersistError::Malformed("rng state must be 4 words".into()))?;
-        let global_params = r.get_f32s()?;
-        if global_params.len() != self.global_params.len() {
-            return Err(PersistError::Malformed("global parameter count mismatch".into()));
-        }
+        round::check_guard("client count", n as u64, expected_clients as u64)?;
+        let boundary = self.server.load_boundary(&mut r)?;
         let result = RunResult::load(&mut r)?;
         let membership_dirty = r.get_bool()?;
-        let codec_label = r.get_str()?;
-        if codec_label != self.codec_label() {
-            return Err(PersistError::Malformed(format!(
-                "snapshot was taken with codec {codec_label:?}, this coordinator uses {:?}",
-                self.codec_label()
-            )));
-        }
+        self.server.check_codec(&mut r)?;
 
         let mut restored: Vec<RestoredEntry> = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1829,24 +1453,9 @@ impl<S: Selector> Coordinator<S> {
                 n_train: r.get_usize()?,
             });
         }
-        let strategy = r.get_str()?;
-        if strategy != self.selector.name() {
-            return Err(PersistError::Malformed(format!(
-                "snapshot strategy {strategy:?} differs from this selector's {:?}",
-                self.selector.name()
-            )));
-        }
-        self.selector.load_state(&mut r)?;
+        round::load_selector(&mut r, &mut self.selector)?;
         r.expect_end()?;
-        Ok(ParsedSnapshot {
-            epoch,
-            now,
-            rng_state,
-            global_params,
-            result,
-            membership_dirty,
-            restored,
-        })
+        Ok(ParsedSnapshot { boundary, result, membership_dirty, restored })
     }
 
     /// Restores a [`Coordinator::snapshot`] onto this coordinator, which
@@ -1861,20 +1470,12 @@ impl<S: Selector> Coordinator<S> {
     /// restore is not transactional.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.spawned() == 0 && self.registry.is_empty(),
+            self.wire.spawned() == 0 && self.wire.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
         let snap = self.parse_snapshot(bytes, self.pending.len())?;
-        let ParsedSnapshot {
-            epoch,
-            now,
-            rng_state,
-            global_params,
-            result,
-            membership_dirty,
-            restored,
-        } = snap;
+        let ParsedSnapshot { boundary, result, membership_dirty, restored } = snap;
 
         // everything parsed — validate shard sizes before spawning agents
         for (id, p) in self.pending.iter().enumerate() {
@@ -1890,37 +1491,26 @@ impl<S: Selector> Coordinator<S> {
         // commit: spawn agents for non-departed clients, seeded with
         // their snapshot-time losses (no enrollment probe — the snapshot
         // *is* the loss signal); departed clients get a tombstone slot
-        self.phase = RoundPhase::Enrolling;
+        self.wire.phase = RoundPhase::Enrolling;
         let batch = std::mem::take(&mut self.pending);
         let mut spawn_meta: HashMap<usize, (DeviceProfile, usize)> = HashMap::new();
         let mut n_live = 0usize;
         for (id, p) in batch.into_iter().enumerate() {
             spawn_meta.insert(id, (p.profile, p.data.train.len()));
             if restored[id].liveness == Liveness::Left {
-                self.core_mut().push_tombstone();
+                self.wire.core_mut().push_tombstone();
                 continue;
             }
             n_live += 1;
-            let acfg = AgentConfig {
-                id,
-                nonce: nonce_for(self.cfg.seed, id),
-                seed: self.cfg.seed,
-                summary_seed: haccs_core::client_summary_seed(self.summary_seed, id),
-                train: self.cfg.train,
-                probe_max: self.cfg.probe_max,
-                availability: self.availability.clone(),
-                channel: round::wire_channel(&self.faults, &self.policy),
-                leave_after: p.leave_after,
-                resume_last_loss: restored[id].last_loss,
-                codec: self.codec,
-            };
+            let acfg = self.agent_config(id, p.leave_after, restored[id].last_loss);
             let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
-            self.core_mut().spawn_agent(id, agent);
+            self.wire.core_mut().spawn_agent(id, agent);
         }
 
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        for (id, outcome) in self.collect_uniform(n_live).map_err(Self::restore_backpressure)? {
-            match Self::decode_delivered(outcome) {
+        let joined = self.wire.collect_uniform(n_live, &self.server);
+        for (id, outcome) in joined.map_err(Self::restore_backpressure)? {
+            match Wire::decode_delivered(outcome) {
                 Message::Join { client_nonce, resources, .. } => {
                     joins.insert(id, (client_nonce, resources));
                 }
@@ -1932,7 +1522,7 @@ impl<S: Selector> Coordinator<S> {
             let (nonce, resources) = joins.remove(&id).unwrap_or_else(|| {
                 // departed client: reconstruct what its Join carried
                 (
-                    nonce_for(self.cfg.seed, id),
+                    session_nonce(self.server.cfg.seed, id),
                     ResourceEstimate {
                         compute_multiplier: profile.compute_multiplier as f32,
                         bandwidth_mbps: profile.bandwidth_mbps as f32,
@@ -1941,7 +1531,7 @@ impl<S: Selector> Coordinator<S> {
                     },
                 )
             });
-            self.registry.enroll(ClientEntry {
+            self.wire.registry.enroll(ClientEntry {
                 id,
                 nonce,
                 profile,
@@ -1954,19 +1544,14 @@ impl<S: Selector> Coordinator<S> {
                 missed_heartbeats: 0,
             });
             // enroll() forces Alive; restore the snapshot's truth
-            let e = self.registry.get_mut(id);
+            let e = self.wire.registry.get_mut(id);
             e.liveness = re.liveness;
             e.missed_heartbeats = re.missed_heartbeats;
         }
 
-        self.epoch = epoch;
-        self.clock = SimClock::new();
-        self.clock.advance(now);
-        self.rng = StdRng::from_state(rng_state);
-        self.global_params = global_params;
-        self.result = result;
-        self.membership_dirty = membership_dirty;
-        self.phase = RoundPhase::Committed;
+        self.server.resume(boundary, result);
+        self.wire.membership_dirty = membership_dirty;
+        self.wire.phase = RoundPhase::Committed;
         Ok(())
     }
 
@@ -1979,7 +1564,7 @@ impl<S: Selector> Coordinator<S> {
     /// echo exactly what an uninterrupted agent would have reported.
     pub fn restore_remote(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.spawned() == 0 && self.registry.is_empty(),
+            self.wire.spawned() == 0 && self.wire.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
@@ -1988,15 +1573,7 @@ impl<S: Selector> Coordinator<S> {
             .clone()
             .expect("restore_remote on a coordinator not built via Coordinator::remote");
         let snap = self.parse_snapshot(bytes, profiles.len())?;
-        let ParsedSnapshot {
-            epoch,
-            now,
-            rng_state,
-            global_params,
-            result,
-            membership_dirty,
-            restored,
-        } = snap;
+        let ParsedSnapshot { boundary, result, membership_dirty, restored } = snap;
 
         // install the reconnected links: live ids get their bridge, Left
         // ids a tombstone slot — same shape as the local restore
@@ -2009,13 +1586,13 @@ impl<S: Selector> Coordinator<S> {
                     links.remove(&id).is_none(),
                     "client {id} departed before the snapshot but reconnected"
                 );
-                self.core_mut().push_tombstone();
+                self.wire.core_mut().push_tombstone();
             } else {
                 let link = links.remove(&id).unwrap_or_else(|| {
                     panic!("live client {id} must reconnect before restore_remote")
                 });
                 n_live += 1;
-                self.core_mut().attach_remote(id, link.downlink, link.pump);
+                self.wire.core_mut().attach_remote(id, link.downlink, link.pump);
             }
         }
         assert!(links.is_empty(), "attached ids beyond the snapshot's client range");
@@ -2023,8 +1600,9 @@ impl<S: Selector> Coordinator<S> {
         // consume the reconnection Joins (they carry fresh summaries; the
         // snapshot's registry view wins, as in the local restore)
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        for (id, outcome) in self.collect_uniform(n_live).map_err(Self::restore_backpressure)? {
-            match Self::decode_delivered(outcome) {
+        let joined = self.wire.collect_uniform(n_live, &self.server);
+        for (id, outcome) in joined.map_err(Self::restore_backpressure)? {
+            match Wire::decode_delivered(outcome) {
                 Message::Join { client_nonce, resources, .. } => {
                     joins.insert(id, (client_nonce, resources));
                 }
@@ -2038,7 +1616,7 @@ impl<S: Selector> Coordinator<S> {
             let (nonce, resources) = joins.remove(&id).unwrap_or_else(|| {
                 // departed client: reconstruct what its Join carried
                 (
-                    nonce_for(self.cfg.seed, id),
+                    session_nonce(self.server.cfg.seed, id),
                     ResourceEstimate {
                         compute_multiplier: profile.compute_multiplier as f32,
                         bandwidth_mbps: profile.bandwidth_mbps as f32,
@@ -2056,7 +1634,7 @@ impl<S: Selector> Coordinator<S> {
             if live {
                 resume_sync.push((id, re.last_loss.unwrap_or(0.0)));
             }
-            self.registry.enroll(ClientEntry {
+            self.wire.registry.enroll(ClientEntry {
                 id,
                 nonce,
                 profile,
@@ -2068,7 +1646,7 @@ impl<S: Selector> Coordinator<S> {
                 liveness: Liveness::Joined,
                 missed_heartbeats: 0,
             });
-            let e = self.registry.get_mut(id);
+            let e = self.wire.registry.get_mut(id);
             e.liveness = re.liveness;
             e.missed_heartbeats = re.missed_heartbeats;
         }
@@ -2076,18 +1654,13 @@ impl<S: Selector> Coordinator<S> {
         // bring the survivors up to date before any probe can reach them
         // (the downlink is FIFO, so ResumeSync lands first)
         for (id, last_loss) in resume_sync {
-            let sync = Message::ResumeSync { round: epoch as u64, last_loss };
-            self.core_mut().dispatch(id, sync.encode());
+            let sync = Message::ResumeSync { round: boundary.epoch as u64, last_loss };
+            self.wire.core_mut().dispatch(id, sync.encode());
         }
 
-        self.epoch = epoch;
-        self.clock = SimClock::new();
-        self.clock.advance(now);
-        self.rng = StdRng::from_state(rng_state);
-        self.global_params = global_params;
-        self.result = result;
-        self.membership_dirty = membership_dirty;
-        self.phase = RoundPhase::Committed;
+        self.server.resume(boundary, result);
+        self.wire.membership_dirty = membership_dirty;
+        self.wire.phase = RoundPhase::Committed;
         Ok(())
     }
 }
@@ -2142,7 +1715,10 @@ impl Coordinator<HaccsSelector> {
 mod tests {
     use super::*;
     use haccs_data::{partition, SynthVision};
+    use haccs_fedsim::selector::SelectionContext;
     use haccs_nn::mlp;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     struct FirstK;
     impl Selector for FirstK {
@@ -2237,7 +1813,7 @@ mod tests {
         c.run_round(); // enrollment
         let (mut silent_total, mut lost_total) = (0, 0);
         for _ in 0..6 {
-            let epoch = c.epoch;
+            let epoch = c.epoch();
             let probed = c.registry().probed_ids();
             let before: Vec<u32> =
                 probed.iter().map(|&id| c.registry().get(id).missed_heartbeats).collect();
@@ -2245,7 +1821,7 @@ mod tests {
             let (mut responders, mut lost) = (0, 0);
             for (&id, &was) in probed.iter().zip(&before) {
                 let now = c.registry().get(id).missed_heartbeats;
-                if c.availability.is_available(id, epoch) {
+                if c.server.availability.is_available(id, epoch) {
                     // a responder's ack either landed (streak reset) or was
                     // lost on the wire (one miss)
                     responders += 1;
@@ -2320,7 +1896,6 @@ mod tests {
         let n = 12;
         let mut c = build_coord(n, Availability::AlwaysOn).with_recorder(Recorder::enabled());
         c.run_round(); // enroll 0..n, so every ack can be timed for the rtt histogram
-        let epoch = c.epoch;
         let tx = c.uplink();
         // an envelope whose outcome carries its seq, so the drained order
         // shows both keys
@@ -2330,7 +1905,7 @@ mod tests {
             outcome: TransmitOutcome::Lost { retries: seq as usize, backoff_s: 0.5 },
         };
         let drained = |c: &mut Coordinator<FirstK>, count: usize| -> Vec<(usize, usize)> {
-            let got = c.collect_acks(count, epoch).unwrap();
+            let got = c.wire.collect(count, &c.server).unwrap();
             got.into_iter()
                 .map(|(id, o)| match o {
                     TransmitOutcome::Lost { retries, .. } => (id, retries),

@@ -1,67 +1,33 @@
 //! Deterministic event ordering for the coordinator.
 //!
 //! Pool workers and remote bridges race: envelopes arrive on the shared
-//! uplink channel in whatever order the OS scheduler produces. The coordinator never acts on
-//! raw arrival order — every collection of envelopes is first pushed into
-//! an [`EventQueue`] keyed by `(time, client_id, seq)` and drained in that
-//! order (collections that need no arrival time, such as heartbeat acks,
-//! push every event at one time, so `(client_id, seq)` decides). The key
-//! is built exclusively from simulated quantities (latency draws,
-//! backoff, sender-side sequence numbers), so the drained sequence is a
-//! pure function of the run seed and identical across reruns no matter
-//! how the threads interleave.
+//! uplink channel in whatever order the OS scheduler produces. The
+//! coordinator never acts on raw arrival order — every collection of
+//! envelopes is first pushed into an [`EventQueue`] keyed by
+//! `(client_id, seq)` and drained in that order. `seq` is the sender's own
+//! counter, so the drained sequence is a pure function of the run seed
+//! and identical across reruns no matter how the threads interleave.
 //!
 //! A collection fills the queue and then drains all of it, so the queue
 //! is a plain `Vec` sorted once per drain. Envelopes reach the
 //! coordinator in batches (one per pool-worker command), and an
 //! `Inbox` turns those batches back into collections of exact size.
 
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
 
-/// One timestamped protocol event. `seq` is the *sender-side* monotone
-/// counter stamped by the agent (a coordinator-assigned sequence would
+/// One protocol event. `seq` is the *sender-side* monotone counter
+/// stamped by the agent (a coordinator-assigned sequence would
 /// re-introduce arrival-order nondeterminism).
 #[derive(Debug)]
 pub struct Event<T> {
-    /// Simulated arrival time (seconds); must be finite.
-    pub time: f64,
     /// Registry id of the sending client.
     pub client: usize,
     /// Sender-side per-agent monotone sequence number.
     pub seq: u64,
     /// The decoded protocol payload.
     pub payload: T,
-}
-
-impl<T> Event<T> {
-    fn key(&self) -> (f64, usize, u64) {
-        (self.time, self.client, self.seq)
-    }
-}
-
-impl<T> PartialEq for Event<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<T> Eq for Event<T> {}
-
-impl<T> PartialOrd for Event<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Event<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let (ta, ca, sa) = self.key();
-        let (tb, cb, sb) = other.key();
-        ta.total_cmp(&tb).then_with(|| ca.cmp(&cb)).then_with(|| sa.cmp(&sb))
-    }
 }
 
 /// The backpressure error [`EventQueue::try_push`] returns when the queue
@@ -89,7 +55,7 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// A batch of [`Event`]s drained in `(time, client, seq)` order, with an
+/// A batch of [`Event`]s drained in `(client, seq)` order, with an
 /// explicit capacity bound ([`EventQueue::bounded`]) so a runaway producer
 /// turns into a [`QueueFull`] backpressure error instead of unbounded
 /// memory growth.
@@ -121,34 +87,24 @@ impl<T> EventQueue<T> {
         self.capacity
     }
 
-    /// Inserts an event. Panics on non-finite timestamps — a NaN key would
-    /// silently scramble `total_cmp` ordering and break run determinism —
-    /// and on overflow of a bounded queue. Because of that overflow panic
-    /// this is a convenience for tests and unbounded queues only: every
+    /// Inserts an event. Panics on overflow of a bounded queue, so this is
+    /// a convenience for tests and unbounded queues only: every
     /// coordinator-internal enqueue goes through [`EventQueue::try_push`],
     /// so a bounded queue at capacity surfaces
     /// `CoordError::EventQueueFull` (counted in
     /// `coord_event_queue_dropped_total`) instead of aborting the process.
-    pub fn push(&mut self, time: f64, client: usize, seq: u64, payload: T) {
-        self.try_push(time, client, seq, payload)
+    pub fn push(&mut self, client: usize, seq: u64, payload: T) {
+        self.try_push(client, seq, payload)
             .unwrap_or_else(|e| panic!("{e} (use try_push to handle backpressure)"));
     }
 
     /// Inserts an event, returning [`QueueFull`] — and dropping the event —
-    /// when a bounded queue is at capacity. Panics on non-finite
-    /// timestamps exactly like [`EventQueue::push`].
-    pub fn try_push(
-        &mut self,
-        time: f64,
-        client: usize,
-        seq: u64,
-        payload: T,
-    ) -> Result<(), QueueFull> {
-        assert!(time.is_finite(), "event time must be finite, got {time} from client {client}");
+    /// when a bounded queue is at capacity.
+    pub fn try_push(&mut self, client: usize, seq: u64, payload: T) -> Result<(), QueueFull> {
         if self.events.len() >= self.capacity {
             return Err(QueueFull { capacity: self.capacity, client });
         }
-        self.events.push(Event { time, client, seq, payload });
+        self.events.push(Event { client, seq, payload });
         Ok(())
     }
 
@@ -160,17 +116,16 @@ impl<T> EventQueue<T> {
         self.events.is_empty()
     }
 
-    /// Drains every queued event in `(time, client, seq)` order. `seq` is
-    /// a per-sender counter, so `(client, seq)` never repeats within one
-    /// collection and the sort has no ties to break: the order is a
-    /// function of the keys alone, not of insertion order. The sort is
-    /// stable, which makes it a linear-time merge when the events arrive
-    /// as a few already-ascending runs — what a collection whose keys
-    /// share one time sees, since each pool worker answers a cohort in
-    /// ascending id order.
+    /// Drains every queued event in `(client, seq)` order. `seq` is a
+    /// per-sender counter, so the key never repeats within one collection
+    /// and the sort has no ties to break: the order is a function of the
+    /// keys alone, not of insertion order. The sort is stable, which makes
+    /// it a linear-time merge when the events arrive as a few
+    /// already-ascending runs — what a collection sees, since each pool
+    /// worker answers a cohort in ascending id order.
     pub fn drain_sorted(&mut self) -> Vec<Event<T>> {
         let mut out = std::mem::take(&mut self.events);
-        out.sort();
+        out.sort_by_key(|e| (e.client, e.seq));
         out
     }
 }
@@ -211,52 +166,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drains_by_time_then_client_then_seq() {
+    fn drains_by_client_then_seq() {
         let mut q = EventQueue::new();
-        q.push(2.0, 0, 0, "late");
-        q.push(1.0, 7, 1, "t1-c7");
-        q.push(1.0, 3, 9, "t1-c3");
-        q.push(1.0, 7, 0, "t1-c7-first");
+        q.push(7, 1, "c7-second");
+        q.push(3, 9, "c3");
+        q.push(7, 0, "c7-first");
+        q.push(0, 4, "c0");
         let order: Vec<&str> = q.drain_sorted().into_iter().map(|e| e.payload).collect();
-        assert_eq!(order, ["t1-c3", "t1-c7-first", "t1-c7", "late"]);
+        assert_eq!(order, ["c0", "c3", "c7-first", "c7-second"]);
     }
 
     #[test]
     fn drain_order_is_insertion_invariant() {
-        let events = [(3.5, 2, 0), (0.25, 9, 4), (3.5, 1, 2), (0.25, 9, 3), (1.0, 0, 0)];
+        let events = [(2, 0), (9, 4), (1, 2), (9, 3), (0, 0)];
         let mut fwd = EventQueue::new();
         let mut rev = EventQueue::new();
-        for &(t, c, s) in &events {
-            fwd.push(t, c, s, ());
+        for &(c, s) in &events {
+            fwd.push(c, s, ());
         }
-        for &(t, c, s) in events.iter().rev() {
-            rev.push(t, c, s, ());
+        for &(c, s) in events.iter().rev() {
+            rev.push(c, s, ());
         }
-        let a: Vec<_> = fwd.drain_sorted().iter().map(|e| (e.time, e.client, e.seq)).collect();
-        let b: Vec<_> = rev.drain_sorted().iter().map(|e| (e.time, e.client, e.seq)).collect();
+        let a: Vec<_> = fwd.drain_sorted().iter().map(|e| (e.client, e.seq)).collect();
+        let b: Vec<_> = rev.drain_sorted().iter().map(|e| (e.client, e.seq)).collect();
         assert_eq!(a, b);
-        assert_eq!(a, [(0.25, 9, 3), (0.25, 9, 4), (1.0, 0, 0), (3.5, 1, 2), (3.5, 2, 0)]);
+        assert_eq!(a, [(0, 0), (1, 2), (2, 0), (9, 3), (9, 4)]);
     }
 
     /// Reference order: a stable sort of the raw tuples by the same key.
-    /// Times compare as bits so `-0.0` and `0.0` stay distinguishable.
-    fn reference_sorted(mut raw: Vec<(f64, usize, u64, usize)>) -> Vec<(u64, usize, u64, usize)> {
-        raw.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        raw.into_iter().map(|(t, c, s, p)| (t.to_bits(), c, s, p)).collect()
+    fn reference_sorted(mut raw: Vec<(usize, u64, usize)>) -> Vec<(usize, u64, usize)> {
+        raw.sort_by_key(|&(c, s, _)| (c, s));
+        raw
     }
 
-    fn drained_keys(q: &mut EventQueue<usize>) -> Vec<(u64, usize, u64, usize)> {
-        q.drain_sorted()
-            .into_iter()
-            .map(|e| (e.time.to_bits(), e.client, e.seq, e.payload))
-            .collect()
+    fn drained_keys(q: &mut EventQueue<usize>) -> Vec<(usize, u64, usize)> {
+        q.drain_sorted().into_iter().map(|e| (e.client, e.seq, e.payload)).collect()
     }
 
-    /// A splitmix-generated batch as one collection sees it: few distinct
-    /// times (so ties fall through to client and seq), `-0.0` next to
-    /// `0.0`, repeated clients, and per-client increasing `seq`.
-    fn random_batch(stream: &mut u64, n: usize) -> Vec<(f64, usize, u64, usize)> {
-        const TIMES: [f64; 7] = [-0.0, 0.0, 0.5, 1.0, 1.0 + f64::EPSILON, 2.0, 7.25];
+    /// A splitmix-generated batch as one collection sees it: repeated
+    /// clients with per-client increasing `seq`.
+    fn random_batch(stream: &mut u64, n: usize) -> Vec<(usize, u64, usize)> {
         let mut next = || {
             *stream += 1;
             crate::shard::splitmix64(*stream)
@@ -264,24 +213,20 @@ mod tests {
         let mut seqs = [0u64; 8];
         (0..n)
             .map(|i| {
-                let time = TIMES[(next() % TIMES.len() as u64) as usize];
                 let client = (next() % seqs.len() as u64) as usize;
                 let seq = seqs[client];
                 seqs[client] += 1 + next() % 3;
-                (time, client, seq, i)
+                (client, seq, i)
             })
             .collect()
     }
 
-    /// The order the queue drained in before its sort became stable: an
-    /// unstable sort by the same key.
-    fn unstable_sorted(raw: &[(f64, usize, u64, usize)]) -> Vec<(u64, usize, u64, usize)> {
-        let mut events: Vec<Event<usize>> = raw
-            .iter()
-            .map(|&(time, client, seq, payload)| Event { time, client, seq, payload })
-            .collect();
-        events.sort_unstable();
-        events.into_iter().map(|e| (e.time.to_bits(), e.client, e.seq, e.payload)).collect()
+    /// The order an unstable sort by the same key gives.
+    fn unstable_sorted(raw: &[(usize, u64, usize)]) -> Vec<(usize, u64, usize)> {
+        let mut events: Vec<Event<usize>> =
+            raw.iter().map(|&(client, seq, payload)| Event { client, seq, payload }).collect();
+        events.sort_unstable_by_key(|e| (e.client, e.seq));
+        events.into_iter().map(|e| (e.client, e.seq, e.payload)).collect()
     }
 
     #[test]
@@ -291,21 +236,18 @@ mod tests {
         for n in (0..200).map(|b| b % 97) {
             let mut raw = random_batch(&mut stream, n);
             if n % 2 == 1 {
-                // every time equal, ±0.0 alternating by batch, pushed as two
-                // ascending runs: how one ack collection's worker batches
-                // arrive
-                let time = if n % 4 == 1 { -0.0 } else { 0.0 };
-                raw.iter_mut().for_each(|e| e.0 = time);
+                // pushed as two ascending runs: how one collection's
+                // worker batches arrive
                 let (a, b) = raw.split_at_mut(n / 2);
-                a.sort_by_key(|e| (e.1, e.2));
-                b.sort_by_key(|e| (e.1, e.2));
+                a.sort_by_key(|e| (e.0, e.1));
+                b.sort_by_key(|e| (e.0, e.1));
             }
-            for &(t, c, s, p) in &raw {
-                q.push(t, c, s, p);
+            for &(c, s, p) in &raw {
+                q.push(c, s, p);
             }
             assert_eq!(q.len(), n);
             let drained = drained_keys(&mut q);
-            assert_eq!(drained, unstable_sorted(&raw), "the stable drain must keep the old order");
+            assert_eq!(drained, unstable_sorted(&raw), "stable and unstable sorts must agree");
             assert_eq!(drained, reference_sorted(raw));
             assert!(q.is_empty(), "a drain empties the queue for the next collection");
         }
@@ -317,8 +259,8 @@ mod tests {
         for capacity in 1..24 {
             let mut q = EventQueue::bounded(capacity);
             let raw = random_batch(&mut stream, 2 * capacity + 3);
-            for (i, &(t, c, s, p)) in raw.iter().enumerate() {
-                match q.try_push(t, c, s, p) {
+            for (i, &(c, s, p)) in raw.iter().enumerate() {
+                match q.try_push(c, s, p) {
                     Ok(()) => assert!(i < capacity, "event {i} accepted past capacity {capacity}"),
                     Err(e) => {
                         assert!(i >= capacity, "event {i} refused below capacity {capacity}");
@@ -330,26 +272,20 @@ mod tests {
             let kept = raw[..capacity].to_vec();
             assert_eq!(drained_keys(&mut q), reference_sorted(kept));
             // a drained bounded queue accepts a full batch again
-            for &(t, c, s, p) in &raw[..capacity] {
-                q.try_push(t, c, s, p).unwrap();
+            for &(c, s, p) in &raw[..capacity] {
+                q.try_push(c, s, p).unwrap();
             }
-            assert!(q.try_push(0.0, 0, u64::MAX, 0).is_err());
+            assert!(q.try_push(0, u64::MAX, 0).is_err());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn rejects_nan_timestamps() {
-        EventQueue::new().push(f64::NAN, 0, 0, ());
     }
 
     #[test]
     fn bounded_queue_rejects_overflow_and_keeps_contents() {
         let mut q = EventQueue::bounded(2);
         assert_eq!(q.capacity(), 2);
-        q.try_push(1.0, 0, 0, "a").unwrap();
-        q.try_push(2.0, 1, 0, "b").unwrap();
-        let err = q.try_push(0.5, 7, 0, "dropped").unwrap_err();
+        q.try_push(0, 0, "a").unwrap();
+        q.try_push(1, 0, "b").unwrap();
+        let err = q.try_push(7, 0, "dropped").unwrap_err();
         assert_eq!(err, QueueFull { capacity: 2, client: 7 });
         // the overflowing event was dropped; queued events are intact
         let order: Vec<&str> = q.drain_sorted().into_iter().map(|e| e.payload).collect();
@@ -360,8 +296,8 @@ mod tests {
     #[should_panic(expected = "at capacity")]
     fn push_panics_on_bounded_overflow() {
         let mut q = EventQueue::bounded(1);
-        q.push(1.0, 0, 0, ());
-        q.push(1.0, 1, 0, ());
+        q.push(0, 0, ());
+        q.push(1, 0, ());
     }
 
     #[test]

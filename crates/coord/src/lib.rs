@@ -14,8 +14,8 @@
 //!
 //! Pieces:
 //!
-//! * [`events::EventQueue`] — total order `(time, client, seq)` over
-//!   racing agent traffic; the determinism backbone,
+//! * [`events::EventQueue`] — total order `(client, seq)` over racing
+//!   agent traffic; the determinism backbone,
 //! * [`registry::ClientRegistry`] — per-client membership, telemetry and
 //!   the `Joined → Alive ⇄ Suspected → Left` liveness machine, one entry
 //!   per id,
@@ -23,10 +23,11 @@
 //!   multiplexing cohort-batched client agents, hash-sharded by client id,
 //! * [`agent`] — the client side: enroll, train on `ModelPush`, ack
 //!   heartbeats, depart gracefully,
-//! * [`coordinator::Coordinator`] — the server side: enroll → cluster →
-//!   select → dispatch → aggregate → commit, bit-identical to the loop
-//!   engine on fault-free same-seed runs (`tests/coordinator_parity.rs`
-//!   pins this).
+//! * [`coordinator::Coordinator`] — the server side: enrollment and
+//!   clustering, then the round driver [`haccs_fedsim::round::Server`]
+//!   that the loop engine runs too, with the agents as its delivery
+//!   backend — so the two agree bit for bit by construction
+//!   (`tests/coordinator_parity.rs` still checks it live).
 
 pub mod agent;
 pub mod coordinator;

@@ -20,10 +20,9 @@
 //! Determinism over real sockets: fault outcomes are content-independent
 //! hashes computed *client-side* by the [`FaultyChannel`] inside each
 //! agent, envelopes carry the sender's `(seq)` and the coordinator orders
-//! them by simulated `(time, client, seq)`, or by `(client, seq)` where
-//! arrival time does not matter — so TCP's physical racing
-//! cannot perturb a round history, which is what lets the e2e harness
-//! pin TCP runs bit-identical to in-process runs under the same seed.
+//! every collection by `(client, seq)` — so TCP's physical racing cannot
+//! perturb a round history, which is what lets the e2e harness pin TCP
+//! runs bit-identical to in-process runs under the same seed.
 //!
 //! [`FaultyChannel`]: haccs_wire::FaultyChannel
 

@@ -1,7 +1,8 @@
 //! Client-side state and the server's scheduling view of a client.
 
+use crate::round::ClientView;
 use haccs_data::ClientData;
-use haccs_sysmodel::{DeviceProfile, LatencyModel};
+use haccs_sysmodel::DeviceProfile;
 
 /// A simulated device: its data, its system profile, and bookkeeping the
 /// server maintains about it.
@@ -26,9 +27,14 @@ impl ClientState {
         ClientState { id, data, profile, last_loss: None, participation_count: 0 }
     }
 
-    /// Expected round latency for this client under `lat` (§IV-D).
-    pub fn expected_latency(&self, lat: &LatencyModel) -> f64 {
-        lat.round_seconds(&self.profile, self.data.n_train())
+    /// The scheduling inputs the server books for this client.
+    pub fn view(&self) -> ClientView {
+        ClientView {
+            profile: self.profile,
+            n_train: self.data.n_train(),
+            last_loss: self.last_loss,
+            participation_count: self.participation_count,
+        }
     }
 }
 
@@ -84,16 +90,6 @@ mod tests {
         assert!(c.last_loss.is_none());
         assert_eq!(c.participation_count, 0);
         assert_eq!(c.data.n_train(), 40);
-    }
-
-    #[test]
-    fn expected_latency_positive_and_monotone_in_multiplier() {
-        let mut c = mk_client();
-        let lat = LatencyModel::default();
-        let fast = c.expected_latency(&lat);
-        assert!(fast > 0.0);
-        c.profile.compute_multiplier = 3.0;
-        assert!(c.expected_latency(&lat) > fast);
     }
 
     #[test]

@@ -29,21 +29,21 @@
 //! wire code runs unless `lossy_prob > 0`.
 
 use crate::client::{ClientInfo, ClientState};
-use crate::metrics::{FaultStats, RoundRecord, RunResult, TimePoint};
-use crate::round::{self, PendingUpdate, RoundAccumulator};
-use crate::selector::{sanitize_selection, SelectionContext, Selector};
+use crate::metrics::{RoundRecord, RunResult, TimePoint};
+use crate::round::{
+    self, Backend, ClientView, HeartbeatOutcome, Names, PendingUpdate, Server, UpdateOutcome,
+};
+use crate::selector::Selector;
 use crate::trainer::{probe_loss, train_local, TrainConfig};
-use haccs_codec::{CodecKind, UpdateCodec};
-use haccs_data::{FederatedDataset, ImageSet};
+use haccs_codec::CodecKind;
+use haccs_data::FederatedDataset;
 use haccs_nn::{evaluate, Sequential};
 use haccs_obs::Recorder;
 use haccs_persist::{self as persist, PersistError, SnapshotReader, SnapshotWriter};
-use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel, SimClock};
+use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel};
 use haccs_wire::{Message, Transport, TransportError};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use rayon::prelude::*;
+use std::convert::Infallible;
 
 /// Builds a fresh (randomly initialized) model instance. Each parallel
 /// local trainer constructs its own instance and overwrites the parameters
@@ -160,35 +160,21 @@ impl SnapshotPolicy {
     }
 }
 
-/// The federated simulation: global model, clients, clock and history.
+/// The loop engine's trace names.
+const NAMES: Names = crate::round_names!("engine");
+
+/// The federated simulation: the [`Server`] the round driver plays, and
+/// the in-process clients it trains.
 pub struct FedSim {
+    server: Server,
     factory: ModelFactory,
-    global_params: Vec<f32>,
     /// All devices in the federation.
     pub clients: Vec<ClientState>,
-    /// Latency model used for both scheduling estimates and clock advances.
-    pub latency: LatencyModel,
-    /// Dropout model.
-    pub availability: Availability,
-    cfg: SimConfig,
-    clock: SimClock,
-    eval_model: Sequential,
-    eval_set: ImageSet,
-    rng: StdRng,
-    epoch: usize,
-    result: RunResult,
-    faults: FaultModel,
-    policy: RoundPolicy,
     snapshots: Option<SnapshotPolicy>,
-    obs: Recorder,
     /// Custom carrier for update/heartbeat traffic. `None` derives a
     /// [`haccs_wire::FaultyChannel`] from the fault schedule per call
     /// (the historical behavior, bit-identical to the seed runs).
     transport: Option<Box<dyn Transport + Send>>,
-    /// Model-update codec. `None` and `Identity` both keep the wire
-    /// carrying plain [`Message::ModelUpdate`] frames — bit-identical to
-    /// the pre-codec engine.
-    codec: Option<Box<dyn UpdateCodec>>,
     /// Per-client error-feedback residuals, allocated only when the
     /// attached codec is stateful (`TopK`). Updated at encode time —
     /// whether or not the frame survives the wire — like a real client.
@@ -208,30 +194,7 @@ impl FedSim {
         cfg: SimConfig,
     ) -> Self {
         assert_eq!(fed.clients.len(), profiles.len(), "one profile per client");
-        assert!(cfg.k >= 1, "k must be at least 1");
-        assert!(cfg.eval_every >= 1);
-        let global_model = factory();
-        let global_params = global_model.get_params();
-
-        // down-sample the pooled test set once (seeded, unbiased)
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE7A1_77F0);
-        let eval_set = if fed.global_test.len() > cfg.eval_max {
-            let mut idx: Vec<usize> = (0..fed.global_test.len()).collect();
-            idx.shuffle(&mut rng);
-            idx.truncate(cfg.eval_max);
-            let mut s = ImageSet::empty(
-                fed.global_test.channels(),
-                fed.global_test.side(),
-                fed.global_test.classes(),
-            );
-            for i in idx {
-                s.push(fed.global_test.image(i), fed.global_test.labels()[i]);
-            }
-            s
-        } else {
-            fed.global_test.clone()
-        };
-
+        let server = Server::new(factory(), fed.global_test, latency, availability, cfg);
         let mut clients: Vec<ClientState> = fed
             .clients
             .into_iter()
@@ -241,16 +204,14 @@ impl FedSim {
             .collect();
 
         // initial loss probe, in parallel (each worker builds its own model)
-        let cfg_train = cfg.train;
-        let probe_max = cfg.probe_max;
-        let gp = &global_params;
+        let gp = &server.global_params;
         let f = &factory;
         let losses: Vec<f32> = clients
             .par_iter()
             .map(|c| {
                 let mut m = f();
                 m.set_params(gp);
-                probe_loss(&mut m, &c.data.train, &cfg_train, probe_max)
+                probe_loss(&mut m, &c.data.train, &cfg.train, cfg.probe_max)
             })
             .collect();
         for (c, l) in clients.iter_mut().zip(losses) {
@@ -258,24 +219,11 @@ impl FedSim {
         }
 
         FedSim {
+            server,
             factory,
-            global_params,
             clients,
-            latency,
-            availability,
-            cfg,
-            clock: SimClock::new(),
-            eval_model: global_model,
-            eval_set,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            epoch: 0,
-            result: RunResult::default(),
-            faults: FaultModel::none(cfg.seed),
-            policy: RoundPolicy::default(),
             snapshots: None,
-            obs: Recorder::disabled(),
             transport: None,
-            codec: None,
             codec_residuals: Vec::new(),
         }
     }
@@ -283,7 +231,7 @@ impl FedSim {
     /// Attaches a fault schedule (builder style). A schedule with every
     /// rate at zero leaves the simulation bit-identical to no schedule.
     pub fn with_faults(mut self, faults: FaultModel) -> Self {
-        self.faults = faults;
+        self.server.faults = faults;
         self
     }
 
@@ -293,7 +241,7 @@ impl FedSim {
     /// custom transport carries wire traffic whenever the schedule's
     /// `lossy_prob > 0` — the same gate the derived channel uses — so a
     /// transport whose outcomes match the derived channel's hashes keeps
-    /// every [`FaultStats`] field bit-identical (pinned by
+    /// every [`crate::FaultStats`] field bit-identical (pinned by
     /// `tests/transport_fault_parity.rs`).
     pub fn with_transport(mut self, transport: Box<dyn Transport + Send>) -> Self {
         self.transport = Some(transport);
@@ -309,36 +257,25 @@ impl FedSim {
     /// keeps one error-feedback residual per client, zero-initialized
     /// here and carried through snapshots.
     pub fn with_codec(mut self, kind: CodecKind) -> Self {
-        let codec = kind.build();
-        self.codec_residuals = if codec.stateful() {
-            vec![vec![0.0; self.global_params.len()]; self.clients.len()]
+        // the built codec's kind: `TopK` clamps its permille
+        let kind = kind.build().kind();
+        self.codec_residuals = if kind.stateful() {
+            vec![vec![0.0; self.server.global_params.len()]; self.clients.len()]
         } else {
             Vec::new()
         };
-        self.codec = Some(codec);
+        self.server.codec = Some(kind);
         self
     }
 
     /// The attached codec's kind, if any.
     pub fn codec_kind(&self) -> Option<CodecKind> {
-        self.codec.as_ref().map(|c| c.kind())
-    }
-
-    /// The codec guard label written into snapshots (`"none"` without one).
-    fn codec_label(&self) -> String {
-        match self.codec_kind() {
-            Some(kind) => kind.to_string(),
-            None => "none".to_string(),
-        }
+        self.server.codec
     }
 
     /// Sets the round-execution policy (builder style).
     pub fn with_policy(mut self, policy: RoundPolicy) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&policy.deadline_quantile),
-            "deadline quantile must be in [0, 1]"
-        );
-        self.policy = policy;
+        self.server.set_policy(policy);
         self
     }
 
@@ -362,13 +299,13 @@ impl FedSim {
     /// every [`RoundRecord`] bit-identical to a disabled one (pinned by
     /// the workspace `obs_parity` suite).
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
+        self.server.obs = obs;
         self
     }
 
     /// The attached telemetry recorder (disabled unless set).
     pub fn recorder(&self) -> &Recorder {
-        &self.obs
+        &self.server.obs
     }
 
     /// The active snapshot schedule, if any.
@@ -378,509 +315,86 @@ impl FedSim {
 
     /// The active fault schedule.
     pub fn faults(&self) -> &FaultModel {
-        &self.faults
+        &self.server.faults
     }
 
     /// The active round policy.
     pub fn policy(&self) -> &RoundPolicy {
-        &self.policy
+        &self.server.policy
     }
 
     /// Current epoch (rounds completed).
     pub fn epoch(&self) -> usize {
-        self.epoch
+        self.server.epoch
     }
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        self.clock.now()
+        self.server.clock.now()
     }
 
     /// The current global parameter vector.
     pub fn global_params(&self) -> &[f32] {
-        &self.global_params
+        &self.server.global_params
     }
 
     /// The simulation configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        &self.server.cfg
     }
 
     /// Expected §IV-D round latency of client `id`, accounting for the
     /// per-round local-work cap and the client's share of coordinator
-    /// control traffic (see [`round::expected_round_latency`]).
+    /// control traffic (see [`Server::expected_latency`]).
     pub fn expected_latency(&self, id: usize) -> f64 {
-        let c = &self.clients[id];
-        let up_bits =
-            round::uplink_bits(&self.latency, self.codec_kind(), self.global_params.len());
-        round::expected_round_latency_coded(
-            &self.latency,
-            &c.profile,
-            &self.cfg.train,
-            c.data.n_train(),
-            up_bits,
-        )
+        self.server.expected_latency(&self.clients[id].view())
     }
 
     /// Scheduling view ([`ClientInfo`]) of the given client ids. Clients
     /// never probed report the pool's mean observed loss
     /// ([`crate::client::neutral_loss`]) rather than a runaway sentinel.
     pub fn client_infos(&self, ids: &[usize]) -> Vec<ClientInfo> {
-        let observed: Vec<Option<f32>> = ids.iter().map(|&id| self.clients[id].last_loss).collect();
-        let fallback = crate::client::neutral_loss(&observed);
-        ids.iter()
-            .map(|&id| {
-                let c = &self.clients[id];
-                ClientInfo {
-                    id,
-                    est_latency: self.expected_latency(id),
-                    last_loss: c.last_loss.unwrap_or(fallback),
-                    n_train: c.data.n_train(),
-                    participation_count: c.participation_count,
-                }
-            })
-            .collect()
+        self.server.client_infos(ids, |id| self.clients[id].view())
     }
 
     /// The round deadline the server would set this epoch: the configured
     /// quantile of expected latencies over the available pool.
     pub fn round_deadline(&self, available_ids: &[usize]) -> f64 {
-        let lats: Vec<f64> = available_ids.iter().map(|&id| self.expected_latency(id)).collect();
-        round::deadline_quantile(lats, self.policy.deadline_quantile)
+        self.server.round_deadline(available_ids, |id| self.clients[id].view())
     }
 
-    /// Effective latency of `id` this epoch: the §IV-D expectation,
-    /// multiplied by the straggler slowdown when the fault schedule says so.
-    fn effective_latency(&self, id: usize, epoch: usize) -> f64 {
-        let base = self.expected_latency(id);
-        if self.faults.straggles(id, epoch) {
-            base * self.faults.straggler_slowdown
-        } else {
-            base
-        }
-    }
-
-    /// Trains `ids` in parallel against the current global model. Local
-    /// seeds depend only on `(cfg.seed, epoch, id)`, so the same id trains
-    /// identically whether it was selected up front or drafted as a
-    /// replacement.
-    fn train_clients(&self, ids: &[usize]) -> Vec<(usize, Vec<f32>, f32)> {
-        let cfg_train = self.cfg.train;
-        let seed = self.cfg.seed;
-        let epoch = self.epoch;
-        let gp = &self.global_params;
-        let f = &self.factory;
-        let clients = &self.clients;
-        ids.par_iter()
-            .map(|&id| {
-                let mut m = f();
-                m.set_params(gp);
-                let local_seed = round::local_train_seed(seed, epoch, id);
-                let loss = train_local(&mut m, &clients[id].data.train, &cfg_train, local_seed);
-                (id, m.get_params(), loss)
-            })
-            .collect()
-    }
-
-    /// Runs one trained parameter vector through the attached codec:
-    /// encodes it against the current (pre-aggregation) global model,
-    /// updates the client's error-feedback residual at encode time —
-    /// whether or not the frame later survives the wire, exactly like a
-    /// real client — and returns the parameters the server aggregates
-    /// (the decoded reconstruction) plus the wire payload. Under no
-    /// codec or `Identity` the parameters pass through untouched and the
-    /// wire keeps carrying plain `ModelUpdate` frames.
-    fn encode_update(&mut self, id: usize, params: &[f32]) -> (Vec<f32>, Option<Vec<u8>>) {
-        let codec = match &self.codec {
-            Some(c) if !matches!(c.kind(), CodecKind::Identity) => c,
-            _ => return (params.to_vec(), None),
+    /// The server state and the in-process backend over this
+    /// simulation's clients, borrowed apart.
+    fn split(&mut self) -> (&mut Server, Local<'_>) {
+        let local = Local {
+            factory: &self.factory,
+            clients: &mut self.clients,
+            residuals: &mut self.codec_residuals,
+            transport: self.transport.as_deref(),
         };
-        let enc_span = self.obs.span("codec.encode").u("client", id as u64);
-        let payload = if codec.stateful() {
-            codec.encode(params, &self.global_params, Some(&mut self.codec_residuals[id]))
-        } else {
-            codec.encode(params, &self.global_params, None)
-        };
-        enc_span.u("bytes", payload.len() as u64).finish();
-        let dec_span = self.obs.span("codec.decode").u("client", id as u64);
-        let decoded = codec
-            .decode(&payload, &self.global_params)
-            .expect("self-encoded update payload must decode");
-        dec_span.finish();
-        (decoded, Some(payload))
-    }
-
-    /// Sends one trained update through the lossy wire (only called when
-    /// `lossy_prob > 0`). With an encoded `payload` the frame carries
-    /// [`Message::ModelUpdateEnc`]; otherwise the plain `ModelUpdate`.
-    /// Channel outcomes are pure hashes of `(seed, stream, attempt)`, so
-    /// the codec never perturbs the retry/loss trace. Returns
-    /// `Ok((retries, backoff_s))` on delivery.
-    fn transmit_update(
-        &self,
-        id: usize,
-        update: &(usize, Vec<f32>, f32),
-        payload: Option<&[u8]>,
-    ) -> Result<(usize, f64), (usize, f64)> {
-        let n_train = self.clients[id].data.n_train() as u32;
-        let msg = match payload {
-            Some(p) => Message::ModelUpdateEnc {
-                round: self.epoch as u64,
-                codec: self.codec_kind().map(|k| k.tag()).unwrap_or(0),
-                payload: p.to_vec(),
-                loss: update.2,
-                n_train,
-            },
-            None => Message::ModelUpdate {
-                round: self.epoch as u64,
-                params: update.1.clone(),
-                loss: update.2,
-                n_train,
-            },
-        };
-        let stream_id = round::update_stream_id(self.epoch, id);
-        let derived;
-        let transport: &dyn Transport = match &self.transport {
-            Some(t) => &**t,
-            None => {
-                derived = round::wire_channel(&self.faults, &self.policy);
-                &derived
-            }
-        };
-        match transport.transmit(&msg, stream_id) {
-            Ok(d) => Ok((d.retries as usize, d.backoff_s)),
-            Err(TransportError::Channel(haccs_wire::ChannelError::RetryBudgetExhausted {
-                attempts,
-                backoff_s,
-            })) => Err((attempts as usize - 1, backoff_s)),
-            // a physical-transport failure: the update never arrived and
-            // there is no simulated retry schedule to account for
-            Err(_) => Err((0, 0.0)),
-        }
+        (&mut self.server, local)
     }
 
     /// Runs one synchronous round with `selector`. Returns the round record.
     pub fn run_round(&mut self, selector: &mut dyn Selector) -> RoundRecord {
-        let mut round_span = self.obs.span("engine.round").u("epoch", self.epoch as u64);
-        let n = self.clients.len();
-        let available_ids = self.availability.available_clients(n, self.epoch);
-        let infos = self.client_infos(&available_ids);
-        let ctx = SelectionContext { epoch: self.epoch, available: &infos, k: self.cfg.k };
-        let selected = {
-            let sel_span = self
-                .obs
-                .span("engine.selection")
-                .u("epoch", self.epoch as u64)
-                .u("pool", available_ids.len() as u64);
-            let raw = selector.select(&ctx, &mut self.rng);
-            let selected = sanitize_selection(raw, &ctx);
-            sel_span.u("selected", selected.len() as u64).finish();
-            selected
-        };
-
-        let record = if selected.is_empty() {
-            // nothing trainable this epoch: idle-tick the clock so callers
-            // looping on time still terminate
-            self.clock.advance(1.0);
-            RoundRecord {
-                epoch: self.epoch,
-                time_s: self.clock.now(),
-                round_seconds: 1.0,
-                participants: Vec::new(),
-                mean_local_loss: f32::NAN,
-                faults: FaultStats::default(),
-            }
-        } else {
-            self.execute_round(selector, selected, &available_ids)
-        };
-
-        self.result.rounds.push(record.clone());
-        self.epoch += 1;
-
-        if self.epoch.is_multiple_of(self.cfg.eval_every) {
-            let tp = self.evaluate_global();
-            self.result.curve.push(tp);
-        }
-
+        let span = self.server.open_round(&NAMES);
+        let pool = self.server.availability.available_clients(self.clients.len(), self.epoch());
+        let (server, mut local) = self.split();
+        let Ok(record) = server.run_round(&mut local, selector, &pool);
         if let Some(p) = &self.snapshots {
-            if self.epoch.is_multiple_of(p.every_rounds) {
-                let path = p.path_for(self.epoch);
+            if self.server.epoch.is_multiple_of(p.every_rounds) {
                 let bytes = self.snapshot(&*selector);
-                persist::write_atomic_obs(&path, &bytes, &self.obs)
+                persist::write_atomic_obs(&p.path_for(self.server.epoch), &bytes, &self.server.obs)
                     .unwrap_or_else(|e| panic!("scheduled snapshot failed: {e}"));
             }
         }
-
-        self.obs.inc("engine_rounds_total", 1);
-        self.obs.inc("engine_updates_total", record.participants.len() as u64);
-        self.obs.inc("engine_control_bytes_total", record.faults.control_bytes as u64);
-        self.obs.inc("engine_wire_retries_total", record.faults.retries as u64);
-        self.obs.inc("codec.bytes_raw", record.faults.payload_bytes_raw as u64);
-        self.obs.inc("codec.bytes_encoded", record.faults.payload_bytes_encoded as u64);
-        if record.faults.payload_bytes_encoded > 0 {
-            self.obs.gauge(
-                "codec.compression_ratio",
-                record.faults.payload_bytes_raw as f64 / record.faults.payload_bytes_encoded as f64,
-            );
-        }
-        self.obs.observe("engine_round_sim_seconds", record.round_seconds);
-        round_span.set_sim(record.time_s);
-        round_span.push_u("participants", record.participants.len() as u64);
-        round_span.push_f("round_seconds", record.round_seconds);
-        round_span.push_f("mean_local_loss", record.mean_local_loss as f64);
-        round_span.finish();
+        self.server.close_round(&NAMES, span, &record);
         record
-    }
-
-    /// The body of a non-empty round: fault draws → training → (lossy)
-    /// wire → deadline policy → FedAvg → clock.
-    fn execute_round(
-        &mut self,
-        selector: &mut dyn Selector,
-        selected: Vec<usize>,
-        available_ids: &[usize],
-    ) -> RoundRecord {
-        let epoch = self.epoch;
-
-        // 1. fault draws + effective latencies for the selected set
-        let draws: Vec<(usize, bool, f64)> = selected
-            .iter()
-            .map(|&id| {
-                let d = self.faults.draw(id, epoch);
-                (id, d.crashed, self.effective_latency(id, epoch))
-            })
-            .collect();
-
-        // 2. the deadline, if a deadline policy is active
-        let deadline = match self.policy.aggregation {
-            AggregationPolicy::WaitForAll => None,
-            _ => Some(self.round_deadline(available_ids)),
-        };
-        let mut acc = RoundAccumulator::new(deadline);
-        acc.stats.crashed = draws.iter().filter(|(_, crashed, _)| *crashed).count();
-        acc.stats.stragglers = selected
-            .iter()
-            .filter(|&&id| self.faults.straggles(id, epoch) && !self.faults.crashes(id, epoch))
-            .count();
-
-        // 3. who actually trains: crashed clients never deliver, and under
-        // a deadline policy a client whose compute alone overruns the
-        // deadline is discarded unseen — no point simulating its SGD
-        let mut trainees: Vec<usize> = Vec::with_capacity(selected.len());
-        for &(id, crashed, lat) in &draws {
-            if crashed {
-                acc.record_crash(lat);
-                self.obs.event("engine.crash").u("epoch", epoch as u64).u("client", id as u64);
-            } else if deadline.is_some_and(|d| lat > d) {
-                acc.record_deadline_precut(lat);
-                self.obs
-                    .event("engine.deadline_precut")
-                    .u("epoch", epoch as u64)
-                    .u("client", id as u64)
-                    .f("latency_s", lat)
-                    .f("deadline_s", deadline.unwrap_or(f64::NAN));
-            } else {
-                trainees.push(id);
-            }
-        }
-        let updates = {
-            let span = self
-                .obs
-                .span("engine.train")
-                .u("epoch", epoch as u64)
-                .u("clients", trainees.len() as u64);
-            let updates = self.train_clients(&trainees);
-            span.finish();
-            updates
-        };
-
-        // 4. lossy wire: every trained update is transmitted; retries add
-        // backoff to its arrival time, budget exhaustion loses it. The
-        // attached codec runs here: payload bytes are charged per trained
-        // transmission — delivered or wire-lost — and error feedback
-        // updates at encode time, exactly like a real client.
-        let n_params = self.global_params.len();
-        let enc_bytes = round::payload_encoded_bytes(self.codec_kind(), n_params);
-        for u in updates {
-            let id = u.0;
-            let lat = draws.iter().find(|(i, _, _)| *i == id).map(|d| d.2).unwrap();
-            let (delivered, payload) = self.encode_update(id, &u.1);
-            acc.stats.payload_bytes_raw += 4 * n_params;
-            acc.stats.payload_bytes_encoded += enc_bytes;
-            let pending = PendingUpdate {
-                id,
-                params: delivered,
-                loss: u.2,
-                n_train: self.clients[id].data.n_train(),
-            };
-            if self.faults.lossy_prob > 0.0 {
-                match self.transmit_update(id, &u, payload.as_deref()) {
-                    Ok((retries, backoff_s)) => {
-                        acc.record_delivery(pending, lat, backoff_s, retries, false);
-                    }
-                    Err((retries, backoff_s)) => {
-                        acc.record_wire_loss(retries, lat, backoff_s);
-                        self.obs
-                            .event("engine.wire_loss")
-                            .u("epoch", epoch as u64)
-                            .u("client", id as u64)
-                            .u("retries", retries as u64);
-                    }
-                }
-            } else {
-                acc.record_delivery(pending, lat, 0.0, 0, false);
-            }
-        }
-
-        // 5. Replace policy: draft substitutes for the failed slots from
-        // the available-but-unselected pool. The server pings candidates
-        // before drafting, so a device that is crashed this epoch never
-        // makes the list (the e2e suite asserts exactly this).
-        let n_failed = selected.len() - acc.updates.len();
-        if self.policy.aggregation == AggregationPolicy::Replace && n_failed > 0 {
-            let taken: std::collections::HashSet<usize> = selected.iter().copied().collect();
-            let pool: Vec<usize> = available_ids
-                .iter()
-                .copied()
-                .filter(|&id| !taken.contains(&id) && !self.faults.crashes(id, epoch))
-                .collect();
-            if !pool.is_empty() {
-                let pool_infos = self.client_infos(&pool);
-                let rctx = SelectionContext { epoch, available: &pool_infos, k: n_failed };
-                let raw = selector.select(&rctx, &mut self.rng);
-                let replacements = sanitize_selection(raw, &rctx);
-                let trained = self.train_clients(&replacements);
-                for u in trained {
-                    let id = u.0;
-                    let lat = self.effective_latency(id, epoch);
-                    let (delivered, payload) = self.encode_update(id, &u.1);
-                    acc.stats.payload_bytes_raw += 4 * n_params;
-                    acc.stats.payload_bytes_encoded += enc_bytes;
-                    let pending = PendingUpdate {
-                        id,
-                        params: delivered,
-                        loss: u.2,
-                        n_train: self.clients[id].data.n_train(),
-                    };
-                    if self.faults.lossy_prob > 0.0 {
-                        match self.transmit_update(id, &u, payload.as_deref()) {
-                            Ok((retries, backoff_s)) => {
-                                acc.record_delivery(pending, lat, backoff_s, retries, true);
-                            }
-                            Err((retries, backoff_s)) => {
-                                acc.record_wire_loss(retries, lat, backoff_s);
-                                self.obs
-                                    .event("engine.wire_loss")
-                                    .u("epoch", epoch as u64)
-                                    .u("client", id as u64)
-                                    .u("retries", retries as u64)
-                                    .b("replacement", true);
-                            }
-                        }
-                    } else {
-                        acc.record_delivery(pending, lat, 0.0, 0, true);
-                    }
-                }
-            }
-        }
-
-        // 6. FedAvg over everything that arrived, weighted by sample count.
-        // Update-hungry selectors (FedClust) see each admitted delta
-        // (trained − global, both pre-aggregation) first; the gate keeps
-        // every other strategy allocation-free and bit-identical.
-        if selector.wants_updates() {
-            for u in &acc.updates {
-                let delta: Vec<f32> =
-                    u.params.iter().zip(&self.global_params).map(|(p, g)| p - g).collect();
-                selector.observe_update(epoch, u.id, &delta);
-            }
-        }
-        let agg_span = self
-            .obs
-            .span("engine.aggregate")
-            .u("epoch", epoch as u64)
-            .u("updates", acc.updates.len() as u64);
-        acc.fedavg(&mut self.global_params);
-        for u in &acc.updates {
-            let c = &mut self.clients[u.id];
-            c.last_loss = Some(u.loss);
-            c.participation_count += 1;
-        }
-        agg_span.finish();
-
-        // 7. clock: policy decides how long the round lasted
-        let draw_lats: Vec<f64> = draws.iter().map(|&(_, _, lat)| lat).collect();
-        let round_seconds = crate::round::round_duration(
-            self.policy.aggregation,
-            deadline,
-            &acc.arrivals,
-            &draw_lats,
-            &acc.replacement_arrivals,
-        );
-        self.clock.advance(round_seconds);
-
-        // 8. heartbeat sweep: every client is probed, the available ones
-        // ack (through the lossy wire if one is configured). Pure byte and
-        // liveness accounting — heartbeats never stretch the round.
-        let hb = match &self.transport {
-            Some(t) if self.faults.lossy_prob > 0.0 => crate::round::simulate_heartbeats_with(
-                &**t,
-                epoch,
-                self.clients.len(),
-                available_ids,
-            ),
-            _ => crate::round::simulate_heartbeats(
-                &self.faults,
-                &self.policy,
-                epoch,
-                self.clients.len(),
-                available_ids,
-            ),
-        };
-        acc.stats.retries += hb.retries;
-        acc.stats.hb_missed = hb.missed;
-        let schedule_size = Message::Schedule { round: 0, client_nonce: 0 }.wire_size();
-        acc.stats.control_bytes =
-            (selected.len() + acc.stats.replacements.len()) * schedule_size + hb.bytes;
-
-        // 9. selector feedback: arrivals with losses, plus the failed set
-        let losses: Vec<f32> = acc.updates.iter().map(|u| u.loss).collect();
-        let ids = acc.participant_ids();
-        selector.observe_round(epoch, &ids, &losses);
-        let aggregated: std::collections::HashSet<usize> = ids.iter().copied().collect();
-        let failed: Vec<usize> =
-            selected.iter().copied().filter(|id| !aggregated.contains(id)).collect();
-        if !failed.is_empty() {
-            selector.observe_faults(epoch, &failed);
-        }
-
-        RoundRecord {
-            epoch,
-            time_s: self.clock.now(),
-            round_seconds,
-            participants: ids,
-            mean_local_loss: acc.mean_local_loss(),
-            faults: acc.stats,
-        }
     }
 
     /// Evaluates the current global model on the (sampled) pooled test set.
     pub fn evaluate_global(&mut self) -> TimePoint {
-        let eval_span = self.obs.span("engine.evaluate").u("epoch", self.epoch as u64);
-        self.eval_model.set_params(&self.global_params);
-        let (x, y) = if self.cfg.train.wants_images {
-            (self.eval_set.tensor_nchw(), self.eval_set.labels().to_vec())
-        } else {
-            (self.eval_set.tensor_flat(), self.eval_set.labels().to_vec())
-        };
-        let r = evaluate(&mut self.eval_model, &x, &y, self.cfg.eval_batch);
-        eval_span.f("accuracy", r.accuracy as f64).sim(self.clock.now()).finish();
-        TimePoint {
-            time_s: self.clock.now(),
-            epoch: self.epoch,
-            accuracy: r.accuracy,
-            loss: r.loss,
-        }
+        self.server.evaluate(&NAMES)
     }
 
     /// Computes a per-client **gradient sketch**: the flat gradient of the
@@ -892,9 +406,9 @@ impl FedSim {
     /// and upload this (Θ(|w|) per client per epoch!); here the simulator
     /// evaluates it directly.
     pub fn gradient_sketches(&self, max_examples: usize) -> Vec<Vec<f32>> {
-        let gp = &self.global_params;
+        let gp = &self.server.global_params;
         let f = &self.factory;
-        let cfg = self.cfg;
+        let cfg = self.server.cfg;
         self.clients
             .par_iter()
             .map(|c| {
@@ -920,9 +434,9 @@ impl FedSim {
     /// the per-group accuracy readout of Fig. 1 and the per-device readout
     /// of Fig. 11. Clients with empty test shards get accuracy `NaN`.
     pub fn evaluate_per_client(&self) -> Vec<f32> {
-        let gp = &self.global_params;
+        let gp = &self.server.global_params;
         let f = &self.factory;
-        let cfg = self.cfg;
+        let cfg = self.server.cfg;
         self.clients
             .par_iter()
             .map(|c| {
@@ -955,12 +469,10 @@ impl FedSim {
     pub fn add_client(&mut self, data: haccs_data::ClientData, profile: DeviceProfile) -> usize {
         let id = self.clients.len();
         let mut c = ClientState::new(id, data, profile);
-        let mut m = (self.factory)();
-        m.set_params(&self.global_params);
-        c.last_loss = Some(probe_loss(&mut m, &c.data.train, &self.cfg.train, self.cfg.probe_max));
+        c.last_loss = Some(self.probe(&c.data));
         self.clients.push(c);
-        if self.codec.as_ref().is_some_and(|codec| codec.stateful()) {
-            self.codec_residuals.push(vec![0.0; self.global_params.len()]);
+        if self.server.codec.is_some_and(|k| k.stateful()) {
+            self.codec_residuals.push(vec![0.0; self.server.global_params.len()]);
         }
         id
     }
@@ -970,12 +482,18 @@ impl FedSim {
     /// The client's loss is re-probed against the current global model.
     /// Callers should have the client send a fresh summary and re-cluster.
     pub fn replace_client_data(&mut self, id: usize, data: haccs_data::ClientData) {
-        let mut m = (self.factory)();
-        m.set_params(&self.global_params);
-        let loss = probe_loss(&mut m, &data.train, &self.cfg.train, self.cfg.probe_max);
+        let loss = self.probe(&data);
         let c = &mut self.clients[id];
         c.data = data;
         c.last_loss = Some(loss);
+    }
+
+    /// The loss of the current global model on (up to `probe_max` of)
+    /// `data`'s training shard.
+    fn probe(&self, data: &haccs_data::ClientData) -> f32 {
+        let mut m = (self.factory)();
+        m.set_params(&self.server.global_params);
+        probe_loss(&mut m, &data.train, &self.server.cfg.train, self.server.cfg.probe_max)
     }
 
     /// Serializes the complete training state — config guards, epoch,
@@ -995,33 +513,26 @@ impl FedSim {
         let mut w = SnapshotWriter::new();
         // config guards: restore refuses a snapshot from a differently
         // configured run, where bit-identity could not hold
-        w.put_u64(self.cfg.seed);
-        w.put_usize(self.cfg.k);
-        w.put_usize(self.cfg.eval_every);
+        self.server.save_guards(&mut w);
         w.put_usize(self.clients.len());
         // mutable engine state
-        w.put_usize(self.epoch);
-        w.put_f64(self.clock.now());
-        w.put_u64s(&self.rng.state());
-        w.put_f32s(&self.global_params);
+        self.server.save_boundary(&mut w);
         for c in &self.clients {
             w.put_opt_f32(c.last_loss);
             w.put_usize(c.participation_count);
         }
-        self.result.save(&mut w);
+        self.server.result.save(&mut w);
         // codec guard + client-side error-feedback residuals: a stateful
         // codec's residuals are training state, so resuming a TopKDelta
         // run stays bit-identical — and a snapshot only restores under
         // the same codec configuration
-        w.put_str(&self.codec_label());
-        if self.codec.as_ref().is_some_and(|c| c.stateful()) {
+        w.put_str(&self.server.codec_label());
+        if self.server.codec.is_some_and(|k| k.stateful()) {
             for res in &self.codec_residuals {
                 w.put_f32s(res);
             }
         }
-        // selector state, guarded by its strategy name
-        w.put_str(&selector.name());
-        selector.save_state(&mut w);
+        round::save_selector(&mut w, selector);
         w.finish()
     }
 
@@ -1037,85 +548,34 @@ impl FedSim {
         selector: &mut dyn Selector,
     ) -> Result<(), PersistError> {
         let mut r = SnapshotReader::open(bytes)?;
-        let guard = |name: &str, got: u64, want: u64| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(PersistError::Malformed(format!(
-                    "snapshot {name} {got} does not match this simulation's {want}"
-                )))
-            }
-        };
-        guard("seed", r.get_u64()?, self.cfg.seed)?;
-        guard("k", r.get_usize()? as u64, self.cfg.k as u64)?;
-        guard("eval_every", r.get_usize()? as u64, self.cfg.eval_every as u64)?;
-        guard("client count", r.get_usize()? as u64, self.clients.len() as u64)?;
-
-        let epoch = r.get_usize()?;
-        let now = r.get_f64()?;
-        if !(now.is_finite() && now >= 0.0) {
-            return Err(PersistError::Malformed(format!("clock {now} out of range")));
-        }
-        let rng_state = r.get_u64s()?;
-        let rng_state: [u64; 4] = rng_state
-            .try_into()
-            .map_err(|_| PersistError::Malformed("rng state must be 4 words".into()))?;
-        let global_params = r.get_f32s()?;
-        if global_params.len() != self.global_params.len() {
-            return Err(PersistError::Malformed(format!(
-                "snapshot has {} model parameters, this simulation {}",
-                global_params.len(),
-                self.global_params.len()
-            )));
-        }
+        self.server.check_guards(&mut r)?;
+        round::check_guard("client count", r.get_usize()? as u64, self.clients.len() as u64)?;
+        let boundary = self.server.load_boundary(&mut r)?;
         let mut per_client = Vec::with_capacity(self.clients.len());
         for _ in 0..self.clients.len() {
             per_client.push((r.get_opt_f32()?, r.get_usize()?));
         }
         let result = RunResult::load(&mut r)?;
-        let codec_label = r.get_str()?;
-        if codec_label != self.codec_label() {
-            return Err(PersistError::Malformed(format!(
-                "snapshot was taken with codec {codec_label:?}, this simulation uses {:?}",
-                self.codec_label()
-            )));
-        }
-        let stateful_codec = self.codec.as_ref().is_some_and(|c| c.stateful());
+        self.server.check_codec(&mut r)?;
+        let stateful_codec = self.server.codec.is_some_and(|k| k.stateful());
+        let n_params = self.server.global_params.len();
         let mut residuals = Vec::new();
         if stateful_codec {
             for _ in 0..self.clients.len() {
                 let res = r.get_f32s()?;
-                if res.len() != self.global_params.len() {
-                    return Err(PersistError::Malformed(format!(
-                        "codec residual has {} entries, the model {}",
-                        res.len(),
-                        self.global_params.len()
-                    )));
-                }
+                round::check_guard("codec residual length", res.len() as u64, n_params as u64)?;
                 residuals.push(res);
             }
         }
-        let strategy = r.get_str()?;
-        if strategy != selector.name() {
-            return Err(PersistError::Malformed(format!(
-                "snapshot was taken with selector {strategy:?}, restore got {:?}",
-                selector.name()
-            )));
-        }
-        selector.load_state(&mut r)?;
+        round::load_selector(&mut r, selector)?;
         r.expect_end()?;
 
         // everything validated: commit
-        self.epoch = epoch;
-        self.clock = SimClock::new();
-        self.clock.advance(now);
-        self.rng = StdRng::from_state(rng_state);
-        self.global_params = global_params;
+        self.server.resume(boundary, result);
         for (c, (last_loss, participation_count)) in self.clients.iter_mut().zip(per_client) {
             c.last_loss = last_loss;
             c.participation_count = participation_count;
         }
-        self.result = result;
         if stateful_codec {
             self.codec_residuals = residuals;
         }
@@ -1127,9 +587,7 @@ impl FedSim {
         for _ in 0..rounds {
             self.run_round(selector);
         }
-        let mut out = self.result.clone();
-        out.strategy = selector.name();
-        out
+        self.server.run_result(selector.name())
     }
 
     /// Runs until `target` accuracy is reached (checked at each evaluation)
@@ -1142,23 +600,190 @@ impl FedSim {
     ) -> RunResult {
         for _ in 0..max_rounds {
             self.run_round(selector);
-            if let Some(tp) = self.result.curve.last() {
+            if let Some(tp) = self.server.result.curve.last() {
                 if tp.accuracy >= target {
                     break;
                 }
             }
         }
-        let mut out = self.result.clone();
-        out.strategy = selector.name();
-        out
+        self.server.run_result(selector.name())
+    }
+}
+
+/// The loop engine's [`Backend`]: trains in-process, carries each update
+/// over the simulated wire and keeps [`FedSim::clients`]' books.
+struct Local<'a> {
+    factory: &'a ModelFactory,
+    clients: &'a mut [ClientState],
+    residuals: &'a mut [Vec<f32>],
+    transport: Option<&'a (dyn Transport + Send)>,
+}
+
+impl Local<'_> {
+    /// Trains `ids` in parallel against the current global model. Local
+    /// seeds depend only on `(cfg.seed, epoch, id)`, so the same id trains
+    /// identically whether it was selected up front or drafted as a
+    /// replacement.
+    fn train(&self, server: &Server, ids: &[usize]) -> Vec<(usize, Vec<f32>, f32)> {
+        let (cfg, epoch, gp) = (&server.cfg, server.epoch, &server.global_params);
+        let (f, clients) = (self.factory, &*self.clients);
+        ids.par_iter()
+            .map(|&id| {
+                let mut m = f();
+                m.set_params(gp);
+                let local_seed = round::local_train_seed(cfg.seed, epoch, id);
+                let loss = train_local(&mut m, &clients[id].data.train, &cfg.train, local_seed);
+                (id, m.get_params(), loss)
+            })
+            .collect()
+    }
+
+    /// Runs one trained parameter vector through the attached codec:
+    /// encodes it against the current (pre-aggregation) global model,
+    /// updates the client's error-feedback residual at encode time —
+    /// whether or not the frame later survives the wire, exactly like a
+    /// real client — and returns the parameters the server aggregates
+    /// (the decoded reconstruction) plus the wire payload. Under no
+    /// codec or `Identity` the parameters pass through untouched and the
+    /// wire keeps carrying plain `ModelUpdate` frames.
+    fn encode(
+        &mut self,
+        server: &Server,
+        id: usize,
+        params: &[f32],
+    ) -> (Vec<f32>, Option<Vec<u8>>) {
+        let codec = match server.codec {
+            Some(kind) if !matches!(kind, CodecKind::Identity) => kind.build(),
+            _ => return (params.to_vec(), None),
+        };
+        let gp = &server.global_params;
+        let enc_span = server.obs.span("codec.encode").u("client", id as u64);
+        let residual = if codec.stateful() { Some(&mut self.residuals[id]) } else { None };
+        let payload = codec.encode(params, gp, residual);
+        enc_span.u("bytes", payload.len() as u64).finish();
+        let dec_span = server.obs.span("codec.decode").u("client", id as u64);
+        let decoded = codec.decode(&payload, gp).expect("self-encoded update payload must decode");
+        dec_span.finish();
+        (decoded, Some(payload))
+    }
+
+    /// Sends one trained update through the lossy wire (only called when
+    /// `lossy_prob > 0`). With an encoded `payload` the frame carries
+    /// [`Message::ModelUpdateEnc`]; otherwise the plain `ModelUpdate`.
+    /// Channel outcomes are pure hashes of `(seed, stream, attempt)`, so
+    /// the codec never perturbs the retry/loss trace. Returns
+    /// `(retries, backoff_s)`, as `Err` when the update was lost.
+    fn transmit(
+        &self,
+        server: &Server,
+        update: &PendingUpdate,
+        params: Vec<f32>,
+        payload: Option<Vec<u8>>,
+    ) -> Result<(usize, f64), (usize, f64)> {
+        let (round, loss, n_train) = (server.epoch as u64, update.loss, update.n_train as u32);
+        let msg = match payload {
+            Some(payload) => {
+                let codec = server.codec.map(|k| k.tag()).unwrap_or(0);
+                Message::ModelUpdateEnc { round, codec, payload, loss, n_train }
+            }
+            None => Message::ModelUpdate { round, params, loss, n_train },
+        };
+        let stream_id = round::update_stream_id(server.epoch, update.id);
+        let derived;
+        let transport: &dyn Transport = match self.transport {
+            Some(t) => t,
+            None => {
+                derived = round::wire_channel(&server.faults, &server.policy);
+                &derived
+            }
+        };
+        match transport.transmit(&msg, stream_id) {
+            Ok(d) => Ok((d.retries as usize, d.backoff_s)),
+            Err(TransportError::Channel(haccs_wire::ChannelError::RetryBudgetExhausted {
+                attempts,
+                backoff_s,
+            })) => Err((attempts as usize - 1, backoff_s)),
+            // a physical-transport failure: the update never arrived and
+            // there is no simulated retry schedule to account for
+            Err(_) => Err((0, 0.0)),
+        }
+    }
+}
+
+impl Backend for Local<'_> {
+    type Error = Infallible;
+    const NAMES: &'static Names = &NAMES;
+
+    fn client(&self, id: usize) -> ClientView {
+        self.clients[id].view()
+    }
+
+    fn deliver(
+        &mut self,
+        server: &Server,
+        trainees: &[usize],
+    ) -> Result<Vec<UpdateOutcome>, Infallible> {
+        let span = server
+            .obs
+            .span("engine.train")
+            .u("epoch", server.epoch as u64)
+            .u("clients", trainees.len() as u64);
+        let trained = self.train(server, trainees);
+        span.finish();
+        // lossy wire: every trained update is transmitted; retries add
+        // backoff to its arrival time, budget exhaustion loses it
+        Ok(trained
+            .into_iter()
+            .map(|(id, params, loss)| {
+                let (delivered, payload) = self.encode(server, id, &params);
+                let n_train = self.clients[id].data.n_train();
+                let update = PendingUpdate { id, params: delivered, loss, n_train };
+                let sent = if server.faults.lossy_prob > 0.0 {
+                    self.transmit(server, &update, params, payload)
+                } else {
+                    Ok((0, 0.0))
+                };
+                match sent {
+                    Ok((retries, backoff_s)) => {
+                        UpdateOutcome::Delivered { update, retries, backoff_s }
+                    }
+                    Err((retries, backoff_s)) => UpdateOutcome::Lost { retries, backoff_s },
+                }
+            })
+            .collect())
+    }
+
+    fn credit(&mut self, id: usize, loss: f32) {
+        let c = &mut self.clients[id];
+        c.last_loss = Some(loss);
+        c.participation_count += 1;
+    }
+
+    /// Every client is probed, the available ones ack (through the lossy
+    /// wire if one is configured).
+    fn heartbeats(
+        &mut self,
+        server: &Server,
+        pool: &[usize],
+    ) -> Result<HeartbeatOutcome, Infallible> {
+        let (epoch, probed) = (server.epoch, self.clients.len());
+        Ok(match self.transport {
+            Some(t) if server.faults.lossy_prob > 0.0 => {
+                round::simulate_heartbeats_with(t, epoch, probed, pool)
+            }
+            _ => round::simulate_heartbeats(&server.faults, &server.policy, epoch, probed, pool),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::selector::SelectionContext;
     use haccs_data::{partition, SynthVision};
     use haccs_nn::mlp;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Trivial selector: first k available.
     struct FirstK;

@@ -1,23 +1,36 @@
-//! Shared round accounting: the arithmetic of one synchronous round,
-//! factored out of [`crate::engine::FedSim`] so the in-process loop engine
-//! and the message-driven coordinator (`haccs-coord`) run **the same
-//! numbers** — seeds, stream ids, deadline placement, admission checks,
-//! FedAvg summation order and round-duration formulas all live here once.
-//! The coordinator-vs-engine parity test is only possible because neither
-//! driver owns a private copy of this logic.
+//! The round: one driver that both the in-process loop engine
+//! ([`crate::engine::FedSim`]) and the message-driven coordinator
+//! (`haccs-coord`) run, so seeds, stream ids, deadline placement,
+//! admission, `Replace` drafting, FedAvg summation order, the clock and
+//! the post-round counters exist once and engine ⇄ coordinator parity
+//! holds by construction.
 //!
-//! Everything here is pure: no clock, no channels, no threads. The
-//! drivers decide *when* things happen; this module decides *what they
-//! cost and what they produce*.
+//! The split follows a client/participant cut: a [`Backend`] only moves
+//! bytes and keeps its clients' books (the engine trains in-process and
+//! runs the simulated wire, the coordinator pushes a cohort frame to its
+//! agents and collects their envelopes), while [`Server`] owns every
+//! decision — who trains, what is admitted, what the round cost. The
+//! free functions below are the pure arithmetic the driver and the
+//! coordinator's agents share: no clock, no channels, no threads.
 
-use crate::engine::{AggregationPolicy, RoundPolicy};
-use crate::metrics::FaultStats;
+use crate::client::{neutral_loss, ClientInfo};
+use crate::engine::{AggregationPolicy, RoundPolicy, SimConfig};
+use crate::metrics::{FaultStats, RoundRecord, RunResult, TimePoint};
+use crate::selector::{sanitize_selection, SelectionContext, Selector};
 use crate::trainer::TrainConfig;
 use haccs_codec::CodecKind;
-use haccs_sysmodel::{DeviceProfile, FaultModel, LatencyModel};
+use haccs_data::ImageSet;
+use haccs_nn::{evaluate, Sequential};
+use haccs_obs::{Recorder, Span};
+use haccs_persist::{PersistError, SnapshotReader, SnapshotWriter};
+use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel, SimClock};
 use haccs_wire::{
     control_bytes_per_client, ChannelError, FaultyChannel, Message, Transport, TransportError,
 };
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use std::collections::HashSet;
 
 /// Salt separating heartbeat-ack wire streams from model-update streams
 /// for the same `(epoch, client)`.
@@ -362,6 +375,667 @@ pub fn simulate_heartbeats_with(
         }
     }
     out
+}
+
+/// Down-samples the pooled test set once (seeded, unbiased) to at most
+/// `cfg.eval_max` examples: the subset every evaluation reads out.
+fn sample_eval_set(global_test: ImageSet, cfg: &SimConfig) -> ImageSet {
+    if global_test.len() <= cfg.eval_max {
+        return global_test;
+    }
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE7A1_77F0);
+    let mut idx: Vec<usize> = (0..global_test.len()).collect();
+    idx.shuffle(&mut rng);
+    idx.truncate(cfg.eval_max);
+    let mut s = ImageSet::empty(global_test.channels(), global_test.side(), global_test.classes());
+    for i in idx {
+        s.push(global_test.image(i), global_test.labels()[i]);
+    }
+    s
+}
+
+/// The span, event and counter names a backend's rounds are traced
+/// under: `prefix.round`, `prefix.selection`, ... and
+/// `prefix_rounds_total`, ... (see [`round_names!`](crate::round_names)).
+/// They stay per backend so a trace tells the loop engine (`engine.*`)
+/// from the coordinator (`coord.*`).
+#[derive(Debug)]
+pub struct Names {
+    pub round: &'static str,
+    pub selection: &'static str,
+    pub aggregate: &'static str,
+    pub evaluate: &'static str,
+    pub heartbeat: &'static str,
+    pub crash: &'static str,
+    pub deadline_precut: &'static str,
+    pub wire_loss: &'static str,
+    pub rounds_total: &'static str,
+    pub updates_total: &'static str,
+    pub control_bytes_total: &'static str,
+    pub wire_retries_total: &'static str,
+    pub round_sim_seconds: &'static str,
+}
+
+/// The [`round::Names`](crate::round::Names) table of a backend whose
+/// trace names start with the literal `$prefix`: spans and events as
+/// `$prefix.round`, counters and histograms as `$prefix_rounds_total`.
+#[macro_export]
+macro_rules! round_names {
+    ($prefix:literal) => {
+        $crate::round::Names {
+            round: concat!($prefix, ".round"),
+            selection: concat!($prefix, ".selection"),
+            aggregate: concat!($prefix, ".aggregate"),
+            evaluate: concat!($prefix, ".evaluate"),
+            heartbeat: concat!($prefix, ".heartbeat"),
+            crash: concat!($prefix, ".crash"),
+            deadline_precut: concat!($prefix, ".deadline_precut"),
+            wire_loss: concat!($prefix, ".wire_loss"),
+            rounds_total: concat!($prefix, "_rounds_total"),
+            updates_total: concat!($prefix, "_updates_total"),
+            control_bytes_total: concat!($prefix, "_control_bytes_total"),
+            wire_retries_total: concat!($prefix, "_wire_retries_total"),
+            round_sim_seconds: concat!($prefix, "_round_sim_seconds"),
+        }
+    };
+}
+
+/// A client's scheduling inputs, as its backend books them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClientView {
+    /// Table II system profile.
+    pub profile: DeviceProfile,
+    /// Local training-set size.
+    pub n_train: usize,
+    /// Last observed local loss (`None` until first probed).
+    pub last_loss: Option<f32>,
+    /// Rounds participated so far.
+    pub participation_count: usize,
+}
+
+/// What became of one trainee's update: it arrived (decoded, ready to
+/// aggregate), or the wire lost it once its retry budget ran out. Either
+/// way, `retries` retransmissions and `backoff_s` seconds of backoff were
+/// spent on it.
+#[derive(Debug)]
+pub enum UpdateOutcome {
+    Delivered { update: PendingUpdate, retries: usize, backoff_s: f64 },
+    Lost { retries: usize, backoff_s: f64 },
+}
+
+/// How a round's updates and heartbeats move: the part of a round that
+/// differs between the loop engine and the coordinator. A backend moves
+/// bytes and keeps its clients' books; every decision is [`Server`]'s.
+pub trait Backend {
+    /// What can go wrong moving traffic (`Infallible` in-process).
+    type Error;
+    /// The names this backend's rounds are traced under.
+    const NAMES: &'static Names;
+
+    /// Client `id`'s scheduling inputs.
+    fn client(&self, id: usize) -> ClientView;
+
+    /// Trains `trainees` against `server.global_params` and brings their
+    /// updates in: one outcome per trainee, in trainee order.
+    fn deliver(
+        &mut self,
+        server: &Server,
+        trainees: &[usize],
+    ) -> Result<Vec<UpdateOutcome>, Self::Error>;
+
+    /// Books an aggregated update: client `id`'s new loss and one more
+    /// participation.
+    fn credit(&mut self, id: usize, loss: f32);
+
+    /// Runs the round's heartbeat sweep; `pool` is the round's available
+    /// pool.
+    fn heartbeats(
+        &mut self,
+        server: &Server,
+        pool: &[usize],
+    ) -> Result<HeartbeatOutcome, Self::Error>;
+}
+
+/// A snapshot guard: `stored` must equal this run's `actual`, or the
+/// snapshot comes from a differently configured run, where bit-identity
+/// could not hold.
+pub fn check_guard(name: &str, stored: u64, actual: u64) -> Result<(), PersistError> {
+    if stored == actual {
+        return Ok(());
+    }
+    Err(PersistError::Malformed(format!("snapshot {name} = {stored}, this run has {actual}")))
+}
+
+/// Writes `selector`'s state, guarded by its strategy name.
+pub fn save_selector<S: Selector + ?Sized>(w: &mut SnapshotWriter, selector: &S) {
+    w.put_str(&selector.name());
+    selector.save_state(w);
+}
+
+/// Reads [`save_selector`]'s state into `selector`, which must be a
+/// fresh selector of the same strategy.
+pub fn load_selector<S: Selector + ?Sized>(
+    r: &mut SnapshotReader<'_>,
+    selector: &mut S,
+) -> Result<(), PersistError> {
+    let strategy = r.get_str()?;
+    if strategy != selector.name() {
+        return Err(PersistError::Malformed(format!(
+            "snapshot strategy {strategy:?} differs from this selector's {:?}",
+            selector.name()
+        )));
+    }
+    selector.load_state(r)
+}
+
+/// The server state a snapshot holds at a round boundary, read back and
+/// checked but not yet committed (see [`Server::resume`]).
+#[derive(Debug)]
+pub struct Boundary {
+    /// Rounds completed.
+    pub epoch: usize,
+    /// Simulated time.
+    pub now: f64,
+    /// Selection RNG stream.
+    pub rng_state: [u64; 4],
+    /// The global model.
+    pub global_params: Vec<f32>,
+}
+
+/// The server side of a federated run, shared by both drivers: config,
+/// models of latency, availability and faults, the round policy, the
+/// clock, the selection RNG, the global model, the history, the
+/// evaluation set and the recorder. [`Server::run_round`] plays one
+/// round against any [`Backend`].
+pub struct Server {
+    /// Simulation parameters.
+    pub cfg: SimConfig,
+    /// Latency model used for scheduling estimates and clock advances.
+    pub latency: LatencyModel,
+    /// Dropout model.
+    pub availability: Availability,
+    /// Fault schedule.
+    pub faults: FaultModel,
+    /// Round-execution policy.
+    pub policy: RoundPolicy,
+    /// Model-update codec, if any.
+    pub codec: Option<CodecKind>,
+    /// Simulated clock.
+    pub clock: SimClock,
+    /// Selection RNG stream.
+    pub rng: StdRng,
+    /// Rounds completed.
+    pub epoch: usize,
+    /// The global model.
+    pub global_params: Vec<f32>,
+    /// Round history and accuracy curve.
+    pub result: RunResult,
+    /// Telemetry recorder.
+    pub obs: Recorder,
+    eval_model: Sequential,
+    eval_set: ImageSet,
+}
+
+impl Server {
+    /// A fresh server around `global_model`, evaluating on a seeded
+    /// sample of `global_test`.
+    pub fn new(
+        global_model: Sequential,
+        global_test: ImageSet,
+        latency: LatencyModel,
+        availability: Availability,
+        cfg: SimConfig,
+    ) -> Self {
+        assert!(cfg.k >= 1, "k must be at least 1");
+        assert!(cfg.eval_every >= 1);
+        Server {
+            global_params: global_model.get_params(),
+            eval_model: global_model,
+            eval_set: sample_eval_set(global_test, &cfg),
+            clock: SimClock::new(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            epoch: 0,
+            result: RunResult::default(),
+            faults: FaultModel::none(cfg.seed),
+            policy: RoundPolicy::default(),
+            codec: None,
+            obs: Recorder::disabled(),
+            cfg,
+            latency,
+            availability,
+        }
+    }
+
+    /// Sets the round policy, checking its deadline quantile.
+    pub fn set_policy(&mut self, policy: RoundPolicy) {
+        assert!(
+            (0.0..=1.0).contains(&policy.deadline_quantile),
+            "deadline quantile must be in [0, 1]"
+        );
+        self.policy = policy;
+    }
+
+    /// The codec guard label written into snapshots (`"none"` without one).
+    pub fn codec_label(&self) -> String {
+        match self.codec {
+            Some(kind) => kind.to_string(),
+            None => "none".to_string(),
+        }
+    }
+
+    /// Writes the config guards [`Server::check_guards`] reads back:
+    /// seed, `k` and `eval_every`.
+    pub fn save_guards(&self, w: &mut SnapshotWriter) {
+        w.put_u64(self.cfg.seed);
+        w.put_usize(self.cfg.k);
+        w.put_usize(self.cfg.eval_every);
+    }
+
+    /// Reads [`Server::save_guards`]' guards and checks them against this
+    /// server's config.
+    pub fn check_guards(&self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
+        check_guard("seed", r.get_u64()?, self.cfg.seed)?;
+        check_guard("k", r.get_usize()? as u64, self.cfg.k as u64)?;
+        check_guard("eval_every", r.get_usize()? as u64, self.cfg.eval_every as u64)
+    }
+
+    /// Writes the round-boundary state: epoch, clock, RNG stream and
+    /// global model.
+    pub fn save_boundary(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.epoch);
+        w.put_f64(self.clock.now());
+        w.put_u64s(&self.rng.state());
+        w.put_f32s(&self.global_params);
+    }
+
+    /// Reads [`Server::save_boundary`]'s state back, checked against
+    /// this server's model size.
+    pub fn load_boundary(&self, r: &mut SnapshotReader<'_>) -> Result<Boundary, PersistError> {
+        let epoch = r.get_usize()?;
+        let now = r.get_f64()?;
+        if !(now.is_finite() && now >= 0.0) {
+            return Err(PersistError::Malformed(format!("clock {now} not finite and ≥ 0")));
+        }
+        let rng_state: [u64; 4] = r
+            .get_u64s()?
+            .try_into()
+            .map_err(|_| PersistError::Malformed("rng state must be 4 words".into()))?;
+        let global_params = r.get_f32s()?;
+        check_guard(
+            "parameter count",
+            global_params.len() as u64,
+            self.global_params.len() as u64,
+        )?;
+        Ok(Boundary { epoch, now, rng_state, global_params })
+    }
+
+    /// Reads the codec label back: a snapshot restores only under the
+    /// codec it was taken with.
+    pub fn check_codec(&self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
+        let label = r.get_str()?;
+        if label != self.codec_label() {
+            return Err(PersistError::Malformed(format!(
+                "snapshot was taken with codec {label:?}, this run uses {:?}",
+                self.codec_label()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Resumes at a snapshot's round boundary with its history.
+    pub fn resume(&mut self, b: Boundary, result: RunResult) {
+        self.epoch = b.epoch;
+        self.clock = SimClock::new();
+        self.clock.advance(b.now);
+        self.rng = StdRng::from_state(b.rng_state);
+        self.global_params = b.global_params;
+        self.result = result;
+    }
+
+    /// The run so far, labelled with the selector's strategy.
+    pub fn run_result(&self, strategy: String) -> RunResult {
+        RunResult { strategy, ..self.result.clone() }
+    }
+
+    /// Expected §IV-D round latency of a client: the per-round local-work
+    /// cap, the codec's uplink and the client's share of control traffic
+    /// (see [`expected_round_latency_coded`]).
+    pub fn expected_latency(&self, c: &ClientView) -> f64 {
+        let up_bits = uplink_bits(&self.latency, self.codec, self.global_params.len());
+        expected_round_latency_coded(&self.latency, &c.profile, &self.cfg.train, c.n_train, up_bits)
+    }
+
+    /// Client `id`'s latency this epoch: the expectation, multiplied by
+    /// the straggler slowdown when the fault schedule says so.
+    pub fn effective_latency(&self, id: usize, c: &ClientView) -> f64 {
+        let base = self.expected_latency(c);
+        if self.faults.straggles(id, self.epoch) {
+            base * self.faults.straggler_slowdown
+        } else {
+            base
+        }
+    }
+
+    /// Scheduling view ([`ClientInfo`]) of `ids`. Clients never probed
+    /// report the pool's mean observed loss ([`neutral_loss`]) rather
+    /// than a runaway sentinel.
+    pub fn client_infos(
+        &self,
+        ids: &[usize],
+        client: impl Fn(usize) -> ClientView,
+    ) -> Vec<ClientInfo> {
+        let observed: Vec<Option<f32>> = ids.iter().map(|&id| client(id).last_loss).collect();
+        let fallback = neutral_loss(&observed);
+        ids.iter()
+            .map(|&id| {
+                let c = client(id);
+                ClientInfo {
+                    id,
+                    est_latency: self.expected_latency(&c),
+                    last_loss: c.last_loss.unwrap_or(fallback),
+                    n_train: c.n_train,
+                    participation_count: c.participation_count,
+                }
+            })
+            .collect()
+    }
+
+    /// The round deadline: the policy's quantile of expected latencies
+    /// over `pool`.
+    pub fn round_deadline(&self, pool: &[usize], client: impl Fn(usize) -> ClientView) -> f64 {
+        let lats: Vec<f64> = pool.iter().map(|&id| self.expected_latency(&client(id))).collect();
+        deadline_quantile(lats, self.policy.deadline_quantile)
+    }
+
+    /// Evaluates the global model on the (sampled) pooled test set.
+    pub fn evaluate(&mut self, names: &Names) -> TimePoint {
+        let span = self.obs.span(names.evaluate).u("epoch", self.epoch as u64);
+        self.eval_model.set_params(&self.global_params);
+        let x = if self.cfg.train.wants_images {
+            self.eval_set.tensor_nchw()
+        } else {
+            self.eval_set.tensor_flat()
+        };
+        let r = evaluate(&mut self.eval_model, &x, self.eval_set.labels(), self.cfg.eval_batch);
+        span.f("accuracy", r.accuracy as f64).sim(self.clock.now()).finish();
+        TimePoint {
+            time_s: self.clock.now(),
+            epoch: self.epoch,
+            accuracy: r.accuracy,
+            loss: r.loss,
+        }
+    }
+
+    /// Opens the span a whole round runs inside. The caller builds its
+    /// pool, calls [`Server::run_round`], writes its snapshots and hands
+    /// the span to [`Server::close_round`].
+    pub fn open_round(&self, names: &Names) -> Span {
+        self.obs.span(names.round).u("epoch", self.epoch as u64)
+    }
+
+    /// Plays one round over the available `pool`: selection, then fault
+    /// draws → deadline → delivery → `Replace` drafting → FedAvg → clock
+    /// → heartbeat sweep → selector feedback, or an idle tick when
+    /// nothing was selected. Commits the record to the history, advances
+    /// the epoch and evaluates on the configured cadence.
+    pub fn run_round<B: Backend, S: Selector + ?Sized>(
+        &mut self,
+        backend: &mut B,
+        selector: &mut S,
+        pool: &[usize],
+    ) -> Result<RoundRecord, B::Error> {
+        let names = B::NAMES;
+        let infos = self.client_infos(pool, |id| backend.client(id));
+        let ctx = SelectionContext { epoch: self.epoch, available: &infos, k: self.cfg.k };
+        let selected = {
+            let span = self
+                .obs
+                .span(names.selection)
+                .u("epoch", self.epoch as u64)
+                .u("pool", pool.len() as u64);
+            let selected = sanitize_selection(selector.select(&ctx, &mut self.rng), &ctx);
+            span.u("selected", selected.len() as u64).finish();
+            selected
+        };
+
+        let record = if selected.is_empty() {
+            // nothing trainable this epoch: idle-tick the clock so callers
+            // looping on time still terminate
+            self.clock.advance(1.0);
+            RoundRecord {
+                epoch: self.epoch,
+                time_s: self.clock.now(),
+                round_seconds: 1.0,
+                participants: Vec::new(),
+                mean_local_loss: f32::NAN,
+                faults: FaultStats::default(),
+            }
+        } else {
+            self.play(backend, selector, &selected, pool)?
+        };
+
+        self.result.rounds.push(record.clone());
+        self.epoch += 1;
+        if self.epoch.is_multiple_of(self.cfg.eval_every) {
+            let tp = self.evaluate(names);
+            self.result.curve.push(tp);
+        }
+        Ok(record)
+    }
+
+    /// The body of a non-empty round.
+    fn play<B: Backend, S: Selector + ?Sized>(
+        &mut self,
+        backend: &mut B,
+        selector: &mut S,
+        selected: &[usize],
+        pool: &[usize],
+    ) -> Result<RoundRecord, B::Error> {
+        let names = B::NAMES;
+        let epoch = self.epoch;
+
+        // 1. fault draws + effective latencies for the selected set
+        let draws: Vec<(usize, bool, f64)> = selected
+            .iter()
+            .map(|&id| {
+                let crashed = self.faults.draw(id, epoch).crashed;
+                (id, crashed, self.effective_latency(id, &backend.client(id)))
+            })
+            .collect();
+
+        // 2. the deadline, if a deadline policy is active
+        let deadline = match self.policy.aggregation {
+            AggregationPolicy::WaitForAll => None,
+            _ => Some(self.round_deadline(pool, |id| backend.client(id))),
+        };
+        let mut acc = RoundAccumulator::new(deadline);
+        acc.stats.crashed = draws.iter().filter(|(_, crashed, _)| *crashed).count();
+        acc.stats.stragglers = selected
+            .iter()
+            .filter(|&&id| self.faults.straggles(id, epoch) && !self.faults.crashes(id, epoch))
+            .count();
+
+        // 3. who trains: crashed clients never deliver, and under a
+        // deadline policy a client whose compute alone overruns the
+        // deadline is discarded unseen — no point training it
+        let mut trainees = Vec::with_capacity(selected.len());
+        let mut lats = Vec::with_capacity(selected.len());
+        for &(id, crashed, lat) in &draws {
+            if crashed {
+                acc.record_crash(lat);
+                self.obs.event(names.crash).u("epoch", epoch as u64).u("client", id as u64);
+            } else if let Some(d) = deadline.filter(|&d| lat > d) {
+                acc.record_deadline_precut(lat);
+                self.obs
+                    .event(names.deadline_precut)
+                    .u("epoch", epoch as u64)
+                    .u("client", id as u64)
+                    .f("latency_s", lat)
+                    .f("deadline_s", d);
+            } else {
+                trainees.push(id);
+                lats.push(lat);
+            }
+        }
+
+        // 4. delivery and admission, in trainee order
+        self.admit(backend, &mut acc, &trainees, &lats, false)?;
+
+        // 5. Replace policy: draft substitutes for the failed slots from
+        // the available-but-unselected pool. The server pings candidates
+        // before drafting, so a device that is crashed this epoch never
+        // makes the list.
+        let n_failed = selected.len() - acc.updates.len();
+        if self.policy.aggregation == AggregationPolicy::Replace && n_failed > 0 {
+            let taken: HashSet<usize> = selected.iter().copied().collect();
+            let spare: Vec<usize> = pool
+                .iter()
+                .copied()
+                .filter(|&id| !taken.contains(&id) && !self.faults.crashes(id, epoch))
+                .collect();
+            if !spare.is_empty() {
+                let infos = self.client_infos(&spare, |id| backend.client(id));
+                let ctx = SelectionContext { epoch, available: &infos, k: n_failed };
+                let replacements = sanitize_selection(selector.select(&ctx, &mut self.rng), &ctx);
+                let lats: Vec<f64> = replacements
+                    .iter()
+                    .map(|&id| self.effective_latency(id, &backend.client(id)))
+                    .collect();
+                self.admit(backend, &mut acc, &replacements, &lats, true)?;
+            }
+        }
+
+        // 6. FedAvg over everything that arrived, weighted by sample
+        // count. Update-hungry selectors (FedClust) see each admitted
+        // delta (trained − global, both pre-aggregation) first; the gate
+        // keeps every other strategy allocation-free.
+        if selector.wants_updates() {
+            for u in &acc.updates {
+                let delta: Vec<f32> =
+                    u.params.iter().zip(&self.global_params).map(|(p, g)| p - g).collect();
+                selector.observe_update(epoch, u.id, &delta);
+            }
+        }
+        let span = self
+            .obs
+            .span(names.aggregate)
+            .u("epoch", epoch as u64)
+            .u("updates", acc.updates.len() as u64);
+        acc.fedavg(&mut self.global_params);
+        for u in &acc.updates {
+            backend.credit(u.id, u.loss);
+        }
+        span.finish();
+
+        // 7. clock: the policy decides how long the round lasted
+        let draw_lats: Vec<f64> = draws.iter().map(|&(_, _, lat)| lat).collect();
+        let round_seconds = round_duration(
+            self.policy.aggregation,
+            deadline,
+            &acc.arrivals,
+            &draw_lats,
+            &acc.replacement_arrivals,
+        );
+        self.clock.advance(round_seconds);
+
+        // 8. heartbeat sweep: pure byte and liveness accounting —
+        // heartbeats never stretch the round
+        let mut span = self.obs.span(names.heartbeat).u("epoch", epoch as u64);
+        let hb = backend.heartbeats(self, pool)?;
+        span.push_u("missed", hb.missed as u64);
+        span.push_u("retries", hb.retries as u64);
+        span.push_u("bytes", hb.bytes as u64);
+        span.finish();
+        acc.stats.retries += hb.retries;
+        acc.stats.hb_missed = hb.missed;
+        let schedule_size = Message::Schedule { round: 0, client_nonce: 0 }.wire_size();
+        acc.stats.control_bytes =
+            (selected.len() + acc.stats.replacements.len()) * schedule_size + hb.bytes;
+
+        // 9. selector feedback: arrivals with losses, plus the failed set
+        let losses: Vec<f32> = acc.updates.iter().map(|u| u.loss).collect();
+        let ids = acc.participant_ids();
+        selector.observe_round(epoch, &ids, &losses);
+        let aggregated: HashSet<usize> = ids.iter().copied().collect();
+        let failed: Vec<usize> =
+            selected.iter().copied().filter(|id| !aggregated.contains(id)).collect();
+        if !failed.is_empty() {
+            selector.observe_faults(epoch, &failed);
+        }
+
+        Ok(RoundRecord {
+            epoch,
+            time_s: self.clock.now(),
+            round_seconds,
+            participants: ids,
+            mean_local_loss: acc.mean_local_loss(),
+            faults: acc.stats,
+        })
+    }
+
+    /// Delivers `ids` through the backend and admits each outcome, `lats`
+    /// being their effective latencies. Payload bytes are charged per
+    /// trainee, delivered or lost, as a pure function of the model size.
+    fn admit<B: Backend>(
+        &mut self,
+        backend: &mut B,
+        acc: &mut RoundAccumulator,
+        ids: &[usize],
+        lats: &[f64],
+        replacement: bool,
+    ) -> Result<(), B::Error> {
+        let n_params = self.global_params.len();
+        let encoded = payload_encoded_bytes(self.codec, n_params);
+        let outcomes = backend.deliver(self, ids)?;
+        assert_eq!(outcomes.len(), ids.len(), "one delivery outcome per trainee");
+        for ((&id, &lat), outcome) in ids.iter().zip(lats).zip(outcomes) {
+            acc.stats.payload_bytes_raw += 4 * n_params;
+            acc.stats.payload_bytes_encoded += encoded;
+            match outcome {
+                UpdateOutcome::Delivered { update, retries, backoff_s } => {
+                    debug_assert_eq!(update.id, id, "outcome out of trainee order");
+                    acc.record_delivery(update, lat, backoff_s, retries, replacement);
+                }
+                UpdateOutcome::Lost { retries, backoff_s } => {
+                    acc.record_wire_loss(retries, lat, backoff_s);
+                    let event = self
+                        .obs
+                        .event(B::NAMES.wire_loss)
+                        .u("epoch", self.epoch as u64)
+                        .u("client", id as u64)
+                        .u("retries", retries as u64);
+                    if replacement {
+                        event.b("replacement", true);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Post-round counters, then closes the span from
+    /// [`Server::open_round`] with the record's summary fields.
+    pub fn close_round(&self, names: &Names, mut span: Span, record: &RoundRecord) {
+        let f = &record.faults;
+        self.obs.inc(names.rounds_total, 1);
+        self.obs.inc(names.updates_total, record.participants.len() as u64);
+        self.obs.inc(names.control_bytes_total, f.control_bytes as u64);
+        self.obs.inc(names.wire_retries_total, f.retries as u64);
+        self.obs.inc("codec.bytes_raw", f.payload_bytes_raw as u64);
+        self.obs.inc("codec.bytes_encoded", f.payload_bytes_encoded as u64);
+        if f.payload_bytes_encoded > 0 {
+            self.obs.gauge(
+                "codec.compression_ratio",
+                f.payload_bytes_raw as f64 / f.payload_bytes_encoded as f64,
+            );
+        }
+        self.obs.observe(names.round_sim_seconds, record.round_seconds);
+        span.set_sim(record.time_s);
+        span.push_u("participants", record.participants.len() as u64);
+        span.push_f("round_seconds", record.round_seconds);
+        span.push_f("mean_local_loss", record.mean_local_loss as f64);
+        span.finish();
+    }
 }
 
 #[cfg(test)]

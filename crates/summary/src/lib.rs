@@ -15,7 +15,7 @@
 //! * [`cache::DistanceCache`] — a persistent condensed pairwise-distance
 //!   matrix maintained incrementally under membership churn (§IV-C), so a
 //!   join/leave/drift recomputes one row instead of the full O(n²) matrix,
-//! * [`sketch`] — quantized summary fingerprints keying the two-level
+//! * [`mod@sketch`] — quantized summary fingerprints keying the two-level
 //!   (bucketed) clustering mode (DESIGN.md §15).
 //!
 //! A [`Summarizer`] bundles the configuration (summary kind, bin count,

@@ -1,10 +1,11 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Supports the subset this workspace uses: the [`proptest!`] macro (with
-//! `#![proptest_config(ProptestConfig::with_cases(n))]`), [`Strategy`]
-//! with `prop_map` / `prop_flat_map` / `boxed`, `any::<T>()`, numeric range
-//! strategies, tuple strategies (up to 6 elements), [`strategy::Just`],
-//! [`prop_oneof!`], `collection::{vec, hash_set}`, and the
+//! `#![proptest_config(ProptestConfig::with_cases(n))]`),
+//! [`Strategy`](strategy::Strategy) with `prop_map` / `prop_flat_map` /
+//! `boxed`, `any::<T>()`, numeric range strategies, tuple strategies (up
+//! to 6 elements), [`strategy::Just`], [`prop_oneof!`],
+//! `collection::{vec, hash_set}`, and the
 //! `prop_assert!`/`prop_assert_eq!`/`prop_assert_ne!`/`prop_assume!`
 //! assertion macros.
 //!
@@ -95,7 +96,7 @@ pub mod strategy {
             FlatMap { source: self, f }
         }
 
-        /// Type-erases the strategy (used by [`prop_oneof!`]).
+        /// Type-erases the strategy (used by [`prop_oneof!`](crate::prop_oneof)).
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,
@@ -160,7 +161,7 @@ pub mod strategy {
     }
 
     /// Uniform choice among several strategies of the same value type
-    /// (what [`prop_oneof!`] builds).
+    /// (what [`prop_oneof!`](crate::prop_oneof) builds).
     pub struct Union<T> {
         options: Vec<BoxedStrategy<T>>,
     }

@@ -122,7 +122,9 @@ fn coordinator_rounds_are_bit_identical_with_tracing_enabled() {
     assert_eq!(rec.counter_value("coord_rounds_total"), ROUNDS as u64);
     assert!(rec.counter_value("coord_control_bytes_total") > 0, "control traffic must be counted");
     let names: Vec<&'static str> = sink.records().iter().map(|r| r.name).collect();
-    for expected in ["coord.round", "coord.selection", "coord.heartbeat"] {
+    for expected in
+        ["coord.round", "coord.selection", "coord.heartbeat", "coord.aggregate", "coord.evaluate"]
+    {
         assert!(names.contains(&expected), "missing {expected} in the trace");
     }
 }
