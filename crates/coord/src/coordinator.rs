@@ -386,14 +386,11 @@ impl Wire {
                 obs.observe("coord_agent_rtt_seconds", rtt);
                 depth[shard_of(*id, n_shards)] += 1;
             }
-            for (shard, &d) in depth.iter().enumerate() {
-                obs.observe_with(
-                    "coord_shard_queue_depth",
-                    haccs_obs::metrics::SHARD_QUEUE_DEPTH,
-                    d as f64,
-                );
-                obs.gauge(&format!("coord_shard_queue_depth{{shard=\"{shard}\"}}"), d as f64);
+            for &d in &depth {
+                let bounds = haccs_obs::metrics::SHARD_QUEUE_DEPTH;
+                obs.observe_with("coord_shard_queue_depth", bounds, d as f64);
             }
+            shard_gauges(obs, "coord_shard_queue_depth", &depth);
         }
         Ok(drained)
     }
@@ -409,9 +406,7 @@ impl Wire {
         for e in self.registry.entries().iter().filter(|e| e.liveness != Liveness::Left) {
             members[shard_of(e.id, n_shards)] += 1;
         }
-        for (shard, &m) in members.iter().enumerate() {
-            obs.gauge(&format!("coord_shard_members{{shard=\"{shard}\"}}"), m as f64);
-        }
+        shard_gauges(obs, "coord_shard_members", &members);
     }
 
     fn decode_delivered(outcome: TransmitOutcome) -> Message {
@@ -435,18 +430,16 @@ impl Wire {
                 return UpdateOutcome::Lost { retries, backoff_s };
             }
         };
-        let (params, loss, n_train) =
+        let (round, params, loss, n_train) =
             match Message::decode(frame).expect("agent sent an undecodable update") {
                 Message::ModelUpdate { round, params, loss, n_train } => {
-                    debug_assert_eq!(round as usize, server.epoch, "update for the wrong round");
                     assert!(
                         !server.codec.is_some_and(|k| !matches!(k, CodecKind::Identity)),
                         "client {id} sent a plain update under a compressing codec"
                     );
-                    (params, loss, n_train)
+                    (round, params, loss, n_train)
                 }
                 Message::ModelUpdateEnc { round, codec, payload, loss, n_train } => {
-                    debug_assert_eq!(round as usize, server.epoch, "update for the wrong round");
                     let kind = server.codec.unwrap_or_else(|| {
                         panic!("client {id} sent an encoded update, but no codec is configured")
                     });
@@ -457,12 +450,20 @@ impl Wire {
                         .decode(&payload, &server.global_params)
                         .unwrap_or_else(|e| panic!("undecodable update from {id}: {e}"));
                     span.finish();
-                    (params, loss, n_train)
+                    (round, params, loss, n_train)
                 }
                 other => panic!("expected ModelUpdate from {id}, got {other:?}"),
             };
+        debug_assert_eq!(round as usize, server.epoch, "update for the wrong round");
         let update = PendingUpdate { id, params, loss, n_train: n_train as usize };
         UpdateOutcome::Delivered { update, retries, backoff_s }
+    }
+}
+
+/// One `name{shard="s"}` gauge per shard.
+fn shard_gauges(obs: &Recorder, name: &str, per_shard: &[usize]) {
+    for (shard, &v) in per_shard.iter().enumerate() {
+        obs.gauge(&format!("{name}{{shard=\"{shard}\"}}"), v as f64);
     }
 }
 
@@ -1267,7 +1268,7 @@ impl<S: Selector> Coordinator<S> {
 
     /// Appends one client's snapshot entry to `w`. Every registry mutation
     /// that can change this serialization must pass through
-    /// [`Coordinator::mark_entry_dirty`] — that invariant is what lets the
+    /// `Wire::mark_entry_dirty` — that invariant is what lets the
     /// segmented path skip clean shards.
     fn write_entry(e: &ClientEntry, w: &mut SnapshotWriter) {
         w.put_usize(e.summary.histograms.len());

@@ -36,7 +36,7 @@ use crate::round::{
 use crate::selector::Selector;
 use crate::trainer::{probe_loss, train_local, TrainConfig};
 use haccs_codec::CodecKind;
-use haccs_data::FederatedDataset;
+use haccs_data::{ClientData, FederatedDataset};
 use haccs_nn::{evaluate, Sequential};
 use haccs_obs::Recorder;
 use haccs_persist::{self as persist, PersistError, SnapshotReader, SnapshotWriter};
@@ -205,15 +205,8 @@ impl FedSim {
 
         // initial loss probe, in parallel (each worker builds its own model)
         let gp = &server.global_params;
-        let f = &factory;
-        let losses: Vec<f32> = clients
-            .par_iter()
-            .map(|c| {
-                let mut m = f();
-                m.set_params(gp);
-                probe_loss(&mut m, &c.data.train, &cfg.train, cfg.probe_max)
-            })
-            .collect();
+        let losses: Vec<f32> =
+            clients.par_iter().map(|c| probe(&factory, gp, &cfg, &c.data)).collect();
         for (c, l) in clients.iter_mut().zip(losses) {
             c.last_loss = Some(l);
         }
@@ -363,24 +356,17 @@ impl FedSim {
         self.server.round_deadline(available_ids, |id| self.clients[id].view())
     }
 
-    /// The server state and the in-process backend over this
-    /// simulation's clients, borrowed apart.
-    fn split(&mut self) -> (&mut Server, Local<'_>) {
-        let local = Local {
+    /// Runs one synchronous round with `selector`. Returns the round record.
+    pub fn run_round(&mut self, selector: &mut dyn Selector) -> RoundRecord {
+        let span = self.server.open_round(&NAMES);
+        let pool = self.server.availability.available_clients(self.clients.len(), self.epoch());
+        let mut local = Local {
             factory: &self.factory,
             clients: &mut self.clients,
             residuals: &mut self.codec_residuals,
             transport: self.transport.as_deref(),
         };
-        (&mut self.server, local)
-    }
-
-    /// Runs one synchronous round with `selector`. Returns the round record.
-    pub fn run_round(&mut self, selector: &mut dyn Selector) -> RoundRecord {
-        let span = self.server.open_round(&NAMES);
-        let pool = self.server.availability.available_clients(self.clients.len(), self.epoch());
-        let (server, mut local) = self.split();
-        let Ok(record) = server.run_round(&mut local, selector, &pool);
+        let Ok(record) = self.server.run_round(&mut local, selector, &pool);
         if let Some(p) = &self.snapshots {
             if self.server.epoch.is_multiple_of(p.every_rounds) {
                 let bytes = self.snapshot(&*selector);
@@ -466,10 +452,11 @@ impl FedSim {
     /// global model so selectors see a meaningful signal immediately.
     /// Returns the new client's id. Callers using HACCS should re-cluster
     /// (`HaccsSelector::recluster`) with the newcomer's summary included.
-    pub fn add_client(&mut self, data: haccs_data::ClientData, profile: DeviceProfile) -> usize {
+    pub fn add_client(&mut self, data: ClientData, profile: DeviceProfile) -> usize {
         let id = self.clients.len();
         let mut c = ClientState::new(id, data, profile);
-        c.last_loss = Some(self.probe(&c.data));
+        c.last_loss =
+            Some(probe(&self.factory, &self.server.global_params, self.config(), &c.data));
         self.clients.push(c);
         if self.server.codec.is_some_and(|k| k.stateful()) {
             self.codec_residuals.push(vec![0.0; self.server.global_params.len()]);
@@ -481,19 +468,11 @@ impl FedSim {
     /// distribution at a given client device could change over time").
     /// The client's loss is re-probed against the current global model.
     /// Callers should have the client send a fresh summary and re-cluster.
-    pub fn replace_client_data(&mut self, id: usize, data: haccs_data::ClientData) {
-        let loss = self.probe(&data);
+    pub fn replace_client_data(&mut self, id: usize, data: ClientData) {
+        let loss = probe(&self.factory, &self.server.global_params, self.config(), &data);
         let c = &mut self.clients[id];
         c.data = data;
         c.last_loss = Some(loss);
-    }
-
-    /// The loss of the current global model on (up to `probe_max` of)
-    /// `data`'s training shard.
-    fn probe(&self, data: &haccs_data::ClientData) -> f32 {
-        let mut m = (self.factory)();
-        m.set_params(&self.server.global_params);
-        probe_loss(&mut m, &data.train, &self.server.cfg.train, self.server.cfg.probe_max)
     }
 
     /// Serializes the complete training state — config guards, epoch,
@@ -608,6 +587,14 @@ impl FedSim {
         }
         self.server.run_result(selector.name())
     }
+}
+
+/// The loss of the global model `params` on (up to `cfg.probe_max` of)
+/// `data`'s training shard.
+fn probe(factory: &ModelFactory, params: &[f32], cfg: &SimConfig, data: &ClientData) -> f32 {
+    let mut m = factory();
+    m.set_params(params);
+    probe_loss(&mut m, &data.train, &cfg.train, cfg.probe_max)
 }
 
 /// The loop engine's [`Backend`]: trains in-process, carries each update
