@@ -221,7 +221,21 @@ pub fn haccs_two_level_recluster_hook(
 use haccs_core::HaccsSelector;
 
 /// The coordinator's trace names.
-const NAMES: Names = haccs_fedsim::round_names!("coord");
+const NAMES: Names = Names {
+    round: "coord.round",
+    selection: "coord.selection",
+    aggregate: "coord.aggregate",
+    evaluate: "coord.evaluate",
+    heartbeat: "coord.heartbeat",
+    crash: "coord.crash",
+    deadline_precut: "coord.deadline_precut",
+    wire_loss: "coord.wire_loss",
+    rounds_total: "coord_rounds_total",
+    updates_total: "coord_updates_total",
+    control_bytes_total: "coord_control_bytes_total",
+    wire_retries_total: "coord_wire_retries_total",
+    round_sim_seconds: "coord_round_sim_seconds",
+};
 
 /// The coordinator runtime. Generic over the selector so the §IV-C
 /// re-clustering hook can address the concrete type (see
@@ -229,7 +243,7 @@ const NAMES: Names = haccs_fedsim::round_names!("coord");
 /// unchanged.
 pub struct Coordinator<S: Selector> {
     server: Server,
-    wire: Wire,
+    fleet: Fleet,
     selector: S,
     summarizer: Summarizer,
     summary_seed: u64,
@@ -247,7 +261,7 @@ pub struct Coordinator<S: Selector> {
 /// The coordinator's round [`Backend`]: the agents on the event-loop
 /// core, the registry that books them, and the collections that order
 /// their uplink traffic.
-struct Wire {
+struct Fleet {
     registry: ClientRegistry,
     /// The agents' event-loop core: thread-free [`AgentState`] machines on
     /// a fixed worker pool, so the OS thread count is independent of
@@ -308,7 +322,7 @@ struct ParsedSnapshot {
     restored: Vec<RestoredEntry>,
 }
 
-impl Wire {
+impl Fleet {
     /// Agents ever registered with the core (including departed and
     /// tombstoned slots).
     fn spawned(&self) -> usize {
@@ -467,7 +481,7 @@ fn shard_gauges(obs: &Recorder, name: &str, per_shard: &[usize]) {
     }
 }
 
-impl Backend for Wire {
+impl Backend for Fleet {
     type Error = CoordError;
     const NAMES: &'static Names = &NAMES;
 
@@ -686,7 +700,7 @@ impl<S: Selector> Coordinator<S> {
     ) -> Self {
         let server = Server::new(factory(), global_test, latency, availability, cfg);
         let (uplink_tx, uplink_rx) = mpsc::channel();
-        let wire = Wire {
+        let fleet = Fleet {
             registry: ClientRegistry::new(),
             core: None,
             shard_cfg: ShardConfig::default(),
@@ -701,7 +715,7 @@ impl<S: Selector> Coordinator<S> {
         };
         Coordinator {
             server,
-            wire,
+            fleet,
             selector,
             summarizer: Summarizer::label_dist(),
             summary_seed: default_summary_seed(cfg.seed),
@@ -720,7 +734,7 @@ impl<S: Selector> Coordinator<S> {
     /// performance knob only.
     pub fn with_shard_layout(mut self, layout: ShardConfig) -> Self {
         self.assert_unspawned("shard layout");
-        self.wire.shard_cfg = layout;
+        self.fleet.shard_cfg = layout;
         self
     }
 
@@ -731,13 +745,13 @@ impl<S: Selector> Coordinator<S> {
     /// [`DEFAULT_EVENT_CAPACITY`].
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity >= 1, "event capacity must be >= 1");
-        self.wire.event_capacity = capacity;
+        self.fleet.event_capacity = capacity;
         self
     }
 
     /// The event core's shard/worker layout.
     pub fn shard_layout(&self) -> ShardConfig {
-        self.wire.shard_cfg
+        self.fleet.shard_cfg
     }
 
     /// A clone of the uplink sender, for transport bridges that forward
@@ -745,7 +759,7 @@ impl<S: Selector> Coordinator<S> {
     /// uplink carries envelope batches; a bridge sends one-element
     /// batches.
     pub fn uplink(&self) -> Uplink {
-        self.wire.uplink_tx.clone()
+        self.fleet.uplink_tx.clone()
     }
 
     /// Registers a connected remote client (its `Join` envelope must
@@ -761,7 +775,7 @@ impl<S: Selector> Coordinator<S> {
     }
 
     fn assert_unspawned(&self, what: &str) {
-        assert!(self.wire.spawned() == 0, "{what} must be configured before the first round");
+        assert!(self.fleet.spawned() == 0, "{what} must be configured before the first round");
     }
 
     /// Attaches a fault schedule (builder style; before the first round).
@@ -800,7 +814,7 @@ impl<S: Selector> Coordinator<S> {
 
     /// Sets the heartbeat/liveness policy (builder style).
     pub fn with_heartbeat(mut self, hb: HeartbeatPolicy) -> Self {
-        self.wire.hb_policy = hb;
+        self.fleet.hb_policy = hb;
         self
     }
 
@@ -841,7 +855,7 @@ impl<S: Selector> Coordinator<S> {
     /// [`Coordinator::with_snapshots`] (a run may write both formats).
     pub fn with_segmented_snapshots(mut self, policy: SnapshotPolicy, n_shards: usize) -> Self {
         let writer = persist::segment::SegmentWriter::new(&policy.dir, n_shards);
-        self.wire.segmented = Some(SegmentedSnapshots { policy, writer });
+        self.fleet.segmented = Some(SegmentedSnapshots { policy, writer });
         self
     }
 
@@ -856,18 +870,18 @@ impl<S: Selector> Coordinator<S> {
     /// [`persist::segment::SegmentWriter::with_retention`]).
     pub fn with_segment_retention(mut self, keep: usize) -> Self {
         let seg = self
-            .wire
+            .fleet
             .segmented
             .take()
             .expect("call with_segmented_snapshots before with_segment_retention");
-        self.wire.segmented =
+        self.fleet.segmented =
             Some(SegmentedSnapshots { writer: seg.writer.with_retention(keep), ..seg });
         self
     }
 
     /// The segmented-snapshot policy, if enabled.
     pub fn segmented_snapshot_policy(&self) -> Option<&SnapshotPolicy> {
-        self.wire.segmented.as_ref().map(|s| &s.policy)
+        self.fleet.segmented.as_ref().map(|s| &s.policy)
     }
 
     /// Attaches a telemetry recorder (builder style). Coordinator
@@ -917,7 +931,7 @@ impl<S: Selector> Coordinator<S> {
     /// first heartbeat probe of a round `>= round` where the device is
     /// available, its agent sends `Leave` and winds down.
     pub fn with_leave_after(mut self, id: usize, round: u64) -> Self {
-        let base = self.wire.spawned();
+        let base = self.fleet.spawned();
         let slot = id
             .checked_sub(base)
             .and_then(|i| self.pending.get_mut(i))
@@ -930,7 +944,7 @@ impl<S: Selector> Coordinator<S> {
     /// re-clustering hook fires — at the next round boundary. Returns the
     /// id the client will enroll under.
     pub fn add_client(&mut self, data: ClientData, profile: DeviceProfile) -> usize {
-        let id = self.wire.spawned() + self.pending.len();
+        let id = self.fleet.spawned() + self.pending.len();
         self.pending.push(PendingJoin { data, profile, leave_after: None });
         id
     }
@@ -941,12 +955,12 @@ impl<S: Selector> Coordinator<S> {
     /// departure. Frames for departed clients are dropped (a late update
     /// can race a `Leave`).
     pub fn observe_summary_update(&mut self, id: usize, summary: WireSummary) {
-        if self.wire.registry.get(id).liveness == Liveness::Left {
+        if self.fleet.registry.get(id).liveness == Liveness::Left {
             return;
         }
-        self.wire.registry.observe_summary_update(id, summary);
-        self.wire.mark_entry_dirty(id);
-        self.wire.membership_dirty = true;
+        self.fleet.registry.observe_summary_update(id, summary);
+        self.fleet.mark_entry_dirty(id);
+        self.fleet.membership_dirty = true;
     }
 
     /// [`Self::add_client`] with a scripted departure round.
@@ -963,12 +977,12 @@ impl<S: Selector> Coordinator<S> {
 
     /// Current phase of the round state machine.
     pub fn phase(&self) -> RoundPhase {
-        self.wire.phase
+        self.fleet.phase
     }
 
     /// The membership/liveness registry.
     pub fn registry(&self) -> &ClientRegistry {
-        &self.wire.registry
+        &self.fleet.registry
     }
 
     pub fn selector(&self) -> &S {
@@ -1039,8 +1053,8 @@ impl<S: Selector> Coordinator<S> {
     /// the §IV-C re-clustering hook.
     fn ensure_enrolled(&mut self) -> Result<(), CoordError> {
         if !self.pending.is_empty() || !self.pending_remote.is_empty() {
-            let first_enrollment = self.wire.registry.is_empty();
-            self.wire.phase = RoundPhase::Enrolling;
+            let first_enrollment = self.fleet.registry.is_empty();
+            self.fleet.phase = RoundPhase::Enrolling;
             let batch = std::mem::take(&mut self.pending);
             let mut remote_batch = std::mem::take(&mut self.pending_remote);
             remote_batch.sort_by_key(|(id, _)| *id);
@@ -1057,17 +1071,17 @@ impl<S: Selector> Coordinator<S> {
             let mut spawn_meta: HashMap<usize, (DeviceProfile, Option<usize>)> = HashMap::new();
 
             for p in batch {
-                let id = self.wire.spawned();
+                let id = self.fleet.spawned();
                 spawn_meta.insert(id, (p.profile, Some(p.data.train.len())));
                 let acfg = self.agent_config(id, p.leave_after, None);
                 let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
-                self.wire.core_mut().spawn_agent(id, agent);
+                self.fleet.core_mut().spawn_agent(id, agent);
             }
 
             for (id, link) in remote_batch {
                 assert_eq!(
                     id,
-                    self.wire.spawned(),
+                    self.fleet.spawned(),
                     "remote clients must cover a dense id range (missing attach_remote?)"
                 );
                 let profile = self
@@ -1075,17 +1089,17 @@ impl<S: Selector> Coordinator<S> {
                     .as_ref()
                     .expect("pending_remote implies remote construction")[id];
                 spawn_meta.insert(id, (profile, None));
-                self.wire.core_mut().attach_remote(id, link.downlink, link.pump);
+                self.fleet.core_mut().attach_remote(id, link.downlink, link.pump);
             }
 
             // Joins arrive in racing order; the queue restores id order
             let mut new_ids = Vec::with_capacity(n_new);
-            for (id, outcome) in self.wire.collect_uniform(n_new, &self.server)? {
+            for (id, outcome) in self.fleet.collect_uniform(n_new, &self.server)? {
                 let (profile, local_n_train) = spawn_meta[&id];
-                match Wire::decode_delivered(outcome) {
+                match Fleet::decode_delivered(outcome) {
                     Message::Join { client_nonce, summary, resources } => {
                         let n_train = local_n_train.unwrap_or(resources.n_train as usize);
-                        self.wire.registry.enroll(ClientEntry {
+                        self.fleet.registry.enroll(ClientEntry {
                             id,
                             nonce: client_nonce,
                             profile,
@@ -1097,7 +1111,7 @@ impl<S: Selector> Coordinator<S> {
                             liveness: Liveness::Joined,
                             missed_heartbeats: 0,
                         });
-                        self.wire.mark_entry_dirty(id);
+                        self.fleet.mark_entry_dirty(id);
                         new_ids.push(id);
                     }
                     other => panic!("expected Join from client {id}, got {other:?}"),
@@ -1112,12 +1126,12 @@ impl<S: Selector> Coordinator<S> {
                 round: self.server.epoch as u64,
                 params: self.server.global_params.clone(),
             };
-            self.wire.core_mut().dispatch_cohort(&new_ids, push.encode());
-            for (id, outcome) in self.wire.collect_uniform(new_ids.len(), &self.server)? {
-                match Wire::decode_delivered(outcome) {
+            self.fleet.core_mut().dispatch_cohort(&new_ids, push.encode());
+            for (id, outcome) in self.fleet.collect_uniform(new_ids.len(), &self.server)? {
+                match Fleet::decode_delivered(outcome) {
                     Message::Heartbeat { last_loss, .. } => {
-                        self.wire.registry.get_mut(id).last_loss = Some(last_loss);
-                        self.wire.mark_entry_dirty(id);
+                        self.fleet.registry.get_mut(id).last_loss = Some(last_loss);
+                        self.fleet.mark_entry_dirty(id);
                     }
                     other => panic!("expected enrollment ack from client {id}, got {other:?}"),
                 }
@@ -1126,17 +1140,17 @@ impl<S: Selector> Coordinator<S> {
             // the initial federation is clustered by whoever built the
             // selector; only *changes* to membership re-cluster
             if !first_enrollment {
-                self.wire.membership_dirty = true;
+                self.fleet.membership_dirty = true;
             }
             enroll_span.finish();
             self.server.obs.inc("coord_joins_total", n_new as u64);
-            self.wire.observe_shard_membership(&self.server.obs);
+            self.fleet.observe_shard_membership(&self.server.obs);
         }
 
-        if self.wire.membership_dirty {
-            self.wire.phase = RoundPhase::Clustering;
+        if self.fleet.membership_dirty {
+            self.fleet.phase = RoundPhase::Clustering;
             if let Some(hook) = self.recluster_hook.as_mut() {
-                let members = self.wire.registry.member_summaries();
+                let members = self.fleet.registry.member_summaries();
                 let span = self
                     .server
                     .obs
@@ -1147,7 +1161,7 @@ impl<S: Selector> Coordinator<S> {
                 span.finish();
                 self.server.obs.inc("coord_reclusters_total", 1);
             }
-            self.wire.membership_dirty = false;
+            self.fleet.membership_dirty = false;
         }
         Ok(())
     }
@@ -1157,14 +1171,14 @@ impl<S: Selector> Coordinator<S> {
     /// [`Server::expected_latency`], fed from the registry's spawn-time
     /// profiles).
     pub fn expected_latency(&self, id: usize) -> f64 {
-        self.server.expected_latency(&self.wire.client(id))
+        self.server.expected_latency(&self.fleet.client(id))
     }
 
     /// Scheduling view ([`ClientInfo`]) of the given client ids. Clients
     /// never probed report the pool's mean observed loss
     /// ([`haccs_fedsim::neutral_loss`]) rather than a runaway sentinel.
     pub fn client_infos(&self, ids: &[usize]) -> Vec<ClientInfo> {
-        self.server.client_infos(ids, |id| self.wire.client(id))
+        self.server.client_infos(ids, |id| self.fleet.client(id))
     }
 
     // ------------------------------------------------------------------
@@ -1186,10 +1200,10 @@ impl<S: Selector> Coordinator<S> {
     pub fn try_run_round(&mut self) -> Result<RoundRecord, CoordError> {
         let span = self.server.open_round(&NAMES);
         self.ensure_enrolled()?;
-        self.wire.phase = RoundPhase::Selecting;
-        let pool = self.wire.registry.selectable(self.server.epoch, &self.server.availability);
-        let record = self.server.run_round(&mut self.wire, &mut self.selector, &pool)?;
-        self.wire.phase = RoundPhase::Committed;
+        self.fleet.phase = RoundPhase::Selecting;
+        let pool = self.fleet.registry.selectable(self.server.epoch, &self.server.availability);
+        let record = self.server.run_round(&mut self.fleet, &mut self.selector, &pool)?;
+        self.fleet.phase = RoundPhase::Committed;
         let snapshots = self.write_scheduled_snapshots();
         self.server.close_round(&NAMES, span, &record);
         snapshots.map_err(CoordError::Snapshot)?;
@@ -1231,7 +1245,7 @@ impl<S: Selector> Coordinator<S> {
         );
         let mut w = SnapshotWriter::new();
         self.write_pre(&mut w);
-        for e in self.wire.registry.entries() {
+        for e in self.fleet.registry.entries() {
             Self::write_entry(e, &mut w);
         }
         self.write_post(&mut w);
@@ -1248,7 +1262,7 @@ impl<S: Selector> Coordinator<S> {
         let s = &self.server;
         s.save_guards(w);
         w.put_u64(self.summary_seed);
-        w.put_usize(self.wire.registry.len());
+        w.put_usize(self.fleet.registry.len());
         // NOTE: deliberately no shard layout here. The layout is a pure
         // performance knob, so snapshot bytes stay layout-free: a
         // coordinator in any shard configuration writes identical
@@ -1261,14 +1275,14 @@ impl<S: Selector> Coordinator<S> {
         // mutable core state
         s.save_boundary(w);
         s.result.save(w);
-        w.put_bool(self.wire.membership_dirty);
+        w.put_bool(self.fleet.membership_dirty);
         // codec guard: a snapshot only restores under the same codec
         w.put_str(&s.codec_label());
     }
 
     /// Appends one client's snapshot entry to `w`. Every registry mutation
     /// that can change this serialization must pass through
-    /// `Wire::mark_entry_dirty` — that invariant is what lets the
+    /// `Fleet::mark_entry_dirty` — that invariant is what lets the
     /// segmented path skip clean shards.
     fn write_entry(e: &ClientEntry, w: &mut SnapshotWriter) {
         w.put_usize(e.summary.histograms.len());
@@ -1307,7 +1321,7 @@ impl<S: Selector> Coordinator<S> {
             .filter(|p| epoch.is_multiple_of(p.every_rounds))
             .map(|p| p.path_for(epoch));
         let segmented = self
-            .wire
+            .fleet
             .segmented
             .as_ref()
             .is_some_and(|s| epoch.is_multiple_of(s.policy.every_rounds));
@@ -1362,9 +1376,9 @@ impl<S: Selector> Coordinator<S> {
         );
         // the writer leaves `self` for the tick, so the encoders can read
         // the whole coordinator
-        let mut seg = self.wire.segmented.take().expect("segmented snapshots not configured");
+        let mut seg = self.fleet.segmented.take().expect("segmented snapshots not configured");
         let n_shards = seg.writer.n_shards();
-        let registry = &self.wire.registry;
+        let registry = &self.fleet.registry;
         let tick = seg.writer.tick(
             self.server.epoch,
             |w| self.write_pre(w),
@@ -1379,7 +1393,7 @@ impl<S: Selector> Coordinator<S> {
             },
             &self.server.obs,
         );
-        self.wire.segmented = Some(seg);
+        self.fleet.segmented = Some(seg);
         let tick = tick?;
         self.server.obs.inc("coord_snapshot_bytes_total", tick.bytes);
         // the core fragments count as one segment, as the core file did
@@ -1471,7 +1485,7 @@ impl<S: Selector> Coordinator<S> {
     /// restore is not transactional.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.wire.spawned() == 0 && self.wire.registry.is_empty(),
+            self.fleet.spawned() == 0 && self.fleet.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
@@ -1492,26 +1506,26 @@ impl<S: Selector> Coordinator<S> {
         // commit: spawn agents for non-departed clients, seeded with
         // their snapshot-time losses (no enrollment probe — the snapshot
         // *is* the loss signal); departed clients get a tombstone slot
-        self.wire.phase = RoundPhase::Enrolling;
+        self.fleet.phase = RoundPhase::Enrolling;
         let batch = std::mem::take(&mut self.pending);
         let mut spawn_meta: HashMap<usize, (DeviceProfile, usize)> = HashMap::new();
         let mut n_live = 0usize;
         for (id, p) in batch.into_iter().enumerate() {
             spawn_meta.insert(id, (p.profile, p.data.train.len()));
             if restored[id].liveness == Liveness::Left {
-                self.wire.core_mut().push_tombstone();
+                self.fleet.core_mut().push_tombstone();
                 continue;
             }
             n_live += 1;
             let acfg = self.agent_config(id, p.leave_after, restored[id].last_loss);
             let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
-            self.wire.core_mut().spawn_agent(id, agent);
+            self.fleet.core_mut().spawn_agent(id, agent);
         }
 
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        let joined = self.wire.collect_uniform(n_live, &self.server);
+        let joined = self.fleet.collect_uniform(n_live, &self.server);
         for (id, outcome) in joined.map_err(Self::restore_backpressure)? {
-            match Wire::decode_delivered(outcome) {
+            match Fleet::decode_delivered(outcome) {
                 Message::Join { client_nonce, resources, .. } => {
                     joins.insert(id, (client_nonce, resources));
                 }
@@ -1532,7 +1546,7 @@ impl<S: Selector> Coordinator<S> {
                     },
                 )
             });
-            self.wire.registry.enroll(ClientEntry {
+            self.fleet.registry.enroll(ClientEntry {
                 id,
                 nonce,
                 profile,
@@ -1545,14 +1559,14 @@ impl<S: Selector> Coordinator<S> {
                 missed_heartbeats: 0,
             });
             // enroll() forces Alive; restore the snapshot's truth
-            let e = self.wire.registry.get_mut(id);
+            let e = self.fleet.registry.get_mut(id);
             e.liveness = re.liveness;
             e.missed_heartbeats = re.missed_heartbeats;
         }
 
         self.server.resume(boundary, result);
-        self.wire.membership_dirty = membership_dirty;
-        self.wire.phase = RoundPhase::Committed;
+        self.fleet.membership_dirty = membership_dirty;
+        self.fleet.phase = RoundPhase::Committed;
         Ok(())
     }
 
@@ -1565,7 +1579,7 @@ impl<S: Selector> Coordinator<S> {
     /// echo exactly what an uninterrupted agent would have reported.
     pub fn restore_remote(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
-            self.wire.spawned() == 0 && self.wire.registry.is_empty(),
+            self.fleet.spawned() == 0 && self.fleet.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
         self.refuse_stateful_codec_resume()?;
@@ -1587,13 +1601,13 @@ impl<S: Selector> Coordinator<S> {
                     links.remove(&id).is_none(),
                     "client {id} departed before the snapshot but reconnected"
                 );
-                self.wire.core_mut().push_tombstone();
+                self.fleet.core_mut().push_tombstone();
             } else {
                 let link = links.remove(&id).unwrap_or_else(|| {
                     panic!("live client {id} must reconnect before restore_remote")
                 });
                 n_live += 1;
-                self.wire.core_mut().attach_remote(id, link.downlink, link.pump);
+                self.fleet.core_mut().attach_remote(id, link.downlink, link.pump);
             }
         }
         assert!(links.is_empty(), "attached ids beyond the snapshot's client range");
@@ -1601,9 +1615,9 @@ impl<S: Selector> Coordinator<S> {
         // consume the reconnection Joins (they carry fresh summaries; the
         // snapshot's registry view wins, as in the local restore)
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        let joined = self.wire.collect_uniform(n_live, &self.server);
+        let joined = self.fleet.collect_uniform(n_live, &self.server);
         for (id, outcome) in joined.map_err(Self::restore_backpressure)? {
-            match Wire::decode_delivered(outcome) {
+            match Fleet::decode_delivered(outcome) {
                 Message::Join { client_nonce, resources, .. } => {
                     joins.insert(id, (client_nonce, resources));
                 }
@@ -1635,7 +1649,7 @@ impl<S: Selector> Coordinator<S> {
             if live {
                 resume_sync.push((id, re.last_loss.unwrap_or(0.0)));
             }
-            self.wire.registry.enroll(ClientEntry {
+            self.fleet.registry.enroll(ClientEntry {
                 id,
                 nonce,
                 profile,
@@ -1647,7 +1661,7 @@ impl<S: Selector> Coordinator<S> {
                 liveness: Liveness::Joined,
                 missed_heartbeats: 0,
             });
-            let e = self.wire.registry.get_mut(id);
+            let e = self.fleet.registry.get_mut(id);
             e.liveness = re.liveness;
             e.missed_heartbeats = re.missed_heartbeats;
         }
@@ -1656,12 +1670,12 @@ impl<S: Selector> Coordinator<S> {
         // (the downlink is FIFO, so ResumeSync lands first)
         for (id, last_loss) in resume_sync {
             let sync = Message::ResumeSync { round: boundary.epoch as u64, last_loss };
-            self.wire.core_mut().dispatch(id, sync.encode());
+            self.fleet.core_mut().dispatch(id, sync.encode());
         }
 
         self.server.resume(boundary, result);
-        self.wire.membership_dirty = membership_dirty;
-        self.wire.phase = RoundPhase::Committed;
+        self.fleet.membership_dirty = membership_dirty;
+        self.fleet.phase = RoundPhase::Committed;
         Ok(())
     }
 }
@@ -1906,7 +1920,7 @@ mod tests {
             outcome: TransmitOutcome::Lost { retries: seq as usize, backoff_s: 0.5 },
         };
         let drained = |c: &mut Coordinator<FirstK>, count: usize| -> Vec<(usize, usize)> {
-            let got = c.wire.collect(count, &c.server).unwrap();
+            let got = c.fleet.collect(count, &c.server).unwrap();
             got.into_iter()
                 .map(|(id, o)| match o {
                     TransmitOutcome::Lost { retries, .. } => (id, retries),

@@ -1,5 +1,7 @@
-//! [`FedSim`]: the synchronous federated-averaging round loop, with
-//! optional mid-round fault injection and deadline-driven aggregation.
+//! [`FedSim`]: the in-process loop engine — the [`round::Server`] round
+//! driver played against a backend that trains every client locally —
+//! with optional mid-round fault injection and deadline-driven
+//! aggregation.
 //!
 //! ## Fault taxonomy and round policies
 //!
@@ -161,7 +163,21 @@ impl SnapshotPolicy {
 }
 
 /// The loop engine's trace names.
-const NAMES: Names = crate::round_names!("engine");
+const NAMES: Names = Names {
+    round: "engine.round",
+    selection: "engine.selection",
+    aggregate: "engine.aggregate",
+    evaluate: "engine.evaluate",
+    heartbeat: "engine.heartbeat",
+    crash: "engine.crash",
+    deadline_precut: "engine.deadline_precut",
+    wire_loss: "engine.wire_loss",
+    rounds_total: "engine_rounds_total",
+    updates_total: "engine_updates_total",
+    control_bytes_total: "engine_control_bytes_total",
+    wire_retries_total: "engine_wire_retries_total",
+    round_sim_seconds: "engine_round_sim_seconds",
+};
 
 /// The federated simulation: the [`Server`] the round driver plays, and
 /// the in-process clients it trains.

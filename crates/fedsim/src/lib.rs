@@ -15,8 +15,11 @@
 //! * [`trainer`] — real local SGD on the client's shard (clients train
 //!   *for real*; only time is simulated), parallelized across clients with
 //!   rayon,
-//! * [`engine::FedSim`] — the synchronous round loop: select → train →
-//!   FedAvg → advance clock by the slowest participant → evaluate. Faults
+//! * [`round::Server`] — the one round driver: select → train → FedAvg →
+//!   advance clock by the slowest participant → evaluate, played against
+//!   a [`round::Backend`] that moves the updates; the loop engine and the
+//!   `haccs-coord` coordinator are its two backends,
+//! * [`engine::FedSim`] — the in-process loop engine over that driver. Faults
 //!   (crash / straggler / lossy wire, from `haccs_sysmodel::faults`) can be
 //!   injected mid-round, and an [`engine::RoundPolicy`] chooses between
 //!   waiting for everyone, dropping late updates at a deadline, or drafting

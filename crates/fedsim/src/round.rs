@@ -395,49 +395,36 @@ fn sample_eval_set(global_test: ImageSet, cfg: &SimConfig) -> ImageSet {
 }
 
 /// The span, event and counter names a backend's rounds are traced
-/// under: `prefix.round`, `prefix.selection`, ... and
-/// `prefix_rounds_total`, ... (see [`round_names!`](crate::round_names)).
-/// They stay per backend so a trace tells the loop engine (`engine.*`)
-/// from the coordinator (`coord.*`).
+/// under. They stay per backend so a trace tells the loop engine
+/// (`engine.*`) from the coordinator (`coord.*`).
 #[derive(Debug)]
 pub struct Names {
+    /// Span around a whole round.
     pub round: &'static str,
+    /// Span around the selector call.
     pub selection: &'static str,
+    /// Span around FedAvg and the participants' bookkeeping.
     pub aggregate: &'static str,
+    /// Span around one evaluation of the global model.
     pub evaluate: &'static str,
+    /// Span around the heartbeat sweep.
     pub heartbeat: &'static str,
+    /// Event: a selected client crashed.
     pub crash: &'static str,
+    /// Event: a selected client's compute alone overran the deadline.
     pub deadline_precut: &'static str,
+    /// Event: the wire lost an update.
     pub wire_loss: &'static str,
+    /// Counter: committed rounds.
     pub rounds_total: &'static str,
+    /// Counter: aggregated updates.
     pub updates_total: &'static str,
+    /// Counter: control-traffic bytes.
     pub control_bytes_total: &'static str,
+    /// Counter: wire retransmissions.
     pub wire_retries_total: &'static str,
+    /// Histogram: simulated round seconds.
     pub round_sim_seconds: &'static str,
-}
-
-/// The [`round::Names`](crate::round::Names) table of a backend whose
-/// trace names start with the literal `$prefix`: spans and events as
-/// `$prefix.round`, counters and histograms as `$prefix_rounds_total`.
-#[macro_export]
-macro_rules! round_names {
-    ($prefix:literal) => {
-        $crate::round::Names {
-            round: concat!($prefix, ".round"),
-            selection: concat!($prefix, ".selection"),
-            aggregate: concat!($prefix, ".aggregate"),
-            evaluate: concat!($prefix, ".evaluate"),
-            heartbeat: concat!($prefix, ".heartbeat"),
-            crash: concat!($prefix, ".crash"),
-            deadline_precut: concat!($prefix, ".deadline_precut"),
-            wire_loss: concat!($prefix, ".wire_loss"),
-            rounds_total: concat!($prefix, "_rounds_total"),
-            updates_total: concat!($prefix, "_updates_total"),
-            control_bytes_total: concat!($prefix, "_control_bytes_total"),
-            wire_retries_total: concat!($prefix, "_wire_retries_total"),
-            round_sim_seconds: concat!($prefix, "_round_sim_seconds"),
-        }
-    };
 }
 
 /// A client's scheduling inputs, as its backend books them.
@@ -528,18 +515,16 @@ pub fn load_selector<S: Selector + ?Sized>(
     selector.load_state(r)
 }
 
-/// The server state a snapshot holds at a round boundary, read back and
-/// checked but not yet committed (see [`Server::resume`]).
+/// The server state a snapshot holds at a round boundary — epoch, clock,
+/// RNG stream and global model — read back and checked but not yet
+/// committed (see [`Server::resume`]).
 #[derive(Debug)]
 pub struct Boundary {
     /// Rounds completed.
     pub epoch: usize,
-    /// Simulated time.
-    pub now: f64,
-    /// Selection RNG stream.
-    pub rng_state: [u64; 4],
-    /// The global model.
-    pub global_params: Vec<f32>,
+    now: f64,
+    rng_state: [u64; 4],
+    global_params: Vec<f32>,
 }
 
 /// The server side of a federated run, shared by both drivers: config,
@@ -551,7 +536,7 @@ pub struct Server {
     /// Simulation parameters.
     pub cfg: SimConfig,
     /// Latency model used for scheduling estimates and clock advances.
-    pub latency: LatencyModel,
+    latency: LatencyModel,
     /// Dropout model.
     pub availability: Availability,
     /// Fault schedule.
@@ -563,7 +548,7 @@ pub struct Server {
     /// Simulated clock.
     pub clock: SimClock,
     /// Selection RNG stream.
-    pub rng: StdRng,
+    rng: StdRng,
     /// Rounds completed.
     pub epoch: usize,
     /// The global model.
