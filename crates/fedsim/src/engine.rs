@@ -653,16 +653,16 @@ impl Local<'_> {
         &mut self,
         server: &Server,
         id: usize,
-        params: &[f32],
+        params: Vec<f32>,
     ) -> (Vec<f32>, Option<Vec<u8>>) {
         let codec = match server.codec {
             Some(kind) if !matches!(kind, CodecKind::Identity) => kind.build(),
-            _ => return (params.to_vec(), None),
+            _ => return (params, None),
         };
         let gp = &server.global_params;
         let enc_span = server.obs.span("codec.encode").u("client", id as u64);
         let residual = if codec.stateful() { Some(&mut self.residuals[id]) } else { None };
-        let payload = codec.encode(params, gp, residual);
+        let payload = codec.encode(&params, gp, residual);
         enc_span.u("bytes", payload.len() as u64).finish();
         let dec_span = server.obs.span("codec.decode").u("client", id as u64);
         let decoded = codec.decode(&payload, gp).expect("self-encoded update payload must decode");
@@ -680,7 +680,6 @@ impl Local<'_> {
         &self,
         server: &Server,
         update: &PendingUpdate,
-        params: Vec<f32>,
         payload: Option<Vec<u8>>,
     ) -> Result<(usize, f64), (usize, f64)> {
         let (round, loss, n_train) = (server.epoch as u64, update.loss, update.n_train as u32);
@@ -689,7 +688,7 @@ impl Local<'_> {
                 let codec = server.codec.map(|k| k.tag()).unwrap_or(0);
                 Message::ModelUpdateEnc { round, codec, payload, loss, n_train }
             }
-            None => Message::ModelUpdate { round, params, loss, n_train },
+            None => Message::ModelUpdate { round, params: update.params.clone(), loss, n_train },
         };
         let stream_id = round::update_stream_id(server.epoch, update.id);
         let derived;
@@ -738,11 +737,11 @@ impl Backend for Local<'_> {
         Ok(trained
             .into_iter()
             .map(|(id, params, loss)| {
-                let (delivered, payload) = self.encode(server, id, &params);
+                let (params, payload) = self.encode(server, id, params);
                 let n_train = self.clients[id].data.n_train();
-                let update = PendingUpdate { id, params: delivered, loss, n_train };
+                let update = PendingUpdate { id, params, loss, n_train };
                 let sent = if server.faults.lossy_prob > 0.0 {
-                    self.transmit(server, &update, params, payload)
+                    self.transmit(server, &update, payload)
                 } else {
                     Ok((0, 0.0))
                 };

@@ -10,8 +10,9 @@
 //! runs the simulated wire, the coordinator pushes a cohort frame to its
 //! agents and collects their envelopes), while [`Server`] owns every
 //! decision — who trains, what is admitted, what the round cost. The
-//! free functions below are the pure arithmetic the driver and the
-//! coordinator's agents share: no clock, no channels, no threads.
+//! free functions are the pure arithmetic the driver and the
+//! coordinator's agents share (no clock, no channels, no threads), and
+//! the snapshot fields both wrappers write.
 
 use crate::client::{neutral_loss, ClientInfo};
 use crate::engine::{AggregationPolicy, RoundPolicy, SimConfig};
