@@ -201,7 +201,10 @@ pub fn haccs_cached_recluster_hook(
 /// `cfg.flat_below` members it runs the flat incremental path verbatim
 /// (bit-identical to the cached hook); past the threshold it promotes to
 /// sketch buckets and re-clustering cost is bounded by data diversity
-/// (cells per bucket) instead of O(n²) in the member count.
+/// (cells per bucket) instead of O(n²) in the member count. The first
+/// call fills the cache in one [`haccs_core::ClusterCache::sync_wire`]
+/// batch, so a membership already at the threshold promotes before it
+/// inserts and never builds the flat phase.
 pub fn haccs_two_level_recluster_hook(
     summarizer: Summarizer,
     min_pts: usize,
@@ -1712,7 +1715,8 @@ impl Coordinator<HaccsSelector> {
     /// Installs [`haccs_two_level_recluster_hook`] — the sub-quadratic
     /// sketch-bucketed path (DESIGN.md §15). Bit-identical to
     /// [`Self::with_haccs_reclustering`] while the membership stays below
-    /// `cfg.flat_below`.
+    /// `cfg.flat_below`; a federation that starts at or above it is
+    /// bucketed from the hook's first call, without a flat phase.
     pub fn with_haccs_two_level_reclustering(
         self,
         min_pts: usize,

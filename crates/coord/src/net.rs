@@ -7,12 +7,14 @@
 //!
 //! * **server side** — [`accept_remote_clients`] accepts one connection
 //!   per expected client. Each connection's first frame is the client's
-//!   encoded `Join` [`Envelope`], which identifies it; a reader thread
-//!   then forwards every further envelope into the uplink (as a
-//!   one-element batch) while a writer pump drains the downlink onto the
-//!   socket. The pump half-closes the stream (`shutdown(Write)`) when the
-//!   coordinator drops the downlink, so the remote agent observes the
-//!   same orderly EOF a local agent sees when its channel closes.
+//!   encoded `Join` [`Envelope`], which binds it to that client's id; a
+//!   reader thread then forwards every further envelope into the uplink
+//!   (as a one-element batch) — and drops the connection at the first one
+//!   whose `from` names any other id, so no peer can speak for another —
+//!   while a writer pump drains the downlink onto the socket. The pump
+//!   half-closes the stream (`shutdown(Write)`) when the coordinator drops
+//!   the downlink, so the remote agent observes the same orderly EOF a
+//!   local agent sees when its channel closes.
 //! * **client side** — [`serve_agent_tcp`] dials the coordinator (retry
 //!   with capped backoff), splits the stream, and runs the **unchanged**
 //!   agent loop between two pumps. The agent cannot tell it is remote.
@@ -46,9 +48,11 @@ use std::thread;
 
 /// Bridges one accepted connection into the coordinator's junction.
 /// Blocks until the client's first envelope (its `Join`) arrives — that
-/// frame names the client — forwards it into `uplink`, then leaves a
-/// reader thread and a writer pump running. The pump thread is returned
-/// inside the [`RemoteLink`] so the coordinator joins it on drop.
+/// frame names the client and binds the connection to its id — forwards
+/// it into `uplink`, then leaves a reader thread and a writer pump
+/// running. The reader drops the connection at the first envelope whose
+/// `from` differs from the bound id. The pump thread is returned inside
+/// the [`RemoteLink`] so the coordinator joins it on drop.
 pub fn bridge_client(
     stream: TcpStream,
     uplink: Uplink,
@@ -72,14 +76,15 @@ pub fn bridge_client(
             // reads until Closed (orderly), Truncated or a timeout
             while let Ok(payload) = read_frame_limited(&mut read_half, max_frame) {
                 match Envelope::decode(Bytes::from(payload)) {
-                    Ok(env) => {
+                    Ok(env) if env.from == id => {
                         if uplink.send(vec![env]).is_err() {
                             break;
                         }
                     }
-                    // an undecodable envelope poisons the stream —
-                    // drop the connection rather than resync blindly
-                    Err(_) => break,
+                    // an undecodable envelope poisons the stream, and one
+                    // from another id would speak for that client — drop
+                    // the connection rather than resync blindly
+                    _ => break,
                 }
             }
         })
@@ -477,5 +482,40 @@ mod tests {
         assert_eq!(got.len(), 1, "a bridge forwards one-element batches");
         assert_eq!(got[0].from, 0);
         drop(links); // close downlinks; pumps wind down
+    }
+
+    #[test]
+    fn bridge_drops_a_peer_that_speaks_for_another_id() {
+        use std::io::Write;
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let (uplink_tx, uplink_rx) = mpsc::channel::<Vec<Envelope>>();
+        let accept = thread::spawn(move || {
+            accept_remote_clients(&listener, 1, uplink_tx, &TcpConfig::default()).expect("accept")
+        });
+
+        // the peer joins as client 0, then sends as client 1, then as 0
+        let mut framed = Vec::new();
+        for from in [0, 1, 0] {
+            let frame = Envelope {
+                from,
+                seq: 0,
+                outcome: crate::agent::TransmitOutcome::Lost { retries: 0, backoff_s: 0.0 },
+            }
+            .encode();
+            framed.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            framed.extend_from_slice(&frame);
+        }
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.write_all(&framed).expect("write envelopes");
+
+        let links = accept.join().expect("accept thread");
+        assert_eq!(links[0].0, 0, "the Join names the connection");
+        drop(peer);
+        drop(links);
+        // the uplink closes once the reader exits: only the Join got through
+        let forwarded: Vec<usize> = uplink_rx.iter().flatten().map(|e| e.from).collect();
+        assert_eq!(forwarded, vec![0]);
     }
 }

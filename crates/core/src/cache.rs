@@ -25,7 +25,7 @@ use haccs_cluster::{BucketedWarmOptics, WarmOptics};
 use haccs_data::{ClientData, FederatedDataset};
 use haccs_fedsim::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::FedSim;
-use haccs_obs::Recorder;
+use haccs_obs::{Recorder, Span};
 use haccs_summary::{sketch, ClientSummary, DistanceCache, SketchKey, Summarizer};
 use haccs_sysmodel::DeviceProfile;
 use haccs_wire::WireSummary;
@@ -46,7 +46,10 @@ pub struct TwoLevelConfig {
     /// Below this many cached clients the flat O(n²) path runs verbatim
     /// (bit-identical to [`ClusterCache::new`]); reaching it promotes the
     /// cache — one way — to the bucketed representation. `0` starts
-    /// bucketed immediately.
+    /// bucketed immediately. A batch ([`ClusterCache::insert_federation`],
+    /// [`ClusterCache::sync_wire`]) whose resulting membership reaches it
+    /// promotes *before* inserting, so the flat phase that promotion would
+    /// discard is never built; the bucketed state is the same either way.
     pub flat_below: usize,
 }
 
@@ -174,7 +177,8 @@ impl Bucketed {
 ///   threshold the cache promotes (one way) to coarse sketch buckets of
 ///   fine sketch cells, clustering exact Hellinger distances between one
 ///   representative per cell — Σ_b R_b² work bounded by data diversity
-///   instead of O(n²) in the client count.
+///   instead of O(n²) in the client count. A batch that crosses the
+///   threshold promotes first and inserts straight into buckets.
 #[derive(Debug)]
 pub struct ClusterCache {
     dist: DistanceCache,
@@ -321,7 +325,7 @@ impl ClusterCache {
         }
         let (pos, row) = self.dist.add_client(id, summary);
         self.warm.insert(pos, &row);
-        self.maybe_promote();
+        self.maybe_promote(self.dist.len());
     }
 
     /// A client left (graceful `Leave` or eviction). No distances are
@@ -353,13 +357,15 @@ impl ClusterCache {
         self.warm.update(pos, &old_row, &new_row);
     }
 
-    /// One-way flat → bucketed promotion at the configured threshold:
-    /// every cached summary is re-inserted under its sketch keys and the
-    /// flat accelerators are reset to empty.
-    fn maybe_promote(&mut self) {
-        let Some(tl) = &self.two_level else { return };
-        if tl.bucketed.is_some() || self.dist.len() < tl.cfg.flat_below {
-            return;
+    /// One-way flat → bucketed promotion once `members` — the membership
+    /// the pending edit leaves — reaches the configured threshold: every
+    /// cached summary is re-inserted under its sketch keys, in ascending
+    /// id order, and the flat accelerators are reset to empty. Returns
+    /// whether this call promoted.
+    fn maybe_promote(&mut self, members: usize) -> bool {
+        let Some(tl) = &self.two_level else { return false };
+        if tl.bucketed.is_some() || members < tl.cfg.flat_below {
+            return false;
         }
         let cfg = tl.cfg;
         let min_pts = self.warm.min_pts();
@@ -377,41 +383,89 @@ impl ClusterCache {
         self.dist = DistanceCache::new(summarizer);
         self.warm = WarmOptics::new(f32::INFINITY, min_pts);
         self.two_level.as_mut().unwrap().bucketed = Some(b);
+        true
     }
 
-    /// Seeds the cache with every client of a federation, using the same
-    /// per-client DP noise streams as
-    /// [`summarize_federation`] — so engine-side
-    /// construction and cache construction agree bit-for-bit.
+    /// Seeds the cache with every client of a federation (ids `0..n`),
+    /// using the same per-client DP noise streams as
+    /// [`summarize_federation`] — so engine-side construction and cache
+    /// construction agree bit-for-bit. A two-level cache the batch takes
+    /// to [`TwoLevelConfig::flat_below`] promotes first and inserts
+    /// straight into buckets, in the ascending id order promotion replays,
+    /// so its state equals the one-at-a-time [`ClusterCache::add_client`]
+    /// path's without building the flat phase. Traced as a
+    /// `cluster.insert` span.
     pub fn insert_federation(&mut self, fed: &FederatedDataset, summary_seed: u64) {
+        let mut span = self.obs.span("cluster.insert");
+        let n = fed.clients.len();
+        let promoted = self.maybe_promote(self.len() + n);
         let summarizer = *self.dist.summarizer();
         for (i, s) in summarize_federation(fed, &summarizer, summary_seed).into_iter().enumerate() {
             self.add_client(i, s);
         }
+        self.finish_insert(&mut span, n, 0, 0, promoted);
     }
 
     /// Diffs the registry's current `(id, summary)` membership view
-    /// against the cache and applies the minimal add/remove/update set.
-    /// This is the coordinator-facing entry point: the §IV-C hook hands
-    /// it `member_summaries()` and every kind of churn — mid-training
-    /// joins, graceful leaves, evictions, drift — reduces to row edits.
+    /// against the cache and applies the minimal add/remove/update set:
+    /// departures first, then joins and drift in `entries` order. This is
+    /// the coordinator-facing entry point: the §IV-C hook hands it
+    /// `member_summaries()` and every kind of churn — mid-training joins,
+    /// graceful leaves, evictions, drift — reduces to row edits. A
+    /// still-flat two-level cache whose membership after the call reaches
+    /// [`TwoLevelConfig::flat_below`] promotes before it edits — the same
+    /// bucketed state the one-at-a-time path reaches, since departures
+    /// come first and joins only grow the count. Traced as a
+    /// `cluster.insert` span.
     pub fn sync_wire(&mut self, entries: &[(usize, WireSummary)]) {
-        let departed: Vec<usize> = {
-            let mut present = entries.iter().map(|(id, _)| *id).collect::<Vec<_>>();
-            present.sort_unstable();
-            self.ids().iter().copied().filter(|id| present.binary_search(id).is_err()).collect()
+        let mut span = self.obs.span("cluster.insert");
+        let mut present = entries.iter().map(|(id, _)| *id).collect::<Vec<_>>();
+        present.sort_unstable();
+        present.dedup();
+        let departed: Vec<usize> =
+            self.ids().iter().copied().filter(|id| present.binary_search(id).is_err()).collect();
+        // only a still-flat two-level cache can cross the gate, so a
+        // bucketed cache's per-round sync makes no extra pass
+        let promoted = self.two_level.as_ref().is_some_and(|tl| tl.bucketed.is_none()) && {
+            let joining = present.iter().filter(|&&id| !self.contains(id)).count();
+            self.maybe_promote(self.len() - departed.len() + joining)
         };
-        for id in departed {
+        for &id in &departed {
             self.remove_client(id);
         }
+        let (mut joined, mut updated) = (0, 0);
         for (id, wire) in entries {
             let summary = summary_from_wire(wire);
             match self.cached_summary(*id) {
-                None => self.add_client(*id, summary),
-                Some(cached) if *cached != summary => self.update_summary(*id, summary),
+                None => {
+                    self.add_client(*id, summary);
+                    joined += 1;
+                }
+                Some(cached) if *cached != summary => {
+                    self.update_summary(*id, summary);
+                    updated += 1;
+                }
                 Some(_) => {}
             }
         }
+        self.finish_insert(&mut span, joined, departed.len(), updated, promoted);
+    }
+
+    /// Fills a batch's `cluster.insert` span: the membership it left, its
+    /// edit counts, and whether it promoted before inserting.
+    fn finish_insert(
+        &self,
+        span: &mut Span,
+        joined: usize,
+        departed: usize,
+        updated: usize,
+        promoted: bool,
+    ) {
+        span.push_u("members", self.len() as u64);
+        span.push_u("joined", joined as u64);
+        span.push_u("departed", departed as u64);
+        span.push_u("updated", updated as u64);
+        span.push_u("promoted", promoted as u64);
     }
 
     /// Re-clusters over the cached state: warm-start OPTICS (cold only on
@@ -661,7 +715,7 @@ impl ClusterCache {
             if let Some(tl) = &mut self.two_level {
                 tl.bucketed = None;
             }
-            self.maybe_promote();
+            self.maybe_promote(self.dist.len());
         }
         Ok(())
     }
@@ -711,6 +765,7 @@ mod tests {
     use crate::clusters::build_clusters;
     use crate::wire_bridge::summary_to_wire;
     use haccs_data::{partition, SynthVision};
+    use haccs_obs::{FieldValue, MemorySink};
 
     fn grouped_federation(groups: usize, per: usize) -> FederatedDataset {
         let gen = SynthVision::mnist_like(2 * groups, 8, 0);
@@ -946,6 +1001,69 @@ mod tests {
             rev.add_client(id, sums[id].clone());
         }
         assert_eq!(rev.recluster(), two.recluster());
+    }
+
+    /// The `cluster.insert` spans a traced cache emitted, each as
+    /// `[members, joined, departed, updated, promoted]`.
+    fn insert_spans(sink: &MemorySink) -> Vec<[u64; 5]> {
+        let fields = ["members", "joined", "departed", "updated", "promoted"];
+        sink.records()
+            .iter()
+            .filter(|r| r.name == "cluster.insert")
+            .map(|r| {
+                fields.map(|k| match r.field(k) {
+                    Some(FieldValue::U64(v)) => *v,
+                    other => panic!("cluster.insert field {k}: {other:?}"),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batches_reaching_the_gate_promote_before_inserting() {
+        let fed = grouped_federation(3, 4); // 12 clients
+        let summarizer = Summarizer::label_dist();
+        let sink = MemorySink::new();
+        let obs = Recorder::enabled().with_sink(sink.clone());
+        let cfg = TwoLevelConfig { flat_below: 12, ..TwoLevelConfig::default() };
+        let new = || {
+            ClusterCache::two_level(summarizer, 2, ExtractionMethod::Auto, cfg)
+                .with_recorder(obs.clone())
+        };
+
+        // 12 clients reach the gate of 12 in one batch
+        let mut inserted = new();
+        inserted.insert_federation(&fed, 7);
+        assert!(inserted.is_bucketed());
+
+        let sums = summarize_federation(&fed, &summarizer, 7);
+        let wire: Vec<(usize, WireSummary)> =
+            sums.iter().enumerate().map(|(id, s)| (id, summary_to_wire(s))).collect();
+        let mut synced = new();
+        synced.sync_wire(&wire[..5]);
+        // client 0 leaves, client 1 drifts, clients 5..=11 join: 11
+        // members stay one below the gate
+        let mut next = wire[1..].to_vec();
+        next[0].1 = summary_to_wire(&sums[8]);
+        synced.sync_wire(&next);
+        assert!(!synced.is_bucketed());
+        // client 0 rejoins: 12 members reach it
+        next.push(wire[0].clone());
+        synced.sync_wire(&next);
+        assert!(synced.is_bucketed());
+        // a bucketed cache's unchanged view edits nothing
+        synced.sync_wire(&next);
+
+        assert_eq!(
+            insert_spans(&sink),
+            vec![
+                [12, 12, 0, 0, 1],
+                [5, 5, 0, 0, 0],
+                [11, 7, 1, 1, 0],
+                [12, 1, 0, 0, 1],
+                [12, 0, 0, 0, 0],
+            ]
+        );
     }
 
     #[test]

@@ -1,20 +1,28 @@
 //! Property-based tests for the HACCS scheduler components, including
 //! the two-level [`ClusterCache`] parity suite: below the `flat_below`
 //! gate the two-level cache must reproduce the flat §IV-C partition
-//! bit-for-bit on arbitrary random summaries, and the forced-bucketed
-//! path must recover the same partition (as a set of groups) whenever
-//! the summaries are well-separated — across bucket (sketch level)
-//! counts.
+//! bit-for-bit on arbitrary random summaries; the forced-bucketed path
+//! must recover the same partition (as a set of groups) whenever the
+//! summaries are well-separated — across bucket (sketch level) counts;
+//! and a batch (`sync_wire`, `insert_federation`) that may or may not
+//! cross the gate, and so promotes before it inserts, must leave the
+//! same mode, snapshot bytes, bucket and cell counts and partition as
+//! the same edits applied one client at a time.
 
 use haccs_core::{
-    cluster_weights, ClusterCache, ClusterStats, ExtractionMethod, HaccsSelector, TwoLevelConfig,
+    cluster_weights, summarize_federation, summary_from_wire, summary_to_wire, ClusterCache,
+    ClusterStats, ExtractionMethod, HaccsSelector, TwoLevelConfig,
 };
+use haccs_data::{partition, FederatedDataset, SynthVision};
+use haccs_fedsim::persist::SnapshotWriter;
 use haccs_fedsim::{ClientInfo, SelectionContext, Selector};
 use haccs_summary::summarizer::ClientSummary;
 use haccs_summary::{Histogram, Summarizer};
+use haccs_wire::WireSummary;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// Random label-distribution summaries: `n` clients over `classes`
 /// labels, arbitrary nonnegative counts (including all-zero → null
@@ -48,6 +56,40 @@ fn separated_summaries() -> impl Strategy<Value = (Vec<ClientSummary>, Vec<usize
             (sums, owner)
         })
     })
+}
+
+/// A pool of 4–96 label summaries over 2–4 classes with small integer
+/// counts, so identical histograms (shared cells, representative
+/// takeovers) and all-zero (null) histograms are common.
+fn summary_pool() -> impl Strategy<Value = Vec<ClientSummary>> {
+    (2usize..=4, 4usize..=96).prop_flat_map(|(classes, n)| {
+        proptest::collection::vec(
+            proptest::collection::vec(0u8..=3, classes).prop_map(|c| {
+                let counts: Vec<f32> = c.into_iter().map(f32::from).collect();
+                ClientSummary::LabelDist(Histogram::from_counts(&counts))
+            }),
+            n,
+        )
+    })
+}
+
+/// Everything a batch must leave equal to the one-at-a-time path: the
+/// mode, the snapshot bytes, the bucket and cell counts, and the groups.
+type CacheState = (bool, Vec<u8>, usize, usize, Vec<Vec<usize>>);
+
+fn cache_state(cache: &mut ClusterCache) -> CacheState {
+    let mut w = SnapshotWriter::new();
+    cache.save_state(&mut w);
+    (cache.is_bucketed(), w.finish(), cache.bucket_count(), cache.cell_count(), cache.recluster())
+}
+
+fn two_level_cache(flat_below: usize) -> ClusterCache {
+    ClusterCache::two_level(
+        Summarizer::label_dist(),
+        2,
+        ExtractionMethod::Auto,
+        TwoLevelConfig { flat_below, ..TwoLevelConfig::default() },
+    )
 }
 
 /// Sorted set-of-groups view, for comparing partitions that may order
@@ -241,5 +283,95 @@ proptest! {
             truth[g].push(id);
         }
         prop_assert_eq!(groups_two, normalized(truth));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One `sync_wire` into a flat two-level cache — departures, drift
+    /// and joins, in shuffled registry order — leaves the same state as
+    /// the same edits applied through `remove_client`, `update_summary`
+    /// and `add_client` in `sync_wire`'s order (departures ascending,
+    /// then `entries` order), whether or not the batch crosses the gate.
+    #[test]
+    fn batch_sync_matches_one_at_a_time_edits(
+        pool in summary_pool(),
+        flat_below in 2usize..=48,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut batch, mut single) = (two_level_cache(flat_below), two_level_cache(flat_below));
+
+        // a one-at-a-time prefill below the gate, in random id order
+        let mut ids: Vec<usize> = (0..pool.len()).collect();
+        ids.shuffle(&mut rng);
+        let prefill = rng.gen_range(0..flat_below.min(pool.len()));
+        for &id in &ids[..prefill] {
+            batch.add_client(id, pool[id].clone());
+            single.add_client(id, pool[id].clone());
+        }
+        prop_assert!(!batch.is_bucketed());
+
+        // the next membership view: a quarter of the members leave, some
+        // of the rest drift to another pool summary, and others join
+        let mut entries: Vec<(usize, WireSummary)> = Vec::new();
+        for &id in &ids[..prefill] {
+            if rng.gen_bool(0.25) {
+                continue;
+            }
+            let s = if rng.gen_bool(0.3) { &pool[rng.gen_range(0..pool.len())] } else { &pool[id] };
+            entries.push((id, summary_to_wire(s)));
+        }
+        let join_p = rng.gen_range(0.0f64..1.0);
+        for &id in &ids[prefill..] {
+            if rng.gen_bool(join_p) {
+                entries.push((id, summary_to_wire(&pool[id])));
+            }
+        }
+        entries.shuffle(&mut rng);
+
+        batch.sync_wire(&entries);
+        let departed: Vec<usize> = single
+            .ids()
+            .iter()
+            .copied()
+            .filter(|id| !entries.iter().any(|(e, _)| e == id))
+            .collect();
+        for id in departed {
+            single.remove_client(id);
+        }
+        for (id, wire) in &entries {
+            let s = summary_from_wire(wire);
+            match single.cached_summary(*id) {
+                None => single.add_client(*id, s),
+                Some(cached) if *cached != s => single.update_summary(*id, s),
+                Some(_) => {}
+            }
+        }
+        prop_assert_eq!(batch.is_bucketed(), entries.len() >= flat_below);
+        prop_assert_eq!(cache_state(&mut batch), cache_state(&mut single));
+    }
+
+    /// `insert_federation` of n clients, on either side of the gate,
+    /// leaves the same state as `add_client` in ascending id order.
+    #[test]
+    fn batch_federation_insert_matches_ascending_adds(
+        n in 1usize..=96,
+        flat_below in 2usize..=48,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specs = partition::dirichlet_skew(n, 4, 0.3, (2, 8), 0, &mut rng);
+        let fed = FederatedDataset::materialize(&SynthVision::mnist_like(4, 8, seed), &specs, seed);
+        let (mut batch, mut single) = (two_level_cache(flat_below), two_level_cache(flat_below));
+
+        batch.insert_federation(&fed, seed);
+        let sums = summarize_federation(&fed, &Summarizer::label_dist(), seed);
+        for (id, s) in sums.into_iter().enumerate() {
+            single.add_client(id, s);
+        }
+        prop_assert_eq!(batch.is_bucketed(), n >= flat_below);
+        prop_assert_eq!(cache_state(&mut batch), cache_state(&mut single));
     }
 }

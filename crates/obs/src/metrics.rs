@@ -168,33 +168,52 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Runs `f` on metric `name` under the lock, creating it with `init`
+    /// on first touch. The name is looked up before it is allocated, so
+    /// only the first touch allocates.
+    fn with_metric(&self, name: &str, init: impl FnOnce() -> Metric, f: impl FnOnce(&mut Metric)) {
+        let mut m = self.metrics.lock().expect("a thread panicked holding the metrics lock");
+        match m.get_mut(name) {
+            Some(metric) => f(metric),
+            None => f(m.entry(name.to_string()).or_insert_with(init)),
+        }
+    }
+
     /// Adds `by` to counter `name`, creating it at zero first.
     pub fn inc(&self, name: &str, by: u64) {
-        let mut m = self.metrics.lock().unwrap();
-        match m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(v) => *v += by,
-            _ => debug_assert!(false, "metric {name} is not a counter"),
-        }
+        self.with_metric(
+            name,
+            || Metric::Counter(0),
+            |m| match m {
+                Metric::Counter(v) => *v += by,
+                _ => debug_assert!(false, "metric {name} is not a counter"),
+            },
+        );
     }
 
     /// Sets gauge `name` to `v`.
     pub fn set_gauge(&self, name: &str, v: f64) {
-        let mut m = self.metrics.lock().unwrap();
-        match m.entry(name.to_string()).or_insert(Metric::Gauge(v)) {
-            Metric::Gauge(g) => *g = v,
-            _ => debug_assert!(false, "metric {name} is not a gauge"),
-        }
+        self.with_metric(
+            name,
+            || Metric::Gauge(v),
+            |m| match m {
+                Metric::Gauge(g) => *g = v,
+                _ => debug_assert!(false, "metric {name} is not a gauge"),
+            },
+        );
     }
 
     /// Observes `v` into histogram `name`; `bounds` are used when the
     /// histogram is created on first touch and ignored afterwards.
     pub fn observe(&self, name: &str, bounds: &[f64], v: f64) {
-        let mut m = self.metrics.lock().unwrap();
-        match m.entry(name.to_string()).or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
-        {
-            Metric::Histogram(h) => h.observe(v),
-            _ => debug_assert!(false, "metric {name} is not a histogram"),
-        }
+        self.with_metric(
+            name,
+            || Metric::Histogram(Histogram::new(bounds)),
+            |m| match m {
+                Metric::Histogram(h) => h.observe(v),
+                _ => debug_assert!(false, "metric {name} is not a histogram"),
+            },
+        );
     }
 
     /// A clone of metric `name`.
