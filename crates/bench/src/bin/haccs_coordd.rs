@@ -18,7 +18,7 @@
 
 use haccs_bench::demo;
 use haccs_codec::CodecKind;
-use haccs_coord::{accept_remote_clients, haccs_cached_recluster_hook, Coordinator};
+use haccs_coord::{accept_remote_clients, Coordinator};
 use haccs_core::ExtractionMethod;
 use haccs_fedsim::engine::{ModelFactory, SnapshotPolicy};
 use haccs_fedsim::Selector;
@@ -214,7 +214,7 @@ fn serve<S: Selector>(opts: &Opts, mut coord: Coordinator<S>) {
 
     if let Some(path) = &opts.resume {
         let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
-        coord.restore_remote(&bytes).expect("restore snapshot");
+        coord.restore(&bytes).expect("restore snapshot");
         println!("restored snapshot {:?} at round {}", path, coord.epoch());
     }
 
@@ -273,9 +273,8 @@ fn main() {
 
     match opts.selector {
         SelectorKind::HaccsPy => {
-            let coord = build_coord(&opts, obs, demo::selector(opts.clients)).with_recluster_hook(
-                haccs_cached_recluster_hook(demo::summarizer(), 2, ExtractionMethod::Auto),
-            );
+            let coord = build_coord(&opts, obs, demo::selector(opts.clients))
+                .with_haccs_reclustering(2, ExtractionMethod::Auto);
             serve(&opts, coord);
         }
         SelectorKind::FedClust => {

@@ -34,6 +34,7 @@
 //! `--check FILE` parses an existing report and validates the schema —
 //! CI's `bench-smoke` job runs the tiny matrix and then this validator.
 
+use haccs_bench::{mean, percentile};
 use haccs_coord::Coordinator;
 use haccs_data::scenario::DriftSchedule;
 use haccs_data::{partition, ClientSpec, FederatedDataset};
@@ -262,23 +263,6 @@ fn run_coord_cell(
         }
         other => panic!("no coordinator cell wiring for selector {other}"),
     }
-}
-
-fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let mut s = values.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((q * s.len() as f64).ceil() as usize).clamp(1, s.len());
-    s[rank - 1]
-}
-
-fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// Gini coefficient of the per-client selection counts: 0 = perfectly
@@ -672,12 +656,5 @@ mod tests {
         assert!(skewed > 0.7, "one-client monopoly should score high, got {skewed}");
         assert_eq!(gini(&[]), 0.0);
         assert_eq!(gini(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn percentile_and_mean_handle_edges() {
-        assert!(percentile(&[], 0.5).is_nan());
-        assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.5), 2.0);
-        assert_eq!(mean(&[1.0, 3.0]), 2.0);
     }
 }

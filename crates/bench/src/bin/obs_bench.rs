@@ -20,6 +20,7 @@
 //! `--check FILE` parses an existing report and validates the schema —
 //! CI's `bench-smoke` job runs the tiny matrix and then this validator.
 
+use haccs_bench::{mean, percentile};
 use haccs_coord::Coordinator;
 use haccs_core::{build_clusters, summarize_federation, ClusterCache, ExtractionMethod};
 use haccs_data::{partition, DatasetKind};
@@ -83,24 +84,6 @@ fn build_env(n_clients: usize, seed: u64) -> Env {
         &mut rng,
     );
     Env::new(DatasetKind::MnistLike, CLASSES, &specs, scale, seed)
-}
-
-/// Nearest-rank percentile over an unsorted sample.
-fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let mut s = values.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((q * s.len() as f64).ceil() as usize).clamp(1, s.len());
-    s[rank - 1]
-}
-
-fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// One engine pass with an enabled recorder; returns the run, the

@@ -48,6 +48,7 @@
 //! sweep and then this validator.
 
 use haccs_baselines::RandomSelector;
+use haccs_bench::{mean, percentile};
 use haccs_coord::{Coordinator, ShardConfig};
 use haccs_core::{ClusterCache, ExtractionMethod, TwoLevelConfig};
 use haccs_data::{partition, FederatedDataset, SynthVision};
@@ -83,23 +84,6 @@ fn peak_rss_bytes() -> Option<u64> {
 
 fn os_threads() -> Option<u64> {
     proc_status("Threads:")
-}
-
-fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    let mut s = values.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((q * s.len() as f64).ceil() as usize).clamp(1, s.len());
-    s[rank - 1]
-}
-
-fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    values.iter().sum::<f64>() / values.len() as f64
 }
 
 /// A small-data federation at size `n`: 2–6 samples per client under

@@ -31,6 +31,26 @@ pub fn run_suite(ids: &[String], scale: Scale, seed: u64) -> Vec<ExperimentRepor
     ids.iter().map(|id| run_experiment(id, scale, seed)).collect()
 }
 
+/// Nearest-rank `q`-quantile of an unsorted sample; NaN when it is empty.
+/// The bench bins' one percentile.
+pub fn percentile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    let mut s = values.to_vec();
+    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = ((q * s.len() as f64).ceil() as usize).clamp(1, s.len());
+    s[rank - 1]
+}
+
+/// Arithmetic mean of a sample; NaN when it is empty.
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,5 +66,12 @@ mod tests {
     #[should_panic(expected = "unknown experiment id")]
     fn unknown_id_rejected() {
         run_suite(&["fig99".into()], Scale::Fast, 0);
+    }
+
+    #[test]
+    fn percentile_and_mean_handle_edges() {
+        assert!(percentile(&[], 0.5).is_nan());
+        assert_eq!(percentile(&[3.0, 1.0, 2.0], 0.5), 2.0);
+        assert_eq!(mean(&[1.0, 3.0]), 2.0);
     }
 }

@@ -49,7 +49,8 @@ use std::sync::Arc;
 // existing `coord::agent::{Envelope, TransmitOutcome}` path still works.
 pub use haccs_wire::{Envelope, TransmitOutcome};
 
-/// Everything an agent needs at spawn time.
+/// Everything an agent needs at spawn time. A restore spawns from the
+/// same config; the snapshot-time loss follows as a [`Message::ResumeSync`].
 pub struct AgentConfig {
     /// Registry id (also the index into availability/fault hashes).
     pub id: usize,
@@ -71,12 +72,6 @@ pub struct AgentConfig {
     /// Scripted graceful departure: send `Leave` at the first heartbeat
     /// probe of a round `>= leave_after` where the device is available.
     pub leave_after: Option<u64>,
-    /// Crash-resume support: the loss this agent last reported before the
-    /// coordinator snapshot it is being restored from. When set, the
-    /// coordinator skips the enrollment loss probe and the agent echoes
-    /// this value in heartbeat acks until it next trains — exactly what
-    /// the uninterrupted agent would have reported.
-    pub resume_last_loss: Option<f32>,
     /// Model-update codec, which must match the coordinator's. `None`
     /// and `Identity` keep trained updates on the plain `ModelUpdate`
     /// frame; `Int8`/`TopK` encode against the round's pushed global
@@ -179,7 +174,6 @@ impl AgentState {
         profile: DeviceProfile,
         summarizer: Summarizer,
     ) -> Self {
-        let last_loss = cfg.resume_last_loss.unwrap_or(0.0);
         let codec = cfg.codec.filter(|k| !matches!(k, CodecKind::Identity)).map(|k| k.build());
         AgentState {
             cfg,
@@ -188,7 +182,7 @@ impl AgentState {
             summarizer,
             seq: 0,
             scheduled: None,
-            last_loss,
+            last_loss: 0.0,
             codec,
             residual: Vec::new(),
             departed: false,
@@ -296,9 +290,9 @@ impl AgentState {
                 }
             }
             Message::ResumeSync { last_loss: snapshot_loss, .. } => {
-                // post-restore sync for a client that outlived a
-                // coordinator crash: echo the pre-snapshot loss until the
-                // next local training run, like a restored local agent
+                // post-restore sync: echo the pre-snapshot loss until
+                // the next local training run, as the uninterrupted agent
+                // would. It answers nothing, so `seq` is untouched
                 self.last_loss = snapshot_loss;
                 None
             }

@@ -43,6 +43,7 @@ use crate::events::{EventQueue, Inbox, QueueFull};
 use crate::registry::{ClientEntry, ClientRegistry, Liveness};
 use crate::shard::{shard_of, EventCore, ShardConfig};
 use haccs_codec::CodecKind;
+use haccs_core::{ExtractionMethod, HaccsSelector, TwoLevelConfig};
 use haccs_data::{ClientData, FederatedDataset, ImageSet};
 use haccs_fedsim::engine::{ModelFactory, RoundPolicy, SimConfig, SnapshotPolicy};
 use haccs_fedsim::metrics::{RoundRecord, RunResult, TimePoint};
@@ -153,64 +154,24 @@ pub fn default_summary_seed(seed: u64) -> u64 {
     seed ^ 0xD9
 }
 
-/// The §IV-C re-clustering hook for [`HaccsSelector`], **full-rebuild
-/// edition**: recompute the entire O(n²) Hellinger matrix and rerun
-/// OPTICS from scratch on every membership change. Kept as the reference
-/// implementation the incremental hook is tested bit-identical against
-/// (and the baseline the recluster bench times); production callers get
-/// [`haccs_cached_recluster_hook`] via
-/// [`Coordinator::with_haccs_reclustering`].
-pub fn haccs_recluster_hook(
-    summarizer: Summarizer,
-    min_pts: usize,
-    extraction: haccs_core::ExtractionMethod,
-) -> impl FnMut(&mut haccs_core::HaccsSelector, &[(usize, WireSummary)]) {
-    move |sel, entries| {
-        let groups = haccs_core::cluster_wire_summaries(&summarizer, entries, min_pts, extraction);
-        if !groups.is_empty() {
-            sel.recluster(groups);
-        }
-    }
-}
-
-/// The §IV-C re-clustering hook for [`HaccsSelector`], **incremental
-/// edition**: a [`haccs_core::ClusterCache`] lives inside the closure and
-/// diffs the registry's membership view on every invocation, so a churn
-/// event costs one recomputed distance row plus a warm-start OPTICS pass
-/// instead of the full O(n²) rebuild. Produces bit-identical groups to
-/// [`haccs_recluster_hook`] — pinned by the churn parity suite.
-pub fn haccs_cached_recluster_hook(
-    summarizer: Summarizer,
-    min_pts: usize,
-    extraction: haccs_core::ExtractionMethod,
-) -> impl FnMut(&mut haccs_core::HaccsSelector, &[(usize, WireSummary)]) {
-    let mut cache = haccs_core::ClusterCache::new(summarizer, min_pts, extraction);
-    move |sel, entries| {
-        cache.sync_wire(entries);
-        let groups = cache.recluster();
-        if !groups.is_empty() {
-            sel.recluster(groups);
-        }
-    }
-}
-
-/// The §IV-C re-clustering hook for [`HaccsSelector`], **two-level
-/// edition** (DESIGN.md §15): like [`haccs_cached_recluster_hook`], but
-/// the embedded [`haccs_core::ClusterCache`] is built with
-/// [`haccs_core::ClusterCache::two_level`]. Below
-/// `cfg.flat_below` members it runs the flat incremental path verbatim
-/// (bit-identical to the cached hook); past the threshold it promotes to
-/// sketch buckets and re-clustering cost is bounded by data diversity
-/// (cells per bucket) instead of O(n²) in the member count. The first
-/// call fills the cache in one [`haccs_core::ClusterCache::sync_wire`]
-/// batch, so a membership already at the threshold promotes before it
-/// inserts and never builds the flat phase.
+/// The §IV-C re-clustering hook for [`HaccsSelector`], the one
+/// [`Coordinator::with_haccs_reclustering`] installs. The
+/// [`haccs_core::ClusterCache::two_level`] cache inside the closure diffs
+/// the registry's membership view on every call and chooses its path by
+/// membership size (DESIGN.md §9, §15): below `cfg.flat_below` a churn
+/// event costs one distance row plus a warm-start OPTICS pass, with groups
+/// bit-identical to a from-scratch [`haccs_core::cluster_wire_summaries`];
+/// at the threshold it promotes to sketch buckets, whose cost is bounded by
+/// data diversity (cells per bucket) instead of O(n²) in the member count.
+/// The first call fills the cache in one
+/// [`haccs_core::ClusterCache::sync_wire`] batch, so a membership already
+/// at the threshold never builds the flat phase.
 pub fn haccs_two_level_recluster_hook(
     summarizer: Summarizer,
     min_pts: usize,
-    extraction: haccs_core::ExtractionMethod,
-    cfg: haccs_core::TwoLevelConfig,
-) -> impl FnMut(&mut haccs_core::HaccsSelector, &[(usize, WireSummary)]) {
+    extraction: ExtractionMethod,
+    cfg: TwoLevelConfig,
+) -> impl FnMut(&mut HaccsSelector, &[(usize, WireSummary)]) {
     let mut cache = haccs_core::ClusterCache::two_level(summarizer, min_pts, extraction, cfg);
     move |sel, entries| {
         cache.sync_wire(entries);
@@ -220,8 +181,6 @@ pub fn haccs_two_level_recluster_hook(
         }
     }
 }
-
-use haccs_core::HaccsSelector;
 
 /// The coordinator's trace names.
 const NAMES: Names = Names {
@@ -426,12 +385,14 @@ impl Fleet {
         shard_gauges(obs, "coord_shard_members", &members);
     }
 
-    fn decode_delivered(outcome: TransmitOutcome) -> Message {
+    /// Decodes an envelope from the reliable path. An undecodable frame,
+    /// or a loss the reliable path cannot have, is an `Err` saying which.
+    fn decode_delivered(outcome: TransmitOutcome) -> Result<Message, String> {
         match outcome {
             TransmitOutcome::Delivered { frame, .. } => {
-                Message::decode(frame).expect("agent sent an undecodable frame")
+                Message::decode(frame).map_err(|e| format!("an undecodable frame ({e})"))
             }
-            TransmitOutcome::Lost { .. } => panic!("reliable-path frame reported lost"),
+            TransmitOutcome::Lost { .. } => Err("a reliable-path frame reported lost".into()),
         }
     }
 
@@ -768,7 +729,8 @@ impl<S: Selector> Coordinator<S> {
     /// Registers a connected remote client (its `Join` envelope must
     /// already be in flight on the uplink). Enrollment — and therefore
     /// the first `Schedule` this client can receive — happens at the next
-    /// round boundary, mirroring [`Coordinator::add_client`].
+    /// round boundary, mirroring [`Coordinator::add_client`], unless
+    /// [`Coordinator::restore`] consumes the `Join` first.
     pub fn attach_remote(&mut self, id: usize, link: RemoteLink) {
         let known = self.remote_profiles.as_ref().map(|p| p.len()).unwrap_or_else(|| {
             panic!("attach_remote on a coordinator not built via Coordinator::remote")
@@ -918,10 +880,9 @@ impl<S: Selector> Coordinator<S> {
 
     /// Installs the §IV-C re-clustering hook, invoked (in the
     /// `Clustering` phase) whenever membership changed since the previous
-    /// round: after mid-training joins, departures and evictions. For
-    /// HACCS, install the cached hook with
-    /// [`Coordinator::with_haccs_reclustering`], or the two-level one
-    /// with [`Coordinator::with_haccs_two_level_reclustering`].
+    /// round: after mid-training joins, departures, evictions and summary
+    /// drift. For HACCS, [`Coordinator::with_haccs_reclustering`]
+    /// installs [`haccs_two_level_recluster_hook`].
     pub fn with_recluster_hook(
         mut self,
         hook: impl FnMut(&mut S, &[(usize, WireSummary)]) + 'static,
@@ -1017,12 +978,7 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// The spawn-time config of agent `id`.
-    fn agent_config(
-        &self,
-        id: usize,
-        leave_after: Option<u64>,
-        resume_last_loss: Option<f32>,
-    ) -> AgentConfig {
+    fn agent_config(&self, id: usize, leave_after: Option<u64>) -> AgentConfig {
         let cfg = &self.server.cfg;
         AgentConfig {
             id,
@@ -1034,17 +990,8 @@ impl<S: Selector> Coordinator<S> {
             availability: self.server.availability.clone(),
             channel: round::wire_channel(&self.server.faults, &self.server.policy),
             leave_after,
-            resume_last_loss,
             codec: self.server.codec,
         }
-    }
-
-    /// Maps restore-time backpressure (bounded event-queue overflow while
-    /// collecting resumed clients' Joins) into the restore path's error
-    /// type, so callers see a [`PersistError`] instead of an abort. The
-    /// drop was already counted in `coord_event_queue_dropped_total`.
-    fn restore_backpressure(e: CoordError) -> PersistError {
-        PersistError::Malformed(format!("restore aborted on coordinator backpressure: {e}"))
     }
 
     // ------------------------------------------------------------------
@@ -1076,7 +1023,7 @@ impl<S: Selector> Coordinator<S> {
             for p in batch {
                 let id = self.fleet.spawned();
                 spawn_meta.insert(id, (p.profile, Some(p.data.train.len())));
-                let acfg = self.agent_config(id, p.leave_after, None);
+                let acfg = self.agent_config(id, p.leave_after);
                 let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
                 self.fleet.core_mut().spawn_agent(id, agent);
             }
@@ -1100,7 +1047,7 @@ impl<S: Selector> Coordinator<S> {
             for (id, outcome) in self.fleet.collect_uniform(n_new, &self.server)? {
                 let (profile, local_n_train) = spawn_meta[&id];
                 match Fleet::decode_delivered(outcome) {
-                    Message::Join { client_nonce, summary, resources } => {
+                    Ok(Message::Join { client_nonce, summary, resources }) => {
                         let n_train = local_n_train.unwrap_or(resources.n_train as usize);
                         self.fleet.registry.enroll(ClientEntry {
                             id,
@@ -1132,7 +1079,7 @@ impl<S: Selector> Coordinator<S> {
             self.fleet.core_mut().dispatch_cohort(&new_ids, push.encode());
             for (id, outcome) in self.fleet.collect_uniform(new_ids.len(), &self.server)? {
                 match Fleet::decode_delivered(outcome) {
-                    Message::Heartbeat { last_loss, .. } => {
+                    Ok(Message::Heartbeat { last_loss, .. }) => {
                         self.fleet.registry.get_mut(id).last_loss = Some(last_loss);
                         self.fleet.mark_entry_dirty(id);
                     }
@@ -1408,41 +1355,25 @@ impl<S: Selector> Coordinator<S> {
     /// Restores a segmented snapshot by manifest path: validates and
     /// reassembles the segments into the monolithic byte stream (see
     /// [`persist::segment::reassemble`]) and hands it to
-    /// [`Coordinator::restore`] — the resumed run is bit-identical to one
+    /// [`Coordinator::restore`], the one restore body, for a local or a
+    /// remote coordinator alike — the resumed run is bit-identical to one
     /// restored from a monolithic snapshot of the same state.
     pub fn restore_segmented(&mut self, manifest_path: &Path) -> Result<(), PersistError> {
         let bytes = persist::segment::reassemble(manifest_path, &self.server.obs)?;
         self.restore(&bytes)
     }
 
-    /// Kill-and-resume needs every piece of training state server-side,
-    /// but a stateful codec's error-feedback residuals live only on the
-    /// clients — a resumed run would silently diverge from the
-    /// uninterrupted one. Refuse loudly instead.
-    fn refuse_stateful_codec_resume(&self) -> Result<(), PersistError> {
-        if self.server.codec.is_some_and(|k| k.stateful()) {
-            return Err(PersistError::Malformed(format!(
-                "codec {} keeps error-feedback residuals client-side; coordinator \
-                 kill-and-resume is only supported for stateless codecs",
-                self.server.codec_label()
-            )));
-        }
-        Ok(())
-    }
-
     /// Parses and validates a snapshot against this coordinator's
-    /// construction fingerprints, loading the selector's state as a side
-    /// effect. Shared by the local and remote restore paths.
-    fn parse_snapshot(
-        &mut self,
-        bytes: &[u8],
-        expected_clients: usize,
-    ) -> Result<ParsedSnapshot, PersistError> {
+    /// construction fingerprints (the client count is the local shards'
+    /// or the remote profiles'), loading the selector's state as a side
+    /// effect.
+    fn parse_snapshot(&mut self, bytes: &[u8]) -> Result<ParsedSnapshot, PersistError> {
         let mut r = SnapshotReader::open(bytes)?;
         self.server.check_guards(&mut r)?;
         round::check_guard("summary_seed", r.get_u64()?, self.summary_seed)?;
         let n = r.get_usize()?;
-        round::check_guard("client count", n as u64, expected_clients as u64)?;
+        let expected = self.remote_profiles.as_ref().map_or(self.pending.len(), Vec::len);
+        round::check_guard("client count", n as u64, expected as u64)?;
         let boundary = self.server.load_boundary(&mut r)?;
         let result = RunResult::load(&mut r)?;
         let membership_dirty = r.get_bool()?;
@@ -1479,83 +1410,148 @@ impl<S: Selector> Coordinator<S> {
     /// Restores a [`Coordinator::snapshot`] onto this coordinator, which
     /// must be freshly constructed from the **same** inputs (federation,
     /// profiles, seed, policies, selector construction) and must not have
-    /// run a round yet. Live clients' agents are spawned seeded with
-    /// their snapshot-time losses; departed clients become registry
-    /// tombstones with no agent, exactly as the uninterrupted coordinator
-    /// would hold them.
+    /// run a round yet. Each live client is attached the way this coordinator
+    /// was built: a [`Coordinator::new`] spawns its agent from the local
+    /// shard, a [`Coordinator::remote`] takes the link the client
+    /// reconnected on via [`Coordinator::attach_remote`] before this call.
+    /// Its fresh `Join` is consumed (the snapshot's registry view wins)
+    /// and answered with a [`Message::ResumeSync`] carrying the restored
+    /// round and the client's pre-snapshot loss, so its heartbeat acks
+    /// echo what an uninterrupted agent would have sent. Departed clients
+    /// become registry tombstones with no agent.
     ///
-    /// On any [`PersistError`] the coordinator should be discarded — the
-    /// restore is not transactional.
+    /// Nothing a peer sends panics the restore: a live client with no
+    /// link, a departed one with one, a second link for an id, or a first
+    /// envelope that is not a `Join` is a [`PersistError::Malformed`]. On
+    /// any error the coordinator should be discarded — the restore is not
+    /// transactional.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         assert!(
             self.fleet.spawned() == 0 && self.fleet.registry.is_empty(),
             "restore requires a freshly constructed coordinator"
         );
-        self.refuse_stateful_codec_resume()?;
-        let snap = self.parse_snapshot(bytes, self.pending.len())?;
+        let malformed = |msg: String| Err(PersistError::Malformed(msg));
+        // a stateful codec's error-feedback residuals live only on the
+        // clients, so a resumed run would silently diverge: refuse loudly
+        if self.server.codec.is_some_and(|k| k.stateful()) {
+            return malformed(format!(
+                "codec {} keeps error-feedback residuals client-side; coordinator \
+                 kill-and-resume is only supported for stateless codecs",
+                self.server.codec_label()
+            ));
+        }
+        let snap = self.parse_snapshot(bytes)?;
         let ParsedSnapshot { boundary, result, membership_dirty, restored } = snap;
 
-        // everything parsed — validate shard sizes before spawning agents
+        // everything parsed — validate local shard sizes before spawning
         for (id, p) in self.pending.iter().enumerate() {
             if p.data.train.len() != restored[id].n_train {
-                return Err(PersistError::Malformed(format!(
+                return malformed(format!(
                     "client {id} has {} training examples, snapshot says {}",
                     p.data.train.len(),
                     restored[id].n_train
-                )));
+                ));
             }
         }
 
-        // commit: spawn agents for non-departed clients, seeded with
-        // their snapshot-time losses (no enrollment probe — the snapshot
-        // *is* the loss signal); departed clients get a tombstone slot
+        // attach the live clients; departed ones get a tombstone slot
         self.fleet.phase = RoundPhase::Enrolling;
-        let batch = std::mem::take(&mut self.pending);
-        let mut spawn_meta: HashMap<usize, (DeviceProfile, usize)> = HashMap::new();
-        let mut n_live = 0usize;
-        for (id, p) in batch.into_iter().enumerate() {
-            spawn_meta.insert(id, (p.profile, p.data.train.len()));
-            if restored[id].liveness == Liveness::Left {
-                self.fleet.core_mut().push_tombstone();
-                continue;
+        let mut live = Vec::with_capacity(restored.len());
+        let profiles = match self.remote_profiles.clone() {
+            None => {
+                let batch = std::mem::take(&mut self.pending);
+                let profiles = batch.iter().map(|p| p.profile).collect();
+                for (id, p) in batch.into_iter().enumerate() {
+                    if restored[id].liveness == Liveness::Left {
+                        self.fleet.core_mut().push_tombstone();
+                        continue;
+                    }
+                    let acfg = self.agent_config(id, p.leave_after);
+                    let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
+                    self.fleet.core_mut().spawn_agent(id, agent);
+                    live.push(id);
+                }
+                profiles
             }
-            n_live += 1;
-            let acfg = self.agent_config(id, p.leave_after, restored[id].last_loss);
-            let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
-            self.fleet.core_mut().spawn_agent(id, agent);
-        }
+            Some(profiles) => {
+                // attach_remote keeps every id below the client count the
+                // snapshot was checked against, so walking the ids in
+                // order visits every link
+                let mut links = std::mem::take(&mut self.pending_remote);
+                links.sort_by_key(|(id, _)| *id);
+                let mut links = links.into_iter().peekable();
+                for (id, re) in restored.iter().enumerate() {
+                    let link = links.next_if(|(l, _)| *l == id).map(|(_, link)| link);
+                    if links.next_if(|(l, _)| *l == id).is_some() {
+                        return malformed(format!("client {id} reconnected twice"));
+                    }
+                    match (re.liveness == Liveness::Left, link) {
+                        (true, None) => self.fleet.core_mut().push_tombstone(),
+                        (false, Some(link)) => {
+                            self.fleet.core_mut().attach_remote(id, link.downlink, link.pump);
+                            live.push(id);
+                        }
+                        (true, Some(_)) => {
+                            return malformed(format!("left client {id} reconnected"))
+                        }
+                        (false, None) => {
+                            return malformed(format!("live client {id} did not reconnect"))
+                        }
+                    }
+                }
+                profiles
+            }
+        };
 
+        // backpressure (already counted) fails the restore, not the process
+        let joined = self.fleet.collect_uniform(live.len(), &self.server).map_err(|e| {
+            PersistError::Malformed(format!("restore aborted on coordinator backpressure: {e}"))
+        })?;
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        let joined = self.fleet.collect_uniform(n_live, &self.server);
-        for (id, outcome) in joined.map_err(Self::restore_backpressure)? {
+        for (id, outcome) in joined {
             match Fleet::decode_delivered(outcome) {
-                Message::Join { client_nonce, resources, .. } => {
+                Ok(Message::Join { client_nonce, resources, .. }) => {
                     joins.insert(id, (client_nonce, resources));
                 }
-                other => panic!("expected Join from resumed client {id}, got {other:?}"),
+                other => {
+                    return malformed(format!("expected Join from client {id}, got {other:?}"))
+                }
             }
         }
         for (id, re) in restored.into_iter().enumerate() {
-            let (profile, n_train) = spawn_meta[&id];
-            let (nonce, resources) = joins.remove(&id).unwrap_or_else(|| {
+            let profile = profiles[id];
+            let (nonce, resources) = if re.liveness == Liveness::Left {
                 // departed client: reconstruct what its Join carried
-                (
-                    session_nonce(self.server.cfg.seed, id),
-                    ResourceEstimate {
-                        compute_multiplier: profile.compute_multiplier as f32,
-                        bandwidth_mbps: profile.bandwidth_mbps as f32,
-                        rtt_ms: profile.rtt_ms as f32,
-                        n_train: n_train as u32,
-                    },
-                )
-            });
+                let resources = ResourceEstimate {
+                    compute_multiplier: profile.compute_multiplier as f32,
+                    bandwidth_mbps: profile.bandwidth_mbps as f32,
+                    rtt_ms: profile.rtt_ms as f32,
+                    n_train: re.n_train as u32,
+                };
+                (session_nonce(self.server.cfg.seed, id), resources)
+            } else {
+                let Some((nonce, resources)) = joins.remove(&id) else {
+                    return malformed(format!("resumed client {id} sent no Join"));
+                };
+                if resources.n_train as usize != re.n_train {
+                    return malformed(format!(
+                        "client {id} reconnected with {} training examples, snapshot says {}",
+                        resources.n_train, re.n_train
+                    ));
+                }
+                // the downlink is FIFO, so this lands before any probe
+                let last_loss = re.last_loss.unwrap_or(0.0);
+                let sync = Message::ResumeSync { round: boundary.epoch as u64, last_loss };
+                self.fleet.core_mut().dispatch(id, sync.encode());
+                (nonce, resources)
+            };
             self.fleet.registry.enroll(ClientEntry {
                 id,
                 nonce,
                 profile,
                 resources,
                 summary: re.summary,
-                n_train,
+                n_train: re.n_train,
                 last_loss: re.last_loss,
                 participation_count: re.participation_count,
                 liveness: Liveness::Joined,
@@ -1572,161 +1568,21 @@ impl<S: Selector> Coordinator<S> {
         self.fleet.phase = RoundPhase::Committed;
         Ok(())
     }
-
-    /// [`Coordinator::restore`] for a [`Coordinator::remote`]: every
-    /// client the snapshot holds as non-`Left` must have reconnected (via
-    /// [`Coordinator::attach_remote`]) before this call; departed clients
-    /// must *not* have. Each live client's re-sent `Join` is consumed and
-    /// answered with a [`Message::ResumeSync`] carrying the restored round
-    /// cursor and that client's pre-snapshot loss, so its heartbeat acks
-    /// echo exactly what an uninterrupted agent would have reported.
-    pub fn restore_remote(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
-        assert!(
-            self.fleet.spawned() == 0 && self.fleet.registry.is_empty(),
-            "restore requires a freshly constructed coordinator"
-        );
-        self.refuse_stateful_codec_resume()?;
-        let profiles = self
-            .remote_profiles
-            .clone()
-            .expect("restore_remote on a coordinator not built via Coordinator::remote");
-        let snap = self.parse_snapshot(bytes, profiles.len())?;
-        let ParsedSnapshot { boundary, result, membership_dirty, restored } = snap;
-
-        // install the reconnected links: live ids get their bridge, Left
-        // ids a tombstone slot — same shape as the local restore
-        let mut links: HashMap<usize, RemoteLink> =
-            std::mem::take(&mut self.pending_remote).into_iter().collect();
-        let mut n_live = 0usize;
-        for (id, re) in restored.iter().enumerate() {
-            if re.liveness == Liveness::Left {
-                assert!(
-                    links.remove(&id).is_none(),
-                    "client {id} departed before the snapshot but reconnected"
-                );
-                self.fleet.core_mut().push_tombstone();
-            } else {
-                let link = links.remove(&id).unwrap_or_else(|| {
-                    panic!("live client {id} must reconnect before restore_remote")
-                });
-                n_live += 1;
-                self.fleet.core_mut().attach_remote(id, link.downlink, link.pump);
-            }
-        }
-        assert!(links.is_empty(), "attached ids beyond the snapshot's client range");
-
-        // consume the reconnection Joins (they carry fresh summaries; the
-        // snapshot's registry view wins, as in the local restore)
-        let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        let joined = self.fleet.collect_uniform(n_live, &self.server);
-        for (id, outcome) in joined.map_err(Self::restore_backpressure)? {
-            match Fleet::decode_delivered(outcome) {
-                Message::Join { client_nonce, resources, .. } => {
-                    joins.insert(id, (client_nonce, resources));
-                }
-                other => panic!("expected Join from resumed client {id}, got {other:?}"),
-            }
-        }
-        let mut resume_sync: Vec<(usize, f32)> = Vec::with_capacity(n_live);
-        for (id, re) in restored.into_iter().enumerate() {
-            let profile = profiles[id];
-            let live = re.liveness != Liveness::Left;
-            let (nonce, resources) = joins.remove(&id).unwrap_or_else(|| {
-                // departed client: reconstruct what its Join carried
-                (
-                    session_nonce(self.server.cfg.seed, id),
-                    ResourceEstimate {
-                        compute_multiplier: profile.compute_multiplier as f32,
-                        bandwidth_mbps: profile.bandwidth_mbps as f32,
-                        rtt_ms: profile.rtt_ms as f32,
-                        n_train: re.n_train as u32,
-                    },
-                )
-            });
-            if live && resources.n_train as usize != re.n_train {
-                return Err(PersistError::Malformed(format!(
-                    "client {id} reconnected with {} training examples, snapshot says {}",
-                    resources.n_train, re.n_train
-                )));
-            }
-            if live {
-                resume_sync.push((id, re.last_loss.unwrap_or(0.0)));
-            }
-            self.fleet.registry.enroll(ClientEntry {
-                id,
-                nonce,
-                profile,
-                resources,
-                summary: re.summary,
-                n_train: re.n_train,
-                last_loss: re.last_loss,
-                participation_count: re.participation_count,
-                liveness: Liveness::Joined,
-                missed_heartbeats: 0,
-            });
-            let e = self.fleet.registry.get_mut(id);
-            e.liveness = re.liveness;
-            e.missed_heartbeats = re.missed_heartbeats;
-        }
-
-        // bring the survivors up to date before any probe can reach them
-        // (the downlink is FIFO, so ResumeSync lands first)
-        for (id, last_loss) in resume_sync {
-            let sync = Message::ResumeSync { round: boundary.epoch as u64, last_loss };
-            self.fleet.core_mut().dispatch(id, sync.encode());
-        }
-
-        self.server.resume(boundary, result);
-        self.fleet.membership_dirty = membership_dirty;
-        self.fleet.phase = RoundPhase::Committed;
-        Ok(())
-    }
 }
 
 // HaccsSelector-specific convenience so callers don't need to thread the
 // concrete type through `with_recluster_hook` themselves.
 impl Coordinator<HaccsSelector> {
-    /// Installs [`haccs_cached_recluster_hook`] — the incremental
-    /// distance-cache path — with the coordinator's own summarizer. This
-    /// is the default §IV-C wiring; it is bit-identical to the
-    /// full-rebuild [`Self::with_haccs_full_reclustering`] (the churn
-    /// parity suite pins this) but each membership change costs one
-    /// recomputed distance row instead of the whole matrix.
-    pub fn with_haccs_reclustering(
-        self,
-        min_pts: usize,
-        extraction: haccs_core::ExtractionMethod,
-    ) -> Self {
-        let summarizer = self.summarizer;
-        self.with_recluster_hook(haccs_cached_recluster_hook(summarizer, min_pts, extraction))
-    }
-
-    /// Installs the from-scratch [`haccs_recluster_hook`] — the reference
-    /// implementation the incremental path is verified against.
-    pub fn with_haccs_full_reclustering(
-        self,
-        min_pts: usize,
-        extraction: haccs_core::ExtractionMethod,
-    ) -> Self {
-        let summarizer = self.summarizer;
-        self.with_recluster_hook(haccs_recluster_hook(summarizer, min_pts, extraction))
-    }
-
-    /// Installs [`haccs_two_level_recluster_hook`] — the sub-quadratic
-    /// sketch-bucketed path (DESIGN.md §15). Bit-identical to
-    /// [`Self::with_haccs_reclustering`] while the membership stays below
-    /// `cfg.flat_below`; a federation that starts at or above it is
-    /// bucketed from the hook's first call, without a flat phase.
-    pub fn with_haccs_two_level_reclustering(
-        self,
-        min_pts: usize,
-        extraction: haccs_core::ExtractionMethod,
-        cfg: haccs_core::TwoLevelConfig,
-    ) -> Self {
-        let summarizer = self.summarizer;
-        self.with_recluster_hook(haccs_two_level_recluster_hook(
-            summarizer, min_pts, extraction, cfg,
-        ))
+    /// Installs [`haccs_two_level_recluster_hook`] at
+    /// [`TwoLevelConfig::default`], with the coordinator's own summarizer:
+    /// the §IV-C wiring. Below the config's `flat_below` (1024) members
+    /// each membership change costs one recomputed distance row, with
+    /// groups bit-identical to a from-scratch rebuild; a federation at or
+    /// above it is sketch-bucketed.
+    pub fn with_haccs_reclustering(self, min_pts: usize, extraction: ExtractionMethod) -> Self {
+        let cfg = TwoLevelConfig::default();
+        let hook = haccs_two_level_recluster_hook(self.summarizer, min_pts, extraction, cfg);
+        self.with_recluster_hook(hook)
     }
 }
 
@@ -2315,6 +2171,117 @@ mod tests {
             obs.counter_value("coord_event_queue_dropped_total") >= 1,
             "the dropped event must be counted"
         );
+    }
+
+    /// The `Join` frame client `id` of a `build_coord` federation sends.
+    fn join_frame(id: usize) -> bytes::Bytes {
+        let resources = ResourceEstimate {
+            compute_multiplier: 1.0,
+            bandwidth_mbps: 1.0,
+            rtt_ms: 1.0,
+            n_train: 60,
+        };
+        let summary = WireSummary { histograms: Vec::new(), prevalence: Vec::new() };
+        Message::Join { client_nonce: session_nonce(5, id), summary, resources }.encode()
+    }
+
+    /// Restores the epoch-2 snapshot of `local`, a 4-client `build_coord`,
+    /// onto a [`Coordinator::remote`] over the same inputs, with a
+    /// hand-made link for each id in `attached`. Client 0's first envelope
+    /// carries `first`, every other attached client's its `Join`.
+    fn restore_reconnected(
+        mut local: Coordinator<FirstK>,
+        first: bytes::Bytes,
+        attached: &[usize],
+    ) -> (Result<(), PersistError>, Vec<mpsc::Receiver<bytes::Bytes>>) {
+        local.run(2);
+        let snap = local.snapshot();
+        drop(local);
+
+        let gen = SynthVision::mnist_like(4, 8, 0);
+        let fed = FederatedDataset::materialize(&gen, &partition::iid(4, 4, 60, 16), 0);
+        let profiles = DeviceProfile::sample_many(4, &mut StdRng::seed_from_u64(1));
+        let factory: ModelFactory = Box::new(|| mlp(64, &[32], 4, &mut StdRng::seed_from_u64(7)));
+        let mut remote = Coordinator::remote(
+            factory,
+            fed.global_test,
+            profiles,
+            LatencyModel::default(),
+            Availability::AlwaysOn,
+            SimConfig { k: 3, seed: 5, ..Default::default() },
+            FirstK,
+        );
+        let mut downlinks = Vec::new();
+        for &id in attached {
+            let (downlink, rx) = mpsc::channel();
+            remote.attach_remote(id, RemoteLink { downlink, pump: None });
+            downlinks.push(rx);
+            let frame = if id == 0 { first.clone() } else { join_frame(id) };
+            let outcome =
+                TransmitOutcome::Delivered { frame, retries: 0, backoff_s: 0.0, bytes_sent: 0 };
+            remote.uplink().send(vec![Envelope { from: id, seq: 0, outcome }]).unwrap();
+        }
+        (remote.restore(&snap), downlinks)
+    }
+
+    #[test]
+    fn remote_restore_of_a_local_snapshot_syncs_every_live_client() {
+        let (out, downlinks) = restore_reconnected(
+            build_coord(4, Availability::AlwaysOn),
+            join_frame(0),
+            &[0, 1, 2, 3],
+        );
+        out.expect("a well-formed reconnection restores");
+        for rx in downlinks {
+            let sync = Message::decode(rx.try_recv().expect("one frame per client")).unwrap();
+            assert!(matches!(sync, Message::ResumeSync { round: 2, .. }), "got {sync:?}");
+        }
+    }
+
+    fn assert_malformed(out: Result<(), PersistError>, want: &str) {
+        match out {
+            Err(PersistError::Malformed(m)) => assert!(m.contains(want), "unexpected error: {m}"),
+            other => panic!("expected a Malformed error naming {want:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn remote_restore_refuses_a_garbage_first_frame() {
+        let garbage = bytes::Bytes::from_static(&[0xEE, 0x01, 0x02]);
+        let (out, _) =
+            restore_reconnected(build_coord(4, Availability::AlwaysOn), garbage, &[0, 1, 2, 3]);
+        assert_malformed(out, "expected Join from client 0");
+    }
+
+    #[test]
+    fn remote_restore_refuses_a_heartbeat_where_the_join_belongs() {
+        let hb = Message::Heartbeat { client_nonce: session_nonce(5, 0), round: 2, last_loss: 0.5 };
+        let (out, _) =
+            restore_reconnected(build_coord(4, Availability::AlwaysOn), hb.encode(), &[0, 1, 2, 3]);
+        assert_malformed(out, "expected Join from client 0");
+    }
+
+    #[test]
+    fn remote_restore_refuses_an_unattached_live_client_and_a_second_link() {
+        let (out, _) =
+            restore_reconnected(build_coord(4, Availability::AlwaysOn), join_frame(0), &[0, 1, 2]);
+        assert_malformed(out, "live client 3 did not reconnect");
+        let (out, _) = restore_reconnected(
+            build_coord(4, Availability::AlwaysOn),
+            join_frame(0),
+            &[0, 1, 2, 2, 3],
+        );
+        assert_malformed(out, "client 2 reconnected twice");
+    }
+
+    #[test]
+    fn remote_restore_keeps_a_departed_client_a_tombstone_and_refuses_its_link() {
+        // client 3 leaves in round 1, so the epoch-2 snapshot holds it as Left
+        let local = || build_coord(4, Availability::AlwaysOn).with_leave_after(3, 1);
+        let (out, _) = restore_reconnected(local(), join_frame(0), &[0, 1, 2]);
+        out.expect("a departed client needs no link");
+        let (out, _) = restore_reconnected(local(), join_frame(0), &[0, 1, 2, 3]);
+        assert_malformed(out, "left client 3 reconnected");
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod shard;
 
 pub use agent::{AgentConfig, Envelope, TransmitOutcome, Uplink};
 pub use coordinator::{
-    default_summary_seed, haccs_cached_recluster_hook, haccs_recluster_hook, session_nonce,
-    CoordError, Coordinator, RemoteLink, RoundPhase, DEFAULT_EVENT_CAPACITY,
+    default_summary_seed, session_nonce, CoordError, Coordinator, RemoteLink, RoundPhase,
+    DEFAULT_EVENT_CAPACITY,
 };
 pub use events::{Event, EventQueue, QueueFull};
 pub use net::{accept_remote_clients, remote_agent_config, run_tcp_federation, serve_agent_tcp};

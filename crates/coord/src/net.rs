@@ -7,7 +7,8 @@
 //!
 //! * **server side** — [`accept_remote_clients`] accepts one connection
 //!   per expected client. Each connection's first frame is the client's
-//!   encoded `Join` [`Envelope`], which binds it to that client's id; a
+//!   encoded `Join` [`Envelope`], which binds it to that client's id (a
+//!   second connection naming an id already bridged is dropped); a
 //!   reader thread then forwards every further envelope into the uplink
 //!   (as a one-element batch) — and drops the connection at the first one
 //!   whose `from` names any other id, so no peer can speak for another —
@@ -48,16 +49,19 @@ use std::thread;
 
 /// Bridges one accepted connection into the coordinator's junction.
 /// Blocks until the client's first envelope (its `Join`) arrives — that
-/// frame names the client and binds the connection to its id — forwards
-/// it into `uplink`, then leaves a reader thread and a writer pump
-/// running. The reader drops the connection at the first envelope whose
-/// `from` differs from the bound id. The pump thread is returned inside
-/// the [`RemoteLink`] so the coordinator joins it on drop.
+/// frame names the client and binds the connection to its id. A
+/// connection naming an id `taken` reports is dropped unforwarded
+/// (`Ok(None)`). Otherwise the `Join` goes into `uplink`, and a reader
+/// thread and a writer pump are left running. The reader drops the
+/// connection at the first envelope whose `from` differs from the bound
+/// id. The pump thread is returned inside the [`RemoteLink`] so the
+/// coordinator joins it on drop.
 pub fn bridge_client(
     stream: TcpStream,
     uplink: Uplink,
     tcp: &TcpConfig,
-) -> Result<(usize, RemoteLink), TransportError> {
+    taken: impl Fn(usize) -> bool,
+) -> Result<Option<(usize, RemoteLink)>, TransportError> {
     stream.set_read_timeout(tcp.read_timeout).map_err(FrameError::from)?;
     stream.set_write_timeout(tcp.write_timeout).map_err(FrameError::from)?;
     stream.set_nodelay(true).map_err(FrameError::from)?;
@@ -66,6 +70,10 @@ pub fn bridge_client(
 
     let first = Envelope::decode(Bytes::from(read_frame_limited(&mut read_half, max_frame)?))?;
     let id = first.from;
+    if taken(id) {
+        let _ = stream.shutdown(Shutdown::Both);
+        return Ok(None);
+    }
     // a send failure means the coordinator is already gone; the bridge
     // still comes up so teardown follows the normal EOF cascade
     let _ = uplink.send(vec![first]);
@@ -108,12 +116,14 @@ pub fn bridge_client(
         })
         .expect("spawn net writer thread");
 
-    Ok((id, RemoteLink { downlink: down_tx, pump: Some(pump) }))
+    Ok(Some((id, RemoteLink { downlink: down_tx, pump: Some(pump) })))
 }
 
 /// Accepts exactly `n` client connections on `listener` and bridges each.
 /// Returns the links in **connection** order — callers pass them to
 /// [`Coordinator::attach_remote`], which re-sorts by id at enrollment.
+/// A connection whose `Join` names an id already bridged is dropped before
+/// its `Join` reaches the uplink, and never counts toward `n`.
 ///
 /// When `tcp.auth_token` is set, every connection must open with an
 /// authentication preamble: a single frame carrying exactly the expected
@@ -141,7 +151,11 @@ pub fn accept_remote_clients(
                 }
             }
         }
-        out.push(bridge_client(stream, uplink.clone(), tcp)?);
+        // a second connection naming a bridged id: drop it, keep listening
+        let taken = |id| out.iter().any(|(bridged, _)| *bridged == id);
+        if let Some(link) = bridge_client(stream, uplink.clone(), tcp, taken)? {
+            out.push(link);
+        }
     }
     Ok(out)
 }
@@ -168,7 +182,6 @@ pub fn remote_agent_config(
         availability,
         channel: round::wire_channel(faults, policy),
         leave_after: None,
-        resume_last_loss: None,
         codec: None,
     }
 }
@@ -517,5 +530,46 @@ mod tests {
         // the uplink closes once the reader exits: only the Join got through
         let forwarded: Vec<usize> = uplink_rx.iter().flatten().map(|e| e.from).collect();
         assert_eq!(forwarded, vec![0]);
+    }
+
+    #[test]
+    fn accept_drops_a_second_connection_naming_a_bridged_id() {
+        use std::io::{Read, Write};
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let (uplink_tx, uplink_rx) = mpsc::channel::<Vec<Envelope>>();
+        let accept = thread::spawn(move || {
+            accept_remote_clients(&listener, 2, uplink_tx, &TcpConfig::default()).expect("accept")
+        });
+
+        // two peers join as client 0, then a third as client 1
+        let join_as = |from: usize| {
+            let frame = Envelope {
+                from,
+                seq: 0,
+                outcome: crate::agent::TransmitOutcome::Lost { retries: 0, backoff_s: 0.0 },
+            }
+            .encode();
+            let mut peer = TcpStream::connect(addr).expect("connect");
+            peer.write_all(&(frame.len() as u32).to_le_bytes()).expect("write length");
+            peer.write_all(&frame).expect("write envelope");
+            peer
+        };
+        let first = join_as(0);
+        let mut duplicate = join_as(0);
+        let other = join_as(1);
+
+        let links = accept.join().expect("accept thread");
+        let mut ids: Vec<usize> = links.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1], "the duplicate never counts toward n");
+        duplicate.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        assert_eq!(duplicate.read(&mut [0u8; 8]).expect("read"), 0, "the duplicate reads EOF");
+        drop((first, other, links));
+        // the uplink closes once both readers exit: exactly the two Joins
+        let mut forwarded: Vec<usize> = uplink_rx.iter().flatten().map(|e| e.from).collect();
+        forwarded.sort_unstable();
+        assert_eq!(forwarded, [0, 1]);
     }
 }

@@ -376,7 +376,6 @@ mod tests {
                 availability: Availability::AlwaysOn,
                 channel: FaultyChannel::reliable(3),
                 leave_after: None,
-                resume_last_loss: None,
                 codec: None,
             };
             let profile = DeviceProfile::uniform_fast();

@@ -155,10 +155,12 @@ pub enum Message {
         n_train: u32,
     },
     /// Server → client, after a crash-resume: the restored round cursor
-    /// and the loss this client last reported before the snapshot. A
-    /// remote client that survived the coordinator outage echoes
-    /// `last_loss` in heartbeat acks until it next trains — exactly what
-    /// an uninterrupted agent would have reported.
+    /// and the loss this client last reported before the snapshot. The
+    /// restored coordinator sends it to every live client, local agent or
+    /// reconnected remote, right after consuming its `Join`. The client
+    /// echoes `last_loss` in heartbeat acks until it next trains — exactly
+    /// what an uninterrupted agent would have reported — and answers
+    /// nothing, so its envelope `seq` is untouched.
     ResumeSync {
         /// First round the restored coordinator will run.
         round: u64,

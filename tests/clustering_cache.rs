@@ -18,7 +18,7 @@
 
 use haccs::fedsim::engine::ModelFactory;
 use haccs::prelude::*;
-use haccs::scheduler::{client_summary_seed, summary_to_wire};
+use haccs::scheduler::{client_summary_seed, cluster_wire_summaries, summary_to_wire};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,6 +71,7 @@ fn randomized_churn_matches_full_rebuild_at_every_step() {
 
     let mut churn_counts = [0usize; 3];
     for step in 0..120 {
+        let computed_before = cache.distance_stats().distances_computed;
         match rng.gen_range(0..3u32) {
             0 => {
                 cache.add_client(next_id, pool[next_id % pool.len()].clone());
@@ -96,6 +97,9 @@ fn randomized_churn_matches_full_rebuild_at_every_step() {
             full_rebuild(&cache),
             "incremental diverged from rebuild at churn step {step}"
         );
+        // an edit computes at most one row, never a rebuild's n(n-1)/2
+        let computed = cache.distance_stats().distances_computed - computed_before;
+        assert!(computed <= live.len() as u64, "step {step} computed {computed} distances");
     }
     assert!(churn_counts.iter().all(|&c| c >= 10), "soak must exercise all ops: {churn_counts:?}");
     assert!(next_id >= 40, "soak must grow the federation past its seed size");
@@ -202,7 +206,12 @@ fn build_coordinator(
     if incremental {
         coord.with_haccs_reclustering(2, ExtractionMethod::Auto)
     } else {
-        coord.with_haccs_full_reclustering(2, ExtractionMethod::Auto)
+        coord.with_recluster_hook(move |sel: &mut HaccsSelector, entries| {
+            let groups = cluster_wire_summaries(&summarizer, entries, 2, ExtractionMethod::Auto);
+            if !groups.is_empty() {
+                sel.recluster(groups);
+            }
+        })
     }
 }
 

@@ -25,7 +25,6 @@ use common::{assert_digest, run_digest};
 use haccs::fedsim::engine::ModelFactory;
 use haccs::persist::{fnv1a64, segment};
 use haccs::prelude::*;
-use haccs::scheduler::TwoLevelConfig;
 use haccs::sysmodel::HeartbeatPolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,7 +91,7 @@ fn scenario() -> (RunResult, Vec<u8>, Vec<u8>) {
         .with_heartbeat(HeartbeatPolicy::new(1, 2, 3))
         .with_leave_after(LEAVER, 2)
         .with_segmented_snapshots(SnapshotPolicy::every(1, &dir), 3)
-        .with_haccs_two_level_reclustering(2, ExtractionMethod::Auto, TwoLevelConfig::default());
+        .with_haccs_reclustering(2, ExtractionMethod::Auto);
 
     for round in 0..ROUNDS {
         if round == JOIN_AFTER {

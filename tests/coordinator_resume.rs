@@ -5,7 +5,7 @@
 //! uninterrupted run — under fault schedules, deadline policies, HACCS
 //! re-clustering, and dynamic membership (a scripted mid-training leave).
 
-use haccs::coord::{haccs_cached_recluster_hook, Coordinator};
+use haccs::coord::Coordinator;
 use haccs::fedsim::engine::ModelFactory;
 use haccs::prelude::*;
 use haccs::sysmodel::HeartbeatPolicy;
@@ -49,11 +49,7 @@ fn build_haccs_coord(
     .with_policy(policy)
     .with_heartbeat(HeartbeatPolicy::new(1, 3, 6))
     .with_summarizer(Summarizer::label_dist())
-    .with_recluster_hook(haccs_cached_recluster_hook(
-        Summarizer::label_dist(),
-        2,
-        ExtractionMethod::Auto,
-    ));
+    .with_haccs_reclustering(2, ExtractionMethod::Auto);
     if let Some(f) = faults {
         c = c.with_faults(f);
     }
@@ -224,11 +220,7 @@ mod socket {
             HaccsSelector::new(provisional, 0.5, "P(y)"),
         )
         .with_summarizer(Summarizer::label_dist())
-        .with_recluster_hook(haccs_cached_recluster_hook(
-            Summarizer::label_dist(),
-            2,
-            ExtractionMethod::Auto,
-        ));
+        .with_haccs_reclustering(2, ExtractionMethod::Auto);
         if let Some(p) = snapshots {
             coord = coord.with_snapshots(p);
         }
@@ -276,7 +268,7 @@ mod socket {
         // restores the on-disk snapshot and replays the lost tail
         let bytes = std::fs::read(&snap_path).unwrap();
         let (mut coord, clients) = dial_up(None);
-        coord.restore_remote(&bytes).expect("socket snapshot must restore");
+        coord.restore(&bytes).expect("socket snapshot must restore");
         assert_eq!(coord.epoch(), 4, "restore must land on the checkpoint round");
         let out = coord.run(ROUNDS - 4);
         wind_down(coord, clients);

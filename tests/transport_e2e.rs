@@ -16,7 +16,7 @@
 //!   carrier, never a participant.
 
 use haccs::coord::net::{accept_remote_clients, remote_agent_config, serve_agent_tcp};
-use haccs::coord::{haccs_cached_recluster_hook, Coordinator};
+use haccs::coord::Coordinator;
 use haccs::fedsim::engine::ModelFactory;
 use haccs::obs::MetricsServer;
 use haccs::prelude::*;
@@ -88,11 +88,7 @@ fn twenty_clients_over_tcp_match_inproc_bit_for_bit() {
             selector(),
         )
         .with_summarizer(Summarizer::label_dist())
-        .with_recluster_hook(haccs_cached_recluster_hook(
-            Summarizer::label_dist(),
-            2,
-            ExtractionMethod::Auto,
-        ));
+        .with_haccs_reclustering(2, ExtractionMethod::Auto);
         coord.run(ROUNDS)
     };
 
@@ -146,11 +142,7 @@ fn twenty_clients_over_tcp_match_inproc_bit_for_bit() {
         selector(),
     )
     .with_summarizer(Summarizer::label_dist())
-    .with_recluster_hook(haccs_cached_recluster_hook(
-        Summarizer::label_dist(),
-        2,
-        ExtractionMethod::Auto,
-    ))
+    .with_haccs_reclustering(2, ExtractionMethod::Auto)
     .with_recorder(obs);
 
     for (id, link) in accept_remote_clients(&listener, N_CLIENTS, coord.uplink(), &tcp)
