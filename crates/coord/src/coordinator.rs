@@ -398,7 +398,9 @@ impl Fleet {
 
     /// Decodes trainee `id`'s envelope into what the driver admits. A
     /// compressed update decodes against the pre-aggregation global model
-    /// — exactly the reference the agent encoded against.
+    /// — exactly the reference the agent encoded against. An update the
+    /// round cannot use is lost, with the envelope's retries and backoff,
+    /// and a `coord.rejected` event says why.
     fn decode_update(server: &Server, id: usize, outcome: TransmitOutcome) -> UpdateOutcome {
         let (frame, retries, backoff_s) = match outcome {
             TransmitOutcome::Delivered { frame, retries, backoff_s, .. } => {
@@ -408,33 +410,57 @@ impl Fleet {
                 return UpdateOutcome::Lost { retries, backoff_s };
             }
         };
+        match Self::parse_update(server, id, frame) {
+            Ok(update) => UpdateOutcome::Delivered { update, retries, backoff_s },
+            Err(why) => {
+                server
+                    .obs
+                    .event("coord.rejected")
+                    .u("epoch", server.epoch as u64)
+                    .u("client", id as u64)
+                    .s("why", why)
+                    .sim(server.clock.now());
+                UpdateOutcome::Lost { retries, backoff_s }
+            }
+        }
+    }
+
+    /// Trainee `id`'s update in `frame`, or why this round cannot use it:
+    /// an undecodable frame or payload, a message that is not an update,
+    /// the wrong codec, another round, or a parameter count other than
+    /// the global model's.
+    fn parse_update(
+        server: &Server,
+        id: usize,
+        frame: bytes::Bytes,
+    ) -> Result<PendingUpdate, &'static str> {
         let (round, params, loss, n_train) =
-            match Message::decode(frame).expect("agent sent an undecodable update") {
+            match Message::decode(frame).map_err(|_| "undecodable frame")? {
                 Message::ModelUpdate { round, params, loss, n_train } => {
-                    assert!(
-                        !server.codec.is_some_and(|k| !matches!(k, CodecKind::Identity)),
-                        "client {id} sent a plain update under a compressing codec"
-                    );
+                    if server.codec.is_some_and(|k| !matches!(k, CodecKind::Identity)) {
+                        return Err("plain update under a compressing codec");
+                    }
                     (round, params, loss, n_train)
                 }
                 Message::ModelUpdateEnc { round, codec, payload, loss, n_train } => {
-                    let kind = server.codec.unwrap_or_else(|| {
-                        panic!("client {id} sent an encoded update, but no codec is configured")
-                    });
-                    assert_eq!(codec, kind.tag(), "client {id} used a different codec");
+                    let kind = server.codec.ok_or("encoded update, but no codec is configured")?;
+                    if codec != kind.tag() {
+                        return Err("update under another codec");
+                    }
                     let span = server.obs.span("codec.decode").u("client", id as u64);
-                    let params = kind
-                        .build()
-                        .decode(&payload, &server.global_params)
-                        .unwrap_or_else(|e| panic!("undecodable update from {id}: {e}"));
+                    let params = kind.build().decode(&payload, &server.global_params);
                     span.finish();
-                    (round, params, loss, n_train)
+                    (round, params.map_err(|_| "undecodable codec payload")?, loss, n_train)
                 }
-                other => panic!("expected ModelUpdate from {id}, got {other:?}"),
+                _ => return Err("not a model update"),
             };
-        debug_assert_eq!(round as usize, server.epoch, "update for the wrong round");
-        let update = PendingUpdate { id, params, loss, n_train: n_train as usize };
-        UpdateOutcome::Delivered { update, retries, backoff_s }
+        if round as usize != server.epoch {
+            return Err("update for another round");
+        }
+        if params.len() != server.global_params.len() {
+            return Err("update with the wrong parameter count");
+        }
+        Ok(PendingUpdate { id, params, loss, n_train: n_train as usize })
     }
 }
 
@@ -536,13 +562,19 @@ impl Backend for Fleet {
                 TransmitOutcome::Delivered { frame, retries, bytes_sent, .. } => {
                     out.retries += retries;
                     out.bytes += bytes_sent;
-                    match Message::decode(frame).expect("agent sent an undecodable ack") {
-                        Message::Heartbeat { client_nonce, last_loss, .. } => {
-                            debug_assert_eq!(self.registry.get(id).nonce, client_nonce);
+                    match Message::decode(frame) {
+                        Ok(Message::Heartbeat { client_nonce, last_loss, .. })
+                            if client_nonce == self.registry.get(id).nonce =>
+                        {
                             acked.push((id, last_loss));
                         }
-                        Message::Leave { .. } => leaves.push(id),
-                        other => panic!("expected ack/Leave from {id}, got {other:?}"),
+                        Ok(Message::Leave { .. }) => leaves.push(id),
+                        // an ack that is unreadable, another message, or
+                        // under another nonce answers nothing: a miss
+                        _ => {
+                            out.missed += 1;
+                            lost.push(id);
+                        }
                     }
                 }
                 TransmitOutcome::Lost { retries, .. } => {
@@ -2282,6 +2314,170 @@ mod tests {
         out.expect("a departed client needs no link");
         let (out, _) = restore_reconnected(local(), join_frame(0), &[0, 1, 2, 3]);
         assert_malformed(out, "left client 3 reconnected");
+    }
+
+    /// A `Coordinator::remote` over `n` honest clients, each running
+    /// `run_agent` on its own thread behind a hand-made link; all `n` are
+    /// trainees every round. Each envelope a client sends passes through
+    /// `tamper(client, message)` on its way in, which may swap its frame.
+    fn tampered_remote(
+        n: usize,
+        tamper: impl Fn(usize, &Message) -> Option<bytes::Bytes> + Send + 'static,
+    ) -> (Coordinator<FirstK>, Vec<std::thread::JoinHandle<()>>) {
+        let gen = SynthVision::mnist_like(4, 8, 0);
+        let fed = FederatedDataset::materialize(&gen, &partition::iid(n, 4, 60, 16), 0);
+        let profiles = DeviceProfile::sample_many(n, &mut StdRng::seed_from_u64(1));
+        let shared: crate::agent::SharedModelFactory =
+            Arc::new(|| mlp(64, &[32], 4, &mut StdRng::seed_from_u64(7)));
+        let factory: ModelFactory = {
+            let f = Arc::clone(&shared);
+            Box::new(move || f())
+        };
+        let cfg = SimConfig { k: n, seed: 5, ..Default::default() };
+        let mut coord = Coordinator::remote(
+            factory,
+            fed.global_test.clone(),
+            profiles.clone(),
+            LatencyModel::default(),
+            Availability::AlwaysOn,
+            cfg,
+            FirstK,
+        );
+        let (tap, tapped) = mpsc::channel::<Vec<Envelope>>();
+        let uplink = coord.uplink();
+        let mut threads = vec![std::thread::spawn(move || {
+            for mut batch in tapped {
+                for env in &mut batch {
+                    if let TransmitOutcome::Delivered { frame, .. } = &mut env.outcome {
+                        let msg = Message::decode(frame.clone()).expect("an honest agent's frame");
+                        if let Some(swapped) = tamper(env.from, &msg) {
+                            *frame = swapped;
+                        }
+                    }
+                }
+                if uplink.send(batch).is_err() {
+                    return;
+                }
+            }
+        })];
+        for (id, data) in fed.clients.into_iter().enumerate() {
+            let (downlink, rx) = mpsc::channel();
+            coord.attach_remote(id, RemoteLink { downlink, pump: None });
+            let policy = RoundPolicy::default();
+            let acfg = crate::net::remote_agent_config(
+                id,
+                &cfg,
+                &FaultModel::none(cfg.seed),
+                &policy,
+                Availability::AlwaysOn,
+            );
+            let (factory, uplink, profile) = (Arc::clone(&shared), tap.clone(), profiles[id]);
+            let summarizer = Summarizer::label_dist();
+            threads.push(std::thread::spawn(move || {
+                crate::agent::run_agent(acfg, data, profile, factory, summarizer, rx, uplink)
+            }));
+        }
+        (coord, threads)
+    }
+
+    #[test]
+    fn a_peer_answering_with_the_wrong_frame_costs_a_miss_or_its_update() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let acks = AtomicUsize::new(0);
+        let (mut coord, threads) = tampered_remote(3, move |id, msg| match (id, msg) {
+            // client 0's first heartbeat is its enrollment ack; it answers
+            // the first heartbeat probe after that with garbage
+            (0, Message::Heartbeat { .. }) if acks.fetch_add(1, Ordering::Relaxed) == 1 => {
+                Some(bytes::Bytes::from_static(&[0xEE, 0x01, 0x02]))
+            }
+            // client 1 answers every model push with a heartbeat
+            (1, Message::ModelUpdate { round, .. }) => Some(
+                Message::Heartbeat {
+                    client_nonce: session_nonce(5, 1),
+                    round: *round,
+                    last_loss: 0.5,
+                }
+                .encode(),
+            ),
+            _ => None,
+        });
+        let rec = coord.run_round();
+        assert_eq!(rec.faults.hb_missed, 1, "the garbage ack is the round's one miss");
+        assert_eq!(coord.registry().get(0).missed_heartbeats, 1);
+        assert_eq!(coord.registry().get(0).liveness, Liveness::Alive, "one miss only");
+        assert_eq!(rec.faults.lossy_failures, 1, "client 1's update is lost");
+        assert!(!rec.participants.contains(&1), "got {:?}", rec.participants);
+        assert_eq!(rec.participants.len(), 2);
+        drop(coord);
+        for t in threads {
+            t.join().expect("client thread");
+        }
+    }
+
+    #[test]
+    fn a_peer_that_keeps_garbling_its_acks_is_suspected_then_evicted() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let acks = AtomicUsize::new(0);
+        // client 0 answers every probe after its enrollment ack with garbage
+        let (mut coord, threads) = tampered_remote(3, move |id, msg| match (id, msg) {
+            (0, Message::Heartbeat { .. }) if acks.fetch_add(1, Ordering::Relaxed) >= 1 => {
+                Some(bytes::Bytes::from_static(&[0xEE, 0x01, 0x02]))
+            }
+            _ => None,
+        });
+        // the default policy suspects after 2 misses and evicts after 5
+        let mut seen = Vec::new();
+        for _ in 0..6 {
+            coord.run_round();
+            seen.push(coord.registry().get(0).liveness);
+        }
+        use Liveness::{Alive, Left, Suspected};
+        assert_eq!(seen, [Alive, Suspected, Suspected, Suspected, Left, Left]);
+        drop(coord);
+        for t in threads {
+            t.join().expect("client thread");
+        }
+    }
+
+    #[test]
+    fn an_update_the_round_cannot_use_is_lost_not_a_panic() {
+        let lost = |c: &Coordinator<FirstK>, frame: bytes::Bytes| {
+            let outcome =
+                TransmitOutcome::Delivered { frame, retries: 2, backoff_s: 0.25, bytes_sent: 0 };
+            match Fleet::decode_update(&c.server, 1, outcome) {
+                UpdateOutcome::Lost { retries, backoff_s } => retries == 2 && backoff_s == 0.25,
+                UpdateOutcome::Delivered { .. } => false,
+            }
+        };
+        let plain = |round: u64, len: usize| {
+            Message::ModelUpdate { round, params: vec![0.5; len], loss: 0.5, n_train: 60 }.encode()
+        };
+        let encoded = |codec: CodecKind, payload: Vec<u8>| {
+            Message::ModelUpdateEnc {
+                round: 0,
+                codec: codec.tag(),
+                payload,
+                loss: 0.5,
+                n_train: 60,
+            }
+            .encode()
+        };
+        let c = build_coord(3, Availability::AlwaysOn);
+        let len = c.server.global_params.len();
+        assert!(!lost(&c, plain(0, len)), "a well-formed update is delivered");
+        assert!(lost(&c, bytes::Bytes::from_static(&[0xEE, 0x01, 0x02])), "garbage");
+        let hb = Message::Heartbeat { client_nonce: session_nonce(5, 1), round: 0, last_loss: 0.5 };
+        assert!(lost(&c, hb.encode()), "not an update");
+        assert!(lost(&c, plain(7, len)), "another round");
+        assert!(lost(&c, plain(0, len - 1)), "a short vector");
+        assert!(lost(&c, plain(0, len + 1)), "a long vector");
+        assert!(lost(&c, encoded(CodecKind::Int8, vec![1, 2, 3])), "encoded, but no codec");
+
+        let c = build_coord(3, Availability::AlwaysOn).with_codec(CodecKind::Int8);
+        assert!(lost(&c, plain(0, len)), "plain under a compressing codec");
+        let topk = CodecKind::TopK { keep_permille: 100 };
+        assert!(lost(&c, encoded(topk, vec![1, 2, 3])), "another codec");
+        assert!(lost(&c, encoded(CodecKind::Int8, vec![1, 2, 3])), "an undecodable payload");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! LeNet-style models in `haccs-nn` need:
 //!
 //! * row-major `f32` tensors of arbitrary rank ([`Tensor`]),
-//! * matrix products through one register-tiled GEMM ([`ops::matmul`],
+//! * matrix products through one register-blocked GEMM ([`ops::matmul`],
 //!   [`ops::matmul_at`], [`ops::matmul_bt`]),
 //! * 2-D convolution via im2col and max pooling ([`conv`]),
 //! * element-wise kernels, reductions and softmax ([`ops`]),
@@ -14,13 +14,15 @@
 //! The library favours clarity over peak FLOPs but is careful about the
 //! things the Rust Performance Book calls out: no allocation inside hot
 //! loops, contiguous row-major layout and iterator-based kernels that
-//! vectorize. The GEMM holds 16 output columns of one row in registers
-//! through a loop over ascending `k`, so each output element still adds
-//! its products one at a time in ascending `k` onto a fixed seed (`0.0`,
-//! or `-0.0` for `matmul_bt`, the value `f32`'s `Sum` starts from): its
-//! bits equal the naive triple loop's. Everything runs on the calling
-//! thread; the conv batch loop is written against the rayon API, which the
-//! workspace's offline `shims/rayon` runs sequentially.
+//! vectorize. The GEMM holds a block of 4 output rows × 16 columns in
+//! registers through a loop over ascending `k`, so each output element
+//! still adds its products one at a time in ascending `k` onto a fixed
+//! seed (`0.0`, or `-0.0` for `matmul_bt`, the value `f32`'s `Sum` starts
+//! from): its bits equal the naive triple loop's. Its one body is compiled
+//! for the target's baseline and for AVX2, and the CPU picks at run time;
+//! `fma` stays off, so both give the same bits. Everything runs on the
+//! calling thread; the conv batch loop is written against the rayon API,
+//! which the workspace's offline `shims/rayon` runs sequentially.
 
 pub mod conv;
 pub mod init;

@@ -2,50 +2,156 @@
 
 use crate::Tensor;
 
-/// Output columns one register tile of [`gemm`] holds: four SSE vectors
-/// on the baseline x86_64 target.
+/// Output columns one register block of [`gemm_body`] holds: two AVX2
+/// vectors, or four SSE vectors on the baseline x86_64 target.
 const TILE: usize = 16;
 
-/// `out[i][j] += Σₖ a[i][k] · b[k][j]` for row-major `a: [m, k]`,
-/// `b: [k, n]` and `out: [m, n]`.
+/// Output rows one register block of [`gemm_body`] holds, so a block is
+/// `ROWS × TILE` independent sums.
+const ROWS: usize = 4;
+
+/// Where a GEMM finds `A(i, p)` in its slice `a`.
+#[derive(Clone, Copy, PartialEq)]
+enum Layout {
+    /// Row-major `[m, k]`: `A(i, p)` is `a[i * k + p]`.
+    RowMajor,
+    /// Row-major `[k, m]`, i.e. `Aᵀ` read in place: `A(i, p)` is
+    /// `a[p * m + i]`.
+    Transposed,
+}
+
+/// One compiled instance of [`gemm_body`]: `(a, layout of a, b, out, m,
+/// k, n)`.
+type Gemm = fn(&[f32], Layout, &[f32], &mut [f32], usize, usize, usize);
+
+/// `out[i][j] += Σₚ A(i, p) · b[p][j]` for `A: [m, k]` stored as `la`
+/// says, row-major `b: [k, n]` and `out: [m, n]`, on the widest vectors
+/// this CPU has: the AVX2 instance where it is detected, the baseline one
+/// otherwise. The choice depends on the CPU only, and both instances
+/// produce the same bits.
+fn gemm(a: &[f32], la: Layout, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_avx2` needs no target feature beyond AVX2, and
+        // the check above found that this CPU has it.
+        return unsafe { gemm_avx2(a, la, b, out, m, k, n) };
+    }
+    gemm_baseline(a, la, b, out, m, k, n)
+}
+
+/// [`gemm_body`] for the build target's baseline (SSE2 on x86_64): the
+/// only instance on CPUs without AVX2 and off x86_64.
+fn gemm_baseline(a: &[f32], la: Layout, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_body(a, la, b, out, m, k, n)
+}
+
+/// [`gemm_body`] on AVX2's 8-wide vectors. `fma` stays off, so every
+/// product is rounded before it is added, as in the baseline instance.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: &[f32], la: Layout, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_body(a, la, b, out, m, k, n)
+}
+
+/// The one GEMM body both instances compile.
 ///
-/// Each output row is taken in [`TILE`]-column tiles. A tile is loaded
-/// from `out` into registers, receives its products one `k` at a time in
+/// `out` is taken in blocks of [`ROWS`] rows by [`TILE`] columns. A block
+/// is loaded into registers, receives its products one `p` at a time in
 /// ascending order, and is stored back. Every output element therefore
-/// adds its products serially in ascending `k` onto the value `out`
-/// already held, exactly like a scalar loop would: only independent
-/// columns run side by side, so the result is bit-identical to
+/// adds its products serially in ascending `p` onto the value `out`
+/// already held, exactly like a scalar loop would: only independent rows
+/// and columns run side by side, so the result is bit-identical to
 /// [`matmul_naive`] seeded with the same value.
-fn gemm(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    if k == 0 || n == 0 {
+///
+/// Every block has the same constant shape, so the compiler keeps it in
+/// registers. The last `m % ROWS` rows of `A` and the last `n % TILE`
+/// columns of `b` are read from zero-padded copies; the padded sums are
+/// computed and dropped.
+#[inline(always)]
+fn gemm_body(a: &[f32], la: Layout, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    if m == 0 || k == 0 || n == 0 {
         return;
     }
-    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (t, tile) in out_row.chunks_mut(TILE).enumerate() {
-            let mut acc = [0.0f32; TILE];
-            if tile.len() == TILE {
-                add_tile(&mut acc, tile, a_row, b, n, t * TILE);
+    let full_cols = n - n % TILE;
+    let mut b_tail = vec![0.0f32; if full_cols < n { k * TILE } else { 0 }];
+    for (t, b_row) in b_tail.chunks_exact_mut(TILE).zip(b.chunks_exact(n)) {
+        t[..n - full_cols].copy_from_slice(&b_row[full_cols..]);
+    }
+    let full_rows = m - m % ROWS;
+    let mut a_tail = vec![0.0f32; if full_rows < m { ROWS * k } else { 0 }];
+    for (r, t) in a_tail.chunks_exact_mut(k).take(m - full_rows).enumerate() {
+        for (p, x) in t.iter_mut().enumerate() {
+            *x = match la {
+                Layout::RowMajor => a[(full_rows + r) * k + p],
+                Layout::Transposed => a[p * m + full_rows + r],
+            };
+        }
+    }
+    for (blk, out_rows) in out.chunks_mut(ROWS * n).enumerate() {
+        let i0 = blk * ROWS;
+        if la == Layout::Transposed && i0 < full_rows {
+            add_block(out_rows, b, &b_tail, k, n, |p| {
+                a[p * m + i0..][..ROWS].try_into().expect("a block is ROWS tall")
+            });
+        } else {
+            let rows: [&[f32]; ROWS] = if i0 < full_rows {
+                std::array::from_fn(|r| &a[(i0 + r) * k..][..k])
             } else {
-                add_tile(&mut acc[..tile.len()], tile, a_row, b, n, t * TILE);
-            }
+                std::array::from_fn(|r| &a_tail[r * k..][..k])
+            };
+            add_block(out_rows, b, &b_tail, k, n, |p| std::array::from_fn(|r| rows[r][p]));
         }
     }
 }
 
-/// Adds `a_row · b[.., j0..j0 + tile.len()]` onto `tile` through the
-/// accumulator `acc` (as long as `tile`), one `k` at a time. Always
-/// inlined, so that a full tile's constant width reaches the loop and
-/// `acc` lives in registers.
+/// Adds `A_blk · b` onto the rows `out_rows` (at most [`ROWS`]) one
+/// [`TILE`]-column tile at a time, where `a_col(p)` is column `p` of the
+/// block's `A`. The last, narrower tile reads `b_tail`. Always inlined, so
+/// the constant block shape reaches the loops and the block lives in
+/// registers. Full tiles load and store with constant-width copies: a
+/// variable-width one is a `memcpy` call per row, which dominated
+/// products with a small `k`.
 #[inline(always)]
-fn add_tile(acc: &mut [f32], tile: &mut [f32], a_row: &[f32], b: &[f32], n: usize, j0: usize) {
-    let cols = j0..j0 + acc.len();
-    acc.copy_from_slice(tile);
-    for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-        for (o, &bkj) in acc.iter_mut().zip(&b_row[cols.clone()]) {
-            *o += aik * bkj;
+fn add_block(
+    out_rows: &mut [f32],
+    b: &[f32],
+    b_tail: &[f32],
+    k: usize,
+    n: usize,
+    a_col: impl Fn(usize) -> [f32; ROWS],
+) {
+    for j0 in (0..n).step_by(TILE) {
+        let w = TILE.min(n - j0);
+        let (b_tile, ldb) = if w == TILE { (&b[j0..], n) } else { (b_tail, TILE) };
+        let mut acc = [[0.0f32; TILE]; ROWS];
+        for (acc_r, out_r) in acc.iter_mut().zip(out_rows.chunks(n)) {
+            let mut tile = [0.0f32; TILE];
+            if w == TILE {
+                tile.copy_from_slice(&out_r[j0..j0 + TILE]);
+            } else {
+                tile[..w].copy_from_slice(&out_r[j0..j0 + w]);
+            }
+            *acc_r = tile;
+        }
+        for p in 0..k {
+            let b_p = &b_tile[p * ldb..][..TILE];
+            // zipped by reference: by value, the loop compiled to scalar code
+            let x = a_col(p);
+            for (acc_r, &x) in acc.iter_mut().zip(&x) {
+                for (o, &y) in acc_r.iter_mut().zip(b_p) {
+                    *o += x * y;
+                }
+            }
+        }
+        for (acc_r, out_r) in acc.iter().zip(out_rows.chunks_mut(n)) {
+            let tile = *acc_r;
+            if w == TILE {
+                out_r[j0..j0 + TILE].copy_from_slice(&tile);
+            } else {
+                out_r[j0..j0 + w].copy_from_slice(&tile[..w]);
+            }
         }
     }
-    tile.copy_from_slice(acc);
 }
 
 /// `C = A · B` for rank-2 tensors.
@@ -53,6 +159,11 @@ fn add_tile(acc: &mut [f32], tile: &mut [f32], a_row: &[f32], b: &[f32], n: usiz
 /// Every output element sums its products in ascending `k` starting from
 /// `0.0`, as [`matmul_naive`] does, so the two agree bit for bit.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_with(gemm, a, b)
+}
+
+/// [`matmul`] on the GEMM instance `gemm`.
+fn matmul_with(gemm: Gemm, a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2, "matmul lhs must be rank-2");
     assert_eq!(b.rank(), 2, "matmul rhs must be rank-2");
     let (m, ka) = (a.shape()[0], a.shape()[1]);
@@ -60,16 +171,22 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ka, kb, "matmul inner dims differ: {ka} vs {kb}");
 
     let mut out = vec![0.0f32; m * n];
-    gemm(a.data(), b.data(), &mut out, ka, n);
+    gemm(a.data(), Layout::RowMajor, b.data(), &mut out, m, ka, n);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// `C = A · Bᵀ`, computed on a packed copy of `Bᵀ`.
+/// `C = A · Bᵀ`, computed on a packed copy of `Bᵀ` (a column tile of
+/// `Bᵀ` is strided in `B`, so it cannot be loaded as a vector in place).
 ///
 /// Every output element sums its products in ascending `k` starting from
 /// `-0.0`, the value `f32`'s `Sum` folds from, so it equals
 /// `dot(a.row(i), b.row(j))` bit for bit.
 pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_bt_with(gemm, a, b)
+}
+
+/// [`matmul_bt`] on the GEMM instance `gemm`.
+fn matmul_bt_with(gemm: Gemm, a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2);
     assert_eq!(b.rank(), 2);
     let (m, ka) = (a.shape()[0], a.shape()[1]);
@@ -77,15 +194,20 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ka, kb, "matmul_bt inner dims differ: {ka} vs {kb}");
 
     let mut out = vec![-0.0f32; m * n];
-    gemm(a.data(), b.transpose2().data(), &mut out, ka, n);
+    gemm(a.data(), Layout::RowMajor, b.transpose2().data(), &mut out, m, ka, n);
     Tensor::from_vec(out, &[m, n])
 }
 
-/// `C = Aᵀ · B`, computed on a packed copy of `Aᵀ`.
+/// `C = Aᵀ · B`, reading `Aᵀ` in place from `A`.
 ///
 /// Every output element sums its products in ascending `k` starting from
 /// `0.0`, so it equals `matmul_naive(&a.transpose2(), b)` bit for bit.
 pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_at_with(gemm, a, b)
+}
+
+/// [`matmul_at`] on the GEMM instance `gemm`.
+fn matmul_at_with(gemm: Gemm, a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.rank(), 2);
     assert_eq!(b.rank(), 2);
     let (ka, m) = (a.shape()[0], a.shape()[1]);
@@ -93,7 +215,7 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(ka, kb, "matmul_at inner dims differ: {ka} vs {kb}");
 
     let mut out = vec![0.0f32; m * n];
-    gemm(a.transpose2().data(), b.data(), &mut out, ka, n);
+    gemm(a.data(), Layout::Transposed, b.data(), &mut out, m, ka, n);
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -285,6 +407,64 @@ mod tests {
         let b = seq_tensor(&[7, 6]);
         let expected = matmul(&a.transpose2(), &b);
         assert_close(matmul_at(&a, &b).data(), expected.data(), TEST_EPS);
+    }
+
+    /// A `[rows, cols]` tensor whose entries span 1e-3 to 1e4 in magnitude,
+    /// with both signs and a quarter of them `±0.0`, so that a reordered or
+    /// fused sum rounds differently and a wrong zero seed flips a sign.
+    fn mixed_tensor(rows: usize, cols: usize, rng: &mut rand::rngs::StdRng) -> Tensor {
+        use rand::Rng;
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => {
+                    let mag = rng.gen_range(1.0f32..10.0) * 10f32.powi(rng.gen_range(-3i32..4));
+                    if rng.gen_bool(0.5) {
+                        mag
+                    } else {
+                        -mag
+                    }
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, &[rows, cols])
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Both GEMM instances, each bitwise against the references: the
+    /// baseline one, and the dispatched one, which is the AVX2 instance
+    /// wherever the CPU has AVX2. The dimensions hit row remainders of
+    /// every size, ragged column tiles and `k = 0`.
+    #[test]
+    fn both_gemm_instances_match_the_references_bitwise() {
+        use rand::SeedableRng;
+        const DIMS: [usize; 13] = [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 32, 40];
+        let instances: [(&str, Gemm); 2] = [("baseline", gemm_baseline), ("dispatched", gemm)];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        for (m, k, n) in
+            DIMS.iter().flat_map(|&m| DIMS.iter().flat_map(move |&k| DIMS.map(|n| (m, k, n))))
+        {
+            let a = mixed_tensor(m, k, &mut rng);
+            let a_t = mixed_tensor(k, m, &mut rng);
+            let b = mixed_tensor(k, n, &mut rng);
+            let b_t = mixed_tensor(n, k, &mut rng);
+            let naive = bits(&matmul_naive(&a, &b));
+            let naive_at = bits(&matmul_naive(&a_t.transpose2(), &b));
+            let dots: Vec<u32> = (0..m)
+                .flat_map(|i| (0..n).map(move |j| (i, j)))
+                .map(|(i, j)| dot(a.row(i), b_t.row(j)).to_bits())
+                .collect();
+            for (name, g) in instances {
+                let what = format!("{name}, m={m} k={k} n={n}");
+                assert_eq!(bits(&matmul_with(g, &a, &b)), naive, "matmul, {what}");
+                assert_eq!(bits(&matmul_at_with(g, &a_t, &b)), naive_at, "matmul_at, {what}");
+                assert_eq!(bits(&matmul_bt_with(g, &a, &b_t)), dots, "matmul_bt, {what}");
+            }
+        }
     }
 
     #[test]

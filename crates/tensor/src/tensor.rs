@@ -128,15 +128,13 @@ impl Tensor {
         self.data[((n * cc + c) * hh + h) * ww + w]
     }
 
-    /// Transpose of a rank-2 tensor (copies).
+    /// Transpose of a rank-2 tensor (copies), in cache-sized tiles.
     pub fn transpose2(&self) -> Tensor {
         assert_eq!(self.rank(), 2, "transpose2() requires a rank-2 tensor");
         let (r, c) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                out[j * r + i] = self.data[i * c + j];
-            }
+        if c > 0 {
+            transpose_blocked(&self.data, &mut out, r, c);
         }
         Tensor { data: out, shape: vec![c, r] }
     }
@@ -149,6 +147,39 @@ impl Tensor {
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
+    }
+}
+
+/// Side of the square tiles [`transpose_blocked`] copies.
+const T_BLOCK: usize = 8;
+
+/// Writes the transpose of the row-major `[r, c]` matrix `src` into
+/// `out` (`[c, r]`), one `T_BLOCK × T_BLOCK` tile at a time, so that a
+/// tile's reads and writes both stay in cache. A full tile is gathered
+/// into a local array and written out a column at a time; ragged edge
+/// tiles go element by element.
+fn transpose_blocked(src: &[f32], out: &mut [f32], r: usize, c: usize) {
+    for (bi, band) in src.chunks(T_BLOCK * c).enumerate() {
+        let i0 = bi * T_BLOCK;
+        for j0 in (0..c).step_by(T_BLOCK) {
+            if band.len() == T_BLOCK * c && j0 + T_BLOCK <= c {
+                let mut tile = [[0.0f32; T_BLOCK]; T_BLOCK];
+                for (t, row) in tile.iter_mut().zip(band.chunks_exact(c)) {
+                    t.copy_from_slice(&row[j0..j0 + T_BLOCK]);
+                }
+                for dj in 0..T_BLOCK {
+                    let col: [f32; T_BLOCK] = std::array::from_fn(|di| tile[di][dj]);
+                    out[(j0 + dj) * r + i0..][..T_BLOCK].copy_from_slice(&col);
+                }
+            } else {
+                let j1 = (j0 + T_BLOCK).min(c);
+                for (di, row) in band.chunks_exact(c).enumerate() {
+                    for (j, &x) in (j0..j1).zip(&row[j0..j1]) {
+                        out[j * r + i0 + di] = x;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -224,6 +255,22 @@ mod tests {
         let t = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
         let tt = t.transpose2().transpose2();
         assert_eq!(t, tt);
+    }
+
+    #[test]
+    fn transpose2_full_and_ragged_tiles() {
+        for r in 0..=20 {
+            for c in 0..=20 {
+                let t = Tensor::from_vec((0..r * c).map(|x| x as f32).collect(), &[r, c]);
+                let tr = t.transpose2();
+                assert_eq!(tr.shape(), &[c, r]);
+                for i in 0..r {
+                    for j in 0..c {
+                        assert_eq!(tr.at2(j, i), t.at2(i, j), "[{r}, {c}] at ({i}, {j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -150,7 +150,8 @@ impl FaultyChannel {
                     // decode caught the damage directly
                     Err(DecodeError::Truncated)
                     | Err(DecodeError::UnknownTag(_))
-                    | Err(DecodeError::LengthOutOfBounds(_)) => {}
+                    | Err(DecodeError::LengthOutOfBounds(_))
+                    | Err(DecodeError::OutOfRange(_)) => {}
                     // decode produced *something* — the flipped byte landed
                     // in payload, which a real stack catches by checksum;
                     // the comparison below stands in for that checksum

@@ -178,6 +178,8 @@ pub enum DecodeError {
     UnknownTag(u8),
     /// A length prefix exceeded the sanity bound.
     LengthOutOfBounds(u64),
+    /// The named field held a value no sender can produce.
+    OutOfRange(&'static str),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -186,6 +188,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "message truncated"),
             DecodeError::UnknownTag(t) => write!(f, "unknown message tag {t:#x}"),
             DecodeError::LengthOutOfBounds(n) => write!(f, "length {n} out of bounds"),
+            DecodeError::OutOfRange(field) => write!(f, "{field} out of range"),
         }
     }
 }

@@ -114,8 +114,7 @@ impl Envelope {
                 if buf.remaining() < 28 {
                     return Err(DecodeError::Truncated);
                 }
-                let retries = buf.get_u64_le() as usize;
-                let backoff_s = f64::from_bits(buf.get_u64_le());
+                let (retries, backoff_s) = get_retries_backoff(&mut buf)?;
                 let bytes_sent = buf.get_u64_le() as usize;
                 let len = buf.get_u32_le() as u64;
                 if len > crate::MAX_LEN {
@@ -131,14 +130,29 @@ impl Envelope {
                 if buf.remaining() < 16 {
                     return Err(DecodeError::Truncated);
                 }
-                let retries = buf.get_u64_le() as usize;
-                let backoff_s = f64::from_bits(buf.get_u64_le());
+                let (retries, backoff_s) = get_retries_backoff(&mut buf)?;
                 TransmitOutcome::Lost { retries, backoff_s }
             }
             other => return Err(DecodeError::UnknownTag(other)),
         };
         Ok(Envelope { from, seq, outcome })
     }
+}
+
+/// Reads an outcome's retry count and backoff. A count the channel
+/// cannot make (it counts attempts in `u32`) and a backoff that is not a
+/// finite, non-negative number of seconds are refused: both flow into the
+/// round's fault accounting.
+fn get_retries_backoff(buf: &mut Bytes) -> Result<(usize, f64), DecodeError> {
+    let retries = buf.get_u64_le();
+    if retries > u64::from(u32::MAX) {
+        return Err(DecodeError::OutOfRange("retries"));
+    }
+    let backoff_s = f64::from_bits(buf.get_u64_le());
+    if !(backoff_s.is_finite() && backoff_s >= 0.0) {
+        return Err(DecodeError::OutOfRange("backoff_s"));
+    }
+    Ok((retries as usize, backoff_s))
 }
 
 /// Errors a [`Transport`] can produce. The simulation channel's
@@ -439,6 +453,44 @@ mod tests {
         buf.put_u64_le(0);
         buf.put_u8(0x77);
         assert_eq!(Envelope::decode(buf.freeze()), Err(DecodeError::UnknownTag(0x77)));
+    }
+
+    /// `outcome`'s envelope with its retry count and backoff overwritten
+    /// by `retries` and `backoff_s`, as a peer could send it.
+    fn forged(outcome: TransmitOutcome, retries: u64, backoff_s: f64) -> Bytes {
+        let mut bytes = Envelope { from: 1, seq: 2, outcome }.encode().to_vec();
+        bytes[17..25].copy_from_slice(&retries.to_le_bytes());
+        bytes[25..33].copy_from_slice(&backoff_s.to_bits().to_le_bytes());
+        Bytes::from(bytes)
+    }
+
+    #[test]
+    fn envelope_decode_refuses_impossible_retries_and_backoffs() {
+        let delivered = || TransmitOutcome::Delivered {
+            frame: update().encode(),
+            retries: 0,
+            backoff_s: 0.0,
+            bytes_sent: update().wire_size(),
+        };
+        let lost = || TransmitOutcome::Lost { retries: 0, backoff_s: 0.0 };
+        for outcome in [delivered, lost] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                assert_eq!(
+                    Envelope::decode(forged(outcome(), 0, bad)),
+                    Err(DecodeError::OutOfRange("backoff_s")),
+                    "backoff {bad}"
+                );
+            }
+            let max = u64::from(u32::MAX);
+            let env = Envelope::decode(forged(outcome(), max, 0.5)).expect("u32::MAX retries");
+            let (TransmitOutcome::Delivered { retries, backoff_s, .. }
+            | TransmitOutcome::Lost { retries, backoff_s }) = env.outcome;
+            assert_eq!((retries as u64, backoff_s), (max, 0.5));
+            assert_eq!(
+                Envelope::decode(forged(outcome(), max + 1, 0.5)),
+                Err(DecodeError::OutOfRange("retries"))
+            );
+        }
     }
 
     #[test]
