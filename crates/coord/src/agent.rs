@@ -3,20 +3,25 @@
 //! about a client arrives as an encoded [`Message`] inside an
 //! [`Envelope`].
 //!
-//! The protocol body lives in `AgentState` — a message-in/envelope-out
-//! state machine with **no thread of its own**. Two drivers run it:
+//! The protocol body lives in `AgentState` — a message-in/answer-out
+//! state machine with **no thread of its own**. What every agent of a
+//! run shares (seed, training config, probe size, availability model,
+//! lossy channel, codec and summarizer) is one `AgentEnv`, passed into
+//! each call; the state holds only what is the client's own. Two drivers
+//! run it:
 //!
 //! * the coordinator's event-loop core (`crate::shard`) multiplexes
-//!   thousands of `AgentState`s over a fixed worker pool, decoding a
-//!   cohort's shared frame once for all its recipients and uplinking one
-//!   batch per worker command;
+//!   thousands of `AgentState`s over a fixed worker pool, sharing one env
+//!   across them, decoding a cohort's shared frame once for all its
+//!   recipients and uplinking one batch per worker command;
 //! * [`run_agent`] serves one agent on the calling thread over mpsc
 //!   junctions — the body a socket client (`haccs-client`) runs behind
-//!   its TCP bridge — decoding each frame and uplinking each envelope as
-//!   a one-element batch.
+//!   its TCP bridge — with an env of its own, decoding each frame and
+//!   uplinking each answer as a one-element batch.
 //!
-//! Both execute the *same* state machine, so a remote client's envelope
-//! stream is identical, frame for frame, to the in-process agent's.
+//! Both execute the *same* state machine and seal answers into envelopes
+//! the same way, so a remote client's envelope stream is identical, frame
+//! for frame, to the in-process agent's.
 //!
 //! Transport split:
 //!
@@ -30,15 +35,15 @@
 //!   [`haccs_fedsim::round::simulate_heartbeats`] even though frames here
 //!   are really produced by racing pool workers.
 
-use bytes::Bytes;
-use haccs_codec::CodecKind;
+use bytes::{Bytes, BytesMut};
+use haccs_codec::{CodecKind, UpdateCodec};
 use haccs_data::ClientData;
 use haccs_fedsim::round;
 use haccs_fedsim::trainer::{probe_loss, train_local, TrainConfig};
 use haccs_nn::Sequential;
 use haccs_summary::Summarizer;
-use haccs_sysmodel::{Availability, DeviceProfile};
-use haccs_wire::{ChannelError, FaultyChannel, Message, ResourceEstimate};
+use haccs_sysmodel::{Availability, DeviceProfile, EpochAvailability};
+use haccs_wire::{ChannelError, DecodeError, FaultyChannel, Message, ResourceEstimate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::mpsc::{Receiver, Sender};
@@ -49,8 +54,14 @@ use std::sync::Arc;
 // existing `coord::agent::{Envelope, TransmitOutcome}` path still works.
 pub use haccs_wire::{Envelope, TransmitOutcome};
 
-/// Everything an agent needs at spawn time. A restore spawns from the
-/// same config; the snapshot-time loss follows as a [`Message::ResumeSync`].
+/// Everything one agent needs at spawn time: the fields every agent of a
+/// run shares (`seed`, `train`, `probe_max`, `availability`, `channel`,
+/// `codec`) plus the client's own (`id`, `nonce`, `summary_seed`,
+/// `leave_after`). [`run_agent`] splits it into the run's shared env and
+/// the agent's state; the coordinator builds the shared part once per run
+/// from the same inputs ([`crate::net::remote_agent_config`] derives a
+/// remote client's the same way). A restore spawns from the same config;
+/// the snapshot-time loss follows as a [`Message::ResumeSync`].
 pub struct AgentConfig {
     /// Registry id (also the index into availability/fault hashes).
     pub id: usize,
@@ -76,8 +87,34 @@ pub struct AgentConfig {
     /// and `Identity` keep trained updates on the plain `ModelUpdate`
     /// frame; `Int8`/`TopK` encode against the round's pushed global
     /// model and send [`Message::ModelUpdateEnc`]. A stateful codec's
-    /// error-feedback residual lives here, on the client.
+    /// error-feedback residual lives on the client, in its agent state.
     pub codec: Option<CodecKind>,
+}
+
+impl AgentConfig {
+    /// Splits the config into the env the agent's run shares and the
+    /// agent's own state.
+    pub(crate) fn into_parts(
+        self,
+        data: ClientData,
+        profile: DeviceProfile,
+        summarizer: Summarizer,
+    ) -> (AgentEnv, AgentState) {
+        let AgentConfig {
+            id,
+            nonce,
+            seed,
+            summary_seed,
+            train,
+            probe_max,
+            availability,
+            channel,
+            leave_after,
+            codec,
+        } = self;
+        let env = AgentEnv::new(seed, train, probe_max, availability, channel, codec, summarizer);
+        (env, AgentState::new(id, nonce, summary_seed, leave_after, data, profile))
+    }
 }
 
 /// Builds a model instance; shared across pool workers and clients.
@@ -88,19 +125,108 @@ pub type SharedModelFactory = Arc<dyn Fn() -> Sequential + Send + Sync>;
 /// bridge send one-element batches.
 pub type Uplink = Sender<Vec<Envelope>>;
 
-fn reliable(msg: &Message) -> TransmitOutcome {
-    TransmitOutcome::Delivered {
-        frame: msg.encode(),
-        retries: 0,
-        backoff_s: 0.0,
-        bytes_sent: msg.wire_size(),
+/// What every agent of a run shares, held once per driver: the pool
+/// shares one across all its workers and agents, [`run_agent`] builds one
+/// for its single agent.
+pub(crate) struct AgentEnv {
+    seed: u64,
+    train: TrainConfig,
+    probe_max: usize,
+    availability: Availability,
+    channel: FaultyChannel,
+    /// The compressing codec, if any (`Identity` is `None`: it keeps the
+    /// plain `ModelUpdate` frame).
+    codec: Option<Box<dyn UpdateCodec>>,
+    summarizer: Summarizer,
+}
+
+impl AgentEnv {
+    pub(crate) fn new(
+        seed: u64,
+        train: TrainConfig,
+        probe_max: usize,
+        availability: Availability,
+        channel: FaultyChannel,
+        codec: Option<CodecKind>,
+        summarizer: Summarizer,
+    ) -> Self {
+        let codec = codec.filter(|k| !matches!(k, CodecKind::Identity)).map(|k| k.build());
+        AgentEnv { seed, train, probe_max, availability, channel, codec, summarizer }
+    }
+
+    /// Encodes one command's answers into a single buffer, reserved from
+    /// their wire sizes and frozen once; each envelope's frame is a slice
+    /// of it. A lossy answer's frame runs the channel's attempt trace,
+    /// exactly as a separately encoded frame would.
+    pub(crate) fn seal(&self, answers: Vec<Answer>) -> Vec<Envelope> {
+        let mut buf = BytesMut::with_capacity(answers.iter().map(|a| a.msg.wire_size()).sum());
+        for a in &answers {
+            a.msg.encode_into(&mut buf);
+        }
+        let frames = buf.freeze();
+        // a fresh Vec: collecting the answers in place would keep their
+        // larger allocation alive behind the envelopes
+        let mut envelopes = Vec::with_capacity(answers.len());
+        let mut start = 0;
+        for Answer { from, seq, msg, path } in answers {
+            let end = start + msg.wire_size();
+            let frame = frames.slice(start..end);
+            start = end;
+            let outcome = match path {
+                Path::Reliable => TransmitOutcome::Delivered {
+                    bytes_sent: frame.len(),
+                    frame,
+                    retries: 0,
+                    backoff_s: 0.0,
+                },
+                Path::Lossy { stream_id } => lossy(&self.channel, frame, stream_id),
+            };
+            envelopes.push(Envelope { from, seq, outcome });
+        }
+        envelopes
     }
 }
 
-/// Sends `msg` over the lossy channel, encoding it once: the frame the
-/// channel's attempts carry is the frame the envelope delivers.
-fn lossy(channel: &FaultyChannel, msg: &Message, stream_id: u64) -> TransmitOutcome {
-    let frame = msg.encode();
+/// A decoded downlink frame as every recipient reads it. A heartbeat
+/// probe carries its epoch's availability, drawn once for all
+/// recipients, so each agent's own check is O(1) under every model.
+pub(crate) struct Downlink<'env> {
+    msg: Message,
+    available: Option<EpochAvailability<'env>>,
+}
+
+impl<'env> Downlink<'env> {
+    pub(crate) fn decode(frame: &[u8], env: &'env AgentEnv) -> Result<Self, DecodeError> {
+        let msg = Message::decode(frame)?;
+        let available = match msg {
+            Message::Heartbeat { round, .. } => Some(env.availability.at_epoch(round as usize)),
+            _ => None,
+        };
+        Ok(Downlink { msg, available })
+    }
+}
+
+/// How an answer travels to the coordinator.
+enum Path {
+    /// Delivered on the first attempt.
+    Reliable,
+    /// Over the env's lossy channel, on the given attempt-hash stream.
+    Lossy { stream_id: u64 },
+}
+
+/// One uplink answer before encoding: the envelope's header, the message
+/// and its path. [`AgentEnv::seal`] turns a command's answers into
+/// envelopes.
+pub(crate) struct Answer {
+    from: usize,
+    seq: u64,
+    msg: Message,
+    path: Path,
+}
+
+/// Sends an encoded frame over the lossy channel: the frame the channel's
+/// attempts carry is the frame the envelope delivers.
+fn lossy(channel: &FaultyChannel, frame: Bytes, stream_id: u64) -> TransmitOutcome {
     match channel.transmit_frame(&frame, stream_id) {
         Ok(d) => TransmitOutcome::Delivered {
             frame,
@@ -128,16 +254,16 @@ pub fn run_agent(
     downlink: Receiver<Bytes>,
     uplink: Uplink,
 ) {
-    let mut state = AgentState::new(cfg, data, profile, summarizer);
+    let (env, mut state) = cfg.into_parts(data, profile, summarizer);
     // a send error means the coordinator is gone; the agent just exits
-    let _ = uplink.send(vec![state.join()]);
+    let _ = uplink.send(env.seal(vec![state.join(&env)]));
     let mut model = factory();
 
     // serve the coordinator until the downlink closes or the agent leaves
     while let Ok(frame) = downlink.recv() {
-        let msg = Message::decode(frame).expect("coordinator sent an undecodable frame");
-        if let Some(env) = state.on_message(&msg, &mut model) {
-            let _ = uplink.send(vec![env]);
+        let frame = Downlink::decode(&frame, &env).expect("coordinator sent an undecodable frame");
+        if let Some(answer) = state.on_message(&env, &frame, &mut model) {
+            let _ = uplink.send(env.seal(vec![answer]));
         }
         if state.departed() {
             return;
@@ -145,52 +271,60 @@ pub fn run_agent(
     }
 }
 
-/// The agent protocol as a message-in/envelope-out state machine: all the
-/// per-client state (`seq` counter, schedule cursor, last loss, codec
-/// residual) with no thread attached. The model replica is passed *into*
-/// each call — every model use starts with `set_params` from the incoming
+/// The agent protocol as a message-in/answer-out state machine: the
+/// client's own state with no thread attached. The fields every message
+/// reads sit inline, so a pool worker's table of agents is one dense
+/// array a heartbeat sweep walks; what only enrollment and training read
+/// sits behind one box. The model replica is passed *into* each call —
+/// every model use starts with `set_params` from the incoming
 /// `ModelPush`, so a multiplexing runtime can lend one scratch model to
 /// thousands of agents. Messages arrive decoded, so a runtime serving a
 /// cohort decodes the shared frame once.
 pub(crate) struct AgentState {
-    cfg: AgentConfig,
+    id: usize,
+    nonce: u64,
+    seq: u64,
+    last_loss: f32,
+    /// The round a `Schedule` selected this client for, until its push.
+    scheduled: Option<u64>,
+    leave_after: Option<u64>,
+    departed: bool,
+    cold: Box<ColdState>,
+}
+
+/// The part of an agent only enrollment and training read.
+struct ColdState {
+    summary_seed: u64,
     data: ClientData,
     profile: DeviceProfile,
-    summarizer: Summarizer,
-    seq: u64,
-    scheduled: Option<u64>,
-    last_loss: f32,
-    // compressing codec state: the codec itself plus the error-feedback
-    // residual (stateful kinds only), lazily sized at the first encode
-    codec: Option<Box<dyn haccs_codec::UpdateCodec>>,
+    /// A stateful codec's error-feedback residual, lazily sized at the
+    /// first encode.
     residual: Vec<f32>,
-    departed: bool,
 }
 
 impl AgentState {
     pub(crate) fn new(
-        cfg: AgentConfig,
+        id: usize,
+        nonce: u64,
+        summary_seed: u64,
+        leave_after: Option<u64>,
         data: ClientData,
         profile: DeviceProfile,
-        summarizer: Summarizer,
     ) -> Self {
-        let codec = cfg.codec.filter(|k| !matches!(k, CodecKind::Identity)).map(|k| k.build());
         AgentState {
-            cfg,
-            data,
-            profile,
-            summarizer,
+            id,
+            nonce,
             seq: 0,
-            scheduled: None,
             last_loss: 0.0,
-            codec,
-            residual: Vec::new(),
+            scheduled: None,
+            leave_after,
             departed: false,
+            cold: Box::new(ColdState { summary_seed, data, profile, residual: Vec::new() }),
         }
     }
 
     pub(crate) fn id(&self) -> usize {
-        self.cfg.id
+        self.id
     }
 
     /// Whether the agent sent `Leave` and no longer processes frames.
@@ -198,52 +332,58 @@ impl AgentState {
         self.departed
     }
 
-    fn envelope(&mut self, outcome: TransmitOutcome) -> Envelope {
-        let env = Envelope { from: self.cfg.id, seq: self.seq, outcome };
+    fn answer(&mut self, msg: Message, path: Path) -> Answer {
+        let answer = Answer { from: self.id, seq: self.seq, msg, path };
         self.seq += 1;
-        env
+        answer
     }
 
     /// Enrollment: privacy summary + resource estimate on the reliable
-    /// path. Always the agent's first envelope (seq 0).
-    pub(crate) fn join(&mut self) -> Envelope {
-        let mut srng = StdRng::seed_from_u64(self.cfg.summary_seed);
+    /// path. Always the agent's first answer (seq 0).
+    pub(crate) fn join(&mut self, env: &AgentEnv) -> Answer {
+        let cold = &*self.cold;
+        let mut srng = StdRng::seed_from_u64(cold.summary_seed);
         let summary =
-            haccs_core::summary_to_wire(&self.summarizer.summarize(&self.data.train, &mut srng));
+            haccs_core::summary_to_wire(&env.summarizer.summarize(&cold.data.train, &mut srng));
         let join = Message::Join {
-            client_nonce: self.cfg.nonce,
+            client_nonce: self.nonce,
             summary,
             resources: ResourceEstimate {
-                compute_multiplier: self.profile.compute_multiplier as f32,
-                bandwidth_mbps: self.profile.bandwidth_mbps as f32,
-                rtt_ms: self.profile.rtt_ms as f32,
-                n_train: self.data.train.len() as u32,
+                compute_multiplier: cold.profile.compute_multiplier as f32,
+                bandwidth_mbps: cold.profile.bandwidth_mbps as f32,
+                rtt_ms: cold.profile.rtt_ms as f32,
+                n_train: cold.data.train.len() as u32,
             },
         };
-        self.envelope(reliable(&join))
+        self.answer(join, Path::Reliable)
     }
 
-    /// Processes one decoded downlink message, returning the uplink
-    /// envelope it produces (if any). `model` is scratch: its parameters
-    /// are always set before use and carry no state between calls.
-    pub(crate) fn on_message(&mut self, msg: &Message, model: &mut Sequential) -> Option<Envelope> {
-        let cfg = &self.cfg;
-        match *msg {
+    /// Processes one decoded downlink frame, returning the uplink answer
+    /// it produces (if any). `model` is scratch: its parameters are
+    /// always set before use and carry no state between calls.
+    pub(crate) fn on_message(
+        &mut self,
+        env: &AgentEnv,
+        frame: &Downlink<'_>,
+        model: &mut Sequential,
+    ) -> Option<Answer> {
+        match frame.msg {
             Message::Schedule { round, client_nonce } => {
-                debug_assert_eq!(client_nonce, cfg.nonce, "schedule for someone else");
+                debug_assert_eq!(client_nonce, self.nonce, "schedule for someone else");
                 self.scheduled = Some(round);
                 None
             }
             Message::ModelPush { round, ref params } => {
                 model.set_params(params);
+                let cold = &mut *self.cold;
                 if self.scheduled == Some(round) {
                     // selected this round: real local SGD, update over the
                     // lossy wire. The seed matches the loop engine's.
                     self.scheduled = None;
-                    let local_seed = round::local_train_seed(cfg.seed, round as usize, cfg.id);
-                    self.last_loss = train_local(model, &self.data.train, &cfg.train, local_seed);
-                    let n_train = self.data.train.len() as u32;
-                    let update = match &self.codec {
+                    let local_seed = round::local_train_seed(env.seed, round as usize, self.id);
+                    self.last_loss = train_local(model, &cold.data.train, &env.train, local_seed);
+                    let n_train = cold.data.train.len() as u32;
+                    let update = match &env.codec {
                         Some(c) => {
                             // encode against the global model this round
                             // pushed — the reference the coordinator still
@@ -251,11 +391,11 @@ impl AgentState {
                             // feedback updates here whether or not the
                             // lossy wire delivers the frame.
                             let trained = model.get_params();
-                            if c.stateful() && self.residual.len() != trained.len() {
-                                self.residual = vec![0.0; trained.len()];
+                            if c.stateful() && cold.residual.len() != trained.len() {
+                                cold.residual = vec![0.0; trained.len()];
                             }
                             let payload = if c.stateful() {
-                                c.encode(&trained, params, Some(&mut self.residual))
+                                c.encode(&trained, params, Some(&mut cold.residual))
                             } else {
                                 c.encode(&trained, params, None)
                             };
@@ -274,19 +414,18 @@ impl AgentState {
                             n_train,
                         },
                     };
-                    let sid = round::update_stream_id(round as usize, cfg.id);
-                    let out = lossy(&cfg.channel, &update, sid);
-                    Some(self.envelope(out))
+                    let stream_id = round::update_stream_id(round as usize, self.id);
+                    Some(self.answer(update, Path::Lossy { stream_id }))
                 } else {
                     // unscheduled push = enrollment sync: probe the loss and
                     // ack reliably so the registry gets a round-0 signal
-                    self.last_loss = probe_loss(model, &self.data.train, &cfg.train, cfg.probe_max);
+                    self.last_loss = probe_loss(model, &cold.data.train, &env.train, env.probe_max);
                     let ack = Message::Heartbeat {
-                        client_nonce: cfg.nonce,
+                        client_nonce: self.nonce,
                         round,
                         last_loss: self.last_loss,
                     };
-                    Some(self.envelope(reliable(&ack)))
+                    Some(self.answer(ack, Path::Reliable))
                 }
             }
             Message::ResumeSync { last_loss: snapshot_loss, .. } => {
@@ -299,25 +438,24 @@ impl AgentState {
             Message::Heartbeat { round, .. } => {
                 // server probe. Unavailable devices stay silent — exactly
                 // the clients the coordinator does not wait for.
-                if !cfg.availability.is_available(cfg.id, round as usize) {
+                let available = frame.available.as_ref().expect("a probe carries its epoch");
+                if !available.is_available(self.id) {
                     return None;
                 }
-                if cfg.leave_after.is_some_and(|r| round >= r) {
-                    let leave = Message::Leave { client_nonce: cfg.nonce, round };
+                if self.leave_after.is_some_and(|r| round >= r) {
+                    let leave = Message::Leave { client_nonce: self.nonce, round };
                     self.departed = true; // orderly departure
-                    let out = reliable(&leave);
-                    return Some(self.envelope(out));
+                    return Some(self.answer(leave, Path::Reliable));
                 }
                 let ack = Message::Heartbeat {
-                    client_nonce: cfg.nonce,
+                    client_nonce: self.nonce,
                     round,
                     last_loss: self.last_loss,
                 };
-                let sid = round::hb_stream_id(round as usize, cfg.id);
-                let out = lossy(&cfg.channel, &ack, sid);
-                Some(self.envelope(out))
+                let stream_id = round::hb_stream_id(round as usize, self.id);
+                Some(self.answer(ack, Path::Lossy { stream_id }))
             }
-            ref other => panic!("agent {} received unexpected frame {other:?}", cfg.id),
+            ref other => panic!("agent {} received unexpected frame {other:?}", self.id),
         }
     }
 }

@@ -36,9 +36,7 @@
 //! `(seed, stream_id, attempt)` shared with the loop engine's analytic
 //! accounting, so retries/losses/bytes also match the engine exactly.
 
-use crate::agent::{
-    AgentConfig, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink,
-};
+use crate::agent::{AgentEnv, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink};
 use crate::events::{EventQueue, Inbox, QueueFull};
 use crate::registry::{ClientEntry, ClientRegistry, Liveness};
 use crate::shard::{shard_of, EventCore, ShardConfig};
@@ -227,8 +225,8 @@ struct Fleet {
     registry: ClientRegistry,
     /// The agents' event-loop core: thread-free [`AgentState`] machines on
     /// a fixed worker pool, so the OS thread count is independent of
-    /// federation size. Spawned lazily at the first enrollment, so builder
-    /// methods can still shape `shard_cfg`.
+    /// federation size. Started by the first enrollment (or restore), so
+    /// builder methods can still shape `shard_cfg` and the agents' env.
     core: Option<EventCore>,
     shard_cfg: ShardConfig,
     factory: SharedModelFactory,
@@ -291,11 +289,10 @@ impl Fleet {
         self.core.as_ref().map_or(0, |c| c.spawned())
     }
 
-    /// The event core, spawned on first use with the configured layout.
+    /// The event core. Every path that has a client to talk to runs after
+    /// the enrollment or restore that started it.
     fn core_mut(&mut self) -> &mut EventCore {
-        self.core.get_or_insert_with(|| {
-            EventCore::new(self.shard_cfg, Arc::clone(&self.factory), self.uplink_tx.clone())
-        })
+        self.core.as_mut().expect("the event core starts with the first enrollment")
     }
 
     /// Marks client `id`'s snapshot shard dirty: its serialized entry
@@ -311,15 +308,29 @@ impl Fleet {
         }
     }
 
+    /// Books one unanswered probe for `id`: its miss streak grows (which
+    /// always changes its snapshot entry), and the policy may suspect or
+    /// evict it.
+    fn miss(&mut self, server: &Server, id: usize) {
+        use haccs_sysmodel::LivenessVerdict;
+        self.mark_entry_dirty(id);
+        match self.registry.observe_miss(id, &self.hb_policy) {
+            LivenessVerdict::Evicted => {
+                self.core_mut().detach(id);
+                self.membership_dirty = true;
+                liveness_event(server, id, "evicted");
+            }
+            LivenessVerdict::Suspected => liveness_event(server, id, "suspected"),
+            _ => {}
+        }
+    }
+
     /// Collects exactly `n` envelopes, which may come from clients not in
-    /// the registry yet (enrollment), ordered by `(client, seq)`. A
+    /// the registry yet (enrollment), ordered by `(from, seq)`: the queue
+    /// takes the inbox's collection as it is and sorts it once. A
     /// bounded-queue overflow is counted and becomes the round-level
     /// backpressure error.
-    fn collect_uniform(
-        &mut self,
-        n: usize,
-        server: &Server,
-    ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
+    fn collect_uniform(&mut self, n: usize, server: &Server) -> Result<Vec<Envelope>, CoordError> {
         let envelopes = match self.inbox.take(n, Duration::from_secs(120)) {
             Ok(envs) => envs,
             Err(e) => panic!(
@@ -328,39 +339,33 @@ impl Fleet {
             ),
         };
         let mut q = EventQueue::bounded(self.event_capacity);
-        for env in envelopes {
-            if let Err(e) = q.try_push(env.from, env.seq, env.outcome) {
-                server.obs.inc("coord_event_queue_dropped_total", 1);
-                return Err(CoordError::EventQueueFull(e));
-            }
+        if let Err(e) = q.try_extend(envelopes) {
+            server.obs.inc("coord_event_queue_dropped_total", 1);
+            return Err(CoordError::EventQueueFull(e));
         }
-        Ok(q.drain_sorted().into_iter().map(|e| (e.client, e.payload)).collect())
+        Ok(q.drain_sorted())
     }
 
     /// Collects exactly `n` envelopes from enrolled clients (updates, or
-    /// heartbeat acks, losses and `Leave`s) in `(client, seq)` order.
+    /// heartbeat acks, losses and `Leave`s) in `(from, seq)` order.
     /// Each pool worker's batch already arrives ascending, so the drain
     /// is a merge of `n_workers` runs. With a recorder attached, each
     /// envelope's simulated round trip (effective latency plus wire
     /// backoff) feeds `coord_agent_rtt_seconds`, and the collection's
     /// size feeds the global and per-shard queue-depth histograms.
-    fn collect(
-        &mut self,
-        n: usize,
-        server: &Server,
-    ) -> Result<Vec<(usize, TransmitOutcome)>, CoordError> {
+    fn collect(&mut self, n: usize, server: &Server) -> Result<Vec<Envelope>, CoordError> {
         let obs = &server.obs;
         obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
         let drained = self.collect_uniform(n, server)?;
         if obs.is_enabled() {
             let n_shards = self.shard_cfg.n_shards;
             let mut depth = vec![0usize; n_shards];
-            for (id, outcome) in &drained {
+            for &Envelope { from: id, ref outcome, .. } in &drained {
                 let (TransmitOutcome::Delivered { backoff_s, .. }
                 | TransmitOutcome::Lost { backoff_s, .. }) = outcome;
-                let rtt = server.effective_latency(*id, &self.client(*id)) + backoff_s;
+                let rtt = server.effective_latency(id, &self.client(id)) + backoff_s;
                 obs.observe("coord_agent_rtt_seconds", rtt);
-                depth[shard_of(*id, n_shards)] += 1;
+                depth[shard_of(id, n_shards)] += 1;
             }
             for &d in &depth {
                 let bounds = haccs_obs::metrics::SHARD_QUEUE_DEPTH;
@@ -390,7 +395,7 @@ impl Fleet {
     fn decode_delivered(outcome: TransmitOutcome) -> Result<Message, String> {
         match outcome {
             TransmitOutcome::Delivered { frame, .. } => {
-                Message::decode(frame).map_err(|e| format!("an undecodable frame ({e})"))
+                Message::decode(&frame).map_err(|e| format!("an undecodable frame ({e})"))
             }
             TransmitOutcome::Lost { .. } => Err("a reliable-path frame reported lost".into()),
         }
@@ -413,13 +418,7 @@ impl Fleet {
         match Self::parse_update(server, id, frame) {
             Ok(update) => UpdateOutcome::Delivered { update, retries, backoff_s },
             Err(why) => {
-                server
-                    .obs
-                    .event("coord.rejected")
-                    .u("epoch", server.epoch as u64)
-                    .u("client", id as u64)
-                    .s("why", why)
-                    .sim(server.clock.now());
+                rejected_event(server, id, why);
                 UpdateOutcome::Lost { retries, backoff_s }
             }
         }
@@ -435,7 +434,7 @@ impl Fleet {
         frame: bytes::Bytes,
     ) -> Result<PendingUpdate, &'static str> {
         let (round, params, loss, n_train) =
-            match Message::decode(frame).map_err(|_| "undecodable frame")? {
+            match Message::decode(&frame).map_err(|_| "undecodable frame")? {
                 Message::ModelUpdate { round, params, loss, n_train } => {
                     if server.codec.is_some_and(|k| !matches!(k, CodecKind::Identity)) {
                         return Err("plain update under a compressing codec");
@@ -504,8 +503,11 @@ impl Backend for Fleet {
         self.core_mut().dispatch_cohort(trainees, push.encode());
 
         self.phase = RoundPhase::Aggregating;
-        let mut outcomes: HashMap<usize, TransmitOutcome> =
-            self.collect(trainees.len(), server)?.into_iter().collect();
+        let mut outcomes: HashMap<usize, TransmitOutcome> = self
+            .collect(trainees.len(), server)?
+            .into_iter()
+            .map(|e| (e.from, e.outcome))
+            .collect();
         Ok(trainees
             .iter()
             .map(|&id| {
@@ -538,11 +540,9 @@ impl Backend for Fleet {
         let hb_size = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
         let probed = self.registry.probed_ids();
         // unavailable clients stay silent; everyone else answers once
-        let silent: Vec<usize> = probed
-            .iter()
-            .copied()
-            .filter(|&id| !server.availability.is_available(id, epoch))
-            .collect();
+        let available = server.availability.at_epoch(epoch);
+        let silent: Vec<usize> =
+            probed.iter().copied().filter(|&id| !available.is_available(id)).collect();
         let n_responders = probed.len() - silent.len();
 
         // one probe frame for everyone, cohort-dispatched
@@ -557,12 +557,12 @@ impl Backend for Fleet {
         let mut acked: Vec<(usize, f32)> = Vec::with_capacity(n_responders);
         let mut lost: Vec<usize> = Vec::new();
         let mut leaves: Vec<usize> = Vec::new();
-        for (id, outcome) in self.collect(n_responders, server)? {
+        for Envelope { from: id, outcome, .. } in self.collect(n_responders, server)? {
             match outcome {
                 TransmitOutcome::Delivered { frame, retries, bytes_sent, .. } => {
                     out.retries += retries;
                     out.bytes += bytes_sent;
-                    match Message::decode(frame) {
+                    match Message::decode(&frame) {
                         Ok(Message::Heartbeat { client_nonce, last_loss, .. })
                             if client_nonce == self.registry.get(id).nonce =>
                         {
@@ -588,15 +588,6 @@ impl Backend for Fleet {
         out.acked = acked.len();
 
         // liveness transitions, in ascending id order per class
-        let liveness = |id: usize, to: &'static str| {
-            server
-                .obs
-                .event("coord.liveness")
-                .u("epoch", epoch as u64)
-                .u("client", id as u64)
-                .s("to", to)
-                .sim(server.clock.now());
-        };
         for (id, loss) in acked {
             // compare before marking: an ack that only re-confirms an
             // already-Alive client's unchanged loss leaves its snapshot
@@ -617,24 +608,35 @@ impl Backend for Fleet {
             self.mark_entry_dirty(id);
             self.core_mut().detach(id); // the agent already wound itself down
             self.membership_dirty = true;
-            liveness(id, "left");
+            liveness_event(server, id, "left");
         }
         for id in silent.into_iter().chain(lost) {
-            use haccs_sysmodel::LivenessVerdict;
-            // a miss always increments the entry's streak counter
-            self.mark_entry_dirty(id);
-            match self.registry.observe_miss(id, &self.hb_policy) {
-                LivenessVerdict::Evicted => {
-                    self.core_mut().detach(id);
-                    self.membership_dirty = true;
-                    liveness(id, "evicted");
-                }
-                LivenessVerdict::Suspected => liveness(id, "suspected"),
-                _ => {}
-            }
+            self.miss(server, id);
         }
         Ok(out)
     }
+}
+
+/// A `coord.liveness` event: client `id` moved `to` a new liveness state.
+fn liveness_event(server: &Server, id: usize, to: &'static str) {
+    server
+        .obs
+        .event("coord.liveness")
+        .u("epoch", server.epoch as u64)
+        .u("client", id as u64)
+        .s("to", to)
+        .sim(server.clock.now());
+}
+
+/// A `coord.rejected` event: what client `id` sent could not be used.
+fn rejected_event(server: &Server, id: usize, why: impl Into<String>) {
+    server
+        .obs
+        .event("coord.rejected")
+        .u("epoch", server.epoch as u64)
+        .u("client", id as u64)
+        .s("why", why)
+        .sim(server.clock.now());
 }
 
 impl<S: Selector> Coordinator<S> {
@@ -1009,21 +1011,34 @@ impl<S: Selector> Coordinator<S> {
         &self.server.cfg
     }
 
-    /// The spawn-time config of agent `id`.
-    fn agent_config(&self, id: usize, leave_after: Option<u64>) -> AgentConfig {
-        let cfg = &self.server.cfg;
-        AgentConfig {
-            id,
-            nonce: session_nonce(cfg.seed, id),
-            seed: cfg.seed,
-            summary_seed: haccs_core::client_summary_seed(self.summary_seed, id),
-            train: cfg.train,
-            probe_max: cfg.probe_max,
-            availability: self.server.availability.clone(),
-            channel: round::wire_channel(&self.server.faults, &self.server.policy),
-            leave_after,
-            codec: self.server.codec,
+    /// Starts the agents' event core with the configured layout, unless
+    /// it runs already. Its workers share one env: the fields
+    /// [`crate::net::remote_agent_config`] gives a remote client, from the
+    /// same inputs.
+    fn start_core(&mut self) {
+        if self.fleet.core.is_some() {
+            return;
         }
+        let server = &self.server;
+        let env = AgentEnv::new(
+            server.cfg.seed,
+            server.cfg.train,
+            server.cfg.probe_max,
+            server.availability.clone(),
+            round::wire_channel(&server.faults, &server.policy),
+            server.codec,
+            self.summarizer,
+        );
+        let fleet = &mut self.fleet;
+        let (factory, uplink) = (Arc::clone(&fleet.factory), fleet.uplink_tx.clone());
+        fleet.core = Some(EventCore::new(fleet.shard_cfg, factory, Arc::new(env), uplink));
+    }
+
+    /// The spawn-time state of local agent `id`.
+    fn agent_state(&self, id: usize, p: PendingJoin) -> AgentState {
+        let nonce = session_nonce(self.server.cfg.seed, id);
+        let summary_seed = haccs_core::client_summary_seed(self.summary_seed, id);
+        AgentState::new(id, nonce, summary_seed, p.leave_after, p.data, p.profile)
     }
 
     // ------------------------------------------------------------------
@@ -1052,11 +1067,11 @@ impl<S: Selector> Coordinator<S> {
             // one's arrives inside its Join (hence the Option)
             let mut spawn_meta: HashMap<usize, (DeviceProfile, Option<usize>)> = HashMap::new();
 
+            self.start_core();
             for p in batch {
                 let id = self.fleet.spawned();
                 spawn_meta.insert(id, (p.profile, Some(p.data.train.len())));
-                let acfg = self.agent_config(id, p.leave_after);
-                let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
+                let agent = self.agent_state(id, p);
                 self.fleet.core_mut().spawn_agent(id, agent);
             }
 
@@ -1076,7 +1091,9 @@ impl<S: Selector> Coordinator<S> {
 
             // Joins arrive in racing order; the queue restores id order
             let mut new_ids = Vec::with_capacity(n_new);
-            for (id, outcome) in self.fleet.collect_uniform(n_new, &self.server)? {
+            for Envelope { from: id, outcome, .. } in
+                self.fleet.collect_uniform(n_new, &self.server)?
+            {
                 let (profile, local_n_train) = spawn_meta[&id];
                 match Fleet::decode_delivered(outcome) {
                     Ok(Message::Join { client_nonce, summary, resources }) => {
@@ -1109,13 +1126,21 @@ impl<S: Selector> Coordinator<S> {
                 params: self.server.global_params.clone(),
             };
             self.fleet.core_mut().dispatch_cohort(&new_ids, push.encode());
-            for (id, outcome) in self.fleet.collect_uniform(new_ids.len(), &self.server)? {
+            let acks = self.fleet.collect_uniform(new_ids.len(), &self.server)?;
+            for Envelope { from: id, outcome, .. } in acks {
                 match Fleet::decode_delivered(outcome) {
                     Ok(Message::Heartbeat { last_loss, .. }) => {
                         self.fleet.registry.get_mut(id).last_loss = Some(last_loss);
                         self.fleet.mark_entry_dirty(id);
                     }
-                    other => panic!("expected enrollment ack from client {id}, got {other:?}"),
+                    // an ack the coordinator cannot read answers nothing:
+                    // the client stays enrolled without a loss (selection
+                    // gives it the pool's neutral one) and takes a miss
+                    other => {
+                        let why = other.err().unwrap_or_else(|| "not an enrollment ack".into());
+                        rejected_event(&self.server, id, why);
+                        self.fleet.miss(&self.server, id);
+                    }
                 }
             }
 
@@ -1488,6 +1513,7 @@ impl<S: Selector> Coordinator<S> {
 
         // attach the live clients; departed ones get a tombstone slot
         self.fleet.phase = RoundPhase::Enrolling;
+        self.start_core();
         let mut live = Vec::with_capacity(restored.len());
         let profiles = match self.remote_profiles.clone() {
             None => {
@@ -1498,8 +1524,7 @@ impl<S: Selector> Coordinator<S> {
                         self.fleet.core_mut().push_tombstone();
                         continue;
                     }
-                    let acfg = self.agent_config(id, p.leave_after);
-                    let agent = AgentState::new(acfg, p.data, p.profile, self.summarizer);
+                    let agent = self.agent_state(id, p);
                     self.fleet.core_mut().spawn_agent(id, agent);
                     live.push(id);
                 }
@@ -1540,7 +1565,7 @@ impl<S: Selector> Coordinator<S> {
             PersistError::Malformed(format!("restore aborted on coordinator backpressure: {e}"))
         })?;
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        for (id, outcome) in joined {
+        for Envelope { from: id, outcome, .. } in joined {
             match Fleet::decode_delivered(outcome) {
                 Ok(Message::Join { client_nonce, resources, .. }) => {
                     joins.insert(id, (client_nonce, resources));
@@ -1814,8 +1839,8 @@ mod tests {
         let drained = |c: &mut Coordinator<FirstK>, count: usize| -> Vec<(usize, usize)> {
             let got = c.fleet.collect(count, &c.server).unwrap();
             got.into_iter()
-                .map(|(id, o)| match o {
-                    TransmitOutcome::Lost { retries, .. } => (id, retries),
+                .map(|e| match e.outcome {
+                    TransmitOutcome::Lost { retries, .. } => (e.from, retries),
                     other => panic!("unexpected outcome {other:?}"),
                 })
                 .collect()
@@ -2265,7 +2290,7 @@ mod tests {
         );
         out.expect("a well-formed reconnection restores");
         for rx in downlinks {
-            let sync = Message::decode(rx.try_recv().expect("one frame per client")).unwrap();
+            let sync = Message::decode(&rx.try_recv().expect("one frame per client")).unwrap();
             assert!(matches!(sync, Message::ResumeSync { round: 2, .. }), "got {sync:?}");
         }
     }
@@ -2349,7 +2374,7 @@ mod tests {
             for mut batch in tapped {
                 for env in &mut batch {
                     if let TransmitOutcome::Delivered { frame, .. } = &mut env.outcome {
-                        let msg = Message::decode(frame.clone()).expect("an honest agent's frame");
+                        let msg = Message::decode(frame).expect("an honest agent's frame");
                         if let Some(swapped) = tamper(env.from, &msg) {
                             *frame = swapped;
                         }
@@ -2408,6 +2433,48 @@ mod tests {
         assert_eq!(rec.faults.lossy_failures, 1, "client 1's update is lost");
         assert!(!rec.participants.contains(&1), "got {:?}", rec.participants);
         assert_eq!(rec.participants.len(), 2);
+        drop(coord);
+        for t in threads {
+            t.join().expect("client thread");
+        }
+    }
+
+    #[test]
+    fn an_unreadable_enrollment_ack_costs_a_miss_not_the_coordinator() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let acks = AtomicUsize::new(0);
+        // client 0's first heartbeat is its enrollment ack
+        let (coord, threads) = tampered_remote(3, move |id, msg| match (id, msg) {
+            (0, Message::Heartbeat { .. }) if acks.fetch_add(1, Ordering::Relaxed) == 0 => {
+                Some(bytes::Bytes::from_static(&[0xEE, 0x01, 0x02]))
+            }
+            _ => None,
+        });
+        let sink = haccs_obs::MemorySink::new();
+        let mut coord = coord.with_recorder(Recorder::enabled().with_sink(sink.clone()));
+        coord.ensure_enrolled().expect("enrollment completes");
+        let e = coord.registry().get(0);
+        assert_eq!((e.last_loss, e.missed_heartbeats), (None, 1), "enrolled, lossless, one miss");
+        assert_eq!(e.liveness, Liveness::Alive);
+        assert!(coord.registry().get(1).last_loss.is_some(), "the honest clients ack as ever");
+        let rejected: Vec<_> =
+            sink.records().into_iter().filter(|r| r.name == "coord.rejected").collect();
+        assert_eq!(rejected.len(), 1);
+        let client = rejected[0].field("client").and_then(haccs_obs::FieldValue::as_f64);
+        assert_eq!(client, Some(0.0));
+        match rejected[0].field("why") {
+            Some(haccs_obs::FieldValue::Str(why)) => {
+                assert!(why.contains("undecodable frame"), "why: {why}")
+            }
+            other => panic!("no reason given: {other:?}"),
+        }
+
+        // the round runs with client 0 on the pool's neutral loss, and its
+        // honest sweep ack ends the miss streak
+        let rec = coord.run_round();
+        assert_eq!(rec.participants.len(), 3);
+        assert_eq!(rec.faults.hb_missed, 0);
+        assert_eq!(coord.registry().get(0).missed_heartbeats, 0);
         drop(coord);
         for t in threads {
             t.join().expect("client thread");

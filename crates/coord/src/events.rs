@@ -3,34 +3,25 @@
 //! Pool workers and remote bridges race: envelopes arrive on the shared
 //! uplink channel in whatever order the OS scheduler produces. The
 //! coordinator never acts on raw arrival order — every collection of
-//! envelopes is first pushed into an [`EventQueue`] keyed by
-//! `(client_id, seq)` and drained in that order. `seq` is the sender's own
-//! counter, so the drained sequence is a pure function of the run seed
-//! and identical across reruns no matter how the threads interleave.
+//! envelopes is first put into an [`EventQueue`] keyed by
+//! `(from, seq)` and drained in that order. `seq` is the sender's own
+//! counter (a coordinator-assigned sequence would re-introduce
+//! arrival-order nondeterminism), so the drained sequence is a pure
+//! function of the run seed and identical across reruns no matter how the
+//! threads interleave.
 //!
 //! A collection fills the queue and then drains all of it, so the queue
-//! is a plain `Vec` sorted once per drain. Envelopes reach the
-//! coordinator in batches (one per pool-worker command), and an
-//! `Inbox` turns those batches back into collections of exact size.
+//! is a plain `Vec` of the envelopes themselves, sorted once per drain.
+//! Envelopes reach the coordinator in batches (one per pool-worker
+//! command), and an `Inbox` turns those batches back into collections of
+//! exact size, which the queue adopts without copying.
 
+use crate::agent::Envelope;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
 
-/// One protocol event. `seq` is the *sender-side* monotone counter
-/// stamped by the agent (a coordinator-assigned sequence would
-/// re-introduce arrival-order nondeterminism).
-#[derive(Debug)]
-pub struct Event<T> {
-    /// Registry id of the sending client.
-    pub client: usize,
-    /// Sender-side per-agent monotone sequence number.
-    pub seq: u64,
-    /// The decoded protocol payload.
-    pub payload: T,
-}
-
-/// The backpressure error [`EventQueue::try_push`] returns when the queue
+/// The backpressure error [`EventQueue::try_extend`] returns when the queue
 /// is at capacity: the event was **dropped**, and the caller must surface
 /// that (the coordinator counts drops in `coord_event_queue_dropped_total`
 /// and fails the round) rather than letting an unbounded queue absorb a
@@ -55,31 +46,31 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// A batch of [`Event`]s drained in `(client, seq)` order, with an
-/// explicit capacity bound ([`EventQueue::bounded`]) so a runaway producer
-/// turns into a [`QueueFull`] backpressure error instead of unbounded
-/// memory growth.
+/// A collection of [`Envelope`]s drained in `(from, seq)` order, with
+/// an explicit capacity bound ([`EventQueue::bounded`]) so a runaway
+/// producer turns into a [`QueueFull`] backpressure error instead of
+/// unbounded memory growth.
 #[derive(Debug)]
-pub struct EventQueue<T> {
-    events: Vec<Event<T>>,
+pub struct EventQueue {
+    envelopes: Vec<Envelope>,
     capacity: usize,
 }
 
-impl<T> Default for EventQueue<T> {
+impl Default for EventQueue {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> EventQueue<T> {
+impl EventQueue {
     pub fn new() -> Self {
-        Self { events: Vec::new(), capacity: usize::MAX }
+        Self { envelopes: Vec::new(), capacity: usize::MAX }
     }
 
-    /// A queue that holds at most `capacity` events at once.
+    /// A queue that holds at most `capacity` envelopes at once.
     pub fn bounded(capacity: usize) -> Self {
         assert!(capacity >= 1, "event queue capacity must be >= 1");
-        Self { events: Vec::new(), capacity }
+        Self { envelopes: Vec::new(), capacity }
     }
 
     /// The configured capacity (`usize::MAX` for [`EventQueue::new`]).
@@ -87,45 +78,42 @@ impl<T> EventQueue<T> {
         self.capacity
     }
 
-    /// Inserts an event. Panics on overflow of a bounded queue, so this is
-    /// a convenience for tests and unbounded queues only: every
-    /// coordinator-internal enqueue goes through [`EventQueue::try_push`],
-    /// so a bounded queue at capacity surfaces
-    /// `CoordError::EventQueueFull` (counted in
-    /// `coord_event_queue_dropped_total`) instead of aborting the process.
-    pub fn push(&mut self, client: usize, seq: u64, payload: T) {
-        self.try_push(client, seq, payload)
-            .unwrap_or_else(|e| panic!("{e} (use try_push to handle backpressure)"));
-    }
-
-    /// Inserts an event, returning [`QueueFull`] — and dropping the event —
-    /// when a bounded queue is at capacity.
-    pub fn try_push(&mut self, client: usize, seq: u64, payload: T) -> Result<(), QueueFull> {
-        if self.events.len() >= self.capacity {
-            return Err(QueueFull { capacity: self.capacity, client });
+    /// Inserts a collection's envelopes in arrival order. Past capacity,
+    /// the first envelope that does not fit is the [`QueueFull`] one, and
+    /// it and every later one are dropped; the queued ones stay. An empty
+    /// queue adopts `envelopes`' allocation rather than copying them.
+    pub fn try_extend(&mut self, mut envelopes: Vec<Envelope>) -> Result<(), QueueFull> {
+        let room = self.capacity - self.envelopes.len();
+        let full =
+            envelopes.get(room).map(|e| QueueFull { capacity: self.capacity, client: e.from });
+        envelopes.truncate(room);
+        if self.envelopes.is_empty() {
+            self.envelopes = envelopes;
+        } else {
+            self.envelopes.append(&mut envelopes);
         }
-        self.events.push(Event { client, seq, payload });
-        Ok(())
+        full.map_or(Ok(()), Err)
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.envelopes.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.envelopes.is_empty()
     }
 
-    /// Drains every queued event in `(client, seq)` order. `seq` is a
-    /// per-sender counter, so the key never repeats within one collection
-    /// and the sort has no ties to break: the order is a function of the
-    /// keys alone, not of insertion order. The sort is stable, which makes
-    /// it a linear-time merge when the events arrive as a few
-    /// already-ascending runs — what a collection sees, since each pool
-    /// worker answers a cohort in ascending id order.
-    pub fn drain_sorted(&mut self) -> Vec<Event<T>> {
-        let mut out = std::mem::take(&mut self.events);
-        out.sort_by_key(|e| (e.client, e.seq));
+    /// Drains every queued envelope in `(from, seq)` order, sorting them
+    /// once, in place. `seq` is a per-sender counter, so the key never
+    /// repeats within one collection and the sort has no ties to break:
+    /// the order is a function of the keys alone, not of insertion order.
+    /// The sort is stable, which makes it a linear-time merge when the
+    /// envelopes arrive as a few already-ascending runs — what a
+    /// collection sees, since each pool worker answers a cohort in
+    /// ascending id order.
+    pub fn drain_sorted(&mut self) -> Vec<Envelope> {
+        let mut out = std::mem::take(&mut self.envelopes);
+        out.sort_by_key(|e| (e.from, e.seq));
         out
     }
 }
@@ -164,16 +152,30 @@ impl<T> Inbox<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::TransmitOutcome;
+
+    /// An envelope from `client` with sender sequence `seq`, carrying
+    /// `tag` (as its retry count) so tests can follow it through a drain.
+    fn env(client: usize, seq: u64, tag: usize) -> Envelope {
+        Envelope {
+            from: client,
+            seq,
+            outcome: TransmitOutcome::Lost { retries: tag, backoff_s: 0.0 },
+        }
+    }
+
+    fn keyed(e: &Envelope) -> (usize, u64, usize) {
+        let TransmitOutcome::Lost { retries, .. } = e.outcome else { unreachable!() };
+        (e.from, e.seq, retries)
+    }
 
     #[test]
     fn drains_by_client_then_seq() {
         let mut q = EventQueue::new();
-        q.push(7, 1, "c7-second");
-        q.push(3, 9, "c3");
-        q.push(7, 0, "c7-first");
-        q.push(0, 4, "c0");
-        let order: Vec<&str> = q.drain_sorted().into_iter().map(|e| e.payload).collect();
-        assert_eq!(order, ["c0", "c3", "c7-first", "c7-second"]);
+        q.try_extend(vec![env(7, 1, 3), env(3, 9, 1)]).unwrap();
+        q.try_extend(vec![env(7, 0, 2), env(0, 4, 0)]).unwrap();
+        let order: Vec<usize> = q.drain_sorted().iter().map(|e| keyed(e).2).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -181,14 +183,10 @@ mod tests {
         let events = [(2, 0), (9, 4), (1, 2), (9, 3), (0, 0)];
         let mut fwd = EventQueue::new();
         let mut rev = EventQueue::new();
-        for &(c, s) in &events {
-            fwd.push(c, s, ());
-        }
-        for &(c, s) in events.iter().rev() {
-            rev.push(c, s, ());
-        }
-        let a: Vec<_> = fwd.drain_sorted().iter().map(|e| (e.client, e.seq)).collect();
-        let b: Vec<_> = rev.drain_sorted().iter().map(|e| (e.client, e.seq)).collect();
+        fwd.try_extend(events.iter().map(|&(c, s)| env(c, s, 0)).collect()).unwrap();
+        rev.try_extend(events.iter().rev().map(|&(c, s)| env(c, s, 0)).collect()).unwrap();
+        let a: Vec<_> = fwd.drain_sorted().iter().map(|e| (e.from, e.seq)).collect();
+        let b: Vec<_> = rev.drain_sorted().iter().map(|e| (e.from, e.seq)).collect();
         assert_eq!(a, b);
         assert_eq!(a, [(0, 0), (1, 2), (2, 0), (9, 3), (9, 4)]);
     }
@@ -199,8 +197,12 @@ mod tests {
         raw
     }
 
-    fn drained_keys(q: &mut EventQueue<usize>) -> Vec<(usize, u64, usize)> {
-        q.drain_sorted().into_iter().map(|e| (e.client, e.seq, e.payload)).collect()
+    fn drained_keys(q: &mut EventQueue) -> Vec<(usize, u64, usize)> {
+        q.drain_sorted().iter().map(keyed).collect()
+    }
+
+    fn envelopes(raw: &[(usize, u64, usize)]) -> Vec<Envelope> {
+        raw.iter().map(|&(c, s, p)| env(c, s, p)).collect()
     }
 
     /// A splitmix-generated batch as one collection sees it: repeated
@@ -223,10 +225,9 @@ mod tests {
 
     /// The order an unstable sort by the same key gives.
     fn unstable_sorted(raw: &[(usize, u64, usize)]) -> Vec<(usize, u64, usize)> {
-        let mut events: Vec<Event<usize>> =
-            raw.iter().map(|&(client, seq, payload)| Event { client, seq, payload }).collect();
-        events.sort_unstable_by_key(|e| (e.client, e.seq));
-        events.into_iter().map(|e| (e.client, e.seq, e.payload)).collect()
+        let mut events = envelopes(raw);
+        events.sort_unstable_by_key(|e| (e.from, e.seq));
+        events.iter().map(keyed).collect()
     }
 
     #[test]
@@ -236,14 +237,19 @@ mod tests {
         for n in (0..200).map(|b| b % 97) {
             let mut raw = random_batch(&mut stream, n);
             if n % 2 == 1 {
-                // pushed as two ascending runs: how one collection's
+                // queued as two ascending runs: how one collection's
                 // worker batches arrive
                 let (a, b) = raw.split_at_mut(n / 2);
                 a.sort_by_key(|e| (e.0, e.1));
                 b.sort_by_key(|e| (e.0, e.1));
             }
-            for &(c, s, p) in &raw {
-                q.push(c, s, p);
+            if n % 3 == 0 {
+                // in pieces, as a collection spanning several batches
+                for e in envelopes(&raw) {
+                    q.try_extend(vec![e]).unwrap();
+                }
+            } else {
+                q.try_extend(envelopes(&raw)).unwrap();
             }
             assert_eq!(q.len(), n);
             let drained = drained_keys(&mut q);
@@ -260,7 +266,7 @@ mod tests {
             let mut q = EventQueue::bounded(capacity);
             let raw = random_batch(&mut stream, 2 * capacity + 3);
             for (i, &(c, s, p)) in raw.iter().enumerate() {
-                match q.try_push(c, s, p) {
+                match q.try_extend(vec![env(c, s, p)]) {
                     Ok(()) => assert!(i < capacity, "event {i} accepted past capacity {capacity}"),
                     Err(e) => {
                         assert!(i >= capacity, "event {i} refused below capacity {capacity}");
@@ -270,12 +276,20 @@ mod tests {
             }
             assert_eq!(q.len(), capacity);
             let kept = raw[..capacity].to_vec();
-            assert_eq!(drained_keys(&mut q), reference_sorted(kept));
-            // a drained bounded queue accepts a full batch again
-            for &(c, s, p) in &raw[..capacity] {
-                q.try_push(c, s, p).unwrap();
+            assert_eq!(drained_keys(&mut q), reference_sorted(kept.clone()));
+
+            // a whole collection at once refuses the same event and keeps
+            // the same ones, into an empty queue or behind queued events
+            for queued in [0, capacity / 2] {
+                q.try_extend(envelopes(&raw[..queued])).unwrap();
+                let err = q.try_extend(envelopes(&raw[queued..])).unwrap_err();
+                assert_eq!(err, QueueFull { capacity, client: raw[capacity].0 });
+                assert_eq!(drained_keys(&mut q), reference_sorted(kept.clone()));
             }
-            assert!(q.try_push(0, u64::MAX, 0).is_err());
+            q.try_extend(envelopes(&raw[..capacity])).unwrap();
+            assert!(q.try_extend(vec![env(0, u64::MAX, 0)]).is_err());
+            assert!(q.try_extend(Vec::new()).is_ok(), "nothing to add fits a full queue");
+            q.drain_sorted();
         }
     }
 
@@ -283,21 +297,12 @@ mod tests {
     fn bounded_queue_rejects_overflow_and_keeps_contents() {
         let mut q = EventQueue::bounded(2);
         assert_eq!(q.capacity(), 2);
-        q.try_push(0, 0, "a").unwrap();
-        q.try_push(1, 0, "b").unwrap();
-        let err = q.try_push(7, 0, "dropped").unwrap_err();
+        q.try_extend(vec![env(0, 0, 10), env(1, 0, 11)]).unwrap();
+        let err = q.try_extend(vec![env(7, 0, 12)]).unwrap_err();
         assert_eq!(err, QueueFull { capacity: 2, client: 7 });
-        // the overflowing event was dropped; queued events are intact
-        let order: Vec<&str> = q.drain_sorted().into_iter().map(|e| e.payload).collect();
-        assert_eq!(order, ["a", "b"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at capacity")]
-    fn push_panics_on_bounded_overflow() {
-        let mut q = EventQueue::bounded(1);
-        q.push(0, 0, ());
-        q.push(1, 0, ());
+        // the overflowing envelope was dropped; queued ones are intact
+        let order: Vec<usize> = q.drain_sorted().iter().map(|e| keyed(e).2).collect();
+        assert_eq!(order, [10, 11]);
     }
 
     #[test]

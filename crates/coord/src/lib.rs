@@ -14,8 +14,8 @@
 //!
 //! Pieces:
 //!
-//! * [`events::EventQueue`] — total order `(client, seq)` over racing
-//!   agent traffic; the determinism backbone,
+//! * [`events::EventQueue`] — total order `(from, seq)` over racing
+//!   agent envelopes; the determinism backbone,
 //! * [`registry::ClientRegistry`] — per-client membership, telemetry and
 //!   the `Joined → Alive ⇄ Suspected → Left` liveness machine, one entry
 //!   per id,
@@ -41,7 +41,7 @@ pub use coordinator::{
     default_summary_seed, session_nonce, CoordError, Coordinator, RemoteLink, RoundPhase,
     DEFAULT_EVENT_CAPACITY,
 };
-pub use events::{Event, EventQueue, QueueFull};
+pub use events::{EventQueue, QueueFull};
 pub use net::{accept_remote_clients, remote_agent_config, run_tcp_federation, serve_agent_tcp};
 pub use registry::{ClientEntry, ClientRegistry, Liveness};
 pub use shard::{shard_of, ShardConfig};

@@ -160,11 +160,12 @@ pub fn accept_remote_clients(
     Ok(out)
 }
 
-/// Builds the exact [`AgentConfig`] a coordinator-side spawn would use
-/// for client `id` — nonce, summary seed and wire channel all derive
-/// from the run seed the same way, so a remote process is
-/// indistinguishable from an in-process agent (and round histories stay
-/// bit-identical across the two transports).
+/// Builds the [`AgentConfig`] remote client `id` runs: its shared fields
+/// are the agent env a coordinator builds for its own pool from the same
+/// inputs, and its nonce and summary seed derive from the run seed the
+/// same way, so a remote process is indistinguishable from an in-process
+/// agent (and round histories stay bit-identical across the two
+/// transports). A codec, when the run uses one, is set on the result.
 pub fn remote_agent_config(
     id: usize,
     cfg: &SimConfig,

@@ -111,11 +111,13 @@ impl ClientRegistry {
 
     /// The schedulable pool for `epoch`: `Alive` ∧ available, ascending —
     /// the coordinator's analogue of
-    /// [`Availability::available_clients`](haccs_sysmodel::Availability).
+    /// [`Availability::available_clients`](haccs_sysmodel::Availability),
+    /// drawing the epoch's availability once.
     pub fn selectable(&self, epoch: usize, availability: &Availability) -> Vec<usize> {
+        let available = availability.at_epoch(epoch);
         self.entries
             .iter()
-            .filter(|e| e.liveness == Liveness::Alive && availability.is_available(e.id, epoch))
+            .filter(|e| e.liveness == Liveness::Alive && available.is_available(e.id))
             .map(|e| e.id)
             .collect()
     }

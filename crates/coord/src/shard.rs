@@ -4,15 +4,21 @@
 //! The coordinator owns **no per-client threads**, so one process can
 //! host 100k+ clients: agents are plain state machines hash-partitioned
 //! into shards ([`shard_of`]), whole shards are assigned to a fixed pool
-//! of workers, and frames travel to workers in cohort batches
-//! ([`haccs_wire::CohortDispatch`]) so a broadcast costs `n_workers`
-//! channel sends, not `n_clients`.
+//! of workers, and frames travel to workers in cohort batches so a
+//! broadcast costs `n_workers` channel sends, not `n_clients`.
+//!
+//! A worker keeps its agents in one dense table indexed by a local slot
+//! the core assigns at spawn (ascending with id), with each agent's
+//! per-message state inline, and shares the run's one agent env across
+//! all of them. It answers each command by encoding every answer into one
+//! buffer, so a heartbeat ack costs a slice of that buffer rather than an
+//! allocation of its own.
 
-use crate::agent::{AgentState, Envelope, SharedModelFactory, Uplink};
+use crate::agent::{AgentEnv, AgentState, Downlink, SharedModelFactory, Uplink};
 use bytes::Bytes;
 use haccs_nn::Sequential;
-use haccs_wire::{CohortDispatch, Message};
 use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
@@ -75,23 +81,28 @@ impl Default for ShardConfig {
 /// each command with at most one uplink batch: every envelope the
 /// command produced, in processing order.
 enum WorkerCmd {
-    /// Take ownership of an agent; process (and uplink) its `Join`.
-    Spawn(Box<AgentState>),
-    /// One shared frame for one or many of this worker's agents.
-    Cohort(CohortDispatch),
-    /// Drop the agent (departed or evicted): frees its state and data.
-    Detach { id: usize },
+    /// Take ownership of an agent in the worker's next local slot;
+    /// process (and uplink) its `Join`.
+    Spawn(AgentState),
+    /// One shared frame for one or many of this worker's agents, named by
+    /// ascending local slot.
+    Cohort { frame: Bytes, slots: Vec<usize> },
+    /// Drop the agent in `slot` (departed or evicted): frees its state
+    /// and data.
+    Detach { slot: usize },
 }
 
 struct Worker {
     cmds: Sender<WorkerCmd>,
     thread: Option<JoinHandle<()>>,
+    /// Agents ever spawned on this worker: the next local slot.
+    spawned: usize,
 }
 
 /// One agent slot in the event core.
 enum Slot {
-    /// Served inline by pool worker `worker`.
-    Inline { worker: usize },
+    /// Served inline by pool worker `worker`, in its local slot `local`.
+    Inline { worker: usize, local: usize },
     /// A remote client reached through a transport bridge: the downlink
     /// feeds the bridge's writer pump; envelopes arrive on the shared
     /// uplink exactly like inline agents' (the "same event loop" the TCP
@@ -114,19 +125,26 @@ pub(crate) struct EventCore {
 }
 
 impl EventCore {
-    /// Spawns the worker pool. `uplink` is the shared envelope funnel the
-    /// coordinator drains (the same channel remote bridges feed).
-    pub(crate) fn new(cfg: ShardConfig, factory: SharedModelFactory, uplink: Uplink) -> Self {
+    /// Spawns the worker pool, every worker sharing the run's agent `env`.
+    /// `uplink` is the shared envelope funnel the coordinator drains (the
+    /// same channel remote bridges feed).
+    pub(crate) fn new(
+        cfg: ShardConfig,
+        factory: SharedModelFactory,
+        env: Arc<AgentEnv>,
+        uplink: Uplink,
+    ) -> Self {
         let workers = (0..cfg.n_workers)
             .map(|w| {
                 let (tx, rx) = mpsc::channel();
-                let factory = std::sync::Arc::clone(&factory);
+                let factory = Arc::clone(&factory);
+                let env = Arc::clone(&env);
                 let uplink = uplink.clone();
                 let thread = std::thread::Builder::new()
                     .name(format!("haccs-pool-{w}"))
-                    .spawn(move || worker_main(rx, uplink, factory))
+                    .spawn(move || worker_main(rx, uplink, factory, env))
                     .expect("spawn pool worker");
-                Worker { cmds: tx, thread: Some(thread) }
+                Worker { cmds: tx, thread: Some(thread), spawned: 0 }
             })
             .collect();
         EventCore { workers, slots: Vec::new(), n_shards: cfg.n_shards, retired_pumps: Vec::new() }
@@ -153,8 +171,10 @@ impl EventCore {
         assert_eq!(id, self.slots.len(), "agent ids must be dense");
         assert_eq!(state.id(), id, "agent state/slot id mismatch");
         let w = self.worker_of(id);
-        self.slots.push(Slot::Inline { worker: w });
-        self.workers[w].cmds.send(WorkerCmd::Spawn(Box::new(state))).expect("worker pool alive");
+        let worker = &mut self.workers[w];
+        self.slots.push(Slot::Inline { worker: w, local: worker.spawned });
+        worker.spawned += 1;
+        worker.cmds.send(WorkerCmd::Spawn(state)).expect("worker pool alive");
     }
 
     /// Registers remote client `id` (must be the next dense id), served
@@ -179,9 +199,9 @@ impl EventCore {
     /// dropped, as a closed downlink would drop them.
     pub(crate) fn dispatch(&self, id: usize, frame: Bytes) {
         match &self.slots[id] {
-            Slot::Inline { worker } => {
-                let d = CohortDispatch::from_frame(frame, vec![id]);
-                let _ = self.workers[*worker].cmds.send(WorkerCmd::Cohort(d));
+            Slot::Inline { worker, local } => {
+                let cmd = WorkerCmd::Cohort { frame, slots: vec![*local] };
+                let _ = self.workers[*worker].cmds.send(cmd);
             }
             Slot::Remote { downlink, .. } => {
                 // a send error means the bridge wound down (departed)
@@ -191,26 +211,25 @@ impl EventCore {
         }
     }
 
-    /// Fans one shared frame out to `ids`: inline recipients are grouped
-    /// into per-worker cohorts (one channel send per worker), remote ones
-    /// get the frame through their bridge.
+    /// Fans one shared frame out to `ids` (ascending): inline recipients
+    /// are grouped into per-worker cohorts of local slots (one channel
+    /// send per worker), remote ones get the frame through their bridge.
     pub(crate) fn dispatch_cohort(&self, ids: &[usize], frame: Bytes) {
         let mut cohorts: Vec<Vec<usize>> = vec![Vec::new(); self.workers.len()];
         for &id in ids {
             match &self.slots[id] {
-                Slot::Inline { worker } => cohorts[*worker].push(id),
+                Slot::Inline { worker, local } => cohorts[*worker].push(*local),
                 Slot::Remote { downlink, .. } => {
                     let _ = downlink.send(frame.clone());
                 }
                 Slot::Detached => {}
             }
         }
-        for (w, targets) in cohorts.into_iter().enumerate() {
-            if targets.is_empty() {
+        for (w, slots) in cohorts.into_iter().enumerate() {
+            if slots.is_empty() {
                 continue;
             }
-            let d = CohortDispatch::from_frame(frame.clone(), targets);
-            let _ = self.workers[w].cmds.send(WorkerCmd::Cohort(d));
+            let _ = self.workers[w].cmds.send(WorkerCmd::Cohort { frame: frame.clone(), slots });
         }
     }
 
@@ -219,8 +238,8 @@ impl EventCore {
     pub(crate) fn detach(&mut self, id: usize) {
         let old = std::mem::replace(&mut self.slots[id], Slot::Detached);
         match old {
-            Slot::Inline { worker } => {
-                let _ = self.workers[worker].cmds.send(WorkerCmd::Detach { id });
+            Slot::Inline { worker, local } => {
+                let _ = self.workers[worker].cmds.send(WorkerCmd::Detach { slot: local });
             }
             Slot::Remote { downlink, pump } => {
                 drop(downlink); // pump half-closes the connection
@@ -257,68 +276,47 @@ impl Drop for EventCore {
     }
 }
 
-/// One worker's agents, indexed by client id. Ids are dense across the
-/// federation, so the table holds a slot for every id up to the highest
-/// this worker owns: `None` for other workers' agents and for departed
-/// ones. A lookup is one bounds-checked index, with no hashing.
-#[derive(Default)]
-struct AgentTable(Vec<Option<Box<AgentState>>>);
-
-impl AgentTable {
-    fn insert(&mut self, agent: Box<AgentState>) {
-        let id = agent.id();
-        if id >= self.0.len() {
-            self.0.resize_with(id + 1, || None);
-        }
-        self.0[id] = Some(agent);
-    }
-
-    fn get_mut(&mut self, id: usize) -> Option<&mut AgentState> {
-        self.0.get_mut(id).and_then(|slot| slot.as_deref_mut())
-    }
-
-    /// Drops the agent, freeing its state and data shard.
-    fn remove(&mut self, id: usize) {
-        if let Some(slot) = self.0.get_mut(id) {
-            *slot = None;
-        }
-    }
-}
-
-fn worker_main(cmds: Receiver<WorkerCmd>, uplink: Uplink, factory: SharedModelFactory) {
-    let mut agents = AgentTable::default();
+fn worker_main(
+    cmds: Receiver<WorkerCmd>,
+    uplink: Uplink,
+    factory: SharedModelFactory,
+    env: Arc<AgentEnv>,
+) {
+    // this worker's agents by local slot, `None` once dropped: a probe
+    // reads one contiguous entry per recipient
+    let mut agents: Vec<Option<AgentState>> = Vec::new();
     // one scratch model replica serves every agent on this worker: the
     // protocol always `set_params`s before using it (see AgentState docs)
     let mut model: Option<Sequential> = None;
     while let Ok(cmd) = cmds.recv() {
-        let d = match cmd {
+        let (frame, slots) = match cmd {
             WorkerCmd::Spawn(mut state) => {
                 // a send error means the coordinator is gone; just unwind
-                let _ = uplink.send(vec![state.join()]);
-                agents.insert(state);
+                let _ = uplink.send(env.seal(vec![state.join(&env)]));
+                agents.push(Some(state));
                 continue;
             }
-            WorkerCmd::Detach { id } => {
-                agents.remove(id);
+            WorkerCmd::Detach { slot } => {
+                agents[slot] = None;
                 continue;
             }
-            WorkerCmd::Cohort(d) => d,
+            WorkerCmd::Cohort { frame, slots } => (frame, slots),
         };
         // one decode serves every recipient of the shared frame
-        let msg = Message::decode(d.frame).expect("coordinator sent an undecodable frame");
-        let mut batch: Vec<Envelope> = Vec::with_capacity(d.targets.len());
-        for id in d.targets {
-            let Some(agent) = agents.get_mut(id) else {
+        let frame = Downlink::decode(&frame, &env).expect("coordinator sent an undecodable frame");
+        let mut answers = Vec::with_capacity(slots.len());
+        for slot in slots {
+            let Some(agent) = agents[slot].as_mut() else {
                 continue; // departed and dropped — the closed-downlink case
             };
             let m = model.get_or_insert_with(|| factory());
-            batch.extend(agent.on_message(&msg, m));
+            answers.extend(agent.on_message(&env, &frame, m));
             if agent.departed() {
-                agents.remove(id);
+                agents[slot] = None;
             }
         }
-        if !batch.is_empty() {
-            let _ = uplink.send(batch);
+        if !answers.is_empty() {
+            let _ = uplink.send(env.seal(answers));
         }
     }
 }
@@ -346,12 +344,11 @@ mod tests {
 
     #[test]
     fn heartbeat_cohort_reaches_the_uplink_as_one_batch_per_worker() {
-        use crate::agent::AgentConfig;
         use haccs_data::{partition, FederatedDataset, SynthVision};
         use haccs_fedsim::trainer::TrainConfig;
         use haccs_summary::Summarizer;
         use haccs_sysmodel::{Availability, DeviceProfile};
-        use haccs_wire::FaultyChannel;
+        use haccs_wire::{FaultyChannel, Message};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use std::time::Duration;
@@ -364,22 +361,19 @@ mod tests {
         let factory: SharedModelFactory =
             std::sync::Arc::new(|| haccs_nn::mlp(64, &[8], 4, &mut StdRng::seed_from_u64(7)));
         let (tx, rx) = mpsc::channel();
-        let mut core = EventCore::new(layout, factory, tx);
+        let env = AgentEnv::new(
+            1,
+            TrainConfig::default(),
+            8,
+            Availability::AlwaysOn,
+            FaultyChannel::reliable(3),
+            None,
+            Summarizer::label_dist(),
+        );
+        let mut core = EventCore::new(layout, factory, Arc::new(env), tx);
         for (id, data) in fed.clients.into_iter().enumerate() {
-            let cfg = AgentConfig {
-                id,
-                nonce: id as u64 + 1,
-                seed: 1,
-                summary_seed: 2,
-                train: TrainConfig::default(),
-                probe_max: 8,
-                availability: Availability::AlwaysOn,
-                channel: FaultyChannel::reliable(3),
-                leave_after: None,
-                codec: None,
-            };
             let profile = DeviceProfile::uniform_fast();
-            core.spawn_agent(id, AgentState::new(cfg, data, profile, Summarizer::label_dist()));
+            core.spawn_agent(id, AgentState::new(id, id as u64 + 1, 2, None, data, profile));
         }
         for _ in 0..N {
             assert_eq!(rx.recv_timeout(wait).unwrap().len(), 1, "a Spawn answers with its Join");
@@ -403,5 +397,141 @@ mod tests {
         acked.sort_unstable();
         assert_eq!(acked, ids, "every agent acks exactly once");
         assert!(rx.try_recv().is_err(), "no envelope beyond the cohort's");
+    }
+
+    /// What an envelope says, with the backoff as bits so equality is
+    /// bitwise.
+    fn fingerprint(e: &crate::agent::Envelope) -> (usize, u64, Option<Vec<u8>>, usize, u64, usize) {
+        use crate::agent::TransmitOutcome;
+        match &e.outcome {
+            TransmitOutcome::Delivered { frame, retries, backoff_s, bytes_sent } => {
+                (e.from, e.seq, Some(frame.to_vec()), *retries, backoff_s.to_bits(), *bytes_sent)
+            }
+            TransmitOutcome::Lost { retries, backoff_s } => {
+                (e.from, e.seq, None, *retries, backoff_s.to_bits(), 0)
+            }
+        }
+    }
+
+    /// A pool worker and `run_agent` run one state machine, so the same
+    /// agents under the same downlink script must emit the same
+    /// envelopes, frame for frame: the pool's cohorts mix several agents
+    /// per command and answer them into one buffer, `run_agent` answers
+    /// one frame at a time. The script covers the enrollment push, int8
+    /// training rounds, heartbeats on a 40%-lossy channel (retries, lost
+    /// acks, silent unavailable agents) and a scripted `Leave`.
+    #[test]
+    fn pool_and_run_agent_emit_the_same_envelopes() {
+        use crate::agent::{run_agent, AgentConfig};
+        use haccs_codec::CodecKind;
+        use haccs_data::{partition, FederatedDataset, SynthVision};
+        use haccs_fedsim::trainer::TrainConfig;
+        use haccs_summary::Summarizer;
+        use haccs_sysmodel::{Availability, DeviceProfile};
+        use haccs_wire::{FaultyChannel, Message};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        const N: usize = 9;
+        const SEED: u64 = 17;
+        let gen = SynthVision::mnist_like(4, 8, 0);
+        let fed = FederatedDataset::materialize(&gen, &partition::iid(N, 4, 24, 4), 0);
+        let profiles = DeviceProfile::sample_many(N, &mut StdRng::seed_from_u64(3));
+        let factory: SharedModelFactory =
+            Arc::new(|| haccs_nn::mlp(64, &[8], 4, &mut StdRng::seed_from_u64(7)));
+        let nonce = |id: usize| 100 + id as u64;
+        let cfg = |id: usize| AgentConfig {
+            id,
+            nonce: nonce(id),
+            seed: SEED,
+            summary_seed: 5 + id as u64,
+            train: TrainConfig::default(),
+            probe_max: 8,
+            availability: Availability::epoch_dropout(0.25, N, 9),
+            channel: FaultyChannel::lossy(0.4, SEED, 2, 0.5),
+            leave_after: (id == 2).then_some(1),
+            codec: Some(CodecKind::Int8),
+        };
+
+        // the downlink script: each frame with its recipients, ascending
+        let params = factory().get_params();
+        let all: Vec<usize> = (0..N).collect();
+        let mut script =
+            vec![(Message::ModelPush { round: 0, params: params.clone() }, all.clone())];
+        for round in 0..5u64 {
+            let r = round as usize;
+            let mut trainees = vec![r % N, (r + 4) % N, (r + 6) % N];
+            trainees.sort_unstable();
+            for &id in &trainees {
+                script.push((Message::Schedule { round, client_nonce: nonce(id) }, vec![id]));
+            }
+            let pushed: Vec<f32> = params.iter().map(|p| p + 0.01 * round as f32).collect();
+            script.push((Message::ModelPush { round, params: pushed }, trainees));
+            script
+                .push((Message::Heartbeat { client_nonce: 0, round, last_loss: 0.0 }, all.clone()));
+        }
+        let script: Vec<_> = script.into_iter().map(|(m, ids)| (m.encode(), ids)).collect();
+
+        // the pool: two workers over four shards
+        let (tx, rx) = mpsc::channel();
+        let mut core = None;
+        for (id, data) in fed.clients.iter().cloned().enumerate() {
+            let (env, state) = cfg(id).into_parts(data, profiles[id], Summarizer::label_dist());
+            let layout = ShardConfig::new(4, 2);
+            let core = core.get_or_insert_with(|| {
+                EventCore::new(layout, Arc::clone(&factory), Arc::new(env), tx.clone())
+            });
+            core.spawn_agent(id, state);
+        }
+        let core = core.unwrap();
+        for (frame, ids) in &script {
+            match ids[..] {
+                [id] => core.dispatch(id, frame.clone()),
+                _ => core.dispatch_cohort(ids, frame.clone()),
+            }
+        }
+        drop((core, tx)); // joins the workers once they drained every command
+        let mut pooled: Vec<_> = rx.iter().flatten().collect();
+
+        // one `run_agent` thread per agent, fed the same frames
+        let (tx, rx) = mpsc::channel();
+        let mut downlinks = Vec::new();
+        let mut threads = Vec::new();
+        for (id, data) in fed.clients.iter().cloned().enumerate() {
+            let (down, down_rx) = mpsc::channel();
+            downlinks.push(down);
+            let (cfg, profile, factory, up) =
+                (cfg(id), profiles[id], Arc::clone(&factory), tx.clone());
+            threads.push(std::thread::spawn(move || {
+                run_agent(cfg, data, profile, factory, Summarizer::label_dist(), down_rx, up)
+            }));
+        }
+        for (frame, ids) in &script {
+            for &id in ids {
+                let _ = downlinks[id].send(frame.clone()); // a departed agent hung up
+            }
+        }
+        drop((downlinks, tx));
+        for t in threads {
+            t.join().expect("agent thread");
+        }
+        let mut single: Vec<_> = rx.iter().flatten().collect();
+
+        pooled.sort_by_key(|e| (e.from, e.seq));
+        single.sort_by_key(|e| (e.from, e.seq));
+        let pooled: Vec<_> = pooled.iter().map(fingerprint).collect();
+        let single: Vec<_> = single.iter().map(fingerprint).collect();
+        assert_eq!(pooled, single);
+
+        // the script reached every path it is meant to cover; each probe
+        // also finds two agents silent, the epoch's dropped quarter
+        let delivered = |tag: u8| {
+            pooled.iter().filter(|f| f.2.as_ref().is_some_and(|frame| frame[0] == tag)).count()
+        };
+        assert_eq!(delivered(0x01), N, "one Join per agent");
+        assert!(delivered(0x09) > 0, "int8 updates");
+        assert_eq!(delivered(0x07), 1, "agent 2's Leave");
+        assert!(pooled.iter().any(|f| f.2.is_some() && f.3 > 0), "a delivery after retries");
+        assert!(pooled.iter().any(|f| f.2.is_none()), "a frame lost to the channel");
     }
 }

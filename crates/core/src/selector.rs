@@ -126,10 +126,11 @@ impl Selector for HaccsSelector {
             .collect();
         let mut theta = cluster_weights(&stats, self.rho);
 
-        // order members by ascending latency so "best" pops cheaply
-        for (_, infos) in &mut live {
-            infos.sort_by(|a, b| a.est_latency.total_cmp(&b.est_latency));
-        }
+        // members are ordered by ascending latency so "best" pops cheaply.
+        // At most `k` clusters are ever drawn, so each is sorted the first
+        // time it is: the same stable sort of the same members, so the
+        // picks match sorting every cluster up front
+        let mut sorted = vec![false; live.len()];
 
         // Weighted-SRSWR: sample clusters with replacement; take one device
         // per draw and remove it from the cluster (Algorithm 1). A cluster
@@ -150,6 +151,10 @@ impl Selector for HaccsSelector {
                 u -= t;
             }
             let (gi, infos) = &mut live[pick];
+            if !sorted[pick] {
+                infos.sort_by(|a, b| a.est_latency.total_cmp(&b.est_latency));
+                sorted[pick] = true;
+            }
             let chosen = match self.policy {
                 WithinClusterPolicy::MinLatency => infos.remove(0),
                 WithinClusterPolicy::Uniform => {
@@ -216,6 +221,127 @@ mod tests {
 
     fn selector(rho: f32) -> HaccsSelector {
         HaccsSelector::new(vec![vec![0, 1, 2], vec![3, 4, 5]], rho, "P(y)")
+    }
+
+    /// The selection body that sorted every live cluster before the
+    /// first draw: the reference the lazy sort must match pick for pick.
+    fn eager_select(
+        s: &mut HaccsSelector,
+        ctx: &SelectionContext<'_>,
+        rng: &mut StdRng,
+    ) -> Vec<usize> {
+        let mut info_of: Vec<Option<&ClientInfo>> =
+            vec![None; ctx.available.iter().map(|c| c.id + 1).max().unwrap_or(0)];
+        for c in ctx.available {
+            info_of[c.id] = Some(c);
+        }
+        let mut live: Vec<(usize, Vec<&ClientInfo>)> = s
+            .groups
+            .iter()
+            .enumerate()
+            .filter_map(|(gi, members)| {
+                let infos: Vec<&ClientInfo> =
+                    members.iter().filter_map(|&id| info_of.get(id).copied().flatten()).collect();
+                (!infos.is_empty()).then_some((gi, infos))
+            })
+            .collect();
+        if live.is_empty() {
+            return Vec::new();
+        }
+        let stats: Vec<ClusterStats> = live
+            .iter()
+            .map(|(_, infos)| ClusterStats {
+                avg_latency: infos.iter().map(|c| c.est_latency).sum::<f64>() / infos.len() as f64,
+                avg_loss: infos.iter().map(|c| c.last_loss).sum::<f32>() / infos.len() as f32,
+            })
+            .collect();
+        let mut theta = cluster_weights(&stats, s.rho);
+        for (_, infos) in &mut live {
+            infos.sort_by(|a, b| a.est_latency.total_cmp(&b.est_latency));
+        }
+        let mut selection = Vec::with_capacity(ctx.k);
+        while selection.len() < ctx.k {
+            let total: f64 = theta.iter().sum();
+            if total <= 0.0 {
+                break;
+            }
+            let mut u = rng.gen_range(0.0..total);
+            let mut pick = live.len() - 1;
+            for (i, &t) in theta.iter().enumerate() {
+                if u < t {
+                    pick = i;
+                    break;
+                }
+                u -= t;
+            }
+            let (gi, infos) = &mut live[pick];
+            let chosen = match s.policy {
+                WithinClusterPolicy::MinLatency => infos.remove(0),
+                WithinClusterPolicy::Uniform => {
+                    let j = rng.gen_range(0..infos.len());
+                    infos.remove(j)
+                }
+            };
+            s.telemetry.record(*gi, chosen.id);
+            selection.push(chosen.id);
+            if infos.is_empty() {
+                theta[pick] = 0.0;
+            }
+        }
+        selection
+    }
+
+    fn telemetry_bytes(s: &HaccsSelector) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        s.telemetry.save_state(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn lazy_cluster_sort_matches_the_eager_reference() {
+        // latencies drawn from a small set, so ties are common, with NaN
+        // and both zeros mixed in
+        const LATENCIES: [f64; 8] = [0.0, -0.0, 1.0, 1.0, 2.5, f64::NAN, 0.5, 7.0];
+        let mut stream = 0x5EEDu64;
+        let mut next = move |m: usize| {
+            stream = stream.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = stream;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % m as u64) as usize
+        };
+        for case in 0..400 {
+            let n = 1 + next(60);
+            let n_groups = 1 + next(12);
+            let mut groups = vec![Vec::new(); n_groups];
+            for id in 0..n {
+                groups[next(n_groups)].push(id);
+            }
+            groups.retain(|g| !g.is_empty());
+            // about a third of the clients are unavailable, which empties
+            // whole clusters now and then
+            let mut avail = Vec::new();
+            for id in 0..n {
+                if next(3) != 0 {
+                    let latency = LATENCIES[next(LATENCIES.len())];
+                    avail.push(info(id, latency, 0.5 + next(4) as f32));
+                }
+            }
+            let k = [1, 3, avail.len().max(1), avail.len() + 4][case % 4];
+            let ctx = SelectionContext { epoch: 0, available: &avail, k };
+            for policy in [WithinClusterPolicy::MinLatency, WithinClusterPolicy::Uniform] {
+                let rho = [0.0, 0.5, 1.0][case % 3];
+                let mut lazy = HaccsSelector::new(groups.clone(), rho, "P(y)").with_policy(policy);
+                let mut eager = HaccsSelector::new(groups.clone(), rho, "P(y)").with_policy(policy);
+                let mut lazy_rng = StdRng::seed_from_u64(case as u64);
+                let mut eager_rng = StdRng::seed_from_u64(case as u64);
+                let got = lazy.select(&ctx, &mut lazy_rng);
+                let want = eager_select(&mut eager, &ctx, &mut eager_rng);
+                assert_eq!(got, want, "case {case}, {policy:?}");
+                assert_eq!(telemetry_bytes(&lazy), telemetry_bytes(&eager), "case {case}");
+                assert_eq!(lazy_rng.state(), eager_rng.state(), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //!   exactly that property.
 //! * [`Availability::PermanentDrop`] — Fig. 1: a fixed set of devices is
 //!   gone from `from_epoch` onward (random devices or whole groups).
+//!
+//! [`Availability::is_available`] answers one `(client, epoch)` query
+//! from scratch, which for `EpochDropout` means re-drawing the epoch's
+//! whole dropped set. A pass over many clients asks
+//! [`Availability::at_epoch`] for an [`EpochAvailability`] instead: it
+//! draws the epoch once, and then answers each client in O(1) under every
+//! model.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -87,7 +94,8 @@ impl Availability {
         Availability::Diurnal { period, online_epochs, n_clients, seed }
     }
 
-    /// Whether `client` can participate in `epoch`.
+    /// Whether `client` can participate in `epoch`. The reference
+    /// answer; a pass over many clients uses [`Availability::at_epoch`].
     pub fn is_available(&self, client: usize, epoch: usize) -> bool {
         match self {
             Availability::AlwaysOn => true,
@@ -107,13 +115,7 @@ impl Availability {
         match self {
             Availability::AlwaysOn => HashSet::new(),
             Availability::EpochDropout { rate, n_clients, seed } => {
-                let k = (*rate * *n_clients as f64).floor() as usize;
-                let mut ids: Vec<usize> = (0..*n_clients).collect();
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                ids.shuffle(&mut rng);
-                ids.into_iter().take(k).collect()
+                dropout_draw(*rate, *n_clients, *seed, epoch).collect()
             }
             Availability::PermanentDrop { dropped, from_epoch } => {
                 if epoch >= *from_epoch {
@@ -130,7 +132,73 @@ impl Availability {
 
     /// All clients in `0..n` available at `epoch`.
     pub fn available_clients(&self, n: usize, epoch: usize) -> Vec<usize> {
-        (0..n).filter(|&c| self.is_available(c, epoch)).collect()
+        let view = self.at_epoch(epoch);
+        (0..n).filter(|&c| view.is_available(c)).collect()
+    }
+
+    /// This model at `epoch`, drawn once: the view answers
+    /// [`Availability::is_available`] for any client in O(1). Building it
+    /// costs O(n_clients) for `EpochDropout` (one draw of the dropped
+    /// set into a mask) and nothing for the other models, whose answers
+    /// are already O(1).
+    pub fn at_epoch(&self, epoch: usize) -> EpochAvailability<'_> {
+        let dropped = match self {
+            Availability::EpochDropout { rate, n_clients, seed } => {
+                let mut mask = vec![false; *n_clients];
+                for id in dropout_draw(*rate, *n_clients, *seed, epoch) {
+                    mask[id] = true;
+                }
+                mask
+            }
+            _ => Vec::new(),
+        };
+        EpochAvailability { model: self, epoch, dropped }
+    }
+}
+
+/// `EpochDropout`'s dropped clients in `epoch`: the first
+/// `floor(rate · n_clients)` ids of a seeded shuffle of the population.
+fn dropout_draw(
+    rate: f64,
+    n_clients: usize,
+    seed: u64,
+    epoch: usize,
+) -> impl Iterator<Item = usize> {
+    let k = (rate * n_clients as f64).floor() as usize;
+    let mut ids: Vec<usize> = (0..n_clients).collect();
+    let mut rng =
+        StdRng::seed_from_u64(seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    ids.shuffle(&mut rng);
+    ids.into_iter().take(k)
+}
+
+/// One epoch of an [`Availability`] model (see [`Availability::at_epoch`]):
+/// `is_available(client)` equals the model's
+/// `is_available(client, epoch)` for every client, in O(1).
+#[derive(Debug, Clone)]
+pub struct EpochAvailability<'a> {
+    model: &'a Availability,
+    epoch: usize,
+    /// `EpochDropout` only: whether each id below `n_clients` is dropped
+    /// this epoch (ids past it are never dropped).
+    dropped: Vec<bool>,
+}
+
+impl EpochAvailability<'_> {
+    /// The epoch this view answers for.
+    pub fn epoch(&self) -> usize {
+        self.epoch
+    }
+
+    /// Whether `client` can participate in this view's epoch.
+    pub fn is_available(&self, client: usize) -> bool {
+        match self.model {
+            Availability::EpochDropout { .. } => {
+                !self.dropped.get(client).copied().unwrap_or(false)
+            }
+            // O(1) already: a constant, a hash-set lookup or a phase hash
+            model => model.is_available(client, self.epoch),
+        }
     }
 }
 
@@ -219,6 +287,54 @@ mod tests {
             let dropped = a.dropped_set(epoch);
             for c in 0..16 {
                 assert_eq!(!a.is_available(c, epoch), dropped.contains(&c));
+            }
+        }
+    }
+
+    /// Random parameters for each of the four models, from a splitmix
+    /// stream.
+    fn random_models(stream: &mut u64) -> Vec<Availability> {
+        let mut next = || {
+            *stream = stream.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            diurnal_phase(*stream, 0, usize::MAX)
+        };
+        let n = 1 + next() % 300;
+        let dropped: HashSet<usize> = (0..next() % 40).map(|_| next() % (n + 10)).collect();
+        vec![
+            Availability::AlwaysOn,
+            Availability::epoch_dropout((next() % 101) as f64 / 100.0, n, next() as u64),
+            Availability::PermanentDrop { dropped, from_epoch: next() % 6 },
+            Availability::diurnal(
+                1 + next() % 12,
+                (1 + next() % 100) as f64 / 100.0,
+                n,
+                next() as u64,
+            ),
+        ]
+    }
+
+    #[test]
+    fn epoch_view_agrees_with_is_available_for_every_client_and_model() {
+        let mut stream = 11u64;
+        for _ in 0..40 {
+            for model in random_models(&mut stream) {
+                let n = match &model {
+                    Availability::EpochDropout { n_clients, .. }
+                    | Availability::Diurnal { n_clients, .. } => *n_clients,
+                    _ => 64,
+                };
+                for epoch in 0..8 {
+                    let view = model.at_epoch(epoch);
+                    assert_eq!(view.epoch(), epoch);
+                    // ids past the population too: they are never dropped
+                    for client in 0..n + 12 {
+                        assert_eq!(
+                            view.is_available(client),
+                            model.is_available(client, epoch),
+                            "{model:?}, epoch {epoch}, client {client}"
+                        );
+                    }
+                }
             }
         }
     }

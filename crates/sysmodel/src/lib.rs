@@ -30,7 +30,7 @@ pub mod heartbeat;
 pub mod latency;
 pub mod profile;
 
-pub use availability::Availability;
+pub use availability::{Availability, EpochAvailability};
 pub use clock::SimClock;
 pub use faults::{FaultDraw, FaultModel, FaultSpec};
 pub use heartbeat::{HeartbeatPolicy, LivenessVerdict};

@@ -13,7 +13,6 @@
 //! retry trace for a given seed is bit-identical across runs.
 
 use crate::{DecodeError, Message};
-use bytes::Bytes;
 
 /// Outcome of one successful [`FaultyChannel::transmit`] or
 /// [`FaultyChannel::transmit_frame`].
@@ -122,7 +121,7 @@ impl FaultyChannel {
     /// encodes, and the receive path still decodes every delivered frame.
     /// Panics if `frame` does not decode: it must come from
     /// [`Message::encode`].
-    pub fn transmit_frame(&self, frame: &Bytes, stream_id: u64) -> Result<Delivery, ChannelError> {
+    pub fn transmit_frame(&self, frame: &[u8], stream_id: u64) -> Result<Delivery, ChannelError> {
         let mut backoff_s = 0.0f64;
         let mut bytes_sent = 0usize;
         for attempt in 0..=self.max_retries {
@@ -131,8 +130,8 @@ impl FaultyChannel {
             let lost = self.loss_prob > 0.0 && unit(h) < self.loss_prob;
             if !lost {
                 // receive path: the real decoder runs on every delivery
-                let received = Message::decode(frame.clone())
-                    .expect("a clean frame from encode() must decode");
+                let received =
+                    Message::decode(frame).expect("a clean frame from encode() must decode");
                 return Ok(Delivery {
                     message: received,
                     attempts: attempt + 1,
@@ -146,7 +145,7 @@ impl FaultyChannel {
             let corrupted = h & 1 == 1;
             if corrupted {
                 let garbled = corrupt_frame(frame, h);
-                match Message::decode(garbled) {
+                match Message::decode(&garbled) {
                     // decode caught the damage directly
                     Err(DecodeError::Truncated)
                     | Err(DecodeError::UnknownTag(_))
@@ -156,7 +155,11 @@ impl FaultyChannel {
                     // in payload, which a real stack catches by checksum;
                     // the comparison below stands in for that checksum
                     Ok(received) => {
-                        debug_assert_ne!(received.encode(), *frame, "corruption must be visible")
+                        debug_assert_ne!(
+                            &received.encode()[..],
+                            frame,
+                            "corruption must be visible"
+                        )
                     }
                 }
             }
@@ -168,13 +171,13 @@ impl FaultyChannel {
 }
 
 /// Flips one hash-chosen byte of `frame` (never leaves it intact).
-fn corrupt_frame(frame: &Bytes, hash: u64) -> Bytes {
+fn corrupt_frame(frame: &[u8], hash: u64) -> Vec<u8> {
     let mut bytes = frame.to_vec();
     if !bytes.is_empty() {
         let pos = (hash >> 8) as usize % bytes.len();
         bytes[pos] ^= 0xFF;
     }
-    Bytes::from(bytes)
+    bytes
 }
 
 #[cfg(test)]
@@ -248,7 +251,7 @@ mod tests {
     fn corrupt_frame_always_differs() {
         let frame = msg().encode();
         for h in 0..64u64 {
-            assert_ne!(corrupt_frame(&frame, h), frame);
+            assert_ne!(corrupt_frame(&frame, h), frame.to_vec());
         }
     }
 

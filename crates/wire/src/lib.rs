@@ -33,12 +33,10 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 pub mod channel;
-pub mod cohort;
 pub mod frame;
 pub mod transport;
 
 pub use channel::{ChannelError, Delivery, FaultyChannel};
-pub use cohort::{group_by_cohort, CohortDispatch};
 pub use frame::{
     read_frame, read_frame_limited, write_frame, write_frame_limited, FrameError,
     FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
@@ -216,7 +214,7 @@ fn put_f32s(buf: &mut BytesMut, v: &[f32]) {
     }
 }
 
-fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, DecodeError> {
+fn get_f32s(buf: &mut &[u8]) -> Result<Vec<f32>, DecodeError> {
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }
@@ -235,7 +233,7 @@ fn put_bytes(buf: &mut BytesMut, v: &[u8]) {
     buf.put_slice(v);
 }
 
-fn get_bytes(buf: &mut Bytes) -> Result<Vec<u8>, DecodeError> {
+fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, DecodeError> {
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }
@@ -257,7 +255,7 @@ fn put_summary(buf: &mut BytesMut, s: &WireSummary) {
     put_f32s(buf, &s.prevalence);
 }
 
-fn get_summary(buf: &mut Bytes) -> Result<WireSummary, DecodeError> {
+fn get_summary(buf: &mut &[u8]) -> Result<WireSummary, DecodeError> {
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }
@@ -274,11 +272,19 @@ impl Message {
     /// Encodes the message into a standalone frame.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_size());
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the message's frame — exactly [`Message::wire_size`]
+    /// bytes, the ones [`Message::encode`] returns — to `buf`, so one
+    /// buffer can carry many frames.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
             Message::Join { client_nonce, summary, resources } => {
                 buf.put_u8(TAG_JOIN);
                 buf.put_u64_le(*client_nonce);
-                put_summary(&mut buf, summary);
+                put_summary(buf, summary);
                 buf.put_f32_le(resources.compute_multiplier);
                 buf.put_f32_le(resources.bandwidth_mbps);
                 buf.put_f32_le(resources.rtt_ms);
@@ -292,12 +298,12 @@ impl Message {
             Message::ModelPush { round, params } => {
                 buf.put_u8(TAG_MODEL_PUSH);
                 buf.put_u64_le(*round);
-                put_f32s(&mut buf, params);
+                put_f32s(buf, params);
             }
             Message::ModelUpdate { round, params, loss, n_train } => {
                 buf.put_u8(TAG_MODEL_UPDATE);
                 buf.put_u64_le(*round);
-                put_f32s(&mut buf, params);
+                put_f32s(buf, params);
                 buf.put_f32_le(*loss);
                 buf.put_u32_le(*n_train);
             }
@@ -305,14 +311,14 @@ impl Message {
                 buf.put_u8(TAG_MODEL_UPDATE_ENC);
                 buf.put_u64_le(*round);
                 buf.put_u8(*codec);
-                put_bytes(&mut buf, payload);
+                put_bytes(buf, payload);
                 buf.put_f32_le(*loss);
                 buf.put_u32_le(*n_train);
             }
             Message::SummaryUpdate { client_nonce, summary } => {
                 buf.put_u8(TAG_SUMMARY_UPDATE);
                 buf.put_u64_le(*client_nonce);
-                put_summary(&mut buf, summary);
+                put_summary(buf, summary);
             }
             Message::Heartbeat { client_nonce, round, last_loss } => {
                 buf.put_u8(TAG_HEARTBEAT);
@@ -331,16 +337,17 @@ impl Message {
                 buf.put_f32_le(*last_loss);
             }
         }
-        buf.freeze()
     }
 
-    /// Decodes one frame produced by [`Message::encode`].
-    pub fn decode(mut buf: Bytes) -> Result<Message, DecodeError> {
+    /// Decodes one frame produced by [`Message::encode`], reading it in
+    /// place: the frame is borrowed, never cloned or consumed.
+    pub fn decode(frame: &[u8]) -> Result<Message, DecodeError> {
+        let mut buf = frame;
         if buf.remaining() < 1 {
             return Err(DecodeError::Truncated);
         }
         let tag = buf.get_u8();
-        let need = |buf: &Bytes, n: usize| {
+        let need = |buf: &[u8], n: usize| {
             if buf.remaining() < n {
                 Err(DecodeError::Truncated)
             } else {
@@ -349,10 +356,10 @@ impl Message {
         };
         match tag {
             TAG_JOIN => {
-                need(&buf, 8)?;
+                need(buf, 8)?;
                 let client_nonce = buf.get_u64_le();
                 let summary = get_summary(&mut buf)?;
-                need(&buf, 16)?;
+                need(buf, 16)?;
                 let compute_multiplier = buf.get_f32_le();
                 let bandwidth_mbps = buf.get_f32_le();
                 let rtt_ms = buf.get_f32_le();
@@ -369,42 +376,42 @@ impl Message {
                 })
             }
             TAG_SCHEDULE => {
-                need(&buf, 16)?;
+                need(buf, 16)?;
                 Ok(Message::Schedule { round: buf.get_u64_le(), client_nonce: buf.get_u64_le() })
             }
             TAG_MODEL_PUSH => {
-                need(&buf, 8)?;
+                need(buf, 8)?;
                 let round = buf.get_u64_le();
                 let params = get_f32s(&mut buf)?;
                 Ok(Message::ModelPush { round, params })
             }
             TAG_MODEL_UPDATE => {
-                need(&buf, 8)?;
+                need(buf, 8)?;
                 let round = buf.get_u64_le();
                 let params = get_f32s(&mut buf)?;
-                need(&buf, 8)?;
+                need(buf, 8)?;
                 let loss = buf.get_f32_le();
                 let n_train = buf.get_u32_le();
                 Ok(Message::ModelUpdate { round, params, loss, n_train })
             }
             TAG_MODEL_UPDATE_ENC => {
-                need(&buf, 9)?;
+                need(buf, 9)?;
                 let round = buf.get_u64_le();
                 let codec = buf.get_u8();
                 let payload = get_bytes(&mut buf)?;
-                need(&buf, 8)?;
+                need(buf, 8)?;
                 let loss = buf.get_f32_le();
                 let n_train = buf.get_u32_le();
                 Ok(Message::ModelUpdateEnc { round, codec, payload, loss, n_train })
             }
             TAG_SUMMARY_UPDATE => {
-                need(&buf, 8)?;
+                need(buf, 8)?;
                 let client_nonce = buf.get_u64_le();
                 let summary = get_summary(&mut buf)?;
                 Ok(Message::SummaryUpdate { client_nonce, summary })
             }
             TAG_HEARTBEAT => {
-                need(&buf, 20)?;
+                need(buf, 20)?;
                 Ok(Message::Heartbeat {
                     client_nonce: buf.get_u64_le(),
                     round: buf.get_u64_le(),
@@ -412,11 +419,11 @@ impl Message {
                 })
             }
             TAG_LEAVE => {
-                need(&buf, 16)?;
+                need(buf, 16)?;
                 Ok(Message::Leave { client_nonce: buf.get_u64_le(), round: buf.get_u64_le() })
             }
             TAG_RESUME_SYNC => {
-                need(&buf, 12)?;
+                need(buf, 12)?;
                 Ok(Message::ResumeSync { round: buf.get_u64_le(), last_loss: buf.get_f32_le() })
             }
             other => Err(DecodeError::UnknownTag(other)),
@@ -513,8 +520,30 @@ mod tests {
         for m in messages {
             let frame = m.encode();
             assert_eq!(frame.len(), m.wire_size(), "declared size must match encoding");
-            let back = Message::decode(frame).unwrap();
+            let back = Message::decode(&frame).unwrap();
             assert_eq!(back, m);
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_frame_encode_returns() {
+        let messages = [
+            Message::Heartbeat { client_nonce: 42, round: 7, last_loss: 0.88 },
+            Message::ModelUpdate { round: 7, params: vec![0.5; 9], loss: 1.25, n_train: 3 },
+            Message::Leave { client_nonce: 42, round: 7 },
+        ];
+        let mut buf = BytesMut::with_capacity(messages.iter().map(Message::wire_size).sum());
+        let mut frames = Vec::new();
+        for m in &messages {
+            let start = buf.len();
+            m.encode_into(&mut buf);
+            assert_eq!(buf.len() - start, m.wire_size());
+            frames.push(start..buf.len());
+        }
+        let all = buf.freeze();
+        for (m, range) in messages.iter().zip(frames) {
+            assert_eq!(all.slice(range.clone()), m.encode());
+            assert_eq!(&Message::decode(&all[range]).unwrap(), m);
         }
     }
 
@@ -523,7 +552,7 @@ mod tests {
         let m = Message::ModelPush { round: 1, params: vec![1.0; 10] };
         let frame = m.encode();
         for cut in [0usize, 1, 5, frame.len() - 1] {
-            let out = Message::decode(frame.slice(0..cut));
+            let out = Message::decode(&frame[..cut]);
             assert!(matches!(out, Err(DecodeError::Truncated)), "cut at {cut} gave {out:?}");
         }
     }
@@ -531,7 +560,7 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         let frame = Bytes::from_static(&[0xFF, 0, 0, 0]);
-        assert_eq!(Message::decode(frame), Err(DecodeError::UnknownTag(0xFF)));
+        assert_eq!(Message::decode(&frame), Err(DecodeError::UnknownTag(0xFF)));
     }
 
     #[test]
@@ -541,7 +570,7 @@ mod tests {
         buf.put_u8(0x03);
         buf.put_u64_le(0);
         buf.put_u32_le(u32::MAX);
-        let out = Message::decode(buf.freeze());
+        let out = Message::decode(buf.as_ref());
         assert!(matches!(out, Err(DecodeError::LengthOutOfBounds(_))), "{out:?}");
         // same for an encoded update claiming a 4 GiB payload
         let mut buf = BytesMut::new();
@@ -549,7 +578,7 @@ mod tests {
         buf.put_u64_le(0);
         buf.put_u8(1);
         buf.put_u32_le(u32::MAX);
-        let out = Message::decode(buf.freeze());
+        let out = Message::decode(buf.as_ref());
         assert!(matches!(out, Err(DecodeError::LengthOutOfBounds(_))), "{out:?}");
     }
 
@@ -564,7 +593,7 @@ mod tests {
         };
         let frame = m.encode();
         for cut in [1usize, 9, 10, 14, frame.len() - 1] {
-            let out = Message::decode(frame.slice(0..cut));
+            let out = Message::decode(&frame[..cut]);
             assert!(matches!(out, Err(DecodeError::Truncated)), "cut at {cut} gave {out:?}");
         }
     }

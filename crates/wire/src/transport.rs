@@ -383,7 +383,7 @@ impl TcpTransport {
     pub fn recv(&self) -> Result<Message, TransportError> {
         let mut guard = self.stream.lock().expect("tcp stream lock poisoned");
         let payload = read_frame_limited(&mut *guard, self.max_frame_bytes)?;
-        Ok(Message::decode(Bytes::from(payload))?)
+        Ok(Message::decode(&payload)?)
     }
 
     /// Half-closes the write side, letting the peer observe a clean

@@ -2,7 +2,6 @@
 //! on arbitrary bytes, and the lossy channel is a pure function of
 //! (seed, stream, message).
 
-use bytes::Bytes;
 use haccs_wire::{
     read_frame, write_frame, ChannelError, Envelope, FaultyChannel, FrameError, Message,
     ResourceEstimate, TransmitOutcome, WireSummary, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
@@ -82,7 +81,7 @@ proptest! {
     fn encode_decode_roundtrip(m in arb_message()) {
         let frame = m.encode();
         prop_assert_eq!(frame.len(), m.wire_size());
-        let back = Message::decode(frame).unwrap();
+        let back = Message::decode(&frame).unwrap();
         prop_assert_eq!(back, m);
     }
 
@@ -96,7 +95,7 @@ proptest! {
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         // any result is fine; panicking or huge allocation is not
-        let _ = Message::decode(Bytes::from(bytes));
+        let _ = Message::decode(&bytes);
     }
 
     #[test]
@@ -104,7 +103,7 @@ proptest! {
         let frame = m.encode();
         let cut = ((frame.len() as f64) * frac) as usize;
         if cut < frame.len() {
-            let out = Message::decode(frame.slice(0..cut));
+            let out = Message::decode(&frame[..cut]);
             prop_assert!(out.is_err(), "decoding a prefix must fail, got {:?}", out);
         }
     }
@@ -141,7 +140,7 @@ proptest! {
         let mut cursor = wire.as_slice();
         for m in &msgs {
             let payload = read_frame(&mut cursor).expect("read frame");
-            prop_assert_eq!(Message::decode(Bytes::from(payload)).unwrap(), m.clone());
+            prop_assert_eq!(Message::decode(&payload).unwrap(), m.clone());
         }
         prop_assert_eq!(
             read_frame(&mut cursor).unwrap_err(),
@@ -176,7 +175,7 @@ proptest! {
         // result: a frame (whose decode may then fail), Closed, Truncated
         // or TooLarge — anything but a panic or an absurd allocation
         match read_frame(&mut garbage.as_slice()) {
-            Ok(payload) => { let _ = Message::decode(Bytes::from(payload)); }
+            Ok(payload) => { let _ = Message::decode(&payload); }
             Err(FrameError::Closed | FrameError::Truncated | FrameError::TooLarge(_)) => {}
             Err(e) => prop_assert!(false, "in-memory read gave io error {:?}", e),
         }

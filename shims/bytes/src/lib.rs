@@ -1,7 +1,8 @@
 //! Offline stand-in for the `bytes` crate: [`Bytes`] / [`BytesMut`] plus
 //! the [`Buf`] / [`BufMut`] methods the wire codec uses. `Bytes` is a
 //! cheaply cloneable `Arc<[u8]>` window with a read cursor; `BytesMut` is a
-//! growable buffer that freezes into `Bytes`.
+//! growable buffer that freezes into `Bytes`. As in the real crate, a
+//! plain `&[u8]` is a [`Buf`] too: reading advances the slice itself.
 
 use std::sync::Arc;
 
@@ -146,6 +147,19 @@ impl Buf for Bytes {
     }
 }
 
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn copy_bytes(&mut self, n: usize) -> &[u8] {
+        assert!(n <= self.len(), "buffer underflow: need {n}, have {}", self.len());
+        let (head, tail) = self.split_at(n);
+        *self = tail;
+        head
+    }
+}
+
 /// A growable byte buffer that freezes into [`Bytes`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BytesMut {
@@ -227,6 +241,31 @@ mod tests {
     fn reading_past_end_panics() {
         let mut b = Bytes::from(vec![1u8, 2]);
         b.get_u32_le();
+    }
+
+    #[test]
+    fn a_slice_reads_like_bytes_and_advances_itself() {
+        let mut b = BytesMut::new();
+        b.put_u8(7);
+        b.put_u64_le(u64::MAX - 1);
+        b.put_f32_le(-0.25);
+        b.put_slice(&[1, 2]);
+        let frozen = b.freeze();
+        let mut s: &[u8] = &frozen;
+        assert_eq!(s.get_u8(), 7);
+        assert_eq!(s.get_u64_le(), u64::MAX - 1);
+        assert_eq!(s.get_f32_le(), -0.25);
+        assert_eq!(s.remaining(), 2);
+        assert_eq!(s.copy_bytes(2), &[1, 2]);
+        assert!(s.is_empty());
+        assert_eq!(frozen.len(), 1 + 8 + 4 + 2, "the underlying bytes are not consumed");
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn reading_past_the_end_of_a_slice_panics() {
+        let mut s: &[u8] = &[1, 2, 3];
+        s.get_u32_le();
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl Transport for PipedLossyTransport {
         write_frame(&mut wire, msg.encode().as_ref())?;
         std::thread::sleep(self.delay);
         let back = read_frame(&mut wire.as_slice())?;
-        let decoded = Message::decode(back.into()).map_err(TransportError::Decode)?;
+        let decoded = Message::decode(&back).map_err(TransportError::Decode)?;
         assert_eq!(&decoded, msg, "codec round-trip changed the message");
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.channel.transmit(msg, stream_id).map_err(TransportError::Channel)
