@@ -243,8 +243,8 @@ fn main() {
     if a.transport == TransportKind::Tcp {
         // same federation, but run as a real socket deployment: the
         // coordinator binds an ephemeral localhost port and one OS thread
-        // per client dials in — construction routes through the
-        // `Transport` trait instead of in-process mpsc channels.
+        // per client dials in, so envelopes cross real sockets instead of
+        // in-process mpsc channels.
         let model = a.scale.model();
         let channels = a.dataset.channels();
         let side = a.scale.side();

@@ -12,10 +12,10 @@
 //! `--clients` — through the instrumented loop engine with an *enabled*
 //! [`haccs_obs::Recorder`], then replays a shortened run through the
 //! message-driven coordinator to account for real control traffic. A
-//! recluster cold-vs-warm timing block and a tracing-overhead parity soak
-//! (enabled vs. disabled recorder must produce bit-identical
-//! [`haccs_fedsim::RoundRecord`] histories) round out the report, which
-//! lands in `results/BENCH_obs.json`.
+//! recluster cold-vs-warm timing block rounds out the report, which lands
+//! in `results/BENCH_obs.json`. That tracing leaves every
+//! [`haccs_fedsim::RoundRecord`] bit-identical is `tests/obs_parity.rs`'s
+//! job, and perfbench's `obs.overhead_pct` measures what tracing costs.
 //!
 //! `--check FILE` parses an existing report and validates the schema —
 //! CI's `bench-smoke` job runs the tiny matrix and then this validator.
@@ -27,7 +27,7 @@ use haccs_data::{partition, DatasetKind};
 use haccs_experiments::common::{build_selector, Env, Scale};
 use haccs_fedsim::{RunResult, Selector};
 use haccs_obs::json::Json;
-use haccs_obs::{MemorySink, Recorder};
+use haccs_obs::Recorder;
 use haccs_selectors::SelectorKind;
 use haccs_summary::{ClientSummary, Summarizer};
 use haccs_sysmodel::{Availability, FaultModel, FaultSpec};
@@ -129,33 +129,6 @@ fn run_coordinator(
     .with_recorder(rec.clone());
     let run = coord.run(rounds);
     (run, rec)
-}
-
-/// Engine-side tracing-overhead parity soak: the recorder-enabled run
-/// must produce a bit-identical round history to the disabled run.
-fn parity_block(env: &Env, rounds: usize) -> Json {
-    let mut sel_off = build_selector(SelectorKind::HaccsPy, env, RHO, None);
-    let mut sim_off = env.build_sim(K, Availability::AlwaysOn);
-    let t_off = Instant::now();
-    let off = sim_off.run(sel_off.as_mut(), rounds);
-    let wall_off = t_off.elapsed().as_secs_f64();
-
-    let sink = MemorySink::new();
-    let rec = Recorder::enabled().with_sink(sink.clone());
-    let mut sel_on = build_selector(SelectorKind::HaccsPy, env, RHO, None);
-    let mut sim_on = env.build_sim(K, Availability::AlwaysOn).with_recorder(rec.clone());
-    let t_on = Instant::now();
-    let on = sim_on.run(sel_on.as_mut(), rounds);
-    let wall_on = t_on.elapsed().as_secs_f64();
-
-    let identical = off.rounds == on.rounds && off.curve == on.curve;
-    assert!(identical, "tracing must not perturb the round history");
-    Json::obj(vec![
-        ("checked_rounds", Json::Num(rounds as f64)),
-        ("bit_identical", Json::Bool(identical)),
-        ("events_emitted", Json::Num(sink.len() as f64)),
-        ("overhead_ratio", Json::Num(if wall_off > 0.0 { wall_on / wall_off } else { f64::NAN })),
-    ])
 }
 
 /// Cold full-rebuild vs. warm incremental re-clustering over a churn
@@ -327,9 +300,6 @@ fn check_report(text: &str) -> Vec<String> {
             errs.push(format!("recluster.{key}: missing number"));
         }
     }
-    if json.get("parity").and_then(|p| p.get("bit_identical")) != Some(&Json::Bool(true)) {
-        errs.push("parity.bit_identical must be true".into());
-    }
     errs
 }
 
@@ -402,8 +372,6 @@ fn main() -> ExitCode {
     let biggest = build_env(*sizes.iter().max().expect("at least one size"), seed);
     eprintln!("recluster cold-vs-warm soak over {} clients", biggest.fed.n_clients());
     let recluster = recluster_block(&biggest, 8.min(2 * rounds));
-    eprintln!("tracing-overhead parity soak ({} rounds)", coord_rounds);
-    let parity = parity_block(&biggest, coord_rounds);
 
     let report = Json::obj(vec![
         ("schema", Json::Str("haccs-obs-bench/v1".into())),
@@ -417,7 +385,6 @@ fn main() -> ExitCode {
         ),
         ("scenarios", Json::Arr(scenarios)),
         ("recluster", recluster),
-        ("parity", parity),
     ]);
 
     if let Some(dir) = out.parent() {

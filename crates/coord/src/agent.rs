@@ -23,7 +23,7 @@
 //! the same way, so a remote client's envelope stream is identical, frame
 //! for frame, to the in-process agent's.
 //!
-//! Transport split:
+//! Uplink paths:
 //!
 //! * `Join`, `Leave` and enrollment-probe acks travel the *reliable* path
 //!   (membership changes ride a connection-oriented transport in a real
@@ -206,6 +206,17 @@ impl<'env> Downlink<'env> {
     }
 }
 
+/// The resource estimate a client with `profile` and `n_train` training
+/// examples reports in its `Join`.
+pub(crate) fn join_resources(profile: &DeviceProfile, n_train: usize) -> ResourceEstimate {
+    ResourceEstimate {
+        compute_multiplier: profile.compute_multiplier as f32,
+        bandwidth_mbps: profile.bandwidth_mbps as f32,
+        rtt_ms: profile.rtt_ms as f32,
+        n_train: n_train as u32,
+    }
+}
+
 /// How an answer travels to the coordinator.
 enum Path {
     /// Delivered on the first attempt.
@@ -227,7 +238,7 @@ pub(crate) struct Answer {
 /// Sends an encoded frame over the lossy channel: the frame the channel's
 /// attempts carry is the frame the envelope delivers.
 fn lossy(channel: &FaultyChannel, frame: Bytes, stream_id: u64) -> TransmitOutcome {
-    match channel.transmit_frame(&frame, stream_id) {
+    match channel.transmit(&frame, stream_id) {
         Ok(d) => TransmitOutcome::Delivered {
             frame,
             retries: d.retries as usize,
@@ -348,12 +359,7 @@ impl AgentState {
         let join = Message::Join {
             client_nonce: self.nonce,
             summary,
-            resources: ResourceEstimate {
-                compute_multiplier: cold.profile.compute_multiplier as f32,
-                bandwidth_mbps: cold.profile.bandwidth_mbps as f32,
-                rtt_ms: cold.profile.rtt_ms as f32,
-                n_train: cold.data.train.len() as u32,
-            },
+            resources: join_resources(&cold.profile, cold.data.train.len()),
         };
         self.answer(join, Path::Reliable)
     }

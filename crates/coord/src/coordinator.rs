@@ -36,7 +36,9 @@
 //! `(seed, stream_id, attempt)` shared with the loop engine's analytic
 //! accounting, so retries/losses/bytes also match the engine exactly.
 
-use crate::agent::{AgentEnv, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink};
+use crate::agent::{
+    join_resources, AgentEnv, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink,
+};
 use crate::events::{EventQueue, Inbox, QueueFull};
 use crate::registry::{ClientEntry, ClientRegistry, Liveness};
 use crate::shard::{shard_of, EventCore, ShardConfig};
@@ -1047,7 +1049,9 @@ impl<S: Selector> Coordinator<S> {
 
     /// Spawns pending agents, processes their `Join`s, probes their
     /// initial losses and — when membership changed mid-training — runs
-    /// the §IV-C re-clustering hook.
+    /// the §IV-C re-clustering hook. A client whose first envelope is not
+    /// a readable `Join` is enrolled as an evicted `Left` tombstone, with
+    /// a `coord.rejected` event saying why.
     fn ensure_enrolled(&mut self) -> Result<(), CoordError> {
         if !self.pending.is_empty() || !self.pending_remote.is_empty() {
             let first_enrollment = self.fleet.registry.is_empty();
@@ -1095,25 +1099,45 @@ impl<S: Selector> Coordinator<S> {
                 self.fleet.collect_uniform(n_new, &self.server)?
             {
                 let (profile, local_n_train) = spawn_meta[&id];
-                match Fleet::decode_delivered(outcome) {
-                    Ok(Message::Join { client_nonce, summary, resources }) => {
-                        let n_train = local_n_train.unwrap_or(resources.n_train as usize);
-                        self.fleet.registry.enroll(ClientEntry {
-                            id,
-                            nonce: client_nonce,
-                            profile,
-                            resources,
-                            summary,
-                            n_train,
-                            last_loss: None,
-                            participation_count: 0,
-                            liveness: Liveness::Joined,
-                            missed_heartbeats: 0,
-                        });
-                        self.fleet.mark_entry_dirty(id);
-                        new_ids.push(id);
+                let (nonce, resources, summary, n_train, rejected) =
+                    match Fleet::decode_delivered(outcome) {
+                        Ok(Message::Join { client_nonce, summary, resources }) => {
+                            let n_train = local_n_train.unwrap_or(resources.n_train as usize);
+                            (client_nonce, resources, summary, n_train, None)
+                        }
+                        // a first envelope that is not a readable Join
+                        // enrolls its sender as an evicted tombstone, with
+                        // the nonce and resources its Join would carry
+                        other => {
+                            let why = other.err().unwrap_or_else(|| "not a Join".into());
+                            let n_train = local_n_train.unwrap_or(0);
+                            let empty =
+                                WireSummary { histograms: Vec::new(), prevalence: Vec::new() };
+                            let nonce = session_nonce(self.server.cfg.seed, id);
+                            (nonce, join_resources(&profile, n_train), empty, n_train, Some(why))
+                        }
+                    };
+                self.fleet.registry.enroll(ClientEntry {
+                    id,
+                    nonce,
+                    profile,
+                    resources,
+                    summary,
+                    n_train,
+                    last_loss: None,
+                    participation_count: 0,
+                    liveness: Liveness::Joined,
+                    missed_heartbeats: 0,
+                });
+                self.fleet.mark_entry_dirty(id);
+                match rejected {
+                    None => new_ids.push(id),
+                    Some(why) => {
+                        self.fleet.registry.observe_leave(id);
+                        self.fleet.core_mut().detach(id);
+                        rejected_event(&self.server, id, why);
+                        liveness_event(&self.server, id, "evicted");
                     }
-                    other => panic!("expected Join from client {id}, got {other:?}"),
                 }
             }
 
@@ -1150,7 +1174,7 @@ impl<S: Selector> Coordinator<S> {
                 self.fleet.membership_dirty = true;
             }
             enroll_span.finish();
-            self.server.obs.inc("coord_joins_total", n_new as u64);
+            self.server.obs.inc("coord_joins_total", new_ids.len() as u64);
             self.fleet.observe_shard_membership(&self.server.obs);
         }
 
@@ -1579,13 +1603,7 @@ impl<S: Selector> Coordinator<S> {
             let profile = profiles[id];
             let (nonce, resources) = if re.liveness == Liveness::Left {
                 // departed client: reconstruct what its Join carried
-                let resources = ResourceEstimate {
-                    compute_multiplier: profile.compute_multiplier as f32,
-                    bandwidth_mbps: profile.bandwidth_mbps as f32,
-                    rtt_ms: profile.rtt_ms as f32,
-                    n_train: re.n_train as u32,
-                };
-                (session_nonce(self.server.cfg.seed, id), resources)
+                (session_nonce(self.server.cfg.seed, id), join_resources(&profile, re.n_train))
             } else {
                 let Some((nonce, resources)) = joins.remove(&id) else {
                     return malformed(format!("resumed client {id} sent no Join"));
@@ -2478,6 +2496,48 @@ mod tests {
         drop(coord);
         for t in threads {
             t.join().expect("client thread");
+        }
+    }
+
+    #[test]
+    fn a_first_envelope_that_is_not_a_join_evicts_its_client() {
+        use haccs_obs::FieldValue;
+        let garbage = bytes::Bytes::from_static(&[0xEE, 0x01, 0x02]);
+        let hb = Message::Heartbeat { client_nonce: session_nonce(5, 0), round: 0, last_loss: 0.5 };
+        for (first, want) in [(garbage, "undecodable frame"), (hb.encode(), "not a Join")] {
+            let (coord, threads) = tampered_remote(3, move |id, msg| match (id, msg) {
+                (0, Message::Join { .. }) => Some(first.clone()),
+                _ => None,
+            });
+            let sink = haccs_obs::MemorySink::new();
+            let obs = Recorder::enabled().with_sink(sink.clone());
+            let mut coord = coord.with_recorder(obs.clone());
+            let rec = coord.run_round();
+            assert_eq!(obs.counter_value("coord_joins_total"), 2, "{want}: only joiners count");
+            let mut participants = rec.participants;
+            participants.sort_unstable();
+            assert_eq!(participants, [1, 2], "{want}: the other joiners train");
+            assert_eq!(coord.registry().get(0).liveness, Liveness::Left, "{want}");
+            let records = sink.records();
+            let client =
+                |r: &haccs_obs::EventRecord| r.field("client").and_then(FieldValue::as_f64);
+            let rejected: Vec<_> = records.iter().filter(|r| r.name == "coord.rejected").collect();
+            assert_eq!(rejected.iter().map(|r| client(r)).collect::<Vec<_>>(), [Some(0.0)]);
+            match rejected[0].field("why") {
+                Some(FieldValue::Str(why)) => assert!(why.contains(want), "why: {why}"),
+                other => panic!("no reason given: {other:?}"),
+            }
+            let evicted = FieldValue::Str("evicted".into());
+            let evictions: Vec<_> = records
+                .iter()
+                .filter(|r| r.name == "coord.liveness" && r.field("to") == Some(&evicted))
+                .map(client)
+                .collect();
+            assert_eq!(evictions, [Some(0.0)], "{want}");
+            drop(coord);
+            for t in threads {
+                t.join().expect("client thread");
+            }
         }
     }
 

@@ -16,9 +16,10 @@
 //!   half-closes the stream (`shutdown(Write)`) when the coordinator drops
 //!   the downlink, so the remote agent observes the same orderly EOF a
 //!   local agent sees when its channel closes.
-//! * **client side** — [`serve_agent_tcp`] dials the coordinator (retry
-//!   with capped backoff), splits the stream, and runs the **unchanged**
-//!   agent loop between two pumps. The agent cannot tell it is remote.
+//! * **client side** — [`serve_agent_tcp`] dials the coordinator
+//!   ([`haccs_wire::dial`]: retry with capped backoff), splits the stream,
+//!   and runs the **unchanged** agent loop between two pumps. The agent
+//!   cannot tell it is remote.
 //!
 //! Determinism over real sockets: fault outcomes are content-independent
 //! hashes computed *client-side* by the [`FaultyChannel`] inside each
@@ -41,7 +42,7 @@ use haccs_fedsim::selector::Selector;
 use haccs_summary::Summarizer;
 use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel};
 use haccs_wire::frame::{read_frame_limited, write_frame_limited, FrameError};
-use haccs_wire::{constant_time_eq, TcpConfig, TcpTransport, TransportError};
+use haccs_wire::{configure, constant_time_eq, dial, TcpConfig, TransportError};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -62,9 +63,7 @@ pub fn bridge_client(
     tcp: &TcpConfig,
     taken: impl Fn(usize) -> bool,
 ) -> Result<Option<(usize, RemoteLink)>, TransportError> {
-    stream.set_read_timeout(tcp.read_timeout).map_err(FrameError::from)?;
-    stream.set_write_timeout(tcp.write_timeout).map_err(FrameError::from)?;
-    stream.set_nodelay(true).map_err(FrameError::from)?;
+    configure(&stream, tcp)?;
     let max_frame = tcp.max_frame_bytes;
     let mut read_half = stream.try_clone().map_err(FrameError::from)?;
 
@@ -200,10 +199,8 @@ pub fn serve_agent_tcp(
     factory: SharedModelFactory,
     summarizer: Summarizer,
 ) -> Result<(), TransportError> {
-    let transport = TcpTransport::connect(addr, tcp)?;
-    let mut read_half = transport.try_clone_stream()?;
-    let mut write_half = transport.try_clone_stream()?;
-    drop(transport); // the clones keep the connection alive
+    let mut write_half = dial(addr, tcp)?;
+    let mut read_half = write_half.try_clone().map_err(FrameError::from)?;
 
     if let Some(token) = &tcp.auth_token {
         // authentication preamble: the digest is the very first frame on

@@ -1,14 +1,13 @@
-//! Minimal self-contained JSON support for experiment reports.
+//! Minimal self-contained JSON writer for experiment reports.
 //!
 //! The workspace builds fully offline, so reports serialize through this
 //! module instead of `serde_json`. Output matches `serde_json`'s pretty
-//! style (2-space indent, `"key": value`), and the parser accepts any
-//! standard JSON document, not just what [`pretty`](JsonValue::pretty)
-//! emits.
+//! style (2-space indent, `"key": value`); reading a report back is
+//! `haccs_obs::json::Json::parse`'s job.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON document.
+/// A JSON document to write.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`
@@ -25,68 +24,7 @@ pub enum JsonValue {
     Obj(Vec<(String, JsonValue)>),
 }
 
-/// A parse failure with byte offset and reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure in the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.reason)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
 impl JsonValue {
-    /// Parses a JSON document; rejects trailing garbage.
-    pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
-    }
-
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Pretty-prints with 2-space indentation, `serde_json` style.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -178,234 +116,58 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, reason: &'static str) -> JsonError {
-        JsonError { offset: self.pos, reason }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err("unexpected character"))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') if self.literal("true") => Ok(JsonValue::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(JsonValue::Bool(false)),
-            Some(b'n') if self.literal("null") => Ok(JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are not needed for report text.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the full UTF-8 scalar starting here.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(JsonValue::Num).map_err(|_| self.err("invalid number"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_what_pretty_emits() {
+    fn pretty_prints_serde_style() {
         let v = JsonValue::Obj(vec![
             ("id".into(), JsonValue::Str("fig3".into())),
             (
                 "points".into(),
                 JsonValue::Arr(vec![
                     JsonValue::Arr(vec![JsonValue::Num(0.0), JsonValue::Num(0.1)]),
-                    JsonValue::Arr(vec![JsonValue::Num(10.0), JsonValue::Num(0.5)]),
+                    JsonValue::Arr(vec![JsonValue::Num(10.0), JsonValue::Num(-3.25e17)]),
                 ]),
             ),
             ("empty".into(), JsonValue::Arr(vec![])),
+            ("nested".into(), JsonValue::Obj(vec![])),
             ("flag".into(), JsonValue::Bool(true)),
             ("none".into(), JsonValue::Null),
         ]);
-        let text = v.pretty();
-        assert!(text.contains("\"id\": \"fig3\""), "{text}");
-        assert_eq!(JsonValue::parse(&text).unwrap(), v);
+        let want = r#"{
+  "id": "fig3",
+  "points": [
+    [
+      0.0,
+      0.1
+    ],
+    [
+      10.0,
+      -325000000000000000
+    ]
+  ],
+  "empty": [],
+  "nested": {},
+  "flag": true,
+  "none": null
+}"#;
+        assert_eq!(v.pretty(), want);
     }
 
     #[test]
-    fn numbers_roundtrip_exactly() {
-        for n in [0.0, -1.5, 10.0, 0.1, 1e-9, 123456.789, -3.25e17] {
-            let text = JsonValue::Num(n).pretty();
-            let back = JsonValue::parse(&text).unwrap().as_f64().unwrap();
-            assert_eq!(back, n, "{text}");
-        }
+    fn whole_numbers_keep_their_point() {
+        assert_eq!(JsonValue::Num(10.0).pretty(), "10.0");
+        assert_eq!(JsonValue::Num(-1.5).pretty(), "-1.5");
+        assert_eq!(JsonValue::Num(1e-9).pretty(), "0.000000001");
     }
 
     #[test]
-    fn strings_escape_and_roundtrip() {
-        let s = "tab\t quote\" slash\\ newline\n unicode é";
-        let text = JsonValue::Str(s.into()).pretty();
-        assert_eq!(JsonValue::parse(&text).unwrap().as_str().unwrap(), s);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(JsonValue::parse("{\"a\": }").is_err());
-        assert!(JsonValue::parse("[1, 2").is_err());
-        assert!(JsonValue::parse("{} trailing").is_err());
-        assert!(JsonValue::parse("\"unterminated").is_err());
+    fn strings_are_escaped() {
+        let s = "tab\t quote\" slash\\ newline\n bell\u{7} unicode é";
+        let want = r#""tab\t quote\" slash\\ newline\n bell\u0007 unicode é""#;
+        assert_eq!(JsonValue::Str(s.into()).pretty(), want);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Experiment output: printable tables + JSON-serializable series.
 
-use crate::json::{JsonError, JsonValue};
+use crate::json::JsonValue;
 use std::fmt::Write as _;
 
 /// A named (x, y) series, e.g. one strategy's accuracy-over-time curve.
@@ -116,108 +116,6 @@ impl ExperimentReport {
         self.to_value().pretty()
     }
 
-    /// Parses a report previously produced by [`to_json`](Self::to_json).
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let v = JsonValue::parse(text)?;
-        let missing = |reason| JsonError { offset: 0, reason };
-        let str_field = |key| -> Result<String, JsonError> {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| missing("missing string field"))
-        };
-        let str_vec = |arr: &[JsonValue]| -> Result<Vec<String>, JsonError> {
-            arr.iter()
-                .map(|s| s.as_str().map(str::to_string).ok_or_else(|| missing("expected string")))
-                .collect()
-        };
-
-        let mut series = Vec::new();
-        for s in v
-            .get("series")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| missing("missing series array"))?
-        {
-            let points = s
-                .get("points")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| missing("missing points array"))?
-                .iter()
-                .map(|p| {
-                    let pair = p.as_arr().filter(|a| a.len() == 2);
-                    match pair {
-                        Some([x, y]) => {
-                            // Non-finite values serialize as null.
-                            let x = x.as_f64().unwrap_or(f64::NAN);
-                            let y = y.as_f64().unwrap_or(f64::NAN);
-                            Ok((x, y))
-                        }
-                        _ => Err(missing("point must be a 2-element array")),
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            series.push(Series {
-                name: s
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| missing("missing series name"))?
-                    .to_string(),
-                x_label: s
-                    .get("x_label")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| missing("missing x_label"))?
-                    .to_string(),
-                y_label: s
-                    .get("y_label")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| missing("missing y_label"))?
-                    .to_string(),
-                points,
-            });
-        }
-
-        let mut tables = Vec::new();
-        for t in v
-            .get("tables")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| missing("missing tables array"))?
-        {
-            let headers = str_vec(
-                t.get("headers")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or_else(|| missing("missing headers"))?,
-            )?;
-            let rows = t
-                .get("rows")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| missing("missing rows"))?
-                .iter()
-                .map(|r| str_vec(r.as_arr().ok_or_else(|| missing("row must be an array"))?))
-                .collect::<Result<Vec<_>, _>>()?;
-            tables.push(TableBlock {
-                title: t
-                    .get("title")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| missing("missing table title"))?
-                    .to_string(),
-                headers,
-                rows,
-            });
-        }
-
-        let notes = str_vec(
-            v.get("notes").and_then(JsonValue::as_arr).ok_or_else(|| missing("missing notes"))?,
-        )?;
-
-        Ok(ExperimentReport {
-            id: str_field("id")?,
-            title: str_field("title")?,
-            series,
-            tables,
-            notes,
-        })
-    }
-
     fn to_value(&self) -> JsonValue {
         let series = self
             .series
@@ -297,18 +195,27 @@ mod tests {
     }
 
     #[test]
-    fn report_json_roundtrip() {
+    fn report_json_names_every_field() {
         let mut r = ExperimentReport::new("fig5a", "TTA");
         r.series.push(Series {
             name: "random".into(),
             x_label: "time_s".into(),
             y_label: "accuracy".into(),
-            points: vec![(0.0, 0.1), (10.0, 0.5)],
+            points: vec![(10.0, 0.5)],
         });
         r.notes.push("hello".into());
         let json = r.to_json();
-        let back = ExperimentReport::from_json(&json).unwrap();
-        assert_eq!(back, r);
+        for line in [
+            r#""id": "fig5a","#,
+            r#""title": "TTA","#,
+            r#""name": "random","#,
+            r#""x_label": "time_s","#,
+            r#""y_label": "accuracy","#,
+            r#""tables": [],"#,
+            r#""hello""#,
+        ] {
+            assert!(json.lines().any(|l| l.trim() == line), "{line} missing from {json}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use haccs_nn::{evaluate, Sequential};
 use haccs_obs::Recorder;
 use haccs_persist::{self as persist, PersistError, SnapshotReader, SnapshotWriter};
 use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel};
-use haccs_wire::{Message, Transport, TransportError};
+use haccs_wire::{ChannelError, Message};
 use rayon::prelude::*;
 use std::convert::Infallible;
 
@@ -187,10 +187,6 @@ pub struct FedSim {
     /// All devices in the federation.
     pub clients: Vec<ClientState>,
     snapshots: Option<SnapshotPolicy>,
-    /// Custom carrier for update/heartbeat traffic. `None` derives a
-    /// [`haccs_wire::FaultyChannel`] from the fault schedule per call
-    /// (the historical behavior, bit-identical to the seed runs).
-    transport: Option<Box<dyn Transport + Send>>,
     /// Per-client error-feedback residuals, allocated only when the
     /// attached codec is stateful (`TopK`). Updated at encode time —
     /// whether or not the frame survives the wire — like a real client.
@@ -227,33 +223,13 @@ impl FedSim {
             c.last_loss = Some(l);
         }
 
-        FedSim {
-            server,
-            factory,
-            clients,
-            snapshots: None,
-            transport: None,
-            codec_residuals: Vec::new(),
-        }
+        FedSim { server, factory, clients, snapshots: None, codec_residuals: Vec::new() }
     }
 
     /// Attaches a fault schedule (builder style). A schedule with every
     /// rate at zero leaves the simulation bit-identical to no schedule.
     pub fn with_faults(mut self, faults: FaultModel) -> Self {
         self.server.faults = faults;
-        self
-    }
-
-    /// Routes update transmissions and heartbeat acks through a custom
-    /// [`Transport`] (builder style) instead of the per-call
-    /// [`haccs_wire::FaultyChannel`] derived from the fault schedule. A
-    /// custom transport carries wire traffic whenever the schedule's
-    /// `lossy_prob > 0` — the same gate the derived channel uses — so a
-    /// transport whose outcomes match the derived channel's hashes keeps
-    /// every [`crate::FaultStats`] field bit-identical (pinned by
-    /// `tests/transport_fault_parity.rs`).
-    pub fn with_transport(mut self, transport: Box<dyn Transport + Send>) -> Self {
-        self.transport = Some(transport);
         self
     }
 
@@ -380,7 +356,6 @@ impl FedSim {
             factory: &self.factory,
             clients: &mut self.clients,
             residuals: &mut self.codec_residuals,
-            transport: self.transport.as_deref(),
         };
         let Ok(record) = self.server.run_round(&mut local, selector, &pool);
         if let Some(p) = &self.snapshots {
@@ -619,7 +594,6 @@ struct Local<'a> {
     factory: &'a ModelFactory,
     clients: &'a mut [ClientState],
     residuals: &'a mut [Vec<f32>],
-    transport: Option<&'a (dyn Transport + Send)>,
 }
 
 impl Local<'_> {
@@ -691,23 +665,12 @@ impl Local<'_> {
             None => Message::ModelUpdate { round, params: update.params.clone(), loss, n_train },
         };
         let stream_id = round::update_stream_id(server.epoch, update.id);
-        let derived;
-        let transport: &dyn Transport = match self.transport {
-            Some(t) => t,
-            None => {
-                derived = round::wire_channel(&server.faults, &server.policy);
-                &derived
-            }
-        };
-        match transport.transmit(&msg, stream_id) {
+        let channel = round::wire_channel(&server.faults, &server.policy);
+        match channel.transmit(&msg.encode(), stream_id) {
             Ok(d) => Ok((d.retries as usize, d.backoff_s)),
-            Err(TransportError::Channel(haccs_wire::ChannelError::RetryBudgetExhausted {
-                attempts,
-                backoff_s,
-            })) => Err((attempts as usize - 1, backoff_s)),
-            // a physical-transport failure: the update never arrived and
-            // there is no simulated retry schedule to account for
-            Err(_) => Err((0, 0.0)),
+            Err(ChannelError::RetryBudgetExhausted { attempts, backoff_s }) => {
+                Err((attempts as usize - 1, backoff_s))
+            }
         }
     }
 }
@@ -769,12 +732,7 @@ impl Backend for Local<'_> {
         pool: &[usize],
     ) -> Result<HeartbeatOutcome, Infallible> {
         let (epoch, probed) = (server.epoch, self.clients.len());
-        Ok(match self.transport {
-            Some(t) if server.faults.lossy_prob > 0.0 => {
-                round::simulate_heartbeats_with(t, epoch, probed, pool)
-            }
-            _ => round::simulate_heartbeats(&server.faults, &server.policy, epoch, probed, pool),
-        })
+        Ok(round::simulate_heartbeats(&server.faults, &server.policy, epoch, probed, pool))
     }
 }
 

@@ -25,9 +25,7 @@ use haccs_nn::{evaluate, Sequential};
 use haccs_obs::{Recorder, Span};
 use haccs_persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel, SimClock};
-use haccs_wire::{
-    control_bytes_per_client, ChannelError, FaultyChannel, Message, Transport, TransportError,
-};
+use haccs_wire::{control_bytes_per_client, ChannelError, FaultyChannel, Message};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -308,45 +306,17 @@ pub struct HeartbeatOutcome {
 
 /// Simulates one round's heartbeat sweep: the server probes `probed`
 /// clients, each id in `responders` attempts an ack through the lossy
-/// channel on its [`hb_stream_id`]. Wire outcomes are pure hashes of
-/// `(seed, stream, attempt)` and the `Heartbeat` frame has a fixed size,
-/// so this function and a real agent transmitting its ack produce
-/// identical retry/byte traces — which is what keeps the loop engine and
-/// the coordinator's heartbeat accounting in lockstep. Heartbeats ride
-/// alongside the round off the critical path: they cost bytes, never
-/// round time.
+/// channel on its [`hb_stream_id`] (with no wire loss configured, every
+/// ack arrives first time and no frame is encoded). Wire outcomes are
+/// pure hashes of `(seed, stream, attempt)` and the `Heartbeat` frame has
+/// a fixed size, so this function and a real agent transmitting its ack
+/// produce identical retry/byte traces — which is what keeps the loop
+/// engine and the coordinator's heartbeat accounting in lockstep.
+/// Heartbeats ride alongside the round off the critical path: they cost
+/// bytes, never round time.
 pub fn simulate_heartbeats(
     faults: &FaultModel,
     policy: &RoundPolicy,
-    epoch: usize,
-    probed: usize,
-    responders: &[usize],
-) -> HeartbeatOutcome {
-    if faults.lossy_prob > 0.0 {
-        let channel = wire_channel(faults, policy);
-        simulate_heartbeats_with(&channel, epoch, probed, responders)
-    } else {
-        let hb_size =
-            Message::Heartbeat { client_nonce: 0, round: epoch as u64, last_loss: 0.0 }.wire_size();
-        HeartbeatOutcome {
-            acked: responders.len(),
-            missed: probed - responders.len(),
-            retries: 0,
-            bytes: (probed + responders.len()) * hb_size,
-        }
-    }
-}
-
-/// [`simulate_heartbeats`] with the wire abstracted behind a
-/// [`Transport`]: every responder's ack rides `transport` on its
-/// [`hb_stream_id`]. With the fault-schedule-derived [`FaultyChannel`]
-/// this is exactly the lossy branch of [`simulate_heartbeats`]; a custom
-/// transport (a mock, or a real socket) slots in with the same
-/// accounting. Transport failures that carry no channel accounting
-/// (frame/IO errors) count as a plain miss: the ack never arrived and no
-/// simulated retries were spent.
-pub fn simulate_heartbeats_with(
-    transport: &dyn Transport,
     epoch: usize,
     probed: usize,
     responders: &[usize],
@@ -358,22 +328,25 @@ pub fn simulate_heartbeats_with(
         missed: probed - responders.len(),
         ..Default::default()
     };
-    for &id in responders {
-        match transport.transmit(&hb, hb_stream_id(epoch, id)) {
-            Ok(d) => {
-                out.acked += 1;
-                out.retries += d.retries as usize;
-                out.bytes += d.bytes_sent;
+    if faults.lossy_prob > 0.0 {
+        let (channel, frame) = (wire_channel(faults, policy), hb.encode());
+        for &id in responders {
+            match channel.transmit(&frame, hb_stream_id(epoch, id)) {
+                Ok(d) => {
+                    out.acked += 1;
+                    out.retries += d.retries as usize;
+                    out.bytes += d.bytes_sent;
+                }
+                Err(ChannelError::RetryBudgetExhausted { attempts, .. }) => {
+                    out.missed += 1;
+                    out.retries += attempts as usize - 1;
+                    out.bytes += attempts as usize * hb_size;
+                }
             }
-            Err(TransportError::Channel(ChannelError::RetryBudgetExhausted {
-                attempts, ..
-            })) => {
-                out.missed += 1;
-                out.retries += attempts as usize - 1;
-                out.bytes += attempts as usize * hb_size;
-            }
-            Err(_) => out.missed += 1,
         }
+    } else {
+        out.acked = responders.len();
+        out.bytes += responders.len() * hb_size;
     }
     out
 }

@@ -1,7 +1,8 @@
-//! [`FaultyChannel`]: a lossy transport wrapped around
-//! [`Message::encode`](crate::Message::encode) /
-//! [`Message::decode`](crate::Message::decode), with retransmission,
-//! exponential backoff and a per-message retry budget.
+//! [`FaultyChannel`]: a seeded lossy channel for frames made by
+//! [`Message::encode`](crate::Message::encode), with retransmission,
+//! exponential backoff and a per-message retry budget; its receive path
+//! runs [`Message::decode`](crate::Message::decode) on every delivery.
+//! Both runtimes' update and heartbeat traffic crosses it.
 //!
 //! Each transmission attempt independently either **delivers**, **drops**
 //! the frame (nothing arrives; the sender times out and retransmits) or
@@ -14,15 +15,11 @@
 
 use crate::{DecodeError, Message};
 
-/// Outcome of one successful [`FaultyChannel::transmit`] or
-/// [`FaultyChannel::transmit_frame`].
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of one successful [`FaultyChannel::transmit`]. What arrives
+/// is the frame that was sent: a corrupted copy is never surfaced, it
+/// forces a retransmission.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Delivery {
-    /// The decoded message as received (equals the sent message — a
-    /// corrupted frame is never surfaced, it forces a retransmission).
-    pub message: Message,
-    /// Total attempts made (`retries + 1`).
-    pub attempts: u32,
     /// Retransmissions after the first attempt.
     pub retries: u32,
     /// Simulated seconds spent in backoff before the delivering attempt.
@@ -104,24 +101,14 @@ impl FaultyChannel {
         )
     }
 
-    /// Sends `msg` over the channel, retrying dropped/corrupted frames
-    /// with exponential backoff until delivery or budget exhaustion.
-    /// `stream_id` identifies the logical message stream (e.g. a hash of
-    /// `(client, round)`) so concurrent transfers get independent fault
-    /// traces.
-    pub fn transmit(&self, msg: &Message, stream_id: u64) -> Result<Delivery, ChannelError> {
-        let delivery = self.transmit_frame(&msg.encode(), stream_id)?;
-        debug_assert_eq!(&delivery.message, msg);
-        Ok(delivery)
-    }
-
-    /// [`FaultyChannel::transmit`] for a frame the sender already holds
-    /// encoded, so a sender that keeps the frame encodes it once. The
-    /// attempt trace is the same as `transmit`'s for the message the frame
-    /// encodes, and the receive path still decodes every delivered frame.
-    /// Panics if `frame` does not decode: it must come from
+    /// Sends `frame` over the channel, retrying dropped/corrupted
+    /// attempts with exponential backoff until delivery or budget
+    /// exhaustion. `stream_id` identifies the logical message stream
+    /// (e.g. a hash of `(client, round)`) so concurrent transfers get
+    /// independent fault traces. The receive path decodes every delivered
+    /// frame. Panics if `frame` does not decode: it must come from
     /// [`Message::encode`].
-    pub fn transmit_frame(&self, frame: &[u8], stream_id: u64) -> Result<Delivery, ChannelError> {
+    pub fn transmit(&self, frame: &[u8], stream_id: u64) -> Result<Delivery, ChannelError> {
         let mut backoff_s = 0.0f64;
         let mut bytes_sent = 0usize;
         for attempt in 0..=self.max_retries {
@@ -130,15 +117,8 @@ impl FaultyChannel {
             let lost = self.loss_prob > 0.0 && unit(h) < self.loss_prob;
             if !lost {
                 // receive path: the real decoder runs on every delivery
-                let received =
-                    Message::decode(frame).expect("a clean frame from encode() must decode");
-                return Ok(Delivery {
-                    message: received,
-                    attempts: attempt + 1,
-                    retries: attempt,
-                    backoff_s,
-                    bytes_sent,
-                });
+                Message::decode(frame).expect("a clean frame from encode() must decode");
+                return Ok(Delivery { retries: attempt, backoff_s, bytes_sent });
             }
             // faulted attempt: half the losses are silent drops, half are
             // in-flight corruptions the receiver detects and discards
@@ -188,12 +168,14 @@ mod tests {
         Message::ModelUpdate { round: 3, params: vec![1.0, -2.0, 0.5], loss: 0.7, n_train: 40 }
     }
 
+    fn frame() -> bytes::Bytes {
+        msg().encode()
+    }
+
     #[test]
     fn reliable_channel_delivers_first_try() {
         let ch = FaultyChannel::reliable(1);
-        let d = ch.transmit(&msg(), 9).unwrap();
-        assert_eq!(d.message, msg());
-        assert_eq!(d.attempts, 1);
+        let d = ch.transmit(&frame(), 9).unwrap();
         assert_eq!(d.retries, 0);
         assert_eq!(d.backoff_s, 0.0);
         assert_eq!(d.bytes_sent, msg().wire_size());
@@ -203,23 +185,21 @@ mod tests {
     fn retries_are_seed_deterministic() {
         let ch = FaultyChannel::lossy(0.6, 11, 8, 0.25);
         for stream in 0..50u64 {
-            assert_eq!(ch.transmit(&msg(), stream), ch.transmit(&msg(), stream));
+            assert_eq!(ch.transmit(&frame(), stream), ch.transmit(&frame(), stream));
         }
     }
 
     #[test]
-    fn transmit_frame_matches_transmit() {
-        let ch = FaultyChannel::lossy(0.6, 11, 4, 0.25);
-        let frame = msg().encode();
-        for stream in 0..200u64 {
-            assert_eq!(ch.transmit_frame(&frame, stream), ch.transmit(&msg(), stream));
-        }
+    #[should_panic(expected = "a clean frame from encode() must decode")]
+    fn receive_path_refuses_a_frame_encode_did_not_make() {
+        let _ = FaultyChannel::reliable(1).transmit(&[0xEE, 0x01, 0x02], 0);
     }
 
     #[test]
     fn lossy_channel_eventually_retries() {
         let ch = FaultyChannel::lossy(0.5, 2, 16, 0.25);
-        let retried = (0..40u64).filter_map(|s| ch.transmit(&msg(), s).ok()).any(|d| d.retries > 0);
+        let retried =
+            (0..40u64).filter_map(|s| ch.transmit(&frame(), s).ok()).any(|d| d.retries > 0);
         assert!(retried, "at 50% loss some stream must need a retry");
     }
 
@@ -229,18 +209,18 @@ mod tests {
         // find a delivery that needed >= 2 retries and check its backoff
         // equals 1 + 2 + ... + 2^(retries-1)
         let d = (0..200u64)
-            .filter_map(|s| ch.transmit(&msg(), s).ok())
+            .filter_map(|s| ch.transmit(&frame(), s).ok())
             .find(|d| d.retries >= 2)
             .expect("some stream retries twice at 70% loss");
         let expected: f64 = (0..d.retries).map(|a| f64::powi(2.0, a as i32)).sum();
         assert!((d.backoff_s - expected).abs() < 1e-9, "{} vs {expected}", d.backoff_s);
-        assert_eq!(d.bytes_sent, msg().wire_size() * d.attempts as usize);
+        assert_eq!(d.bytes_sent, msg().wire_size() * (d.retries as usize + 1));
     }
 
     #[test]
     fn certain_loss_exhausts_budget() {
         let ch = FaultyChannel::lossy(1.0, 0, 3, 0.5);
-        let err = ch.transmit(&msg(), 1).unwrap_err();
+        let err = ch.transmit(&frame(), 1).unwrap_err();
         let ChannelError::RetryBudgetExhausted { attempts, backoff_s } = err;
         assert_eq!(attempts, 4);
         // 0.5 + 1 + 2 + 4
@@ -260,7 +240,7 @@ mod tests {
         // single-attempt channels: delivery rate ≈ 1 - loss_prob
         let ch = FaultyChannel { loss_prob: 0.3, seed: 21, max_retries: 0, base_backoff_s: 0.0 };
         let n = 5_000u64;
-        let ok = (0..n).filter(|&s| ch.transmit(&msg(), s).is_ok()).count();
+        let ok = (0..n).filter(|&s| ch.transmit(&frame(), s).is_ok()).count();
         let rate = ok as f64 / n as f64;
         assert!((rate - 0.7).abs() < 0.03, "delivery rate {rate}");
     }

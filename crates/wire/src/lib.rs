@@ -25,10 +25,16 @@
 //! this crate — which keeps the encoding within a few bytes of the raw
 //! payload.
 //!
-//! The [`channel`] module wraps the codec in a seeded lossy transport
-//! ([`FaultyChannel`]) with retransmission, exponential backoff and a
-//! per-message retry budget — the wire half of the fault-injection story
-//! (`haccs_sysmodel::faults` holds the client half).
+//! Encoded frames travel one of two carriers:
+//!
+//! * [`channel`] — the seeded lossy channel ([`FaultyChannel::transmit`])
+//!   with retransmission, exponential backoff and a per-message retry
+//!   budget, which both runtimes' update and heartbeat traffic crosses:
+//!   the wire half of the fault-injection story (`haccs_sysmodel::faults`
+//!   holds the client half);
+//! * sockets — [`dial`] and [`configure`] set up a [`std::net::TcpStream`],
+//!   [`frame`] length-prefixes frames on it, and [`Envelope`] is what a
+//!   client sends the coordinator over it.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -42,8 +48,8 @@ pub use frame::{
     FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 pub use transport::{
-    auth_token_digest, constant_time_eq, Envelope, TcpConfig, TcpTransport, TransmitOutcome,
-    Transport, TransportError,
+    auth_token_digest, configure, constant_time_eq, dial, Envelope, TcpConfig, TransmitOutcome,
+    TransportError,
 };
 
 /// A data summary on the wire: one or more histograms plus an optional

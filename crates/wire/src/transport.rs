@@ -1,32 +1,19 @@
-//! The [`Transport`] abstraction: *how* a [`Message`] crosses from one
-//! party to the other, decoupled from *what* the protocol says.
+//! The socket side of the protocol: [`Envelope`] / [`TransmitOutcome`],
+//! the uplink item a coordinator drains from every client, with its wire
+//! codec; [`TcpConfig`] with the two socket functions, [`dial`] (connect
+//! with capped exponential backoff) and [`configure`] (deadlines and
+//! `TCP_NODELAY`); and the shared-secret preamble helpers. Frames cross a
+//! stream through [`crate::frame`].
 //!
-//! Two built-in implementations:
-//!
-//! * [`FaultyChannel`] — the deterministic in-process simulation
-//!   transport. Its behavior is byte-for-byte the inherent
-//!   [`FaultyChannel::transmit`] that every parity/resume test pins; the
-//!   trait impl is a zero-cost delegation.
-//! * [`TcpTransport`] — a real socket carrying length-prefixed frames
-//!   (see [`crate::frame`]), with connection retry under capped
-//!   exponential backoff and read/write deadlines. TCP already
-//!   retransmits below us, so a successful `transmit` reports one
-//!   attempt; fault *simulation* stays the `FaultyChannel`'s job even
-//!   when frames physically ride a socket.
-//!
-//! The module also owns the [`Envelope`] / [`TransmitOutcome`] uplink
-//! types (grown in `haccs-coord`, promoted here once envelopes needed to
-//! cross process boundaries) together with their wire codec: an envelope
-//! is what a coordinator drains from clients regardless of carrier.
+//! TCP already retransmits below us, so sockets simulate no faults: that
+//! stays the [`FaultyChannel`](crate::FaultyChannel)'s job, which runs
+//! inside each agent whether its envelopes then ride an mpsc channel or a
+//! socket.
 
-use crate::channel::{ChannelError, Delivery, FaultyChannel};
-use crate::frame::{
-    read_frame_limited, write_frame_limited, FrameError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
-};
-use crate::{DecodeError, Message};
+use crate::frame::{FrameError, MAX_FRAME_BYTES};
+use crate::DecodeError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Mutex;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// What one agent transmission looked like from the wire's point of view.
@@ -34,7 +21,7 @@ use std::time::Duration;
 pub enum TransmitOutcome {
     /// The frame (re-)transmitted its way through.
     Delivered {
-        /// The encoded frame, ready for [`Message::decode`].
+        /// The encoded frame, ready for [`Message::decode`](crate::Message::decode).
         frame: Bytes,
         /// Retransmissions before success.
         retries: usize,
@@ -155,17 +142,12 @@ fn get_retries_backoff(buf: &mut Bytes) -> Result<(usize, f64), DecodeError> {
     Ok((retries as usize, backoff_s))
 }
 
-/// Errors a [`Transport`] can produce. The simulation channel's
-/// [`ChannelError`] is deliberately embedded unchanged — code matching on
-/// it keeps compiling, and socket-specific failures get their own
-/// variants instead of overloading it.
+/// Errors of the socket side: framing, decoding and connecting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransportError {
-    /// The simulated channel exhausted its retry budget.
-    Channel(ChannelError),
     /// Stream framing failed (torn connection, oversized frame, I/O).
     Frame(FrameError),
-    /// A received frame did not decode as a [`Message`].
+    /// A received frame did not decode.
     Decode(DecodeError),
     /// Could not establish a connection within the retry budget.
     ConnectFailed {
@@ -179,7 +161,6 @@ pub enum TransportError {
 impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TransportError::Channel(e) => write!(f, "channel: {e}"),
             TransportError::Frame(e) => write!(f, "frame: {e}"),
             TransportError::Decode(e) => write!(f, "decode: {e}"),
             TransportError::ConnectFailed { attempts, last } => {
@@ -190,12 +171,6 @@ impl std::fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
-
-impl From<ChannelError> for TransportError {
-    fn from(e: ChannelError) -> Self {
-        TransportError::Channel(e)
-    }
-}
 
 impl From<FrameError> for TransportError {
     fn from(e: FrameError) -> Self {
@@ -209,31 +184,7 @@ impl From<DecodeError> for TransportError {
     }
 }
 
-/// A pluggable message carrier. `stream_id` identifies the logical
-/// message stream (e.g. a hash of `(client, round)`); deterministic
-/// transports derive fault traces from it, physical transports may ignore
-/// it.
-pub trait Transport: Send {
-    /// Sends `msg`, reporting delivery statistics or a typed failure.
-    fn transmit(&self, msg: &Message, stream_id: u64) -> Result<Delivery, TransportError>;
-
-    /// A short label for logs/metrics (`"inproc"`, `"tcp"`, ...).
-    fn kind(&self) -> &'static str;
-}
-
-impl Transport for FaultyChannel {
-    fn transmit(&self, msg: &Message, stream_id: u64) -> Result<Delivery, TransportError> {
-        // the inherent method IS the behavior every parity test pins;
-        // the trait adds nothing but the error wrapper
-        FaultyChannel::transmit(self, msg, stream_id).map_err(TransportError::Channel)
-    }
-
-    fn kind(&self) -> &'static str {
-        "inproc"
-    }
-}
-
-/// Connection and deadline policy for [`TcpTransport`].
+/// Connection and deadline policy for [`dial`] and [`configure`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Re-dials allowed after the first connect attempt.
@@ -312,110 +263,49 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// A framed, message-oriented wrapper over one [`TcpStream`]. Send and
-/// receive take `&self` (the stream sits behind a mutex) so a transport
-/// can be shared by reference; full-duplex pump loops should instead
-/// split via [`TcpTransport::try_clone_stream`] and run the frame
-/// functions directly on each half.
-#[derive(Debug)]
-pub struct TcpTransport {
-    stream: Mutex<TcpStream>,
-    peer: SocketAddr,
-    max_frame_bytes: u32,
-}
-
-impl TcpTransport {
-    /// Dials `addr`, retrying with capped exponential backoff per `cfg`,
-    /// then applies the read/write deadlines.
-    pub fn connect(addr: impl ToSocketAddrs, cfg: &TcpConfig) -> Result<Self, TransportError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| TransportError::ConnectFailed { attempts: 0, last: e.kind() })?
-            .collect();
-        let mut last = std::io::ErrorKind::AddrNotAvailable;
-        let mut backoff = cfg.connect_backoff;
-        for attempt in 0..=cfg.connect_retries {
-            for &a in &addrs {
-                match TcpStream::connect(a) {
-                    Ok(stream) => return Self::from_stream(stream, cfg),
-                    Err(e) => last = e.kind(),
+/// Dials `addr`, retrying with capped exponential backoff per `cfg`,
+/// then [`configure`]s the connected stream.
+pub fn dial(addr: impl ToSocketAddrs, cfg: &TcpConfig) -> Result<TcpStream, TransportError> {
+    let addrs: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| TransportError::ConnectFailed { attempts: 0, last: e.kind() })?
+        .collect();
+    let mut last = std::io::ErrorKind::AddrNotAvailable;
+    let mut backoff = cfg.connect_backoff;
+    for attempt in 0..=cfg.connect_retries {
+        for &a in &addrs {
+            match TcpStream::connect(a) {
+                Ok(stream) => {
+                    configure(&stream, cfg)?;
+                    return Ok(stream);
                 }
-            }
-            if attempt < cfg.connect_retries {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(cfg.connect_backoff_cap);
+                Err(e) => last = e.kind(),
             }
         }
-        Err(TransportError::ConnectFailed { attempts: cfg.connect_retries + 1, last })
-    }
-
-    /// Wraps an already-connected stream (e.g. from an acceptor), applying
-    /// `cfg`'s deadlines.
-    pub fn from_stream(stream: TcpStream, cfg: &TcpConfig) -> Result<Self, TransportError> {
-        stream.set_read_timeout(cfg.read_timeout).map_err(FrameError::from)?;
-        stream.set_write_timeout(cfg.write_timeout).map_err(FrameError::from)?;
-        stream.set_nodelay(true).map_err(FrameError::from)?;
-        let peer = stream.peer_addr().map_err(FrameError::from)?;
-        Ok(TcpTransport { stream: Mutex::new(stream), peer, max_frame_bytes: cfg.max_frame_bytes })
-    }
-
-    /// The remote endpoint.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// A second handle on the underlying stream, for split-duplex pumps.
-    pub fn try_clone_stream(&self) -> Result<TcpStream, TransportError> {
-        let guard = self.stream.lock().expect("tcp stream lock poisoned");
-        guard.try_clone().map_err(|e| TransportError::Frame(FrameError::from(e)))
-    }
-
-    /// Sends one framed message; returns bytes put on the wire (header
-    /// included).
-    pub fn send(&self, msg: &Message) -> Result<usize, TransportError> {
-        let frame = msg.encode();
-        let mut guard = self.stream.lock().expect("tcp stream lock poisoned");
-        write_frame_limited(&mut *guard, &frame, self.max_frame_bytes)?;
-        Ok(FRAME_HEADER_BYTES + frame.len())
-    }
-
-    /// Receives one framed message (blocking up to the read deadline).
-    pub fn recv(&self) -> Result<Message, TransportError> {
-        let mut guard = self.stream.lock().expect("tcp stream lock poisoned");
-        let payload = read_frame_limited(&mut *guard, self.max_frame_bytes)?;
-        Ok(Message::decode(&payload)?)
-    }
-
-    /// Half-closes the write side, letting the peer observe a clean
-    /// frame-boundary EOF while reads stay open.
-    pub fn shutdown_write(&self) -> Result<(), TransportError> {
-        let guard = self.stream.lock().expect("tcp stream lock poisoned");
-        match guard.shutdown(Shutdown::Write) {
-            Ok(()) => Ok(()),
-            // already gone — shutdown is about signalling, not liveness
-            Err(e) if e.kind() == std::io::ErrorKind::NotConnected => Ok(()),
-            Err(e) => Err(TransportError::Frame(FrameError::from(e))),
+        if attempt < cfg.connect_retries {
+            std::thread::sleep(backoff);
+            backoff = (backoff * 2).min(cfg.connect_backoff_cap);
         }
     }
+    Err(TransportError::ConnectFailed { attempts: cfg.connect_retries + 1, last })
 }
 
-impl Transport for TcpTransport {
-    fn transmit(&self, msg: &Message, _stream_id: u64) -> Result<Delivery, TransportError> {
-        // TCP retransmits below the frame layer, so a successful write is
-        // one attempt with zero simulated backoff by construction
-        let bytes_sent = self.send(msg)?;
-        Ok(Delivery { message: msg.clone(), attempts: 1, retries: 0, backoff_s: 0.0, bytes_sent })
-    }
-
-    fn kind(&self) -> &'static str {
-        "tcp"
-    }
+/// Applies `cfg`'s read and write deadlines to a connected stream (dialed
+/// or accepted) and turns on `TCP_NODELAY`, so a small frame leaves at
+/// once.
+pub fn configure(stream: &TcpStream, cfg: &TcpConfig) -> Result<(), TransportError> {
+    stream.set_read_timeout(cfg.read_timeout).map_err(FrameError::from)?;
+    stream.set_write_timeout(cfg.write_timeout).map_err(FrameError::from)?;
+    stream.set_nodelay(true).map_err(FrameError::from)?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use crate::frame::{read_frame_limited, write_frame_limited};
+    use crate::Message;
+    use std::net::{Shutdown, TcpListener};
 
     fn update() -> Message {
         Message::ModelUpdate { round: 4, params: vec![0.25, -1.5], loss: 0.42, n_train: 17 }
@@ -494,59 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_channel_trait_matches_inherent() {
-        let ch = FaultyChannel::lossy(0.6, 11, 8, 0.25);
-        for stream in 0..32u64 {
-            let via_trait = Transport::transmit(&ch, &update(), stream);
-            let inherent = FaultyChannel::transmit(&ch, &update(), stream);
-            match (via_trait, inherent) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b),
-                (Err(TransportError::Channel(a)), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("diverged on stream {stream}: {a:?} vs {b:?}"),
-            }
-        }
-        assert_eq!(Transport::kind(&ch), "inproc");
-    }
-
-    #[test]
-    fn tcp_transport_roundtrips_over_loopback() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let echo = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let t = TcpTransport::from_stream(stream, &TcpConfig::default()).unwrap();
-            let msg = t.recv().unwrap();
-            t.send(&msg).unwrap();
-        });
-        let t = TcpTransport::connect(addr, &TcpConfig::default()).unwrap();
-        let d = Transport::transmit(&t, &update(), 0).unwrap();
-        assert_eq!(d.attempts, 1);
-        assert_eq!(d.bytes_sent, FRAME_HEADER_BYTES + update().wire_size());
-        assert_eq!(t.recv().unwrap(), update());
-        assert_eq!(Transport::kind(&t), "tcp");
-        echo.join().unwrap();
-    }
-
-    #[test]
-    fn configured_frame_bound_rejects_big_messages() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let tight = TcpConfig { max_frame_bytes: 32, ..TcpConfig::default() };
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let t = TcpTransport::from_stream(stream, &TcpConfig::default()).unwrap();
-            // the big frame never arrives; the small one does
-            t.recv()
-        });
-        let t = TcpTransport::connect(addr, &tight).unwrap();
-        let big = Message::ModelPush { round: 0, params: vec![0.0; 100] };
-        assert!(matches!(t.send(&big), Err(TransportError::Frame(FrameError::TooLarge(_)))));
-        let small = Message::Schedule { round: 1, client_nonce: 2 };
-        t.send(&small).unwrap();
-        assert_eq!(server.join().unwrap().unwrap(), small);
-    }
-
-    #[test]
     fn auth_digest_is_stable_and_comparisons_are_exact() {
         let a = auth_token_digest("concave-hull");
         let b = auth_token_digest("concave-hull");
@@ -570,23 +407,45 @@ mod tests {
             connect_backoff_cap: Duration::from_millis(4),
             ..TcpConfig::default()
         };
-        match TcpTransport::connect(addr, &cfg) {
+        match dial(addr, &cfg) {
             Err(TransportError::ConnectFailed { attempts, .. }) => assert_eq!(attempts, 3),
             other => panic!("expected ConnectFailed, got {other:?}"),
         }
     }
 
     #[test]
-    fn shutdown_write_yields_closed_on_peer() {
+    fn dial_and_configure_set_up_both_ends_of_a_framed_connection() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        // whole seconds: the kernel keeps socket deadlines in clock ticks
+        let cfg = TcpConfig {
+            read_timeout: Some(Duration::from_secs(7)),
+            write_timeout: Some(Duration::from_secs(3)),
+            ..TcpConfig::default()
+        };
+        let settings = |s: &TcpStream| {
+            (s.read_timeout().unwrap(), s.write_timeout().unwrap(), s.nodelay().unwrap())
+        };
+        let want = (cfg.read_timeout, cfg.write_timeout, true);
+        let max = cfg.max_frame_bytes;
+        let reply = Message::Schedule { round: 1, client_nonce: 2 };
+        let reply_frame = reply.encode();
         let peer = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let t = TcpTransport::from_stream(stream, &TcpConfig::default()).unwrap();
-            t.recv()
+            let (mut stream, _) = listener.accept().unwrap();
+            configure(&stream, &cfg).unwrap();
+            let got = read_frame_limited(&mut stream, max).unwrap();
+            write_frame_limited(&mut stream, &reply_frame, max).unwrap();
+            (settings(&stream), got, read_frame_limited(&mut stream, max))
         });
-        let t = TcpTransport::connect(addr, &TcpConfig::default()).unwrap();
-        t.shutdown_write().unwrap();
-        assert_eq!(peer.join().unwrap(), Err(TransportError::Frame(FrameError::Closed)));
+        let mut stream = dial(addr, &cfg).unwrap();
+        assert_eq!(settings(&stream), want, "the dialed end");
+        write_frame_limited(&mut stream, &update().encode(), max).unwrap();
+        let back = read_frame_limited(&mut stream, max).unwrap();
+        assert_eq!(Message::decode(&back).unwrap(), reply);
+        stream.shutdown(Shutdown::Write).unwrap();
+        let (accepted, got, after_close) = peer.join().unwrap();
+        assert_eq!(accepted, want, "the accepted end");
+        assert_eq!(Message::decode(&got).unwrap(), update());
+        assert_eq!(after_close, Err(FrameError::Closed), "a half-close is a clean EOF");
     }
 }

@@ -2,7 +2,9 @@
 //! end-to-end (the training-heavy figures are exercised by their release
 //! benches and the `repro` binary; in debug they are too slow for CI).
 
-use haccs::experiments::{fig3, fig8, report::ExperimentReport, Scale, ALL_EXPERIMENTS};
+use haccs::experiments::report::TableBlock;
+use haccs::experiments::{fig3, fig8, Scale, ALL_EXPERIMENTS};
+use haccs::obs::json::Json;
 
 #[test]
 fn all_experiment_ids_are_unique_and_known() {
@@ -24,18 +26,37 @@ fn fig3_report_roundtrips_through_json() {
     let report = fig3::run(5);
     assert_eq!(report.id, "fig3");
     assert_eq!(report.series.len(), 3);
-    let json = report.to_json();
-    let back = ExperimentReport::from_json(&json).unwrap();
-    assert_eq!(back.id, report.id);
-    assert_eq!(back.tables, report.tables);
-    assert_eq!(back.notes, report.notes);
-    assert_eq!(back.series.len(), report.series.len());
-    for (a, b) in back.series.iter().zip(&report.series) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.points.len(), b.points.len());
-        for (pa, pb) in a.points.iter().zip(&b.points) {
+    let back = Json::parse(&report.to_json()).unwrap();
+    let strs = |v: &Json| -> Vec<String> {
+        v.as_arr().unwrap().iter().map(|s| s.as_str().unwrap().to_string()).collect()
+    };
+    assert_eq!(back.get("id").and_then(Json::as_str), Some(report.id.as_str()));
+    let tables: Vec<TableBlock> = back
+        .get("tables")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|t| TableBlock {
+            title: t.get("title").and_then(Json::as_str).unwrap().to_string(),
+            headers: strs(t.get("headers").unwrap()),
+            rows: t.get("rows").and_then(Json::as_arr).unwrap().iter().map(strs).collect(),
+        })
+        .collect();
+    assert_eq!(tables, report.tables);
+    assert_eq!(strs(back.get("notes").unwrap()), report.notes);
+    let series = back.get("series").and_then(Json::as_arr).unwrap();
+    assert_eq!(series.len(), report.series.len());
+    for (a, b) in series.iter().zip(&report.series) {
+        assert_eq!(a.get("name").and_then(Json::as_str), Some(b.name.as_str()));
+        let points = a.get("points").and_then(Json::as_arr).unwrap();
+        assert_eq!(points.len(), b.points.len());
+        for (pa, pb) in points.iter().zip(&b.points) {
+            // non-finite values serialize as null
+            let xy: Vec<f64> =
+                pa.as_arr().unwrap().iter().map(|v| v.as_f64().unwrap_or(f64::NAN)).collect();
+            let [x, y] = xy[..] else { panic!("a point is a pair, got {xy:?}") };
             // JSON float formatting may drift the last ulp of f64 values
-            assert!((pa.0 - pb.0).abs() < 1e-12 && (pa.1 - pb.1).abs() < 1e-12);
+            assert!((x - pb.0).abs() < 1e-12 && (y - pb.1).abs() < 1e-12);
         }
     }
     // rendered output mentions both epsilon levels
