@@ -31,7 +31,10 @@ pub enum Liveness {
     Left,
 }
 
-/// Server-side record for one enrolled client.
+/// Server-side record for one enrolled client: the fields the per-round
+/// passes read (80 bytes). The rest of its `Join` — the data summary and
+/// the resource estimate — sits in the registry's side table, read through
+/// [`ClientRegistry::summary`] and [`ClientRegistry::resources`].
 #[derive(Debug, Clone)]
 pub struct ClientEntry {
     /// Registry id — doubles as the client index in the shared
@@ -43,10 +46,6 @@ pub struct ClientEntry {
     /// directly; the f32 [`ResourceEstimate`] that crossed the wire is
     /// informational (an f32 round-trip would perturb simulated latencies).
     pub profile: DeviceProfile,
-    /// The resource estimate exactly as received off the wire.
-    pub resources: ResourceEstimate,
-    /// Data summary from the `Join` frame, kept for §IV-C re-clustering.
-    pub summary: WireSummary,
     /// Training-set size (from the wire resource estimate, exact in u32).
     pub n_train: usize,
     /// Most recent local loss (enrollment probe, round update, or
@@ -59,12 +58,26 @@ pub struct ClientEntry {
     pub missed_heartbeats: u32,
 }
 
-/// Registry of every client that ever joined: one `Vec` indexed by id.
-/// Ids are dense and never reused; departed clients stay as `Left`
+/// Registry of every client that ever joined: `Vec`s indexed by id. Ids
+/// are dense and never reused; departed clients stay as `Left`
 /// tombstones.
 #[derive(Debug, Default)]
 pub struct ClientRegistry {
     entries: Vec<ClientEntry>,
+    /// Each client's `Join` payload, beside `entries` rather than inside
+    /// them: only re-clustering and snapshots read it, so the passes over
+    /// `entries` that every round makes do not stream it.
+    joins: Vec<JoinPayload>,
+}
+
+/// What a client's `Join` carried that no per-round pass reads.
+#[derive(Debug, Clone)]
+struct JoinPayload {
+    /// Data summary, kept for §IV-C re-clustering (replaced by each
+    /// `SummaryUpdate`).
+    summary: WireSummary,
+    /// The resource estimate exactly as received off the wire.
+    resources: ResourceEstimate,
 }
 
 impl ClientRegistry {
@@ -81,14 +94,21 @@ impl ClientRegistry {
         self.entries.is_empty()
     }
 
-    /// Records a processed `Join`. The entry starts `Alive`: the frame
-    /// itself is evidence of liveness.
-    pub fn enroll(&mut self, mut entry: ClientEntry) -> usize {
+    /// Records a processed `Join`: the client's entry plus the summary and
+    /// resource estimate the frame carried. The entry starts `Alive`: the
+    /// frame itself is evidence of liveness.
+    pub fn enroll(
+        &mut self,
+        mut entry: ClientEntry,
+        summary: WireSummary,
+        resources: ResourceEstimate,
+    ) -> usize {
         assert_eq!(entry.id, self.entries.len(), "registry ids must be dense");
         entry.liveness = Liveness::Alive;
         entry.missed_heartbeats = 0;
         let id = entry.id;
         self.entries.push(entry);
+        self.joins.push(JoinPayload { summary, resources });
         id
     }
 
@@ -102,6 +122,17 @@ impl ClientRegistry {
 
     pub fn entries(&self) -> &[ClientEntry] {
         &self.entries
+    }
+
+    /// Client `id`'s current data summary: its `Join`'s, or the latest
+    /// `SummaryUpdate` processed before it left.
+    pub fn summary(&self, id: usize) -> &WireSummary {
+        &self.joins[id].summary
+    }
+
+    /// The resource estimate client `id`'s `Join` carried.
+    pub fn resources(&self, id: usize) -> &ResourceEstimate {
+        &self.joins[id].resources
     }
 
     /// Ids the coordinator still probes: everyone not `Left`, ascending.
@@ -129,7 +160,7 @@ impl ClientRegistry {
         self.entries
             .iter()
             .filter(|e| e.liveness != Liveness::Left)
-            .map(|e| (e.id, e.summary.clone()))
+            .map(|e| (e.id, self.joins[e.id].summary.clone()))
             .collect()
     }
 
@@ -171,11 +202,10 @@ impl ClientRegistry {
     /// drifted (§IV-C) and it shipped a fresh summary. Departed clients
     /// are ignored (a late frame can race a `Leave`).
     pub fn observe_summary_update(&mut self, id: usize, summary: WireSummary) {
-        let e = &mut self.entries[id];
-        if e.liveness == Liveness::Left {
+        if self.entries[id].liveness == Liveness::Left {
             return;
         }
-        e.summary = summary;
+        self.joins[id].summary = summary;
     }
 }
 
@@ -188,13 +218,6 @@ mod tests {
             id,
             nonce: 0xABC0 + id as u64,
             profile: DeviceProfile::uniform_fast(),
-            resources: ResourceEstimate {
-                compute_multiplier: 1.0,
-                bandwidth_mbps: 100.0,
-                rtt_ms: 20.0,
-                n_train: 100,
-            },
-            summary: WireSummary { histograms: vec![vec![1.0]], prevalence: vec![] },
             n_train: 100,
             last_loss: None,
             participation_count: 0,
@@ -203,19 +226,64 @@ mod tests {
         }
     }
 
+    fn summary(x: f32) -> WireSummary {
+        WireSummary { histograms: vec![vec![x]], prevalence: vec![] }
+    }
+
+    fn resources() -> ResourceEstimate {
+        ResourceEstimate {
+            compute_multiplier: 1.0,
+            bandwidth_mbps: 100.0,
+            rtt_ms: 20.0,
+            n_train: 100,
+        }
+    }
+
+    /// Enrolls `entry(id)` with the `Join` payload the tests share.
+    fn enroll(r: &mut ClientRegistry, id: usize) -> usize {
+        r.enroll(entry(id), summary(1.0), resources())
+    }
+
     #[test]
     fn enroll_marks_alive_and_keeps_the_nonce() {
         let mut r = ClientRegistry::new();
-        let id = r.enroll(entry(0));
+        let id = enroll(&mut r, 0);
         assert_eq!(id, 0);
         assert_eq!(r.get(0).liveness, Liveness::Alive);
         assert_eq!(r.get(0).nonce, 0xABC0);
+        assert_eq!(r.summary(0), &summary(1.0));
+        assert_eq!(r.resources(0), &resources());
+    }
+
+    #[test]
+    fn entries_hold_only_the_per_round_fields() {
+        assert!(std::mem::size_of::<ClientEntry>() <= 80);
+    }
+
+    #[test]
+    fn summary_follows_updates_until_the_client_leaves() {
+        let mut r = ClientRegistry::new();
+        for id in 0..3 {
+            enroll(&mut r, id);
+        }
+        r.observe_summary_update(1, summary(2.0));
+        assert_eq!(r.summary(1), &summary(2.0));
+        assert_eq!(r.summary(0), &summary(1.0), "an update touches only its own client");
+        let members = r.member_summaries();
+        assert_eq!(members, [(0, summary(1.0)), (1, summary(2.0)), (2, summary(1.0))]);
+
+        // once Left, a late update is ignored and the member list drops it
+        r.observe_leave(1);
+        r.observe_summary_update(1, summary(3.0));
+        assert_eq!(r.summary(1), &summary(2.0));
+        let members = r.member_summaries();
+        assert_eq!(members, [(0, summary(1.0)), (2, summary(1.0))]);
     }
 
     #[test]
     fn miss_streak_walks_suspected_then_left_and_ack_recovers() {
         let mut r = ClientRegistry::new();
-        r.enroll(entry(0));
+        enroll(&mut r, 0);
         let p = HeartbeatPolicy::new(1, 2, 4);
         assert_eq!(r.observe_miss(0, &p), LivenessVerdict::Alive);
         assert_eq!(r.observe_miss(0, &p), LivenessVerdict::Suspected);
@@ -238,7 +306,7 @@ mod tests {
     fn selectable_excludes_suspected_and_left_but_probes_suspected() {
         let mut r = ClientRegistry::new();
         for id in 0..3 {
-            r.enroll(entry(id));
+            enroll(&mut r, id);
         }
         let p = HeartbeatPolicy::new(1, 1, 3);
         r.observe_miss(1, &p); // -> Suspected

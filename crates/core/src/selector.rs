@@ -82,6 +82,15 @@ impl HaccsSelector {
     }
 }
 
+/// The pool's entries for a cluster's `members`, in member order, from
+/// the dense id → info table; ids absent from the pool are skipped.
+fn available<'a>(
+    members: &'a [usize],
+    info_of: &'a [Option<&'a ClientInfo>],
+) -> impl Iterator<Item = &'a ClientInfo> + 'a {
+    members.iter().filter_map(|&id| info_of.get(id).copied().flatten())
+}
+
 impl Selector for HaccsSelector {
     fn name(&self) -> String {
         format!("haccs-{}", self.label)
@@ -96,41 +105,39 @@ impl Selector for HaccsSelector {
             info_of[c.id] = Some(c);
         }
 
-        // available members per cluster (dropout robustness: missing
-        // devices simply vanish from their cluster this epoch)
-        let mut live: Vec<(usize, Vec<&ClientInfo>)> = self
-            .groups
-            .iter()
-            .enumerate()
-            .filter_map(|(gi, members)| {
-                let infos: Vec<&ClientInfo> =
-                    members.iter().filter_map(|&id| info_of.get(id).copied().flatten()).collect();
-                if infos.is_empty() {
-                    None
-                } else {
-                    Some((gi, infos))
-                }
-            })
-            .collect();
+        // Eq. 6/7 inputs over each cluster's available members, streamed:
+        // the same filter and the same `-0.0`-based folds as
+        // `.sum::<f64>()` and `.sum::<f32>()` over a collected list
+        // (dropout robustness: missing devices simply vanish from their
+        // cluster this epoch, and a cluster with none drops out)
+        let mut live: Vec<usize> = Vec::new();
+        let mut stats: Vec<ClusterStats> = Vec::new();
+        for (gi, members) in self.groups.iter().enumerate() {
+            let (mut n, mut latency, mut loss) = (0usize, -0.0f64, -0.0f32);
+            for c in available(members, &info_of) {
+                n += 1;
+                latency += c.est_latency;
+                loss += c.last_loss;
+            }
+            if n > 0 {
+                live.push(gi);
+                stats.push(ClusterStats {
+                    avg_latency: latency / n as f64,
+                    avg_loss: loss / n as f32,
+                });
+            }
+        }
         if live.is_empty() {
             return Vec::new();
         }
-
-        // Eq. 6/7 inputs over available members
-        let stats: Vec<ClusterStats> = live
-            .iter()
-            .map(|(_, infos)| ClusterStats {
-                avg_latency: infos.iter().map(|c| c.est_latency).sum::<f64>() / infos.len() as f64,
-                avg_loss: infos.iter().map(|c| c.last_loss).sum::<f32>() / infos.len() as f32,
-            })
-            .collect();
         let mut theta = cluster_weights(&stats, self.rho);
 
         // members are ordered by ascending latency so "best" pops cheaply.
-        // At most `k` clusters are ever drawn, so each is sorted the first
-        // time it is: the same stable sort of the same members, so the
-        // picks match sorting every cluster up front
-        let mut sorted = vec![false; live.len()];
+        // At most `k` clusters are ever drawn, so each one's member list
+        // is built and sorted the first time it is: the same stable sort
+        // of the same members, so the picks match listing and sorting
+        // every cluster up front
+        let mut drawn: Vec<Option<Vec<&ClientInfo>>> = vec![None; live.len()];
 
         // Weighted-SRSWR: sample clusters with replacement; take one device
         // per draw and remove it from the cluster (Algorithm 1). A cluster
@@ -150,11 +157,12 @@ impl Selector for HaccsSelector {
                 }
                 u -= t;
             }
-            let (gi, infos) = &mut live[pick];
-            if !sorted[pick] {
+            let gi = live[pick];
+            let infos = drawn[pick].get_or_insert_with(|| {
+                let mut infos: Vec<&ClientInfo> = available(&self.groups[gi], &info_of).collect();
                 infos.sort_by(|a, b| a.est_latency.total_cmp(&b.est_latency));
-                sorted[pick] = true;
-            }
+                infos
+            });
             let chosen = match self.policy {
                 WithinClusterPolicy::MinLatency => infos.remove(0),
                 WithinClusterPolicy::Uniform => {
@@ -162,7 +170,7 @@ impl Selector for HaccsSelector {
                     infos.remove(j)
                 }
             };
-            self.telemetry.record(*gi, chosen.id);
+            self.telemetry.record(gi, chosen.id);
             selection.push(chosen.id);
             if infos.is_empty() {
                 theta[pick] = 0.0;
@@ -181,7 +189,7 @@ impl Selector for HaccsSelector {
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
         let n = r.get_usize()?;
-        let mut groups = Vec::with_capacity(n);
+        let mut groups = Vec::with_capacity(r.capacity_for::<Vec<usize>>(n));
         for _ in 0..n {
             groups.push(r.get_usizes()?);
         }

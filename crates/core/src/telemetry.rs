@@ -100,11 +100,11 @@ impl InclusionTelemetry {
     /// Reads back what [`InclusionTelemetry::save_state`] wrote.
     pub fn load_state(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         let n = r.get_usize()?;
-        let mut members = Vec::with_capacity(n);
+        let mut members = Vec::with_capacity(r.capacity_for::<Vec<usize>>(n));
         for _ in 0..n {
             members.push(r.get_usizes()?);
         }
-        let mut included = Vec::with_capacity(n);
+        let mut included = Vec::with_capacity(r.capacity_for::<HashSet<usize>>(n));
         for _ in 0..n {
             included.push(r.get_usizes()?.into_iter().collect::<HashSet<usize>>());
         }

@@ -14,7 +14,7 @@ use haccs_core::{
     ClusterStats, ExtractionMethod, HaccsSelector, TwoLevelConfig,
 };
 use haccs_data::{partition, FederatedDataset, SynthVision};
-use haccs_fedsim::persist::SnapshotWriter;
+use haccs_fedsim::persist::{SnapshotReader, SnapshotWriter};
 use haccs_fedsim::{ClientInfo, SelectionContext, Selector};
 use haccs_summary::summarizer::ClientSummary;
 use haccs_summary::{Histogram, Summarizer};
@@ -210,6 +210,57 @@ proptest! {
         let ctx = SelectionContext { epoch: 0, available: &infos, k: 5 };
         let chosen = sel.select(&ctx, &mut rng);
         prop_assert!(chosen.iter().all(|id| !unavailable.contains(id)));
+    }
+
+    /// A selector's snapshot state with bytes overwritten, a maximal count
+    /// written over one 8-byte word and a cut — or random bytes — framed
+    /// with a valid checksum, so `load_state` reads every edit. It may
+    /// refuse the state; it must not panic or abort on an allocation.
+    #[test]
+    fn tampered_selector_state_loads_or_fails_but_never_panics(
+        random in proptest::collection::vec(any::<u8>(), 0..160),
+        from_random in any::<bool>(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        big_count_at in any::<usize>(),
+        big_count in any::<bool>(),
+        keep in any::<usize>(),
+    ) {
+        let mut payload = if from_random {
+            random
+        } else {
+            let mut sel = HaccsSelector::new(vec![vec![0, 1, 2], vec![3, 4]], 0.5, "P(y)");
+            let infos: Vec<ClientInfo> = (0..5)
+                .map(|id| ClientInfo {
+                    id,
+                    est_latency: 1.0 + id as f64,
+                    last_loss: 1.0,
+                    n_train: 10,
+                    participation_count: 0,
+                })
+                .collect();
+            let ctx = SelectionContext { epoch: 0, available: &infos, k: 3 };
+            sel.select(&ctx, &mut StdRng::seed_from_u64(1));
+            let mut w = SnapshotWriter::new();
+            sel.save_state(&mut w);
+            w.into_payload()
+        };
+        if !payload.is_empty() {
+            for &(at, byte) in &edits {
+                let at = at % payload.len();
+                payload[at] = byte;
+            }
+        }
+        if big_count && payload.len() >= 8 {
+            let at = big_count_at % (payload.len() / 8) * 8;
+            payload[at..at + 8].copy_from_slice(&(1u64 << 28).to_le_bytes());
+        }
+        payload.truncate(keep % (payload.len() + 1));
+        let mut w = SnapshotWriter::new();
+        w.append_raw(&payload);
+        let bytes = w.finish();
+        let mut reader = SnapshotReader::open(&bytes).unwrap();
+        let mut fresh = HaccsSelector::new(vec![vec![0]], 0.5, "P(y)");
+        let _ = fresh.load_state(&mut reader);
     }
 }
 

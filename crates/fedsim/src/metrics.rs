@@ -279,7 +279,7 @@ impl RunResult {
     pub fn load(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         let strategy = r.get_str()?;
         let n_curve = r.get_usize()?;
-        let mut curve = Vec::with_capacity(n_curve);
+        let mut curve = Vec::with_capacity(r.capacity_for::<TimePoint>(n_curve));
         for _ in 0..n_curve {
             curve.push(TimePoint {
                 time_s: r.get_f64()?,
@@ -289,7 +289,7 @@ impl RunResult {
             });
         }
         let n_rounds = r.get_usize()?;
-        let mut rounds = Vec::with_capacity(n_rounds);
+        let mut rounds = Vec::with_capacity(r.capacity_for::<RoundRecord>(n_rounds));
         for _ in 0..n_rounds {
             rounds.push(RoundRecord::load(r)?);
         }
@@ -396,5 +396,62 @@ mod tests {
         let back = RunResult::load(&mut reader).unwrap();
         reader.expect_end().unwrap();
         assert_eq!(back, r, "RoundRecord's bitwise PartialEq must hold through persistence");
+    }
+
+    #[test]
+    fn a_crafted_round_count_is_truncated_not_an_allocation() {
+        // a valid frame whose round count is the largest a length prefix
+        // may carry, with no rounds behind it
+        let mut w = SnapshotWriter::new();
+        w.put_str("x");
+        w.put_usize(0);
+        w.put_usize(1 << 28);
+        let bytes = w.finish();
+        let mut reader = SnapshotReader::open(&bytes).unwrap();
+        assert_eq!(RunResult::load(&mut reader), Err(PersistError::Truncated));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tampered_run_results_load_or_fail_but_never_panic(
+            random in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+            from_random in proptest::prelude::any::<bool>(),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+                0..6,
+            ),
+            big_count_at in proptest::prelude::any::<usize>(),
+            big_count in proptest::prelude::any::<bool>(),
+            keep in proptest::prelude::any::<usize>(),
+        ) {
+            // a real payload (or random bytes) with bytes overwritten, a
+            // maximal count written over one 8-byte word, and a cut —
+            // re-framed, so the checksum holds and the loader sees it all
+            let mut payload = if from_random {
+                random
+            } else {
+                let mut w = SnapshotWriter::new();
+                run().save(&mut w);
+                w.into_payload()
+            };
+            if !payload.is_empty() {
+                for &(at, byte) in &edits {
+                    let at = at % payload.len();
+                    payload[at] = byte;
+                }
+            }
+            if big_count && payload.len() >= 8 {
+                let at = big_count_at % (payload.len() / 8) * 8;
+                payload[at..at + 8].copy_from_slice(&(1u64 << 28).to_le_bytes());
+            }
+            payload.truncate(keep % (payload.len() + 1));
+            let mut w = SnapshotWriter::new();
+            w.append_raw(&payload);
+            let bytes = w.finish();
+            let mut reader = SnapshotReader::open(&bytes).unwrap();
+            let _ = RunResult::load(&mut reader);
+        }
     }
 }

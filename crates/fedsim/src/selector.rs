@@ -9,7 +9,9 @@ use rand::rngs::StdRng;
 pub struct SelectionContext<'a> {
     /// Current epoch (round) number, starting at 0.
     pub epoch: usize,
-    /// Scheduling view of *available* clients this epoch (dropout applied).
+    /// Scheduling view of *available* clients this epoch (dropout
+    /// applied), in strictly ascending id order. Both round drivers build
+    /// it from an ascending pool, and [`sanitize_selection`] checks it.
     pub available: &'a [ClientInfo],
     /// Number of clients to select.
     pub k: usize,
@@ -103,20 +105,35 @@ impl Selector for Box<dyn Selector> {
 }
 
 /// Validates and normalizes a selector's output: drops ids not available,
-/// deduplicates preserving order, truncates to `k`.
+/// deduplicates preserving order, truncates to `k`. One compare pass
+/// checks that `ctx.available` is strictly ascending; each pick is then
+/// binary-searched there and deduplicated against the at most `k` picks
+/// already kept, so nothing is allocated beyond the output.
+///
+/// # Panics
+/// Panics if `ctx.available` is not in strictly ascending id order.
 pub fn sanitize_selection(selection: Vec<usize>, ctx: &SelectionContext<'_>) -> Vec<usize> {
-    let mut seen = std::collections::HashSet::new();
-    let available: std::collections::HashSet<usize> = ctx.available.iter().map(|c| c.id).collect();
-    selection
-        .into_iter()
-        .filter(|id| available.contains(id) && seen.insert(*id))
-        .take(ctx.k)
-        .collect()
+    let available = ctx.available;
+    assert!(
+        available.windows(2).all(|w| w[0].id < w[1].id),
+        "SelectionContext::available must list strictly ascending ids"
+    );
+    let mut kept = Vec::with_capacity(ctx.k.min(selection.len()));
+    for id in selection {
+        if kept.len() == ctx.k {
+            break;
+        }
+        if available.binary_search_by_key(&id, |c| c.id).is_ok() && !kept.contains(&id) {
+            kept.push(id);
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn info(id: usize) -> ClientInfo {
         ClientInfo { id, est_latency: 1.0, last_loss: 1.0, n_train: 10, participation_count: 0 }
@@ -135,5 +152,47 @@ mod tests {
         let avail = [info(1)];
         let ctx = SelectionContext { epoch: 0, available: &avail, k: 5 };
         assert_eq!(sanitize_selection(vec![1], &ctx), vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn sanitize_refuses_a_pool_out_of_id_order() {
+        let avail = [info(1), info(3), info(2)];
+        let ctx = SelectionContext { epoch: 0, available: &avail, k: 2 };
+        sanitize_selection(vec![1], &ctx);
+    }
+
+    /// The body that hashed the whole pool: the reference the binary
+    /// search must match pick for pick.
+    fn hashset_sanitize(selection: Vec<usize>, ctx: &SelectionContext<'_>) -> Vec<usize> {
+        let mut seen = std::collections::HashSet::new();
+        let available: std::collections::HashSet<usize> =
+            ctx.available.iter().map(|c| c.id).collect();
+        selection
+            .into_iter()
+            .filter(|id| available.contains(id) && seen.insert(*id))
+            .take(ctx.k)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sanitize_matches_the_hashset_reference(
+            in_pool in proptest::collection::vec(any::<bool>(), 0..40),
+            picks in proptest::collection::vec(0usize..48, 0..60),
+            k_draw in 0usize..64,
+        ) {
+            // an ascending pool with gaps; picks repeat and reach past it
+            let avail: Vec<ClientInfo> =
+                (0..in_pool.len()).filter(|&id| in_pool[id]).map(info).collect();
+            let k = k_draw % (avail.len() + 3);
+            let ctx = SelectionContext { epoch: 0, available: &avail, k };
+            prop_assert_eq!(
+                sanitize_selection(picks.clone(), &ctx),
+                hashset_sanitize(picks, &ctx)
+            );
+        }
     }
 }

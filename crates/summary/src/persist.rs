@@ -49,7 +49,7 @@ impl ClientSummary {
             0 => Ok(ClientSummary::LabelDist(histogram_from_snapshot(r.get_f32s()?)?)),
             1 => {
                 let n = r.get_usize()?;
-                let mut hists = Vec::with_capacity(n);
+                let mut hists = Vec::with_capacity(r.capacity_for::<Histogram>(n));
                 for _ in 0..n {
                     hists.push(histogram_from_snapshot(r.get_f32s()?)?);
                 }

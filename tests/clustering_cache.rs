@@ -258,7 +258,7 @@ fn cached_and_full_hooks_are_bit_identical_under_coordinator_churn() {
     }
     assert_eq!(inc.registry().get(2).liveness, Liveness::Left, "scripted leave must land");
     assert_eq!(
-        inc.registry().get(1).summary,
+        *inc.registry().summary(1),
         drift_wire,
         "summary drift must be re-cached in the registry"
     );

@@ -86,10 +86,8 @@ fn drift_routes_through_observe_summary_update_and_reclusters() {
     let events: Vec<_> = schedule.events_at(drift_epoch).cloned().collect();
     assert!(!events.is_empty(), "rotating schedule must produce events");
 
-    let before: Vec<Vec<f32>> = events
-        .iter()
-        .map(|ev| coord.registry().get(ev.client).summary.histograms[0].clone())
-        .collect();
+    let before: Vec<Vec<f32>> =
+        events.iter().map(|ev| coord.registry().summary(ev.client).histograms[0].clone()).collect();
     for ev in &events {
         coord.observe_summary_update(
             ev.client,
@@ -103,7 +101,7 @@ fn drift_routes_through_observe_summary_update_and_reclusters() {
     assert_eq!(fired.len(), 1, "drift must trigger exactly one re-clustering");
     for (ev, old) in events.iter().zip(&before) {
         // registry re-cached the drifted summary…
-        let cached = &coord.registry().get(ev.client).summary.histograms[0];
+        let cached = &coord.registry().summary(ev.client).histograms[0];
         assert_eq!(cached, &ev.new_weights, "client {} summary not re-cached", ev.client);
         assert_ne!(cached, old, "client {} rotation was a no-op", ev.client);
         // …and the hook saw it bit-for-bit
