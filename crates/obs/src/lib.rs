@@ -292,6 +292,15 @@ impl Recorder {
         self.observe_with(name, metrics::LATENCY_SECONDS, v);
     }
 
+    /// Observes each of `vs`, in order, into the histogram `name` with
+    /// the default latency buckets: one lock and one lookup for the
+    /// batch, and the same histogram as [`Recorder::observe`] per value.
+    pub fn observe_many(&self, name: &str, vs: &[f64]) {
+        if let Some(inner) = &self.inner {
+            inner.registry.observe_many(name, metrics::LATENCY_SECONDS, vs);
+        }
+    }
+
     /// Observes `v` into the histogram `name` with explicit bucket
     /// bounds (used on first touch; later observations reuse them).
     pub fn observe_with(&self, name: &str, bounds: &[f64], v: f64) {
