@@ -4,8 +4,9 @@
 //! processes to dial in, then drives a HACCS-scheduled federation for
 //! `--rounds R` rounds, serving live Prometheus metrics over plain HTTP
 //! the whole time. With `--snapshot-dir` it checkpoints every
-//! `--snapshot-every` rounds; a killed daemon restarts with `--resume
-//! <snapshot>` once the clients re-dial, and finishes the run
+//! `--snapshot-every` rounds as segmented ticks (a data file plus a
+//! `manifest-NNNNNN.snap`); a killed daemon restarts with `--resume
+//! <manifest>` once the clients re-dial, and finishes the run
 //! bit-identically to one that never died.
 //!
 //! Quickstart (two terminals):
@@ -46,7 +47,8 @@ OPTIONS:
     --metrics <ADDR>       Prometheus HTTP address [default: 127.0.0.1:7734]
     --snapshot-dir <DIR>   checkpoint directory (enables snapshots)
     --snapshot-every <N>   rounds between checkpoints [default: 1]
-    --resume <FILE>        restore this snapshot after the clients reconnect
+    --resume <MANIFEST>    restore this checkpoint (a manifest-NNNNNN.snap in
+                           a snapshot dir) after the clients reconnect
                            (stateless codecs only: identity / int8)
     --codec <KIND>         model-update compression, must match the clients:
                            identity | int8 | topk | topk:<permille>
@@ -182,7 +184,10 @@ fn build_coord<S: Selector>(opts: &Opts, obs: Recorder, selector: S) -> Coordina
     .with_summarizer(demo::summarizer())
     .with_recorder(obs);
     if let Some(dir) = &opts.snapshot_dir {
-        coord = coord.with_snapshots(SnapshotPolicy::every(opts.snapshot_every, dir));
+        // ⌈√n⌉ snapshot shards, the rule scale-bench and perfbench use
+        let shards = (n as f64).sqrt().ceil().max(1.0) as usize;
+        let policy = SnapshotPolicy::every(opts.snapshot_every, dir);
+        coord = coord.with_segmented_snapshots(policy, shards);
     }
     if let Some(kind) = opts.codec {
         println!("codec: {kind} model-update compression");
@@ -213,8 +218,7 @@ fn serve<S: Selector>(opts: &Opts, mut coord: Coordinator<S>) {
     println!("all {n} clients connected");
 
     if let Some(path) = &opts.resume {
-        let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
-        coord.restore(&bytes).expect("restore snapshot");
+        coord.restore_segmented(path).expect("restore snapshot");
         println!("restored snapshot {:?} at round {}", path, coord.epoch());
     }
 

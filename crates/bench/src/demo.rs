@@ -99,8 +99,9 @@ pub fn summarizer() -> haccs_summary::Summarizer {
 }
 
 /// A HACCS selector seeded with the provisional everyone-in-one-cluster
-/// grouping; the coordinator's recluster hook replaces it from wire
-/// summaries at first enrollment.
+/// grouping. The coordinator's recluster hook replaces it from wire
+/// summaries only when membership *changes* (a later join, a leave, an
+/// eviction or drift), so until then HACCS samples that one cluster.
 pub fn selector(n: usize) -> HaccsSelector {
     HaccsSelector::new(vec![(0..n).collect()], 0.5, "P(y)")
 }

@@ -4,10 +4,10 @@
 //! This is the OS-process twin of the in-process socket test in
 //! `tests/coordinator_resume.rs`: three `haccs-client` processes dial a
 //! `haccs-coordd` checkpointing every round, the daemon is killed with
-//! SIGKILL once the round-3 checkpoint lands, and a fresh daemon started
-//! with `--resume` (plus three fresh clients) must restore the round-2
-//! checkpoint — the newest one that cannot have been in-flight when the
-//! kill hit — and finish the run cleanly.
+//! SIGKILL once the round-3 manifest lands, and a fresh daemon started
+//! with `--resume` on the round-2 manifest (plus three fresh clients) —
+//! the newest tick that cannot have been in-flight when the kill hit —
+//! must restore it and finish the run cleanly.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -102,7 +102,7 @@ fn reap(mut procs: Vec<Child>) {
 }
 
 fn snapshot_path(dir: &Path, round: usize) -> PathBuf {
-    dir.join(format!("round_{round:06}.snap"))
+    dir.join(format!("manifest-{round:06}.snap"))
 }
 
 fn wait_for(path: &Path) {

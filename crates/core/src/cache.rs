@@ -23,7 +23,6 @@ use crate::clusters::{client_summary_seed, summarize_federation, ExtractionMetho
 use crate::wire_bridge::summary_from_wire;
 use haccs_cluster::{BucketedWarmOptics, WarmOptics};
 use haccs_data::{ClientData, FederatedDataset};
-use haccs_fedsim::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::FedSim;
 use haccs_obs::{Recorder, Span};
 use haccs_summary::{sketch, ClientSummary, DistanceCache, SketchKey, Summarizer};
@@ -232,20 +231,9 @@ impl ClusterCache {
         self
     }
 
-    /// Replaces the recorder on an already-constructed cache (the
-    /// coordinator and engine hand theirs down after construction).
-    pub fn set_recorder(&mut self, obs: Recorder) {
-        self.obs = obs;
-    }
-
     /// The promoted two-level state, if this cache is past its threshold.
     fn bucketed(&self) -> Option<&Bucketed> {
         self.two_level.as_ref().and_then(|tl| tl.bucketed.as_ref())
-    }
-
-    /// The two-level configuration, when constructed in that mode.
-    pub fn two_level_config(&self) -> Option<&TwoLevelConfig> {
-        self.two_level.as_ref().map(|tl| &tl.cfg)
     }
 
     /// True once the cache has promoted to the bucketed representation.
@@ -596,129 +584,6 @@ impl ClusterCache {
             None => self.warm.stats(),
         }
     }
-
-    /// Appends the cache state to a snapshot payload: `min_pts` as a
-    /// fingerprint, a mode byte, then the mode-specific state. Flat (and
-    /// not-yet-promoted two-level) caches write the full
-    /// [`DistanceCache`] (ids, summaries, condensed matrix — all
-    /// verbatim); a promoted two-level cache writes its `(id, summary)`
-    /// pairs in ascending id order, since every sketch key, bucket, cell
-    /// and representative distance is a deterministic pure function of
-    /// that set. Neither the [`WarmOptics`] accelerator state nor the
-    /// bucket matrices are serialized: they are pure performance caches
-    /// whose [`ClusterCache::recluster`] output is pinned bit-identical
-    /// to the cold path, so they are rebuilt on load by replaying the
-    /// id-ascending insertion order.
-    pub fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.warm.min_pts());
-        match &self.two_level {
-            None => {
-                w.put_u8(0);
-                self.dist.save_state(w);
-            }
-            Some(tl) => {
-                w.put_u8(if tl.bucketed.is_some() { 2 } else { 1 });
-                w.put_u32(tl.cfg.coarse_levels as u32);
-                w.put_u32(tl.cfg.fine_levels as u32);
-                w.put_usize(tl.cfg.flat_below);
-                match &tl.bucketed {
-                    None => self.dist.save_state(w),
-                    Some(b) => {
-                        // the empty flat cache still carries the
-                        // summarizer fingerprint the load side validates
-                        self.dist.save_state(w);
-                        w.put_usize(b.ids.len());
-                        for &id in &b.ids {
-                            w.put_usize(id);
-                            b.summaries[&id].save_state(w);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restores what [`ClusterCache::save_state`] wrote. The snapshot's
-    /// `min_pts`, mode, two-level configuration and summarizer
-    /// fingerprints must match this cache's construction parameters. The
-    /// warm OPTICS state (and, in bucketed mode, the bucket/cell layout)
-    /// is reconstructed by replaying inserts in ascending id order — no
-    /// replay step recomputes a distance the flat path would have cached.
-    pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
-        let min_pts = r.get_usize()?;
-        if min_pts != self.warm.min_pts() {
-            return Err(PersistError::Malformed(format!(
-                "snapshot min_pts {min_pts} differs from this cache's {}",
-                self.warm.min_pts()
-            )));
-        }
-        let mode = r.get_u8()?;
-        match (mode, &self.two_level) {
-            (0, None) | (1, Some(_)) | (2, Some(_)) => {}
-            (m @ (0..=2), _) => {
-                return Err(PersistError::Malformed(format!(
-                    "snapshot cache mode {m} differs from this cache's construction"
-                )));
-            }
-            (m, _) => {
-                return Err(PersistError::Malformed(format!("unknown cluster-cache mode {m}")));
-            }
-        }
-        if mode >= 1 {
-            let cfg = self.two_level.as_ref().unwrap().cfg;
-            let coarse = r.get_u32()?;
-            let fine = r.get_u32()?;
-            let flat_below = r.get_usize()?;
-            if coarse != cfg.coarse_levels as u32
-                || fine != cfg.fine_levels as u32
-                || flat_below != cfg.flat_below
-            {
-                return Err(PersistError::Malformed(format!(
-                    "snapshot two-level config ({coarse}, {fine}, {flat_below}) differs \
-                     from this cache's ({}, {}, {})",
-                    cfg.coarse_levels, cfg.fine_levels, cfg.flat_below
-                )));
-            }
-        }
-        self.dist.load_state(r)?;
-        self.warm = WarmOptics::new(f32::INFINITY, min_pts);
-        for pos in 0..self.dist.len() {
-            // the row the original `add_client(pos)` handed WarmOptics:
-            // distances to the already-inserted prefix, self entry last
-            let row: Vec<f32> = self.dist.row(pos)[..=pos].to_vec();
-            self.warm.insert(pos, &row);
-        }
-        if mode == 2 {
-            if !self.dist.is_empty() {
-                return Err(PersistError::Malformed(
-                    "bucketed snapshot carries a non-empty flat matrix".into(),
-                ));
-            }
-            let tl = self.two_level.as_mut().unwrap();
-            let cfg = tl.cfg;
-            let summarizer = *self.dist.summarizer();
-            let mut b = Bucketed::new(summarizer, min_pts);
-            let n = r.get_usize()?;
-            let mut last: Option<usize> = None;
-            for _ in 0..n {
-                let id = r.get_usize()?;
-                if last.is_some_and(|p| p >= id) {
-                    return Err(PersistError::Malformed(
-                        "bucketed snapshot ids must be strictly ascending".into(),
-                    ));
-                }
-                last = Some(id);
-                b.add(id, ClientSummary::load_state(r)?, &cfg);
-            }
-            tl.bucketed = Some(b);
-        } else {
-            if let Some(tl) = &mut self.two_level {
-                tl.bucketed = None;
-            }
-            self.maybe_promote(self.dist.len());
-        }
-        Ok(())
-    }
 }
 
 /// Adds a client to a running [`FedSim`] **and** the shared cluster
@@ -864,36 +729,6 @@ mod tests {
     fn empty_cache_reclusters_to_nothing() {
         let mut cache = ClusterCache::new(Summarizer::label_dist(), 2, ExtractionMethod::Auto);
         assert!(cache.recluster().is_empty());
-    }
-
-    #[test]
-    fn save_load_round_trips_and_stays_bit_identical_under_churn() {
-        let fed = grouped_federation(3, 4);
-        let mut cache = ClusterCache::new(Summarizer::label_dist(), 2, ExtractionMethod::Auto);
-        cache.insert_federation(&fed, 7);
-        cache.remove_client(5); // churn before the snapshot, so the warm
-                                // state diverges from plain insertion order
-        let groups_before = cache.recluster();
-
-        let mut w = SnapshotWriter::new();
-        cache.save_state(&mut w);
-        let bytes = w.finish();
-
-        let mut back = ClusterCache::new(Summarizer::label_dist(), 2, ExtractionMethod::Auto);
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        back.load_state(&mut r).unwrap();
-        r.expect_end().unwrap();
-
-        assert_eq!(back.ids(), cache.ids());
-        assert_eq!(back.distances().condensed(), cache.distances().condensed());
-        assert_eq!(back.recluster(), groups_before, "restored clustering must match");
-
-        // churn after restore: still bit-identical to the cold rebuild
-        let extra = grouped_federation(3, 5);
-        let mut rng = StdRng::seed_from_u64(client_summary_seed(7, 12));
-        let s = back.summarizer().summarize(&extra.clients[4].train, &mut rng);
-        back.add_client(12, s);
-        assert_eq!(back.recluster(), full_rebuild(&back, 2));
     }
 
     /// Sorted set-of-groups view, for comparing partitions that may order
@@ -1093,58 +928,5 @@ mod tests {
         let drifted = two.recluster();
         let g0 = drifted.iter().find(|g| g.contains(&0)).unwrap();
         assert!(g0.contains(&5), "drifted client must cluster with its new distribution");
-    }
-
-    #[test]
-    fn bucketed_save_load_round_trips() {
-        let fed = grouped_federation(3, 4);
-        let cfg = TwoLevelConfig { flat_below: 4, ..TwoLevelConfig::default() };
-        let mut two =
-            ClusterCache::two_level(Summarizer::label_dist(), 2, ExtractionMethod::Auto, cfg);
-        two.insert_federation(&fed, 7);
-        two.remove_client(5); // churn before the snapshot
-        assert!(two.is_bucketed());
-        let groups_before = two.recluster();
-
-        let mut w = SnapshotWriter::new();
-        two.save_state(&mut w);
-        let bytes = w.finish();
-
-        let mut back =
-            ClusterCache::two_level(Summarizer::label_dist(), 2, ExtractionMethod::Auto, cfg);
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        back.load_state(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert!(back.is_bucketed());
-        assert_eq!(back.ids(), two.ids());
-        assert_eq!(back.bucket_count(), two.bucket_count());
-        assert_eq!(back.cell_count(), two.cell_count());
-        assert_eq!(back.recluster(), groups_before, "restored partition must match");
-
-        // a flat cache must refuse a bucketed payload, and vice versa
-        let mut flat = ClusterCache::new(Summarizer::label_dist(), 2, ExtractionMethod::Auto);
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        assert!(matches!(flat.load_state(&mut r), Err(PersistError::Malformed(_))));
-        let mut w = SnapshotWriter::new();
-        flat.save_state(&mut w);
-        let flat_bytes = w.finish();
-        let mut two2 =
-            ClusterCache::two_level(Summarizer::label_dist(), 2, ExtractionMethod::Auto, cfg);
-        let mut r = SnapshotReader::open(&flat_bytes).unwrap();
-        assert!(matches!(two2.load_state(&mut r), Err(PersistError::Malformed(_))));
-    }
-
-    #[test]
-    fn load_rejects_mismatched_min_pts() {
-        let fed = grouped_federation(2, 3);
-        let mut cache = ClusterCache::new(Summarizer::label_dist(), 2, ExtractionMethod::Auto);
-        cache.insert_federation(&fed, 7);
-        let mut w = SnapshotWriter::new();
-        cache.save_state(&mut w);
-        let bytes = w.finish();
-
-        let mut other = ClusterCache::new(Summarizer::label_dist(), 3, ExtractionMethod::Auto);
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        assert!(matches!(other.load_state(&mut r), Err(PersistError::Malformed(_))));
     }
 }

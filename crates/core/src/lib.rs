@@ -35,4 +35,6 @@ pub use clusters::{
 pub use selector::{HaccsSelector, WithinClusterPolicy};
 pub use telemetry::InclusionTelemetry;
 pub use weights::{cluster_weights, ClusterStats};
-pub use wire_bridge::{cluster_wire_summaries, summary_from_wire, summary_to_wire};
+pub use wire_bridge::{
+    check_wire_summary, cluster_wire_summaries, summary_from_wire, summary_to_wire,
+};

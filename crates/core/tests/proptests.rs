@@ -6,8 +6,8 @@
 //! summaries are well-separated — across bucket (sketch level) counts;
 //! and a batch (`sync_wire`, `insert_federation`) that may or may not
 //! cross the gate, and so promotes before it inserts, must leave the
-//! same mode, snapshot bytes, bucket and cell counts and partition as
-//! the same edits applied one client at a time.
+//! same mode, cached summaries and distances, bucket and cell counts and
+//! partition as the same edits applied one client at a time.
 
 use haccs_core::{
     cluster_weights, summarize_federation, summary_from_wire, summary_to_wire, ClusterCache,
@@ -74,13 +74,29 @@ fn summary_pool() -> impl Strategy<Value = Vec<ClientSummary>> {
 }
 
 /// Everything a batch must leave equal to the one-at-a-time path: the
-/// mode, the snapshot bytes, the bucket and cell counts, and the groups.
-type CacheState = (bool, Vec<u8>, usize, usize, Vec<Vec<usize>>);
+/// mode, the cached ids, each cached summary's bins and the flat condensed
+/// distances (both as bit patterns), the bucket and cell counts, and the
+/// groups.
+type CacheState = (bool, Vec<usize>, Vec<Vec<u32>>, Vec<u32>, usize, usize, Vec<Vec<usize>>);
 
 fn cache_state(cache: &mut ClusterCache) -> CacheState {
-    let mut w = SnapshotWriter::new();
-    cache.save_state(&mut w);
-    (cache.is_bucketed(), w.finish(), cache.bucket_count(), cache.cell_count(), cache.recluster())
+    let summaries = cache
+        .ids()
+        .iter()
+        .map(|&id| {
+            let wire = summary_to_wire(cache.cached_summary(id).expect("a cached id's summary"));
+            wire.histograms.iter().flatten().chain(&wire.prevalence).map(|b| b.to_bits()).collect()
+        })
+        .collect();
+    (
+        cache.is_bucketed(),
+        cache.ids().to_vec(),
+        summaries,
+        cache.distances().condensed().iter().map(|d| d.to_bits()).collect(),
+        cache.bucket_count(),
+        cache.cell_count(),
+        cache.recluster(),
+    )
 }
 
 fn two_level_cache(flat_below: usize) -> ClusterCache {

@@ -19,20 +19,6 @@ impl ImageSet {
         ImageSet { pixels: Vec::new(), labels: Vec::new(), channels, side, classes }
     }
 
-    /// Creates a set from raw parts.
-    pub fn from_parts(
-        pixels: Vec<f32>,
-        labels: Vec<usize>,
-        channels: usize,
-        side: usize,
-        classes: usize,
-    ) -> Self {
-        let dim = channels * side * side;
-        assert_eq!(pixels.len(), labels.len() * dim, "pixel buffer size mismatch");
-        assert!(labels.iter().all(|&l| l < classes), "label out of range");
-        ImageSet { pixels, labels, channels, side, classes }
-    }
-
     /// Number of images.
     pub fn len(&self) -> usize {
         self.labels.len()

@@ -115,15 +115,6 @@ pub fn sample_device_variation<R: Rng>(rng: &mut R) -> (f32, f32) {
     (rng.gen_range(-0.01..0.01), rng.gen_range(0.985..1.015))
 }
 
-/// Applies [`sample_device_variation`] to every spec in place.
-pub fn assign_device_variation<R: Rng>(specs: &mut [ClientSpec], rng: &mut R) {
-    for s in specs.iter_mut() {
-        let (b, c) = sample_device_variation(rng);
-        s.brightness = b;
-        s.contrast = c;
-    }
-}
-
 /// Section III layout (Table I): `clients_per_group` clients per group, each
 /// holding only the group's two labels, uniformly.
 pub fn table_i_groups(

@@ -33,13 +33,6 @@ impl Default for ImageTransform {
     }
 }
 
-impl ImageTransform {
-    /// True if the transform leaves images untouched.
-    pub fn is_identity(&self) -> bool {
-        self.rotation_deg == 0.0 && self.brightness == 0.0 && self.contrast == 1.0
-    }
-}
-
 /// Which real dataset a synthetic generator stands in for. Carries the
 /// geometry the paper's experiments use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -215,7 +215,8 @@ impl FedSim {
             .map(|(id, (data, profile))| ClientState::new(id, data, profile))
             .collect();
 
-        // initial loss probe, in parallel (each worker builds its own model)
+        // initial loss probe, one client after another (`par_iter` is
+        // sequential under shims/rayon; each probe builds its own model)
         let gp = &server.global_params;
         let losses: Vec<f32> =
             clients.par_iter().map(|c| probe(&factory, gp, &cfg, &c.data)).collect();
@@ -253,11 +254,6 @@ impl FedSim {
         self
     }
 
-    /// The attached codec's kind, if any.
-    pub fn codec_kind(&self) -> Option<CodecKind> {
-        self.server.codec
-    }
-
     /// Sets the round-execution policy (builder style).
     pub fn with_policy(mut self, policy: RoundPolicy) -> Self {
         self.server.set_policy(policy);
@@ -291,11 +287,6 @@ impl FedSim {
     /// The attached telemetry recorder (disabled unless set).
     pub fn recorder(&self) -> &Recorder {
         &self.server.obs
-    }
-
-    /// The active snapshot schedule, if any.
-    pub fn snapshot_policy(&self) -> Option<&SnapshotPolicy> {
-        self.snapshots.as_ref()
     }
 
     /// The active fault schedule.
@@ -559,25 +550,6 @@ impl FedSim {
         }
         self.server.run_result(selector.name())
     }
-
-    /// Runs until `target` accuracy is reached (checked at each evaluation)
-    /// or `max_rounds` elapse, whichever comes first.
-    pub fn run_until(
-        &mut self,
-        selector: &mut dyn Selector,
-        target: f32,
-        max_rounds: usize,
-    ) -> RunResult {
-        for _ in 0..max_rounds {
-            self.run_round(selector);
-            if let Some(tp) = self.server.result.curve.last() {
-                if tp.accuracy >= target {
-                    break;
-                }
-            }
-        }
-        self.server.run_result(selector.name())
-    }
 }
 
 /// The loss of the global model `params` on (up to `cfg.probe_max` of)
@@ -597,7 +569,8 @@ struct Local<'a> {
 }
 
 impl Local<'_> {
-    /// Trains `ids` in parallel against the current global model. Local
+    /// Trains `ids` one after another (`shims/rayon`'s `par_iter` is
+    /// sequential) against the current global model. Local
     /// seeds depend only on `(cfg.seed, epoch, id)`, so the same id trains
     /// identically whether it was selected up front or drafted as a
     /// replacement.

@@ -651,6 +651,12 @@ impl Server {
         self.result = result;
     }
 
+    /// Labels of the evaluation set, the label space every client's data
+    /// summary spans.
+    pub fn classes(&self) -> usize {
+        self.eval_set.classes()
+    }
+
     /// The run so far, labelled with the selector's strategy.
     pub fn run_result(&self, strategy: String) -> RunResult {
         RunResult { strategy, ..self.result.clone() }

@@ -31,12 +31,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Updates the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update step using the gradients currently accumulated in
     /// the model. Does not zero gradients.
     pub fn step(&mut self, model: &mut Sequential) {

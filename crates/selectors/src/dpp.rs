@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 
 use haccs_fedsim::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::{SelectionContext, Selector};
-use haccs_obs::Recorder;
 use rand::rngs::StdRng;
 
 use crate::{dist_hellinger, sanitize_dist};
@@ -39,7 +38,6 @@ pub struct DppSelector {
     sigma: f64,
     /// Fallback class count for clients with no summary.
     default_classes: usize,
-    obs: Recorder,
 }
 
 impl Default for DppSelector {
@@ -52,7 +50,7 @@ impl DppSelector {
     /// A k-DPP selector with the given RBF bandwidth.
     pub fn new(sigma: f64) -> Self {
         assert!(sigma > 0.0 && sigma.is_finite());
-        DppSelector { dists: BTreeMap::new(), sigma, default_classes: 1, obs: Recorder::disabled() }
+        DppSelector { dists: BTreeMap::new(), sigma, default_classes: 1 }
     }
 
     /// Builds the selector from `(id, P(y))` pairs.
@@ -62,18 +60,11 @@ impl DppSelector {
         s
     }
 
-    /// Attaches an instrumentation handle (builder style).
-    pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Records (or replaces, under drift) one client's label distribution.
     pub fn set_distribution(&mut self, id: usize, dist: &[f32]) {
         let d = sanitize_dist(dist);
         self.default_classes = self.default_classes.max(d.len());
         self.dists.insert(id, d);
-        self.obs.inc("selector.dpp.summary_updates", 1);
     }
 
     /// Batch form of [`DppSelector::set_distribution`].
@@ -117,7 +108,6 @@ impl Selector for DppSelector {
         if ctx.available.is_empty() || ctx.k == 0 {
             return Vec::new();
         }
-        let span = self.obs.span("selector.dpp.select").u("epoch", ctx.epoch as u64);
         let mut ids: Vec<usize> = ctx.available.iter().map(|c| c.id).collect();
         ids.sort_unstable();
         let dists: Vec<Vec<f32>> = ids.iter().map(|&id| self.dist_of(id)).collect();
@@ -174,7 +164,6 @@ impl Selector for DppSelector {
             picked_idx.push(best);
             selection.push(ids[best]);
         }
-        span.finish();
         selection
     }
 

@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 
 use haccs_fedsim::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::{SelectionContext, Selector};
-use haccs_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -46,7 +45,6 @@ pub struct FedClustSelector {
     stale: bool,
     /// Round-robin cursor over clusters.
     next_cluster: usize,
-    obs: Recorder,
 }
 
 impl Default for FedClustSelector {
@@ -70,14 +68,7 @@ impl FedClustSelector {
             rounds_seen: 0,
             stale: false,
             next_cluster: 0,
-            obs: Recorder::disabled(),
         }
-    }
-
-    /// Attaches an instrumentation handle (builder style).
-    pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
-        self
     }
 
     /// Current clusters (exposed for tests/telemetry).
@@ -160,8 +151,6 @@ impl FedClustSelector {
             groups[best_c].push(ids[i]);
         }
         groups.retain(|g| !g.is_empty());
-        self.obs.inc("selector.fedclust.reclusters", 1);
-        self.obs.gauge("selector.fedclust.clusters", groups.len() as f64);
         self.groups = groups;
         self.stale = false;
         self.next_cluster = 0;
@@ -191,7 +180,6 @@ impl Selector for FedClustSelector {
                 self.stale = true; // new member: clusters are incomplete
             }
         }
-        self.obs.inc("selector.fedclust.deltas", 1);
     }
 
     fn observe_round(&mut self, _epoch: usize, _participants: &[usize], _losses: &[f32]) {
@@ -208,7 +196,6 @@ impl Selector for FedClustSelector {
         if self.stale || self.groups.is_empty() {
             self.recluster();
         }
-        let span = self.obs.span("selector.fedclust.select").u("epoch", ctx.epoch as u64);
 
         let mut avail: Vec<usize> = ctx.available.iter().map(|c| c.id).collect();
         avail.sort_unstable();
@@ -258,7 +245,6 @@ impl Selector for FedClustSelector {
                 break;
             }
         }
-        span.finish();
         selection
     }
 

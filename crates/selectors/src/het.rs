@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 
 use haccs_fedsim::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::{SelectionContext, Selector};
-use haccs_obs::Recorder;
 use rand::rngs::StdRng;
 
 use crate::{dist_hellinger, sanitize_dist, weighted_sample_without_replacement};
@@ -34,7 +33,6 @@ pub struct HeterogeneityGuidedSelector {
     rho: f64,
     /// Additive score floor: keeps every client samplable.
     floor: f64,
-    obs: Recorder,
 }
 
 impl Default for HeterogeneityGuidedSelector {
@@ -47,12 +45,7 @@ impl HeterogeneityGuidedSelector {
     /// A heterogeneity-guided selector with the given ρ ∈ [0, 1].
     pub fn new(rho: f64) -> Self {
         assert!((0.0..=1.0).contains(&rho));
-        HeterogeneityGuidedSelector {
-            dists: BTreeMap::new(),
-            rho,
-            floor: 0.01,
-            obs: Recorder::disabled(),
-        }
+        HeterogeneityGuidedSelector { dists: BTreeMap::new(), rho, floor: 0.01 }
     }
 
     /// Builds the selector from `(id, P(y))` pairs.
@@ -65,16 +58,9 @@ impl HeterogeneityGuidedSelector {
         s
     }
 
-    /// Attaches an instrumentation handle (builder style).
-    pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Records (or replaces, under drift) one client's label distribution.
     pub fn set_distribution(&mut self, id: usize, dist: &[f32]) {
         self.dists.insert(id, sanitize_dist(dist));
-        self.obs.inc("selector.het.summary_updates", 1);
     }
 
     /// Batch form of [`HeterogeneityGuidedSelector::set_distribution`].
@@ -116,7 +102,6 @@ impl Selector for HeterogeneityGuidedSelector {
         if ctx.available.is_empty() || ctx.k == 0 {
             return Vec::new();
         }
-        let span = self.obs.span("selector.het.select").u("epoch", ctx.epoch as u64);
         let pooled = self.pooled();
         let weighted: Vec<(usize, f64)> = ctx
             .available
@@ -136,9 +121,7 @@ impl Selector for HeterogeneityGuidedSelector {
                 (c.id, if score.is_finite() { score } else { self.floor })
             })
             .collect();
-        let picked = weighted_sample_without_replacement(&weighted, ctx.k, rng);
-        span.finish();
-        picked
+        weighted_sample_without_replacement(&weighted, ctx.k, rng)
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {

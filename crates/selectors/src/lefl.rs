@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 
 use haccs_fedsim::persist::{PersistError, SnapshotReader, SnapshotWriter};
 use haccs_fedsim::{SelectionContext, Selector};
-use haccs_obs::Recorder;
 use rand::rngs::StdRng;
 
 use crate::{entropy, sanitize_dist, weighted_sample_without_replacement};
@@ -33,7 +32,6 @@ pub struct LeflSelector {
     dists: BTreeMap<usize, Vec<f32>>,
     /// Additive weight floor: keeps near-uniform clients samplable.
     floor: f64,
-    obs: Recorder,
 }
 
 impl Default for LeflSelector {
@@ -46,7 +44,7 @@ impl LeflSelector {
     /// A LEFL selector with the given weight floor.
     pub fn new(floor: f64) -> Self {
         assert!(floor >= 0.0 && floor.is_finite());
-        LeflSelector { dists: BTreeMap::new(), floor, obs: Recorder::disabled() }
+        LeflSelector { dists: BTreeMap::new(), floor }
     }
 
     /// Builds the selector from `(id, P(y))` pairs.
@@ -56,16 +54,9 @@ impl LeflSelector {
         s
     }
 
-    /// Attaches an instrumentation handle (builder style).
-    pub fn with_obs(mut self, obs: Recorder) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Records (or replaces, under drift) one client's label distribution.
     pub fn set_distribution(&mut self, id: usize, dist: &[f32]) {
         self.dists.insert(id, sanitize_dist(dist));
-        self.obs.inc("selector.lefl.summary_updates", 1);
     }
 
     /// Batch form of [`LeflSelector::set_distribution`] — the shape the
@@ -106,13 +97,10 @@ impl Selector for LeflSelector {
         if ctx.available.is_empty() || ctx.k == 0 {
             return Vec::new();
         }
-        let span = self.obs.span("selector.lefl.select").u("epoch", ctx.epoch as u64);
         let h_max = self.h_max();
         let weighted: Vec<(usize, f64)> =
             ctx.available.iter().map(|c| (c.id, self.weight(c.id, h_max))).collect();
-        let picked = weighted_sample_without_replacement(&weighted, ctx.k, rng);
-        span.finish();
-        picked
+        weighted_sample_without_replacement(&weighted, ctx.k, rng)
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {

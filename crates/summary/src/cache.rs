@@ -7,8 +7,9 @@
 //! "Efficient Data Distribution Estimation" identifies as dominant at
 //! scale. A single join, leave or summary refresh only perturbs **one row
 //! and column**, so the cache recomputes just the `n−1` affected
-//! distances (rayon-parallel) and splices them into the condensed store;
-//! every other entry is copied bit-for-bit.
+//! distances and splices them into the condensed store; every other entry
+//! is copied bit-for-bit. The row is written as a rayon `par_iter`, which
+//! the workspace's offline `shims/rayon` runs sequentially.
 //!
 //! Clients are keyed by external id and kept in ascending-id order, the
 //! same order [`crate::pairwise_distances`] sees when the caller lists
@@ -17,9 +18,7 @@
 //! functions of the two summaries, and every summary distance in this
 //! crate is fp-symmetric). The churn property suite pins this.
 
-use crate::distance::DistanceKind;
-use crate::summarizer::{pairwise_distances, ClientSummary, Summarizer, SummaryKind};
-use haccs_persist::{PersistError, SnapshotReader, SnapshotWriter};
+use crate::summarizer::{pairwise_distances, ClientSummary, Summarizer};
 use rayon::prelude::*;
 
 /// Condensed index of pair `(i, j)` with `i < j` in an `n`-point matrix
@@ -31,8 +30,8 @@ fn condensed_index(i: usize, j: usize, n: usize) -> usize {
 
 /// Running maintenance counters for a [`DistanceCache`] — how many
 /// summary distances were actually evaluated versus spliced from the
-/// existing store. Pure observability: never serialized, never consulted
-/// by the maintenance logic.
+/// existing store. Pure observability: never consulted by the
+/// maintenance logic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DistanceCacheStats {
     /// Summary distances evaluated (the expensive Hellinger calls).
@@ -69,8 +68,7 @@ impl DistanceCache {
         }
     }
 
-    /// Maintenance counters since construction (not persisted by
-    /// [`DistanceCache::save_state`]).
+    /// Maintenance counters since construction.
     pub fn stats(&self) -> DistanceCacheStats {
         self.stats
     }
@@ -146,8 +144,9 @@ impl DistanceCache {
         (0..self.ids.len()).map(|i| self.row(i)).collect()
     }
 
-    /// Distances from `summary` to every cached client, rayon-parallel,
-    /// in matrix-index order. This is the only place churn maintenance
+    /// Distances from `summary` to every cached client, in matrix-index
+    /// order, on the calling thread (`shims/rayon`'s `par_iter` is
+    /// sequential). This is the only place churn maintenance
     /// evaluates summary distances.
     fn distances_to_all(&self, summary: &ClientSummary) -> Vec<f32> {
         self.summaries.par_iter().map(|s| self.summarizer.distance_between(s, summary)).collect()
@@ -258,83 +257,6 @@ impl DistanceCache {
     pub fn rebuild_dense(&self) -> Vec<Vec<f32>> {
         pairwise_distances(&self.summarizer, &self.summaries)
     }
-
-    /// Appends the full cache state — summarizer fingerprint, ids,
-    /// summaries and the condensed matrix verbatim — to a snapshot payload.
-    /// Distances are stored as raw f32 bit patterns, not recomputed on
-    /// load, so a restored cache is bit-identical to the saved one.
-    pub fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self.summarizer.kind {
-            SummaryKind::LabelDistribution => 0,
-            SummaryKind::ConditionalDistribution => 1,
-        });
-        w.put_usize(self.summarizer.pixel_bins);
-        match self.summarizer.epsilon {
-            Some(eps) => {
-                w.put_bool(true);
-                w.put_f64(eps);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u8(match self.summarizer.distance {
-            DistanceKind::Hellinger => 0,
-            DistanceKind::TotalVariation => 1,
-            DistanceKind::Euclidean => 2,
-        });
-        w.put_usizes(&self.ids);
-        for s in &self.summaries {
-            s.save_state(w);
-        }
-        w.put_f32s(&self.condensed);
-    }
-
-    /// Restores what [`DistanceCache::save_state`] wrote, replacing this
-    /// cache's contents. The snapshot's summarizer fingerprint must match
-    /// the summarizer this cache was constructed with — resuming under a
-    /// different distance/summary configuration would silently change
-    /// clustering, so it is rejected instead.
-    pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), PersistError> {
-        let kind = match r.get_u8()? {
-            0 => SummaryKind::LabelDistribution,
-            1 => SummaryKind::ConditionalDistribution,
-            t => return Err(PersistError::Malformed(format!("unknown summary kind {t}"))),
-        };
-        let pixel_bins = r.get_usize()?;
-        let epsilon = if r.get_bool()? { Some(r.get_f64()?) } else { None };
-        let distance = match r.get_u8()? {
-            0 => DistanceKind::Hellinger,
-            1 => DistanceKind::TotalVariation,
-            2 => DistanceKind::Euclidean,
-            t => return Err(PersistError::Malformed(format!("unknown distance kind {t}"))),
-        };
-        let stored = Summarizer { kind, pixel_bins, epsilon, distance };
-        if stored != self.summarizer {
-            return Err(PersistError::Malformed(format!(
-                "snapshot summarizer {stored:?} differs from this cache's {:?}",
-                self.summarizer
-            )));
-        }
-        let ids = r.get_usizes()?;
-        if !ids.windows(2).all(|p| p[0] < p[1]) {
-            return Err(PersistError::Malformed("cache ids not strictly ascending".into()));
-        }
-        let mut summaries = Vec::with_capacity(ids.len());
-        for _ in 0..ids.len() {
-            summaries.push(ClientSummary::load_state(r)?);
-        }
-        let condensed = r.get_f32s()?;
-        let n = ids.len();
-        if condensed.len() != n * n.saturating_sub(1) / 2 {
-            return Err(PersistError::Malformed(format!(
-                "condensed length {} does not match {n} clients",
-                condensed.len()
-            )));
-        }
-        self.ids = ids;
-        self.summaries = summaries;
-        self.condensed = condensed;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -417,37 +339,6 @@ mod tests {
     fn removing_unknown_panics() {
         let mut c = cache_with(&[1]);
         c.remove_client(2);
-    }
-
-    #[test]
-    fn save_load_round_trips_bit_exactly() {
-        let c = cache_with(&[3, 0, 7, 5, 1]);
-        let mut w = SnapshotWriter::new();
-        c.save_state(&mut w);
-        let bytes = w.finish();
-
-        let mut back = DistanceCache::new(Summarizer::label_dist());
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        back.load_state(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(back.ids(), c.ids());
-        assert_eq!(back.condensed(), c.condensed());
-        assert_eq!(back.dense(), c.dense());
-
-        // churn after restore stays bit-identical to a rebuild
-        back.add_client(2, label_summary(&[1.0, 2.0, 3.0, 4.0]));
-        assert_eq!(back.dense(), back.rebuild_dense());
-    }
-
-    #[test]
-    fn load_rejects_mismatched_summarizer() {
-        let c = cache_with(&[0, 1]);
-        let mut w = SnapshotWriter::new();
-        c.save_state(&mut w);
-        let bytes = w.finish();
-        let mut other = DistanceCache::new(Summarizer::cond_dist(8));
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        assert!(matches!(other.load_state(&mut r), Err(super::PersistError::Malformed(_))));
     }
 
     #[test]

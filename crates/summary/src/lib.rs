@@ -20,14 +20,14 @@
 //!
 //! A [`Summarizer`] bundles the configuration (summary kind, bin count,
 //! privacy budget) and produces [`ClientSummary`] values from a client's
-//! [`haccs_data::ImageSet`]; pairwise distance matrices are computed in
-//! parallel with rayon.
+//! [`haccs_data::ImageSet`]; pairwise distance matrices are written against
+//! the rayon API, which the workspace's offline `shims/rayon` runs
+//! sequentially.
 
 pub mod cache;
 pub mod distance;
 pub mod dp;
 pub mod hist;
-pub mod persist;
 pub mod sketch;
 pub mod summarizer;
 

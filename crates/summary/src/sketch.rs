@@ -14,8 +14,8 @@
 //! Two resolutions are used together: a **coarse** key (few levels)
 //! partitions the federation into buckets clustered independently, and a
 //! **fine** key (many levels) partitions each bucket into cells sharing a
-//! representative. Both are pure functions of the summary bins, so keys
-//! never need to be persisted — they are re-derived on restore.
+//! representative. Both are pure functions of the summary bins, so a
+//! cache refilled from the same summaries derives the same keys.
 
 use crate::summarizer::ClientSummary;
 

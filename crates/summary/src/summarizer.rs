@@ -192,8 +192,8 @@ impl Summarizer {
     }
 }
 
-/// Symmetric pairwise distance matrix over client summaries, computed in
-/// parallel. Entry `[i][j]` = `d(S(Z_i), S(Z_j))`.
+/// Symmetric pairwise distance matrix over client summaries, computed row
+/// by row on the calling thread (`shims/rayon` is sequential). Entry `[i][j]` = `d(S(Z_i), S(Z_j))`.
 ///
 /// Only the upper triangle is evaluated; the lower triangle is mirrored.
 /// Every summary distance in this crate is fp-symmetric (Hellinger terms

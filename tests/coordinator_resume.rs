@@ -5,9 +5,11 @@
 //! uninterrupted run — under fault schedules, deadline policies, HACCS
 //! re-clustering, and dynamic membership (a scripted mid-training leave).
 
+use haccs::coord::coordinator::haccs_two_level_recluster_hook;
 use haccs::coord::Coordinator;
 use haccs::fedsim::engine::ModelFactory;
 use haccs::prelude::*;
+use haccs::scheduler::TwoLevelConfig;
 use haccs::sysmodel::HeartbeatPolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +36,8 @@ fn build_haccs_coord(
     let factory: ModelFactory =
         Box::new(|| haccs::nn::mlp(64, &[32], 4, &mut StdRng::seed_from_u64(7)));
     // seed the selector with a provisional clustering; the recluster hook
-    // replaces it from wire summaries at the first enrollment
+    // replaces it from wire summaries at the first membership change (a
+    // join after the first round, a leave, an eviction or drift)
     let provisional = vec![(0..n).collect::<Vec<usize>>()];
     let selector = HaccsSelector::new(provisional, 0.5, "P(y)");
     let mut c = Coordinator::new(
@@ -121,22 +124,57 @@ fn haccs_coordinator_resumes_across_membership_change() {
 }
 
 #[test]
+fn resumed_recluster_hook_reaches_the_uninterrupted_groups() {
+    // no snapshot carries the hook's cluster cache: a resumed hook starts
+    // empty and refills from the restored members' summaries at the next
+    // membership change. Client 2 leaves before the round-3 snapshot and
+    // client 6 after it, so the refilled cache must reach the groups the
+    // uninterrupted run's cache reached through both leaves — flat, and
+    // bucketed from the first fill on
+    for flat_below in [1024, 4] {
+        let build = || {
+            let cfg = TwoLevelConfig { flat_below, ..TwoLevelConfig::default() };
+            let (summarizer, extraction) = (Summarizer::label_dist(), ExtractionMethod::Auto);
+            let hook = haccs_two_level_recluster_hook(summarizer, 2, extraction, cfg);
+            // replaces the default-config hook build_haccs_coord installs
+            build_haccs_coord(8, None, RoundPolicy::default(), Some((2, 1)))
+                .with_leave_after(6, 5)
+                .with_recluster_hook(hook)
+        };
+        let mut full = build();
+        let full_out = full.run(ROUNDS);
+
+        let mut first = build();
+        first.run(3);
+        let snap = first.snapshot();
+        drop(first);
+        let mut resumed = build();
+        resumed.restore(&snap).expect("snapshot must restore");
+        let out = resumed.run(ROUNDS - 3);
+
+        let groups = full.selector().groups();
+        assert!(groups.iter().flatten().all(|&id| id != 2 && id != 6), "{groups:?}");
+        assert_eq!(resumed.selector().groups(), groups, "flat_below {flat_below}");
+        assert_eq!(out.rounds, full_out.rounds, "flat_below {flat_below}");
+    }
+}
+
+#[test]
 fn coordinator_periodic_snapshots_land_on_disk_and_restore() {
     let dir = std::env::temp_dir().join(format!("haccs-coord-snap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let policy = SnapshotPolicy::every(2, &dir);
-    let snap_path = policy.path_for(4);
+    let snap_path = dir.join(haccs::persist::segment::manifest_name(4));
 
     let full = {
         let mut c = build_haccs_coord(8, Some(active_faults()), RoundPolicy::default(), None)
-            .with_snapshots(policy);
+            .with_segmented_snapshots(policy, 3);
         c.run(ROUNDS)
     };
     assert!(snap_path.exists(), "scheduled snapshot {snap_path:?} was never written");
 
-    let bytes = std::fs::read(&snap_path).unwrap();
     let mut resumed = build_haccs_coord(8, Some(active_faults()), RoundPolicy::default(), None);
-    resumed.restore(&bytes).expect("on-disk coordinator snapshot must restore");
+    resumed.restore_segmented(&snap_path).expect("on-disk coordinator snapshot must restore");
     let out = resumed.run(ROUNDS - 4);
 
     assert_eq!(out.rounds, full.rounds, "disk round trip must be bit-identical");
@@ -222,7 +260,7 @@ mod socket {
         .with_summarizer(Summarizer::label_dist())
         .with_haccs_reclustering(2, ExtractionMethod::Auto);
         if let Some(p) = snapshots {
-            coord = coord.with_snapshots(p);
+            coord = coord.with_segmented_snapshots(p, 3);
         }
         for (id, link) in accept_remote_clients(&listener, N, coord.uplink(), &TcpConfig::default())
             .expect("accept socket clients")
@@ -250,7 +288,7 @@ mod socket {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let policy = SnapshotPolicy::every(2, &dir);
-        let snap_path = policy.path_for(4);
+        let snap_path = dir.join(haccs::persist::segment::manifest_name(4));
 
         // the uninterrupted reference, itself over sockets
         let (mut coord, clients) = dial_up(None);
@@ -266,9 +304,8 @@ mod socket {
 
         // restart: clients re-dial as fresh processes, the coordinator
         // restores the on-disk snapshot and replays the lost tail
-        let bytes = std::fs::read(&snap_path).unwrap();
         let (mut coord, clients) = dial_up(None);
-        coord.restore(&bytes).expect("socket snapshot must restore");
+        coord.restore_segmented(&snap_path).expect("socket snapshot must restore");
         assert_eq!(coord.epoch(), 4, "restore must land on the checkpoint round");
         let out = coord.run(ROUNDS - 4);
         wind_down(coord, clients);
