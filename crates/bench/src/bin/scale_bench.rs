@@ -445,7 +445,10 @@ fn check_report(text: &str) -> Vec<String> {
 
 fn main() -> ExitCode {
     let mut tiers: Vec<usize> = vec![1_000, 10_000, 100_000];
-    let mut rounds = 3usize;
+    // round 0 enrolls, so 11 rounds time 10 steady ones per tier: with
+    // only 2, the small tiers' p50 was noise and the growth check between
+    // them could not bite
+    let mut rounds = 11usize;
     let mut k = 16usize;
     let mut seed = 11u64;
     let mut out = PathBuf::from("results/BENCH_SCALE.json");

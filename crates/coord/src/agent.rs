@@ -154,36 +154,31 @@ impl AgentEnv {
         AgentEnv { seed, train, probe_max, availability, channel, codec, summarizer }
     }
 
-    /// Encodes one command's answers into a single buffer, reserved from
-    /// their wire sizes and frozen once; each envelope's frame is a slice
-    /// of it. A lossy answer's frame runs the channel's attempt trace,
-    /// exactly as a separately encoded frame would.
-    pub(crate) fn seal(&self, answers: Vec<Answer>) -> Vec<Envelope> {
-        let mut buf = BytesMut::with_capacity(answers.iter().map(|a| a.msg.wire_size()).sum());
-        for a in &answers {
-            a.msg.encode_into(&mut buf);
-        }
+    /// Turns one command's answers into envelopes: `buf` holds their
+    /// frames back to back, as the agents encoded them, and is frozen
+    /// once; each envelope's frame is a slice of it. A lossy answer's
+    /// frame runs the channel's attempt trace, exactly as a separately
+    /// encoded frame would.
+    pub(crate) fn seal(&self, buf: BytesMut, answers: Vec<Answer>) -> Vec<Envelope> {
         let frames = buf.freeze();
-        // a fresh Vec: collecting the answers in place would keep their
-        // larger allocation alive behind the envelopes
-        let mut envelopes = Vec::with_capacity(answers.len());
         let mut start = 0;
-        for Answer { from, seq, msg, path } in answers {
-            let end = start + msg.wire_size();
-            let frame = frames.slice(start..end);
-            start = end;
-            let outcome = match path {
-                Path::Reliable => TransmitOutcome::Delivered {
-                    bytes_sent: frame.len(),
-                    frame,
-                    retries: 0,
-                    backoff_s: 0.0,
-                },
-                Path::Lossy { stream_id } => lossy(&self.channel, frame, stream_id),
-            };
-            envelopes.push(Envelope { from, seq, outcome });
-        }
-        envelopes
+        answers
+            .into_iter()
+            .map(|Answer { from, seq, len, path }| {
+                let frame = frames.slice(start..start + len);
+                start += len;
+                let outcome = match path {
+                    Path::Reliable => TransmitOutcome::Delivered {
+                        bytes_sent: frame.len(),
+                        frame,
+                        retries: 0,
+                        backoff_s: 0.0,
+                    },
+                    Path::Lossy { stream_id } => lossy(&self.channel, frame, stream_id),
+                };
+                Envelope { from, seq, outcome }
+            })
+            .collect()
     }
 }
 
@@ -225,13 +220,13 @@ enum Path {
     Lossy { stream_id: u64 },
 }
 
-/// One uplink answer before encoding: the envelope's header, the message
-/// and its path. [`AgentEnv::seal`] turns a command's answers into
-/// envelopes.
+/// One uplink answer, its frame already encoded into the command's
+/// buffer: the envelope's header, the frame's length and its path.
+/// [`AgentEnv::seal`] turns a command's answers into envelopes.
 pub(crate) struct Answer {
     from: usize,
     seq: u64,
-    msg: Message,
+    len: usize,
     path: Path,
 }
 
@@ -266,15 +261,18 @@ pub fn run_agent(
     uplink: Uplink,
 ) {
     let (env, mut state) = cfg.into_parts(data, profile, summarizer);
+    let mut buf = BytesMut::new();
+    let join = state.join(&env, &mut buf);
     // a send error means the coordinator is gone; the agent just exits
-    let _ = uplink.send(env.seal(vec![state.join(&env)]));
+    let _ = uplink.send(env.seal(buf, vec![join]));
     let mut model = factory();
 
     // serve the coordinator until the downlink closes or the agent leaves
     while let Ok(frame) = downlink.recv() {
         let frame = Downlink::decode(&frame, &env).expect("coordinator sent an undecodable frame");
-        if let Some(answer) = state.on_message(&env, &frame, &mut model) {
-            let _ = uplink.send(env.seal(vec![answer]));
+        let mut buf = BytesMut::new();
+        if let Some(answer) = state.on_message(&env, &frame, &mut model, &mut buf) {
+            let _ = uplink.send(env.seal(buf, vec![answer]));
         }
         if state.departed() {
             return;
@@ -343,15 +341,18 @@ impl AgentState {
         self.departed
     }
 
-    fn answer(&mut self, msg: Message, path: Path) -> Answer {
-        let answer = Answer { from: self.id, seq: self.seq, msg, path };
+    /// Encodes `msg` onto the end of `buf` as the agent's next answer.
+    fn answer(&mut self, buf: &mut BytesMut, msg: Message, path: Path) -> Answer {
+        let start = buf.len();
+        msg.encode_into(buf);
+        let answer = Answer { from: self.id, seq: self.seq, len: buf.len() - start, path };
         self.seq += 1;
         answer
     }
 
     /// Enrollment: privacy summary + resource estimate on the reliable
-    /// path. Always the agent's first answer (seq 0).
-    pub(crate) fn join(&mut self, env: &AgentEnv) -> Answer {
+    /// path, encoded into `buf`. Always the agent's first answer (seq 0).
+    pub(crate) fn join(&mut self, env: &AgentEnv, buf: &mut BytesMut) -> Answer {
         let cold = &*self.cold;
         let mut srng = StdRng::seed_from_u64(cold.summary_seed);
         let summary =
@@ -361,17 +362,19 @@ impl AgentState {
             summary,
             resources: join_resources(&cold.profile, cold.data.train.len()),
         };
-        self.answer(join, Path::Reliable)
+        self.answer(buf, join, Path::Reliable)
     }
 
     /// Processes one decoded downlink frame, returning the uplink answer
-    /// it produces (if any). `model` is scratch: its parameters are
-    /// always set before use and carry no state between calls.
+    /// it produces (if any), whose frame it encodes onto `buf`. `model` is
+    /// scratch: its parameters are always set before use and carry no
+    /// state between calls.
     pub(crate) fn on_message(
         &mut self,
         env: &AgentEnv,
         frame: &Downlink<'_>,
         model: &mut Sequential,
+        buf: &mut BytesMut,
     ) -> Option<Answer> {
         match frame.msg {
             Message::Schedule { round, client_nonce } => {
@@ -421,7 +424,7 @@ impl AgentState {
                         },
                     };
                     let stream_id = round::update_stream_id(round as usize, self.id);
-                    Some(self.answer(update, Path::Lossy { stream_id }))
+                    Some(self.answer(buf, update, Path::Lossy { stream_id }))
                 } else {
                     // unscheduled push = enrollment sync: probe the loss and
                     // ack reliably so the registry gets a round-0 signal
@@ -431,7 +434,7 @@ impl AgentState {
                         round,
                         last_loss: self.last_loss,
                     };
-                    Some(self.answer(ack, Path::Reliable))
+                    Some(self.answer(buf, ack, Path::Reliable))
                 }
             }
             Message::ResumeSync { last_loss: snapshot_loss, .. } => {
@@ -451,7 +454,7 @@ impl AgentState {
                 if self.leave_after.is_some_and(|r| round >= r) {
                     let leave = Message::Leave { client_nonce: self.nonce, round };
                     self.departed = true; // orderly departure
-                    return Some(self.answer(leave, Path::Reliable));
+                    return Some(self.answer(buf, leave, Path::Reliable));
                 }
                 let ack = Message::Heartbeat {
                     client_nonce: self.nonce,
@@ -459,7 +462,7 @@ impl AgentState {
                     last_loss: self.last_loss,
                 };
                 let stream_id = round::hb_stream_id(round as usize, self.id);
-                Some(self.answer(ack, Path::Lossy { stream_id }))
+                Some(self.answer(buf, ack, Path::Lossy { stream_id }))
             }
             ref other => panic!("agent {} received unexpected frame {other:?}", self.id),
         }

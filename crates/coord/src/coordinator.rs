@@ -22,11 +22,18 @@
 //! Pool workers and remote bridges race to deliver agent traffic, yet two
 //! same-seed runs are bit-identical:
 //!
-//! 1. every collection of uplink envelopes — model updates, Joins,
-//!    enrollment acks and heartbeat acks — is drained through an
-//!    [`EventQueue`] in `(client, seq)` order. `seq` is a sender-side
-//!    counter, so nothing in the key depends on thread timing;
-//! 2. all registry and liveness mutations happen in drained order;
+//! 1. Joins and enrollment acks are drained through an [`EventQueue`] in
+//!    `(client, seq)` order, and the registry enrolls in that order. `seq`
+//!    is a sender-side counter, so nothing in the key depends on thread
+//!    timing;
+//! 2. heartbeat acks and trainee updates are applied as their batches
+//!    arrive, because their effects commute: an ack touches only its
+//!    sender's registry entry and snapshot-shard flag and adds to integer
+//!    counters, and an update lands in a per-trainee map the driver reads
+//!    in trainee order. What does depend on order waits for the whole
+//!    collection and is sorted first: `Leave`s and misses apply in
+//!    ascending id order, and the round-trip histogram gets its samples
+//!    in `(client, seq)` order;
 //! 3. FedAvg admission iterates in *selection order* (itself a pure
 //!    function of the seed), the driver's float-summation order — which
 //!    is what makes the coordinator's global model bit-identical to the
@@ -325,49 +332,55 @@ impl Fleet {
         }
     }
 
-    /// Collects exactly `n` envelopes, which may come from clients not in
-    /// the registry yet (enrollment), ordered by `(from, seq)`: the queue
-    /// takes the inbox's collection as it is and sorts it once. A
-    /// bounded-queue overflow is counted and becomes the round-level
-    /// backpressure error.
-    fn collect_uniform(&mut self, n: usize, server: &Server) -> Result<Vec<Envelope>, CoordError> {
-        let envelopes = match self.inbox.take(n, Duration::from_secs(120)) {
-            Ok(envs) => envs,
+    /// Receives exactly `n` envelopes, which may come from clients not in
+    /// the registry yet (enrollment), into an [`EventQueue`] bounded at
+    /// the event capacity, as the batches they arrived in. A collection
+    /// larger than the bound is counted and becomes the round-level
+    /// backpressure error, naming the first envelope beyond it in arrival
+    /// order.
+    fn receive(&mut self, n: usize, server: &Server) -> Result<EventQueue, CoordError> {
+        let batches = match self.inbox.receive(n, Duration::from_secs(120)) {
+            Ok(batches) => batches,
             Err(e) => panic!(
                 "coordinator starved waiting for agent traffic in phase {:?}, epoch {}: {e:?}",
                 self.phase, server.epoch
             ),
         };
         let mut q = EventQueue::bounded(self.event_capacity);
-        if let Err(e) = q.try_extend(envelopes) {
-            server.obs.inc("coord_event_queue_dropped_total", 1);
-            return Err(CoordError::EventQueueFull(e));
+        for batch in batches {
+            if let Err(e) = q.try_extend(batch) {
+                server.obs.inc("coord_event_queue_dropped_total", 1);
+                return Err(CoordError::EventQueueFull(e));
+            }
         }
-        Ok(q.drain_sorted())
+        Ok(q)
     }
 
     /// Collects exactly `n` envelopes from enrolled clients (updates, or
-    /// heartbeat acks, losses and `Leave`s) in `(from, seq)` order.
-    /// Each pool worker's batch already arrives ascending, so the drain
-    /// is a merge of `n_workers` runs. With a recorder attached, each
-    /// envelope's simulated round trip (effective latency plus wire
-    /// backoff) feeds `coord_agent_rtt_seconds`, in that order and as one
-    /// batch, and the collection's size feeds the global and per-shard
-    /// queue-depth histograms.
-    fn collect(&mut self, n: usize, server: &Server) -> Result<Vec<Envelope>, CoordError> {
+    /// heartbeat acks, losses and `Leave`s) as the batches they arrived
+    /// in, for the caller to apply in that order: neither collection's
+    /// effects depend on it (DESIGN.md §8). With a recorder attached,
+    /// each envelope's simulated round trip (effective latency plus wire
+    /// backoff) feeds `coord_agent_rtt_seconds` as one batch in
+    /// `(from, seq)` order, so the histogram's float sum is the same
+    /// however the batches raced, and the collection's size feeds the
+    /// global and per-shard queue-depth histograms.
+    fn collect(&mut self, n: usize, server: &Server) -> Result<Vec<Vec<Envelope>>, CoordError> {
         let obs = &server.obs;
         obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
-        let drained = self.collect_uniform(n, server)?;
+        let batches = self.receive(n, server)?.drain_arrived();
         if obs.is_enabled() {
             let n_shards = self.shard_cfg.n_shards;
             let mut depth = vec![0usize; n_shards];
-            let mut rtts = Vec::with_capacity(drained.len());
-            for &Envelope { from: id, ref outcome, .. } in &drained {
+            let mut timed = Vec::with_capacity(n);
+            for &Envelope { from: id, seq, ref outcome } in batches.iter().flatten() {
                 let (TransmitOutcome::Delivered { backoff_s, .. }
                 | TransmitOutcome::Lost { backoff_s, .. }) = outcome;
-                rtts.push(server.effective_latency(id, &self.client(id)) + backoff_s);
+                timed.push((id, seq, server.effective_latency(id, &self.client(id)) + backoff_s));
                 depth[shard_of(id, n_shards)] += 1;
             }
+            timed.sort_by_key(|&(id, seq, _)| (id, seq));
+            let rtts: Vec<f64> = timed.into_iter().map(|(.., rtt)| rtt).collect();
             obs.observe_many("coord_agent_rtt_seconds", &rtts);
             for &d in &depth {
                 let bounds = haccs_obs::metrics::SHARD_QUEUE_DEPTH;
@@ -375,7 +388,7 @@ impl Fleet {
             }
             shard_gauges(obs, "coord_shard_queue_depth", &depth);
         }
-        Ok(drained)
+        Ok(batches)
     }
 
     /// Per-shard membership gauges: how many non-departed clients each
@@ -508,6 +521,7 @@ impl Backend for Fleet {
         let mut outcomes: HashMap<usize, TransmitOutcome> = self
             .collect(trainees.len(), server)?
             .into_iter()
+            .flatten()
             .map(|e| (e.from, e.outcome))
             .collect();
         Ok(trainees
@@ -556,11 +570,16 @@ impl Backend for Fleet {
             ..Default::default()
         };
 
-        // acks apply as they decode, in the collection's ascending id
-        // order; leaves and misses wait until every ack is in
+        // acks apply as they decode, in arrival order: an ack touches only
+        // its sender's entry and shard flag and adds to integer counters,
+        // so any interleaving of the worker batches gives the same state.
+        // Leaves and misses wait until every ack is in, then apply in
+        // ascending id order
         let mut lost: Vec<usize> = Vec::new();
         let mut leaves: Vec<usize> = Vec::new();
-        for Envelope { from: id, outcome, .. } in self.collect(n_responders, server)? {
+        for Envelope { from: id, outcome, .. } in
+            self.collect(n_responders, server)?.into_iter().flatten()
+        {
             match outcome {
                 TransmitOutcome::Delivered { frame, retries, bytes_sent, .. } => {
                     out.retries += retries;
@@ -604,6 +623,8 @@ impl Backend for Fleet {
             }
         }
 
+        leaves.sort_unstable();
+        lost.sort_unstable();
         for id in leaves {
             self.registry.observe_leave(id);
             self.mark_entry_dirty(id);
@@ -927,9 +948,16 @@ impl<S: Selector> Coordinator<S> {
     /// registry re-caches the client's summary and the re-clustering hook
     /// fires at the next round boundary, exactly as after a join or
     /// departure. Frames for departed clients are dropped (a late update
-    /// can race a `Leave`).
+    /// can race a `Leave`). A summary that fails [`check_wire_summary`],
+    /// the check a `Join`'s summary passes, is refused: the stored
+    /// summary stays, membership stays clean, and a `coord.rejected`
+    /// event says why.
     pub fn observe_summary_update(&mut self, id: usize, summary: WireSummary) {
         if self.fleet.registry.get(id).liveness == Liveness::Left {
+            return;
+        }
+        if let Err(why) = check_wire_summary(&summary, &self.summarizer, self.server.classes()) {
+            rejected_event(&self.server, id, why);
             return;
         }
         self.fleet.registry.observe_summary_update(id, summary);
@@ -1069,7 +1097,7 @@ impl<S: Selector> Coordinator<S> {
             let mut new_ids = Vec::with_capacity(n_new);
             let classes = self.server.classes();
             for Envelope { from: id, outcome, .. } in
-                self.fleet.collect_uniform(n_new, &self.server)?
+                self.fleet.receive(n_new, &self.server)?.drain_sorted()
             {
                 let (profile, local_n_train) = spawn_meta[&id];
                 // a summary the re-clustering hook cannot read fails here,
@@ -1128,7 +1156,8 @@ impl<S: Selector> Coordinator<S> {
                 params: self.server.global_params.clone(),
             };
             self.fleet.core_mut().dispatch_cohort(&new_ids, push.encode());
-            let acks = self.fleet.collect_uniform(new_ids.len(), &self.server)?;
+            // a rejected ack's events follow id order too
+            let acks = self.fleet.receive(new_ids.len(), &self.server)?.drain_sorted();
             for Envelope { from: id, outcome, .. } in acks {
                 match Fleet::decode_delivered(outcome) {
                     Ok(Message::Heartbeat { last_loss, .. }) => {
@@ -1541,11 +1570,11 @@ impl<S: Selector> Coordinator<S> {
         };
 
         // backpressure (already counted) fails the restore, not the process
-        let joined = self.fleet.collect_uniform(live.len(), &self.server).map_err(|e| {
+        let mut joined = self.fleet.receive(live.len(), &self.server).map_err(|e| {
             PersistError::Malformed(format!("restore aborted on coordinator backpressure: {e}"))
         })?;
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        for Envelope { from: id, outcome, .. } in joined {
+        for Envelope { from: id, outcome, .. } in joined.drain_sorted() {
             match Fleet::decode_delivered(outcome) {
                 Ok(Message::Join { client_nonce, resources, .. }) => {
                     joins.insert(id, (client_nonce, resources));
@@ -1799,11 +1828,43 @@ mod tests {
         assert_eq!(per_shard("coord_shard_queue_depth"), want);
     }
 
+    /// A deterministic shuffle stream for the interleaving tests.
+    fn shuffler() -> impl FnMut() -> usize {
+        let mut stream = 0u64;
+        move || {
+            stream += 1;
+            crate::shard::splitmix64(stream) as usize
+        }
+    }
+
+    /// `workers`' batches cut at `cuts` random points each, the pieces
+    /// shuffled: one way the uplink could deliver them.
+    fn interleave(
+        workers: &[Vec<Envelope>],
+        cuts: usize,
+        next: &mut impl FnMut() -> usize,
+    ) -> Vec<Vec<Envelope>> {
+        let mut pieces = Vec::new();
+        for batch in workers {
+            let mut at: Vec<usize> = (0..cuts).map(|_| next() % (batch.len() + 1)).collect();
+            at.sort_unstable();
+            let mut start = 0;
+            for end in at.into_iter().chain([batch.len()]) {
+                pieces.push(batch[start..end].to_vec());
+                start = end;
+            }
+        }
+        for i in (1..pieces.len()).rev() {
+            pieces.swap(i, next() % (i + 1));
+        }
+        pieces
+    }
+
     #[test]
-    fn ack_collection_is_ascending_for_any_interleaving_of_worker_batches() {
+    fn join_collection_is_ascending_for_any_interleaving_of_worker_batches() {
         let n = 12;
-        let mut c = build_coord(n, Availability::AlwaysOn).with_recorder(Recorder::enabled());
-        c.run_round(); // enroll 0..n, so every ack can be timed for the rtt histogram
+        let mut c = build_coord(n, Availability::AlwaysOn);
+        c.run_round(); // enroll 0..n; the agents stay idle until probed
         let tx = c.uplink();
         // an envelope whose outcome carries its seq, so the drained order
         // shows both keys
@@ -1813,7 +1874,7 @@ mod tests {
             outcome: TransmitOutcome::Lost { retries: seq as usize, backoff_s: 0.5 },
         };
         let drained = |c: &mut Coordinator<FirstK>, count: usize| -> Vec<(usize, usize)> {
-            let got = c.fleet.collect(count, &c.server).unwrap();
+            let got = c.fleet.receive(count, &c.server).unwrap().drain_sorted();
             got.into_iter()
                 .map(|e| match e.outcome {
                     TransmitOutcome::Lost { retries, .. } => (e.from, retries),
@@ -1831,22 +1892,9 @@ mod tests {
             })
             .collect();
         let want: Vec<(usize, usize)> = (0..n).flat_map(|id| [(id, 7), (id, 8)]).collect();
-        let mut stream = 0u64;
-        let mut next = || {
-            stream += 1;
-            crate::shard::splitmix64(stream) as usize
-        };
+        let mut next = shuffler();
         for _ in 0..40 {
-            let mut pieces: Vec<Vec<Envelope>> = Vec::new();
-            for batch in &workers {
-                let cut = next() % (batch.len() + 1);
-                pieces.push(batch[..cut].to_vec());
-                pieces.push(batch[cut..].to_vec());
-            }
-            for i in (1..pieces.len()).rev() {
-                pieces.swap(i, next() % (i + 1));
-            }
-            for p in pieces {
+            for p in interleave(&workers, 1, &mut next) {
                 tx.send(p).unwrap();
             }
             assert_eq!(drained(&mut c, 2 * n), want);
@@ -1858,6 +1906,204 @@ mod tests {
         assert_eq!(drained(&mut c, 2), [(1, 1), (5, 1)]);
         tx.send(vec![ack(0, 2)]).unwrap();
         assert_eq!(drained(&mut c, 2), [(0, 2), (3, 1)]);
+    }
+
+    /// A [`Coordinator::remote`] over `n` clients that never answer by
+    /// themselves: each has a link whose frames nobody reads, and the test
+    /// sends every envelope the coordinator collects. Enrollment is fed
+    /// here — a `Join` with a well-formed summary, then an enrollment ack,
+    /// per client — so the next collection is whatever the test sends.
+    /// Misses suspect at once and evict at the third.
+    fn hand_fed(
+        n: usize,
+        availability: Availability,
+        obs: Recorder,
+    ) -> (Coordinator<FirstK>, Vec<mpsc::Receiver<bytes::Bytes>>) {
+        let gen = SynthVision::mnist_like(4, 8, 0);
+        let fed = FederatedDataset::materialize(&gen, &partition::iid(n, 4, 60, 16), 0);
+        let profiles = DeviceProfile::sample_many(n, &mut StdRng::seed_from_u64(1));
+        let factory: ModelFactory = Box::new(|| mlp(64, &[32], 4, &mut StdRng::seed_from_u64(7)));
+        let mut c = Coordinator::remote(
+            factory,
+            fed.global_test,
+            profiles,
+            LatencyModel::default(),
+            availability,
+            SimConfig { k: 3, seed: 5, ..Default::default() },
+            FirstK,
+        )
+        .with_recorder(obs)
+        .with_heartbeat(HeartbeatPolicy::new(1, 1, 3));
+        let reliable =
+            |frame| TransmitOutcome::Delivered { frame, retries: 0, backoff_s: 0.0, bytes_sent: 0 };
+        let summary = WireSummary { histograms: vec![vec![0.25; 4]], prevalence: Vec::new() };
+        let resources = ResourceEstimate {
+            compute_multiplier: 1.0,
+            bandwidth_mbps: 1.0,
+            rtt_ms: 1.0,
+            n_train: 60,
+        };
+        let mut downlinks = Vec::new();
+        for id in 0..n {
+            let (downlink, rx) = mpsc::channel();
+            c.attach_remote(id, RemoteLink { downlink, pump: None });
+            downlinks.push(rx);
+            let client_nonce = session_nonce(5, id);
+            let (summary, resources) = (summary.clone(), resources.clone());
+            let join = Message::Join { client_nonce, summary, resources };
+            let outcome = reliable(join.encode());
+            c.uplink().send(vec![Envelope { from: id, seq: 0, outcome }]).unwrap();
+        }
+        for id in 0..n {
+            let ack =
+                Message::Heartbeat { client_nonce: session_nonce(5, id), round: 0, last_loss: 1.0 };
+            let outcome = reliable(ack.encode());
+            c.uplink().send(vec![Envelope { from: id, seq: 1, outcome }]).unwrap();
+        }
+        c.ensure_enrolled().expect("enrollment completes");
+        (c, downlinks)
+    }
+
+    /// One heartbeat-sweep envelope per responder of a 12-client
+    /// [`hand_fed`] federation whose client 9 is silent: 2 and 10 lose
+    /// their acks on the wire, 5 sends one nobody can read, 4 and 7 leave,
+    /// and the rest ack, each with its own loss, retries and backoff. Batched
+    /// as three pool workers would send them, ascending by id.
+    fn sweep_batches() -> Vec<Vec<Envelope>> {
+        let delivered = |frame: bytes::Bytes, retries: usize, backoff_s: f64| {
+            let bytes_sent = (retries + 1) * frame.len();
+            TransmitOutcome::Delivered { frame, retries, backoff_s, bytes_sent }
+        };
+        let answer = |id: usize| {
+            let client_nonce = session_nonce(5, id);
+            let outcome = match id {
+                2 | 10 => TransmitOutcome::Lost { retries: 3, backoff_s: 0.7 + id as f64 / 16.0 },
+                5 => delivered(bytes::Bytes::from_static(&[0xEE, 0x01, 0x02]), 1, 0.3),
+                4 | 7 => delivered(Message::Leave { client_nonce, round: 0 }.encode(), 0, 0.0),
+                _ => {
+                    let last_loss = 0.5 + id as f32 / 32.0;
+                    let ack = Message::Heartbeat { client_nonce, round: 0, last_loss };
+                    delivered(ack.encode(), id % 3, 0.1 * id as f64)
+                }
+            };
+            Envelope { from: id, seq: 2, outcome }
+        };
+        (0..3).map(|w| (0..12).filter(|&id| id % 3 == w && id != 9).map(answer).collect()).collect()
+    }
+
+    /// Everything a sweep leaves behind that the run can observe.
+    #[derive(Debug, PartialEq)]
+    struct SweepState {
+        outcome: HeartbeatOutcome,
+        entries: String,
+        snapshot: Vec<u8>,
+        liveness: Vec<(u64, String)>,
+        rtt: (u64, Vec<u64>, u64),
+    }
+
+    /// Runs one heartbeat sweep of a fresh [`hand_fed`] federation on
+    /// `batches`, delivered in that order.
+    fn sweep(batches: Vec<Vec<Envelope>>) -> SweepState {
+        use haccs_obs::FieldValue;
+        let sink = haccs_obs::MemorySink::new();
+        let obs = Recorder::enabled().with_sink(sink.clone());
+        let (mut c, _downlinks) = hand_fed(12, Availability::permanent([9]), obs.clone());
+        for batch in batches {
+            c.uplink().send(batch).unwrap();
+        }
+        let outcome = c.fleet.heartbeats(&c.server, &[]).expect("the sweep fits the queue");
+        let field = |r: &haccs_obs::EventRecord, key| match r.field(key) {
+            Some(FieldValue::Str(s)) => s.clone(),
+            Some(v) => format!("{}", v.as_f64().unwrap()),
+            None => panic!("no {key}"),
+        };
+        let liveness = sink
+            .records()
+            .iter()
+            .filter(|r| r.name == "coord.liveness")
+            .map(|r| (field(r, "client").parse().unwrap(), field(r, "to")))
+            .collect();
+        let h = obs.histogram("coord_agent_rtt_seconds").expect("acks timed");
+        SweepState {
+            outcome,
+            entries: format!("{:?}", c.registry().entries()),
+            snapshot: c.snapshot(),
+            liveness,
+            rtt: (h.count(), h.counts().to_vec(), h.sum().to_bits()),
+        }
+    }
+
+    #[test]
+    fn a_heartbeat_sweep_ends_in_one_state_for_any_interleaving_of_worker_batches() {
+        let reference = sweep(sweep_batches());
+        // the sweep took every branch: 6 acks, the silent client and three
+        // unusable acks missed, two Leaves
+        let hb = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
+        assert_eq!(reference.outcome.acked, 6);
+        assert_eq!(reference.outcome.missed, 4);
+        assert_eq!(reference.outcome.retries, 2 * 3 + 1 + 5);
+        assert_eq!(reference.rtt.0, 11, "every responder's round trip is timed");
+        let to = |id: u64, state: &str| (id, state.to_string());
+        let want = [
+            to(4, "left"),
+            to(7, "left"),
+            to(9, "suspected"),
+            to(2, "suspected"),
+            to(5, "suspected"),
+            to(10, "suspected"),
+        ];
+        assert_eq!(reference.liveness, want, "leaves, then the silent, then lost acks, by id");
+        assert!(reference.outcome.bytes > 12 * hb);
+
+        let workers = sweep_batches();
+        let mut next = shuffler();
+        for round in 0..24 {
+            let cuts = 1 + round % 3;
+            assert_eq!(sweep(interleave(&workers, cuts, &mut next)), reference, "shuffle {round}");
+        }
+        // every envelope a batch of its own, in descending id order
+        let mut singles: Vec<Vec<Envelope>> =
+            workers.concat().into_iter().map(|e| vec![e]).collect();
+        singles.sort_by_key(|b| std::cmp::Reverse(b[0].from));
+        assert_eq!(sweep(singles), reference, "descending singles");
+    }
+
+    #[test]
+    fn a_sweep_larger_than_the_event_capacity_fails_the_round() {
+        // at the fleet: the error names the first envelope beyond the
+        // bound in arrival order, and nothing of the sweep is applied
+        let obs = Recorder::enabled();
+        let (mut c, _downlinks) = hand_fed(12, Availability::permanent([9]), obs.clone());
+        c.fleet.event_capacity = 9;
+        let mut batches = sweep_batches();
+        batches.reverse(); // 2, 5, 8, 11 arrive first, then 1, 4, 7, 10, then 0, 3, 6
+        let ninth = batches.concat()[9].from;
+        assert_eq!(ninth, 3);
+        for batch in batches {
+            c.uplink().send(batch).unwrap();
+        }
+        let before = format!("{:?}", c.registry().entries());
+        match c.fleet.heartbeats(&c.server, &[]) {
+            Err(CoordError::EventQueueFull(full)) => {
+                assert_eq!(full, QueueFull { capacity: 9, client: ninth })
+            }
+            other => panic!("expected EventQueueFull, got {other:?}"),
+        }
+        assert_eq!(obs.counter_value("coord_event_queue_dropped_total"), 1);
+        assert_eq!(format!("{:?}", c.registry().entries()), before);
+
+        // through the round: six clients' sweep over a bound of four
+        let obs = Recorder::enabled();
+        let mut c = build_coord(6, Availability::AlwaysOn).with_recorder(obs.clone());
+        c.run_round();
+        let mut c = c.with_event_capacity(4); // the three updates still fit
+        match c.try_run_round() {
+            Err(CoordError::EventQueueFull(QueueFull { capacity: 4, client })) => {
+                assert!(client < 6)
+            }
+            other => panic!("expected EventQueueFull, got {other:?}"),
+        }
+        assert_eq!(obs.counter_value("coord_event_queue_dropped_total"), 1);
     }
 
     #[test]
@@ -2545,14 +2791,80 @@ mod tests {
     }
 
     #[test]
+    fn a_summary_update_its_join_could_not_carry_is_refused() {
+        use haccs_obs::FieldValue;
+        let label = |bins: Vec<f32>| WireSummary { histograms: vec![bins], prevalence: Vec::new() };
+        let none = WireSummary { histograms: Vec::new(), prevalence: Vec::new() };
+        let sink = haccs_obs::MemorySink::new();
+        let obs = Recorder::enabled().with_sink(sink.clone());
+        let mut c = build_coord(4, Availability::AlwaysOn)
+            .with_recorder(obs.clone())
+            .with_recluster_hook(|_: &mut FirstK, _: &[(usize, WireSummary)]| {});
+        c.run_round();
+        let stored = c.registry().summary(1).clone();
+        let bad = [
+            (label(vec![0.25, f32::INFINITY, 0.25, 0.5]), "not finite"),
+            (label(vec![0.5, 0.5]), "has 2 bins, expected 4"),
+            (none, "has 0 histograms"),
+        ];
+        for (summary, want) in bad {
+            c.observe_summary_update(1, summary);
+            assert_eq!(c.registry().summary(1), &stored, "{want}");
+            assert!(!c.fleet.membership_dirty, "{want}");
+            let rejected: Vec<_> =
+                sink.records().into_iter().filter(|r| r.name == "coord.rejected").collect();
+            let last = rejected.last().expect("a coord.rejected event");
+            assert_eq!(last.field("client").and_then(FieldValue::as_f64), Some(1.0));
+            match last.field("why") {
+                Some(FieldValue::Str(why)) => assert!(why.contains(want), "why: {why}"),
+                other => panic!("no reason given: {other:?}"),
+            }
+            c.run_round();
+            assert_eq!(obs.counter_value("coord_reclusters_total"), 0, "{want}");
+        }
+
+        // a well-formed drift still lands and re-clusters
+        let drifted = c.registry().summary(2).clone();
+        c.observe_summary_update(1, drifted.clone());
+        assert_eq!(c.registry().summary(1), &drifted);
+        c.run_round();
+        assert_eq!(obs.counter_value("coord_reclusters_total"), 1);
+    }
+
+    #[test]
     fn restore_rejects_a_member_summary_its_join_could_not_carry() {
         let mut c = build_coord(4, Availability::AlwaysOn);
         c.run(1);
-        let bins = vec![0.25, f32::INFINITY, 0.25, 0.5];
-        c.observe_summary_update(1, WireSummary { histograms: vec![bins], prevalence: Vec::new() });
-        let snap = c.snapshot();
+        // the snapshot's payload, rebuilt from its fragments so client 1's
+        // second bin can be found: pre, entries in id order, post
+        let mut w = SnapshotWriter::new();
+        c.write_pre(&mut w);
+        let mut payload = w.into_payload();
+        let mut at = 0;
+        for id in 0..c.registry().len() {
+            if id == 1 {
+                // after the histogram count and the bins' length prefix
+                at = payload.len() + 8 + 8 + 4;
+            }
+            let mut w = SnapshotWriter::new();
+            Coordinator::<FirstK>::write_entry(&c.fleet.registry, id, &mut w);
+            payload.extend(w.into_payload());
+        }
+        let mut w = SnapshotWriter::new();
+        c.write_post(&mut w);
+        payload.extend(w.into_payload());
+        let frame = |payload: &[u8]| {
+            let mut w = SnapshotWriter::new();
+            w.append_raw(payload);
+            w.finish()
+        };
+        assert_eq!(frame(&payload), c.snapshot(), "the fragments splice the snapshot");
+        let bin = f32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+        assert_eq!(bin, c.registry().summary(1).histograms[0][1]);
+
+        payload[at..at + 4].copy_from_slice(&f32::INFINITY.to_le_bytes());
         let mut resumed = build_coord(4, Availability::AlwaysOn);
-        assert_malformed(resumed.restore(&snap), "client 1: summary bin is not finite");
+        assert_malformed(resumed.restore(&frame(&payload)), "client 1: summary bin is not finite");
     }
 
     #[test]

@@ -1,23 +1,29 @@
-//! Deterministic event ordering for the coordinator.
+//! Bounded envelope collections and deterministic event ordering for the
+//! coordinator.
 //!
 //! Pool workers and remote bridges race: envelopes arrive on the shared
-//! uplink channel in whatever order the OS scheduler produces. The
-//! coordinator never acts on raw arrival order — every collection of
-//! envelopes is first put into an [`EventQueue`] keyed by
-//! `(from, seq)` and drained in that order. `seq` is the sender's own
-//! counter (a coordinator-assigned sequence would re-introduce
-//! arrival-order nondeterminism), so the drained sequence is a pure
-//! function of the run seed and identical across reruns no matter how the
-//! threads interleave.
+//! uplink channel in whatever order the OS scheduler produces. Envelopes
+//! reach the coordinator in batches (one per pool-worker command), and an
+//! `Inbox` cuts those batches into collections of exact size. Each
+//! collection goes into an [`EventQueue`], which bounds it and hands it
+//! out one of two ways:
 //!
-//! A collection fills the queue and then drains all of it, so the queue
-//! is a plain `Vec` of the envelopes themselves, sorted once per drain.
-//! Envelopes reach the coordinator in batches (one per pool-worker
-//! command), and an `Inbox` turns those batches back into collections of
-//! exact size, which the queue adopts without copying.
+//! * [`EventQueue::drain_sorted`] keyed by `(from, seq)`, for a
+//!   collection whose effects depend on order (registry enrollment is
+//!   id-ordered). `seq` is the sender's own counter (a
+//!   coordinator-assigned sequence would re-introduce arrival-order
+//!   nondeterminism), so the drained sequence is a pure function of the
+//!   run seed and identical across reruns no matter how the threads
+//!   interleave;
+//! * [`EventQueue::drain_arrived`], the batches as they arrived, for a
+//!   collection whose effects commute (heartbeat acks, trainee updates):
+//!   applying them in any order gives the same state, so sorting them
+//!   would only cost time.
+//!
+//! Filling the queue copies no envelope: it keeps each batch's `Vec` as it
+//! arrived. Only `drain_sorted` copies, into the one `Vec` it sorts.
 
 use crate::agent::Envelope;
-use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
 
@@ -46,13 +52,15 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// A collection of [`Envelope`]s drained in `(from, seq)` order, with
-/// an explicit capacity bound ([`EventQueue::bounded`]) so a runaway
+/// One collection of [`Envelope`]s, kept as the batches they arrived in
+/// and drained either in `(from, seq)` order or in arrival order, with an
+/// explicit capacity bound ([`EventQueue::bounded`]) so a runaway
 /// producer turns into a [`QueueFull`] backpressure error instead of
 /// unbounded memory growth.
 #[derive(Debug)]
 pub struct EventQueue {
-    envelopes: Vec<Envelope>,
+    batches: Vec<Vec<Envelope>>,
+    len: usize,
     capacity: usize,
 }
 
@@ -64,13 +72,13 @@ impl Default for EventQueue {
 
 impl EventQueue {
     pub fn new() -> Self {
-        Self { envelopes: Vec::new(), capacity: usize::MAX }
+        Self { batches: Vec::new(), len: 0, capacity: usize::MAX }
     }
 
     /// A queue that holds at most `capacity` envelopes at once.
     pub fn bounded(capacity: usize) -> Self {
         assert!(capacity >= 1, "event queue capacity must be >= 1");
-        Self { envelopes: Vec::new(), capacity }
+        Self { batches: Vec::new(), len: 0, capacity }
     }
 
     /// The configured capacity (`usize::MAX` for [`EventQueue::new`]).
@@ -78,74 +86,100 @@ impl EventQueue {
         self.capacity
     }
 
-    /// Inserts a collection's envelopes in arrival order. Past capacity,
-    /// the first envelope that does not fit is the [`QueueFull`] one, and
-    /// it and every later one are dropped; the queued ones stay. An empty
-    /// queue adopts `envelopes`' allocation rather than copying them.
-    pub fn try_extend(&mut self, mut envelopes: Vec<Envelope>) -> Result<(), QueueFull> {
-        let room = self.capacity - self.envelopes.len();
-        let full =
-            envelopes.get(room).map(|e| QueueFull { capacity: self.capacity, client: e.from });
-        envelopes.truncate(room);
-        if self.envelopes.is_empty() {
-            self.envelopes = envelopes;
-        } else {
-            self.envelopes.append(&mut envelopes);
+    /// Appends one batch of envelopes, in arrival order, keeping its
+    /// `Vec` as it is. Past capacity, the first envelope that does not fit
+    /// is the [`QueueFull`] one, and it and every later one are dropped;
+    /// the queued ones stay.
+    pub fn try_extend(&mut self, mut batch: Vec<Envelope>) -> Result<(), QueueFull> {
+        let room = self.capacity - self.len;
+        let full = batch.get(room).map(|e| QueueFull { capacity: self.capacity, client: e.from });
+        batch.truncate(room);
+        self.len += batch.len();
+        if !batch.is_empty() {
+            self.batches.push(batch);
         }
         full.map_or(Ok(()), Err)
     }
 
     pub fn len(&self) -> usize {
-        self.envelopes.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.envelopes.is_empty()
+        self.len == 0
     }
 
-    /// Drains every queued envelope in `(from, seq)` order, sorting them
-    /// once, in place. `seq` is a per-sender counter, so the key never
-    /// repeats within one collection and the sort has no ties to break:
-    /// the order is a function of the keys alone, not of insertion order.
-    /// The sort is stable, which makes it a linear-time merge when the
-    /// envelopes arrive as a few already-ascending runs — what a
-    /// collection sees, since each pool worker answers a cohort in
-    /// ascending id order.
+    /// Drains every queued envelope in `(from, seq)` order: one copy into
+    /// a single `Vec`, sorted once, in place. `seq` is a per-sender
+    /// counter, so the key never repeats within one collection and the
+    /// sort has no ties to break: the order is a function of the keys
+    /// alone, not of insertion order. The sort is stable, which makes it
+    /// a linear-time merge when the envelopes arrive as a few
+    /// already-ascending runs — what a collection sees, since each pool
+    /// worker answers a cohort in ascending id order.
     pub fn drain_sorted(&mut self) -> Vec<Envelope> {
-        let mut out = std::mem::take(&mut self.envelopes);
+        let mut out = Vec::with_capacity(self.len);
+        for batch in self.drain_arrived() {
+            out.extend(batch);
+        }
         out.sort_by_key(|e| (e.from, e.seq));
         out
+    }
+
+    /// Drains every queued envelope in arrival order, as the batches they
+    /// arrived in, without copying one: each sender's envelopes stay in
+    /// its `seq` order (a pool worker or a transport bridge is a single
+    /// FIFO producer), while different senders' interleave however the
+    /// threads raced. Only a collection whose effects commute across
+    /// senders may be applied in this order.
+    pub fn drain_arrived(&mut self) -> Vec<Vec<Envelope>> {
+        self.len = 0;
+        std::mem::take(&mut self.batches)
     }
 }
 
 /// The receiving end of a batched uplink. Senders deliver items in
-/// batches of any size; [`Inbox::take`] hands out exactly the count a
-/// collection asks for. Items of a batch beyond that count wait, in
-/// arrival order, for the next `take` — the queueing an unbatched channel
-/// gives single items.
+/// batches of any size; [`Inbox::receive`] hands out exactly the count a
+/// collection asks for, as the batches they arrived in. The items of a
+/// batch beyond that count wait, in arrival order, for the next
+/// `receive` — the queueing an unbatched channel gives single items.
 #[derive(Debug)]
 pub(crate) struct Inbox<T> {
     rx: Receiver<Vec<T>>,
-    carry: VecDeque<T>,
+    /// The tail of the last batch a collection cut short.
+    carry: Option<Vec<T>>,
 }
 
 impl<T> Inbox<T> {
     pub(crate) fn new(rx: Receiver<Vec<T>>) -> Self {
-        Inbox { rx, carry: VecDeque::new() }
+        Inbox { rx, carry: None }
     }
 
-    /// The next `n` items in arrival order, waiting at most `timeout` for
-    /// each batch.
-    pub(crate) fn take(&mut self, n: usize, timeout: Duration) -> Result<Vec<T>, RecvTimeoutError> {
-        let mut out = Vec::with_capacity(n);
-        let carried = n.min(self.carry.len());
-        out.extend(self.carry.drain(..carried));
-        while out.len() < n {
-            let mut batch = self.rx.recv_timeout(timeout)?.into_iter();
-            out.extend(batch.by_ref().take(n - out.len()));
-            self.carry.extend(batch);
+    /// The next `n` items in arrival order, as the non-empty batches they
+    /// arrived in (the last one cut to fit), waiting at most `timeout`
+    /// for each batch. A batch moves whole; only cutting one copies its
+    /// tail.
+    pub(crate) fn receive(
+        &mut self,
+        n: usize,
+        timeout: Duration,
+    ) -> Result<Vec<Vec<T>>, RecvTimeoutError> {
+        let mut batches = Vec::new();
+        let mut left = n;
+        while left > 0 {
+            let mut batch = match self.carry.take() {
+                Some(carried) => carried,
+                None => self.rx.recv_timeout(timeout)?,
+            };
+            if batch.len() > left {
+                self.carry = Some(batch.split_off(left));
+            }
+            left -= batch.len();
+            if !batch.is_empty() {
+                batches.push(batch);
+            }
         }
-        Ok(out)
+        Ok(batches)
     }
 }
 
@@ -306,7 +340,28 @@ mod tests {
     }
 
     #[test]
-    fn inbox_takes_exact_counts_and_carries_extras_in_order() {
+    fn drain_arrived_hands_back_the_batches_as_they_came() {
+        let mut q = EventQueue::bounded(5);
+        q.try_extend(vec![env(7, 1, 0), env(3, 9, 1)]).unwrap();
+        q.try_extend(Vec::new()).unwrap();
+        q.try_extend(vec![env(7, 2, 2)]).unwrap();
+        assert_eq!(q.len(), 3);
+        let batches: Vec<Vec<usize>> =
+            q.drain_arrived().iter().map(|b| b.iter().map(|e| keyed(e).2).collect()).collect();
+        assert_eq!(batches, [vec![0, 1], vec![2]], "arrival order, empty batches left out");
+        assert!(q.is_empty(), "a drain empties the queue for the next collection");
+
+        // the bound names the first envelope beyond it in arrival order,
+        // whichever drain follows
+        q.try_extend(vec![env(9, 0, 0), env(1, 0, 1), env(4, 0, 2)]).unwrap();
+        let err = q.try_extend(vec![env(8, 0, 3), env(2, 0, 4), env(0, 0, 5)]).unwrap_err();
+        assert_eq!(err, QueueFull { capacity: 5, client: 0 });
+        let kept: Vec<usize> = q.drain_arrived().into_iter().flatten().map(|e| e.from).collect();
+        assert_eq!(kept, [9, 1, 4, 8, 2]);
+    }
+
+    #[test]
+    fn inbox_receives_exact_counts_as_batches_and_carries_extras_in_order() {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut inbox = Inbox::new(rx);
         let wait = Duration::from_secs(5);
@@ -314,11 +369,16 @@ mod tests {
         tx.send(vec![4, 5]).unwrap();
         tx.send(Vec::new()).unwrap();
         tx.send(vec![6]).unwrap();
-        assert_eq!(inbox.take(2, wait).unwrap(), [1, 2]);
+        tx.send(vec![7, 8, 9, 10]).unwrap();
+        assert_eq!(inbox.receive(2, wait).unwrap(), [vec![1, 2]]);
         // the extra 3 waits for the next collection, ahead of later batches
-        assert_eq!(inbox.take(2, wait).unwrap(), [3, 4]);
-        assert_eq!(inbox.take(0, wait).unwrap(), Vec::<i32>::new());
-        assert_eq!(inbox.take(2, wait).unwrap(), [5, 6]);
-        assert!(inbox.take(1, Duration::from_millis(10)).is_err(), "nothing left to take");
+        assert_eq!(inbox.receive(2, wait).unwrap(), [vec![3], vec![4]]);
+        assert_eq!(inbox.receive(0, wait).unwrap(), Vec::<Vec<i32>>::new());
+        assert_eq!(inbox.receive(2, wait).unwrap(), [vec![5], vec![6]], "no empty batch");
+        // a carried tail can be cut again
+        assert_eq!(inbox.receive(1, wait).unwrap(), [vec![7]]);
+        assert_eq!(inbox.receive(2, wait).unwrap(), [vec![8, 9]]);
+        assert_eq!(inbox.receive(1, wait).unwrap(), [vec![10]]);
+        assert!(inbox.receive(1, Duration::from_millis(10)).is_err(), "nothing left to receive");
     }
 }

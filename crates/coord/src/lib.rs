@@ -14,8 +14,9 @@
 //!
 //! Pieces:
 //!
-//! * [`events::EventQueue`] — total order `(from, seq)` over racing
-//!   agent envelopes; the determinism backbone,
+//! * [`events::EventQueue`] — one bounded collection of racing agent
+//!   envelopes, drained in `(from, seq)` order where order matters (Joins)
+//!   or as it arrived where effects commute (acks, updates),
 //! * [`registry::ClientRegistry`] — per-client membership, telemetry and
 //!   the `Joined → Alive ⇄ Suspected → Left` liveness machine, one entry
 //!   per id,

@@ -23,9 +23,10 @@
 //!
 //! Determinism over real sockets: fault outcomes are content-independent
 //! hashes computed *client-side* by the [`FaultyChannel`] inside each
-//! agent, envelopes carry the sender's `(seq)` and the coordinator orders
-//! every collection by `(client, seq)` — so TCP's physical racing cannot
-//! perturb a round history, which is what lets the e2e harness pin TCP
+//! agent, envelopes carry the sender's `(seq)`, and the coordinator orders
+//! every Join collection by `(client, seq)` and applies acks and updates,
+//! whose effects commute, with their order-dependent parts sorted by
+//! client — so TCP's physical racing cannot perturb a round history, which is what lets the e2e harness pin TCP
 //! runs bit-identical to in-process runs under the same seed.
 //!
 //! [`FaultyChannel`]: haccs_wire::FaultyChannel

@@ -10,12 +10,12 @@
 //! A worker keeps its agents in one dense table indexed by a local slot
 //! the core assigns at spawn (ascending with id), with each agent's
 //! per-message state inline, and shares the run's one agent env across
-//! all of them. It answers each command by encoding every answer into one
-//! buffer, so a heartbeat ack costs a slice of that buffer rather than an
-//! allocation of its own.
+//! all of them. Each agent encodes its answer to a command onto one buffer
+//! the command shares, so a heartbeat ack costs a slice of that buffer
+//! rather than an allocation of its own.
 
 use crate::agent::{AgentEnv, AgentState, Downlink, SharedModelFactory, Uplink};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use haccs_nn::Sequential;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -291,8 +291,10 @@ fn worker_main(
     while let Ok(cmd) = cmds.recv() {
         let (frame, slots) = match cmd {
             WorkerCmd::Spawn(mut state) => {
+                let mut buf = BytesMut::new();
+                let join = state.join(&env, &mut buf);
                 // a send error means the coordinator is gone; just unwind
-                let _ = uplink.send(env.seal(vec![state.join(&env)]));
+                let _ = uplink.send(env.seal(buf, vec![join]));
                 agents.push(Some(state));
                 continue;
             }
@@ -304,19 +306,21 @@ fn worker_main(
         };
         // one decode serves every recipient of the shared frame
         let frame = Downlink::decode(&frame, &env).expect("coordinator sent an undecodable frame");
+        // every recipient encodes its answer onto this one buffer
+        let mut buf = BytesMut::new();
         let mut answers = Vec::with_capacity(slots.len());
         for slot in slots {
             let Some(agent) = agents[slot].as_mut() else {
                 continue; // departed and dropped — the closed-downlink case
             };
             let m = model.get_or_insert_with(|| factory());
-            answers.extend(agent.on_message(&env, &frame, m));
+            answers.extend(agent.on_message(&env, &frame, m, &mut buf));
             if agent.departed() {
                 agents[slot] = None;
             }
         }
         if !answers.is_empty() {
-            let _ = uplink.send(env.seal(answers));
+            let _ = uplink.send(env.seal(buf, answers));
         }
     }
 }
