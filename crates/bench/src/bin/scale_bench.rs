@@ -3,7 +3,7 @@
 //! (`haccs-scale-bench/v2`) into `results/BENCH_SCALE.json`.
 //!
 //! ```text
-//! scale-bench [--tiers N,N,..] [--rounds R] [--k K] [--seed S] [--out FILE] [--no-fork]
+//! scale-bench [--tiers N,N,..] [--rounds R] [--k K] [--seed S] [--out FILE]
 //! scale-bench --check FILE
 //! ```
 //!
@@ -11,24 +11,26 @@
 //!
 //! * **round latency** — wall-clock per `run_round` (p50/p90/p99/mean)
 //!   plus the enrollment-inclusive first round, and the simulated
-//!   round seconds for scale. A round probes every client, so its cost
-//!   must stay near-linear in n: the validator rejects steady p50 growth
-//!   of 2·ratio·ln(nᵢ)/ln(nᵢ₋₁) or more across a tier step (n log n with
-//!   2× slack), which a quadratic pass over the registry breaks,
-//! * **events/sec** — envelopes drained through the deterministic event
-//!   queue per wall second (read back from the
-//!   `coord_shard_queue_depth` histogram the coordinator feeds, plus
-//!   the 2·n enrollment round-trips),
+//!   round seconds for scale. No recorder is attached, so this times the
+//!   untraced round perfbench's `round_ms_p50` times. A round probes
+//!   every client, so its cost must stay near-linear in n: the validator
+//!   rejects steady p50 growth of 2·ratio·ln(nᵢ)/ln(nᵢ₋₁) or more across
+//!   a tier step (n log n with 2× slack), which a quadratic pass over the
+//!   registry breaks,
+//! * **events/sec** — envelopes the coordinator collected per wall
+//!   second. The world is fault-free and always on, so a round collects
+//!   one update per participant and one ack per probed client;
+//!   enrollment adds the 2·n Join and enrollment-ack round trips,
 //! * **clustering_ms** — wall-clock of one full §IV-C re-cluster over
 //!   the tier's summaries through the two-level `ClusterCache`
 //!   (`flat_below: 0`, so every tier measures the bucketed path). The
 //!   validator rejects growth anywhere near quadratic — the flat
 //!   all-pairs path's signature,
 //! * **snapshot bytes per tick** — the dirty-shard segmented snapshot's
-//!   steady-state write cost (`coord_snapshot_bytes_total` deltas,
-//!   first all-shard tick excluded and reported separately). Shard
-//!   count is ⌈√n⌉, so steady ticks cost O(√n): the validator rejects
-//!   linear-or-worse growth,
+//!   steady-state write cost (the sizes of the manifest and the data
+//!   file each tick wrote, first all-shard tick excluded and reported
+//!   separately). Shard count is ⌈√n⌉, so steady ticks cost O(√n): the
+//!   validator rejects linear-or-worse growth,
 //! * **peak RSS** — `VmHWM` from `/proc/self/status`,
 //! * **OS thread count** — `Threads:` sampled mid-run. The whole point
 //!   of the sharded core: the pool is sized by `ShardConfig::default()`
@@ -38,30 +40,29 @@
 //! Each tier runs in its **own child process** (`--one-tier`, spawned
 //! from `current_exe`): `VmHWM` is a per-process high-water mark that
 //! never resets, so measuring ascending tiers in one process would
-//! attribute every tier the largest predecessor's peak. `--no-fork`
-//! keeps the old single-process behavior (also the automatic fallback
-//! when spawning fails, e.g. under a restrictive sandbox) — there the
-//! RSS column is only an upper bound for all but the largest tier.
+//! attribute every tier the largest predecessor's peak. When a child
+//! cannot be spawned (e.g. under a restrictive sandbox), the tier runs
+//! in-process instead, and its RSS column is only an upper bound.
 //!
 //! `--check FILE` parses an existing report and validates the schema
 //! plus the scaling assertions — CI's `scale-smoke` job runs a reduced
 //! sweep and then this validator.
 
 use haccs_baselines::RandomSelector;
-use haccs_bench::{mean, percentile};
+use haccs_bench::{check_file, mean, percentile, write_report};
 use haccs_coord::{Coordinator, ShardConfig};
 use haccs_core::{ClusterCache, ExtractionMethod, TwoLevelConfig};
 use haccs_data::{partition, FederatedDataset, SynthVision};
 use haccs_fedsim::engine::{ModelFactory, SnapshotPolicy};
+use haccs_fedsim::persist::segment::{data_file_name, manifest_name};
 use haccs_fedsim::SimConfig;
 use haccs_nn::ModelKind;
 use haccs_obs::json::Json;
-use haccs_obs::Recorder;
 use haccs_summary::Summarizer;
 use haccs_sysmodel::{Availability, DeviceProfile, LatencyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -121,9 +122,18 @@ fn time_clustering(fed: &FederatedDataset, seed: u64) -> (f64, f64, usize, usize
     (insert_ms, recluster_ms, cache.bucket_count(), cache.cell_count(), groups.len())
 }
 
-/// One tier of the sweep: enroll n clients on the event backend, run the
-/// rounds with per-round segmented snapshots, read the scaling counters
-/// back, then time the two-level clustering separately.
+/// Bytes the segmented-snapshot tick of `epoch` wrote into `dir`: its
+/// manifest plus its data file, which a tick that dirtied no shard does
+/// not write.
+fn tick_bytes(dir: &Path, epoch: usize) -> u64 {
+    let size = |name: String| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+    size(manifest_name(epoch)) + size(data_file_name(epoch))
+}
+
+/// One tier of the sweep: time the two-level clustering, then enroll n
+/// clients on the event backend and run the rounds untraced with
+/// per-round segmented snapshots, counting collected envelopes and
+/// snapshot bytes as they happen.
 fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
     eprintln!("tier n={n}: materializing dataset");
     let (fed, profiles) = build_world(n, seed);
@@ -139,7 +149,6 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
     let factory: ModelFactory =
         Box::new(move || ModelKind::Mlp.build(1, SIDE, CLASSES, &mut StdRng::seed_from_u64(7)));
     let cfg = SimConfig { k, seed, eval_max: 256, probe_max: 8, ..Default::default() };
-    let rec = Recorder::enabled();
     let layout = ShardConfig::default();
     // √n snapshot shards: steady dirty-shard ticks then cost O(√n)
     let snap_shards = (n as f64).sqrt().ceil().max(1.0) as usize;
@@ -155,23 +164,24 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
         cfg,
         RandomSelector::new(),
     )
-    .with_recorder(rec.clone())
     .with_segmented_snapshots(SnapshotPolicy::every(1, &snap_dir), snap_shards);
 
     let mut wall_s = Vec::with_capacity(rounds);
     let mut sim_s = Vec::with_capacity(rounds);
     let mut snap_tick_bytes = Vec::with_capacity(rounds);
     let mut threads_peak = 0u64;
-    let mut snap_counter = 0u64;
+    // enrollment collects one Join and one enrollment ack per client
+    let mut total_events = 2 * n;
     let t_total = Instant::now();
     for r in 0..rounds {
         let t = Instant::now();
         let record = coord.run_round();
         wall_s.push(t.elapsed().as_secs_f64());
         sim_s.push(record.round_seconds);
-        let total = rec.counter_value("coord_snapshot_bytes_total");
-        snap_tick_bytes.push((total - snap_counter) as f64);
-        snap_counter = total;
+        // fault-free and always on: every trainee's update arrives, every
+        // member is probed and acks, and nobody leaves
+        total_events += record.participants.len() + coord.registry().probed_ids().len();
+        snap_tick_bytes.push(tick_bytes(&snap_dir, coord.epoch()) as f64);
         threads_peak = threads_peak.max(os_threads().unwrap_or(0));
         eprintln!(
             "tier n={n}: round {r} in {:.3}s wall ({} participants, {:.0} snapshot bytes)",
@@ -181,13 +191,7 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
         );
     }
     let total_wall = t_total.elapsed().as_secs_f64();
-
-    // envelopes drained through timed collections, read back from the
-    // depth histogram the sharded coordinator feeds; enrollment adds one
-    // Join and one enrollment ack per client outside those collections
-    let timed_events =
-        rec.histogram("coord_shard_queue_depth").map(|h| h.sum()).unwrap_or(f64::NAN);
-    let total_events = timed_events + 2.0 * n as f64;
+    let total_events = total_events as f64;
     let steady: Vec<f64> = wall_s[1..].to_vec();
     // tick 0 writes every shard (nothing clean yet); steady ticks write
     // the manifest, which carries the core, plus one data file holding
@@ -454,7 +458,6 @@ fn main() -> ExitCode {
     let mut out = PathBuf::from("results/BENCH_SCALE.json");
     let mut check: Option<PathBuf> = None;
     let mut one_tier: Option<usize> = None;
-    let mut fork = true;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -478,10 +481,9 @@ fn main() -> ExitCode {
             "--one-tier" => {
                 one_tier = Some(args.next().expect("--one-tier N").parse().expect("tier size"));
             }
-            "--no-fork" => fork = false,
             "--help" | "-h" => {
                 println!(
-                    "usage: scale-bench [--tiers N,N,..] [--rounds R] [--k K] [--seed S] [--out FILE] [--no-fork]\n       scale-bench --check FILE"
+                    "usage: scale-bench [--tiers N,N,..] [--rounds R] [--k K] [--seed S] [--out FILE]\n       scale-bench --check FILE"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -491,22 +493,7 @@ fn main() -> ExitCode {
     assert!(rounds >= 2, "need at least 2 rounds (round 0 is enrollment-inclusive)");
 
     if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let errs = check_report(&text);
-        if errs.is_empty() {
-            println!("{}: valid haccs-scale-bench/v2 report", path.display());
-            return ExitCode::SUCCESS;
-        }
-        for e in &errs {
-            eprintln!("schema violation: {e}");
-        }
-        return ExitCode::FAILURE;
+        return check_file(&path, "haccs-scale-bench/v2", check_report);
     }
 
     if let Some(n) = one_tier {
@@ -517,16 +504,7 @@ fn main() -> ExitCode {
 
     assert!(tiers.windows(2).all(|w| w[0] < w[1]), "tiers must be ascending");
     let tier_reports: Vec<Json> =
-        tiers
-            .iter()
-            .map(|&n| {
-                if fork {
-                    run_tier_forked(n, rounds, k, seed)
-                } else {
-                    run_tier(n, rounds, k, seed)
-                }
-            })
-            .collect();
+        tiers.iter().map(|&n| run_tier_forked(n, rounds, k, seed)).collect();
 
     let report = Json::obj(vec![
         ("schema", Json::Str("haccs-scale-bench/v2".into())),
@@ -541,15 +519,7 @@ fn main() -> ExitCode {
         ("tiers", Json::Arr(tier_reports)),
     ]);
 
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    let rendered = report.render_pretty();
-    std::fs::write(&out, rendered.as_bytes()).expect("write bench output");
-    println!("saved {}", out.display());
-
-    let errs = check_report(&rendered);
-    assert!(errs.is_empty(), "self-check failed: {errs:?}");
+    write_report(&out, &report, check_report);
     ExitCode::SUCCESS
 }
 

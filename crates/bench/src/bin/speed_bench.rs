@@ -26,7 +26,7 @@
 //! `--check FILE` parses an existing report and validates the schema —
 //! CI's `bench-smoke` job runs the tiny matrix and then this validator.
 
-use haccs_bench::{mean, percentile};
+use haccs_bench::{check_file, mean, percentile, write_report};
 use haccs_codec::CodecKind;
 use haccs_coord::agent::SharedModelFactory;
 use haccs_coord::{accept_remote_clients, remote_agent_config, serve_agent_tcp, Coordinator};
@@ -392,22 +392,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = check {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let errs = check_report(&text);
-        if errs.is_empty() {
-            println!("{}: valid haccs-speed-bench/v1 report", path.display());
-            return ExitCode::SUCCESS;
-        }
-        for e in &errs {
-            eprintln!("schema violation: {e}");
-        }
-        return ExitCode::FAILURE;
+        return check_file(&path, "haccs-speed-bench/v1", check_report);
     }
 
     let env = build_env(clients, seed);
@@ -448,15 +433,7 @@ fn main() -> ExitCode {
         ("tcp_int8", tcp),
     ]);
 
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    let rendered = report.render_pretty();
-    std::fs::write(&out, rendered.as_bytes()).expect("write bench output");
-    println!("saved {}", out.display());
-
-    let errs = check_report(&rendered);
-    assert!(errs.is_empty(), "self-check failed: {errs:?}");
+    write_report(&out, &report, check_report);
     ExitCode::SUCCESS
 }
 

@@ -10,6 +10,9 @@
 //!   experiment so regressions in any figure's pipeline are caught.
 
 use haccs_experiments::{run_experiment, ExperimentReport, Scale, ALL_EXPERIMENTS};
+use haccs_obs::json::Json;
+use std::path::Path;
+use std::process::ExitCode;
 
 pub mod demo;
 
@@ -49,6 +52,43 @@ pub fn mean(values: &[f64]) -> f64 {
         return f64::NAN;
     }
     values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// The bench bins' `--check FILE`: validates the report at `path` with
+/// `check`, which lists every violation in a report's text, printing
+/// `<path>: valid <schema> report` on success and one
+/// `schema violation:` line per violation otherwise.
+pub fn check_file(path: &Path, schema: &str, check: fn(&str) -> Vec<String>) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    let errs = check(&text);
+    if errs.is_empty() {
+        println!("{}: valid {schema} report", path.display());
+        return ExitCode::SUCCESS;
+    }
+    for e in &errs {
+        eprintln!("schema violation: {e}");
+    }
+    ExitCode::FAILURE
+}
+
+/// Writes `report` to `out`, creating its directory, prints
+/// `saved <out>`, and panics unless the written text passes `check`.
+pub fn write_report(out: &Path, report: &Json, check: fn(&str) -> Vec<String>) {
+    if let Some(dir) = out.parent() {
+        std::fs::create_dir_all(dir).expect("create results dir");
+    }
+    let rendered = report.render_pretty();
+    std::fs::write(out, rendered.as_bytes()).expect("write bench output");
+    println!("saved {}", out.display());
+
+    let errs = check(&rendered);
+    assert!(errs.is_empty(), "self-check failed: {errs:?}");
 }
 
 #[cfg(test)]

@@ -2,29 +2,30 @@
 //! through the wire protocol against client agents, which the event-loop
 //! core (`crate::shard`) multiplexes over a fixed worker pool.
 //!
-//! Structure of one round (the state machine mirrors DESIGN.md §8):
+//! One round is a fixed exchange (DESIGN.md §8), so the coordinator
+//! always knows how many envelopes each step collects:
 //!
-//! ```text
-//! Enrolling --Joins processed--> Clustering --hook fired--> Selecting
-//!    Selecting --Schedule/ModelPush sent--> Dispatched
-//!    Dispatched --updates collected--> Aggregating
-//!    Aggregating --FedAvg + clock + heartbeat sweep--> Committed
-//! ```
+//! 1. enroll: pending agents spawn and send one `Join` each, then ack the
+//!    enrollment `ModelPush` once each;
+//! 2. re-cluster: if membership changed, the §IV-C hook runs;
+//! 3. select, then push the trainees the global model and collect one
+//!    update envelope per trainee;
+//! 4. aggregate, advance the clock, and sweep: one ack, loss or `Leave`
+//!    per available probed client.
 //!
-//! From `Selecting` to `Committed` the round is
-//! [`haccs_fedsim::round::Server::run_round`], the driver the loop engine
-//! runs too; the coordinator is only its [`Backend`]: it pushes the
-//! trainees one cohort frame, collects their envelopes and runs the real
-//! heartbeat sweep.
+//! Steps 3 and 4 are [`haccs_fedsim::round::Server::run_round`], the
+//! driver the loop engine runs too; the coordinator is only its
+//! [`Backend`]: it pushes the trainees one cohort frame, collects their
+//! envelopes and runs the real heartbeat sweep.
 //!
 //! ## Determinism
 //!
 //! Pool workers and remote bridges race to deliver agent traffic, yet two
 //! same-seed runs are bit-identical:
 //!
-//! 1. Joins and enrollment acks are drained through an [`EventQueue`] in
-//!    `(client, seq)` order, and the registry enrolls in that order. `seq`
-//!    is a sender-side counter, so nothing in the key depends on thread
+//! 1. Joins and enrollment acks are sorted by `(client, seq)` before
+//!    any is applied, and the registry enrolls in that order. `seq` is a
+//!    sender-side counter, so nothing in the key depends on thread
 //!    timing;
 //! 2. heartbeat acks and trainee updates are applied as their batches
 //!    arrive, because their effects commute: an ack touches only its
@@ -46,7 +47,7 @@
 use crate::agent::{
     join_resources, AgentEnv, AgentState, Envelope, SharedModelFactory, TransmitOutcome, Uplink,
 };
-use crate::events::{EventQueue, Inbox, QueueFull};
+use crate::events::Inbox;
 use crate::registry::{ClientEntry, ClientRegistry, Liveness};
 use crate::shard::{shard_of, EventCore, ShardConfig};
 use haccs_codec::CodecKind;
@@ -72,23 +73,6 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Where the coordinator's round state machine currently sits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundPhase {
-    /// Processing `Join` frames from newly spawned agents.
-    Enrolling,
-    /// Membership changed: the §IV-C re-clustering hook is running.
-    Clustering,
-    /// Building the pool and invoking the selector.
-    Selecting,
-    /// `Schedule`/`ModelPush` frames are out; clients are training.
-    Dispatched,
-    /// Collecting `ModelUpdate`s and applying the deadline policy.
-    Aggregating,
-    /// Round committed: model averaged, clock advanced, record written.
-    Committed,
-}
-
 /// A queued mid-training join, spawned at the next round boundary.
 struct PendingJoin {
     data: ClientData,
@@ -97,15 +81,10 @@ struct PendingJoin {
 }
 
 /// A coordinator-level runtime failure surfaced to the caller instead of
-/// silently degrading the round. Returned by [`Coordinator::try_run_round`];
+/// silently degrading the run. Returned by [`Coordinator::try_run_round`];
 /// [`Coordinator::run_round`] panics on it.
 #[derive(Debug)]
 pub enum CoordError {
-    /// The bounded event queue dropped an envelope (see
-    /// [`Coordinator::with_event_capacity`]). The drop is also counted in
-    /// the `coord_event_queue_dropped_total` obs counter. The round that
-    /// hit this is torn: the coordinator should be discarded.
-    EventQueueFull(QueueFull),
     /// A scheduled snapshot (see [`Coordinator::with_segmented_snapshots`])
     /// could not be written. The round itself committed and the
     /// coordinator stays usable: the shards this tick missed stay dirty,
@@ -116,7 +95,6 @@ pub enum CoordError {
 impl std::fmt::Display for CoordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CoordError::EventQueueFull(e) => write!(f, "coordinator backpressure: {e}"),
             CoordError::Snapshot(e) => write!(f, "scheduled snapshot failed: {e}"),
         }
     }
@@ -125,7 +103,6 @@ impl std::fmt::Display for CoordError {
 impl std::error::Error for CoordError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CoordError::EventQueueFull(e) => Some(e),
             CoordError::Snapshot(e) => Some(e),
         }
     }
@@ -241,12 +218,7 @@ struct Fleet {
     /// The uplink's receiving end; holds envelopes a batch delivered
     /// beyond what the collection that received it needed.
     inbox: Inbox<Envelope>,
-    /// Bound on each envelope-collection [`EventQueue`]; overflow is a
-    /// [`CoordError::EventQueueFull`], counted in
-    /// `coord_event_queue_dropped_total`.
-    event_capacity: usize,
     hb_policy: HeartbeatPolicy,
-    phase: RoundPhase,
     membership_dirty: bool,
     segmented: Option<SegmentedSnapshots>,
 }
@@ -273,11 +245,6 @@ struct RestoredEntry {
     missed_heartbeats: u32,
     n_train: usize,
 }
-
-/// Default bound on the coordinator's envelope-collection queues: far
-/// above anything a well-behaved federation produces (one envelope per
-/// client per collection), so hitting it means a runaway producer.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 20;
 
 /// Everything a snapshot holds, parsed and validated but not yet
 /// committed (the selector's state *is* already loaded — on any error
@@ -333,27 +300,11 @@ impl Fleet {
     }
 
     /// Receives exactly `n` envelopes, which may come from clients not in
-    /// the registry yet (enrollment), into an [`EventQueue`] bounded at
-    /// the event capacity, as the batches they arrived in. A collection
-    /// larger than the bound is counted and becomes the round-level
-    /// backpressure error, naming the first envelope beyond it in arrival
-    /// order.
-    fn receive(&mut self, n: usize, server: &Server) -> Result<EventQueue, CoordError> {
-        let batches = match self.inbox.receive(n, Duration::from_secs(120)) {
-            Ok(batches) => batches,
-            Err(e) => panic!(
-                "coordinator starved waiting for agent traffic in phase {:?}, epoch {}: {e:?}",
-                self.phase, server.epoch
-            ),
-        };
-        let mut q = EventQueue::bounded(self.event_capacity);
-        for batch in batches {
-            if let Err(e) = q.try_extend(batch) {
-                server.obs.inc("coord_event_queue_dropped_total", 1);
-                return Err(CoordError::EventQueueFull(e));
-            }
-        }
-        Ok(q)
+    /// the registry yet (enrollment), as the batches they arrived in.
+    fn receive(&mut self, n: usize, server: &Server) -> Vec<Vec<Envelope>> {
+        self.inbox.receive(n, Duration::from_secs(120)).unwrap_or_else(|e| {
+            panic!("coordinator starved waiting for {n} envelopes in epoch {}: {e:?}", server.epoch)
+        })
     }
 
     /// Collects exactly `n` envelopes from enrolled clients (updates, or
@@ -365,10 +316,10 @@ impl Fleet {
     /// `(from, seq)` order, so the histogram's float sum is the same
     /// however the batches raced, and the collection's size feeds the
     /// global and per-shard queue-depth histograms.
-    fn collect(&mut self, n: usize, server: &Server) -> Result<Vec<Vec<Envelope>>, CoordError> {
+    fn collect(&mut self, n: usize, server: &Server) -> Vec<Vec<Envelope>> {
         let obs = &server.obs;
         obs.observe_with("coord_event_queue_depth", haccs_obs::metrics::QUEUE_DEPTH, n as f64);
-        let batches = self.receive(n, server)?.drain_arrived();
+        let batches = self.receive(n, server);
         if obs.is_enabled() {
             let n_shards = self.shard_cfg.n_shards;
             let mut depth = vec![0usize; n_shards];
@@ -388,7 +339,7 @@ impl Fleet {
             }
             shard_gauges(obs, "coord_shard_queue_depth", &depth);
         }
-        Ok(batches)
+        batches
     }
 
     /// Per-shard membership gauges: how many non-departed clients each
@@ -478,6 +429,25 @@ impl Fleet {
     }
 }
 
+/// A collection's envelopes in `(from, seq)` order, for the collections
+/// whose effects depend on order (Joins and enrollment acks: registry
+/// enrollment is id-ordered, and a rejected one raises events). One copy
+/// into a single `Vec`, sorted once, in place. `seq` is a per-sender
+/// counter, so the key never repeats within one collection and the sort
+/// has no ties to break: the order is a function of the keys alone, not
+/// of arrival order. The sort is stable, which makes it a linear-time
+/// merge when the envelopes arrive as a few already-ascending runs —
+/// what a collection sees, since each pool worker answers a cohort in
+/// ascending id order.
+fn sorted(batches: Vec<Vec<Envelope>>) -> Vec<Envelope> {
+    let mut out = Vec::with_capacity(batches.iter().map(Vec::len).sum());
+    for batch in batches {
+        out.extend(batch);
+    }
+    out.sort_by_key(|e| (e.from, e.seq));
+    out
+}
+
 /// One `name{shard="s"}` gauge per shard.
 fn shard_gauges(obs: &Recorder, name: &str, per_shard: &[usize]) {
     for (shard, &v) in per_shard.iter().enumerate() {
@@ -486,7 +456,6 @@ fn shard_gauges(obs: &Recorder, name: &str, per_shard: &[usize]) {
 }
 
 impl Backend for Fleet {
-    type Error = CoordError;
     const NAMES: &'static Names = &NAMES;
 
     fn client(&self, id: usize) -> ClientView {
@@ -502,12 +471,7 @@ impl Backend for Fleet {
     /// Schedules the trainees, pushes them the global model as one cohort
     /// frame (per-agent FIFO order lands each `Schedule` first) and
     /// collects exactly one envelope per trainee.
-    fn deliver(
-        &mut self,
-        server: &Server,
-        trainees: &[usize],
-    ) -> Result<Vec<UpdateOutcome>, CoordError> {
-        self.phase = RoundPhase::Dispatched;
+    fn deliver(&mut self, server: &Server, trainees: &[usize]) -> Vec<UpdateOutcome> {
         let round = server.epoch as u64;
         for &id in trainees {
             let client_nonce = self.registry.get(id).nonce;
@@ -517,21 +481,20 @@ impl Backend for Fleet {
         let push = Message::ModelPush { round, params: server.global_params.clone() };
         self.core_mut().dispatch_cohort(trainees, push.encode());
 
-        self.phase = RoundPhase::Aggregating;
         let mut outcomes: HashMap<usize, TransmitOutcome> = self
-            .collect(trainees.len(), server)?
+            .collect(trainees.len(), server)
             .into_iter()
             .flatten()
             .map(|e| (e.from, e.outcome))
             .collect();
-        Ok(trainees
+        trainees
             .iter()
             .map(|&id| {
                 let outcome =
                     outcomes.remove(&id).unwrap_or_else(|| panic!("no envelope from trainee {id}"));
                 Self::decode_update(server, id, outcome)
             })
-            .collect())
+            .collect()
     }
 
     fn credit(&mut self, id: usize, loss: f32) {
@@ -544,15 +507,8 @@ impl Backend for Fleet {
     /// Probes every non-departed client, collects acks/`Leave`s from the
     /// available ones, and applies liveness transitions in deterministic
     /// order. Silent (unavailable) clients accrue a miss.
-    fn heartbeats(
-        &mut self,
-        server: &Server,
-        _pool: &[usize],
-    ) -> Result<HeartbeatOutcome, CoordError> {
+    fn heartbeats(&mut self, server: &Server, _pool: &[usize]) -> HeartbeatOutcome {
         let epoch = server.epoch;
-        if !self.hb_policy.probes_in_round(epoch as u64) {
-            return Ok(HeartbeatOutcome::default());
-        }
         let hb_size = Message::Heartbeat { client_nonce: 0, round: 0, last_loss: 0.0 }.wire_size();
         let probed = self.registry.probed_ids();
         // unavailable clients stay silent; everyone else answers once
@@ -578,7 +534,7 @@ impl Backend for Fleet {
         let mut lost: Vec<usize> = Vec::new();
         let mut leaves: Vec<usize> = Vec::new();
         for Envelope { from: id, outcome, .. } in
-            self.collect(n_responders, server)?.into_iter().flatten()
+            self.collect(n_responders, server).into_iter().flatten()
         {
             match outcome {
                 TransmitOutcome::Delivered { frame, retries, bytes_sent, .. } => {
@@ -635,7 +591,7 @@ impl Backend for Fleet {
         for id in silent.into_iter().chain(lost) {
             self.miss(server, id);
         }
-        Ok(out)
+        out
     }
 }
 
@@ -727,9 +683,7 @@ impl<S: Selector> Coordinator<S> {
             factory: Arc::from(factory),
             uplink_tx,
             inbox: Inbox::new(uplink_rx),
-            event_capacity: DEFAULT_EVENT_CAPACITY,
             hb_policy: HeartbeatPolicy::default(),
-            phase: RoundPhase::Enrolling,
             membership_dirty: false,
             segmented: None,
         };
@@ -748,23 +702,12 @@ impl<S: Selector> Coordinator<S> {
 
     /// Overrides the event core's shard/worker layout (builder style;
     /// before the first round). Layout never changes results — shard
-    /// routing only decides which worker serves an agent, and every
-    /// collection is drained in a deterministic order — so this is a
-    /// performance knob only.
+    /// routing only decides which worker serves an agent, and no
+    /// collection's effects depend on its arrival order (DESIGN.md §8) —
+    /// so this is a performance knob only.
     pub fn with_shard_layout(mut self, layout: ShardConfig) -> Self {
         self.assert_unspawned("shard layout");
         self.fleet.shard_cfg = layout;
-        self
-    }
-
-    /// Bounds every envelope-collection queue at `capacity` events
-    /// (builder style). Overflow surfaces as
-    /// [`CoordError::EventQueueFull`] from [`Coordinator::try_run_round`]
-    /// and bumps the `coord_event_queue_dropped_total` counter. Default:
-    /// [`DEFAULT_EVENT_CAPACITY`].
-    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity >= 1, "event capacity must be >= 1");
-        self.fleet.event_capacity = capacity;
         self
     }
 
@@ -881,9 +824,10 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// Attaches a telemetry recorder (builder style). Coordinator
-    /// instrumentation only reads runtime state in drained-queue order —
-    /// never the RNG, the clock or the model — so enabling it keeps
-    /// every [`RoundRecord`] bit-identical (pinned by `obs_parity`).
+    /// instrumentation only reads runtime state, in an order no thread
+    /// race decides — never the RNG, the clock or the model — so
+    /// enabling it keeps every [`RoundRecord`] bit-identical (pinned by
+    /// `obs_parity`).
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
         self.server.obs = obs;
         self
@@ -909,11 +853,11 @@ impl<S: Selector> Coordinator<S> {
         self
     }
 
-    /// Installs the §IV-C re-clustering hook, invoked (in the
-    /// `Clustering` phase) whenever membership changed since the previous
-    /// round: after mid-training joins, departures, evictions and summary
-    /// drift. For HACCS, [`Coordinator::with_haccs_reclustering`]
-    /// installs [`haccs_two_level_recluster_hook`].
+    /// Installs the §IV-C re-clustering hook, invoked after enrollment
+    /// whenever membership changed since the previous round: after
+    /// mid-training joins, departures, evictions and summary drift. For
+    /// HACCS, [`Coordinator::with_haccs_reclustering`] installs
+    /// [`haccs_two_level_recluster_hook`].
     pub fn with_recluster_hook(
         mut self,
         hook: impl FnMut(&mut S, &[(usize, WireSummary)]) + 'static,
@@ -975,11 +919,6 @@ impl<S: Selector> Coordinator<S> {
         let id = self.add_client(data, profile);
         self.pending.last_mut().unwrap().leave_after = Some(round);
         id
-    }
-
-    /// Current phase of the round state machine.
-    pub fn phase(&self) -> RoundPhase {
-        self.fleet.phase
     }
 
     /// The membership/liveness registry.
@@ -1052,10 +991,9 @@ impl<S: Selector> Coordinator<S> {
     /// [`check_wire_summary`] for this coordinator's summarizer, is
     /// enrolled as an evicted `Left` tombstone, with a `coord.rejected`
     /// event saying why.
-    fn ensure_enrolled(&mut self) -> Result<(), CoordError> {
+    fn ensure_enrolled(&mut self) {
         if !self.pending.is_empty() || !self.pending_remote.is_empty() {
             let first_enrollment = self.fleet.registry.is_empty();
-            self.fleet.phase = RoundPhase::Enrolling;
             let batch = std::mem::take(&mut self.pending);
             let mut remote_batch = std::mem::take(&mut self.pending_remote);
             remote_batch.sort_by_key(|(id, _)| *id);
@@ -1093,12 +1031,11 @@ impl<S: Selector> Coordinator<S> {
                 self.fleet.core_mut().attach_remote(id, link.downlink, link.pump);
             }
 
-            // Joins arrive in racing order; the queue restores id order
+            // Joins arrive in racing order; sorting restores id order
+            let joins = sorted(self.fleet.receive(n_new, &self.server));
             let mut new_ids = Vec::with_capacity(n_new);
             let classes = self.server.classes();
-            for Envelope { from: id, outcome, .. } in
-                self.fleet.receive(n_new, &self.server)?.drain_sorted()
-            {
+            for Envelope { from: id, outcome, .. } in joins {
                 let (profile, local_n_train) = spawn_meta[&id];
                 // a summary the re-clustering hook cannot read fails here,
                 // not inside the hook at the next membership change
@@ -1157,7 +1094,7 @@ impl<S: Selector> Coordinator<S> {
             };
             self.fleet.core_mut().dispatch_cohort(&new_ids, push.encode());
             // a rejected ack's events follow id order too
-            let acks = self.fleet.receive(new_ids.len(), &self.server)?.drain_sorted();
+            let acks = sorted(self.fleet.receive(new_ids.len(), &self.server));
             for Envelope { from: id, outcome, .. } in acks {
                 match Fleet::decode_delivered(outcome) {
                     Ok(Message::Heartbeat { last_loss, .. }) => {
@@ -1186,7 +1123,6 @@ impl<S: Selector> Coordinator<S> {
         }
 
         if self.fleet.membership_dirty {
-            self.fleet.phase = RoundPhase::Clustering;
             if let Some(hook) = self.recluster_hook.as_mut() {
                 let members = self.fleet.registry.member_summaries();
                 let span = self
@@ -1201,7 +1137,6 @@ impl<S: Selector> Coordinator<S> {
             }
             self.fleet.membership_dirty = false;
         }
-        Ok(())
     }
 
     /// Expected §IV-D round latency of client `id`, with the uplink leg
@@ -1225,23 +1160,19 @@ impl<S: Selector> Coordinator<S> {
 
     /// Runs one round through the wire. Returns the round record.
     /// Panics on a [`CoordError`] — use [`Coordinator::try_run_round`] to
-    /// handle backpressure as a value.
+    /// handle a failed snapshot as a value.
     pub fn run_round(&mut self) -> RoundRecord {
         self.try_run_round().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Coordinator::run_round`], surfacing coordinator-level runtime
-    /// failures as a [`CoordError`] instead of a panic. After a bounded
-    /// event-queue overflow the round is torn mid-flight and the
-    /// coordinator must be discarded; after [`CoordError::Snapshot`] the
-    /// round has committed and the run can go on.
+    /// [`Coordinator::run_round`], surfacing a failed scheduled snapshot
+    /// as [`CoordError::Snapshot`] instead of a panic. The round has
+    /// committed by then, so the run can go on.
     pub fn try_run_round(&mut self) -> Result<RoundRecord, CoordError> {
         let span = self.server.open_round(&NAMES);
-        self.ensure_enrolled()?;
-        self.fleet.phase = RoundPhase::Selecting;
+        self.ensure_enrolled();
         let pool = self.fleet.registry.selectable(self.server.epoch, &self.server.availability);
-        let record = self.server.run_round(&mut self.fleet, &mut self.selector, &pool)?;
-        self.fleet.phase = RoundPhase::Committed;
+        let record = self.server.run_round(&mut self.fleet, &mut self.selector, &pool);
         let snapshots = self.write_scheduled_snapshots();
         self.server.close_round(&NAMES, span, &record);
         snapshots.map_err(CoordError::Snapshot)?;
@@ -1521,7 +1452,6 @@ impl<S: Selector> Coordinator<S> {
         }
 
         // attach the live clients; departed ones get a tombstone slot
-        self.fleet.phase = RoundPhase::Enrolling;
         self.start_core();
         let mut live = Vec::with_capacity(restored.len());
         let profiles = match self.remote_profiles.clone() {
@@ -1569,12 +1499,9 @@ impl<S: Selector> Coordinator<S> {
             }
         };
 
-        // backpressure (already counted) fails the restore, not the process
-        let mut joined = self.fleet.receive(live.len(), &self.server).map_err(|e| {
-            PersistError::Malformed(format!("restore aborted on coordinator backpressure: {e}"))
-        })?;
+        let joined = sorted(self.fleet.receive(live.len(), &self.server));
         let mut joins: HashMap<usize, (u64, ResourceEstimate)> = HashMap::new();
-        for Envelope { from: id, outcome, .. } in joined.drain_sorted() {
+        for Envelope { from: id, outcome, .. } in joined {
             match Fleet::decode_delivered(outcome) {
                 Ok(Message::Join { client_nonce, resources, .. }) => {
                     joins.insert(id, (client_nonce, resources));
@@ -1624,7 +1551,6 @@ impl<S: Selector> Coordinator<S> {
 
         self.server.resume(boundary, result);
         self.fleet.membership_dirty = membership_dirty;
-        self.fleet.phase = RoundPhase::Committed;
         Ok(())
     }
 }
@@ -1685,9 +1611,7 @@ mod tests {
     #[test]
     fn enrollment_fills_registry_via_wire() {
         let mut c = build_coord(5, Availability::AlwaysOn);
-        assert_eq!(c.phase(), RoundPhase::Enrolling);
         c.run_round();
-        assert_eq!(c.phase(), RoundPhase::Committed);
         assert_eq!(c.registry().len(), 5);
         for e in c.registry().entries() {
             assert_eq!(e.liveness, Liveness::Alive);
@@ -1725,8 +1649,8 @@ mod tests {
     #[test]
     fn unavailable_clients_accrue_misses_and_get_suspected() {
         // client 0 permanently unavailable: silent on every probe
-        let mut c = build_coord(4, Availability::permanent([0]))
-            .with_heartbeat(HeartbeatPolicy::new(1, 2, 4));
+        let mut c =
+            build_coord(4, Availability::permanent([0])).with_heartbeat(HeartbeatPolicy::new(2, 4));
         c.run_round();
         assert_eq!(c.registry().get(0).missed_heartbeats, 1);
         c.run_round();
@@ -1745,7 +1669,7 @@ mod tests {
         let dropout = Availability::EpochDropout { rate: 0.25, n_clients: n, seed: 3 };
         let lossy = FaultModel::none(9).with(haccs_sysmodel::FaultSpec::Lossy { prob: 0.6 });
         let mut c = build_coord(n, dropout)
-            .with_heartbeat(HeartbeatPolicy::new(1, 1_000, 1_000))
+            .with_heartbeat(HeartbeatPolicy::new(1_000, 1_000))
             .with_faults(lossy);
         c.run_round(); // enrollment
         let (mut silent_total, mut lost_total) = (0, 0);
@@ -1860,6 +1784,98 @@ mod tests {
         pieces
     }
 
+    /// An envelope from `client` with sender sequence `seq`, carrying
+    /// `tag` (as its retry count) so tests can follow it through a sort.
+    fn env(client: usize, seq: u64, tag: usize) -> Envelope {
+        Envelope {
+            from: client,
+            seq,
+            outcome: TransmitOutcome::Lost { retries: tag, backoff_s: 0.0 },
+        }
+    }
+
+    fn keyed(e: &Envelope) -> (usize, u64, usize) {
+        let TransmitOutcome::Lost { retries, .. } = e.outcome else { unreachable!() };
+        (e.from, e.seq, retries)
+    }
+
+    fn envelopes(raw: &[(usize, u64, usize)]) -> Vec<Envelope> {
+        raw.iter().map(|&(c, s, p)| env(c, s, p)).collect()
+    }
+
+    #[test]
+    fn sorted_orders_by_client_then_seq() {
+        let batches = vec![vec![env(7, 1, 3), env(3, 9, 1)], vec![env(7, 0, 2), env(0, 4, 0)]];
+        let order: Vec<usize> = sorted(batches).iter().map(|e| keyed(e).2).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn sorted_order_is_arrival_invariant() {
+        let events = [(2, 0), (9, 4), (1, 2), (9, 3), (0, 0)];
+        let fwd = vec![events.iter().map(|&(c, s)| env(c, s, 0)).collect()];
+        let rev = vec![events.iter().rev().map(|&(c, s)| env(c, s, 0)).collect()];
+        let a: Vec<_> = sorted(fwd).iter().map(|e| (e.from, e.seq)).collect();
+        let b: Vec<_> = sorted(rev).iter().map(|e| (e.from, e.seq)).collect();
+        assert_eq!(a, b);
+        assert_eq!(a, [(0, 0), (1, 2), (2, 0), (9, 3), (9, 4)]);
+    }
+
+    /// Reference order: a stable sort of the raw tuples by the same key.
+    fn reference_sorted(mut raw: Vec<(usize, u64, usize)>) -> Vec<(usize, u64, usize)> {
+        raw.sort_by_key(|&(c, s, _)| (c, s));
+        raw
+    }
+
+    /// A splitmix-generated batch as one collection sees it: repeated
+    /// clients with per-client increasing `seq`.
+    fn random_batch(stream: &mut u64, n: usize) -> Vec<(usize, u64, usize)> {
+        let mut next = || {
+            *stream += 1;
+            crate::shard::splitmix64(*stream)
+        };
+        let mut seqs = [0u64; 8];
+        (0..n)
+            .map(|i| {
+                let client = (next() % seqs.len() as u64) as usize;
+                let seq = seqs[client];
+                seqs[client] += 1 + next() % 3;
+                (client, seq, i)
+            })
+            .collect()
+    }
+
+    /// The order an unstable sort by the same key gives.
+    fn unstable_sorted(raw: &[(usize, u64, usize)]) -> Vec<(usize, u64, usize)> {
+        let mut events = envelopes(raw);
+        events.sort_unstable_by_key(|e| (e.from, e.seq));
+        events.iter().map(keyed).collect()
+    }
+
+    #[test]
+    fn sorted_matches_reference_sort_on_random_batches() {
+        let mut stream = 0u64;
+        for n in (0..200).map(|b| b % 97) {
+            let mut raw = random_batch(&mut stream, n);
+            if n % 2 == 1 {
+                // two ascending runs: how one collection's worker batches
+                // arrive
+                let (a, b) = raw.split_at_mut(n / 2);
+                a.sort_by_key(|e| (e.0, e.1));
+                b.sort_by_key(|e| (e.0, e.1));
+            }
+            let batches = if n % 3 == 0 {
+                // in pieces, as a collection spanning several batches
+                envelopes(&raw).into_iter().map(|e| vec![e]).collect()
+            } else {
+                vec![envelopes(&raw)]
+            };
+            let got: Vec<_> = sorted(batches).iter().map(keyed).collect();
+            assert_eq!(got, unstable_sorted(&raw), "stable and unstable sorts must agree");
+            assert_eq!(got, reference_sorted(raw));
+        }
+    }
+
     #[test]
     fn join_collection_is_ascending_for_any_interleaving_of_worker_batches() {
         let n = 12;
@@ -1874,7 +1890,7 @@ mod tests {
             outcome: TransmitOutcome::Lost { retries: seq as usize, backoff_s: 0.5 },
         };
         let drained = |c: &mut Coordinator<FirstK>, count: usize| -> Vec<(usize, usize)> {
-            let got = c.fleet.receive(count, &c.server).unwrap().drain_sorted();
+            let got = sorted(c.fleet.receive(count, &c.server));
             got.into_iter()
                 .map(|e| match e.outcome {
                     TransmitOutcome::Lost { retries, .. } => (e.from, retries),
@@ -1933,7 +1949,7 @@ mod tests {
             FirstK,
         )
         .with_recorder(obs)
-        .with_heartbeat(HeartbeatPolicy::new(1, 1, 3));
+        .with_heartbeat(HeartbeatPolicy::new(1, 3));
         let reliable =
             |frame| TransmitOutcome::Delivered { frame, retries: 0, backoff_s: 0.0, bytes_sent: 0 };
         let summary = WireSummary { histograms: vec![vec![0.25; 4]], prevalence: Vec::new() };
@@ -1960,7 +1976,7 @@ mod tests {
             let outcome = reliable(ack.encode());
             c.uplink().send(vec![Envelope { from: id, seq: 1, outcome }]).unwrap();
         }
-        c.ensure_enrolled().expect("enrollment completes");
+        c.ensure_enrolled();
         (c, downlinks)
     }
 
@@ -2011,7 +2027,7 @@ mod tests {
         for batch in batches {
             c.uplink().send(batch).unwrap();
         }
-        let outcome = c.fleet.heartbeats(&c.server, &[]).expect("the sweep fits the queue");
+        let outcome = c.fleet.heartbeats(&c.server, &[]);
         let field = |r: &haccs_obs::EventRecord, key| match r.field(key) {
             Some(FieldValue::Str(s)) => s.clone(),
             Some(v) => format!("{}", v.as_f64().unwrap()),
@@ -2069,44 +2085,6 @@ mod tests {
     }
 
     #[test]
-    fn a_sweep_larger_than_the_event_capacity_fails_the_round() {
-        // at the fleet: the error names the first envelope beyond the
-        // bound in arrival order, and nothing of the sweep is applied
-        let obs = Recorder::enabled();
-        let (mut c, _downlinks) = hand_fed(12, Availability::permanent([9]), obs.clone());
-        c.fleet.event_capacity = 9;
-        let mut batches = sweep_batches();
-        batches.reverse(); // 2, 5, 8, 11 arrive first, then 1, 4, 7, 10, then 0, 3, 6
-        let ninth = batches.concat()[9].from;
-        assert_eq!(ninth, 3);
-        for batch in batches {
-            c.uplink().send(batch).unwrap();
-        }
-        let before = format!("{:?}", c.registry().entries());
-        match c.fleet.heartbeats(&c.server, &[]) {
-            Err(CoordError::EventQueueFull(full)) => {
-                assert_eq!(full, QueueFull { capacity: 9, client: ninth })
-            }
-            other => panic!("expected EventQueueFull, got {other:?}"),
-        }
-        assert_eq!(obs.counter_value("coord_event_queue_dropped_total"), 1);
-        assert_eq!(format!("{:?}", c.registry().entries()), before);
-
-        // through the round: six clients' sweep over a bound of four
-        let obs = Recorder::enabled();
-        let mut c = build_coord(6, Availability::AlwaysOn).with_recorder(obs.clone());
-        c.run_round();
-        let mut c = c.with_event_capacity(4); // the three updates still fit
-        match c.try_run_round() {
-            Err(CoordError::EventQueueFull(QueueFull { capacity: 4, client })) => {
-                assert!(client < 6)
-            }
-            other => panic!("expected EventQueueFull, got {other:?}"),
-        }
-        assert_eq!(obs.counter_value("coord_event_queue_dropped_total"), 1);
-    }
-
-    #[test]
     fn scripted_leave_marks_left_and_stops_selection() {
         let mut c = build_coord(4, Availability::AlwaysOn).with_leave_after(0, 1);
         c.run_round(); // round 0: client 0 still acks
@@ -2142,7 +2120,7 @@ mod tests {
         // client 0 is evicted (Left) before the snapshot; the resumed
         // coordinator must hold the tombstone without an agent and
         // still match the uninterrupted run
-        let hb = HeartbeatPolicy::new(1, 2, 3);
+        let hb = HeartbeatPolicy::new(2, 3);
         let build = || build_coord(4, Availability::permanent([0])).with_heartbeat(hb);
         let full = build().run(7);
 
@@ -2422,31 +2400,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn restore_backpressure_is_an_error_not_an_abort() {
-        // a bounded event queue overflowing while the resumed clients'
-        // Joins are collected must surface as a PersistError (with the
-        // drop counted), not a process abort
-        let mut c = build_coord(6, Availability::AlwaysOn);
-        c.run(2);
-        let snap = c.snapshot();
-        drop(c);
-
-        let obs = Recorder::enabled();
-        let mut resumed = build_coord(6, Availability::AlwaysOn)
-            .with_event_capacity(2)
-            .with_recorder(obs.clone());
-        let err = resumed.restore(&snap).unwrap_err();
-        assert!(
-            matches!(&err, PersistError::Malformed(m) if m.contains("backpressure")),
-            "expected backpressure error, got {err:?}"
-        );
-        assert!(
-            obs.counter_value("coord_event_queue_dropped_total") >= 1,
-            "the dropped event must be counted"
-        );
-    }
-
     /// The `Join` frame client `id` of a `build_coord` federation sends.
     fn join_frame(id: usize) -> bytes::Bytes {
         let resources = ResourceEstimate {
@@ -2669,7 +2622,7 @@ mod tests {
         });
         let sink = haccs_obs::MemorySink::new();
         let mut coord = coord.with_recorder(Recorder::enabled().with_sink(sink.clone()));
-        coord.ensure_enrolled().expect("enrollment completes");
+        coord.ensure_enrolled();
         let e = coord.registry().get(0);
         assert_eq!((e.last_loss, e.missed_heartbeats), (None, 1), "enrolled, lossless, one miss");
         assert_eq!(e.liveness, Liveness::Alive);

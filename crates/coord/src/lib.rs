@@ -6,17 +6,14 @@
 //! machines multiplexed over a fixed pool of worker threads (or separate
 //! processes behind a TCP bridge), own their data, and talk to the
 //! server exclusively in encoded [`haccs_wire::Message`] frames;
-//! the coordinator drives an explicit round state machine, a liveness
-//! registry fed by heartbeats on the simulated clock, and the §IV-C
-//! dynamic-membership path (mid-training joins, graceful leaves,
-//! suspicion and eviction) — with any [`haccs_fedsim::Selector`]
-//! plugged in unchanged.
+//! the coordinator drives the round's fixed exchange (Joins, updates,
+//! heartbeat acks), a liveness registry fed by heartbeats on the
+//! simulated clock, and the §IV-C dynamic-membership path (mid-training
+//! joins, graceful leaves, suspicion and eviction) — with any
+//! [`haccs_fedsim::Selector`] plugged in unchanged.
 //!
 //! Pieces:
 //!
-//! * [`events::EventQueue`] — one bounded collection of racing agent
-//!   envelopes, drained in `(from, seq)` order where order matters (Joins)
-//!   or as it arrived where effects commute (acks, updates),
 //! * [`registry::ClientRegistry`] — per-client membership, telemetry and
 //!   the `Joined → Alive ⇄ Suspected → Left` liveness machine, one entry
 //!   per id,
@@ -28,21 +25,20 @@
 //!   clustering, then the round driver [`haccs_fedsim::round::Server`]
 //!   that the loop engine runs too, with the agents as its delivery
 //!   backend — so the two agree bit for bit by construction
-//!   (`tests/coordinator_parity.rs` still checks it live).
+//!   (`tests/coordinator_parity.rs` still checks it live). It collects
+//!   the exact count of envelopes each step of the exchange needs, sorts
+//!   Joins by `(from, seq)`, and applies acks and updates as they arrive,
+//!   because their effects commute.
 
 pub mod agent;
 pub mod coordinator;
-pub mod events;
+mod events;
 pub mod net;
 pub mod registry;
 pub mod shard;
 
 pub use agent::{AgentConfig, Envelope, TransmitOutcome, Uplink};
-pub use coordinator::{
-    default_summary_seed, session_nonce, CoordError, Coordinator, RemoteLink, RoundPhase,
-    DEFAULT_EVENT_CAPACITY,
-};
-pub use events::{EventQueue, QueueFull};
+pub use coordinator::{default_summary_seed, session_nonce, CoordError, Coordinator, RemoteLink};
 pub use net::{accept_remote_clients, remote_agent_config, run_tcp_federation, serve_agent_tcp};
 pub use registry::{ClientEntry, ClientRegistry, Liveness};
 pub use shard::{shard_of, ShardConfig};

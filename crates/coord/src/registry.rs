@@ -284,7 +284,7 @@ mod tests {
     fn miss_streak_walks_suspected_then_left_and_ack_recovers() {
         let mut r = ClientRegistry::new();
         enroll(&mut r, 0);
-        let p = HeartbeatPolicy::new(1, 2, 4);
+        let p = HeartbeatPolicy::new(2, 4);
         assert_eq!(r.observe_miss(0, &p), LivenessVerdict::Alive);
         assert_eq!(r.observe_miss(0, &p), LivenessVerdict::Suspected);
         assert_eq!(r.get(0).liveness, Liveness::Suspected);
@@ -308,7 +308,7 @@ mod tests {
         for id in 0..3 {
             enroll(&mut r, id);
         }
-        let p = HeartbeatPolicy::new(1, 1, 3);
+        let p = HeartbeatPolicy::new(1, 3);
         r.observe_miss(1, &p); // -> Suspected
         r.observe_leave(2);
         let avail = Availability::AlwaysOn;

@@ -45,7 +45,6 @@ use haccs_persist::{self as persist, PersistError, SnapshotReader, SnapshotWrite
 use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel};
 use haccs_wire::{ChannelError, Message};
 use rayon::prelude::*;
-use std::convert::Infallible;
 
 /// Builds a fresh (randomly initialized) model instance. Each parallel
 /// local trainer constructs its own instance and overwrites the parameters
@@ -348,7 +347,7 @@ impl FedSim {
             clients: &mut self.clients,
             residuals: &mut self.codec_residuals,
         };
-        let Ok(record) = self.server.run_round(&mut local, selector, &pool);
+        let record = self.server.run_round(&mut local, selector, &pool);
         if let Some(p) = &self.snapshots {
             if self.server.epoch.is_multiple_of(p.every_rounds) {
                 let bytes = self.snapshot(&*selector);
@@ -649,18 +648,13 @@ impl Local<'_> {
 }
 
 impl Backend for Local<'_> {
-    type Error = Infallible;
     const NAMES: &'static Names = &NAMES;
 
     fn client(&self, id: usize) -> ClientView {
         self.clients[id].view()
     }
 
-    fn deliver(
-        &mut self,
-        server: &Server,
-        trainees: &[usize],
-    ) -> Result<Vec<UpdateOutcome>, Infallible> {
+    fn deliver(&mut self, server: &Server, trainees: &[usize]) -> Vec<UpdateOutcome> {
         let span = server
             .obs
             .span("engine.train")
@@ -670,7 +664,7 @@ impl Backend for Local<'_> {
         span.finish();
         // lossy wire: every trained update is transmitted; retries add
         // backoff to its arrival time, budget exhaustion loses it
-        Ok(trained
+        trained
             .into_iter()
             .map(|(id, params, loss)| {
                 let (params, payload) = self.encode(server, id, params);
@@ -688,7 +682,7 @@ impl Backend for Local<'_> {
                     Err((retries, backoff_s)) => UpdateOutcome::Lost { retries, backoff_s },
                 }
             })
-            .collect())
+            .collect()
     }
 
     fn credit(&mut self, id: usize, loss: f32) {
@@ -699,13 +693,9 @@ impl Backend for Local<'_> {
 
     /// Every client is probed, the available ones ack (through the lossy
     /// wire if one is configured).
-    fn heartbeats(
-        &mut self,
-        server: &Server,
-        pool: &[usize],
-    ) -> Result<HeartbeatOutcome, Infallible> {
+    fn heartbeats(&mut self, server: &Server, pool: &[usize]) -> HeartbeatOutcome {
         let (epoch, probed) = (server.epoch, self.clients.len());
-        Ok(round::simulate_heartbeats(&server.faults, &server.policy, epoch, probed, pool))
+        round::simulate_heartbeats(&server.faults, &server.policy, epoch, probed, pool)
     }
 }
 

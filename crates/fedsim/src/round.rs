@@ -428,8 +428,6 @@ pub enum UpdateOutcome {
 /// differs between the loop engine and the coordinator. A backend moves
 /// bytes and keeps its clients' books; every decision is [`Server`]'s.
 pub trait Backend {
-    /// What can go wrong moving traffic (`Infallible` in-process).
-    type Error;
     /// The names this backend's rounds are traced under.
     const NAMES: &'static Names;
 
@@ -438,11 +436,7 @@ pub trait Backend {
 
     /// Trains `trainees` against `server.global_params` and brings their
     /// updates in: one outcome per trainee, in trainee order.
-    fn deliver(
-        &mut self,
-        server: &Server,
-        trainees: &[usize],
-    ) -> Result<Vec<UpdateOutcome>, Self::Error>;
+    fn deliver(&mut self, server: &Server, trainees: &[usize]) -> Vec<UpdateOutcome>;
 
     /// Books an aggregated update: client `id`'s new loss and one more
     /// participation.
@@ -450,11 +444,7 @@ pub trait Backend {
 
     /// Runs the round's heartbeat sweep; `pool` is the round's available
     /// pool.
-    fn heartbeats(
-        &mut self,
-        server: &Server,
-        pool: &[usize],
-    ) -> Result<HeartbeatOutcome, Self::Error>;
+    fn heartbeats(&mut self, server: &Server, pool: &[usize]) -> HeartbeatOutcome;
 }
 
 /// A snapshot guard: `stored` must equal this run's `actual`, or the
@@ -778,7 +768,7 @@ impl Server {
         backend: &mut B,
         selector: &mut S,
         pool: &[usize],
-    ) -> Result<RoundRecord, B::Error> {
+    ) -> RoundRecord {
         let names = B::NAMES;
         let infos = self.client_infos(pool, |id| backend.client(id));
         let ctx = SelectionContext { epoch: self.epoch, available: &infos, k: self.cfg.k };
@@ -806,7 +796,7 @@ impl Server {
                 faults: FaultStats::default(),
             }
         } else {
-            self.play(backend, selector, &selected, pool)?
+            self.play(backend, selector, &selected, pool)
         };
 
         self.result.rounds.push(record.clone());
@@ -815,7 +805,7 @@ impl Server {
             let tp = self.evaluate(names);
             self.result.curve.push(tp);
         }
-        Ok(record)
+        record
     }
 
     /// The body of a non-empty round.
@@ -825,7 +815,7 @@ impl Server {
         selector: &mut S,
         selected: &[usize],
         pool: &[usize],
-    ) -> Result<RoundRecord, B::Error> {
+    ) -> RoundRecord {
         let names = B::NAMES;
         let epoch = self.epoch;
 
@@ -874,7 +864,7 @@ impl Server {
         }
 
         // 4. delivery and admission, in trainee order
-        self.admit(backend, &mut acc, &trainees, &lats, false)?;
+        self.admit(backend, &mut acc, &trainees, &lats, false);
 
         // 5. Replace policy: draft substitutes for the failed slots from
         // the available-but-unselected pool. The server pings candidates
@@ -896,7 +886,7 @@ impl Server {
                     .iter()
                     .map(|&id| self.effective_latency(id, &backend.client(id)))
                     .collect();
-                self.admit(backend, &mut acc, &replacements, &lats, true)?;
+                self.admit(backend, &mut acc, &replacements, &lats, true);
             }
         }
 
@@ -936,7 +926,7 @@ impl Server {
         // 8. heartbeat sweep: pure byte and liveness accounting —
         // heartbeats never stretch the round
         let mut span = self.obs.span(names.heartbeat).u("epoch", epoch as u64);
-        let hb = backend.heartbeats(self, pool)?;
+        let hb = backend.heartbeats(self, pool);
         span.push_u("missed", hb.missed as u64);
         span.push_u("retries", hb.retries as u64);
         span.push_u("bytes", hb.bytes as u64);
@@ -958,14 +948,14 @@ impl Server {
             selector.observe_faults(epoch, &failed);
         }
 
-        Ok(RoundRecord {
+        RoundRecord {
             epoch,
             time_s: self.clock.now(),
             round_seconds,
             participants: ids,
             mean_local_loss: acc.mean_local_loss(),
             faults: acc.stats,
-        })
+        }
     }
 
     /// Delivers `ids` through the backend and admits each outcome, `lats`
@@ -978,10 +968,10 @@ impl Server {
         ids: &[usize],
         lats: &[f64],
         replacement: bool,
-    ) -> Result<(), B::Error> {
+    ) {
         let n_params = self.global_params.len();
         let encoded = payload_encoded_bytes(self.codec, n_params);
-        let outcomes = backend.deliver(self, ids)?;
+        let outcomes = backend.deliver(self, ids);
         assert_eq!(outcomes.len(), ids.len(), "one delivery outcome per trainee");
         for ((&id, &lat), outcome) in ids.iter().zip(lats).zip(outcomes) {
             acc.stats.payload_bytes_raw += 4 * n_params;
@@ -1005,7 +995,6 @@ impl Server {
                 }
             }
         }
-        Ok(())
     }
 
     /// Post-round counters, then closes the span from

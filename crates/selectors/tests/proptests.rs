@@ -1,6 +1,6 @@
 //! Property-based contracts for the selector zoo.
 //!
-//! Two invariants per selector, over arbitrary pools and feedback:
+//! Three invariants per selector, over arbitrary pools and feedback:
 //!
 //! 1. **Fixed-seed bit-identity** — two independently constructed
 //!    instances fed the same inputs and the same RNG seed produce
@@ -10,7 +10,11 @@
 //!    (or delta sketches) are registered in must not change what gets
 //!    selected; selection may only depend on *what* is known, not on
 //!    insertion history.
+//! 3. **Tampered state never panics** — saved state with bytes edited
+//!    or cut, framed with a valid checksum, loads or is refused; it
+//!    never panics or aborts on an allocation.
 
+use haccs_fedsim::persist::{SnapshotReader, SnapshotWriter};
 use haccs_fedsim::{ClientInfo, SelectionContext, Selector};
 use haccs_selectors::{DppSelector, FedClustSelector, HeterogeneityGuidedSelector, LeflSelector};
 use proptest::prelude::*;
@@ -67,6 +71,44 @@ fn permuted_dists(n: usize, perm_seed: u64) -> Vec<(usize, Vec<f32>)> {
     use rand::seq::SliceRandom;
     ids.shuffle(&mut StdRng::seed_from_u64(perm_seed));
     ids.into_iter().map(|id| (id, dist_of(id))).collect()
+}
+
+/// A fresh zoo selector over 8 clients: FedClust, LEFL, DPP, then
+/// heterogeneity-guided.
+fn zoo_member(which: usize) -> Box<dyn Selector> {
+    match which {
+        0 => Box::new(FedClustSelector::new(16, 3, 1)),
+        1 => Box::new(LeflSelector::from_distributions(permuted_dists(8, 1))),
+        2 => Box::new(DppSelector::from_distributions(permuted_dists(8, 1))),
+        _ => Box::new(HeterogeneityGuidedSelector::from_distributions(0.5, permuted_dists(8, 1))),
+    }
+}
+
+/// Every tampering of `payload` a load must survive, each framed with a
+/// valid checksum so `load_state` reads every edit: `payload` with
+/// `edits` applied, then with a maximal count written over each 8-byte
+/// window in turn, and cut at each length.
+fn tamperings(mut payload: Vec<u8>, edits: &[(usize, u8)]) -> Vec<Vec<u8>> {
+    if !payload.is_empty() {
+        for &(at, byte) in edits {
+            let at = at % payload.len();
+            payload[at] = byte;
+        }
+    }
+    let counted = (0..payload.len().saturating_sub(7)).map(|at| {
+        let mut p = payload.clone();
+        p[at..at + 8].copy_from_slice(&(1u64 << 28).to_le_bytes());
+        p
+    });
+    let cut = (0..=payload.len()).map(|keep| payload[..keep].to_vec());
+    counted
+        .chain(cut)
+        .map(|p| {
+            let mut w = SnapshotWriter::new();
+            w.append_raw(&p);
+            w.finish()
+        })
+        .collect()
 }
 
 proptest! {
@@ -190,6 +232,37 @@ proptest! {
                 sorted.dedup();
                 prop_assert_eq!(sorted.len(), picked.len(), "{}: duplicates", s.name());
                 prop_assert!(picked.iter().all(|&id| id < n), "{}: out of pool", s.name());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each zoo selector's state, saved after a few driven rounds (or
+    /// random bytes), then tampered with: `load_state` on a fresh
+    /// selector returns `Ok` or `Err` and never panics.
+    #[test]
+    fn tampered_zoo_state_loads_or_fails_but_never_panics(
+        random in proptest::collection::vec(any::<u8>(), 0..160),
+        from_random in any::<bool>(),
+        rounds in 1usize..5,
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+    ) {
+        for which in 0..4 {
+            let payload = if from_random {
+                random.clone()
+            } else {
+                let mut driven = zoo_member(which);
+                drive(&mut *driven, 8, 3, rounds, 1);
+                let mut w = SnapshotWriter::new();
+                driven.save_state(&mut w);
+                w.into_payload()
+            };
+            for bytes in tamperings(payload, &edits) {
+                let mut reader = SnapshotReader::open(&bytes).unwrap();
+                let _ = zoo_member(which).load_state(&mut reader);
             }
         }
     }

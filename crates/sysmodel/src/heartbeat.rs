@@ -11,9 +11,6 @@
 /// Liveness thresholds, counted in consecutive missed heartbeats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatPolicy {
-    /// Probe cadence in rounds (the coordinator probes at round starts;
-    /// 1 = every round).
-    pub probe_every_rounds: u64,
     /// Consecutive misses after which a client is *suspected*: excluded
     /// from the schedulable pool but still probed, so one ack restores it.
     pub suspect_after_misses: u32,
@@ -35,23 +32,13 @@ pub enum LivenessVerdict {
 
 impl HeartbeatPolicy {
     /// A policy with explicit thresholds.
-    pub fn new(
-        probe_every_rounds: u64,
-        suspect_after_misses: u32,
-        evict_after_misses: u32,
-    ) -> Self {
-        assert!(probe_every_rounds >= 1, "probe cadence must be >= 1 round");
+    pub fn new(suspect_after_misses: u32, evict_after_misses: u32) -> Self {
         assert!(suspect_after_misses >= 1, "suspicion threshold must be >= 1 miss");
         assert!(
             evict_after_misses >= suspect_after_misses,
             "eviction cannot precede suspicion ({evict_after_misses} < {suspect_after_misses})"
         );
-        HeartbeatPolicy { probe_every_rounds, suspect_after_misses, evict_after_misses }
-    }
-
-    /// Whether the coordinator probes at the start of `round`.
-    pub fn probes_in_round(&self, round: u64) -> bool {
-        round.is_multiple_of(self.probe_every_rounds)
+        HeartbeatPolicy { suspect_after_misses, evict_after_misses }
     }
 
     /// Classifies a streak of `consecutive_misses` missed heartbeats.
@@ -67,9 +54,9 @@ impl HeartbeatPolicy {
 }
 
 impl Default for HeartbeatPolicy {
-    /// Probe every round; suspect after 2 misses, evict after 5.
+    /// Suspect after 2 misses, evict after 5.
     fn default() -> Self {
-        HeartbeatPolicy::new(1, 2, 5)
+        HeartbeatPolicy::new(2, 5)
     }
 }
 
@@ -89,20 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn probe_cadence_gates_rounds() {
-        let p = HeartbeatPolicy::new(3, 1, 2);
-        assert!(p.probes_in_round(0));
-        assert!(!p.probes_in_round(1));
-        assert!(!p.probes_in_round(2));
-        assert!(p.probes_in_round(3));
-        assert!(HeartbeatPolicy::default().probes_in_round(17));
-    }
-
-    #[test]
     fn one_ack_resets_the_streak_semantics() {
         // classify is memoryless: a streak of 0 after an ack is Alive even
         // if the client was Suspected before
-        let p = HeartbeatPolicy::new(1, 2, 5);
+        let p = HeartbeatPolicy::new(2, 5);
         assert_eq!(p.classify(3), LivenessVerdict::Suspected);
         assert_eq!(p.classify(0), LivenessVerdict::Alive);
     }
@@ -110,12 +87,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "eviction cannot precede suspicion")]
     fn inverted_thresholds_rejected() {
-        HeartbeatPolicy::new(1, 5, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "probe cadence must be")]
-    fn zero_cadence_rejected() {
-        HeartbeatPolicy::new(0, 1, 1);
+        HeartbeatPolicy::new(5, 2);
     }
 }

@@ -80,8 +80,7 @@ fn main() {
         let alive = reg.entries().iter().filter(|e| e.liveness == Liveness::Alive).count();
         let left = reg.entries().iter().filter(|e| e.liveness == Liveness::Left).count();
         println!(
-            "round {r}: phase {:?} | trained {:?} | {:.0} sim-s | {alive} alive, {left} left, {} clusters",
-            coord.phase(),
+            "round {r}: trained {:?} | {:.0} sim-s | {alive} alive, {left} left, {} clusters",
             rec.participants,
             rec.time_s,
             coord.selector().groups().len(),

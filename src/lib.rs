@@ -88,7 +88,7 @@ pub mod prelude {
     pub use haccs_cluster::Clustering;
     pub use haccs_cluster::WarmOptics;
     pub use haccs_codec::{CodecKind, Identity, Int8Quant, TopKDelta, UpdateCodec};
-    pub use haccs_coord::{Coordinator, Liveness, RoundPhase};
+    pub use haccs_coord::{Coordinator, Liveness};
     pub use haccs_core::{
         build_clusters, engine_add_client, engine_replace_client_data, summarize_federation,
         ClusterCache, ExtractionMethod, HaccsSelector, WithinClusterPolicy,

@@ -88,7 +88,7 @@ fn scenario() -> (RunResult, Vec<u8>, Vec<u8>) {
         .with_faults(faults)
         .with_policy(policy)
         .with_codec(CodecKind::Int8)
-        .with_heartbeat(HeartbeatPolicy::new(1, 2, 3))
+        .with_heartbeat(HeartbeatPolicy::new(2, 3))
         .with_leave_after(LEAVER, 2)
         .with_segmented_snapshots(SnapshotPolicy::every(1, &dir), 3)
         .with_haccs_reclustering(2, ExtractionMethod::Auto);

@@ -156,7 +156,7 @@ fn silent_client_walks_suspected_then_left_and_faults_reach_selector() {
     // client 2 never answers heartbeat probes; with suspect=2 / evict=4 it
     // must be Suspected after round 1 (2 misses) and Left after round 3.
     let (_, coord) = build_world(10, 10, Availability::permanent([2]));
-    let mut coord = coord.with_heartbeat(HeartbeatPolicy::new(1, 2, 4));
+    let mut coord = coord.with_heartbeat(HeartbeatPolicy::new(2, 4));
 
     let mut states = Vec::new();
     for _ in 0..6 {

@@ -137,9 +137,8 @@ fn lossy_runs_match_engine_when_suspicion_is_disabled() {
         .with(FaultSpec::Lossy { prob: 0.3 })
         .with(FaultSpec::Straggler { prob: 0.2, slowdown: 3.0 });
     let engine = engine_run(faults);
-    let coord = coordinator(faults)
-        .with_heartbeat(HeartbeatPolicy::new(1, 1_000_000, 1_000_000))
-        .run(ROUNDS);
+    let coord =
+        coordinator(faults).with_heartbeat(HeartbeatPolicy::new(1_000_000, 1_000_000)).run(ROUNDS);
     assert_eq!(engine, coord);
     // the fault schedule actually fired somewhere in the run
     let retries: usize = engine.rounds.iter().map(|r| r.faults.retries).sum();

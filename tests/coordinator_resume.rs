@@ -50,7 +50,7 @@ fn build_haccs_coord(
         selector,
     )
     .with_policy(policy)
-    .with_heartbeat(HeartbeatPolicy::new(1, 3, 6))
+    .with_heartbeat(HeartbeatPolicy::new(3, 6))
     .with_summarizer(Summarizer::label_dist())
     .with_haccs_reclustering(2, ExtractionMethod::Auto);
     if let Some(f) = faults {
