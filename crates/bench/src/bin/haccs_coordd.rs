@@ -4,8 +4,8 @@
 //! processes to dial in, then drives a HACCS-scheduled federation for
 //! `--rounds R` rounds, serving live Prometheus metrics over plain HTTP
 //! the whole time. With `--snapshot-dir` it checkpoints every
-//! `--snapshot-every` rounds as segmented ticks (a data file plus a
-//! `manifest-NNNNNN.snap`); a killed daemon restarts with `--resume
+//! `--snapshot-every` rounds as segmented ticks (one
+//! `manifest-NNNNNN.snap` file each); a killed daemon restarts with `--resume
 //! <manifest>` once the clients re-dial, and finishes the run
 //! bit-identically to one that never died.
 //!

@@ -27,10 +27,13 @@
 //!   validator rejects growth anywhere near quadratic — the flat
 //!   all-pairs path's signature,
 //! * **snapshot bytes per tick** — the dirty-shard segmented snapshot's
-//!   steady-state write cost (the sizes of the manifest and the data
-//!   file each tick wrote, first all-shard tick excluded and reported
-//!   separately). Shard count is ⌈√n⌉, so steady ticks cost O(√n): the
-//!   validator rejects linear-or-worse growth,
+//!   steady-state write cost (the size of the one file each tick wrote,
+//!   first all-shard tick excluded and reported separately). The
+//!   coordinator runs HACCS over the clustering column's groups, whose
+//!   saved state (membership and inclusion telemetry) is O(n) bytes, but
+//!   a tick writes only the core chunks that changed. Shard count is
+//!   ⌈√n⌉, so steady ticks cost O(√n): the validator rejects
+//!   linear-or-worse growth,
 //! * **peak RSS** — `VmHWM` from `/proc/self/status`,
 //! * **OS thread count** — `Threads:` sampled mid-run. The whole point
 //!   of the sharded core: the pool is sized by `ShardConfig::default()`
@@ -48,13 +51,12 @@
 //! plus the scaling assertions — CI's `scale-smoke` job runs a reduced
 //! sweep and then this validator.
 
-use haccs_baselines::RandomSelector;
 use haccs_bench::{check_file, mean, percentile, write_report};
 use haccs_coord::{Coordinator, ShardConfig};
-use haccs_core::{ClusterCache, ExtractionMethod, TwoLevelConfig};
+use haccs_core::{ClusterCache, ExtractionMethod, HaccsSelector, TwoLevelConfig};
 use haccs_data::{partition, FederatedDataset, SynthVision};
 use haccs_fedsim::engine::{ModelFactory, SnapshotPolicy};
-use haccs_fedsim::persist::segment::{data_file_name, manifest_name};
+use haccs_fedsim::persist::segment::manifest_name;
 use haccs_fedsim::SimConfig;
 use haccs_nn::ModelKind;
 use haccs_obs::json::Json;
@@ -69,6 +71,8 @@ use std::time::Instant;
 const CLASSES: usize = 8;
 const SIDE: usize = 6;
 const DIRICHLET_ALPHA: f64 = 0.3;
+/// HACCS's ρ, the weight of loss against latency in Eq. 7.
+const RHO: f32 = 0.5;
 
 /// One numeric field of `/proc/self/status` (`VmHWM`, `Threads`, ...).
 /// Returns `None` off Linux or when the field is absent — the report
@@ -109,7 +113,7 @@ fn build_world(n: usize, seed: u64) -> (FederatedDataset, Vec<DeviceProfile>) {
 /// at every tier so the column measures the sub-quadratic algorithm,
 /// not the small-n flat fallback. Returns `(insert_ms, recluster_ms,
 /// buckets, cells, groups)`.
-fn time_clustering(fed: &FederatedDataset, seed: u64) -> (f64, f64, usize, usize, usize) {
+fn time_clustering(fed: &FederatedDataset, seed: u64) -> (f64, f64, usize, usize, Vec<Vec<usize>>) {
     let cfg = TwoLevelConfig { flat_below: 0, ..TwoLevelConfig::default() };
     let mut cache =
         ClusterCache::two_level(Summarizer::label_dist(), 3, ExtractionMethod::default(), cfg);
@@ -119,21 +123,19 @@ fn time_clustering(fed: &FederatedDataset, seed: u64) -> (f64, f64, usize, usize
     let t = Instant::now();
     let groups = cache.recluster();
     let recluster_ms = t.elapsed().as_secs_f64() * 1e3;
-    (insert_ms, recluster_ms, cache.bucket_count(), cache.cell_count(), groups.len())
+    (insert_ms, recluster_ms, cache.bucket_count(), cache.cell_count(), groups)
 }
 
-/// Bytes the segmented-snapshot tick of `epoch` wrote into `dir`: its
-/// manifest plus its data file, which a tick that dirtied no shard does
-/// not write.
+/// Bytes the segmented-snapshot tick of `epoch` wrote into `dir`: the size
+/// of its one file.
 fn tick_bytes(dir: &Path, epoch: usize) -> u64 {
-    let size = |name: String| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
-    size(manifest_name(epoch)) + size(data_file_name(epoch))
+    std::fs::metadata(dir.join(manifest_name(epoch))).map_or(0, |m| m.len())
 }
 
 /// One tier of the sweep: time the two-level clustering, then enroll n
-/// clients on the event backend and run the rounds untraced with
-/// per-round segmented snapshots, counting collected envelopes and
-/// snapshot bytes as they happen.
+/// clients on the event backend with HACCS over the clustering's groups
+/// and run the rounds untraced with per-round segmented snapshots,
+/// counting collected envelopes and snapshot bytes as they happen.
 fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
     eprintln!("tier n={n}: materializing dataset");
     let (fed, profiles) = build_world(n, seed);
@@ -143,8 +145,10 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
     };
     eprintln!(
         "tier n={n}: clustering {clustering_ms:.1}ms over {buckets} buckets / {cells} cells \
-         -> {groups} groups"
+         -> {} groups",
+        groups.len()
     );
+    let n_groups = groups.len();
 
     let factory: ModelFactory =
         Box::new(move || ModelKind::Mlp.build(1, SIDE, CLASSES, &mut StdRng::seed_from_u64(7)));
@@ -162,7 +166,7 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
         LatencyModel::for_params(2_000, 2e-3, 1),
         Availability::AlwaysOn,
         cfg,
-        RandomSelector::new(),
+        HaccsSelector::new(groups, RHO, "P(y)"),
     )
     .with_segmented_snapshots(SnapshotPolicy::every(1, &snap_dir), snap_shards);
 
@@ -193,9 +197,9 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
     let total_wall = t_total.elapsed().as_secs_f64();
     let total_events = total_events as f64;
     let steady: Vec<f64> = wall_s[1..].to_vec();
-    // tick 0 writes every shard (nothing clean yet); steady ticks write
-    // the manifest, which carries the core, plus one data file holding
-    // only the blocks of the shards the round dirtied
+    // tick 0 writes every shard and core chunk (nothing clean yet);
+    // steady ticks write one file holding only the core chunks that
+    // changed and the blocks of the shards the round dirtied
     let steady_snap: Vec<f64> = snap_tick_bytes[1..].to_vec();
     drop(coord); // workers join here; thread peak was sampled mid-run
     let _ = std::fs::remove_dir_all(&snap_dir);
@@ -233,7 +237,7 @@ fn run_tier(n: usize, rounds: usize, k: usize, seed: u64) -> Json {
                 ("recluster_ms", Json::Num(clustering_ms)),
                 ("buckets", Json::Num(buckets as f64)),
                 ("cells", Json::Num(cells as f64)),
-                ("groups", Json::Num(groups as f64)),
+                ("groups", Json::Num(n_groups as f64)),
             ]),
         ),
         (

@@ -88,7 +88,8 @@ pub enum CoordError {
     /// A scheduled snapshot (see [`Coordinator::with_segmented_snapshots`])
     /// could not be written. The round itself committed and the
     /// coordinator stays usable: the shards this tick missed stay dirty,
-    /// so the next tick that succeeds rewrites them.
+    /// and the next tick compares its core with the last committed one,
+    /// so the next tick that succeeds rewrites whatever this one missed.
     Snapshot(PersistError),
 }
 
@@ -777,16 +778,17 @@ impl<S: Selector> Coordinator<S> {
     }
 
     /// Enables periodic snapshots (builder style): after every
-    /// `policy.every_rounds`-th committed round the coordinator
-    /// writes at most two files, however many snapshot shards are dirty
-    /// (see [`persist::segment`]). One data file holds a block of entries
-    /// for each shard whose per-client state changed since the previous
-    /// tick, and none is written when no shard changed. Then the manifest
-    /// commits the tick: it carries the core state (RNG, clock, model,
-    /// round history, selector) inline and names the block of every
-    /// shard, pointing clean shards at blocks earlier ticks wrote. With
-    /// heartbeat acks that merely re-confirm an unchanged loss left clean,
-    /// per-tick registry bytes scale with *churn*, not federation size.
+    /// `policy.every_rounds`-th committed round the coordinator writes one
+    /// file, however many snapshot shards are dirty (see
+    /// [`persist::segment`]). It holds a block of entries for each shard
+    /// whose per-client state changed since the previous tick, the 16 KiB
+    /// chunks of the core state (RNG, clock, model, round history,
+    /// selector) that differ from the previous tick's, and the manifest
+    /// that names the block of every chunk and shard, pointing the rest at
+    /// blocks earlier ticks wrote. With heartbeat acks that merely
+    /// re-confirm an unchanged loss left clean, per-tick registry bytes
+    /// scale with *churn*, not federation size, and a selector state that
+    /// only changes on re-clustering costs its changed chunks.
     /// Restore via [`Coordinator::restore_segmented`] is bit-identical to
     /// [`Coordinator::restore`] of the same state's
     /// [`Coordinator::snapshot`]. `run_round` panics if a scheduled tick
@@ -805,12 +807,13 @@ impl<S: Selector> Coordinator<S> {
 
     /// Bounds the segmented-snapshot directory (builder style, after
     /// [`Coordinator::with_segmented_snapshots`]): after each committed
-    /// tick, only the newest `keep` manifests — plus every data file they
-    /// reference, including blocks of clean shards from older epochs — are
-    /// retained on disk. Retention also compacts: a tick rewrites the
-    /// live blocks of any referenced data file in which fewer than a
-    /// quarter of the blocks are still live, so the directory stays a few
-    /// mostly-live files (see
+    /// tick, only the newest `keep` manifests — plus every older tick file
+    /// they reference, for unchanged core chunks or clean shards — are
+    /// retained on disk. A file kept only for its blocks is not
+    /// guaranteed to restore by itself. Retention also compacts: a tick
+    /// rewrites the live blocks of any referenced file in which fewer
+    /// than a quarter of the blocks are still live, so the directory stays
+    /// a few mostly-live files (see
     /// [`persist::segment::SegmentWriter::with_retention`]).
     pub fn with_segment_retention(mut self, keep: usize) -> Self {
         let seg = self
@@ -1282,8 +1285,8 @@ impl<S: Selector> Coordinator<S> {
 
     /// Writes the segmented tick scheduled after this commit, if one is
     /// due, inside one `coord.snapshot` span carrying the epoch, the dirty
-    /// shards rewritten, the blocks compaction moved, and the files and
-    /// bytes written (all 0 when the tick fails).
+    /// shards rewritten, the clean shards compaction moved, the core
+    /// chunks written and the bytes written (all 0 when the tick fails).
     fn write_scheduled_snapshots(&mut self) -> Result<(), PersistError> {
         let epoch = self.server.epoch;
         let due = |s: &SegmentedSnapshots| epoch.is_multiple_of(s.policy.every_rounds);
@@ -1295,19 +1298,20 @@ impl<S: Selector> Coordinator<S> {
         let written = tick.as_ref().copied().unwrap_or_default();
         span.push_u("dirty_shards", written.dirty as u64);
         span.push_u("compacted", written.compacted as u64);
-        span.push_u("files", written.files as u64);
+        span.push_u("core_chunks", written.chunks as u64);
         span.push_u("bytes", written.bytes);
         span.finish();
         tick.map(|_| ())
     }
 
-    /// Writes one segmented-snapshot tick into the policy's directory: a
-    /// data file with the block of every dirty snapshot shard (plus, under
-    /// retention, the live blocks of sparse data files), then the manifest
-    /// that carries the core fragments inline and commits the tick (see
+    /// Writes one segmented-snapshot tick into the policy's directory: one
+    /// file holding the changed core chunks and the block of every dirty
+    /// snapshot shard (plus, under retention, the live blocks of sparse
+    /// files), then the manifest that commits the tick (see
     /// [`persist::segment::SegmentWriter::tick`]). Returns what the tick
     /// wrote; its bytes are what `coord_snapshot_bytes_total` accumulates
-    /// — the per-tick quantity the scale bench tracks.
+    /// — the per-tick quantity the scale bench tracks — and its blocks
+    /// what `coord_snapshot_segments_written_total` counts.
     fn write_segmented_snapshot(&mut self) -> Result<TickStats, PersistError> {
         assert!(
             self.pending.is_empty(),
@@ -1335,9 +1339,7 @@ impl<S: Selector> Coordinator<S> {
         self.fleet.segmented = Some(seg);
         let tick = tick?;
         self.server.obs.inc("coord_snapshot_bytes_total", tick.bytes);
-        // the core fragments count as one segment, as the core file did
-        let segments = tick.dirty + tick.compacted + 1;
-        self.server.obs.inc("coord_snapshot_segments_written_total", segments as u64);
+        self.server.obs.inc("coord_snapshot_segments_written_total", tick.blocks() as u64);
         Ok(tick)
     }
 
@@ -2166,21 +2168,16 @@ mod tests {
 
         // FirstK trains clients 0..3 every round (dirty each tick), while
         // 3..6 only echo unchanged heartbeat acks after the first sweep —
-        // their shards must still reference blocks of the epoch-1 data file
+        // their shards must still reference blocks of the epoch-1 file
         let manifest = persist::segment::read_manifest(&manifest_path).unwrap();
         for shard in 0..3 {
             assert_eq!(
-                manifest.shards[shard].file,
-                persist::segment::data_file_name(3),
+                manifest.shards[shard].epoch, 3,
                 "participant shard {shard} must be rewritten at the latest tick"
             );
         }
         for shard in 3..6 {
-            assert_eq!(
-                manifest.shards[shard].file,
-                persist::segment::data_file_name(1),
-                "clean shard {shard} must reuse its first-tick block"
-            );
+            assert_eq!(manifest.shards[shard].epoch, 1, "clean shard {shard} must reuse its block");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2228,11 +2225,8 @@ mod tests {
         let epochs: Vec<u64> = spans.iter().map(|r| field(r, "epoch")).collect();
         assert_eq!(epochs, [1, 2, 3, 4], "one span per round that wrote a snapshot");
         assert_eq!(field(spans[0], "dirty_shards"), 3, "the first tick writes every shard");
-        // files: a data file and a manifest per tick (every shard holds a
-        // trainee)
-        let files: Vec<u64> = spans.iter().map(|r| field(r, "files")).collect();
-        assert_eq!(files, [2, 2, 2, 2]);
-        assert!(spans.iter().all(|r| field(r, "compacted") == 0), "every block stays live");
+        assert!(field(spans[0], "core_chunks") > 0, "the first tick writes every core chunk");
+        assert!(spans.iter().all(|r| field(r, "compacted") == 0), "every shard block stays live");
         let span_bytes: u64 = spans.iter().map(|r| field(r, "bytes")).sum();
         assert_eq!(span_bytes, obs.counter_value("coord_snapshot_bytes_total"));
 
@@ -2292,7 +2286,7 @@ mod tests {
         let bytes = persist::segment::reassemble(&manifest_path, &Recorder::disabled()).unwrap();
         assert_eq!(bytes, c.snapshot(), "the catch-up tick must reassemble to snapshot()");
         let manifest = persist::segment::read_manifest(&manifest_path).unwrap();
-        assert_eq!(manifest.shards[4].file, persist::segment::data_file_name(4));
+        assert_eq!(manifest.shards[4].epoch, 4);
 
         // run_round keeps its panic for the same failure
         std::fs::remove_dir_all(&seg).unwrap();
@@ -2317,16 +2311,20 @@ mod tests {
         c.run(5);
         drop(c); // simulated crash
 
-        // only the newest two manifests survive the sweep
-        for epoch in 1..=3 {
-            assert!(
-                !dir.join(persist::segment::manifest_name(epoch)).exists(),
-                "manifest for epoch {epoch} should have been pruned"
-            );
-            assert!(!dir.join(persist::segment::data_file_name(epoch)).exists());
-        }
+        // the sweep keeps the newest two manifests and the older files
+        // they reference, and nothing else
+        let mut retained = std::collections::BTreeSet::from([4, 5]);
         for epoch in 4..=5 {
-            assert!(dir.join(persist::segment::manifest_name(epoch)).exists());
+            let path = dir.join(persist::segment::manifest_name(epoch));
+            let manifest = persist::segment::read_manifest(&path).unwrap();
+            retained.extend(manifest.refs().map(|b| b.epoch));
+        }
+        for epoch in 1..=5 {
+            assert_eq!(
+                dir.join(persist::segment::manifest_name(epoch)).exists(),
+                retained.contains(&epoch),
+                "tick file {epoch} is kept iff a kept manifest needs it"
+            );
         }
 
         let mut resumed = build_coord(6, Availability::AlwaysOn);
@@ -2384,7 +2382,7 @@ mod tests {
         c.run(2);
         drop(c);
 
-        let victim = dir.join(persist::segment::data_file_name(2));
+        let victim = dir.join(persist::segment::manifest_name(2));
         let mut bytes = std::fs::read(&victim).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;

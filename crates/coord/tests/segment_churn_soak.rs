@@ -4,9 +4,9 @@
 //! two manifests. Every tick must
 //!
 //! * reassemble to the monolithic `snapshot()` bytes,
-//! * write at most two files (a data file and the manifest), and
-//! * leave every data file the newest manifest references at least a
-//!   quarter live.
+//! * write one file, its own manifest, and
+//! * leave every file the newest manifest references at least a quarter
+//!   live.
 //!
 //! The snapshot directory is copied as it stood at three epochs; each copy
 //! is resumed from its tip manifest, and the resumed run must finish with
@@ -170,24 +170,33 @@ fn round_and_check(
 
     let after = names(dir);
     let written: Vec<&String> = after.difference(&before).collect();
-    assert!(written.len() <= 2, "tick {epoch} wrote {written:?}");
-    let manifests = after.iter().filter(|n| n.starts_with("manifest-")).count();
-    assert!(manifests <= 2, "retention 2 left {manifests} manifests at tick {epoch}");
+    assert_eq!(written, [&segment::manifest_name(epoch)], "tick {epoch} wrote {written:?}");
 
+    // every file on disk is one of the newest two manifests or a file
+    // they reference, and every referenced file is at least a quarter live
     let manifest = segment::read_manifest(&manifest_path).unwrap();
-    let mut live: BTreeMap<&str, usize> = BTreeMap::new();
-    for b in &manifest.shards {
-        *live.entry(b.file.as_str()).or_default() += 1;
+    let mut kept: BTreeSet<String> = BTreeSet::from([segment::manifest_name(epoch)]);
+    if epoch > 1 && after.contains(&segment::manifest_name(epoch - 1)) {
+        kept.insert(segment::manifest_name(epoch - 1));
+        let previous = segment::read_manifest(&dir.join(segment::manifest_name(epoch - 1)));
+        kept.extend(previous.unwrap().refs().map(|b| segment::manifest_name(b.epoch)));
     }
-    for (file, live) in live {
-        let total = segment::read_data_file(&dir.join(file)).unwrap().block_count();
-        assert!(live * 4 >= total, "tick {epoch}: {file} keeps {live} of {total} blocks live");
+    let mut live: BTreeMap<usize, usize> = BTreeMap::new();
+    for b in manifest.refs() {
+        *live.entry(b.epoch).or_default() += 1;
     }
+    for (&file, &live) in &live {
+        kept.insert(segment::manifest_name(file));
+        let total = segment::read_manifest(&dir.join(segment::manifest_name(file))).unwrap().blocks;
+        assert!(live * 4 >= total, "tick {epoch}: file {file} keeps {live} of {total} blocks live");
+    }
+    assert_eq!(after, kept, "retention 2 at tick {epoch}");
 
     let span = sink.records().into_iter().rev().find(|r| r.name == "coord.snapshot").unwrap();
     let field = |key| span.field(key).and_then(FieldValue::as_f64).unwrap() as u64;
     assert_eq!(field("epoch"), epoch as u64);
-    assert_eq!(field("files"), written.len() as u64, "tick {epoch}: span and directory disagree");
+    let blocks = field("core_chunks") + field("dirty_shards") + field("compacted");
+    assert_eq!(blocks, manifest.blocks as u64, "tick {epoch}: span and file disagree");
     Tick { dirty: field("dirty_shards"), compacted: field("compacted") }
 }
 
@@ -220,7 +229,7 @@ fn churn_soak_ticks_stay_small_bounded_and_resumable() {
         ticks[1..].iter().any(|t| t.dirty < SNAPSHOT_SHARDS as u64),
         "no tick left a shard clean"
     );
-    assert!(ticks.iter().any(|t| t.compacted > 0), "no tick compacted a data file");
+    assert!(ticks.iter().any(|t| t.compacted > 0), "no tick compacted a file");
     let reference = c.run(0);
     let final_snapshot = c.snapshot();
     assert!(c.registry().len() > FOUNDERS, "the script must join clients");

@@ -33,10 +33,10 @@ pub const MAGIC: [u8; 8] = *b"HACCSNAP";
 
 /// Current snapshot format version: the layout of the **monolithic
 /// payload**. Bump on any change to that payload; readers reject versions
-/// they do not understand rather than misparse. The [`segment`] files
-/// reassemble to that payload, so they carry the same version, and are
-/// told apart — from each other and from earlier segment layouts — by
-/// their payload's leading tag.
+/// they do not understand rather than misparse. The [`segment`] tick
+/// files reassemble to that payload, so they carry the same version, and
+/// are told apart from earlier segment layouts by their payload's leading
+/// tag.
 ///
 /// History:
 /// * v1 — flat registries: coordinator snapshots carried per-client state
@@ -48,8 +48,10 @@ pub const MAGIC: [u8; 8] = *b"HACCSNAP";
 ///   byte-identically to the monolithic payload; the cluster-cache
 ///   payload gained a mode byte for the two-level clustering state
 ///   (DESIGN.md §15). The segment layout has since moved from one file
-///   per shard to one data file per tick, without a version bump: the
-///   monolithic payload is unchanged.
+///   per shard to one data file per tick beside a manifest carrying the
+///   core inline, and then to one file per tick holding only the core
+///   chunks and shard blocks that changed, each time without a version
+///   bump: the monolithic payload is unchanged.
 pub const VERSION: u32 = 3;
 
 /// Envelope bytes before the payload: magic, version and payload length.
@@ -321,21 +323,10 @@ impl SnapshotWriter {
         out
     }
 
-    /// Writes the framed payload — the bytes [`SnapshotWriter::finish`]
-    /// returns — to `path` as [`write_atomic_obs`] does, without copying
-    /// the payload into a framed buffer. Returns the bytes written.
-    pub(crate) fn write_framed(
-        &self,
-        path: &Path,
-        obs: &haccs_obs::Recorder,
-    ) -> Result<u64, PersistError> {
-        let checksum = fnv1a64(&self.buf);
-        StreamedSnapshot::create(path)?.commit(&self.buf, checksum, obs)
-    }
-
-    /// Empties the payload, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.buf.clear();
+    /// Shortens the payload to its first `len` bytes, keeping the
+    /// allocation.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
     }
 }
 

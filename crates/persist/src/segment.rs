@@ -1,54 +1,61 @@
-//! Segmented snapshots: per tick, one data file of shard blocks plus a
-//! manifest.
+//! Segmented snapshots: per tick, one file holding only the bytes that
+//! changed.
 //!
 //! The monolithic coordinator snapshot rewrites every client's state each
 //! tick, so its write cost grows linearly with federation size even when
 //! only a handful of clients changed. This module stores one snapshot as
+//! **blocks**:
 //!
 //! * **shard blocks**: the per-client entries of one snapshot shard, in
-//!   ascending id order. A tick writes the blocks of the shards dirtied
-//!   since the previous tick into one **data file**,
-//!   `shards-{epoch:06}.seg`;
-//! * one **manifest**, `manifest-{epoch:06}.snap`. It carries the payload
-//!   bytes *before* the per-client entries (`pre`: seed, RNG, global
-//!   params, ...) and *after* them (`post`: selector state) inline, and
-//!   records for every shard the data file, block index, block length
-//!   and block FNV-1a checksum that hold its entries.
+//!   ascending id order. A tick rewrites the shards dirtied since the
+//!   previous tick;
+//! * **core chunks**: the payload bytes before the per-client entries
+//!   (`pre`: seed, RNG, global params, round history, ...) and after them
+//!   (`post`: selector state), each cut into 16 KiB chunks. A tick
+//!   encodes both fragments whole and rewrites a chunk only when it
+//!   differs from the previous tick's chunk at the same index of the same
+//!   fragment, so `post`'s chunks keep their indices when `pre` grows.
 //!
-//! Data files are epoch-suffixed and immutable once written; a clean
-//! shard's manifest entry points at the block an earlier tick wrote. So a
-//! tick writes at most two files however many shards are dirty, and only
-//! the manifest when none is. The manifest is written **last** via
-//! [`write_atomic`](crate::write_atomic): it is the commit point, and a
-//! crash mid-tick leaves the previous manifest (and every block it names)
-//! intact.
+//! Each tick writes **one file**, `manifest-{epoch:06}.snap`: the blocks
+//! it rewrote, then the manifest, which records for every core chunk and
+//! every shard the file, block index, block length and block FNV-1a
+//! checksum that hold it. A block that did not change keeps the
+//! reference an earlier tick wrote, so the newest file can reference
+//! blocks of any older one. Files are immutable once written; each is
+//! streamed to a temp file and renamed into place once, as
+//! [`write_atomic`](crate::write_atomic) does. The rename is the commit
+//! point: a crash mid-tick leaves the previous file, and every block it
+//! names, intact.
 //!
 //! ```text
-//! data file: tag 3 | block*
-//!   block    = bytes( shard | count | count × (id | bytes(entry)) )
-//! manifest:  tag 4 | epoch | bytes(pre) | bytes(post) | n_shards
-//!            | n_shards × (str(file) | block index | len u64 | fnv1a64 u64)
+//! tick file: tag 5 | epoch | count | count × bytes(block)
+//!            | pre chunk count | chunks | shards
+//!   block  = a core chunk, or shard | count | count × (id | bytes(entry))
+//!   chunks = count × ref  (pre's chunks, then post's)
+//!   shards = count × ref  (one per snapshot shard, in shard order)
+//!   ref    = epoch of the file | block index | len u64 | fnv1a64 u64
 //! ```
 //!
-//! [`reassemble`] reads each referenced data file once and validates its
-//! envelope, checks each block's length, checksum and recorded shard
-//! index against the manifest and the ids for density, and splices
-//! pre + entries (in global id order) + post back into one payload that is
-//! **byte-identical** to the monolithic `Coordinator::snapshot` output —
-//! restore code is shared, and the bit-identity guarantee of DESIGN.md
-//! §10 carries over unchanged.
+//! [`reassemble`] reads each referenced file once and validates its
+//! envelope, checks every referenced block's length and checksum (and a
+//! shard block's recorded shard index, and the ids for density), and
+//! splices pre chunks + entries (in global id order) + post chunks back
+//! into one payload that is **byte-identical** to the monolithic
+//! `Coordinator::snapshot` output — restore code is shared, and the
+//! bit-identity guarantee of DESIGN.md §10 carries over unchanged.
 //!
-//! Both files carry the envelope [`VERSION`](crate::VERSION), which
+//! Tick files carry the envelope [`VERSION`](crate::VERSION), which
 //! describes the monolithic payload they reassemble to; the payload tag
-//! tells a data file from a manifest. A manifest of the earlier per-shard
-//! layout (one core segment plus one file per shard) is refused with a
-//! typed [`PersistError::Malformed`] rather than misparsed.
+//! tells this layout from earlier ones. A manifest of the per-shard
+//! layout (tag 2) or of the two-file layout whose manifest carried the
+//! core inline (tag 4) is refused with a typed [`PersistError::Malformed`]
+//! that names the layout rather than misparsed.
 //!
-//! [`SegmentWriter`] drives the ticks: it tracks dirty shards, compacts
-//! sparse data files and, under retention, garbage-collects what no kept
-//! manifest references.
+//! [`SegmentWriter`] drives the ticks: it tracks dirty shards and the last
+//! committed core, compacts sparse files and, under retention,
+//! garbage-collects what no kept manifest references.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -57,20 +64,27 @@ use crate::{
     SnapshotWriter, StreamedSnapshot, HEADER_LEN,
 };
 
-/// Payload tag of a manifest in the per-shard layout data files replaced.
-const OLD_LAYOUT_MANIFEST_TAG: u8 = 2;
-/// Payload tag of a data file.
-const TAG_DATA: u8 = 3;
-/// Payload tag of a manifest.
-const TAG_MANIFEST: u8 = 4;
+/// Payload tag of a manifest of the per-shard layout: a core segment plus
+/// one file per shard.
+const TAG_PER_SHARD: u8 = 2;
+/// Payload tag of a manifest of the two-file layout: a data file of shard
+/// blocks beside a manifest that carried the core inline.
+const TAG_INLINE_CORE: u8 = 4;
+/// Payload tag of a tick file.
+const TAG_TICK: u8 = 5;
 
-/// Where one shard's entries live: a block of a data file, with the
-/// block's length and FNV-1a checksum as the manifest recorded them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Bytes per core chunk, the granularity at which a tick compares and
+/// rewrites the core; a fragment's last chunk may be shorter.
+const CHUNK: usize = 16 * 1024;
+
+/// Where one block lives: the tick file that holds it, its index there,
+/// and its length and FNV-1a checksum as the manifest recorded them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockRef {
-    /// Data file name, relative to the manifest's directory.
-    pub file: String,
-    /// Index of the block within the data file.
+    /// Epoch of the tick file that holds the block,
+    /// [`manifest_name`]`(epoch)` in the manifest's directory.
+    pub epoch: usize,
+    /// Index of the block within that file.
     pub block: usize,
     /// Block length in bytes.
     pub len: u64,
@@ -80,7 +94,7 @@ pub struct BlockRef {
 
 impl BlockRef {
     fn write(&self, w: &mut SnapshotWriter) {
-        w.put_str(&self.file);
+        w.put_usize(self.epoch);
         w.put_usize(self.block);
         w.put_u64(self.len);
         w.put_u64(self.checksum);
@@ -88,7 +102,7 @@ impl BlockRef {
 
     fn read(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         Ok(BlockRef {
-            file: r.get_str()?,
+            epoch: r.get_usize()?,
             block: r.get_usize()?,
             len: r.get_u64()?,
             checksum: r.get_u64()?,
@@ -96,29 +110,45 @@ impl BlockRef {
     }
 }
 
-/// The per-epoch manifest: the core payload fragments plus the block that
-/// holds each shard's entries. Clean shards point at blocks of data files
-/// written by earlier epochs.
+/// The manifest of one tick file: the block that holds each core chunk
+/// and each shard's entries. Parts a tick did not rewrite point at blocks
+/// of files written by earlier epochs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentManifest {
     /// Epoch this manifest snapshots.
     pub epoch: usize,
-    /// Payload bytes before the per-client entries.
-    pub pre: Vec<u8>,
-    /// Payload bytes after the per-client entries.
-    pub post: Vec<u8>,
+    /// Blocks the tick file itself holds.
+    pub blocks: usize,
+    /// How many of `chunks` hold the payload before the per-client
+    /// entries; the rest hold the payload after them.
+    pub pre_chunks: usize,
+    /// The core's chunks, in payload order.
+    pub chunks: Vec<BlockRef>,
     /// One block per snapshot shard, in shard-index order.
     pub shards: Vec<BlockRef>,
 }
 
-/// Canonical file name of the data file written at `epoch`.
-pub fn data_file_name(epoch: usize) -> String {
-    format!("shards-{epoch:06}.seg")
+impl SegmentManifest {
+    /// Every block the manifest references: the core chunks, then the
+    /// shards.
+    pub fn refs(&self) -> impl Iterator<Item = &BlockRef> {
+        self.chunks.iter().chain(&self.shards)
+    }
 }
 
-/// Canonical file name of the manifest for `epoch`.
+/// Canonical file name of the tick file, manifest and blocks, written at
+/// `epoch`.
 pub fn manifest_name(epoch: usize) -> String {
     format!("manifest-{epoch:06}.snap")
+}
+
+/// Encodes a manifest's references, the tail of its tick file.
+fn put_refs(w: &mut SnapshotWriter, pre_chunks: usize, chunks: &[BlockRef], shards: &[BlockRef]) {
+    w.put_usize(pre_chunks);
+    for refs in [chunks, shards] {
+        w.put_usize(refs.len());
+        refs.iter().for_each(|b| b.write(w));
+    }
 }
 
 /// Appends one shard block's entries, each encoded in place by the
@@ -140,175 +170,234 @@ impl BlockWriter<'_> {
     }
 }
 
-/// Encoded block bytes a data file holds in memory before writing them
-/// out: a tick that rewrites every shard of a large federation streams
-/// its data file instead of building it whole.
-const FLUSH_BYTES: usize = 1 << 20;
+/// Encoded shard-block bytes a tick file holds in memory before writing
+/// them out: a tick that rewrites every shard of a large federation
+/// streams its file instead of building it whole, and the buffer the
+/// writer keeps holds little more than the core.
+const FLUSH_BYTES: usize = 64 * 1024;
 
-/// Writes the data file `path`: a block for every shard `rewrite` marks,
-/// which `encode` fills, encoded into `w`, which is written out whenever
-/// it holds [`FLUSH_BYTES`] and at the end. Returns the file's length and
-/// each block's length and FNV-1a, in file order; a block's checksum and
-/// the envelope's come from one pass over its bytes.
-fn write_data_file(
-    path: &Path,
-    w: &mut SnapshotWriter,
-    rewrite: &[bool],
-    mut encode: impl FnMut(usize, &mut BlockWriter<'_>),
-    obs: &haccs_obs::Recorder,
-) -> Result<(u64, Vec<(u64, u64)>), PersistError> {
-    let mut file = StreamedSnapshot::create(path)?;
-    let mut span = obs.span("persist.encode");
-    w.put_u8(TAG_DATA);
-    let (mut payload_sum, mut hashed, mut flushed) = (fnv1a64(&[]), 0, 0);
-    let mut blocks = Vec::new();
-    for shard in (0..rewrite.len()).filter(|&s| rewrite[s]) {
-        let start = w.len() + 8;
-        w.put_bytes_with(|w| {
-            w.put_usize(shard);
-            let count_at = w.reserve_u64();
-            let mut block = BlockWriter { w, entries: 0 };
-            encode(shard, &mut block);
-            block.w.patch_u64(count_at, block.entries);
-        });
-        let payload = w.payload();
-        let prefix = fnv1a64_extend(payload_sum, &payload[hashed..start]);
-        let (sum, checksum) = fnv1a64_pair(prefix, &payload[start..]);
-        blocks.push(((payload.len() - start) as u64, checksum));
-        (payload_sum, hashed) = (sum, payload.len());
-        if w.len() >= FLUSH_BYTES {
-            file.append(w.payload())?;
-            flushed += w.len();
-            w.clear();
-            hashed = 0;
-        }
-    }
-    payload_sum = fnv1a64_extend(payload_sum, &w.payload()[hashed..]);
-    span.push_u("blocks", blocks.len() as u64);
-    span.push_u("bytes", (flushed + w.len()) as u64);
-    span.finish();
-    Ok((file.commit(w.payload(), payload_sum, obs)?, blocks))
-}
-
-/// Encodes a manifest's payload into `w`; `pre` and `post` write the core
-/// fragments in place.
-fn encode_manifest(
-    w: &mut SnapshotWriter,
+/// A tick file being written. `w` holds the tick's core, from which
+/// changed chunks go to the file as they are, followed by the file bytes
+/// not yet written out: shard blocks are encoded there and written out
+/// whenever they reach [`FLUSH_BYTES`]. A block's checksum and the
+/// envelope's come from one pass over its bytes.
+struct TickFileWriter {
+    file: StreamedSnapshot,
+    w: SnapshotWriter,
+    /// Where the file bytes start in `w`: the core's length.
+    base: usize,
     epoch: usize,
-    pre: impl FnOnce(&mut SnapshotWriter),
-    post: impl FnOnce(&mut SnapshotWriter),
-    shards: &[BlockRef],
-) {
-    w.put_u8(TAG_MANIFEST);
-    w.put_usize(epoch);
-    w.put_bytes_with(pre);
-    w.put_bytes_with(post);
-    w.put_usize(shards.len());
-    for b in shards {
-        b.write(w);
+    /// Blocks the header declared, and blocks appended so far.
+    declared: usize,
+    blocks: usize,
+    /// FNV-1a state over the payload written out and `w[base..hashed]`.
+    sum: u64,
+    hashed: usize,
+    /// Payload bytes already written out.
+    flushed: usize,
+}
+
+impl TickFileWriter {
+    /// Opens the temp file for `epoch`'s tick file in `dir` and encodes,
+    /// after the core `w` holds, the header of a file that will hold
+    /// `blocks` blocks.
+    fn create(
+        dir: &Path,
+        epoch: usize,
+        blocks: usize,
+        mut w: SnapshotWriter,
+    ) -> Result<Self, PersistError> {
+        let file = StreamedSnapshot::create(&dir.join(manifest_name(epoch)))?;
+        let base = w.len();
+        w.put_u8(TAG_TICK);
+        w.put_usize(epoch);
+        w.put_usize(blocks);
+        Ok(TickFileWriter {
+            file,
+            w,
+            base,
+            epoch,
+            declared: blocks,
+            blocks: 0,
+            sum: fnv1a64(&[]),
+            hashed: base,
+            flushed: 0,
+        })
+    }
+
+    fn next_block(&mut self, len: usize, checksum: u64) -> BlockRef {
+        self.blocks += 1;
+        BlockRef { epoch: self.epoch, block: self.blocks - 1, len: len as u64, checksum }
+    }
+
+    /// Hashes and writes out the file bytes held in `w`.
+    fn flush(&mut self) -> Result<(), PersistError> {
+        let pending = &self.w.payload()[self.base..];
+        self.sum = fnv1a64_extend(self.sum, &self.w.payload()[self.hashed..]);
+        self.file.append(pending)?;
+        self.flushed += pending.len();
+        self.w.truncate(self.base);
+        self.hashed = self.base;
+        Ok(())
+    }
+
+    /// Appends the core bytes `range` as the next block, written out
+    /// straight from the core, and returns its reference.
+    fn chunk(&mut self, range: Range<usize>) -> Result<BlockRef, PersistError> {
+        self.w.put_usize(range.len());
+        self.flush()?;
+        let chunk = &self.w.payload()[range];
+        let (sum, checksum) = fnv1a64_pair(self.sum, chunk);
+        self.file.append(chunk)?;
+        let len = chunk.len();
+        (self.sum, self.flushed) = (sum, self.flushed + len);
+        Ok(self.next_block(len, checksum))
+    }
+
+    /// Appends the next block, which `write` encodes, and returns its
+    /// reference.
+    fn block(&mut self, write: impl FnOnce(&mut SnapshotWriter)) -> Result<BlockRef, PersistError> {
+        let start = self.w.len() + 8;
+        self.w.put_bytes_with(write);
+        let payload = self.w.payload();
+        let prefix = fnv1a64_extend(self.sum, &payload[self.hashed..start]);
+        let (sum, checksum) = fnv1a64_pair(prefix, &payload[start..]);
+        let len = payload.len() - start;
+        (self.sum, self.hashed) = (sum, payload.len());
+        if self.w.len() - self.base >= FLUSH_BYTES {
+            self.flush()?;
+        }
+        Ok(self.next_block(len, checksum))
+    }
+
+    /// Payload bytes encoded so far.
+    fn len(&self) -> usize {
+        self.flushed + self.w.len() - self.base
+    }
+
+    /// Completes the envelope and renames the file into place; returns
+    /// the bytes written and the buffer, which still holds the core.
+    fn commit(self, obs: &haccs_obs::Recorder) -> Result<(u64, SnapshotWriter), PersistError> {
+        assert_eq!(self.blocks, self.declared, "a tick file holds the blocks its header declares");
+        let TickFileWriter { file, mut w, base, sum, hashed, .. } = self;
+        let sum = fnv1a64_extend(sum, &w.payload()[hashed..]);
+        let bytes = file.commit(&w.payload()[base..], sum, obs)?;
+        w.truncate(base);
+        Ok((bytes, w))
     }
 }
 
-/// Writes the manifest into `dir` and returns the bytes written. Call this
-/// **after** every data file it references exists on disk — the manifest
-/// is the commit point of a segmented snapshot.
-pub fn write_manifest(
-    dir: &Path,
-    manifest: &SegmentManifest,
-    obs: &haccs_obs::Recorder,
-) -> Result<u64, PersistError> {
-    let mut w = SnapshotWriter::new();
-    encode_manifest(
-        &mut w,
-        manifest.epoch,
-        |w| w.append_raw(&manifest.pre),
-        |w| w.append_raw(&manifest.post),
-        &manifest.shards,
-    );
-    w.write_framed(&dir.join(manifest_name(manifest.epoch)), obs)
-}
-
-/// Reads and parses a manifest written by [`write_manifest`]. A manifest
-/// of the earlier per-shard layout is refused as [`PersistError::Malformed`].
-pub fn read_manifest(path: &Path) -> Result<SegmentManifest, PersistError> {
-    let bytes = read_snapshot(path)?;
-    let mut r = SnapshotReader::open(&bytes)?;
-    match r.get_u8()? {
-        TAG_MANIFEST => {}
-        OLD_LAYOUT_MANIFEST_TAG => {
-            return Err(PersistError::Malformed(format!(
-                "{} is a manifest of the old per-shard segment layout (core-*.seg plus one \
-                 shard-*.seg per shard), which this build no longer reads; resume it once \
-                 under an older build and write a fresh snapshot, or restart the run from \
-                 its seed",
-                path.display()
-            )))
-        }
-        tag => {
-            return Err(PersistError::Malformed(format!(
-                "{}: expected manifest tag {TAG_MANIFEST}, found {tag}",
-                path.display()
-            )))
-        }
-    }
-    let epoch = r.get_usize()?;
-    let pre = r.get_bytes()?.to_vec();
-    let post = r.get_bytes()?.to_vec();
-    let n = r.get_usize()?;
-    let shards = (0..n).map(|_| BlockRef::read(&mut r)).collect::<Result<Vec<_>, _>>()?;
-    r.expect_end()?;
-    Ok(SegmentManifest { epoch, pre, post, shards })
-}
-
-/// A data file read back with its envelope validated: the file bytes and
-/// the byte range of every block, in file order.
+/// A tick file read back with its envelope validated: the file bytes, the
+/// byte range of every block it holds, and its manifest.
 #[derive(Debug)]
-pub struct DataFile {
+struct TickFile {
     bytes: Vec<u8>,
     blocks: Vec<Range<usize>>,
+    manifest: SegmentManifest,
 }
 
-impl DataFile {
-    /// Number of blocks the file holds.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
+impl TickFile {
+    /// Reads a tick file. Every failure past reading the file is a
+    /// [`PersistError::Malformed`] that names the file.
+    fn read(path: &Path) -> Result<Self, PersistError> {
+        let bytes = read_snapshot(path)?;
+        let named = |e| match e {
+            PersistError::Malformed(why) => {
+                PersistError::Malformed(format!("{}: {why}", path.display()))
+            }
+            e => PersistError::Malformed(format!("{}: {e}", path.display())),
+        };
+        let (blocks, manifest) = Self::parse(&bytes).map_err(named)?;
+        Ok(TickFile { bytes, blocks, manifest })
     }
 
-    /// Block `i`'s bytes, `None` past the last block.
-    pub fn block(&self, i: usize) -> Option<&[u8]> {
-        self.blocks.get(i).map(|r| &self.bytes[r.clone()])
+    fn parse(bytes: &[u8]) -> Result<(Vec<Range<usize>>, SegmentManifest), PersistError> {
+        let mut r = SnapshotReader::open(bytes)?;
+        let refused = |layout: &str| {
+            Err(PersistError::Malformed(format!(
+                "a manifest of the {layout}, which this build no longer reads; resume it once \
+                 under an older build and write a fresh snapshot, or restart the run from its \
+                 seed"
+            )))
+        };
+        match r.get_u8()? {
+            TAG_TICK => {}
+            TAG_PER_SHARD => {
+                return refused(
+                    "per-shard segment layout (core-*.seg plus one shard-*.seg per shard)",
+                )
+            }
+            TAG_INLINE_CORE => {
+                return refused(
+                    "two-file segment layout (a shards-*.seg data file beside a manifest \
+                     carrying the core inline)",
+                )
+            }
+            tag => {
+                return Err(PersistError::Malformed(format!(
+                    "expected tick-file tag {TAG_TICK}, found {tag}"
+                )))
+            }
+        }
+        let epoch = r.get_usize()?;
+        let count = r.get_usize()?;
+        let mut blocks = Vec::new();
+        for _ in 0..count {
+            let len = r.get_bytes()?.len();
+            let end = HEADER_LEN + r.consumed();
+            blocks.push(end - len..end);
+        }
+        let pre_chunks = r.get_usize()?;
+        let mut refs = || -> Result<Vec<BlockRef>, PersistError> {
+            let n = r.get_usize()?;
+            (0..n).map(|_| BlockRef::read(&mut r)).collect()
+        };
+        let chunks = refs()?;
+        let shards = refs()?;
+        r.expect_end()?;
+        if pre_chunks > chunks.len() {
+            return Err(PersistError::Malformed(format!(
+                "{pre_chunks} of the core's {} chunks are recorded as pre-entry chunks",
+                chunks.len()
+            )));
+        }
+        Ok((blocks, SegmentManifest { epoch, blocks: count, pre_chunks, chunks, shards }))
+    }
+
+    /// Block `b.block`'s bytes, checked against the length and checksum
+    /// `b` recorded.
+    fn block(&self, b: &BlockRef) -> Result<&[u8], PersistError> {
+        let bad = |why: String| {
+            let name = manifest_name(b.epoch);
+            Err(PersistError::Malformed(format!("block {} of {name} {why}", b.block)))
+        };
+        let Some(range) = self.blocks.get(b.block) else {
+            return bad(format!("is referenced, but the file holds {} blocks", self.blocks.len()));
+        };
+        let block = &self.bytes[range.clone()];
+        if block.len() as u64 != b.len {
+            return bad(format!("is {} bytes, manifest recorded {}", block.len(), b.len));
+        }
+        if fnv1a64(block) != b.checksum {
+            return bad("does not match its manifest checksum".into());
+        }
+        Ok(block)
     }
 }
 
-/// Reads a data file and validates its envelope and block framing. Every
-/// failure past reading the file is a [`PersistError::Malformed`] that
-/// names the file.
-pub fn read_data_file(path: &Path) -> Result<DataFile, PersistError> {
-    let bytes = read_snapshot(path)?;
-    let bad =
-        |e: PersistError| PersistError::Malformed(format!("data file {}: {e}", path.display()));
-    let mut r = SnapshotReader::open(&bytes).map_err(bad)?;
-    let tag = r.get_u8().map_err(bad)?;
-    if tag != TAG_DATA {
-        return Err(bad(PersistError::Malformed(format!(
-            "expected data-file tag {TAG_DATA}, found {tag}"
-        ))));
-    }
-    let mut blocks = Vec::new();
-    while r.remaining() > 0 {
-        let len = r.get_bytes().map_err(bad)?.len();
-        let end = HEADER_LEN + r.consumed();
-        blocks.push(end - len..end);
-    }
-    Ok(DataFile { bytes, blocks })
+/// Reads the manifest of a tick file, validating the file's envelope and
+/// block framing. A manifest of an earlier segment layout is refused as
+/// [`PersistError::Malformed`].
+pub fn read_manifest(path: &Path) -> Result<SegmentManifest, PersistError> {
+    TickFile::read(path).map(|file| file.manifest)
 }
 
-/// Reassembles the monolithic framed snapshot from a manifest written by
-/// [`write_manifest`]: validates every referenced block, orders per-client
-/// entries by global id (which must be dense `0..n`), and splices
-/// pre + entries + post into one payload. The result is byte-identical to
-/// the monolithic snapshot of the same state, so the ordinary restore
-/// path consumes it unchanged.
+/// Reassembles the monolithic framed snapshot from a tick file: validates
+/// every referenced block, orders per-client entries by global id (which
+/// must be dense `0..n`), and splices pre chunks + entries + post chunks
+/// into one payload. The result is byte-identical to the monolithic
+/// snapshot of the same state, so the ordinary restore path consumes it
+/// unchanged.
 pub fn reassemble(
     manifest_path: &Path,
     obs: &haccs_obs::Recorder,
@@ -325,47 +414,31 @@ pub fn reassemble(
 fn reassemble_inner(manifest_path: &Path) -> Result<Vec<u8>, PersistError> {
     let dir =
         manifest_path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
-    let manifest = read_manifest(manifest_path)?;
+    let tip = TickFile::read(manifest_path)?;
+    let manifest = &tip.manifest;
 
-    let mut files: HashMap<&str, DataFile> = HashMap::new();
-    for b in &manifest.shards {
-        if !files.contains_key(b.file.as_str()) {
-            files.insert(&b.file, read_data_file(&dir.join(&b.file))?);
-        }
-    }
+    // every older file the manifest references, read once
+    let epochs: BTreeSet<usize> =
+        manifest.refs().map(|b| b.epoch).filter(|&e| e != manifest.epoch).collect();
+    let older = epochs
+        .into_iter()
+        .map(|e| Ok((e, TickFile::read(&dir.join(manifest_name(e)))?)))
+        .collect::<Result<BTreeMap<_, _>, PersistError>>()?;
+    let block = |b: &BlockRef| match older.get(&b.epoch) {
+        Some(file) => file.block(b),
+        None => tip.block(b),
+    };
 
+    let chunks = manifest.chunks.iter().map(block).collect::<Result<Vec<_>, _>>()?;
     let mut entries: Vec<(usize, &[u8])> = Vec::new();
     for (shard, b) in manifest.shards.iter().enumerate() {
-        let file = &files[b.file.as_str()];
-        let block = file.block(b.block).ok_or_else(|| {
-            PersistError::Malformed(format!(
-                "manifest places shard {shard} in block {} of {}, which holds {} blocks",
-                b.block,
-                b.file,
-                file.block_count()
-            ))
-        })?;
-        if block.len() as u64 != b.len {
-            return Err(PersistError::Malformed(format!(
-                "block {} of {} is {} bytes, manifest recorded {}",
-                b.block,
-                b.file,
-                block.len(),
-                b.len
-            )));
-        }
-        if fnv1a64(block) != b.checksum {
-            return Err(PersistError::Malformed(format!(
-                "block {} of {} does not match its manifest checksum",
-                b.block, b.file
-            )));
-        }
-        let mut r = SnapshotReader::fragment(block);
+        let mut r = SnapshotReader::fragment(block(b)?);
         let recorded = r.get_usize()?;
         if recorded != shard {
             return Err(PersistError::Malformed(format!(
                 "block {} of {} holds shard {recorded}, manifest placed it at {shard}",
-                b.block, b.file
+                b.block,
+                manifest_name(b.epoch)
             )));
         }
         let n = r.get_usize()?;
@@ -391,47 +464,67 @@ fn reassemble_inner(manifest_path: &Path) -> Result<Vec<u8>, PersistError> {
         }
     }
 
+    let (pre, post) = chunks.split_at(manifest.pre_chunks);
     let mut w = SnapshotWriter::new();
-    w.append_raw(&manifest.pre);
-    for bytes in by_id.into_iter().flatten() {
+    for bytes in pre.iter().chain(by_id.iter().flatten()).chain(post) {
         w.append_raw(bytes);
     }
-    w.append_raw(&manifest.post);
     Ok(w.finish())
 }
 
 /// What one [`SegmentWriter::tick`] wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickStats {
-    /// Bytes written: the data file, if any, plus the manifest.
+    /// Bytes of the tick's file.
     pub bytes: u64,
-    /// Files written: the manifest, plus the data file when a block was
-    /// rewritten.
-    pub files: usize,
-    /// Blocks rewritten because their shard was dirty (every shard on the
-    /// first tick).
+    /// Core chunks written: those that differ from the previous tick's
+    /// chunk at the same index (every chunk on the first tick), plus,
+    /// under retention, unchanged chunks compaction moved.
+    pub chunks: usize,
+    /// Shard blocks rewritten because their shard was dirty (every shard
+    /// on the first tick).
     pub dirty: usize,
-    /// Clean blocks rewritten to empty a sparse data file (retention only).
+    /// Clean shard blocks rewritten to empty a sparse file (retention
+    /// only).
     pub compacted: usize,
     /// What the retention sweep removed (nothing without retention).
     pub gc: GcStats,
 }
 
+impl TickStats {
+    /// Blocks the tick's file holds: core chunks and shard blocks.
+    pub fn blocks(&self) -> usize {
+        self.chunks + self.dirty + self.compacted
+    }
+}
+
 /// The writing side of a segmented-snapshot directory: which shards are
-/// dirty, which block holds each shard's entries, and, under retention,
-/// which data files each manifest this writer committed references.
+/// dirty, the last committed core, which block holds each core chunk and
+/// each shard's entries, and, under retention, which files each manifest
+/// this writer committed references. A writer built for a restored run
+/// starts empty, so its first tick writes every chunk and every shard.
 #[derive(Debug)]
 pub struct SegmentWriter {
     dir: PathBuf,
     /// `dirty[s]`: shard `s`'s entries may differ from its newest block.
     dirty: Vec<bool>,
+    /// A copy of the newest committed tick's core, `pre` then `post`, at
+    /// its exact length, that the next tick compares its chunks against;
+    /// empty before the first commit.
+    core: Vec<u8>,
+    /// Where `post` starts in `core`.
+    pre_len: usize,
+    /// The newest committed manifest's block per core chunk, `pre`'s
+    /// chunks then `post`'s.
+    chunks: Vec<BlockRef>,
     /// The newest committed manifest's block per shard; empty before the
     /// first commit, whose tick therefore writes every shard.
-    blocks: Vec<BlockRef>,
-    /// How many blocks each data file that `blocks` references holds.
-    file_blocks: HashMap<String, usize>,
+    shards: Vec<BlockRef>,
+    /// How many blocks each file that `chunks` or `shards` references
+    /// holds, by epoch.
+    file_blocks: BTreeMap<usize, usize>,
     retention: Option<Retention>,
-    /// The buffer every tick encodes its data file and manifest into.
+    /// The buffer every tick encodes its core and its file into.
     scratch: Vec<u8>,
 }
 
@@ -443,19 +536,23 @@ impl SegmentWriter {
         SegmentWriter {
             dir: dir.into(),
             dirty: vec![true; n_shards],
-            blocks: Vec::new(),
-            file_blocks: HashMap::new(),
+            core: Vec::new(),
+            pre_len: 0,
+            chunks: Vec::new(),
+            shards: Vec::new(),
+            file_blocks: BTreeMap::new(),
             retention: None,
             scratch: Vec::new(),
         }
     }
 
     /// Bounds the directory (builder style): after each committed tick,
-    /// only the newest `keep` manifests and the data files they reference
-    /// stay on disk (see [`gc_segments`]). Retention also turns on
-    /// compaction: a tick rewrites the live blocks of any data file the
-    /// new manifest references once fewer than a quarter of that file's
-    /// blocks are still live, so the kept files stay mostly live.
+    /// only the newest `keep` manifests and the files they reference stay
+    /// on disk (see [`gc_segments`]). Retention also turns on compaction:
+    /// a tick rewrites the live blocks, core chunks and shard blocks alike,
+    /// of any file the new manifest references once fewer than a quarter
+    /// of that file's blocks are still live, so the kept files stay
+    /// mostly live.
     pub fn with_retention(mut self, keep: usize) -> Self {
         self.retention = Some(Retention::new(keep));
         self
@@ -471,120 +568,165 @@ impl SegmentWriter {
         self.dirty[shard] = true;
     }
 
-    /// Writes one tick for `epoch`: a data file holding a block for every
-    /// shard to rewrite (skipped when there is none), then the manifest,
-    /// then, under retention, the GC sweep. `encode(shard, block)` puts
-    /// shard `shard`'s entries, ascending by id, into its block; `pre` and
-    /// `post` write the payload fragments before and after the entries
-    /// into the manifest. Everything is encoded in place into one buffer
-    /// that the writer keeps from tick to tick.
+    /// Writes one tick for `epoch`: one file holding every core chunk that
+    /// changed since the last committed tick and a block for every shard
+    /// to rewrite, followed by the manifest; then, under retention, the GC
+    /// sweep. `pre` and `post` write the payload fragments before and
+    /// after the entries, which the tick encodes whole and compares with
+    /// the last committed core chunk by chunk; `encode(shard, block)` puts
+    /// shard `shard`'s entries, ascending by id, into its block.
+    /// Everything is encoded in place into one buffer the writer keeps
+    /// from tick to tick; changed core chunks go from there to the file.
     ///
-    /// On an error before the manifest is committed the writer keeps its
-    /// previous blocks and every dirty flag, so the next tick that
-    /// succeeds rewrites whatever this one missed.
+    /// On an error before the file is committed the writer keeps its last
+    /// committed core, its block references and every dirty flag, so the
+    /// next tick that succeeds rewrites whatever this one missed.
     pub fn tick(
         &mut self,
         epoch: usize,
         pre: impl FnOnce(&mut SnapshotWriter),
         post: impl FnOnce(&mut SnapshotWriter),
-        encode: impl FnMut(usize, &mut BlockWriter<'_>),
+        mut encode: impl FnMut(usize, &mut BlockWriter<'_>),
         obs: &haccs_obs::Recorder,
     ) -> Result<TickStats, PersistError> {
-        let (rewrite, compacted) = self.plan();
-        let dirty = self.dirty.iter().filter(|&&d| d).count();
-        let rewritten = dirty + compacted;
-        let mut stats = TickStats { dirty, compacted, ..TickStats::default() };
+        let mut span = obs.span("persist.encode");
         let mut w = SnapshotWriter::reuse(std::mem::take(&mut self.scratch));
+        pre(&mut w);
+        let pre_len = w.len();
+        post(&mut w);
+        let core_len = w.len();
 
-        let data_file = data_file_name(epoch);
-        let mut fresh = Vec::new();
-        if rewritten > 0 {
-            let path = self.dir.join(&data_file);
-            let (bytes, blocks) = write_data_file(&path, &mut w, &rewrite, encode, obs)?;
-            stats.bytes += bytes;
-            stats.files += 1;
-            fresh = blocks;
-            w.clear();
-        }
-        let mut fresh = fresh.into_iter().enumerate().map(|(block, (len, checksum))| BlockRef {
-            file: data_file.clone(),
-            block,
-            len,
-            checksum,
-        });
+        // which chunks and shards keep their blocks
+        let (new_pre, new_post) = w.payload().split_at(pre_len);
+        let (old_pre, old_post) = self.core.split_at(self.pre_len);
+        let (pre_refs, post_refs) = self.chunks.split_at(self.pre_len.div_ceil(CHUNK));
+        let mut kept: Vec<Option<BlockRef>> = unchanged(new_pre, old_pre, pre_refs)
+            .chain(unchanged(new_post, old_post, post_refs))
+            .collect();
+        let mut rewrite = self.dirty.clone();
+        let dirty = rewrite.iter().filter(|&&r| r).count();
+        let compacted = self.compact(&mut kept, &mut rewrite);
+        let chunks = kept.iter().filter(|c| c.is_none()).count();
+        let mut stats = TickStats { chunks, dirty, compacted, ..TickStats::default() };
+
+        let mut file = TickFileWriter::create(&self.dir, epoch, stats.blocks(), w)?;
+        let pieces = chunk_ranges(0..pre_len).chain(chunk_ranges(pre_len..core_len));
+        let chunks = kept
+            .into_iter()
+            .zip(pieces)
+            .map(|(kept, range)| match kept {
+                Some(b) => Ok(b),
+                None => file.chunk(range),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let shards = rewrite
             .iter()
             .enumerate()
-            .map(|(s, &r)| if r { fresh.next() } else { self.blocks.get(s).cloned() })
-            .collect::<Option<Vec<_>>>()
-            .expect("every shard has a block");
-
-        let mut span = obs.span("persist.encode").u("blocks", 0);
-        encode_manifest(&mut w, epoch, pre, post, &shards);
-        span.push_u("bytes", w.len() as u64);
+            .map(|(s, &r)| {
+                if !r {
+                    return Ok(self.shards[s]);
+                }
+                file.block(|w| {
+                    w.put_usize(s);
+                    let count_at = w.reserve_u64();
+                    let mut block = BlockWriter { w, entries: 0 };
+                    encode(s, &mut block);
+                    block.w.patch_u64(count_at, block.entries);
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        put_refs(&mut file.w, pre_len.div_ceil(CHUNK), &chunks, &shards);
+        span.push_u("blocks", stats.blocks() as u64);
+        span.push_u("chunks", stats.chunks as u64);
+        span.push_u("bytes", file.len() as u64);
         span.finish();
-        stats.bytes += w.write_framed(&self.dir.join(manifest_name(epoch)), obs)?;
-        stats.files += 1;
-        self.scratch = w.into_payload();
+        let (bytes, w) = file.commit(obs)?;
+        stats.bytes = bytes;
 
-        // committed: adopt the new blocks and forget unreferenced files
-        if rewritten > 0 {
-            self.file_blocks.insert(data_file, rewritten);
+        // committed: adopt the new core and blocks, and forget files
+        // nothing references any more
+        self.core.clear();
+        self.core.extend_from_slice(w.payload());
+        self.scratch = w.into_payload();
+        self.pre_len = pre_len;
+        if stats.blocks() > 0 {
+            self.file_blocks.insert(epoch, stats.blocks());
         }
-        self.blocks = shards;
+        self.chunks = chunks;
+        self.shards = shards;
         self.dirty.fill(false);
-        let live: HashSet<&str> = self.blocks.iter().map(|b| b.file.as_str()).collect();
-        self.file_blocks.retain(|f, _| live.contains(f.as_str()));
+        let live: BTreeSet<usize> =
+            self.chunks.iter().chain(&self.shards).map(|b| b.epoch).collect();
+        self.file_blocks.retain(|f, _| live.contains(f));
         if let Some(retention) = &mut self.retention {
-            retention.written.insert(epoch, self.file_blocks.keys().cloned().collect());
+            retention.written.insert(epoch, live);
             stats.gc = retention.sweep(&self.dir, obs)?;
         }
         Ok(stats)
     }
 
-    /// The shards the next tick rewrites, and how many of them only
-    /// compaction moves: every dirty shard, plus (under retention) every
-    /// clean shard whose data file would keep fewer than a quarter of its
-    /// blocks live once the dirty shards move out.
-    fn plan(&self) -> (Vec<bool>, usize) {
-        let mut rewrite = self.dirty.clone();
+    /// Under retention, marks for rewriting every kept chunk and clean
+    /// shard whose file would keep fewer than a quarter of its blocks live
+    /// once the rest move out; returns how many clean shards it marked.
+    fn compact(&self, kept: &mut [Option<BlockRef>], rewrite: &mut [bool]) -> usize {
         if self.retention.is_none() {
-            return (rewrite, 0);
+            return 0;
         }
-        let mut live: HashMap<&str, usize> = HashMap::new();
-        for (b, _) in self.blocks.iter().zip(&rewrite).filter(|(_, &r)| !r) {
-            *live.entry(b.file.as_str()).or_default() += 1;
+        let mut live: BTreeMap<usize, usize> = BTreeMap::new();
+        let clean = self.shards.iter().zip(&*rewrite).filter(|(_, &r)| !r).map(|(b, _)| b);
+        for b in kept.iter().flatten().chain(clean) {
+            *live.entry(b.epoch).or_default() += 1;
+        }
+        let sparse = |b: &BlockRef| live[&b.epoch] * 4 < self.file_blocks[&b.epoch];
+        for chunk in kept.iter_mut() {
+            if chunk.is_some_and(|b| sparse(&b)) {
+                *chunk = None;
+            }
         }
         let mut compacted = 0;
-        for (b, r) in self.blocks.iter().zip(rewrite.iter_mut()) {
-            if !*r && live[b.file.as_str()] * 4 < self.file_blocks[&b.file] {
+        for (b, r) in self.shards.iter().zip(rewrite.iter_mut()) {
+            if !*r && sparse(b) {
                 *r = true;
                 compacted += 1;
             }
         }
-        (rewrite, compacted)
+        compacted
     }
+}
+
+/// The [`CHUNK`]-byte pieces of `range`; the last may be shorter.
+fn chunk_ranges(range: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    range.clone().step_by(CHUNK).map(move |start| start..(start + CHUNK).min(range.end))
+}
+
+/// For each chunk of `new`, the block of `old`'s chunk at the same index
+/// when the two are byte-equal; `refs` holds the blocks of `old`'s chunks.
+fn unchanged<'a>(
+    new: &'a [u8],
+    old: &'a [u8],
+    refs: &'a [BlockRef],
+) -> impl Iterator<Item = Option<BlockRef>> + 'a {
+    let mut old = old.chunks(CHUNK).zip(refs);
+    new.chunks(CHUNK).map(move |chunk| old.next().filter(|(o, _)| *o == chunk).map(|(_, b)| *b))
 }
 
 /// What a retention sweep removed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Manifest files deleted.
-    pub manifests_removed: usize,
-    /// Data files deleted.
-    pub segments_removed: usize,
+    /// Tick files deleted.
+    pub files_removed: usize,
     /// Bytes reclaimed across all deleted files.
     pub bytes_reclaimed: u64,
 }
 
-/// Retention state: how many manifests to keep, and the data files each
-/// manifest this writer committed references, so a sweep reads a
-/// manifest from disk only when another writer wrote it (for example the
-/// run a restore resumed).
+/// Retention state: how many manifests to keep, and the files each
+/// manifest this writer committed references, so a sweep reads a manifest
+/// from disk only when another writer wrote it (for example the run a
+/// restore resumed).
 #[derive(Debug)]
 struct Retention {
     keep: usize,
-    written: BTreeMap<usize, Vec<String>>,
+    written: BTreeMap<usize, BTreeSet<usize>>,
 }
 
 impl Retention {
@@ -596,7 +738,7 @@ impl Retention {
     fn sweep(&mut self, dir: &Path, obs: &haccs_obs::Recorder) -> Result<GcStats, PersistError> {
         let mut span = obs.span("persist.gc");
         let out = self.sweep_inner(dir);
-        let removed = out.as_ref().map_or(0, |s| s.manifests_removed + s.segments_removed);
+        let removed = out.as_ref().map_or(0, |s| s.files_removed);
         span.push_u("files_removed", removed as u64);
         span.finish();
         obs.inc("persist_gc_passes_total", 1);
@@ -606,67 +748,54 @@ impl Retention {
 
     fn sweep_inner(&mut self, dir: &Path) -> Result<GcStats, PersistError> {
         let io = |e| io_error(dir, e);
-        let mut manifests: Vec<(usize, String)> = Vec::new();
-        let mut data: Vec<String> = Vec::new();
+        let mut files: Vec<(usize, String)> = Vec::new();
         for entry in std::fs::read_dir(dir).map_err(io)? {
             let name = match entry.map_err(io)?.file_name().into_string() {
                 Ok(n) => n,
                 Err(_) => continue,
             };
             if let Some(epoch) = parse_numbered(&name, "manifest-", ".snap") {
-                manifests.push((epoch, name));
-            } else if parse_numbered(&name, "shards-", ".seg").is_some() {
-                data.push(name);
+                files.push((epoch, name));
             }
         }
-        manifests.sort_unstable();
-        let (stale, kept) = manifests.split_at(manifests.len().saturating_sub(self.keep));
+        files.sort_unstable();
+        let kept = &files[files.len().saturating_sub(self.keep)..];
 
-        // the retained set: everything a kept manifest references
-        let mut retained: HashSet<String> = HashSet::new();
+        // the retained set: the kept manifests and every file they
+        // reference
+        let mut retained: BTreeSet<usize> = BTreeSet::new();
         for (epoch, name) in kept {
+            retained.insert(*epoch);
             match self.written.get(epoch) {
-                Some(files) => retained.extend(files.iter().cloned()),
-                None => {
-                    let manifest = read_manifest(&dir.join(name))?;
-                    retained.extend(manifest.shards.into_iter().map(|b| b.file));
-                }
+                Some(refs) => retained.extend(refs),
+                None => retained.extend(read_manifest(&dir.join(name))?.refs().map(|b| b.epoch)),
             }
         }
         self.written.retain(|epoch, _| kept.iter().any(|(k, _)| k == epoch));
 
-        // manifests first, oldest first: a crash mid-sweep can orphan data
-        // files (the next sweep removes them) but never leaves a manifest
-        // whose blocks are gone
+        // nothing removed is a block a kept manifest needs, so a crash
+        // mid-sweep leaves every kept manifest restorable
         let mut stats = GcStats::default();
-        let remove = |name: &str, stats: &mut GcStats| -> Result<(), PersistError> {
+        for (_, name) in files.iter().filter(|(epoch, _)| !retained.contains(epoch)) {
             let path = dir.join(name);
             let len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             std::fs::remove_file(&path).map_err(|e| io_error(&path, e))?;
+            stats.files_removed += 1;
             stats.bytes_reclaimed += len;
-            Ok(())
-        };
-        for (_, name) in stale {
-            remove(name, &mut stats)?;
-            stats.manifests_removed += 1;
-        }
-        data.sort_unstable();
-        for name in data.iter().filter(|name| !retained.contains(*name)) {
-            remove(name, &mut stats)?;
-            stats.segments_removed += 1;
         }
         Ok(stats)
     }
 }
 
 /// Retention pass over a segmented-snapshot directory: keeps the newest
-/// `keep` manifests plus **every data file a kept manifest references**
-/// (clean shards legitimately point at files from much older epochs), and
-/// deletes the other manifests and data files. Files not matching the
-/// canonical data-file/manifest names are untouched. A crash mid-tick can
-/// leave a data file no manifest references; the next pass removes it.
-/// [`SegmentWriter::with_retention`] runs the same sweep after every tick,
-/// without re-reading the manifests it wrote itself.
+/// `keep` manifests plus **every file a kept manifest references** (core
+/// chunks and clean shards legitimately point at blocks of much older
+/// epochs), and deletes the other tick files. A file kept only for its
+/// blocks is not guaranteed to restore by itself: the files its own
+/// manifest references may be gone. Files not matching the canonical
+/// tick-file name are untouched. [`SegmentWriter::with_retention`] runs
+/// the same sweep after every tick, without re-reading the manifests it
+/// wrote itself.
 pub fn gc_segments(
     dir: &Path,
     keep: usize,
@@ -684,6 +813,7 @@ fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_LEN;
     use proptest::prelude::*;
 
     fn obs() -> haccs_obs::Recorder {
@@ -693,9 +823,12 @@ mod tests {
     /// Per snapshot shard, its `(id, entry bytes)` pairs.
     type ShardEntries = Vec<Vec<(usize, Vec<u8>)>>;
 
-    /// A synthetic snapshot: `pre` + n per-client entries + `post`, with
-    /// clients striped across shards by `id % n_shards`.
-    fn synthetic(n: usize, n_shards: usize) -> (Vec<u8>, ShardEntries, Vec<u8>) {
+    /// A synthetic snapshot: `pre` + per-client entries + `post`.
+    type State = (Vec<u8>, ShardEntries, Vec<u8>);
+
+    /// A synthetic snapshot of n clients, striped across shards by
+    /// `id % n_shards`.
+    fn synthetic(n: usize, n_shards: usize) -> State {
         let mut w = SnapshotWriter::new();
         w.put_u64(0xFEED);
         w.put_usize(n);
@@ -716,7 +849,7 @@ mod tests {
         w.into_payload()
     }
 
-    fn monolithic(pre: &[u8], shards: &[Vec<(usize, Vec<u8>)>], post: &[u8]) -> Vec<u8> {
+    fn monolithic((pre, shards, post): &State) -> Vec<u8> {
         let mut all: Vec<(usize, Vec<u8>)> = shards.iter().flatten().cloned().collect();
         all.sort_by_key(|(id, _)| *id);
         let mut w = SnapshotWriter::new();
@@ -734,11 +867,11 @@ mod tests {
         dir
     }
 
-    /// One tick of `writer` over `shards`' entries.
+    /// One tick of `writer` over `state`.
     fn tick(
         writer: &mut SegmentWriter,
         epoch: usize,
-        (pre, shards, post): &(Vec<u8>, ShardEntries, Vec<u8>),
+        (pre, shards, post): &State,
     ) -> Result<TickStats, PersistError> {
         writer.tick(
             epoch,
@@ -753,17 +886,41 @@ mod tests {
         )
     }
 
-    /// A fresh writer's first tick: every shard, one data file.
+    /// A fresh writer's first tick: every chunk and every shard.
     fn write_all(dir: &Path, epoch: usize, n: usize, n_shards: usize) -> (PathBuf, Vec<u8>) {
         let state = synthetic(n, n_shards);
         tick(&mut SegmentWriter::new(dir, n_shards), epoch, &state).unwrap();
-        (dir.join(manifest_name(epoch)), monolithic(&state.0, &state.1, &state.2))
+        (dir.join(manifest_name(epoch)), monolithic(&state))
     }
 
+    /// Rewrites the manifest of the tick file at `path` after `edit`,
+    /// keeping the file's blocks.
     fn rewrite_manifest(path: &Path, edit: impl FnOnce(&mut SegmentManifest)) {
-        let mut manifest = read_manifest(path).unwrap();
+        let file = TickFile::read(path).unwrap();
+        let mut manifest = file.manifest.clone();
         edit(&mut manifest);
-        write_manifest(path.parent().unwrap(), &manifest, &obs()).unwrap();
+        let mut w = SnapshotWriter::new();
+        w.put_u8(TAG_TICK);
+        w.put_usize(manifest.epoch);
+        w.put_usize(file.blocks.len());
+        for range in &file.blocks {
+            w.put_bytes(&file.bytes[range.clone()]);
+        }
+        put_refs(&mut w, manifest.pre_chunks, &manifest.chunks, &manifest.shards);
+        std::fs::write(path, w.finish()).unwrap();
+    }
+
+    fn epochs(refs: &[BlockRef]) -> Vec<usize> {
+        refs.iter().map(|b| b.epoch).collect()
+    }
+
+    fn dir_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -771,52 +928,102 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let (manifest_path, expected) = write_all(&dir, 3, 17, 4);
         assert_eq!(reassemble(&manifest_path, &obs()).unwrap(), expected);
+        assert_eq!(dir_names(&dir), [manifest_name(3)], "a tick writes one file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn clean_shards_can_reference_older_epoch_files() {
-        // epoch 1 writes everything; epoch 2 rewrites shard 1 only and its
-        // manifest references epoch 1's data file for shards 0 and 2
+    fn clean_shards_and_unchanged_chunks_reference_older_files() {
+        // epoch 1 writes everything; epoch 2 rewrites shard 1 only, and its
+        // manifest references epoch 1's file for shards 0 and 2 and for
+        // both core chunks, which did not change
         let dir = temp_dir("incremental");
         let mut state = synthetic(9, 3);
         let mut writer = SegmentWriter::new(&dir, 3);
         let first = tick(&mut writer, 1, &state).unwrap();
-        assert_eq!((first.files, first.dirty), (2, 3));
+        assert_eq!((first.chunks, first.dirty), (2, 3));
 
         // shard 1 dirtied: client 4's entry bytes change
         state.1[1][1].1 = entry(4, -1.0);
         writer.mark_dirty(1);
         let second = tick(&mut writer, 2, &state).unwrap();
-        assert_eq!((second.files, second.dirty, second.compacted), (2, 1, 0));
+        assert_eq!((second.chunks, second.dirty, second.compacted), (0, 1, 0));
 
         let path2 = dir.join(manifest_name(2));
-        let files: Vec<String> =
-            read_manifest(&path2).unwrap().shards.into_iter().map(|b| b.file).collect();
-        assert_eq!(files, [data_file_name(1), data_file_name(2), data_file_name(1)]);
-        assert_eq!(reassemble(&path2, &obs()).unwrap(), monolithic(&state.0, &state.1, &state.2));
+        let manifest = read_manifest(&path2).unwrap();
+        assert_eq!((manifest.blocks, manifest.pre_chunks), (1, 1));
+        assert_eq!(epochs(&manifest.shards), [1, 2, 1]);
+        assert_eq!(epochs(&manifest.chunks), [1, 1]);
+        assert_eq!(reassemble(&path2, &obs()).unwrap(), monolithic(&state));
+        assert_eq!(dir_names(&dir), [manifest_name(1), manifest_name(2)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_tick_with_no_dirty_shard_writes_only_the_manifest() {
+    fn core_chunks_are_reused_by_index_within_each_fragment() {
+        // pre spans 2.5 chunks and post 3; the second tick grows pre by a
+        // chunk and changes one byte of post's middle chunk, so pre's
+        // third chunk (now full) and fourth (new) and post's middle one
+        // are written, and post's outer chunks keep their blocks although
+        // they moved a chunk further into the core
+        let dir = temp_dir("chunks");
+        let fill = |len: usize, seed: u8| -> Vec<u8> {
+            (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
+        };
+        let mut state = (fill(CHUNK * 5 / 2, 1), synthetic(4, 2).1, fill(CHUNK * 3, 2));
+        let mut writer = SegmentWriter::new(&dir, 2);
+        let first = tick(&mut writer, 1, &state).unwrap();
+        assert_eq!((first.chunks, first.dirty), (6, 2));
+
+        state.0.extend(fill(CHUNK, 3));
+        state.2[CHUNK + 7] ^= 1;
+        let second = tick(&mut writer, 2, &state).unwrap();
+        assert_eq!((second.chunks, second.dirty), (3, 0));
+        let path = dir.join(manifest_name(2));
+        let manifest = read_manifest(&path).unwrap();
+        assert_eq!((manifest.blocks, manifest.pre_chunks), (3, 4));
+        assert_eq!(epochs(&manifest.chunks), [1, 1, 2, 2, 1, 2, 1]);
+        assert_eq!(reassemble(&path, &obs()).unwrap(), monolithic(&state));
+
+        // the same core again: every chunk keeps its block
+        let third = tick(&mut writer, 3, &state).unwrap();
+        assert_eq!(third.blocks(), 0);
+        assert_eq!(reassemble(&dir.join(manifest_name(3)), &obs()).unwrap(), monolithic(&state));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tick_with_nothing_changed_writes_a_manifest_of_references() {
         let dir = temp_dir("clean-tick");
         let state = synthetic(6, 3);
         let mut writer = SegmentWriter::new(&dir, 3);
         tick(&mut writer, 1, &state).unwrap();
         let stats = tick(&mut writer, 2, &state).unwrap();
-        assert_eq!((stats.files, stats.dirty), (1, 0));
-        assert!(!dir.join(data_file_name(2)).exists());
-        let expected = monolithic(&state.0, &state.1, &state.2);
-        assert_eq!(reassemble(&dir.join(manifest_name(2)), &obs()).unwrap(), expected);
+        assert_eq!((stats.chunks, stats.dirty), (0, 0));
+        let path = dir.join(manifest_name(2));
+        assert_eq!(read_manifest(&path).unwrap().blocks, 0);
+        assert_eq!(stats.bytes, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(reassemble(&path, &obs()).unwrap(), monolithic(&state));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Ticks 1 and 2 over 12 clients in 3 shards, tick 2 rewriting only
+    /// shard 0: its manifest references tick 1's file for the core
+    /// chunks and shards 1 and 2.
+    fn two_ticks(dir: &Path) -> PathBuf {
+        let state = synthetic(12, 3);
+        let mut writer = SegmentWriter::new(dir, 3);
+        tick(&mut writer, 1, &state).unwrap();
+        writer.mark_dirty(0);
+        tick(&mut writer, 2, &state).unwrap();
+        dir.join(manifest_name(2))
+    }
+
     #[test]
-    fn corrupting_a_single_segment_is_rejected() {
+    fn corrupting_a_referenced_file_is_rejected() {
         let dir = temp_dir("corrupt");
-        let (manifest_path, _) = write_all(&dir, 5, 12, 3);
-        let victim = dir.join(data_file_name(5));
+        let manifest_path = two_ticks(&dir);
+        let victim = dir.join(manifest_name(1));
         let mut bytes = std::fs::read(&victim).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -824,17 +1031,17 @@ mod tests {
         let err = reassemble(&manifest_path, &obs()).unwrap_err();
         assert!(
             matches!(&err, PersistError::Malformed(m)
-                if m.contains("checksum") && m.contains(&data_file_name(5))),
-            "expected a checksum rejection naming the data file, got {err:?}"
+                if m.contains("checksum") && m.contains(&manifest_name(1))),
+            "expected a checksum rejection naming the referenced file, got {err:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn missing_segment_is_io_error() {
+    fn a_missing_referenced_file_is_io_error() {
         let dir = temp_dir("missing");
-        let (manifest_path, _) = write_all(&dir, 7, 6, 2);
-        std::fs::remove_file(dir.join(data_file_name(7))).unwrap();
+        let manifest_path = two_ticks(&dir);
+        std::fs::remove_file(dir.join(manifest_name(1))).unwrap();
         assert!(matches!(reassemble(&manifest_path, &obs()).unwrap_err(), PersistError::Io(_)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -858,19 +1065,27 @@ mod tests {
     fn a_manifest_entry_naming_a_missing_block_or_another_shard_is_rejected() {
         let dir = temp_dir("bad-ref");
         let (manifest_path, _) = write_all(&dir, 4, 8, 4);
-        rewrite_manifest(&manifest_path, |m| m.shards[2].block = 4);
+        rewrite_manifest(&manifest_path, |m| m.shards[2].block = m.blocks);
         let err = reassemble(&manifest_path, &obs()).unwrap_err();
         assert!(
-            matches!(&err, PersistError::Malformed(m) if m.contains("holds 4 blocks")),
+            matches!(&err, PersistError::Malformed(m) if m.contains("file holds 6 blocks")),
             "expected a missing-block rejection, got {err:?}"
         );
 
         let (manifest_path, _) = write_all(&dir, 4, 8, 4);
-        rewrite_manifest(&manifest_path, |m| m.shards[2] = m.shards[3].clone());
+        rewrite_manifest(&manifest_path, |m| m.shards[2] = m.shards[3]);
         let err = reassemble(&manifest_path, &obs()).unwrap_err();
         assert!(
             matches!(&err, PersistError::Malformed(m) if m.contains("holds shard 3")),
             "expected a wrong-shard rejection, got {err:?}"
+        );
+
+        let (manifest_path, _) = write_all(&dir, 4, 8, 4);
+        rewrite_manifest(&manifest_path, |m| m.pre_chunks = 3);
+        let err = reassemble(&manifest_path, &obs()).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Malformed(m) if m.contains("pre-entry chunks")),
+            "expected a pre chunk count rejection, got {err:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -912,52 +1127,46 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trips() {
-        let dir = temp_dir("manifest");
-        let manifest = SegmentManifest {
-            epoch: 42,
-            pre: vec![1, 2, 3],
-            post: b"selector".to_vec(),
-            shards: vec![
-                BlockRef { file: data_file_name(42), block: 0, len: 20, checksum: 8 },
-                BlockRef { file: data_file_name(40), block: 3, len: 30, checksum: 9 },
-            ],
-        };
-        let written = write_manifest(&dir, &manifest, &obs()).unwrap();
-        let path = dir.join(manifest_name(42));
-        assert_eq!(read_manifest(&path).unwrap(), manifest);
-        assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn old_layout_manifest_is_refused_by_name() {
-        // the per-shard layout's manifest: tag 2, epoch, a core segment
-        // entry and one entry per shard file
+    fn earlier_layout_manifests_are_refused_by_name() {
+        // the per-shard layout's manifest (tag 2: epoch, a core segment
+        // entry and one entry per shard file) and the two-file layout's
+        // (tag 4: epoch, the core inline, then a data-file entry per shard)
         let dir = temp_dir("old-layout");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut w = SnapshotWriter::new();
-        w.put_u8(OLD_LAYOUT_MANIFEST_TAG);
-        w.put_usize(1);
+        let mut per_shard = SnapshotWriter::new();
+        per_shard.put_u8(TAG_PER_SHARD);
+        per_shard.put_usize(1);
         for file in ["core-000001.seg", "shard-0000-000001.seg"] {
-            w.put_str(file);
-            w.put_u64(10);
-            w.put_u64(7);
+            per_shard.put_str(file);
+            per_shard.put_u64(10);
+            per_shard.put_u64(7);
         }
-        let path = dir.join(manifest_name(1));
-        std::fs::write(&path, w.finish()).unwrap();
-        for err in [read_manifest(&path).unwrap_err(), reassemble(&path, &obs()).unwrap_err()] {
-            assert!(
-                matches!(&err, PersistError::Malformed(m) if m.contains("old per-shard")),
-                "expected the old layout to be named, got {err:?}"
-            );
+        let mut inline_core = SnapshotWriter::new();
+        inline_core.put_u8(TAG_INLINE_CORE);
+        inline_core.put_usize(1);
+        inline_core.put_bytes(b"pre");
+        inline_core.put_bytes(b"post");
+        inline_core.put_usize(1);
+        inline_core.put_str("shards-000001.seg");
+        inline_core.put_usize(0);
+        inline_core.put_u64(10);
+        inline_core.put_u64(7);
+        for (w, layout) in [(per_shard, "per-shard"), (inline_core, "two-file")] {
+            let path = dir.join(manifest_name(1));
+            std::fs::write(&path, w.finish()).unwrap();
+            for err in [read_manifest(&path).unwrap_err(), reassemble(&path, &obs()).unwrap_err()] {
+                assert!(
+                    matches!(&err, PersistError::Malformed(m) if m.contains(layout)),
+                    "expected the {layout} layout to be named, got {err:?}"
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_data_file_past_the_flush_threshold_streams_byte_identically() {
-        // 3 MB of entries: the data file goes out in several flushes
+    fn a_tick_file_past_the_flush_threshold_streams_byte_identically() {
+        // 3 MB of entries: the file goes out in several flushes
         let dir = temp_dir("streamed");
         let (pre, mut shards, post) = synthetic(6, 4);
         for (id, bytes) in shards.iter_mut().flatten() {
@@ -968,132 +1177,126 @@ mod tests {
         let state = (pre, shards, post);
         let stats = tick(&mut SegmentWriter::new(&dir, 4), 1, &state).unwrap();
         assert!(stats.bytes > 3 * FLUSH_BYTES as u64);
-        let expected = monolithic(&state.0, &state.1, &state.2);
-        assert_eq!(reassemble(&dir.join(manifest_name(1)), &obs()).unwrap(), expected);
+        assert_eq!(reassemble(&dir.join(manifest_name(1)), &obs()).unwrap(), monolithic(&state));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn empty_shards_are_valid() {
+    fn empty_shards_and_fragments_are_valid() {
         let dir = temp_dir("empty");
         let (manifest_path, expected) = write_all(&dir, 1, 2, 5); // shards 2..5 empty
         assert_eq!(reassemble(&manifest_path, &obs()).unwrap(), expected);
+
+        // no pre, no post: a manifest of shards only
+        let state = (Vec::new(), synthetic(3, 2).1, Vec::new());
+        let stats = tick(&mut SegmentWriter::new(&dir, 2), 2, &state).unwrap();
+        assert_eq!((stats.chunks, stats.dirty), (0, 2));
+        assert_eq!(reassemble(&dir.join(manifest_name(2)), &obs()).unwrap(), monolithic(&state));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_failed_tick_keeps_its_dirty_shards_for_the_next() {
+    fn a_failed_tick_keeps_its_core_and_dirty_shards_for_the_next() {
         let dir = temp_dir("failed-tick");
         let mut state = synthetic(6, 3);
         let mut writer = SegmentWriter::new(&dir, 3);
         tick(&mut writer, 1, &state).unwrap();
 
-        // a regular file where the directory should be fails the tick
+        // a regular file where the directory should be fails the tick,
+        // which changed shard 2 and the post chunk
         let aside = dir.with_extension("aside");
         std::fs::rename(&dir, &aside).unwrap();
         std::fs::write(&dir, b"in the way").unwrap();
         state.1[2][0].1 = entry(2, 9.0);
+        state.2.push(7);
         writer.mark_dirty(2);
         assert!(matches!(tick(&mut writer, 2, &state), Err(PersistError::Io(_))));
         std::fs::remove_file(&dir).unwrap();
         std::fs::rename(&aside, &dir).unwrap();
 
         let stats = tick(&mut writer, 3, &state).unwrap();
-        assert_eq!(stats.dirty, 1, "the failed tick's dirty shard must be rewritten");
-        let expected = monolithic(&state.0, &state.1, &state.2);
-        assert_eq!(reassemble(&dir.join(manifest_name(3)), &obs()).unwrap(), expected);
+        assert_eq!(
+            (stats.chunks, stats.dirty),
+            (1, 1),
+            "the failed tick's changed chunk and dirty shard must be rewritten"
+        );
+        assert_eq!(reassemble(&dir.join(manifest_name(3)), &obs()).unwrap(), monolithic(&state));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn retention_compacts_a_data_file_under_a_quarter_live() {
-        // 8 shards; tick 2 dirties 7 of them, leaving shard 7 the only
-        // live block of the first data file: 1 of 8 is under a quarter,
-        // so shard 7 moves along and the first file can go
+    fn a_tick_that_fails_to_commit_leaves_no_file_behind() {
+        // a directory squatting on the tick file's name makes the rename
+        // fail: the temp file goes, and the previous manifest still
+        // restores
+        let dir = temp_dir("squat");
+        let mut state = synthetic(6, 3);
+        let mut writer = SegmentWriter::new(&dir, 3);
+        tick(&mut writer, 1, &state).unwrap();
+        let expected = monolithic(&state);
+
+        std::fs::create_dir_all(dir.join(manifest_name(2)).join("squatter")).unwrap();
+        state.1[0][0].1 = entry(0, 5.0);
+        writer.mark_dirty(0);
+        assert!(tick(&mut writer, 2, &state).is_err());
+        assert_eq!(dir_names(&dir), [manifest_name(1), manifest_name(2)]);
+        std::fs::remove_dir_all(dir.join(manifest_name(2))).unwrap();
+        assert_eq!(reassemble(&dir.join(manifest_name(1)), &obs()).unwrap(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retention_compacts_a_file_under_a_quarter_live() {
+        // 8 shards and one pre and one post chunk: the first file holds
+        // 10 blocks. Tick 2 changes pre and dirties 7 shards, which leaves
+        // post's chunk and shard 7 live there: 2 of 10 is under a quarter,
+        // so both move along and the first file can go
         let dir = temp_dir("compact");
-        let state = synthetic(16, 8);
+        let mut state = synthetic(16, 8);
         let mut writer = SegmentWriter::new(&dir, 8).with_retention(1);
         tick(&mut writer, 1, &state).unwrap();
+        state.0.push(2);
         (0..7).for_each(|s| writer.mark_dirty(s));
         let stats = tick(&mut writer, 2, &state).unwrap();
-        assert_eq!((stats.dirty, stats.compacted, stats.files), (7, 1, 2));
-        assert_eq!(stats.gc.segments_removed, 1);
-        assert_eq!(dir_names(&dir), [manifest_name(2), data_file_name(2)]);
+        assert_eq!((stats.chunks, stats.dirty, stats.compacted), (2, 7, 1));
+        assert_eq!(stats.gc.files_removed, 1);
+        assert_eq!(dir_names(&dir), [manifest_name(2)]);
 
-        // 2 of 8 live is exactly a quarter: no compaction
+        // tick 3 changes pre and dirties 6 shards: post's chunk and shards
+        // 6 and 7 keep 3 of the second file's 10 blocks live, at least a
+        // quarter, so nothing moves
+        state.0.push(3);
         (0..6).for_each(|s| writer.mark_dirty(s));
         let stats = tick(&mut writer, 3, &state).unwrap();
-        assert_eq!((stats.dirty, stats.compacted), (6, 0));
-        let expected = monolithic(&state.0, &state.1, &state.2);
-        assert_eq!(reassemble(&dir.join(manifest_name(3)), &obs()).unwrap(), expected);
+        assert_eq!((stats.chunks, stats.dirty, stats.compacted), (1, 6, 0));
+        assert_eq!(dir_names(&dir), [manifest_name(2), manifest_name(3)]);
+        assert_eq!(reassemble(&dir.join(manifest_name(3)), &obs()).unwrap(), monolithic(&state));
 
         // without retention nothing is deleted, so nothing is compacted
         let dir2 = temp_dir("no-compact");
+        let mut state = synthetic(16, 8);
         let mut writer = SegmentWriter::new(&dir2, 8);
         tick(&mut writer, 1, &state).unwrap();
+        state.0.push(2);
         (0..7).for_each(|s| writer.mark_dirty(s));
-        assert_eq!(tick(&mut writer, 2, &state).unwrap().compacted, 0);
+        let stats = tick(&mut writer, 2, &state).unwrap();
+        assert_eq!((stats.chunks, stats.compacted), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
     }
 
     #[test]
-    fn an_orphan_data_file_keeps_the_previous_manifest_and_is_collected() {
-        // a crash between the data file and the manifest: here a directory
-        // squatting on the manifest's name makes the commit fail
-        let dir = temp_dir("orphan");
-        let mut state = synthetic(6, 3);
-        let mut writer = SegmentWriter::new(&dir, 3);
-        tick(&mut writer, 1, &state).unwrap();
-        writer.mark_dirty(0);
-        tick(&mut writer, 2, &state).unwrap();
-        let expected = monolithic(&state.0, &state.1, &state.2);
-
-        std::fs::create_dir_all(dir.join(manifest_name(3)).join("squatter")).unwrap();
-        state.1[0][0].1 = entry(0, 5.0);
-        writer.mark_dirty(0);
-        assert!(tick(&mut writer, 3, &state).is_err());
-        std::fs::remove_dir_all(dir.join(manifest_name(3))).unwrap();
-        assert!(dir.join(data_file_name(3)).exists(), "the orphan data file stays behind");
-        assert_eq!(reassemble(&dir.join(manifest_name(2)), &obs()).unwrap(), expected);
-
-        let stats = gc_segments(&dir, 2, &obs()).unwrap();
-        assert_eq!((stats.manifests_removed, stats.segments_removed), (0, 1));
-        assert!(!dir.join(data_file_name(3)).exists(), "the sweep removes the orphan");
-        assert_eq!(reassemble(&dir.join(manifest_name(2)), &obs()).unwrap(), expected);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn dir_names(dir: &Path) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        names.sort();
-        names
-    }
-
-    #[test]
-    fn gc_keeps_last_k_epochs_and_their_segments() {
+    fn gc_keeps_last_k_epochs() {
         let dir = temp_dir("gc-basic");
         let mut expects = Vec::new();
         for epoch in 1..=5 {
             expects.push(write_all(&dir, epoch, 4, 2));
         }
         let stats = gc_segments(&dir, 2, &obs()).unwrap();
-        // epochs 1..=3 dropped: 3 manifests + 3 data files
-        assert_eq!(stats.manifests_removed, 3);
-        assert_eq!(stats.segments_removed, 3);
+        // epochs 1..=3 dropped
+        assert_eq!(stats.files_removed, 3);
         assert!(stats.bytes_reclaimed > 0);
-        assert_eq!(
-            dir_names(&dir),
-            [
-                "manifest-000004.snap",
-                "manifest-000005.snap",
-                "shards-000004.seg",
-                "shards-000005.seg",
-            ]
-        );
+        assert_eq!(dir_names(&dir), [manifest_name(4), manifest_name(5)]);
         // surviving snapshots still restore bit-identically
         for (manifest_path, expected) in &expects[3..] {
             assert_eq!(&reassemble(manifest_path, &obs()).unwrap(), expected);
@@ -1102,29 +1305,38 @@ mod tests {
     }
 
     #[test]
-    fn gc_retains_old_segment_files_referenced_by_clean_shards() {
-        let dir = temp_dir("gc-dirty");
-        let state = synthetic(4, 2);
-        // epoch 1: everything fresh; epoch 2: only shard 0 dirty, so
-        // shard 1 still references epoch 1's data file
+    fn gc_keeps_every_file_a_kept_manifest_references() {
+        let dir = temp_dir("gc-refs");
+        let mut state = synthetic(4, 2);
         let mut writer = SegmentWriter::new(&dir, 2);
         tick(&mut writer, 1, &state).unwrap();
+        // tick 2 changes pre and shard 0, so its manifest references tick
+        // 1's file for post's chunk and shard 1
+        state.0.push(2);
+        state.1[0][0].1 = entry(0, 2.0);
         writer.mark_dirty(0);
         tick(&mut writer, 2, &state).unwrap();
-
         let stats = gc_segments(&dir, 1, &obs()).unwrap();
-        assert_eq!(stats.manifests_removed, 1);
-        // shards-000001 survives: the kept manifest still references it
-        assert_eq!(stats.segments_removed, 0);
-        assert_eq!(
-            dir_names(&dir),
-            ["manifest-000002.snap", "shards-000001.seg", "shards-000002.seg"]
-        );
-        assert_eq!(
-            reassemble(&dir.join(manifest_name(2)), &obs()).unwrap(),
-            monolithic(&state.0, &state.1, &state.2),
-            "retained snapshot must still reassemble after GC"
-        );
+        assert_eq!(stats.files_removed, 0);
+        assert_eq!(dir_names(&dir), [manifest_name(1), manifest_name(2)]);
+        assert_eq!(reassemble(&dir.join(manifest_name(2)), &obs()).unwrap(), monolithic(&state));
+
+        // tick 3 changes post and shard 1: its manifest references tick
+        // 2's file (pre's chunk, shard 0) and nothing of tick 1's
+        state.2.push(3);
+        state.1[1][0].1 = entry(1, 3.0);
+        writer.mark_dirty(1);
+        tick(&mut writer, 3, &state).unwrap();
+        let stats = gc_segments(&dir, 1, &obs()).unwrap();
+        assert_eq!(stats.files_removed, 1);
+        assert_eq!(dir_names(&dir), [manifest_name(2), manifest_name(3)]);
+        assert_eq!(reassemble(&dir.join(manifest_name(3)), &obs()).unwrap(), monolithic(&state));
+        // tick 2's file stays for its blocks; its own manifest needs tick
+        // 1's file, so it no longer restores by itself
+        assert!(matches!(
+            reassemble(&dir.join(manifest_name(2)), &obs()).unwrap_err(),
+            PersistError::Io(_)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1159,14 +1371,16 @@ mod tests {
         let _ = gc_segments(&dir, 0, &obs());
     }
 
-    /// A real three-tick directory whose newest manifest references a
-    /// data file from every tick: 6 shards, tick 2 rewrites shards 1 and
-    /// 2, tick 3 shard 2.
+    /// A real three-tick directory whose newest manifest references core
+    /// chunks and shard blocks in every older file: 6 shards, pre changes
+    /// every tick and post never, tick 2 rewrites shards 1 and 2, tick 3
+    /// shard 2.
     fn three_ticks(dir: &Path) -> Vec<u8> {
         let mut state = synthetic(20, 6);
         let mut writer = SegmentWriter::new(dir, 6);
         tick(&mut writer, 1, &state).unwrap();
         for (epoch, dirty) in [(2, &[1, 2][..]), (3, &[2][..])] {
+            state.0.push(epoch as u8);
             for &s in dirty {
                 for (id, bytes) in &mut state.1[s] {
                     *bytes = entry(*id, epoch as f32);
@@ -1175,7 +1389,71 @@ mod tests {
             }
             tick(&mut writer, epoch, &state).unwrap();
         }
-        monolithic(&state.0, &state.1, &state.2)
+        let manifest = read_manifest(&dir.join(manifest_name(3))).unwrap();
+        assert_eq!(epochs(&manifest.chunks), [3, 1]);
+        assert_eq!(epochs(&manifest.shards), [1, 2, 3, 1, 1, 1]);
+        monolithic(&state)
+    }
+
+    /// The process's peak virtual memory size in bytes (`VmPeak`), where
+    /// the platform reports it.
+    fn vm_peak() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmPeak:"))?;
+        line.split_whitespace().nth(1)?.parse::<u64>().ok().map(|kb| kb * 1024)
+    }
+
+    #[test]
+    fn a_tampered_tick_file_never_panics_the_reader() {
+        // every edit is framed with a valid envelope, so it reaches the
+        // parser: byte edits, the largest and a few over-large counts at
+        // every 8-byte window, and truncation at every payload length, on
+        // the newest file and on the oldest one it references
+        let dir = temp_dir("tamper");
+        let expected = three_ticks(&dir);
+        let tip = dir.join(manifest_name(3));
+        let peak = vm_peak();
+        for victim in [3, 1] {
+            let path = dir.join(manifest_name(victim));
+            let original = std::fs::read(&path).unwrap();
+            let payload = &original[HEADER_LEN..original.len() - 8];
+            let read = |edited: &[u8]| {
+                let mut w = SnapshotWriter::new();
+                w.append_raw(edited);
+                std::fs::write(&path, w.finish()).unwrap();
+                let _ = read_manifest(&path);
+                let _ = reassemble(&tip, &obs());
+            };
+            for at in 0..payload.len() {
+                for flip in [0x01, 0xFF] {
+                    let mut edited = payload.to_vec();
+                    edited[at] ^= flip;
+                    read(&edited);
+                }
+            }
+            for at in 0..=payload.len() - 8 {
+                for v in [u64::MAX, 1 << 40, MAX_LEN] {
+                    let mut edited = payload.to_vec();
+                    edited[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                    read(&edited);
+                }
+            }
+            for len in 0..payload.len() {
+                read(&payload[..len]);
+            }
+            std::fs::write(&path, &original).unwrap();
+        }
+        assert_eq!(reassemble(&tip, &obs()).unwrap(), expected);
+        // a count-sized allocation would reserve gigabytes for a count of
+        // MAX_LEN; the reader must size nothing by a count it has not read
+        if let (Some(before), Some(after)) = (peak, vm_peak()) {
+            assert!(
+                after < before + (1 << 30),
+                "reading tampered files reserved {} MB of address space",
+                (after - before) >> 20
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest! {
@@ -1183,7 +1461,7 @@ mod tests {
 
         #[test]
         fn no_corruption_of_a_referenced_file_reassembles(
-            file in 0usize..4,
+            file in 1usize..=3,
             at in 0.0f64..1.0,
             bit in 0u32..8,
             truncate in any::<bool>(),
@@ -1193,9 +1471,8 @@ mod tests {
             let manifest = dir.join(manifest_name(3));
             prop_assert_eq!(&reassemble(&manifest, &obs()).unwrap(), &expected);
 
-            // the newest manifest, or one of the three data files it uses
-            let victim =
-                if file == 0 { manifest.clone() } else { dir.join(data_file_name(file)) };
+            // the newest file, or one of the two older files it uses
+            let victim = dir.join(manifest_name(file));
             let mut bytes = std::fs::read(&victim).unwrap();
             let pos = ((bytes.len() as f64) * at) as usize;
             if truncate {

@@ -1,6 +1,7 @@
 //! Engine ⇄ coordinator parity: the message-driven coordinator runtime
-//! (agent threads + encoded wire frames + a deterministic event queue)
-//! must reproduce the loop engine's runs *bit for bit* for the same seed.
+//! (agents served by pool workers, encoded wire frames; Joins are sorted,
+//! heartbeat acks and updates commute) must reproduce the loop engine's
+//! runs *bit for bit* for the same seed.
 //!
 //! This is the pinned argument of DESIGN.md §8: every quantity the round
 //! depends on — selector RNG stream, local-training seeds, FedAvg

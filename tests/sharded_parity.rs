@@ -2,9 +2,9 @@
 //! coordinator, with the loop engine replaying the same matrix.
 //!
 //! A `ShardConfig` only decides which pool worker serves which agent and
-//! how the per-shard telemetry is bucketed. Every collection is drained in
-//! a deterministic order and FedAvg admits updates in selection order, so
-//! the layout can never leak into results. This soak checks that live, run
+//! how the per-shard telemetry is bucketed. Joins are sorted, heartbeat
+//! acks and updates commute, and FedAvg admits updates in selection order,
+//! so the layout can never leak into results. This soak checks that live, run
 //! against run, at n = 256 clients (`RunResult`'s `PartialEq` compares
 //! every float via `to_bits`):
 //!
