@@ -231,9 +231,11 @@ pub(crate) struct Answer {
 }
 
 /// Sends an encoded frame over the lossy channel: the frame the channel's
-/// attempts carry is the frame the envelope delivers.
+/// attempts carry is the frame the envelope delivers. The coordinator's
+/// decode of a delivered frame is its receive path, so the channel only
+/// runs the attempt trace.
 fn lossy(channel: &FaultyChannel, frame: Bytes, stream_id: u64) -> TransmitOutcome {
-    match channel.transmit(&frame, stream_id) {
+    match channel.attempts(frame.len(), stream_id) {
         Ok(d) => TransmitOutcome::Delivered {
             frame,
             retries: d.retries as usize,

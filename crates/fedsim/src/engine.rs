@@ -46,9 +46,10 @@ use haccs_sysmodel::{Availability, DeviceProfile, FaultModel, LatencyModel};
 use haccs_wire::{ChannelError, Message};
 use rayon::prelude::*;
 
-/// Builds a fresh (randomly initialized) model instance. Each parallel
-/// local trainer constructs its own instance and overwrites the parameters
-/// with the current global model.
+/// Builds a fresh (randomly initialized) model instance. The engine's
+/// training builds one per round and overwrites its parameters with the
+/// current global model before each trainee; probes and per-client passes
+/// build their own.
 pub type ModelFactory = Box<dyn Fn() -> Sequential + Send + Sync>;
 
 /// Simulation parameters.
@@ -568,20 +569,27 @@ struct Local<'a> {
 }
 
 impl Local<'_> {
-    /// Trains `ids` one after another (`shims/rayon`'s `par_iter` is
-    /// sequential) against the current global model. Local
-    /// seeds depend only on `(cfg.seed, epoch, id)`, so the same id trains
-    /// identically whether it was selected up front or drafted as a
-    /// replacement.
+    /// Trains `ids` one after another against the current global model,
+    /// on one scratch model per call, as the coordinator's pool workers
+    /// do: each trainee first sets the global parameters on it. Nothing
+    /// else it holds reaches the next trainee: `train_local` zeroes the
+    /// gradients before every backward pass, starts a fresh optimizer and
+    /// leaves no cached activation behind, so every update has the bits a
+    /// freshly built model gives. Local seeds depend only on
+    /// `(cfg.seed, epoch, id)`, so the same id trains identically whether
+    /// it was selected up front or drafted as a replacement.
     fn train(&self, server: &Server, ids: &[usize]) -> Vec<(usize, Vec<f32>, f32)> {
+        if ids.is_empty() {
+            return Vec::new();
+        }
         let (cfg, epoch, gp) = (&server.cfg, server.epoch, &server.global_params);
-        let (f, clients) = (self.factory, &*self.clients);
-        ids.par_iter()
+        let mut m = (self.factory)();
+        ids.iter()
             .map(|&id| {
-                let mut m = f();
                 m.set_params(gp);
                 let local_seed = round::local_train_seed(cfg.seed, epoch, id);
-                let loss = train_local(&mut m, &clients[id].data.train, &cfg.train, local_seed);
+                let data = &self.clients[id].data.train;
+                let loss = train_local(&mut m, data, &cfg.train, local_seed);
                 (id, m.get_params(), loss)
             })
             .collect()
@@ -734,6 +742,41 @@ mod tests {
             availability,
             SimConfig { k: 3, seed: 5, ..Default::default() },
         )
+    }
+
+    /// One scratch model trains every trainee of a call: in either order,
+    /// each trainee's parameters and loss have the bits a freshly built
+    /// model gives, so no cached input, gradient or momentum velocity
+    /// leaks from one trainee to the next.
+    #[test]
+    fn one_scratch_model_trains_like_a_fresh_model_per_trainee() {
+        let mut sim = build_sim(6, Availability::AlwaysOn);
+        // move the global model off the factory's initial weights
+        sim.run_round(&mut FirstK);
+        assert!(sim.config().train.momentum > 0.0);
+        let server = &sim.server;
+        let bits = |(id, params, loss): (usize, Vec<f32>, f32)| {
+            (id, params.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), loss.to_bits())
+        };
+        let fresh: Vec<_> = [1usize, 4]
+            .map(|id| {
+                let mut m = (sim.factory)();
+                m.set_params(&server.global_params);
+                let seed = round::local_train_seed(server.cfg.seed, server.epoch, id);
+                let data = &sim.clients[id].data.train;
+                let loss = train_local(&mut m, data, &server.cfg.train, seed);
+                bits((id, m.get_params(), loss))
+            })
+            .to_vec();
+        let local = Local {
+            factory: &sim.factory,
+            clients: &mut sim.clients,
+            residuals: &mut sim.codec_residuals,
+        };
+        for (order, want) in [([1, 4], [&fresh[0], &fresh[1]]), ([4, 1], [&fresh[1], &fresh[0]])] {
+            let got: Vec<_> = local.train(server, &order).into_iter().map(bits).collect();
+            assert_eq!(got.iter().collect::<Vec<_>>(), want, "trainee order {order:?}");
+        }
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * [`selector::Selector`] — the strategy interface every scheduler
 //!   (Random/TiFL/Oort/HACCS) implements,
 //! * [`trainer`] — real local SGD on the client's shard (clients train
-//!   *for real*; only time is simulated), one client after another: the
-//!   loop over clients is a rayon `par_iter`, which the workspace's
-//!   offline `shims/rayon` runs sequentially,
+//!   *for real*; only time is simulated), one client after another on the
+//!   calling thread, all of a round's trainees on one scratch model,
 //! * [`round::Server`] — the one round driver: select → train → FedAvg →
 //!   advance clock by the slowest participant → evaluate, played against
 //!   a [`round::Backend`] that moves the updates; the loop engine and the

@@ -80,14 +80,12 @@ impl Linear {
         self.weight.shape()[1]
     }
 
-    /// `dW += xᵀ · dy` and `db += column sums of dy`.
+    /// `dW += xᵀ · dy` and `db += column sums of dy`, in place: each sum is
+    /// formed from `0.0` and added onto the held gradient once.
     fn accumulate_param_grads(&mut self, dy: &Tensor) {
         let x = self.cached_input.take().expect("Linear::backward called before forward");
-        let dw = ops::matmul_at(&x, dy);
-        ops::axpy(&mut self.d_weight, 1.0, &dw);
-        for (acc, g) in self.d_bias.iter_mut().zip(ops::sum_rows(dy)) {
-            *acc += g;
-        }
+        ops::add_matmul_at(&mut self.d_weight, &x, dy);
+        ops::add_sum_rows(&mut self.d_bias, dy);
     }
 }
 
@@ -236,7 +234,7 @@ impl Layer for Relu {
 
     fn backward(&mut self, dy: Tensor) -> Tensor {
         let x = self.cached_input.take().expect("Relu::backward called before forward");
-        ops::relu_backward(&x, &dy)
+        ops::relu_backward(&x, dy)
     }
 
     fn name(&self) -> &'static str {
@@ -380,6 +378,34 @@ mod tests {
         for (t, o) in twice.iter().zip(&once) {
             assert!((t - 2.0 * o).abs() < 1e-4, "accumulation broken: {t} vs 2*{o}");
         }
+    }
+
+    /// Two backward passes without `zero_grad`, through both entry points:
+    /// the in-place gradients keep the bits of adding a `matmul_at`
+    /// temporary (by `axpy`) and fresh column sums onto the held ones.
+    #[test]
+    fn in_place_gradients_match_temporary_plus_axpy() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut l = Linear::new(19, 21, &mut rng);
+        let mut want_w = Tensor::zeros(&[19, 21]);
+        let mut want_b = vec![0.0f32; 21];
+        for (batch, params_only) in [(5, false), (3, true)] {
+            let x = init::uniform(&[batch, 19], -2.0, 2.0, &mut rng);
+            let dy = init::uniform(&[batch, 21], -1.0, 1.0, &mut rng);
+            ops::axpy(&mut want_w, 1.0, &ops::matmul_at(&x, &dy));
+            for (j, acc) in want_b.iter_mut().enumerate() {
+                *acc += (0..batch).fold(0.0f32, |s, i| s + dy.at2(i, j));
+            }
+            l.forward(x);
+            if params_only {
+                l.backward_params(dy);
+            } else {
+                l.backward(dy);
+            }
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(l.d_weight.data()), bits(want_w.data()));
+        assert_eq!(bits(&l.d_bias), bits(&want_b));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * row-major `f32` tensors of arbitrary rank ([`Tensor`]),
 //! * matrix products through one register-blocked GEMM ([`ops::matmul`],
-//!   [`ops::matmul_at`], [`ops::matmul_bt`]),
+//!   [`ops::matmul_at`], [`ops::matmul_bt`], and [`ops::add_matmul_at`],
+//!   which adds `Aᵀ·B` onto a held gradient with no temporary),
 //! * 2-D convolution via im2col and max pooling ([`conv`]),
 //! * element-wise kernels, reductions and softmax ([`ops`]),
 //! * standard initializers (Xavier/Kaiming/uniform/normal) ([`init`]).
@@ -18,11 +19,13 @@
 //! registers through a loop over ascending `k`, so each output element
 //! still adds its products one at a time in ascending `k` onto a fixed
 //! seed (`0.0`, or `-0.0` for `matmul_bt`, the value `f32`'s `Sum` starts
-//! from): its bits equal the naive triple loop's. Its one body is compiled
-//! for the target's baseline and for AVX2, and the CPU picks at run time;
-//! `fma` stays off, so both give the same bits. Everything runs on the
-//! calling thread; the conv batch loop is written against the rayon API,
-//! which the workspace's offline `shims/rayon` runs sequentially.
+//! from) and adds that sum onto the output once: its bits equal the naive
+//! triple loop's. Its one body is compiled three times, for the target's
+//! baseline, for AVX2 and for AVX-512, and the CPU picks the widest it has
+//! at run time. Rust never fuses `a * b + c`, so all three give the same
+//! bits. Everything runs on the calling thread; the conv batch loop is
+//! written against the rayon API, which the workspace's offline
+//! `shims/rayon` runs sequentially.
 
 pub mod conv;
 pub mod init;

@@ -149,7 +149,7 @@ proptest! {
         let y = ops::relu(&t);
         prop_assert!(y.data().iter().all(|&x| x >= 0.0));
         let dy = Tensor::full(t.shape(), 1.0);
-        let dx = ops::relu_backward(&t, &dy);
+        let dx = ops::relu_backward(&t, dy);
         for (xi, gi) in t.data().iter().zip(dx.data()) {
             prop_assert_eq!(*gi, if *xi > 0.0 { 1.0 } else { 0.0 });
         }

@@ -1,8 +1,12 @@
 //! [`FaultyChannel`]: a seeded lossy channel for frames made by
 //! [`Message::encode`](crate::Message::encode), with retransmission,
-//! exponential backoff and a per-message retry budget; its receive path
-//! runs [`Message::decode`](crate::Message::decode) on every delivery.
-//! Both runtimes' update and heartbeat traffic crosses it.
+//! exponential backoff and a per-message retry budget. Both runtimes'
+//! update and heartbeat traffic crosses it. The loop engine sends through
+//! [`FaultyChannel::transmit`], whose receive path runs
+//! [`Message::decode`](crate::Message::decode) on every delivery; the
+//! coordinator's agents take the same outcome from
+//! [`FaultyChannel::attempts`], because the coordinator decodes every
+//! delivered frame itself.
 //!
 //! Each transmission attempt independently either **delivers**, **drops**
 //! the frame (nothing arrives; the sender times out and retransmits) or
@@ -109,21 +113,13 @@ impl FaultyChannel {
     /// frame. Panics if `frame` does not decode: it must come from
     /// [`Message::encode`].
     pub fn transmit(&self, frame: &[u8], stream_id: u64) -> Result<Delivery, ChannelError> {
-        let mut backoff_s = 0.0f64;
-        let mut bytes_sent = 0usize;
-        for attempt in 0..=self.max_retries {
-            bytes_sent += frame.len();
-            let h = self.attempt_hash(stream_id, attempt);
-            let lost = self.loss_prob > 0.0 && unit(h) < self.loss_prob;
-            if !lost {
-                // receive path: the real decoder runs on every delivery
+        self.run(frame.len(), stream_id, |garble| match garble {
+            // receive path: the real decoder runs on every delivery
+            None => {
                 Message::decode(frame).expect("a clean frame from encode() must decode");
-                return Ok(Delivery { retries: attempt, backoff_s, bytes_sent });
             }
-            // faulted attempt: half the losses are silent drops, half are
-            // in-flight corruptions the receiver detects and discards
-            let corrupted = h & 1 == 1;
-            if corrupted {
+            Some(h) => {
+                // a corrupted attempt: the receiver must reject the copy
                 let garbled = corrupt_frame(frame, h);
                 match Message::decode(&garbled) {
                     // decode caught the damage directly
@@ -142,6 +138,39 @@ impl FaultyChannel {
                         )
                     }
                 }
+            }
+        })
+    }
+
+    /// The outcome [`FaultyChannel::transmit`] gives a `frame_len`-byte
+    /// frame on `stream_id`, without reading the frame: for a sender whose
+    /// receiver decodes every delivered frame itself.
+    pub fn attempts(&self, frame_len: usize, stream_id: u64) -> Result<Delivery, ChannelError> {
+        self.run(frame_len, stream_id, |_| {})
+    }
+
+    /// The attempt trace: `receive(None)` on the delivering attempt,
+    /// `receive(Some(hash))` on each corrupted one.
+    fn run(
+        &self,
+        frame_len: usize,
+        stream_id: u64,
+        mut receive: impl FnMut(Option<u64>),
+    ) -> Result<Delivery, ChannelError> {
+        let mut backoff_s = 0.0f64;
+        let mut bytes_sent = 0usize;
+        for attempt in 0..=self.max_retries {
+            bytes_sent += frame_len;
+            let h = self.attempt_hash(stream_id, attempt);
+            let lost = self.loss_prob > 0.0 && unit(h) < self.loss_prob;
+            if !lost {
+                receive(None);
+                return Ok(Delivery { retries: attempt, backoff_s, bytes_sent });
+            }
+            // faulted attempt: half the losses are silent drops, half are
+            // in-flight corruptions the receiver detects and discards
+            if h & 1 == 1 {
+                receive(Some(h));
             }
             // sender times out and backs off before retransmitting
             backoff_s += self.base_backoff_s * f64::powi(2.0, attempt as i32);
@@ -193,6 +222,18 @@ mod tests {
     #[should_panic(expected = "a clean frame from encode() must decode")]
     fn receive_path_refuses_a_frame_encode_did_not_make() {
         let _ = FaultyChannel::reliable(1).transmit(&[0xEE, 0x01, 0x02], 0);
+    }
+
+    /// The trace without the decode is the trace with it, for every
+    /// outcome: first-try deliveries, retried ones and exhausted budgets.
+    #[test]
+    fn attempts_match_transmit_without_reading_the_frame() {
+        let frame = frame();
+        for ch in [FaultyChannel::reliable(4), FaultyChannel::lossy(0.6, 11, 3, 0.25)] {
+            for stream in 0..200u64 {
+                assert_eq!(ch.attempts(frame.len(), stream), ch.transmit(&frame, stream));
+            }
+        }
     }
 
     #[test]

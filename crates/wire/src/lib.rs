@@ -27,7 +27,8 @@
 //!
 //! Encoded frames travel one of two carriers:
 //!
-//! * [`channel`] — the seeded lossy channel ([`FaultyChannel::transmit`])
+//! * [`channel`] — the seeded lossy channel ([`FaultyChannel::transmit`],
+//!   or [`FaultyChannel::attempts`] for a receiver that decodes itself)
 //!   with retransmission, exponential backoff and a per-message retry
 //!   budget, which both runtimes' update and heartbeat traffic crosses:
 //!   the wire half of the fault-injection story (`haccs_sysmodel::faults`
